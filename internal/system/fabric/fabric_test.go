@@ -222,3 +222,106 @@ func TestAuthStateServesVerifiedReads(t *testing.T) {
 		t.Fatalf("head at %d carries no state commitment", head.Header.Number)
 	}
 }
+
+// TestPeersSealTheBytesEncodedAtOrdering pins encode-once: a transaction is
+// marshalled where it enters ordering, and every peer's seal stage appends
+// those bytes — the same backing array, so zero marshals per replica — under
+// a transaction root each peer computed itself.
+func TestPeersSealTheBytesEncodedAtOrdering(t *testing.T) {
+	const peers = 3
+	nw, client := network(t, Config{Peers: peers})
+	for i := 0; i < 12; i++ {
+		if r := nw.Execute(mustTx(t, client, "put", fmt.Sprintf("k%d", i), "v")); !r.Committed {
+			t.Fatalf("tx %d: %+v", i, r)
+		}
+	}
+	// Execute returns when the first peer seals; wait for the laggards.
+	sealed := func(i int) (n int) {
+		l := nw.Ledger(i)
+		for b := uint64(1); b <= l.Height(); b++ {
+			blk, _ := l.Block(b)
+			n += len(blk.Txs)
+		}
+		return n
+	}
+	for i := 0; i < peers; i++ {
+		deadline := time.Now().Add(10 * time.Second)
+		for sealed(i) < 12 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	h := nw.Ledger(0).Height()
+	seen := 0
+	for n := uint64(1); n <= h; n++ {
+		ref, _ := nw.Ledger(0).Block(n)
+		for i := 1; i < peers; i++ {
+			blk, ok := nw.Ledger(i).Block(n)
+			if !ok || blk.Header != ref.Header || len(blk.Txs) != len(ref.Txs) {
+				t.Fatalf("peer %d block %d differs from peer 0", i, n)
+			}
+			if blk == ref {
+				t.Fatalf("peer %d shares peer 0's block %d: each peer seals its own", i, n)
+			}
+			for k := range blk.Txs {
+				if &blk.Txs[k][0] != &ref.Txs[k][0] {
+					t.Fatalf("peer %d block %d tx %d was marshalled again", i, n, k)
+				}
+			}
+		}
+		for _, raw := range ref.Txs {
+			tx, err := txn.Unmarshal(raw)
+			if err != nil {
+				t.Fatalf("block %d: %v", n, err)
+			}
+			if len(tx.Endorsements) != peers || len(tx.RWSet.Writes) != 1 {
+				t.Fatalf("block %d holds bytes encoded before endorsement: %+v", n, tx)
+			}
+			seen++
+		}
+	}
+	if seen != 12 {
+		t.Fatalf("ledger holds %d transactions, want 12", seen)
+	}
+}
+
+// TestValidateRejectsRepeatedEndorser plants, in each verification mode,
+// a transaction whose endorsement policy (all four peers) is filled with
+// four copies of one peer's valid endorsement, beside an honest one. Every
+// mode's validate stage must give the serial verdict: reject the first,
+// accept the second.
+func TestValidateRejectsRepeatedEndorser(t *testing.T) {
+	for _, mode := range []string{"serial", "batch", "aggregate"} {
+		t.Run(mode, func(t *testing.T) {
+			nw, client := network(t, Config{
+				BatchVerify:           mode == "batch",
+				AggregateEndorsements: mode == "aggregate",
+			})
+			live := nw.livePeers()
+			endorsed := func(key string) *txn.Tx {
+				tx := mustTx(t, client, "put", key, "v")
+				if r, ok := nw.endorseAndAssemble(tx, live); !ok {
+					t.Fatalf("endorse: %+v", r)
+				}
+				return tx
+			}
+			honest, forged := endorsed("honest"), endorsed("forged")
+			one := forged.Endorsements[0]
+			forged.Endorsements = []txn.Endorsement{one, one, one, one}
+			if mode == "aggregate" {
+				// The leader cosigns what it was given; the aggregate over
+				// the copies is itself valid.
+				if err := forged.Cosign(live[0].signer); err != nil {
+					t.Fatal(err)
+				}
+			}
+			b := &fabricBlock{txs: []*txn.Tx{forged, honest}}
+			nw.peers[1].validateBlock(b)
+			if b.verdicts[0] == occ.OK {
+				t.Error("one peer's endorsement, copied four times, satisfied a 4-of-4 policy")
+			}
+			if b.verdicts[1] != occ.OK {
+				t.Errorf("honest transaction rejected: %v", b.verdicts[1])
+			}
+		})
+	}
+}

@@ -229,7 +229,11 @@ type node struct {
 type block struct {
 	proposer cluster.NodeID
 	txs      []*txn.Tx
-	size     int
+	// raw holds each transaction's wire bytes, parallel to txs, encoded
+	// once by the proposer; every node seals these same bytes into its own
+	// ledger (nil on recovery replay, which appends the source's block).
+	raw  [][]byte
+	size int
 }
 
 // nodeBlock is one node's in-flight view of a committed block moving
@@ -609,18 +613,20 @@ func (n *node) proposeLoop() {
 		// Pre-execute serially at the tip (order-execute: the proposer
 		// validates transactions before batching them).
 		size := 0
-		for _, t := range batch {
+		raw := make([][]byte, len(batch))
+		for i, t := range batch {
 			start := time.Now()
 			snap := n.st.Snapshot()
 			_, _ = n.reg.Execute(snap, t.Invocation)
 			snap.Release()
 			t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
 			size += t.Size()
+			raw[i] = t.Marshal()
 		}
 		// The block is taken exactly once per node — live nodes Take in
 		// decode, crashed nodes Take in their drain — so the count stays
 		// constant across crashes and no entry leaks.
-		id := n.nw.box.Put(&block{proposer: n.id, txs: batch, size: size}, len(n.nw.nodes))
+		id := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
 		if err := n.cons.Propose(system.EncodeHandle(id)); err != nil {
 			// Leadership moved between check and propose; requeue.
 			n.pendingMu.Lock()
@@ -757,41 +763,21 @@ func (n *node) applyBlock(nb *nodeBlock) {
 // (pipeline Seal stage, strict block order).
 func (n *node) sealBlock(nb *nodeBlock) {
 	blk := nb.blk
-	// Blocks persist their transactions whole (marshalled, as real Quorum
-	// blocks do), which is what makes the ledger a sufficient replay
-	// source for crash recovery.
-	payloads := make([][]byte, len(blk.txs))
-	for i, t := range blk.txs {
-		payloads[i] = t.Marshal()
-	}
-	// The header carries the latest *published* state commitment — the
-	// seal path no longer waits for (or computes) this block's root, so
-	// the commitment may trail Number by a bounded number of blocks
-	// (authstate's queue depth plus the publish interval).
-	var stateRoot cryptoutil.Hash
-	var stateRootHeight uint64
-	if up, ok := n.auth.Published(); ok {
-		stateRoot = up.Root.Root
-		stateRootHeight = up.Root.Height
-	}
 	if nb.commitErr == nil {
-		var parent cryptoutil.Hash
-		if head := n.ledger.Head(); head != nil {
-			parent = head.Hash()
+		// The header carries the latest *published* state commitment — the
+		// seal path no longer waits for (or computes) this block's root, so
+		// the commitment may trail Number by a bounded number of blocks
+		// (authstate's queue depth plus the publish interval).
+		var stateRoot cryptoutil.Hash
+		var stateRootHeight uint64
+		if up, ok := n.auth.Published(); ok {
+			stateRoot, stateRootHeight = up.Root.Root, up.Root.Height
 		}
-		lb := &ledger.Block{
-			Header: ledger.Header{
-				Number:          n.ledger.Height() + 1,
-				ParentHash:      parent,
-				TxRoot:          ledger.ComputeTxRoot(payloads),
-				StateRoot:       stateRoot,
-				StateRootHeight: stateRootHeight,
-			},
-			Txs: payloads,
-		}
-		if err := n.ledger.Append(lb); err != nil {
-			nb.commitErr = fmt.Errorf("quorum node %d: ledger append: %w", n.id, err)
-		}
+		// Blocks persist their transactions whole (marshalled, as real
+		// Quorum blocks do), which is what makes the ledger a sufficient
+		// replay source for crash recovery. The bytes are the proposer's;
+		// the transaction root over them is this node's own.
+		n.ledger.Seal(blk.raw, stateRoot, stateRootHeight)
 	}
 
 	// The proposer resolves the waiting clients once its own commit is

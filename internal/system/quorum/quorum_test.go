@@ -155,3 +155,45 @@ func TestStateBytesGrow(t *testing.T) {
 		t.Fatal("state bytes did not grow")
 	}
 }
+
+// TestNodesSealTheProposersBytes pins encode-once: the proposer marshals a
+// block's transactions when it proposes, and every node's seal stage
+// appends those bytes — the same backing array, so zero marshals per
+// replica — under a transaction root each node computed itself.
+func TestNodesSealTheProposersBytes(t *testing.T) {
+	const nodes = 3
+	nw, client := network(t, Config{Nodes: nodes})
+	for i := 0; i < 10; i++ {
+		if r := nw.Execute(mustTx(t, client, "put", fmt.Sprintf("k%d", i), "v")); !r.Committed {
+			t.Fatalf("tx %d: %+v", i, r)
+		}
+	}
+	h := waitConverged(t, nw, nodes)
+	seen := 0
+	for n := uint64(1); n <= h; n++ {
+		ref, _ := nw.Ledger(0).Block(n)
+		for i := 1; i < nodes; i++ {
+			blk, ok := nw.Ledger(i).Block(n)
+			if !ok || blk.Header.TxRoot != ref.Header.TxRoot || len(blk.Txs) != len(ref.Txs) {
+				t.Fatalf("node %d block %d differs from node 0", i, n)
+			}
+			if blk == ref {
+				t.Fatalf("node %d shares node 0's block %d: each node seals its own", i, n)
+			}
+			for k := range blk.Txs {
+				if &blk.Txs[k][0] != &ref.Txs[k][0] {
+					t.Fatalf("node %d block %d tx %d was marshalled again", i, n, k)
+				}
+			}
+		}
+		for _, raw := range ref.Txs {
+			if _, err := txn.Unmarshal(raw); err != nil {
+				t.Fatalf("block %d: %v", n, err)
+			}
+			seen++
+		}
+	}
+	if seen != 10 {
+		t.Fatalf("ledger holds %d transactions, want 10", seen)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dichotomy/internal/cryptoutil"
-	"dichotomy/internal/metrics"
 )
 
 // Wire codec for whole transactions. Blocks persist their transactions in
@@ -28,7 +27,7 @@ import (
 // one), and an endorsement is peer str | sig [64]. The agg flag (version 2)
 // is 0 or 1 and gates the optional aggregate-endorsement section — any
 // other value is rejected to keep the encoding canonical. The Trace never
-// crosses the wire; Unmarshal starts a fresh one.
+// crosses the wire; Unmarshal leaves it nil.
 
 const (
 	codecMagic = 0xD7
@@ -92,10 +91,8 @@ func (t *Tx) Marshal() []byte {
 	out = appendCount(out, len(t.RWSet.Reads))
 	for _, r := range t.RWSet.Reads {
 		out = appendStr(out, r.Key)
-		var v [12]byte
-		binary.BigEndian.PutUint64(v[0:8], r.Version.BlockNum)
-		binary.BigEndian.PutUint32(v[8:12], r.Version.TxNum)
-		out = append(out, v[:]...)
+		out = binary.BigEndian.AppendUint64(out, r.Version.BlockNum)
+		out = binary.BigEndian.AppendUint32(out, r.Version.TxNum)
 	}
 	out = appendCount(out, len(t.RWSet.Writes))
 	for _, w := range t.RWSet.Writes {
@@ -122,12 +119,6 @@ func (t *Tx) Marshal() []byte {
 	}
 	out = append(out, t.Sig[:]...)
 	return out
-}
-
-func appendCount(dst []byte, n int) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(n))
-	return append(dst, b[:]...)
 }
 
 // decoder is a bounds-checked cursor over an encoded transaction.
@@ -192,10 +183,15 @@ func (d *decoder) bytes(what string) []byte {
 	return out
 }
 
-func (d *decoder) str(what string) string { return string(d.bytes(what)) }
+func (d *decoder) str(what string) string {
+	n := int(d.u32(what))
+	return string(d.take(n, what))
+}
 
 // Unmarshal decodes a transaction from its wire form. The decoded
-// transaction carries a fresh Trace.
+// transaction has a nil Trace: its readers are replay, recovery and
+// verifier paths that nobody times per phase, and every Trace method is
+// nil-receiver safe.
 func Unmarshal(data []byte) (*Tx, error) {
 	d := &decoder{data: data}
 	hdr := d.take(2, "header")
@@ -205,7 +201,7 @@ func Unmarshal(data []byte) (*Tx, error) {
 	if hdr[0] != codecMagic || hdr[1] != codecVersion {
 		return nil, fmt.Errorf("txn: decode: bad magic/version %x/%d", hdr[0], hdr[1])
 	}
-	t := &Tx{Trace: metrics.NewTrace()}
+	t := &Tx{}
 	copy(t.ID[:], d.take(len(t.ID), "id"))
 	t.Client = d.str("client")
 	t.Invocation.Contract = d.str("contract")

@@ -48,8 +48,8 @@ func (t *Tx) Cosign(leader *cryptoutil.Signer) error {
 }
 
 // VerifyEndorsementsAggregate checks the endorsement set through the
-// attached aggregate: threshold and known-endorser checks as in the
-// serial path, then one cryptoutil.VerifyAggregate instead of one
+// attached aggregate: the serial path's structural checks (checkEndorsers),
+// then one cryptoutil.VerifyAggregate instead of one
 // VerifyDigest per endorsement. A transaction without an aggregate, or
 // whose aggregate fails, is verified per-signature instead — the verdict
 // is always the serial path's verdict.
@@ -57,8 +57,8 @@ func (t *Tx) VerifyEndorsementsAggregate(keys func(peer string) (cryptoutil.Publ
 	if t.AggEndorsement == nil {
 		return t.VerifyEndorsements(keys, need)
 	}
-	if len(t.Endorsements) < need {
-		return fmt.Errorf("txn: %d endorsements, need %d", len(t.Endorsements), need)
+	if err := t.checkEndorsers(keys, need); err != nil {
+		return err
 	}
 	leaderPub, ok := keys(t.AggEndorsement.Leader)
 	if !ok {
@@ -66,9 +66,6 @@ func (t *Tx) VerifyEndorsementsAggregate(keys func(peer string) (cryptoutil.Publ
 	}
 	cosigs := make([]cryptoutil.Signature, len(t.Endorsements))
 	for i, e := range t.Endorsements {
-		if _, known := keys(e.Peer); !known {
-			return fmt.Errorf("txn: unknown endorser %s", e.Peer)
-		}
 		cosigs[i] = e.Sig
 	}
 	if err := cryptoutil.VerifyAggregate(leaderPub, t.EndorsementDigest(), cosigs, t.AggEndorsement.Agg); err != nil {
@@ -85,12 +82,10 @@ func (t *Tx) VerifyEndorsementsAggregate(keys func(peer string) (cryptoutil.Publ
 // same submission — is a cache hit. Verdicts are identical to
 // VerifyClient.
 func (t *Tx) VerifyClientCached(pub cryptoutil.PublicKey) error {
-	payload := encodeInvocation(t.Client, t.Invocation)
-	id := cryptoutil.HashBytes(payload)
-	if id != t.ID {
-		return fmt.Errorf("txn: id mismatch")
+	if err := t.checkID(); err != nil {
+		return err
 	}
-	return cryptoutil.VerifyDigestCached(pub, id, t.Sig)
+	return cryptoutil.VerifyDigestCached(pub, t.ID, t.Sig)
 }
 
 // VerifyClientBatch checks the client signatures of a slice of
@@ -108,13 +103,10 @@ func VerifyClientBatch(txs []*Tx, keys func(client string) (cryptoutil.PublicKey
 			errs[i] = fmt.Errorf("txn: unknown client %s", t.Client)
 			continue
 		}
-		payload := encodeInvocation(t.Client, t.Invocation)
-		id := cryptoutil.HashBytes(payload)
-		if id != t.ID {
-			errs[i] = fmt.Errorf("txn: id mismatch")
+		if errs[i] = t.checkID(); errs[i] != nil {
 			continue
 		}
-		checks = append(checks, cryptoutil.Check{Pub: pub, Digest: id, Sig: t.Sig})
+		checks = append(checks, cryptoutil.Check{Pub: pub, Digest: t.ID, Sig: t.Sig})
 		owner = append(owner, i)
 	}
 	applyBatchVerdicts(cryptoutil.VerifyBatch(checks), errs, owner, func(ci int) error {
@@ -126,32 +118,22 @@ func VerifyClientBatch(txs []*Tx, keys func(client string) (cryptoutil.PublicKey
 // VerifyEndorsementsBatch checks the endorsement sets of a slice of
 // transactions in one cryptoutil.VerifyBatch pass and returns one error
 // slot per transaction (nil = valid). Per-tx verdicts match a serial
-// VerifyEndorsements loop: threshold and unknown-endorser failures are
-// structural (no curve math), and a transaction with any bad endorsement
-// signature fails with the first offender named.
+// VerifyEndorsements loop: threshold, unknown-endorser and repeated-
+// endorser failures are structural (checkEndorsers, no curve math), and a
+// transaction with any bad endorsement signature fails with the first
+// offender named.
 func VerifyEndorsementsBatch(txs []*Tx, keys func(peer string) (cryptoutil.PublicKey, bool), need int) []error {
 	errs := make([]error, len(txs))
 	checks := make([]cryptoutil.Check, 0, len(txs)*2)
 	owner := make([]int, 0, len(txs)*2)
 	peers := make([]string, 0, len(txs)*2)
 	for i, t := range txs {
-		if len(t.Endorsements) < need {
-			errs[i] = fmt.Errorf("txn: %d endorsements, need %d", len(t.Endorsements), need)
+		if errs[i] = t.checkEndorsers(keys, need); errs[i] != nil {
 			continue
 		}
 		digest := t.EndorsementDigest()
-		start := len(checks)
 		for _, e := range t.Endorsements {
-			pub, ok := keys(e.Peer)
-			if !ok {
-				errs[i] = fmt.Errorf("txn: unknown endorser %s", e.Peer)
-				// Roll back this tx's partially collected checks; the
-				// structural failure already decides its verdict.
-				checks = checks[:start]
-				owner = owner[:start]
-				peers = peers[:start]
-				break
-			}
+			pub, _ := keys(e.Peer) // known: checkEndorsers passed
 			checks = append(checks, cryptoutil.Check{Pub: pub, Digest: digest, Sig: e.Sig})
 			owner = append(owner, i)
 			peers = append(peers, e.Peer)

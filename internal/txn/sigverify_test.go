@@ -63,6 +63,9 @@ func TestVerifyEndorsementsBatchMatchesSerial(t *testing.T) {
 	txs[5].Endorsements[0].Peer = "peer-stranger" // unknown endorser
 	txs[6].Endorsements[0].Sig[0] ^= 0x80         // bad sig on the first endorsement
 	txs[6].Endorsements[2].Sig[63] ^= 0x01        // and on the last
+	// One peer's valid endorsement, copied to fill the policy: every
+	// signature verifies, only one peer signed.
+	txs[7].Endorsements = []Endorsement{txs[7].Endorsements[0], txs[7].Endorsements[0], txs[7].Endorsements[0]}
 
 	cryptoutil.ResetSigCache()
 	serial := make([]error, len(txs))
@@ -80,6 +83,14 @@ func TestVerifyEndorsementsBatchMatchesSerial(t *testing.T) {
 		if serial[i] != nil && serial[i].Error() != batch[i].Error() {
 			t.Errorf("tx %d: serial error %q, batch error %q", i, serial[i], batch[i])
 		}
+	}
+	for _, i := range []int{2, 4, 5, 6, 7} {
+		if serial[i] == nil {
+			t.Errorf("tx %d: planted failure accepted", i)
+		}
+	}
+	if want := "txn: duplicate endorser peer-0"; serial[7] == nil || serial[7].Error() != want {
+		t.Errorf("repeated endorser: got %v, want %q", serial[7], want)
 	}
 }
 
@@ -209,6 +220,22 @@ func TestVerifyEndorsementsAggregateMatchesSerial(t *testing.T) {
 	orphan.AggEndorsement.Leader = "peer-stranger"
 	if err := orphan.VerifyEndorsementsAggregate(keys, need); err == nil {
 		t.Error("unknown aggregation leader accepted")
+	}
+
+	// So is a repeated endorser: the leader cosigned three copies of its
+	// own endorsement, the aggregate itself is valid, and the verdict must
+	// still be the serial path's rejection.
+	dup := endorsedTx(t, client, peers[:1], 7)
+	dup.Endorsements = []Endorsement{dup.Endorsements[0], dup.Endorsements[0], dup.Endorsements[0]}
+	if err := dup.Cosign(leader); err != nil {
+		t.Fatal(err)
+	}
+	serialErr, aggErr = dup.VerifyEndorsements(keys, need), dup.VerifyEndorsementsAggregate(keys, need)
+	if serialErr == nil || aggErr == nil {
+		t.Fatalf("repeated endorser accepted: serial=%v aggregate=%v", serialErr, aggErr)
+	}
+	if serialErr.Error() != aggErr.Error() {
+		t.Errorf("aggregate verdict %q differs from serial %q", aggErr, serialErr)
 	}
 }
 

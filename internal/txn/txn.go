@@ -9,6 +9,7 @@ package txn
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/metrics"
@@ -89,34 +90,64 @@ type Endorsement struct {
 	Sig  cryptoutil.Signature
 }
 
-// encodeInvocation produces the canonical bytes a client signs.
-func encodeInvocation(client string, inv Invocation) []byte {
-	out := make([]byte, 0, 64)
+// appendInvocation appends the canonical bytes a client signs.
+func appendInvocation(out []byte, client string, inv Invocation) []byte {
 	out = appendStr(out, client)
 	out = appendStr(out, inv.Contract)
 	out = appendStr(out, inv.Method)
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(inv.Args)))
-	out = append(out, n[:]...)
+	out = appendCount(out, len(inv.Args))
 	for _, a := range inv.Args {
 		out = appendBytes(out, a)
 	}
 	return out
 }
 
-func appendStr(dst []byte, s string) []byte { return appendBytes(dst, []byte(s)) }
+func appendStr(dst []byte, s string) []byte {
+	dst = appendCount(dst, len(s))
+	return append(dst, s...)
+}
 
 func appendBytes(dst, b []byte) []byte {
-	var n [4]byte
-	binary.BigEndian.PutUint32(n[:], uint32(len(b)))
-	dst = append(dst, n[:]...)
+	dst = appendCount(dst, len(b))
 	return append(dst, b...)
+}
+
+func appendCount(dst []byte, n int) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(n))
+}
+
+// scratch pools the buffers digests are built in. A digest's input (a
+// transaction's invocation, or its ID and read/write set) is serialized
+// into one and hashed in place, so a steady-state digest allocates nothing.
+// The buffer is pooled rather than the hasher: writing piecewise into a
+// hash.Hash makes every length prefix escape to the heap.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch keeps a transaction with an outsized argument from
+// pinning its buffer in the pool for the life of the process.
+const maxPooledScratch = 1 << 16
+
+// hashScratch hashes what build appends to a pooled buffer.
+func hashScratch(build func(buf []byte) []byte) cryptoutil.Hash {
+	bp := scratch.Get().(*[]byte)
+	buf := build((*bp)[:0])
+	h := cryptoutil.HashBytes(buf)
+	if cap(buf) <= maxPooledScratch {
+		*bp = buf
+	}
+	scratch.Put(bp)
+	return h
+}
+
+// invocationID is the content hash a client signs and a transaction is
+// known by.
+func invocationID(client string, inv Invocation) cryptoutil.Hash {
+	return hashScratch(func(buf []byte) []byte { return appendInvocation(buf, client, inv) })
 }
 
 // Sign creates a signed transaction for the invocation.
 func Sign(signer *cryptoutil.Signer, inv Invocation) (*Tx, error) {
-	payload := encodeInvocation(signer.Name(), inv)
-	id := cryptoutil.HashBytes(payload)
+	id := invocationID(signer.Name(), inv)
 	sig, err := signer.SignDigest(id)
 	if err != nil {
 		return nil, fmt.Errorf("txn: sign: %w", err)
@@ -130,33 +161,47 @@ func Sign(signer *cryptoutil.Signer, inv Invocation) (*Tx, error) {
 	}, nil
 }
 
-// VerifyClient checks the client signature against the invocation content.
-func (t *Tx) VerifyClient(pub cryptoutil.PublicKey) error {
-	payload := encodeInvocation(t.Client, t.Invocation)
-	id := cryptoutil.HashBytes(payload)
-	if id != t.ID {
+// checkID recomputes the content hash and compares it with the ID the
+// transaction claims — the structural half of client verification, decided
+// without curve math.
+func (t *Tx) checkID() error {
+	if invocationID(t.Client, t.Invocation) != t.ID {
 		return fmt.Errorf("txn: id mismatch")
 	}
-	return cryptoutil.VerifyDigest(pub, id, t.Sig)
+	return nil
+}
+
+// VerifyClient checks the client signature against the invocation content.
+func (t *Tx) VerifyClient(pub cryptoutil.PublicKey) error {
+	if err := t.checkID(); err != nil {
+		return err
+	}
+	return cryptoutil.VerifyDigest(pub, t.ID, t.Sig)
 }
 
 // EndorsementDigest is what peers sign: the tx id bound to the simulated
 // effect.
 func (t *Tx) EndorsementDigest() cryptoutil.Hash {
-	out := make([]byte, 0, 256)
-	out = append(out, t.ID[:]...)
-	for _, r := range t.RWSet.Reads {
-		out = appendStr(out, r.Key)
-		var v [12]byte
-		binary.BigEndian.PutUint64(v[0:8], r.Version.BlockNum)
-		binary.BigEndian.PutUint32(v[8:12], r.Version.TxNum)
-		out = append(out, v[:]...)
-	}
-	for _, w := range t.RWSet.Writes {
-		out = appendStr(out, w.Key)
-		out = appendBytes(out, w.Value)
-	}
-	return cryptoutil.HashBytes(out)
+	return EndorsementDigestOf(t.ID, t.RWSet)
+}
+
+// EndorsementDigestOf is the endorsement digest of transaction id with
+// effect rw — what an endorsing peer signs for a read/write set it has
+// just simulated and the transaction does not carry yet.
+func EndorsementDigestOf(id cryptoutil.Hash, rw RWSet) cryptoutil.Hash {
+	return hashScratch(func(out []byte) []byte {
+		out = append(out, id[:]...)
+		for _, r := range rw.Reads {
+			out = appendStr(out, r.Key)
+			out = binary.BigEndian.AppendUint64(out, r.Version.BlockNum)
+			out = binary.BigEndian.AppendUint32(out, r.Version.TxNum)
+		}
+		for _, w := range rw.Writes {
+			out = appendStr(out, w.Key)
+			out = appendBytes(out, w.Value)
+		}
+		return out
+	})
 }
 
 // Endorse adds a peer signature over the current RWSet.
@@ -169,18 +214,41 @@ func (t *Tx) Endorse(peer *cryptoutil.Signer) error {
 	return nil
 }
 
-// VerifyEndorsements checks every endorsement signature using the provided
-// key lookup, and that at least need endorsements are present.
-func (t *Tx) VerifyEndorsements(keys func(peer string) (cryptoutil.PublicKey, bool), need int) error {
+// checkEndorsers is the structural half of endorsement verification,
+// decided without curve math and shared by the serial, batch and aggregate
+// paths so their verdicts cannot drift: at least need endorsements, each by
+// a known peer, no peer twice. Every endorsement must pass, so the distinct
+// known endorsers number len(t.Endorsements) ≥ need; without the repeat
+// check one peer's signature, copied, would satisfy an N-of-N policy. The
+// pairwise scan stops at the first unknown or repeated peer, so it never
+// runs past the number of known peers however long the list is.
+func (t *Tx) checkEndorsers(keys func(peer string) (cryptoutil.PublicKey, bool), need int) error {
 	if len(t.Endorsements) < need {
 		return fmt.Errorf("txn: %d endorsements, need %d", len(t.Endorsements), need)
 	}
-	digest := t.EndorsementDigest()
-	for _, e := range t.Endorsements {
-		pub, ok := keys(e.Peer)
-		if !ok {
+	for i, e := range t.Endorsements {
+		if _, ok := keys(e.Peer); !ok {
 			return fmt.Errorf("txn: unknown endorser %s", e.Peer)
 		}
+		for _, prev := range t.Endorsements[:i] {
+			if prev.Peer == e.Peer {
+				return fmt.Errorf("txn: duplicate endorser %s", e.Peer)
+			}
+		}
+	}
+	return nil
+}
+
+// VerifyEndorsements checks that at least need distinct known peers
+// endorsed the transaction and verifies every endorsement signature using
+// the provided key lookup.
+func (t *Tx) VerifyEndorsements(keys func(peer string) (cryptoutil.PublicKey, bool), need int) error {
+	if err := t.checkEndorsers(keys, need); err != nil {
+		return err
+	}
+	digest := t.EndorsementDigest()
+	for _, e := range t.Endorsements {
+		pub, _ := keys(e.Peer) // known: checkEndorsers passed
 		if err := cryptoutil.VerifyDigest(pub, digest, e.Sig); err != nil {
 			return fmt.Errorf("txn: endorsement by %s: %w", e.Peer, err)
 		}
