@@ -12,6 +12,11 @@
 //
 // Lines that are not benchmark results (experiment tables, PASS/ok) are
 // ignored. A benchmark that appears more than once keeps its last result.
+//
+//	bench2json -compare old.json new.json
+//
+// gates the deterministic micro-benchmarks: it exits 1 when a gated row's
+// allocs/op rose from old to new, or the row is gone.
 package main
 
 import (
@@ -19,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -39,7 +45,73 @@ type Output struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
+// gated names the benchmarks whose allocs/op is a property of the code,
+// not of the run: fixed work, no goroutines, no timers. A name gates its
+// sub-benchmarks too.
+var gated = []string{
+	"BenchmarkVerifyDigest", "BenchmarkSignDigest", "BenchmarkEndorsementDigest",
+	"BenchmarkProofServe", "BenchmarkSigVerify", "BenchmarkRegionCmdCodec", "BenchmarkSQLParse",
+}
+
+func isGated(name string) bool {
+	for _, g := range gated {
+		if name == g || strings.HasPrefix(name, g+"/") {
+			return true
+		}
+	}
+	return false
+}
+
+// compare returns one line per gated benchmark of old whose allocs/op is
+// higher in cur, or which cur no longer has. Benchmarks only cur has are
+// new rows, not regressions.
+func compare(old, cur Output) []string {
+	var bad []string
+	for name, o := range old.Benchmarks {
+		was, ok := o.Metrics["allocs/op"]
+		if !ok || !isGated(name) {
+			continue
+		}
+		now, ok := cur.Benchmarks[name].Metrics["allocs/op"]
+		switch {
+		case !ok:
+			bad = append(bad, fmt.Sprintf("%s: allocs/op %v -> row missing", name, was))
+		case now > was:
+			bad = append(bad, fmt.Sprintf("%s: allocs/op %v -> %v", name, was, now))
+		}
+	}
+	sort.Strings(bad)
+	return bad
+}
+
+// runCompare is the -compare mode; it returns the process exit code.
+func runCompare(oldPath, newPath string) int {
+	var docs [2]Output
+	for i, path := range []string{oldPath, newPath} {
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(raw, &docs[i])
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bench2json: compare %s: %v\n", path, err)
+			return 2
+		}
+	}
+	bad := compare(docs[0], docs[1])
+	for _, line := range bad {
+		fmt.Fprintln(os.Stderr, "bench2json: regression:", line)
+	}
+	if len(bad) > 0 {
+		return 1
+	}
+	fmt.Fprintln(os.Stderr, "bench2json: gated allocs/op rows no worse than", oldPath)
+	return 0
+}
+
 func main() {
+	if len(os.Args) == 4 && os.Args[1] == "-compare" {
+		os.Exit(runCompare(os.Args[2], os.Args[3]))
+	}
 	out := Output{Go: os.Getenv("BENCH_GO_VERSION"), Benchmarks: map[string]Result{}}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

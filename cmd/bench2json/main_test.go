@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 func TestParseLine(t *testing.T) {
 	name, res, ok := parseLine("BenchmarkStateScaling/striped/workers=4-8  \t 1250\t    912345 ns/op\t  42.5 tps")
@@ -51,6 +55,92 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 	} {
 		if name, _, ok := parseLine(line); ok {
 			t.Fatalf("accepted %q as benchmark %q", line, name)
+		}
+	}
+}
+
+func TestCompareGatesAllocs(t *testing.T) {
+	row := func(allocs float64) Result {
+		return Result{Iterations: 1, Metrics: map[string]float64{"allocs/op": allocs, "ns/op": 100}}
+	}
+	doc := func(rows map[string]Result) Output { return Output{Benchmarks: rows} }
+	old := doc(map[string]Result{
+		"BenchmarkVerifyDigest":                 row(11),
+		"BenchmarkSigVerify/mode=serial":        row(704),
+		"BenchmarkRegionCmdCodec/shape=commit":  row(2),
+		"BenchmarkSQLParse/stmt=update-1KB":     row(1),
+		"BenchmarkIngress":                      row(9057443), // a sweep: not gated
+		"BenchmarkStateScaling/striped/workers": {Iterations: 1, Metrics: map[string]float64{"ns/op": 5}},
+	})
+	for _, c := range []struct {
+		name string
+		cur  map[string]Result
+		want []string
+	}{
+		{"identical", old.Benchmarks, nil},
+		{"improved and a new row", map[string]Result{
+			"BenchmarkVerifyDigest":                 row(10),
+			"BenchmarkSigVerify/mode=serial":        row(704),
+			"BenchmarkRegionCmdCodec/shape=commit":  row(2),
+			"BenchmarkSQLParse/stmt=update-1KB":     row(1),
+			"BenchmarkSQLParse/stmt=select":         row(1),
+			"BenchmarkIngress":                      row(1),
+			"BenchmarkStateScaling/striped/workers": row(0),
+		}, nil},
+		{"ungated row rose", map[string]Result{
+			"BenchmarkVerifyDigest":                row(11),
+			"BenchmarkSigVerify/mode=serial":       row(704),
+			"BenchmarkRegionCmdCodec/shape=commit": row(2),
+			"BenchmarkSQLParse/stmt=update-1KB":    row(1),
+			"BenchmarkIngress":                     row(99057443),
+		}, nil},
+		{"one more allocation, and a gated row gone", map[string]Result{
+			"BenchmarkVerifyDigest":                row(12),
+			"BenchmarkRegionCmdCodec/shape=commit": row(2),
+			"BenchmarkSQLParse/stmt=update-1KB":    row(3),
+		}, []string{
+			"BenchmarkSQLParse/stmt=update-1KB: allocs/op 1 -> 3",
+			"BenchmarkSigVerify/mode=serial: allocs/op 704 -> row missing",
+			"BenchmarkVerifyDigest: allocs/op 11 -> 12",
+		}},
+	} {
+		got := compare(old, doc(c.cur))
+		if len(got) != len(c.want) {
+			t.Errorf("%s: regressions %q, want %q", c.name, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("%s: regression %d = %q, want %q", c.name, i, got[i], c.want[i])
+			}
+		}
+	}
+}
+
+func TestRunCompareExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	base := write("old.json", `{"benchmarks":{"BenchmarkSignDigest":{"iterations":1,"metrics":{"allocs/op":67}}}}`)
+	same := write("same.json", `{"benchmarks":{"BenchmarkSignDigest":{"iterations":9,"metrics":{"allocs/op":67}}}}`)
+	worse := write("worse.json", `{"benchmarks":{"BenchmarkSignDigest":{"iterations":9,"metrics":{"allocs/op":68}}}}`)
+	broken := write("broken.json", `{"benchmarks":`)
+	for _, c := range []struct {
+		old, cur string
+		want     int
+	}{
+		{base, same, 0},
+		{base, worse, 1},
+		{base, broken, 2},
+		{filepath.Join(dir, "absent.json"), same, 2},
+	} {
+		if got := runCompare(c.old, c.cur); got != c.want {
+			t.Errorf("runCompare(%s, %s) = %d, want %d", filepath.Base(c.old), filepath.Base(c.cur), got, c.want)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/pbft"
 	"dichotomy/internal/contract"
+	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/metrics"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/pipeline"
@@ -37,7 +38,7 @@ type Bigchain struct {
 	net      *cluster.Network
 	nodes    []*bigchainNode
 	box      *system.PayloadBox
-	waiters  *system.Waiters
+	waiters  *system.Waiters[cryptoutil.Hash]
 	closeOne sync.Once
 }
 
@@ -122,7 +123,7 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		cfg:     cfg,
 		net:     cluster.NewNetwork(cfg.Link),
 		box:     system.NewPayloadBox(),
-		waiters: system.NewWaiters(),
+		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
@@ -216,7 +217,7 @@ func (b *Bigchain) execute(t *txn.Tx) system.Result {
 	if live == 0 {
 		return system.Result{Err: errors.New("bigchain: no live validators")}
 	}
-	done := b.waiters.Register(string(t.ID[:]))
+	done := b.waiters.Register(t.ID)
 	// Every validator takes exactly one copy — live decode while up,
 	// take-drain while down, handoff take-and-drop during recovery — so
 	// the count is constant and no copy leaks across crashes.
@@ -227,7 +228,7 @@ func (b *Bigchain) execute(t *txn.Tx) system.Result {
 	// it around the ring until one validator takes it; duplicate offers
 	// are digest-deduped inside PBFT, so over-proposing is harmless.
 	if err := b.propose(system.EncodeHandle(id)); err != nil {
-		b.waiters.Cancel(string(t.ID[:]))
+		b.waiters.Cancel(t.ID)
 		return system.Result{Err: err}
 	}
 	select {
@@ -235,7 +236,7 @@ func (b *Bigchain) execute(t *txn.Tx) system.Result {
 		t.Trace.Observe(metrics.PhaseConsensus, time.Since(start))
 		return r
 	case <-time.After(60 * time.Second):
-		b.waiters.Cancel(string(t.ID[:]))
+		b.waiters.Cancel(t.ID)
 		return system.Result{Err: errors.New("bigchain: commit timeout")}
 	}
 }
@@ -321,7 +322,7 @@ func (n *bigchainNode) apply(t *txn.Tx) {
 		r.Reason = occ.OK
 		r.Err = err
 	}
-	n.b.waiters.Resolve(string(t.ID[:]), r)
+	n.b.waiters.Resolve(t.ID, r)
 	if n.ckpt != nil && err == nil {
 		//lint:allow errshadow failure retained in LastErr for the recovery stats
 		_, _ = n.ckpt.MaybeCheckpoint(height)

@@ -41,7 +41,7 @@ type Veritas struct {
 	net      *cluster.Network
 	log      *sharedlog.Service
 	nodes    []*veritasNode
-	waiters  *system.Waiters
+	waiters  *system.Waiters[cryptoutil.Hash]
 	clients  sync.Map         // name → cryptoutil.PublicKey
 	ing      *ingress.Ingress // nil without VeritasConfig.Ingress
 	closeOne sync.Once
@@ -169,7 +169,7 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 	v := &Veritas{
 		cfg:     cfg,
 		net:     cluster.NewNetwork(cfg.Link),
-		waiters: system.NewWaiters(),
+		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
 	v.log = sharedlog.New(sharedlog.Config{
 		Net: v.net, NodeBase: 500000,
@@ -328,10 +328,10 @@ func (v *Veritas) execute(t *txn.Tx) system.Result {
 	if r, done := v.executeLocal(t, contract.NewRegistry(contract.KV{}, contract.Smallbank{})); done {
 		return r
 	}
-	done := v.waiters.Register(string(t.ID[:]))
+	done := v.waiters.Register(t.ID)
 	start := time.Now()
 	if err := v.log.Append(t.Marshal()); err != nil {
-		v.waiters.Cancel(string(t.ID[:]))
+		v.waiters.Cancel(t.ID)
 		return system.Result{Err: err}
 	}
 	select {
@@ -339,7 +339,7 @@ func (v *Veritas) execute(t *txn.Tx) system.Result {
 		t.Trace.Observe(metrics.PhaseOrder, time.Since(start))
 		return r
 	case <-time.After(60 * time.Second):
-		v.waiters.Cancel(string(t.ID[:]))
+		v.waiters.Cancel(t.ID)
 		return system.Result{Err: errors.New("veritas: commit timeout")}
 	}
 }
@@ -359,7 +359,7 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 			v.ing.Resolve(t.ID, r)
 			continue
 		}
-		v.waiters.RegisterFunc(string(t.ID[:]), v.ing.Resolver(t.ID))
+		v.waiters.RegisterFunc(t.ID, v.ing.Resolver(t.ID))
 		survivors = append(survivors, t)
 	}
 	if len(survivors) == 0 {
@@ -371,7 +371,7 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 	var throttle error
 	for _, t := range survivors {
 		if err := v.log.AppendBounded(t.Marshal(), time.Second); err != nil {
-			v.waiters.Cancel(string(t.ID[:]))
+			v.waiters.Cancel(t.ID)
 			v.ing.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: shared log unavailable: %v", ingress.ErrOverloaded, err),
 			})
@@ -511,7 +511,7 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 		if r.Err == nil && vb.authErrs != nil && vb.authErrs[i] != nil {
 			r.Err = vb.authErrs[i]
 		}
-		n.v.waiters.Resolve(string(t.ID[:]), r)
+		n.v.waiters.Resolve(t.ID, r)
 	}
 }
 

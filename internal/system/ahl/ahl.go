@@ -90,10 +90,10 @@ var _ system.System = (*Cluster)(nil)
 // prepare locks) plus the height counter are owned exclusively by the
 // primary applier goroutine and need no lock.
 type shard struct {
-	idx     int
-	nodes   []*pbft.Node
-	waiters *system.Waiters
-	box     *system.PayloadBox
+	idx   int
+	nodes []*pbft.Node
+	repl  *system.Replicator
+	box   *system.PayloadBox
 
 	st *state.Store
 	// prepared holds writes locked by in-flight cross-shard transactions.
@@ -104,7 +104,6 @@ type shard struct {
 	reg    *contract.Registry
 	stopCh chan struct{}
 	wg     sync.WaitGroup
-	seq    atomic.Uint64
 }
 
 // shardCmd is the payload sequenced through a shard's PBFT group.
@@ -141,7 +140,7 @@ func New(cfg Config) *Cluster {
 		}
 		sh := &shard{
 			idx:      s,
-			waiters:  system.NewWaiters(),
+			repl:     system.NewReplicator("ahl: shard unavailable", "ahl: shard timeout"),
 			box:      system.NewPayloadBox(),
 			st:       state.New(eng, 0),
 			prepared: make(map[string][]txn.Write),
@@ -240,27 +239,27 @@ func (sh *shard) apply(cmd *shardCmd, c *Cluster) {
 	case cmdExecute:
 		rw, err := sh.reg.Execute(sh.st, cmd.inv)
 		if err != nil {
-			sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Err: err})
+			sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
 			return
 		}
 		// Respect prepare locks: serial execution must not overwrite a
 		// key a cross-shard transaction holds.
 		for _, w := range rw.Writes {
 			if _, locked := sh.locks[w.Key]; locked {
-				sh.waiters.Resolve(waitKey(cmd.reqID),
+				sh.repl.Resolve(cmd.reqID,
 					system.Result{Reason: occ.WriteWriteConflict})
 				return
 			}
 		}
 		if err := sh.applyWrites(rw.Writes); err != nil {
-			sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Err: err})
+			sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
 			return
 		}
-		sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Committed: true})
+		sh.repl.Resolve(cmd.reqID, system.Result{Committed: true})
 	case cmdPrepare:
 		for _, w := range cmd.writes {
 			if holder, locked := sh.locks[w.Key]; locked && holder != cmd.txID {
-				sh.waiters.Resolve(waitKey(cmd.reqID),
+				sh.repl.Resolve(cmd.reqID,
 					system.Result{Reason: occ.WriteWriteConflict})
 				return
 			}
@@ -269,7 +268,7 @@ func (sh *shard) apply(cmd *shardCmd, c *Cluster) {
 			sh.locks[w.Key] = cmd.txID
 		}
 		sh.prepared[cmd.txID] = cmd.writes
-		sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Committed: true})
+		sh.repl.Resolve(cmd.reqID, system.Result{Committed: true})
 	case cmdFinish:
 		writes := sh.prepared[cmd.txID]
 		delete(sh.prepared, cmd.txID)
@@ -280,11 +279,11 @@ func (sh *shard) apply(cmd *shardCmd, c *Cluster) {
 		}
 		if cmd.commitP {
 			if err := sh.applyWrites(writes); err != nil {
-				sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Err: err})
+				sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
 				return
 			}
 		}
-		sh.waiters.Resolve(waitKey(cmd.reqID), system.Result{Committed: cmd.commitP})
+		sh.repl.Resolve(cmd.reqID, system.Result{Committed: cmd.commitP})
 	}
 }
 
@@ -306,40 +305,17 @@ func (sh *shard) applyWrites(writes []txn.Write) error {
 	return nil
 }
 
-func waitKey(reqID uint64) string { return fmt.Sprintf("q%d", reqID) }
-
 // sequence pushes a command through the shard's PBFT group and waits.
 func (sh *shard) sequence(cmd *shardCmd) system.Result {
-	cmd.reqID = sh.seq.Add(1)
-	done := sh.waiters.Register(waitKey(cmd.reqID))
+	cmd.reqID = sh.repl.NextID()
 	id := sh.box.Put(cmd, 1) // only the primary applier takes it
 	payload := system.EncodeHandle(id)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		proposed := false
-		for _, n := range sh.nodes {
-			if n.Propose(payload) == nil {
-				proposed = true
-				break
-			}
-		}
-		if proposed {
-			break
-		}
-		if time.Now().After(deadline) {
-			sh.waiters.Cancel(waitKey(cmd.reqID))
-			return system.Result{Err: errors.New("ahl: shard unavailable")}
-		}
-		//lint:allow sleepyloop bounded retry backoff while the shard group re-elects
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case r := <-done:
-		return r
-	case <-time.After(30 * time.Second):
-		sh.waiters.Cancel(waitKey(cmd.reqID))
-		return system.Result{Err: errors.New("ahl: shard timeout")}
-	}
+	// Proposed once: re-proposal is the raft-backed systems' answer to a
+	// proposal lost with a crashed leader's log, and this path never
+	// needed it.
+	return sh.repl.Do(cmd.reqID, false, len(sh.nodes), func(i int) bool {
+		return sh.nodes[i].Propose(payload) == nil
+	})
 }
 
 // Execute implements system.System as the thin Submit+Wait wrapper.

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
@@ -45,12 +44,11 @@ func (c Config) withDefaults() Config {
 
 // Cluster is a running etcd deployment.
 type Cluster struct {
-	cfg     Config
-	net     *cluster.Network
-	nodes   []*node
-	box     *system.PayloadBox
-	waiters *system.Waiters
-	reqSeq  atomic.Uint64
+	cfg   Config
+	net   *cluster.Network
+	nodes []*node
+	box   *system.PayloadBox
+	repl  *system.Replicator
 
 	closeOne sync.Once
 }
@@ -78,10 +76,10 @@ type op struct {
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:     cfg,
-		net:     cluster.NewNetwork(cfg.Link),
-		box:     system.NewPayloadBox(),
-		waiters: system.NewWaiters(),
+		cfg:  cfg,
+		net:  cluster.NewNetwork(cfg.Link),
+		box:  system.NewPayloadBox(),
+		repl: system.NewReplicator("etcd: leaderless", "etcd: apply timeout"),
 	}
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
@@ -139,7 +137,7 @@ func (n *node) apply(e consensus.Entry) {
 	} else {
 		_ = n.tree.Put([]byte(o.key), o.value)
 	}
-	n.c.waiters.Resolve(fmt.Sprintf("%d", o.reqID), system.Result{Committed: true})
+	n.c.repl.Resolve(o.reqID, system.Result{Committed: true})
 }
 
 // Put writes a key through consensus and waits for apply.
@@ -153,36 +151,20 @@ func (c *Cluster) Delete(key string) error {
 }
 
 func (c *Cluster) replicate(o *op) error {
-	o.reqID = c.reqSeq.Add(1)
-	done := c.waiters.Register(fmt.Sprintf("%d", o.reqID))
+	o.reqID = c.repl.NextID()
 	id := c.box.Put(o, len(c.nodes))
 	payload := system.EncodeHandle(id)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		proposed := false
-		for _, n := range c.nodes {
-			if n.cons.Propose(payload) == nil {
-				proposed = true
-				break
-			}
-		}
-		if proposed {
-			break
-		}
-		if time.Now().After(deadline) {
-			c.waiters.Cancel(fmt.Sprintf("%d", o.reqID))
-			return errors.New("etcd: leaderless")
-		}
-		//lint:allow sleepyloop bounded retry backoff while the cluster re-elects
-		time.Sleep(time.Millisecond)
+	// Proposed once, never again: the box hands the op to each node one
+	// time, so a second log entry carrying the same handle could be
+	// applied twice by one node and not at all by another.
+	err := c.repl.Do(o.reqID, false, len(c.nodes), func(i int) bool {
+		return c.nodes[i].cons.Propose(payload) == nil
+	}).Err
+	if err != nil {
+		// Gave up with takes outstanding: release the op, or it leaks.
+		c.box.Drop(id)
 	}
-	select {
-	case <-done:
-		return nil
-	case <-time.After(30 * time.Second):
-		c.waiters.Cancel(fmt.Sprintf("%d", o.reqID))
-		return errors.New("etcd: apply timeout")
-	}
+	return err
 }
 
 // Get serves a linearizable read from the leader's tree (leader leases;

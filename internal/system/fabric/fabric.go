@@ -191,7 +191,7 @@ type Network struct {
 	peers    []*peer
 	ordering *sharedlog.Service
 	box      *system.PayloadBox
-	waiters  *system.Waiters
+	waiters  *system.Waiters[cryptoutil.Hash]
 	clients  sync.Map // name → cryptoutil.PublicKey
 	peerKeys map[string]cryptoutil.PublicKey
 	ing      *ingress.Ingress // nil without Config.Ingress
@@ -279,7 +279,7 @@ func New(cfg Config) (*Network, error) {
 		cfg:       cfg,
 		net:       cluster.NewNetwork(cfg.Link),
 		box:       system.NewPayloadBox(),
-		waiters:   system.NewWaiters(),
+		waiters:   system.NewWaiters[cryptoutil.Hash](),
 		peerKeys:  make(map[string]cryptoutil.PublicKey),
 		Breakdown: metrics.NewBreakdown(),
 	}
@@ -448,11 +448,11 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 	// a recovering peer's handoff consumer Takes the batches its replay
 	// covered — so the count stays constant across crashes and no entry
 	// leaks.
-	done := nw.waiters.Register(string(t.ID[:]))
+	done := nw.waiters.Register(t.ID)
 	orderStart := time.Now()
 	id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 	if err := nw.ordering.Append(system.EncodeHandle(id)); err != nil {
-		nw.waiters.Cancel(string(t.ID[:]))
+		nw.waiters.Cancel(t.ID)
 		nw.box.Drop(id)
 		return system.Result{Err: err}
 	}
@@ -461,7 +461,7 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 		t.Trace.Observe(metrics.PhaseOrder, time.Since(orderStart))
 		return r
 	case <-time.After(60 * time.Second):
-		nw.waiters.Cancel(string(t.ID[:]))
+		nw.waiters.Cancel(t.ID)
 		return system.Result{Err: errors.New("fabric: commit timeout")}
 	}
 }
@@ -569,11 +569,10 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		if !proceed[i] {
 			continue
 		}
-		key := string(t.ID[:])
-		nw.waiters.RegisterFunc(key, nw.ing.Resolver(t.ID))
+		nw.waiters.RegisterFunc(t.ID, nw.ing.Resolver(t.ID))
 		id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 		if err := nw.ordering.AppendBounded(system.EncodeHandle(id), time.Second); err != nil {
-			nw.waiters.Cancel(key)
+			nw.waiters.Cancel(t.ID)
 			nw.box.Drop(id)
 			nw.ing.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: ordering unavailable: %v", ingress.ErrOverloaded, err),
@@ -823,7 +822,7 @@ func (p *peer) sealBlock(b *fabricBlock) {
 		} else {
 			r = system.Result{Committed: b.verdicts[i] == occ.OK, Reason: b.verdicts[i]}
 		}
-		p.nw.waiters.Resolve(string(t.ID[:]), r)
+		p.nw.waiters.Resolve(t.ID, r)
 	}
 
 	// Checkpoint after the clients are answered, still on the committer:

@@ -170,7 +170,7 @@ type Network struct {
 	net     *cluster.Network
 	nodes   []*node
 	box     *system.PayloadBox
-	waiters *system.Waiters
+	waiters *system.Waiters[cryptoutil.Hash]
 	clients sync.Map         // client name → cryptoutil.PublicKey
 	ing     *ingress.Ingress // nil without Config.Ingress
 	// blockCap is the proposer's current block-cut cap: Config.BlockSize
@@ -262,7 +262,7 @@ func New(cfg Config) (*Network, error) {
 		cfg:     cfg,
 		net:     cluster.NewNetwork(cfg.Link),
 		box:     system.NewPayloadBox(),
-		waiters: system.NewWaiters(),
+		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
@@ -426,7 +426,7 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 		return n.executeReadOnly(t)
 	}
 
-	done := nw.waiters.Register(string(t.ID[:]))
+	done := nw.waiters.Register(t.ID)
 	start := time.Now()
 	// The transaction pool is shared cluster-wide in spirit: real Quorum
 	// gossips pending transactions so the proposer sees them. Enqueue on
@@ -441,7 +441,7 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 		t.Trace.Observe(metrics.PhaseCommit, time.Since(start))
 		return r
 	case <-time.After(60 * time.Second):
-		nw.waiters.Cancel(string(t.ID[:]))
+		nw.waiters.Cancel(t.ID)
 		return system.Result{Err: errors.New("quorum: commit timeout")}
 	}
 }
@@ -461,7 +461,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		return err
 	}
 	for _, t := range txs {
-		nw.waiters.RegisterFunc(string(t.ID[:]), nw.ing.Resolver(t.ID))
+		nw.waiters.RegisterFunc(t.ID, nw.ing.Resolver(t.ID))
 	}
 	// Adaptive block shape: let the proposer cut where arrival pressure
 	// put this batch (never below the configured size, so the direct
@@ -488,7 +488,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		if !time.Now().Before(deadline) {
 			err := fmt.Errorf("%w: proposer pool full (%d pending)", ingress.ErrOverloaded, bound)
 			for _, t := range txs {
-				nw.waiters.Cancel(string(t.ID[:]))
+				nw.waiters.Cancel(t.ID)
 				nw.ing.Resolve(t.ID, system.Result{Err: err})
 			}
 			return err
@@ -610,29 +610,37 @@ func (n *node) proposeLoop() {
 		if len(batch) == 0 {
 			continue
 		}
-		// Pre-execute serially at the tip (order-execute: the proposer
-		// validates transactions before batching them).
-		size := 0
-		raw := make([][]byte, len(batch))
-		for i, t := range batch {
-			start := time.Now()
-			snap := n.st.Snapshot()
-			_, _ = n.reg.Execute(snap, t.Invocation)
-			snap.Release()
-			t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
-			size += t.Size()
-			raw[i] = t.Marshal()
-		}
-		// The block is taken exactly once per node — live nodes Take in
-		// decode, crashed nodes Take in their drain — so the count stays
-		// constant across crashes and no entry leaks.
-		id := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
-		if err := n.cons.Propose(system.EncodeHandle(id)); err != nil {
-			// Leadership moved between check and propose; requeue.
-			n.pendingMu.Lock()
-			n.pending = append(batch, n.pending...)
-			n.pendingMu.Unlock()
-		}
+		n.proposeBatch(batch)
+	}
+}
+
+// proposeBatch pre-executes batch serially at the tip (order-execute: the
+// proposer validates transactions before batching them) and proposes it
+// as one block; a refused proposal puts the batch back at the head of the
+// queue.
+func (n *node) proposeBatch(batch []*txn.Tx) {
+	size := 0
+	raw := make([][]byte, len(batch))
+	for i, t := range batch {
+		start := time.Now()
+		snap := n.st.Snapshot()
+		_, _ = n.reg.Execute(snap, t.Invocation)
+		snap.Release()
+		t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
+		size += t.Size()
+		raw[i] = t.Marshal()
+	}
+	// The block is taken exactly once per node — live nodes Take in
+	// decode, crashed nodes Take in their drain — so the count stays
+	// constant across crashes and no entry leaks.
+	id := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
+	if err := n.cons.Propose(system.EncodeHandle(id)); err != nil {
+		// Leadership moved between check and propose: no node will ever
+		// take this block, so release it, and requeue the batch.
+		n.nw.box.Drop(id)
+		n.pendingMu.Lock()
+		n.pending = append(batch, n.pending...)
+		n.pendingMu.Unlock()
 	}
 }
 
@@ -789,7 +797,7 @@ func (n *node) sealBlock(nb *nodeBlock) {
 		if nb.commitErr != nil {
 			r = system.Result{Reason: r.Reason, Err: nb.commitErr}
 		}
-		n.nw.waiters.Resolve(string(t.ID[:]), r)
+		n.nw.waiters.Resolve(t.ID, r)
 	}
 
 	// Checkpoint at this block's boundary, still on the committer (see

@@ -96,8 +96,7 @@ type shard struct {
 	idx      int
 	replicas []*shardReplica
 	peers    []cluster.NodeID
-	waiters  *system.Waiters
-	seq      atomic.Uint64
+	repl     *system.Replicator
 
 	lockMu sync.Mutex
 	locks  map[string]uint64 // key → lock-holder tx priority (start ts)
@@ -167,9 +166,9 @@ func New(cfg Config) *Cluster {
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		sh := &shard{
-			idx:     s,
-			waiters: system.NewWaiters(),
-			locks:   make(map[string]uint64),
+			idx:   s,
+			repl:  system.NewReplicator("spanner: shard unavailable", "spanner: apply timeout"),
+			locks: make(map[string]uint64),
 		}
 		peers := make([]cluster.NodeID, cfg.NodesPerShard)
 		for i := range peers {
@@ -267,7 +266,7 @@ func (rep *shardReplica) applyLoop(cons *raft.Node, st *shardState, ckpt *recove
 			// resolved request is guaranteed visible to the next read.
 			rep.applied.Store(e.Index)
 			if ok {
-				rep.shard.waiters.Resolve(fmt.Sprintf("s%d", reqID), system.Result{Committed: true})
+				rep.shard.repl.Resolve(reqID, system.Result{Committed: true})
 			}
 			if ckpt != nil {
 				// Checkpoint failure degrades durability only; the apply
@@ -316,46 +315,17 @@ func (rep *shardReplica) apply(st *shardState, e consensus.Entry) (reqID uint64,
 // command rides inside the log entry, so the replicated history is
 // self-contained for recovery replay.
 func (sh *shard) replicate(cmd *shardCmd) error {
-	cmd.reqID = sh.seq.Add(1)
-	done := sh.waiters.Register(fmt.Sprintf("s%d", cmd.reqID))
+	cmd.reqID = sh.repl.NextID()
 	payload := encodeShardCmd(cmd)
-	deadline := time.Now().Add(30 * time.Second)
-	// Re-propose until the command is applied. A proposal accepted by a
-	// replica that crashes before replicating it is silently lost;
-	// waiting on it alone would stall the client 30s. Duplicate
-	// application is safe: every replica applies the same log, and a
-	// second apply/prepare/finish of the same command is a deterministic
-	// no-op (state writes are idempotent, a finished prepare is gone).
-	for {
-		ok := false
-		for _, rep := range sh.replicas {
-			if rep.crashed.Load() {
-				continue
-			}
-			if rep.cons.Load().Propose(payload) == nil {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			if time.Now().After(deadline) {
-				sh.waiters.Cancel(fmt.Sprintf("s%d", cmd.reqID))
-				return errors.New("spanner: shard unavailable")
-			}
-			//lint:allow sleepyloop bounded retry backoff while the shard group re-elects
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		select {
-		case <-done:
-			return nil
-		case <-time.After(100 * time.Millisecond):
-			if time.Now().After(deadline) {
-				sh.waiters.Cancel(fmt.Sprintf("s%d", cmd.reqID))
-				return errors.New("spanner: apply timeout")
-			}
-		}
-	}
+	// Re-propose until the command is applied rather than stall the
+	// client 30s on a lost proposal. Duplicate application is safe: every
+	// replica applies the same log, and a second apply/prepare/finish of
+	// the same command is a deterministic no-op (state writes are
+	// idempotent, a finished prepare is gone).
+	return sh.repl.Do(cmd.reqID, true, len(sh.replicas), func(i int) bool {
+		rep := sh.replicas[i]
+		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
+	}).Err
 }
 
 // lockKeys acquires write locks with wound-wait: an older transaction

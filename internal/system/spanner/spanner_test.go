@@ -118,7 +118,9 @@ func TestSmallbankConservation(t *testing.T) {
 	}
 	total := int64(0)
 	for _, sh := range c.shards {
-		st := sh.replicas[0].st.Load()
+		// The replica reads are served from: replica 0 may be a follower
+		// still a heartbeat behind the leader that resolved the request.
+		st := sh.freshestReplica().st.Load()
 		st.mu.Lock()
 		for k, v := range st.state {
 			if len(k) > 4 && (k[:4] == "chk:" || k[:4] == "sav:") {

@@ -8,8 +8,10 @@ package system
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
@@ -240,59 +242,171 @@ func HandleID(data []byte) (uint64, bool) {
 	return id, true
 }
 
-// Waiters matches submitted transactions with their eventual outcomes:
-// clients block on their tx id, commit paths resolve them.
+// Waiters matches submitted requests with their eventual outcomes:
+// clients block on a key, commit paths resolve it. The key is whatever
+// the system already names a request by — a uint64 request id on the
+// database side, the cryptoutil.Hash transaction id on the ledger side —
+// used as the map key directly, with no conversion on either path.
 //
-// Keys are content-hash transaction ids, so two concurrent registrations
-// of one content-identical transaction collide — the second overwrites
-// the first, whose waiter then times out. The direct Execute paths keep
-// that historical limitation; the ingress mempool fixes it upstream by
-// deduplicating at admission, so at most one registration per id is ever
-// live on the mempool-fed path.
-type Waiters struct {
+// Content-hash transaction ids collide: two concurrent registrations of
+// one content-identical transaction share a key, the second overwrites
+// the first, and the first waiter then times out. The direct Execute
+// paths keep that historical limitation; the ingress mempool fixes it
+// upstream by deduplicating at admission, so at most one registration
+// per id is ever live on the mempool-fed path.
+type Waiters[K comparable] struct {
 	mu sync.Mutex
-	m  map[string]func(Result)
+	m  map[K]waiter
+}
+
+// waiter is one registration: a channel (Register) or a callback
+// (RegisterFunc), never both.
+type waiter struct {
+	ch chan Result
+	fn func(Result)
 }
 
 // NewWaiters returns an empty registry.
-func NewWaiters() *Waiters {
-	return &Waiters{m: make(map[string]func(Result))}
+func NewWaiters[K comparable]() *Waiters[K] {
+	return &Waiters[K]{m: make(map[K]waiter)}
 }
 
 // Register returns the channel a client should block on for key.
-func (w *Waiters) Register(key string) <-chan Result {
+func (w *Waiters[K]) Register(key K) <-chan Result {
 	ch := make(chan Result, 1)
-	w.RegisterFunc(key, func(r Result) { ch <- r })
+	w.mu.Lock()
+	w.m[key] = waiter{ch: ch}
+	w.mu.Unlock()
 	return ch
 }
 
 // RegisterFunc registers fn to be invoked (once, off the registry lock)
 // with the outcome for key — the hook the ingress front door uses to
 // route seal-path resolutions into mempool handles.
-func (w *Waiters) RegisterFunc(key string, fn func(Result)) {
+func (w *Waiters[K]) RegisterFunc(key K, fn func(Result)) {
 	w.mu.Lock()
-	w.m[key] = fn
+	w.m[key] = waiter{fn: fn}
 	w.mu.Unlock()
 }
 
 // Resolve delivers the outcome for key, if a waiter exists.
-func (w *Waiters) Resolve(key string, r Result) {
+func (w *Waiters[K]) Resolve(key K, r Result) {
 	w.mu.Lock()
-	fn, ok := w.m[key]
+	wt, ok := w.m[key]
 	if ok {
 		delete(w.m, key)
 	}
 	w.mu.Unlock()
-	if ok {
-		fn(r)
+	if !ok {
+		return
+	}
+	if wt.ch != nil {
+		wt.ch <- r // cap 1, one send per registration: never blocks
+	} else {
+		wt.fn(r)
 	}
 }
 
 // Cancel drops the waiter for key.
-func (w *Waiters) Cancel(key string) {
+func (w *Waiters[K]) Cancel(key K) {
 	w.mu.Lock()
 	delete(w.m, key)
 	w.mu.Unlock()
+}
+
+// The replicate-and-wait cadence every consensus-backed write path
+// shares: back off 1 ms while no replica accepts a proposal, re-propose
+// every 100 ms while an accepted one stays unapplied, give up after 30 s.
+const (
+	replicateBackoff  = time.Millisecond
+	replicateLap      = 100 * time.Millisecond
+	replicateDeadline = 30 * time.Second
+)
+
+// lapTimers recycles the timers Replicator.Do waits a lap on: one call
+// holds one timer for all its laps, and a finished call hands it to the
+// next, so the steady state allocates none.
+var lapTimers = sync.Pool{New: func() any { return time.NewTimer(replicateLap) }}
+
+// Replicator is the client half of "sequence a command through a
+// consensus group and wait until a replica has applied it": request ids,
+// the waiter table the apply path resolves, and the propose/re-propose
+// loop in between.
+type Replicator struct {
+	waiters *Waiters[uint64]
+	seq     atomic.Uint64
+	// Deadline bounds one Do call, leaderless back-off and apply wait
+	// together. Tests shorten it to reach the give-up paths.
+	Deadline time.Duration
+
+	errLeaderless, errTimeout error
+}
+
+// NewReplicator returns a Replicator whose Do reports the error text
+// leaderless when no replica accepted a proposal before the deadline and
+// timeout when an accepted one was not applied by then.
+func NewReplicator(leaderless, timeout string) *Replicator {
+	return &Replicator{
+		waiters:       NewWaiters[uint64](),
+		Deadline:      replicateDeadline,
+		errLeaderless: errors.New(leaderless),
+		errTimeout:    errors.New(timeout),
+	}
+}
+
+// NextID returns a fresh request id, for the command to carry through
+// the log to the apply path's Resolve.
+func (rp *Replicator) NextID() uint64 { return rp.seq.Add(1) }
+
+// Resolve delivers the apply outcome of request id. Only the first
+// application of a request finds a waiter; replicas that apply it later,
+// and duplicate log entries, resolve no one.
+func (rp *Replicator) Resolve(id uint64, r Result) { rp.waiters.Resolve(id, r) }
+
+// Do offers the command to each of the group's n replicas in turn —
+// propose(i) reports whether replica i accepted it — backing off while
+// none does, then waits for Resolve(id). With repropose, an accepted
+// proposal still unapplied after a lap is offered again: a replica that
+// crashes between accepting and replicating loses it silently, and the
+// caller's command must tolerate the duplicate application a merely slow
+// first proposal then causes. Giving up returns a Result whose Err is one
+// of the two errors the Replicator was built with.
+func (rp *Replicator) Do(id uint64, repropose bool, n int, propose func(i int) bool) Result {
+	done := rp.waiters.Register(id)
+	deadline := time.Now().Add(rp.Deadline)
+	timer := lapTimers.Get().(*time.Timer)
+	defer func() {
+		timer.Stop()
+		lapTimers.Put(timer)
+	}()
+	accepted := false
+	for {
+		if repropose || !accepted {
+			accepted = false
+			for i := 0; i < n && !accepted; i++ {
+				accepted = propose(i)
+			}
+		}
+		if !accepted {
+			if time.Now().After(deadline) {
+				rp.waiters.Cancel(id)
+				return Result{Err: rp.errLeaderless}
+			}
+			//lint:allow sleepyloop bounded retry backoff while the group re-elects
+			time.Sleep(replicateBackoff)
+			continue
+		}
+		timer.Reset(replicateLap)
+		select {
+		case r := <-done:
+			return r
+		case <-timer.C:
+			if time.Now().After(deadline) {
+				rp.waiters.Cancel(id)
+				return Result{Err: rp.errTimeout}
+			}
+		}
+	}
 }
 
 // Drainer controls a crash-time drain goroutine: the loop that keeps

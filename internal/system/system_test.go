@@ -81,7 +81,7 @@ func TestPayloadBoxConcurrent(t *testing.T) {
 }
 
 func TestWaitersResolve(t *testing.T) {
-	w := NewWaiters()
+	w := NewWaiters[string]()
 	ch := w.Register("tx1")
 	w.Resolve("tx1", Result{Committed: true})
 	r := <-ch
@@ -93,12 +93,12 @@ func TestWaitersResolve(t *testing.T) {
 }
 
 func TestWaitersResolveUnknownKey(t *testing.T) {
-	w := NewWaiters()
+	w := NewWaiters[string]()
 	w.Resolve("ghost", Result{}) // must not panic or block
 }
 
 func TestWaitersCancel(t *testing.T) {
-	w := NewWaiters()
+	w := NewWaiters[string]()
 	ch := w.Register("tx1")
 	w.Cancel("tx1")
 	w.Resolve("tx1", Result{Committed: true})

@@ -6,17 +6,30 @@ import "encoding/binary"
 // entry rather than passed by payload-box handle: the handle scheme
 // (one in-memory copy per live replica) cannot survive a replica crash
 // or feed a log-replay recovery, because the box copies die with the
-// process. A self-contained log costs a copy per entry and buys the
-// whole recovery story — the leader's re-replication alone rebuilds any
-// replica.
+// process. A self-contained log costs one encode per command and buys
+// the whole recovery story — the leader's re-replication alone rebuilds
+// any replica.
+//
+// Entry bytes are immutable once proposed: raft hands the same slice to
+// every in-process replica, and decodeRegionCmd returns a value that
+// ALIASES it instead of copying it out. That is safe because stored
+// values are never mutated anywhere downstream — mvcc keeps the slice in
+// a lock, moves it into a version on commit, and Store.Get hands that
+// same slice to readers uncopied. Code that wants to change a value
+// writes a new one through a new command.
 //
 // Layout (big-endian):
 //
 //	kind u8 | reqID u64 | del u8 | startTS u64 | commitTS u64 |
 //	klen u32 | key | plen u32 | primary | hasValue u8 | [vlen u32 | value]
 
+// regionCmdFixed is the fixed-width prefix: kind, reqID, del, startTS,
+// commitTS.
+const regionCmdFixed = 1 + 8 + 1 + 8 + 8
+
 func encodeRegionCmd(cmd *regionCmd) []byte {
-	buf := make([]byte, 0, 31+len(cmd.key)+len(cmd.primary)+len(cmd.value))
+	// Fixed prefix, klen, plen, hasValue, vlen: exact, so no append grows.
+	buf := make([]byte, 0, regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
 	buf = append(buf, byte(cmd.kind))
 	buf = binary.BigEndian.AppendUint64(buf, cmd.reqID)
 	if cmd.del {
@@ -38,80 +51,52 @@ func encodeRegionCmd(cmd *regionCmd) []byte {
 	return append(buf, cmd.value...)
 }
 
-func decodeRegionCmd(buf []byte) (*regionCmd, bool) {
-	off := 0
-	u8 := func() (byte, bool) {
-		if off+1 > len(buf) {
-			return 0, false
-		}
-		b := buf[off]
-		off++
-		return b, true
+// decodeRegionCmd parses one log entry. key and primary share a single
+// string allocation (the span key|plen|primary, sliced twice); value
+// aliases buf (see the header). Any kind byte is accepted; del and
+// hasValue are set only by the byte 1.
+func decodeRegionCmd(buf []byte) (cmd regionCmd, ok bool) {
+	if len(buf) < regionCmdFixed+4 {
+		return regionCmd{}, false
 	}
-	u32 := func() (uint32, bool) {
-		if off+4 > len(buf) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint32(buf[off:])
-		off += 4
-		return v, true
+	cmd.kind = cmdKind(buf[0])
+	cmd.reqID = binary.BigEndian.Uint64(buf[1:])
+	cmd.del = buf[9] == 1
+	cmd.startTS = binary.BigEndian.Uint64(buf[10:])
+	cmd.commitTS = binary.BigEndian.Uint64(buf[18:])
+	klen := int(binary.BigEndian.Uint32(buf[regionCmdFixed:]))
+	off := regionCmdFixed + 4 // start of key
+	if klen > len(buf)-off-4 {
+		return regionCmd{}, false
 	}
-	u64 := func() (uint64, bool) {
-		if off+8 > len(buf) {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(buf[off:])
-		off += 8
-		return v, true
+	plen := int(binary.BigEndian.Uint32(buf[off+klen:]))
+	if plen > len(buf)-off-klen-4 {
+		return regionCmd{}, false
 	}
-	str := func() (string, bool) {
-		n, ok := u32()
-		if !ok || off+int(n) > len(buf) {
-			return "", false
-		}
-		s := string(buf[off : off+int(n)])
-		off += int(n)
-		return s, true
+	if plen == 0 {
+		cmd.key = string(buf[off : off+klen])
+	} else {
+		names := string(buf[off : off+klen+4+plen])
+		cmd.key, cmd.primary = names[:klen], names[klen+4:]
 	}
-
-	cmd := &regionCmd{}
-	k, ok := u8()
-	if !ok {
-		return nil, false
+	off += klen + 4 + plen
+	if off == len(buf) {
+		return regionCmd{}, false // no hasValue byte
 	}
-	cmd.kind = cmdKind(k)
-	if cmd.reqID, ok = u64(); !ok {
-		return nil, false
-	}
-	del, ok := u8()
-	if !ok {
-		return nil, false
-	}
-	cmd.del = del == 1
-	if cmd.startTS, ok = u64(); !ok {
-		return nil, false
-	}
-	if cmd.commitTS, ok = u64(); !ok {
-		return nil, false
-	}
-	if cmd.key, ok = str(); !ok {
-		return nil, false
-	}
-	if cmd.primary, ok = str(); !ok {
-		return nil, false
-	}
-	hasValue, ok := u8()
-	if !ok {
-		return nil, false
-	}
+	hasValue := buf[off]
+	off++
 	if hasValue == 1 {
-		n, ok := u32()
-		if !ok || off+int(n) > len(buf) {
-			return nil, false
+		if len(buf)-off < 4 {
+			return regionCmd{}, false
 		}
-		cmd.value = make([]byte, n)
-		copy(cmd.value, buf[off:])
-		off += int(n)
+		vlen := int(binary.BigEndian.Uint32(buf[off:]))
+		off += 4
+		if vlen > len(buf)-off {
+			return regionCmd{}, false
+		}
+		// Capped, so an append through the alias cannot reach past it.
+		cmd.value = buf[off : off+vlen : off+vlen]
+		off += vlen
 	}
 	return cmd, off == len(buf)
 }

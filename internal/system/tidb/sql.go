@@ -53,9 +53,11 @@ const (
 	tokEOF
 )
 
-// lex splits a statement into tokens.
-func lex(input string) ([]token, error) {
-	var toks []token
+// lex appends the statement's tokens to toks. Token text is sliced out
+// of input wherever the two are byte-identical; a new string is built
+// only for a literal that contains a doubled-quote escape and for a non-keyword
+// identifier that needs upper-casing.
+func lex(toks []token, input string) ([]token, error) {
 	i := 0
 	for i < len(input) {
 		c := input[i]
@@ -64,39 +66,65 @@ func lex(input string) ([]token, error) {
 			i++
 		case c == '\'':
 			j := i + 1
-			var sb strings.Builder
+			escaped := false
 			for {
 				if j >= len(input) {
 					return nil, fmt.Errorf("sql: unterminated string at %d", i)
 				}
 				if input[j] == '\'' {
 					if j+1 < len(input) && input[j+1] == '\'' {
-						sb.WriteByte('\'')
+						escaped = true
 						j += 2
 						continue
 					}
 					break
 				}
-				sb.WriteByte(input[j])
 				j++
 			}
-			toks = append(toks, token{tokString, sb.String()})
+			text := input[i+1 : j]
+			if escaped {
+				// Quotes inside the body occur only as the pairs the
+				// scan above stepped over, so pairwise replacement is
+				// exactly the unescape.
+				text = strings.ReplaceAll(text, "''", "'")
+			}
+			toks = append(toks, token{tokString, text})
 			i = j + 1
 		case c == '=' || c == '(' || c == ')' || c == ',' || c == ';' || c == '*':
-			toks = append(toks, token{tokPunct, string(c)})
+			toks = append(toks, token{tokPunct, input[i : i+1]})
 			i++
 		case isIdentChar(c):
 			j := i
 			for j < len(input) && isIdentChar(input[j]) {
 				j++
 			}
-			toks = append(toks, token{tokIdent, strings.ToUpper(input[i:j])})
+			toks = append(toks, token{tokIdent, upperIdent(input[i:j])})
 			i = j
 		default:
 			return nil, fmt.Errorf("sql: unexpected character %q at %d", c, i)
 		}
 	}
 	return append(toks, token{kind: tokEOF}), nil
+}
+
+// keywords are the words the parser matches; an identifier spelling one
+// in any case lexes to the constant.
+var keywords = [...]string{"SELECT", "INSERT", "UPDATE", "DELETE", "FROM", "WHERE", "INTO", "VALUES", "SET"}
+
+// upperIdent is strings.ToUpper for an identifier (ASCII by
+// construction), allocating only for a non-keyword of two or more
+// characters with a lower-case letter among them — a table name.
+func upperIdent(s string) string {
+	if len(s) == 1 && 'a' <= s[0] && s[0] <= 'z' { // a column name: k, v
+		const upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+		return upper[s[0]-'a':][:1]
+	}
+	for _, kw := range keywords {
+		if strings.EqualFold(kw, s) {
+			return kw
+		}
+	}
+	return strings.ToUpper(s) // s itself when nothing in it is lower-case
 }
 
 func isIdentChar(c byte) bool {
@@ -154,7 +182,10 @@ func (p *parser) str() (string, error) {
 
 // Parse turns one statement into a Stmt.
 func Parse(input string) (Stmt, error) {
-	toks, err := lex(input)
+	// The dialect's longest statement is 12 tokens; a longer input is
+	// rejected as trailing garbage after lex has grown past the array.
+	var buf [16]token
+	toks, err := lex(buf[:0], input)
 	if err != nil {
 		return Stmt{}, err
 	}

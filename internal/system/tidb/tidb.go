@@ -105,8 +105,7 @@ type region struct {
 	idx      int
 	replicas []*regionReplica
 	peers    []cluster.NodeID
-	waiters  *system.Waiters
-	reqSeq   atomic.Uint64
+	repl     *system.Replicator
 }
 
 // regionReplica is one node's copy of a region: a raft member plus the
@@ -173,10 +172,7 @@ func New(cfg Config) *Cluster {
 		replicasPer = cfg.StorageNodes // full replication
 	}
 	for r := 0; r < cfg.Regions; r++ {
-		reg := &region{
-			idx:     r,
-			waiters: system.NewWaiters(),
-		}
+		reg := &region{idx: r, repl: system.NewReplicator("tidb: region leaderless", "tidb: region apply timeout")}
 		peers := make([]cluster.NodeID, replicasPer)
 		for i := range peers {
 			// Spread region replicas across storage nodes round-robin;
@@ -316,7 +312,7 @@ func (rr *regionReplica) applyLoop(cons *raft.Node, store *mvcc.Store, ckpt *rec
 			// resolved request is guaranteed visible to the next read.
 			rr.applied.Store(e.Index)
 			if ok {
-				rr.region.waiters.Resolve(waiterKey(reqID), res)
+				rr.region.repl.Resolve(reqID, res)
 			}
 			if ckpt != nil {
 				// A failed checkpoint write only degrades durability —
@@ -353,54 +349,23 @@ func (rr *regionReplica) apply(store *mvcc.Store, e consensus.Entry) (reqID uint
 	return cmd.reqID, system.Result{Committed: err == nil, Err: err}, true
 }
 
-func waiterKey(reqID uint64) string { return fmt.Sprintf("r%d", reqID) }
-
 // propose replicates a command through the region's raft group and waits
 // for its application outcome. The command is encoded into the log entry
 // itself, so the replicated history is self-contained — the property
 // region recovery replays against.
 func (reg *region) propose(cmd *regionCmd) error {
-	cmd.reqID = reg.reqSeq.Add(1)
-	done := reg.waiters.Register(waiterKey(cmd.reqID))
+	cmd.reqID = reg.repl.NextID()
 	payload := encodeRegionCmd(cmd)
-	deadline := time.Now().Add(30 * time.Second)
-	// Re-propose until the command is applied. A proposal accepted by a
-	// replica that crashes before replicating it is silently lost;
-	// waiting on it alone would stall the client 30s and — worse — leave
-	// a prewritten Percolator lock dangling forever. Duplicate
-	// application is safe: every replica applies the same log, and a
-	// second prewrite/commit/rollback of the same (key, startTS) is a
+	// Re-propose until the command is applied: waiting on a lost proposal
+	// alone would stall the client 30s and — worse — leave a prewritten
+	// Percolator lock dangling forever. Duplicate application is safe:
+	// every replica applies the same log, and a second
+	// prewrite/commit/rollback of the same (key, startTS) is a
 	// deterministic no-op or error whose result no waiter observes.
-	for {
-		proposed := false
-		for _, rep := range reg.replicas {
-			if rep.crashed.Load() {
-				continue
-			}
-			if rep.cons.Load().Propose(payload) == nil {
-				proposed = true
-				break
-			}
-		}
-		if !proposed {
-			if time.Now().After(deadline) {
-				reg.waiters.Cancel(waiterKey(cmd.reqID))
-				return errors.New("tidb: region leaderless")
-			}
-			//lint:allow sleepyloop bounded retry backoff while the region re-elects
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		select {
-		case r := <-done:
-			return r.Err
-		case <-time.After(100 * time.Millisecond):
-			if time.Now().After(deadline) {
-				reg.waiters.Cancel(waiterKey(cmd.reqID))
-				return errors.New("tidb: region apply timeout")
-			}
-		}
-	}
+	return reg.repl.Do(cmd.reqID, true, len(reg.replicas), func(i int) bool {
+		rep := reg.replicas[i]
+		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
+	}).Err
 }
 
 // leaderStore returns the current leader replica's MVCC store for reads.
