@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,6 @@ import (
 	"dichotomy/internal/pipeline"
 	"dichotomy/internal/recovery"
 	"dichotomy/internal/state"
-	"dichotomy/internal/storage"
-	"dichotomy/internal/storage/lsm"
-	"dichotomy/internal/storage/memdb"
 	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
@@ -81,34 +77,36 @@ func (c BigchainConfig) withDefaults() BigchainConfig {
 // the drain/decode/commit skeleton uniform, and execution concurrency
 // stays capped by the ledger order, as the paper's model demands.
 type bigchainNode struct {
+	// Replica is the validator's lifecycle (internal/system). Delivered
+	// counts the transactions the node has consumed from its commit
+	// stream: PBFT totally orders transactions and every entry carries
+	// exactly one, so the count IS the node's position in the global
+	// applied sequence.
+	*system.Replica
 	b      *Bigchain
-	idx    int
 	cons   consensus.Node
-	st     *state.Store
 	reg    *contract.Registry
 	pipe   *pipeline.Pipeline[consensus.Entry, *txn.Tx]
-	ckpt   *recovery.Checkpointer // nil when checkpointing is off
 	height atomic.Uint64
 	// applied retains every applied transaction, marshalled, in apply
 	// order — BigchainDB stores its blocks in the local database, and
 	// this retained history is what a crashed peer replays from.
 	appliedMu sync.Mutex
 	applied   [][]byte
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
-	crashed   atomic.Bool
-	// delivered counts the transactions this node has consumed from its
-	// commit stream (live decode or crash-time drain). PBFT totally
-	// orders transactions and every entry carries exactly one, so the
-	// count IS the node's position in the global applied sequence — the
-	// pivot the rejoin handoff in RecoverValidator resumes from.
-	delivered atomic.Uint64
 	// skipTo makes the restarted decode stage take-and-discard
 	// transactions a just-finished recovery replay already covered
 	// (position ≤ skipTo).
 	skipTo atomic.Uint64
-	drain  *system.Drainer
+}
+
+// entryHandle maps a committed entry to the payload-box handle it carries
+// and the position it advances the node to: one further for a
+// transaction, none for a view-change no-op.
+func (n *bigchainNode) entryHandle(e consensus.Entry) ([][]byte, uint64) {
+	if _, ok := system.HandleID(e.Data); !ok {
+		return nil, n.Delivered.Load()
+	}
+	return [][]byte{e.Data}, n.Delivered.Load() + 1
 }
 
 var _ system.System = (*Bigchain)(nil)
@@ -130,31 +128,23 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		peers[i] = cluster.NodeID(600000 + i)
 	}
 	for i, id := range peers {
-		eng, err := openValidatorEngine(cfg.DataDir, i)
-		if err != nil {
-			b.Close()
-			return nil, fmt.Errorf("bigchain validator %d: open state engine: %w", i, err)
-		}
-		n := &bigchainNode{
-			b:      b,
-			idx:    i,
-			st:     state.New(eng, 0),
-			reg:    contract.NewRegistry(contract.KV{}, contract.Smallbank{}),
-			stopCh: make(chan struct{}),
-		}
-		if cfg.CheckpointInterval > 0 {
-			n.ckpt, err = recovery.NewCheckpointer(n.st, recovery.Options{
-				Dir:       validatorCkptDir(cfg.DataDir, i),
+		rep, err := system.OpenReplica(system.ReplicaConfig{
+			Label:   fmt.Sprintf("bigchain validator %d", i),
+			DataDir: cfg.DataDir,
+			Name:    fmt.Sprintf("validator%d", i),
+			Engine:  openEngine,
+			Box:     b.box,
+			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Mode:      cfg.CheckpointMode,
 				FullEvery: cfg.CheckpointFullEvery,
-			})
-			if err != nil {
-				n.st.Close()
-				b.Close()
-				return nil, fmt.Errorf("bigchain validator %d: checkpointer: %w", i, err)
-			}
+			},
+		})
+		if err != nil {
+			b.Close()
+			return nil, err
 		}
+		n := &bigchainNode{Replica: rep, b: b, reg: contract.NewRegistry(contract.KV{}, contract.Smallbank{})}
 		n.pipe = pipeline.New(pipeline.Config{Workers: 1, Depth: 1},
 			pipeline.Stages[consensus.Entry, *txn.Tx]{
 				Decode: n.decodeEntry,
@@ -164,24 +154,9 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		b.nodes = append(b.nodes, n)
 	}
 	for _, n := range b.nodes {
-		n.wg.Add(1)
-		go n.applyLoop()
+		n.Run(n.applyLoop)
 	}
 	return b, nil
-}
-
-// openValidatorEngine picks the validator's engine: the in-memory
-// database by default, a disk-backed LSM under dataDir when durability
-// is asked for.
-func openValidatorEngine(dataDir string, i int) (storage.Engine, error) {
-	if dataDir == "" {
-		return memdb.New(), nil
-	}
-	return lsm.Open(lsm.Options{Dir: filepath.Join(dataDir, fmt.Sprintf("validator%d", i), "state")})
-}
-
-func validatorCkptDir(dataDir string, i int) string {
-	return filepath.Join(dataDir, fmt.Sprintf("validator%d", i), "ckpt")
 }
 
 // Name implements system.System.
@@ -210,7 +185,7 @@ func (b *Bigchain) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 func (b *Bigchain) execute(t *txn.Tx) system.Result {
 	live := 0
 	for _, n := range b.nodes {
-		if !n.crashed.Load() {
+		if !n.Crashed() {
 			live++
 		}
 	}
@@ -231,14 +206,9 @@ func (b *Bigchain) execute(t *txn.Tx) system.Result {
 		b.waiters.Cancel(t.ID)
 		return system.Result{Err: err}
 	}
-	select {
-	case r := <-done:
-		t.Trace.Observe(metrics.PhaseConsensus, time.Since(start))
-		return r
-	case <-time.After(60 * time.Second):
-		b.waiters.Cancel(t.ID)
-		return system.Result{Err: errors.New("bigchain: commit timeout")}
-	}
+	r := b.waiters.Await(t.ID, done, "bigchain: commit timeout")
+	t.Trace.Observe(metrics.PhaseConsensus, time.Since(start))
+	return r
 }
 
 // propose offers the payload to each live validator in turn until one
@@ -249,7 +219,7 @@ func (b *Bigchain) propose(data []byte) error {
 	var lastErr error
 	for {
 		for _, n := range b.nodes {
-			if n.crashed.Load() {
+			if n.Crashed() {
 				continue
 			}
 			if lastErr = n.cons.Propose(data); lastErr == nil {
@@ -269,9 +239,8 @@ func (b *Bigchain) propose(data []byte) error {
 
 // applyLoop drives the node's pipeline over the consensus commit stream
 // until shutdown.
-func (n *bigchainNode) applyLoop() {
-	defer n.wg.Done()
-	n.pipe.Run(n.cons.Committed(), n.stopCh)
+func (n *bigchainNode) applyLoop(stop <-chan struct{}) {
+	n.pipe.Run(n.cons.Committed(), stop)
 }
 
 // decodeEntry resolves a committed entry's payload handle (pipeline
@@ -287,7 +256,7 @@ func (n *bigchainNode) decodeEntry(e consensus.Entry) (*txn.Tx, bool) {
 	if !ok {
 		return nil, false
 	}
-	pos := n.delivered.Add(1)
+	pos := n.Delivered.Add(1)
 	v, ok := n.b.box.Take(id)
 	if !ok {
 		return nil, false
@@ -308,14 +277,14 @@ func (n *bigchainNode) apply(t *txn.Tx) {
 	n.appliedMu.Lock()
 	n.applied = append(n.applied, t.Marshal())
 	n.appliedMu.Unlock()
-	rw, err := n.reg.Execute(n.st, t.Invocation)
+	rw, err := n.reg.Execute(n.St, t.Invocation)
 	if err == nil {
 		ver := txn.Version{BlockNum: height}
 		vw := make([]state.VersionedWrite, len(rw.Writes))
 		for i, w := range rw.Writes {
 			vw[i] = state.VersionedWrite{Write: w, Version: ver}
 		}
-		err = n.st.ApplyBlock(vw)
+		err = n.St.ApplyBlock(vw)
 	}
 	r := system.Result{Committed: err == nil}
 	if err != nil {
@@ -323,9 +292,8 @@ func (n *bigchainNode) apply(t *txn.Tx) {
 		r.Err = err
 	}
 	n.b.waiters.Resolve(t.ID, r)
-	if n.ckpt != nil && err == nil {
-		//lint:allow errshadow failure retained in LastErr for the recovery stats
-		_, _ = n.ckpt.MaybeCheckpoint(height)
+	if err == nil {
+		n.MaybeCheckpoint(height)
 	}
 }
 
@@ -349,167 +317,72 @@ func (s appliedSource) Payloads(h uint64) ([][]byte, bool) {
 	return [][]byte{s.n.applied[h-1]}, true
 }
 
-// CrashValidator kills validator i's execution layer: the apply pipeline
-// stops and its in-memory state and applied history are lost. Its PBFT
-// replica keeps running behind a take-drain so the remaining 3f nodes
-// never wait on its unread commit stream, every box copy is consumed,
-// and the node's delivered position keeps advancing — the pivot the
-// rejoin handoff in RecoverValidator resumes from.
+// CrashValidator kills validator i's execution layer (system.Replica.Crash):
+// the apply pipeline stops and its in-memory state and applied history
+// are lost. Its PBFT replica keeps running behind the drain, so the
+// remaining 3f nodes never wait on its unread commit stream.
 func (b *Bigchain) CrashValidator(i int) {
 	n := b.nodes[i]
-	if n.crashed.Swap(true) {
-		return
+	if n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.entryHandle)) {
+		n.setApplied(nil)
 	}
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.wg.Wait()
-	n.drain = system.NewDrainer()
-	go n.drainWhileDown(n.cons.Committed(), n.drain)
-	if n.ckpt != nil {
-		n.ckpt.Close() // queued delta jobs die with the process, as a real crash would lose them
-	}
-	n.st.Close()
-	n.applied = nil
 }
 
-// drainWhileDown consumes the crashed validator's commit stream: every
-// transaction's box copy is taken and counted into delivered.
-func (n *bigchainNode) drainWhileDown(src <-chan consensus.Entry, d *system.Drainer) {
-	defer d.Finish()
-	for {
-		select {
-		case <-d.Stop():
-			return
-		case e, ok := <-src:
-			if !ok {
-				return
-			}
-			if len(e.Data) == 0 {
-				continue
-			}
-			if id, ok := system.HandleID(e.Data); ok {
-				n.b.box.Take(id)
-				n.delivered.Add(1)
-			}
-		}
-	}
+func (n *bigchainNode) setApplied(history [][]byte) {
+	n.appliedMu.Lock()
+	n.applied = history
+	n.appliedMu.Unlock()
 }
 
 // RecoverValidator rebuilds crashed validator i from its newest on-disk
 // checkpoint with height ≤ maxCkptHeight (0 = newest) plus a replay of
 // healthy validator from's applied history through the node's own apply
-// stage — and then REJOINS live consumption: the replay runs to at
-// least the position the node's crash-time drain consumed, the
-// restarted decode stage take-and-drops transactions the replay already
-// covered (skipTo), and everything above flows through the ordinary
-// pipeline. The network may keep committing throughout — no quiesce is
-// required.
+// stage, and then rejoins live consumption (the sequence is
+// system.Replica's). The rejoin step is skipTo, as Quorum's: the restarted
+// decode stage take-and-drops transactions the replay already covered.
+// The network may keep committing throughout — no quiesce is required.
 func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := b.nodes[i], b.nodes[from]
-	if !n.crashed.Load() {
+	if !n.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("bigchain: validator %d is not crashed", i)
 	}
-	if src.crashed.Load() {
+	if src.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("bigchain: source validator %d is crashed", from)
-	}
-	// Stop the crash-time drain and pin the handoff pivot: every
-	// transaction at position ≤ D has had this node's box copy taken.
-	if n.drain != nil {
-		n.drain.Halt()
-		n.drain = nil
-	}
-	D := n.delivered.Load()
-	cfg := recovery.RebuildConfig{
-		Old:           n.st, // a repeated recovery must close the previous attempt's store
-		OldCkpt:       n.ckpt,
-		Open:          func() (storage.Engine, error) { return openValidatorEngine(b.cfg.DataDir, i) },
-		Interval:      b.cfg.CheckpointInterval,
-		Mode:          b.cfg.CheckpointMode,
-		FullEvery:     b.cfg.CheckpointFullEvery,
-		MaxCkptHeight: maxCkptHeight,
-	}
-	if b.cfg.DataDir != "" {
-		cfg.StateDir = filepath.Join(b.cfg.DataDir, fmt.Sprintf("validator%d", i), "state")
-	}
-	if n.ckpt != nil {
-		cfg.CkptDir = n.ckpt.Dir()
-	}
-	st, ckpt, stats, err := recovery.RebuildStore(cfg)
-	if err != nil {
-		return stats, err
 	}
 	// Replay re-runs the live apply stage, which checkpoints as it goes
 	// through the rebound checkpointer.
-	n.ckpt = ckpt
-	ckptHeight := stats.CheckpointHeight
-
-	// Rebuild the applied-history prefix from the healthy peer, then
-	// replay the tail through the live apply stage (which re-extends the
-	// history itself).
-	n.st = st
-	n.height.Store(ckptHeight)
-	n.applied = nil
-	for h := uint64(1); h <= ckptHeight; h++ {
-		payloads, ok := (appliedSource{src}).Payloads(h)
-		if !ok {
-			return stats, fmt.Errorf("bigchain: source history missing tx %d", h)
-		}
-		n.applied = append(n.applied, payloads[0])
+	stats, err := n.Rebuild(maxCkptHeight)
+	if err != nil {
+		return stats, err
 	}
-
-	// Replay the source history through the live apply stage until this
-	// node has covered everything its drain consumed (≥ D). The source
-	// keeps applying while we replay, so loop: each pass replays the
-	// tail the source has by now, and if the source has not yet applied
-	// transaction D itself, wait for it.
-	replayStart := time.Now()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		cnt, rerr := recovery.Replay(appliedSource{src}, n.height.Load(),
-			func(h uint64, payloads [][]byte) error {
-				txs, err := recovery.DecodeTxs(payloads)
-				if err != nil {
-					return err
-				}
-				n.apply(txs[0]) // the live apply stage, verdicts recomputed
-				return nil
-			})
-		stats.ReplayedBlocks += cnt
-		if rerr != nil {
-			stats.ReplayDuration = time.Since(replayStart)
-			return stats, rerr
+	n.height.Store(stats.CheckpointHeight)
+	n.setApplied(nil)
+	err = n.CatchUp(appliedSource{src}, appliedSource{n}.Height, func(h uint64, payloads [][]byte) error {
+		if h <= stats.CheckpointHeight {
+			// Restored with the checkpoint: only the history is copied.
+			n.setApplied(append(n.applied, payloads[0]))
+			return nil
 		}
-		if cnt == 0 {
-			if n.height.Load() >= D {
-				break
-			}
-			if time.Now().After(deadline) {
-				stats.ReplayDuration = time.Since(replayStart)
-				return stats, fmt.Errorf("bigchain: source validator %d stuck below drained position %d", from, D)
-			}
-			//lint:allow sleepyloop waiting for the live replay source to apply the drained tail
-			time.Sleep(time.Millisecond)
+		txs, err := recovery.DecodeTxs(payloads)
+		if err != nil {
+			return err
 		}
+		n.apply(txs[0]) // the live apply stage: verdicts recomputed, history re-extended
+		return nil
+	}, &stats)
+	if err != nil {
+		return stats, err
 	}
-	stats.ReplayDuration = time.Since(replayStart)
-	T1 := n.height.Load()
-	stats.TipHeight = T1
-
-	// Rejoin: transactions at positions ≤ T1 still buffered in the
-	// commit stream are covered by the replay — the restarted decode
-	// take-and-drops them — and everything above applies live. The
-	// delivered counter keeps running from D, so buffered transactions
+	// Transactions at positions ≤ T1 still buffered in the commit stream
+	// are covered by the replay. Delivered keeps running from D, so they
 	// land at positions D+1..T1 and match.
-	n.skipTo.Store(T1)
-	n.stopCh = make(chan struct{})
-	n.stopOnce = sync.Once{}
-	n.crashed.Store(false)
-	n.wg.Add(1)
-	go n.applyLoop()
+	n.skipTo.Store(stats.TipHeight)
+	n.Restart(n.applyLoop)
 	return stats, nil
 }
 
 // Checkpointer exposes validator i's checkpointer (nil when disabled).
-func (b *Bigchain) Checkpointer(i int) *recovery.Checkpointer { return b.nodes[i].ckpt }
+func (b *Bigchain) Checkpointer(i int) *recovery.Checkpointer { return b.nodes[i].Ckpt }
 
 // Height returns validator i's applied-transaction height.
 func (b *Bigchain) Height(i int) uint64 { return b.nodes[i].height.Load() }
@@ -517,32 +390,19 @@ func (b *Bigchain) Height(i int) uint64 { return b.nodes[i].height.Load() }
 // ReadState returns the committed value of key on the first validator
 // (the uniform inspection surface the shared state layer provides).
 func (b *Bigchain) ReadState(key string) ([]byte, bool) {
-	v, _, err := b.nodes[0].st.Get(key)
+	v, _, err := b.nodes[0].St.Get(key)
 	return v, err == nil
 }
 
 // State exposes validator i's striped state store (tests and inspection).
-func (b *Bigchain) State(i int) *state.Store { return b.nodes[i].st }
+func (b *Bigchain) State(i int) *state.Store { return b.nodes[i].St }
 
 // Close implements system.System.
 func (b *Bigchain) Close() {
 	b.closeOne.Do(func() {
 		for _, n := range b.nodes {
-			n.stopOnce.Do(func() { close(n.stopCh) })
-		}
-		for _, n := range b.nodes {
 			n.cons.Stop()
-			n.wg.Wait()
-			if n.drain != nil {
-				n.drain.Halt()
-				n.drain = nil
-			}
-			if n.ckpt != nil {
-				n.ckpt.Close()
-			}
-			if n.st != nil {
-				n.st.Close()
-			}
+			n.Close()
 		}
 		b.net.Close()
 	})

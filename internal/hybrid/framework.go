@@ -5,7 +5,11 @@
 // model (CFT vs BFT), with the replication approach (consensus vs shared
 // log) as a refinement. The package also contains two runnable
 // mini-prototypes (Veritas-like and BigchainDB-like) used to validate the
-// prediction ordering experimentally.
+// prediction ordering experimentally. Their replicas' lifecycle — open,
+// crash, drain, rebuild, catch up, rejoin, close — is system.Replica's,
+// shared with Fabric and Quorum; a verifier rejoins by resubscribing to
+// the shared log above its checkpoint, a validator by replaying a healthy
+// peer's applied history and skipping what that covered.
 package hybrid
 
 import (

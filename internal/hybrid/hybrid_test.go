@@ -146,7 +146,7 @@ func TestBigchainCommitAndReplay(t *testing.T) {
 		}
 	}
 	// All validators replayed the same sequence: equal key counts.
-	want := b.nodes[0].st.Len()
+	want := b.nodes[0].St.Len()
 	if want == 0 {
 		t.Fatal("no state on node 0")
 	}

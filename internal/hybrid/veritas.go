@@ -1,11 +1,9 @@
 package hybrid
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,19 +129,15 @@ func (c VeritasConfig) withDefaults() VeritasConfig {
 // against consistent snapshots. height tracks the last applied log batch
 // sequence number (atomic so recovery and tests can watch catch-up).
 type veritasNode struct {
+	// Replica is the verifier's lifecycle (internal/system). A verifier
+	// needs neither drain nor catch-up: log records are self-contained, so
+	// it resubscribes above its checkpoint and its ordinary pipeline
+	// replays the tail.
+	*system.Replica
 	v        *Veritas
-	idx      int
-	st       *state.Store
 	consumer *sharedlog.Consumer
-	auth     *authstate.RootMaintainer // nil unless AuthState
-	proofs   *authstate.ProofServer    // nil unless AuthState
 	pipe     *pipeline.Pipeline[sharedlog.Batch, *veritasBatch]
-	ckpt     *recovery.Checkpointer // nil when checkpointing is off
 	height   atomic.Uint64
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	crashed  atomic.Bool
 }
 
 // veritasBatch is one decoded log batch moving through a verifier's
@@ -175,43 +169,34 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 		Net: v.net, NodeBase: 500000,
 		BatchSize: cfg.BatchSize, BatchTimeout: cfg.BatchTimeout,
 	})
+	fail := func(err error) (*Veritas, error) {
+		v.Close()
+		return nil, err
+	}
 	for i := 0; i < cfg.Verifiers; i++ {
-		eng, err := openVerifierEngine(cfg.DataDir, i)
-		if err != nil {
-			v.Close()
-			return nil, fmt.Errorf("veritas verifier %d: open state engine: %w", i, err)
-		}
-		n := &veritasNode{
-			v:      v,
-			idx:    i,
-			st:     state.New(eng, 0),
-			stopCh: make(chan struct{}),
-		}
-		if cfg.AuthState {
-			signer, err := cryptoutil.NewSigner(fmt.Sprintf("veritas-verifier-%d", i))
-			if err == nil {
-				n.auth, err = authstate.New(authstate.Config{Signer: signer})
-			}
-			if err != nil {
-				n.st.Close()
-				v.Close()
-				return nil, fmt.Errorf("veritas verifier %d: root maintainer: %w", i, err)
-			}
-			n.proofs = authstate.NewProofServer(n.auth, 0)
-		}
-		if cfg.CheckpointInterval > 0 {
-			n.ckpt, err = recovery.NewCheckpointer(n.st, recovery.Options{
-				Dir:       verifierCkptDir(cfg.DataDir, i),
+		rc := system.ReplicaConfig{
+			Label:   fmt.Sprintf("veritas verifier %d", i),
+			DataDir: cfg.DataDir,
+			Name:    fmt.Sprintf("verifier%d", i),
+			Engine:  openEngine,
+			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Mode:      cfg.CheckpointMode,
 				FullEvery: cfg.CheckpointFullEvery,
-			})
-			if err != nil {
-				n.st.Close()
-				v.Close()
-				return nil, fmt.Errorf("veritas verifier %d: checkpointer: %w", i, err)
-			}
+			},
 		}
+		if cfg.AuthState {
+			signer, err := cryptoutil.NewSigner(fmt.Sprintf("veritas-verifier-%d", i))
+			if err != nil {
+				return fail(fmt.Errorf("%s: root maintainer: %w", rc.Label, err))
+			}
+			rc.Auth = &authstate.Config{Signer: signer}
+		}
+		rep, err := system.OpenReplica(rc)
+		if err != nil {
+			return fail(err)
+		}
+		n := &veritasNode{Replica: rep, v: v}
 		n.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ValidationWorkers,
 			Depth:   cfg.PipelineDepth,
@@ -222,33 +207,27 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 			Seal:     n.sealBatch,
 		})
 		n.consumer = v.log.Subscribe(1)
-		n.wg.Add(1)
-		go n.applyLoop()
+		n.Run(n.applyLoop)
 		v.nodes = append(v.nodes, n)
 	}
 	if cfg.Ingress != nil {
 		ing, err := ingress.New(*cfg.Ingress, v.ingestBatch)
 		if err != nil {
-			v.Close()
-			return nil, fmt.Errorf("veritas: ingress: %w", err)
+			return fail(fmt.Errorf("veritas: ingress: %w", err))
 		}
 		v.ing = ing
 	}
 	return v, nil
 }
 
-// openVerifierEngine picks the verifier's engine: the in-memory database
-// by default (the prototype's ledgerless store), a disk-backed LSM under
-// dataDir when durability is asked for.
-func openVerifierEngine(dataDir string, i int) (storage.Engine, error) {
-	if dataDir == "" {
+// openEngine is both prototypes' engine choice: the in-memory database by
+// default (the ledgerless store), a disk-backed LSM under stateDir when
+// durability is asked for.
+func openEngine(stateDir string) (storage.Engine, error) {
+	if stateDir == "" {
 		return memdb.New(), nil
 	}
-	return lsm.Open(lsm.Options{Dir: filepath.Join(dataDir, fmt.Sprintf("verifier%d", i), "state")})
-}
-
-func verifierCkptDir(dataDir string, i int) string {
-	return filepath.Join(dataDir, fmt.Sprintf("verifier%d", i), "ckpt")
+	return lsm.Open(lsm.Options{Dir: stateDir})
 }
 
 // Name implements system.System.
@@ -295,13 +274,13 @@ func (v *Veritas) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error)
 // path and the ingress batch sink.
 func (v *Veritas) executeLocal(t *txn.Tx, reg *contract.Registry) (r system.Result, done bool) {
 	n := v.nodes[0] // any node can execute; effects are ordered globally
-	if n.crashed.Load() {
+	if n.Crashed() {
 		return system.Result{Err: errors.New("veritas: executing verifier is down")}, true
 	}
 	var rw txn.RWSet
 	var err error
 	t.Trace.Time(metrics.PhaseExecute, func() {
-		snap := n.st.Snapshot()
+		snap := n.St.Snapshot()
 		defer snap.Release()
 		rw, err = reg.Execute(snap, t.Invocation)
 	})
@@ -334,14 +313,9 @@ func (v *Veritas) execute(t *txn.Tx) system.Result {
 		v.waiters.Cancel(t.ID)
 		return system.Result{Err: err}
 	}
-	select {
-	case r := <-done:
-		t.Trace.Observe(metrics.PhaseOrder, time.Since(start))
-		return r
-	case <-time.After(60 * time.Second):
-		v.waiters.Cancel(t.ID)
-		return system.Result{Err: errors.New("veritas: commit timeout")}
-	}
+	r := v.waiters.Await(t.ID, done, "veritas: commit timeout")
+	t.Trace.Observe(metrics.PhaseOrder, time.Since(start))
+	return r
 }
 
 // ingestBatch is the ingress builder's sink: it executes each admitted
@@ -396,9 +370,8 @@ func (v *Veritas) ConsensusDropped() uint64 { return v.log.Dropped() }
 
 // applyLoop drives the verifier's batch pipeline over the shared log
 // until shutdown.
-func (n *veritasNode) applyLoop() {
-	defer n.wg.Done()
-	n.pipe.Run(n.consumer.Batches(), n.stopCh)
+func (n *veritasNode) applyLoop(stop <-chan struct{}) {
+	n.pipe.Run(n.consumer.Batches(), stop)
 }
 
 // decodeBatch unmarshals a log batch's effect records (pipeline Decode
@@ -460,19 +433,19 @@ func (n *veritasNode) applyBatch(vb *veritasBatch) {
 		}
 		sets[i] = t.RWSet
 	}
-	vb.verdicts = pipeline.ValidateWaves(sets, n.st, height, n.pipe.Workers())
+	vb.verdicts = pipeline.ValidateWaves(sets, n.St, height, n.pipe.Workers())
 	for i := range vb.verdicts {
 		if vb.authErrs != nil && vb.authErrs[i] != nil {
 			vb.verdicts[i] = occ.InconsistentRead // authentication failure
 		}
 	}
-	stage := n.st.NewBlock()
+	stage := n.St.NewBlock()
 	var deltas []state.VersionedWrite
 	for i, t := range vb.txs {
 		if vb.verdicts[i] == occ.OK {
 			ver := txn.Version{BlockNum: height, TxNum: uint32(i)}
 			stage.StageAll(t.RWSet.Writes, ver)
-			if n.auth != nil {
+			if n.Auth != nil {
 				for _, w := range t.RWSet.Writes {
 					deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
 				}
@@ -480,17 +453,16 @@ func (n *veritasNode) applyBatch(vb *veritasBatch) {
 		}
 	}
 	vb.applyErr = stage.Commit()
-	if n.auth != nil && vb.applyErr == nil {
+	if n.Auth != nil && vb.applyErr == nil {
 		// Off the apply path: the maintainer hashes the delta on its own
 		// worker. ErrClosed only happens at shutdown.
-		if err := n.auth.Submit(height, deltas); err != nil && err != authstate.ErrClosed {
+		if err := n.Auth.Submit(height, deltas); err != nil && err != authstate.ErrClosed {
 			vb.applyErr = err
 		}
 	}
 	n.height.Store(height)
-	if n.ckpt != nil && vb.applyErr == nil {
-		//lint:allow errshadow failure retained in LastErr for the recovery stats
-		_, _ = n.ckpt.MaybeCheckpoint(height)
+	if vb.applyErr == nil {
+		n.MaybeCheckpoint(height)
 	}
 }
 
@@ -515,104 +487,37 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 	}
 }
 
-// CrashVerifier kills verifier i: its apply pipeline stops and its
-// in-memory state — values, versions, cursor — is lost. What survives is
-// the checkpoint directory on disk and the shared log itself, which
-// retains every batch.
+// CrashVerifier kills verifier i (system.Replica.Crash): its apply
+// pipeline stops and its in-memory state — values, versions, cursor — is
+// lost. What survives is the checkpoint directory on disk and the shared
+// log itself, which retains every batch, so no drain is needed.
 func (v *Veritas) CrashVerifier(i int) {
 	n := v.nodes[i]
-	if n.crashed.Swap(true) {
-		return
+	if n.Crash(nil) {
+		n.consumer.Close()
 	}
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.wg.Wait()
-	n.consumer.Close()
-	if n.ckpt != nil {
-		n.ckpt.Close() // queued delta jobs die with the process, as a real crash would lose them
-	}
-	if n.auth != nil {
-		n.auth.Close()
-		n.auth, n.proofs = nil, nil
-	}
-	n.st.Close()
 }
 
 // RecoverVerifier rebuilds crashed verifier i from its newest on-disk
 // checkpoint with height ≤ maxCkptHeight (0 = newest) and resubscribes
 // to the shared log right above it. Catch-up is not a special code path:
 // the replayed tail flows through the verifier's ordinary decode/apply/
-// seal pipeline, which then seamlessly continues with live batches — so
-// unlike the ledger systems, a recovered verifier fully rejoins the
-// cluster. It returns as soon as the pipeline is running; watch Height
-// against the log's batch count for catch-up.
+// seal pipeline, which then seamlessly continues with live batches. It
+// returns as soon as the pipeline is running; watch Height against the
+// log's batch count for catch-up.
 func (v *Veritas) RecoverVerifier(i int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n := v.nodes[i]
-	if !n.crashed.Load() {
+	if !n.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("veritas: verifier %d is not crashed", i)
 	}
-	cfg := recovery.RebuildConfig{
-		Old:           n.st, // closed by CrashVerifier already; re-close is a no-op
-		OldCkpt:       n.ckpt,
-		Open:          func() (storage.Engine, error) { return openVerifierEngine(v.cfg.DataDir, i) },
-		Interval:      v.cfg.CheckpointInterval,
-		Mode:          v.cfg.CheckpointMode,
-		FullEvery:     v.cfg.CheckpointFullEvery,
-		MaxCkptHeight: maxCkptHeight,
-	}
-	if v.cfg.DataDir != "" {
-		cfg.StateDir = filepath.Join(v.cfg.DataDir, fmt.Sprintf("verifier%d", i), "state")
-	}
-	if n.ckpt != nil {
-		cfg.CkptDir = n.ckpt.Dir()
-	}
-	st, ckpt, stats, err := recovery.RebuildStore(cfg)
+	stats, err := n.Rebuild(maxCkptHeight)
 	if err != nil {
 		return stats, err
 	}
-	n.ckpt = ckpt
-	ckptHeight := stats.CheckpointHeight
 	stats.TipHeight = v.log.Batches()
-
-	if v.cfg.AuthState {
-		// Rebuild the commitment through the maintainer's delta path: one
-		// synthetic delta at the checkpoint height, then catch-up batches
-		// feed it per batch as live applies do.
-		signer, serr := cryptoutil.NewSigner(fmt.Sprintf("veritas-verifier-%d", i))
-		if serr != nil {
-			st.Close()
-			return stats, fmt.Errorf("veritas verifier %d: signer: %w", i, serr)
-		}
-		auth, aerr := authstate.New(authstate.Config{Signer: signer})
-		if aerr != nil {
-			st.Close()
-			return stats, fmt.Errorf("veritas verifier %d: root maintainer: %w", i, aerr)
-		}
-		if ckptHeight > 0 {
-			var seed []state.VersionedWrite
-			st.Dump(func(key string, value []byte, ver txn.Version) bool {
-				seed = append(seed, state.VersionedWrite{
-					Write:   txn.Write{Key: key, Value: bytes.Clone(value)},
-					Version: ver,
-				})
-				return true
-			})
-			if err := auth.Submit(ckptHeight, seed); err != nil {
-				auth.Close()
-				st.Close()
-				return stats, fmt.Errorf("veritas verifier %d: seed root maintainer: %w", i, err)
-			}
-		}
-		n.auth, n.proofs = auth, authstate.NewProofServer(auth, 0)
-	}
-
-	n.st = st
-	n.height.Store(ckptHeight)
-	n.stopCh = make(chan struct{})
-	n.stopOnce = sync.Once{}
-	n.consumer = v.log.Subscribe(ckptHeight + 1)
-	n.crashed.Store(false)
-	n.wg.Add(1)
-	go n.applyLoop()
+	n.height.Store(stats.CheckpointHeight)
+	n.consumer = v.log.Subscribe(stats.CheckpointHeight + 1)
+	n.Restart(n.applyLoop)
 	return stats, nil
 }
 
@@ -628,24 +533,24 @@ func (v *Veritas) LogBatches() uint64 { return v.log.Batches() }
 func (v *Veritas) SetFaults(hook cluster.FaultHook) { v.net.SetFaults(hook) }
 
 // Checkpointer exposes verifier i's checkpointer (nil when disabled).
-func (v *Veritas) Checkpointer(i int) *recovery.Checkpointer { return v.nodes[i].ckpt }
+func (v *Veritas) Checkpointer(i int) *recovery.Checkpointer { return v.nodes[i].Ckpt }
 
 // ReadState returns the committed value of key on the first verifier (the
 // uniform inspection surface the shared state layer provides).
 func (v *Veritas) ReadState(key string) ([]byte, bool) {
-	val, _, err := v.nodes[0].st.Get(key)
+	val, _, err := v.nodes[0].St.Get(key)
 	return val, err == nil
 }
 
 // State exposes verifier i's striped state store (tests and inspection).
-func (v *Veritas) State(i int) *state.Store { return v.nodes[i].st }
+func (v *Veritas) State(i int) *state.Store { return v.nodes[i].St }
 
 // Auth exposes verifier i's root maintainer (nil unless AuthState).
-func (v *Veritas) Auth(i int) *authstate.RootMaintainer { return v.nodes[i].auth }
+func (v *Veritas) Auth(i int) *authstate.RootMaintainer { return v.nodes[i].Auth }
 
 // Proofs exposes verifier i's proof server (nil unless AuthState) — the
 // light-client read endpoint.
-func (v *Veritas) Proofs(i int) *authstate.ProofServer { return v.nodes[i].proofs }
+func (v *Veritas) Proofs(i int) *authstate.ProofServer { return v.nodes[i].Proofs }
 
 // Close implements system.System.
 func (v *Veritas) Close() {
@@ -657,17 +562,7 @@ func (v *Veritas) Close() {
 		}
 		v.log.Stop()
 		for _, n := range v.nodes {
-			n.stopOnce.Do(func() { close(n.stopCh) })
-		}
-		for _, n := range v.nodes {
-			n.wg.Wait()
-			if n.ckpt != nil {
-				n.ckpt.Close()
-			}
-			if n.auth != nil {
-				n.auth.Close()
-			}
-			n.st.Close()
+			n.Close()
 		}
 		v.net.Close()
 	})

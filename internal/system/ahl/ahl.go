@@ -313,9 +313,15 @@ func (sh *shard) sequence(cmd *shardCmd) system.Result {
 	// Proposed once: re-proposal is the raft-backed systems' answer to a
 	// proposal lost with a crashed leader's log, and this path never
 	// needed it.
-	return sh.repl.Do(cmd.reqID, false, len(sh.nodes), func(i int) bool {
+	r := sh.repl.Do(cmd.reqID, false, len(sh.nodes), func(i int) bool {
 		return sh.nodes[i].Propose(payload) == nil
 	})
+	if sh.repl.GaveUp(r.Err) {
+		// The primary applier never took the command: release it, or it
+		// leaks. An apply error, by contrast, means it was taken.
+		sh.box.Drop(id)
+	}
+	return r
 }
 
 // Execute implements system.System as the thin Submit+Wait wrapper.

@@ -23,14 +23,20 @@
 //     abort (read-write conflicts). Valid writes commit to the
 //     LSM-backed state as one batch. Fabric v2 has no Merkle index on
 //     state — tamper evidence comes from the ledger alone.
+//
+// A peer's lifecycle — open, crash, drain while down, rebuild from a
+// checkpoint, catch up from a healthy peer's ledger, rejoin, close — is
+// system.Replica's, shared with Quorum and the hybrid prototypes. This
+// package supplies what distinguishes Fabric: the topology above, the
+// LSM engine, the pipeline stages, how an ordering batch maps to
+// payload-box handles (batchHandles), and the hand-off subscription
+// RecoverPeer rejoins through.
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -49,30 +55,9 @@ import (
 	"dichotomy/internal/sharedlog"
 	"dichotomy/internal/state"
 	"dichotomy/internal/storage"
-	"dichotomy/internal/storage/lsm"
 	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
-
-// openEngine opens a peer's LSM state engine: disk-backed under dataDir
-// when set, purely in-memory otherwise, wrapped by hook when one is
-// configured (fault injection). Errors surface to the caller — node
-// setup no longer panics on an open failure.
-func openEngine(dataDir, name string, hook func(storage.Engine) storage.Engine) (storage.Engine, error) {
-	opt := lsm.Options{}
-	if dataDir != "" {
-		opt.Dir = filepath.Join(dataDir, name, "state")
-	}
-	eng, err := lsm.Open(opt)
-	if err != nil || hook == nil {
-		return eng, err
-	}
-	return hook(eng), nil
-}
-
-func ckptDir(dataDir, name string) string {
-	return filepath.Join(dataDir, name, "ckpt")
-}
 
 // Config assembles a Fabric network.
 type Config struct {
@@ -215,31 +200,21 @@ var _ system.System = (*Network)(nil)
 // depth ≥ 2), while the MVCC check and state/ledger commit stay in
 // strict block order on the committer side.
 type peer struct {
+	// Replica is the peer's lifecycle (internal/system): engines, loops,
+	// crash, drain, rebuild, catch-up, close. Delivered is the newest
+	// ordering-batch sequence the peer has consumed.
+	*system.Replica
 	name     string
 	nw       *Network
 	signer   *cryptoutil.Signer
 	reg      *contract.Registry
-	ledger   *ledger.Ledger
-	st       *state.Store
 	consumer *sharedlog.Consumer
-	auth     *authstate.RootMaintainer // nil unless Config.AuthState
-	proofs   *authstate.ProofServer    // nil unless Config.AuthState
 	pipe     *pipeline.Pipeline[sharedlog.Batch, *fabricBlock]
-	ckpt     *recovery.Checkpointer // nil when checkpointing is off
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	// crashed marks a peer whose commit pipeline and state were killed;
-	// endorsement and query routing skip it until it is recovered.
-	crashed atomic.Bool
-	// lastDelivered is the newest ordering-batch sequence this peer has
-	// consumed — decoded while live, drained while down. The block-sync
-	// handoff in RecoverPeer pivots on it.
-	lastDelivered atomic.Uint64
-	// drain runs while the peer is crashed, consuming its share of
-	// payload-box handles so entries never leak; nil when live.
-	drain *system.Drainer
 }
+
+// batchHandles maps an ordering batch to the payload-box handles it
+// carries, one per record, and its sequence number.
+func batchHandles(b sharedlog.Batch) ([][]byte, uint64) { return b.Records, b.Seq }
 
 // ordered is what rides the payload box through the ordering service: an
 // assembled transaction and its wire bytes, encoded once where it enters
@@ -302,41 +277,28 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		eng, err := openEngine(cfg.DataDir, name, cfg.EngineHook)
-		if err != nil {
-			return fail(fmt.Errorf("fabric %s: open state engine: %w", name, err))
-		}
-		p := &peer{
-			name:   name,
-			nw:     nw,
-			signer: signer,
-			reg:    contract.NewRegistry(cfg.Contracts...),
-			ledger: ledger.New(),
-			st:     state.New(eng, 0),
-			stopCh: make(chan struct{}),
-		}
-		// Appended before the fallible checkpointer setup so Close
-		// reaches this peer's engine on the error path.
-		nw.peers = append(nw.peers, p)
-		if cfg.AuthState {
-			p.auth, err = authstate.New(authstate.Config{Signer: signer})
-			if err != nil {
-				return fail(fmt.Errorf("fabric %s: root maintainer: %w", name, err))
-			}
-			p.proofs = authstate.NewProofServer(p.auth, 0)
-		}
-		if cfg.CheckpointInterval > 0 {
-			p.ckpt, err = recovery.NewCheckpointer(p.st, recovery.Options{
-				Dir:       ckptDir(cfg.DataDir, name),
+		rc := system.ReplicaConfig{
+			Label:   "fabric " + name,
+			DataDir: cfg.DataDir,
+			Name:    name,
+			Engine:  system.LSMEngine(cfg.EngineHook),
+			Box:     nw.box,
+			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Keep:      cfg.CheckpointKeep,
 				Mode:      cfg.CheckpointMode,
 				FullEvery: cfg.CheckpointFullEvery,
-			})
-			if err != nil {
-				return fail(fmt.Errorf("fabric %s: checkpointer: %w", name, err))
-			}
+			},
 		}
+		if cfg.AuthState {
+			rc.Auth = &authstate.Config{Signer: signer}
+		}
+		rep, err := system.OpenReplica(rc)
+		if err != nil {
+			return fail(err)
+		}
+		p := &peer{Replica: rep, name: name, nw: nw, signer: signer, reg: contract.NewRegistry(cfg.Contracts...)}
+		nw.peers = append(nw.peers, p)
 		p.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ValidationWorkers,
 			Depth:   cfg.PipelineDepth,
@@ -350,8 +312,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	for _, p := range nw.peers {
 		p.consumer = nw.ordering.Subscribe(1)
-		p.wg.Add(1)
-		go p.commitLoop()
+		p.Run(p.commitLoop)
 	}
 	if cfg.Ingress != nil {
 		ing, err := ingress.New(*cfg.Ingress, nw.ingestBatch)
@@ -387,7 +348,7 @@ func (nw *Network) needed() int {
 func (nw *Network) livePeers() []*peer {
 	out := make([]*peer, 0, len(nw.peers))
 	for _, p := range nw.peers {
-		if !p.crashed.Load() {
+		if !p.Crashed() {
 			out = append(out, p)
 		}
 	}
@@ -456,14 +417,9 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 		nw.box.Drop(id)
 		return system.Result{Err: err}
 	}
-	select {
-	case r := <-done:
-		t.Trace.Observe(metrics.PhaseOrder, time.Since(orderStart))
-		return r
-	case <-time.After(60 * time.Second):
-		nw.waiters.Cancel(t.ID)
-		return system.Result{Err: errors.New("fabric: commit timeout")}
-	}
+	r := nw.waiters.Await(t.ID, done, "fabric: commit timeout")
+	t.Trace.Observe(metrics.PhaseOrder, time.Since(orderStart))
+	return r
 }
 
 // endorseAndAssemble runs phase 1 for one update transaction against the
@@ -605,7 +561,7 @@ func (p *peer) readValue(inv txn.Invocation) []byte {
 	if inv.Contract != "kv" || inv.Method != "get" || len(inv.Args) != 1 {
 		return nil
 	}
-	v, _, err := p.st.Get(string(inv.Args[0]))
+	v, _, err := p.St.Get(string(inv.Args[0]))
 	if err != nil {
 		return nil
 	}
@@ -633,7 +589,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 	var rw txn.RWSet
 	var simErr error
 	t.Trace.Time(metrics.PhaseSimulate, func() {
-		snap := p.st.Snapshot()
+		snap := p.St.Snapshot()
 		defer snap.Release()
 		rw, simErr = p.reg.Execute(snap, t.Invocation)
 	})
@@ -655,9 +611,8 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 
 // commitLoop drives the peer's block pipeline over the ordering service's
 // batch stream until shutdown.
-func (p *peer) commitLoop() {
-	defer p.wg.Done()
-	p.pipe.Run(p.consumer.Batches(), p.stopCh)
+func (p *peer) commitLoop(stop <-chan struct{}) {
+	p.pipe.Run(p.consumer.Batches(), stop)
 }
 
 // decodeBlock resolves a batch's payload handles into the block's
@@ -684,7 +639,7 @@ func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
 		b.txs = append(b.txs, o.tx)
 		b.raw = append(b.raw, o.raw)
 	}
-	p.lastDelivered.Store(batch.Seq)
+	p.Delivered.Store(batch.Seq)
 	return b, true
 }
 
@@ -744,14 +699,14 @@ func (p *peer) validateBlock(b *fabricBlock) {
 // stable without holding any lock across the block.
 func (p *peer) applyBlock(b *fabricBlock) {
 	b.applyStart = time.Now()
-	blockNum := p.ledger.Height() + 1
+	blockNum := p.Ledger.Height() + 1
 	sets := make([]txn.RWSet, len(b.txs))
 	for i, t := range b.txs {
 		if b.verdicts[i] == occ.OK {
 			sets[i] = t.RWSet
 		}
 	}
-	mvccVerdicts := pipeline.ValidateWaves(sets, p.st, blockNum, p.pipe.Workers())
+	mvccVerdicts := pipeline.ValidateWaves(sets, p.St, blockNum, p.pipe.Workers())
 	for i := range b.verdicts {
 		if b.verdicts[i] == occ.OK {
 			b.verdicts[i] = mvccVerdicts[i]
@@ -762,7 +717,7 @@ func (p *peer) applyBlock(b *fabricBlock) {
 	// stripe, flushed through the engine's batch fast path. A failed
 	// commit no longer panics the peer: the error travels to Seal, which
 	// reports it to every client waiting on the block.
-	blk := p.st.NewBlock()
+	blk := p.St.NewBlock()
 	var deltas []state.VersionedWrite
 	for i, t := range b.txs {
 		if b.verdicts[i] != occ.OK {
@@ -770,7 +725,7 @@ func (p *peer) applyBlock(b *fabricBlock) {
 		}
 		ver := txn.Version{BlockNum: blockNum, TxNum: uint32(i)}
 		blk.StageAll(t.RWSet.Writes, ver)
-		if p.auth != nil {
+		if p.Auth != nil {
 			for _, w := range t.RWSet.Writes {
 				deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
 			}
@@ -780,11 +735,11 @@ func (p *peer) applyBlock(b *fabricBlock) {
 		b.commitErr = fmt.Errorf("fabric %s: block commit: %w", p.name, err)
 		return
 	}
-	if p.auth != nil {
+	if p.Auth != nil {
 		// Off-commit-path commitment: the maintainer hashes this delta on
 		// its own worker. ErrClosed only happens on shutdown — the delta
 		// dies with the peer, as a crash would lose it.
-		if err := p.auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
+		if err := p.Auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
 			b.commitErr = fmt.Errorf("fabric %s: root maintainer: %w", p.name, err)
 		}
 	}
@@ -798,16 +753,9 @@ func (p *peer) applyBlock(b *fabricBlock) {
 // them is this peer's own.
 func (p *peer) sealBlock(b *fabricBlock) {
 	if b.commitErr == nil {
-		// With AuthState on, headers carry the latest published signed
-		// root — possibly a few blocks behind Number (bounded staleness).
-		var stateRoot cryptoutil.Hash
-		var stateRootHeight uint64
-		if p.auth != nil {
-			if up, ok := p.auth.Published(); ok {
-				stateRoot, stateRootHeight = up.Root.Root, up.Root.Height
-			}
-		}
-		p.ledger.Seal(b.raw, stateRoot, stateRootHeight)
+		// With AuthState on, headers carry the latest published signed root.
+		stateRoot, stateRootHeight := p.PublishedRoot()
+		p.Ledger.Seal(b.raw, stateRoot, stateRootHeight)
 	}
 
 	validate := b.valDur + time.Since(b.applyStart)
@@ -825,264 +773,105 @@ func (p *peer) sealBlock(b *fabricBlock) {
 		p.nw.waiters.Resolve(t.ID, r)
 	}
 
-	// Checkpoint after the clients are answered, still on the committer:
-	// the store sits exactly at this block's boundary, so the snapshot can
-	// never tear a block. The synchronous write is the commit-path cost
-	// the checkpoint-interval experiment measures.
-	if p.ckpt != nil && b.commitErr == nil {
-		//lint:allow errshadow failure retained in LastErr for the recovery stats
-		_, _ = p.ckpt.MaybeCheckpoint(p.ledger.Height())
+	// Checkpoint after the clients are answered, still on the committer.
+	// The synchronous write is the commit-path cost the
+	// checkpoint-interval experiment measures.
+	if b.commitErr == nil {
+		p.MaybeCheckpoint(p.Ledger.Height())
 	}
 }
 
-// CrashPeer kills peer i: its commit pipeline stops (blocks already past
-// validation still seal, as a crash between fsyncs would leave them) and
-// its in-memory state — values, versions, ledger — is lost. Endorsement
-// and query routing skip it from now on. What survives is what recovery
-// is allowed to use: the checkpoint directory on disk and the other
-// replicas' ledgers.
+// CrashPeer kills peer i (system.Replica.Crash): its commit pipeline stops
+// and its in-memory state — values, versions, ledger — is lost, while a
+// drain keeps consuming its subscription. Endorsement and query routing
+// skip it from now on.
 func (nw *Network) CrashPeer(i int) {
 	p := nw.peers[i]
-	if p.crashed.Swap(true) {
-		return
-	}
-	p.stopOnce.Do(func() { close(p.stopCh) })
-	p.wg.Wait()
-	// The subscription stays open: a drain goroutine keeps consuming the
-	// crashed peer's share of payload-box handles (constant Take counts,
-	// no leaked entries) and records the last delivered sequence — the
-	// pivot the recovery block-sync handoff resumes from.
-	p.drain = system.NewDrainer()
-	go p.drainWhileDown(p.consumer, p.drain)
-	if p.ckpt != nil {
-		p.ckpt.Close() // queued delta jobs die with the process, as a real crash would lose them
-	}
-	if p.auth != nil {
-		p.auth.Close()
-		p.auth, p.proofs = nil, nil
-	}
-	p.st.Close()
-	p.ledger = nil
-}
-
-// drainWhileDown consumes the crashed peer's batch stream: every handle
-// is taken (freeing this peer's box copy) and the newest sequence is
-// recorded in lastDelivered.
-func (p *peer) drainWhileDown(consumer *sharedlog.Consumer, d *system.Drainer) {
-	defer d.Finish()
-	for {
-		select {
-		case <-d.Stop():
-			return
-		case b, ok := <-consumer.Batches():
-			if !ok {
-				return
-			}
-			for _, rec := range b.Records {
-				if id, ok := system.HandleID(rec); ok {
-					p.nw.box.Take(id)
-				}
-			}
-			p.lastDelivered.Store(b.Seq)
-		}
-	}
+	p.Crash(system.DrainStream(p.Replica, p.consumer.Batches(), batchHandles))
 }
 
 // RecoverPeer rebuilds crashed peer i from its newest on-disk checkpoint
 // with height ≤ maxCkptHeight (0 = newest available — maxCkptHeight
 // models how far checkpointing had gotten when the crash hit) plus a
-// replay of the healthy peer from's ledger, through the peer's own
-// validate/apply pipeline stages — and then REJOINS live block
-// consumption via a block-sync handoff: the replay runs to at least the
-// last sequence the peer's crash-time drain consumed, a handoff
-// subscription takes (and drops) the peer's box copies for the batches
-// the replay already covered, and the live subscription resumes exactly
-// one past the replay tip. The network may keep committing throughout —
-// no quiesce is required. RecoverPeer may be called after each crash;
-// each call rebuilds from scratch.
+// replay of the healthy peer from's ledger through the peer's own
+// validate/apply pipeline stages, and then rejoins live block consumption
+// (the sequence is system.Replica's). Fabric's rejoin step is a hand-off
+// subscription that takes, and drops, the peer's box copies for the
+// batches the replay covered; the live subscription resumes exactly one
+// past the replay tip. The network may keep committing throughout — no
+// quiesce is required. RecoverPeer may be called after each crash; each
+// call rebuilds from scratch.
 func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	p, src := nw.peers[i], nw.peers[from]
-	if !p.crashed.Load() {
+	// Read once, and before the liveness check: Crash raises the flag
+	// first and drops the ledger after, mid-replay included.
+	srcLedger := src.Ledger
+	if !p.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("fabric: peer %d is not crashed", i)
 	}
-	if src.crashed.Load() {
+	if src.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("fabric: source peer %d is crashed", from)
 	}
-	// Stop the crash-time drain and pin the handoff pivot: every batch
-	// ≤ D has had this peer's box copy taken already.
-	if p.drain != nil {
-		p.drain.Halt()
-		p.drain = nil
-		p.consumer.Close()
-	}
-	D := p.lastDelivered.Load()
-	cfg := recovery.RebuildConfig{
-		Old:           p.st,
-		OldCkpt:       p.ckpt,
-		Open:          func() (storage.Engine, error) { return openEngine(nw.cfg.DataDir, p.name, nw.cfg.EngineHook) },
-		Interval:      nw.cfg.CheckpointInterval,
-		Keep:          nw.cfg.CheckpointKeep,
-		Mode:          nw.cfg.CheckpointMode,
-		FullEvery:     nw.cfg.CheckpointFullEvery,
-		MaxCkptHeight: maxCkptHeight,
-	}
-	if nw.cfg.DataDir != "" {
-		cfg.StateDir = filepath.Join(nw.cfg.DataDir, p.name, "state")
-	}
-	if p.ckpt != nil {
-		cfg.CkptDir = p.ckpt.Dir()
-	}
-	st, ckpt, stats, err := recovery.RebuildStore(cfg)
+	stats, err := p.Rebuild(maxCkptHeight)
+	p.consumer.Close() // the drain is halted; nothing reads the old subscription
 	if err != nil {
 		return stats, err
 	}
-	p.ckpt = ckpt
-	ckptHeight := stats.CheckpointHeight
-
-	if nw.cfg.AuthState {
-		// Rebuild the commitment through the maintainer's delta path: the
-		// restored store dumps as one synthetic delta at the checkpoint
-		// height, and replay then feeds per-block deltas as live commits
-		// do (the trie root is content-determined).
-		if p.auth != nil {
-			p.auth.Close()
-		}
-		auth, aerr := authstate.New(authstate.Config{Signer: p.signer})
-		if aerr != nil {
-			st.Close()
-			return stats, fmt.Errorf("fabric %s: root maintainer: %w", p.name, aerr)
-		}
-		p.auth, p.proofs = auth, authstate.NewProofServer(auth, 0)
-		if ckptHeight > 0 {
-			var seed []state.VersionedWrite
-			st.Dump(func(key string, value []byte, ver txn.Version) bool {
-				seed = append(seed, state.VersionedWrite{
-					Write:   txn.Write{Key: key, Value: bytes.Clone(value)},
-					Version: ver,
-				})
-				return true
-			})
-			if err := auth.Submit(ckptHeight, seed); err != nil {
-				auth.Close()
-				st.Close()
-				return stats, fmt.Errorf("fabric %s: seed root maintainer: %w", p.name, err)
-			}
-		}
-	}
-
-	// Rebuild the ledger prefix up to the checkpoint by copying verified
-	// blocks from the healthy replica, then replay the tail through the
-	// live pipeline stages.
-	led := ledger.New()
-	for n := uint64(1); n <= ckptHeight; n++ {
-		blk, ok := src.ledger.Block(n)
-		if !ok {
-			st.Close()
-			return stats, fmt.Errorf("fabric: source ledger missing block %d", n)
-		}
-		if err := led.Append(blk); err != nil {
-			st.Close()
-			return stats, fmt.Errorf("fabric: copy block %d: %w", n, err)
-		}
-	}
-	p.st, p.ledger = st, led
-
-	// Replay the source ledger through the live validate/apply stages
-	// until this peer has covered everything its drain consumed (≥ D).
-	// The source keeps committing while we replay, so loop: each pass
-	// replays the tail the source has by now, and if the source has not
-	// yet applied batch D itself, wait for it.
-	replayStart := time.Now()
-	replayOne := func(n uint64, payloads [][]byte) error {
-		txs, err := recovery.DecodeTxs(payloads)
-		if err != nil {
-			return err
-		}
+	D := p.Delivered.Load()
+	err = p.CatchUpLedger(srcLedger, func(txs []*txn.Tx) error {
 		b := &fabricBlock{txs: txs}
 		p.validateBlock(b) // endorsement signature checks, worker-pooled
 		p.applyBlock(b)    // MVCC waves + state commit, as live
-		if b.commitErr != nil {
-			return b.commitErr
-		}
-		blk, _ := src.ledger.Block(n)
-		return p.ledger.Append(blk)
+		return b.commitErr
+	}, &stats)
+	if err != nil {
+		return stats, err
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		n, rerr := recovery.Replay(recovery.LedgerSource{L: src.ledger}, p.ledger.Height(), replayOne)
-		stats.ReplayedBlocks += n
-		if rerr != nil {
-			stats.ReplayDuration = time.Since(replayStart)
-			return stats, rerr
-		}
-		if n == 0 {
-			if p.ledger.Height() >= D {
-				break
-			}
-			if time.Now().After(deadline) {
-				stats.ReplayDuration = time.Since(replayStart)
-				return stats, fmt.Errorf("fabric: source peer %d stuck below drained sequence %d", from, D)
-			}
-			//lint:allow sleepyloop waiting for the live replay source to apply the drained tail
-			time.Sleep(time.Millisecond)
-		}
-	}
-	stats.ReplayDuration = time.Since(replayStart)
-	T1 := p.ledger.Height()
-	stats.TipHeight = T1
+	T1 := stats.TipHeight
 
-	// Block-sync handoff: batches D+1..T1 were covered by the replay but
+	// Block-sync hand-off: batches D+1..T1 were covered by the replay but
 	// their box copies for this peer are still outstanding — take and
 	// drop them, then subscribe live at T1+1. Sequences align because
 	// block N is always batch N (empty-batch pass-through in decode).
 	if T1 > D {
 		tmp := nw.ordering.Subscribe(D + 1)
-		for seq := D + 1; seq <= T1; seq++ {
+		for p.Delivered.Load() < T1 {
 			b, ok := <-tmp.Batches()
 			if !ok {
 				break
 			}
-			for _, rec := range b.Records {
-				if id, ok := system.HandleID(rec); ok {
-					nw.box.Take(id)
-				}
-			}
+			p.Deliver(batchHandles(b))
 		}
 		tmp.Close()
 	}
-	p.lastDelivered.Store(T1)
-	p.stopCh = make(chan struct{})
-	p.stopOnce = sync.Once{}
 	p.consumer = nw.ordering.Subscribe(T1 + 1)
-	p.crashed.Store(false)
-	p.wg.Add(1)
-	go p.commitLoop()
+	p.Restart(p.commitLoop)
 	return stats, nil
 }
 
 // Checkpointer exposes peer i's checkpointer (nil when disabled) for
 // tests and the recovery experiment.
-func (nw *Network) Checkpointer(i int) *recovery.Checkpointer { return nw.peers[i].ckpt }
+func (nw *Network) Checkpointer(i int) *recovery.Checkpointer { return nw.peers[i].Ckpt }
 
 // State exposes peer i's striped state store (tests and inspection).
-func (nw *Network) State(i int) *state.Store { return nw.peers[i].st }
+func (nw *Network) State(i int) *state.Store { return nw.peers[i].St }
 
 // Ledger exposes peer i's ledger.
-func (nw *Network) Ledger(i int) *ledger.Ledger { return nw.peers[i].ledger }
+func (nw *Network) Ledger(i int) *ledger.Ledger { return nw.peers[i].Ledger }
 
 // Auth exposes peer i's root maintainer (nil unless Config.AuthState).
-func (nw *Network) Auth(i int) *authstate.RootMaintainer { return nw.peers[i].auth }
+func (nw *Network) Auth(i int) *authstate.RootMaintainer { return nw.peers[i].Auth }
 
 // Proofs exposes peer i's proof server (nil unless Config.AuthState) —
 // the light-client read endpoint.
-func (nw *Network) Proofs(i int) *authstate.ProofServer { return nw.peers[i].proofs }
+func (nw *Network) Proofs(i int) *authstate.ProofServer { return nw.peers[i].Proofs }
 
 // StateBytes returns peer 0's state footprint; BlockBytes its ledger
 // footprint (Fig 12's two series).
-func (nw *Network) StateBytes() int64 { return nw.peers[0].st.ApproxSize() }
+func (nw *Network) StateBytes() int64 { return nw.peers[0].St.ApproxSize() }
 
 // BlockBytes returns peer 0's ledger storage footprint.
-func (nw *Network) BlockBytes() int64 { return nw.peers[0].ledger.StorageSize() }
+func (nw *Network) BlockBytes() int64 { return nw.peers[0].Ledger.StorageSize() }
 
 // Close implements system.System.
 func (nw *Network) Close() {
@@ -1094,23 +883,7 @@ func (nw *Network) Close() {
 		}
 		nw.ordering.Stop()
 		for _, p := range nw.peers {
-			p.stopOnce.Do(func() { close(p.stopCh) })
-			if p.drain != nil {
-				p.drain.Halt()
-				p.drain = nil
-			}
-		}
-		for _, p := range nw.peers {
-			p.wg.Wait()
-			if p.ckpt != nil {
-				p.ckpt.Close()
-			}
-			if p.auth != nil {
-				p.auth.Close()
-			}
-			if p.st != nil {
-				p.st.Close()
-			}
+			p.Close()
 		}
 		nw.net.Close()
 	})

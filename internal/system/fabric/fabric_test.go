@@ -1,15 +1,18 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"dichotomy/internal/ads/mpt"
+	"dichotomy/internal/chaos"
 	"dichotomy/internal/contract"
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/occ"
+	"dichotomy/internal/storage"
 	"dichotomy/internal/txn"
 )
 
@@ -323,5 +326,36 @@ func TestValidateRejectsRepeatedEndorser(t *testing.T) {
 				t.Errorf("honest transaction rejected: %v", b.verdicts[1])
 			}
 		})
+	}
+}
+
+// TestRecoveryCommitFailureFailsRecovery: when the engine a recovery
+// rebuilds onto rejects the replayed writes, RecoverPeer reports it and
+// the peer stays crashed — the behaviour the shared catch-up keeps, and
+// the one Quorum's own copy of the replay loop had lost (its twin test).
+func TestRecoveryCommitFailureFailsRecovery(t *testing.T) {
+	faulty := chaos.MustNew(chaos.Config{Seed: 1, WriteFailRate: 1})
+	opened := 0
+	nw, client := network(t, Config{
+		Peers:              3,
+		EndorsementsNeeded: 2,
+		EngineHook: func(e storage.Engine) storage.Engine {
+			if opened++; opened == 4 { // the three peers' engines, then the recovery's
+				return faulty.WrapEngine(e)
+			}
+			return e
+		},
+	})
+	for _, k := range []string{"alpha", "beta", "gamma"} {
+		if r := nw.Execute(mustTx(t, client, "put", k, "1")); !r.Committed {
+			t.Fatalf("put %s: %+v", k, r)
+		}
+	}
+	nw.CrashPeer(2)
+	if _, err := nw.RecoverPeer(2, 0, 0); !errors.Is(err, chaos.ErrWriteFault) {
+		t.Fatalf("RecoverPeer over a failing engine: %v, want the injected write fault", err)
+	}
+	if !nw.peers[2].Crashed() {
+		t.Fatal("peer rejoined after a failed recovery")
 	}
 }

@@ -6,6 +6,8 @@
 package system_test
 
 import (
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -138,6 +140,36 @@ func TestQuorumCloseReapsGoroutines(t *testing.T) {
 	assertGoroutinesReturn(t, base)
 }
 
+func TestQuorumCrashRecoveryCloseReapsGoroutines(t *testing.T) {
+	base := goroutineBaseline()
+	client := cryptoutil.MustNewSigner("leak-client")
+	nw, err := quorum.New(quorum.Config{
+		Nodes:              3,
+		Consensus:          quorum.Raft,
+		BlockSize:          4,
+		BlockInterval:      2 * time.Millisecond,
+		ExecutionWorkers:   2,
+		DataDir:            t.TempDir(),
+		CheckpointInterval: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.RegisterClient(client.Name(), client.Public())
+	driveSmallLoad(t, nw, client)
+	// Crash a follower: a crashed leader halts proposals until re-election.
+	leader := nw.Leader()
+	victim := (leader + 1) % 3
+	nw.CrashNode(victim)
+	driveSmallLoad(t, nw, client)
+	if _, err := nw.RecoverNode(victim, leader, 0); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	driveSmallLoad(t, nw, client)
+	nw.Close()
+	assertGoroutinesReturn(t, base)
+}
+
 func TestVeritasCloseReapsGoroutines(t *testing.T) {
 	base := goroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
@@ -151,6 +183,32 @@ func TestVeritasCloseReapsGoroutines(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	driveSmallLoad(t, v, client)
+	v.Close()
+	assertGoroutinesReturn(t, base)
+}
+
+func TestVeritasCrashRecoveryCloseReapsGoroutines(t *testing.T) {
+	base := goroutineBaseline()
+	client := cryptoutil.MustNewSigner("leak-client")
+	v, err := hybrid.NewVeritas(hybrid.VeritasConfig{
+		Verifiers:          2,
+		BatchSize:          4,
+		BatchTimeout:       2 * time.Millisecond,
+		ValidationWorkers:  2,
+		DataDir:            t.TempDir(),
+		CheckpointInterval: 2,
+		AuthState:          true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSmallLoad(t, v, client)
+	v.CrashVerifier(1) // verifier 0 executes and acks; crash the other
+	driveSmallLoad(t, v, client)
+	if _, err := v.RecoverVerifier(1, 0); err != nil {
+		t.Fatalf("recover: %v", err)
 	}
 	driveSmallLoad(t, v, client)
 	v.Close()
@@ -171,6 +229,74 @@ func TestBigchainCloseReapsGoroutines(t *testing.T) {
 	driveSmallLoad(t, b, client)
 	b.Close()
 	assertGoroutinesReturn(t, base)
+}
+
+func TestBigchainCrashRecoveryCloseReapsGoroutines(t *testing.T) {
+	base := goroutineBaseline()
+	client := cryptoutil.MustNewSigner("leak-client")
+	b, err := hybrid.NewBigchain(hybrid.BigchainConfig{
+		Nodes:              4,
+		DataDir:            t.TempDir(),
+		CheckpointInterval: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveSmallLoad(t, b, client)
+	b.CrashValidator(2)
+	driveSmallLoad(t, b, client)
+	if _, err := b.RecoverValidator(2, 0, 0); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	driveSmallLoad(t, b, client)
+	b.Close()
+	assertGoroutinesReturn(t, base)
+}
+
+// TestFailedSetupReapsGoroutines: a constructor that fails after it has
+// started a replica's engine and root maintainer must stop them again.
+// The checkpoint directory of each system's first replica is pre-created
+// as a regular file, so the checkpointer — the last step of the replica's
+// set-up — cannot make it.
+func TestFailedSetupReapsGoroutines(t *testing.T) {
+	cases := []struct {
+		name, replica string
+		open          func(dataDir string) (system.System, error)
+	}{
+		{"fabric", "peer0", func(dir string) (system.System, error) {
+			return fabric.New(fabric.Config{Peers: 2, DataDir: dir, CheckpointInterval: 2, AuthState: true})
+		}},
+		{"quorum", "node0", func(dir string) (system.System, error) {
+			return quorum.New(quorum.Config{Nodes: 3, DataDir: dir, CheckpointInterval: 2})
+		}},
+		{"veritas", "verifier0", func(dir string) (system.System, error) {
+			return hybrid.NewVeritas(hybrid.VeritasConfig{Verifiers: 2, DataDir: dir, CheckpointInterval: 2, AuthState: true})
+		}},
+		{"bigchain", "validator0", func(dir string) (system.System, error) {
+			return hybrid.NewBigchain(hybrid.BigchainConfig{Nodes: 4, DataDir: dir, CheckpointInterval: 2})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := goroutineBaseline()
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, tc.replica), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, tc.replica, "ckpt"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Several attempts, so that even one goroutine leaked per
+			// failure exceeds assertGoroutinesReturn's slack.
+			for attempt := 0; attempt < 4; attempt++ {
+				if sys, err := tc.open(dir); err == nil {
+					sys.Close()
+					t.Fatal("constructor succeeded over an unusable checkpoint directory")
+				}
+			}
+			assertGoroutinesReturn(t, base)
+		})
+	}
 }
 
 func TestTiDBCrashRecoveryCloseReapsGoroutines(t *testing.T) {

@@ -67,3 +67,38 @@ func TestCommitFailureSurfacesError(t *testing.T) {
 		t.Fatalf("post-fault put: %+v", r)
 	}
 }
+
+// TestRecoveryCommitFailureFailsRecovery: when the engine a recovery
+// rebuilds onto rejects the replayed writes, RecoverNode must report it
+// and leave the node crashed. Before the shared catch-up the replay
+// ignored the stage's commit error and appended the source's block over
+// the failed state commit, so the node rejoined with an empty state under
+// a full ledger.
+func TestRecoveryCommitFailureFailsRecovery(t *testing.T) {
+	opened := 0
+	cfg := Config{Nodes: 3}
+	cfg.EngineHook = func(e storage.Engine) storage.Engine {
+		fe := &failEngine{Engine: e}
+		opened++
+		fe.armed.Store(opened == 4) // the three nodes' engines, then the recovery's
+		return fe
+	}
+	nw, client := network(t, cfg)
+	for _, k := range []string{"alpha", "beta", "gamma"} {
+		if r := nw.Execute(mustTx(t, client, "put", k, "1")); !r.Committed {
+			t.Fatalf("put %s: %+v", k, r)
+		}
+	}
+	leader := nw.Leader()
+	if leader < 0 {
+		t.Fatal("no leader after committed blocks")
+	}
+	victim := (leader + 1) % 3
+	nw.CrashNode(victim)
+	if _, err := nw.RecoverNode(victim, leader, 0); !errors.Is(err, errInjected) {
+		t.Fatalf("RecoverNode over a failing engine: %v, want the injected write failure", err)
+	}
+	if !nw.nodes[victim].Crashed() {
+		t.Fatal("node rejoined after a failed recovery")
+	}
+}

@@ -18,8 +18,7 @@ func TestRefusedProposalDropsItsBoxEntry(t *testing.T) {
 	n := nw.nodes[0]
 	// Halt the node's own loops so nothing else proposes, then its
 	// consensus member, so the next Propose is refused.
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.wg.Wait()
+	n.Stop()
 	n.cons.Stop()
 	if got := nw.box.Len(); got != 0 {
 		t.Fatalf("%d box entries live before the refused proposal", got)

@@ -19,14 +19,20 @@
 //     reconstructs the MPT commitment (the per-commit hashing the paper
 //     blames for the record-size collapse in Fig 11), and appends the
 //     block.
+//
+// A node's lifecycle — open, crash, drain while down, rebuild from a
+// checkpoint, catch up from a healthy node's ledger, rejoin, close — is
+// system.Replica's, shared with Fabric and the hybrid prototypes. This
+// package supplies what distinguishes Quorum: consensus inside every
+// node, the LSM engine under an always-on root maintainer, the pipeline
+// stages, how a committed entry maps to its payload-box handle
+// (entryHandle), and the skipTo rejoin in RecoverNode.
 package quorum
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,25 +52,9 @@ import (
 	"dichotomy/internal/recovery"
 	"dichotomy/internal/state"
 	"dichotomy/internal/storage"
-	"dichotomy/internal/storage/lsm"
 	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
-
-// openEngine opens a node's LSM state engine: disk-backed under dataDir
-// when set, purely in-memory otherwise. Errors surface to the caller —
-// node setup no longer panics on an open failure.
-func openEngine(dataDir string, id cluster.NodeID) (storage.Engine, error) {
-	opt := lsm.Options{}
-	if dataDir != "" {
-		opt.Dir = filepath.Join(dataDir, fmt.Sprintf("node%d", id), "state")
-	}
-	return lsm.Open(opt)
-}
-
-func ckptDir(dataDir string, id cluster.NodeID) string {
-	return filepath.Join(dataDir, fmt.Sprintf("node%d", id), "ckpt")
-}
 
 // ConsensusKind selects the replication protocol.
 type ConsensusKind int
@@ -190,38 +180,26 @@ var _ system.System = (*Network)(nil)
 // the node's RootMaintainer worker off the commit path and read only
 // through its published snapshots.
 type node struct {
+	// Replica is the node's lifecycle (internal/system): engines, loops,
+	// crash, drain, rebuild, catch-up, close. Delivered is the newest
+	// consensus index the node has consumed.
+	*system.Replica
 	id        cluster.NodeID
 	nw        *Network
 	cons      consensus.Node
 	ep        *cluster.Endpoint
 	reg       *contract.Registry
-	ledger    *ledger.Ledger
-	st        *state.Store
-	signer    *cryptoutil.Signer
-	auth      *authstate.RootMaintainer
-	proofs    *authstate.ProofServer
 	pipe      *pipeline.Pipeline[consensus.Entry, *nodeBlock]
-	ckpt      *recovery.Checkpointer // nil when checkpointing is off
 	pendingMu sync.Mutex
 	pending   []*txn.Tx
-	stopCh    chan struct{}
-	stopOnce  sync.Once
-	wg        sync.WaitGroup
-	// crashed marks a node whose execution layer was killed; submission
-	// and query routing skip it, and a drain keeps its consensus replica
-	// from wedging the cluster.
-	crashed atomic.Bool
-	// lastDelivered is the newest consensus index this node has consumed
-	// — decoded while live, drained while down. The rejoin handoff in
-	// RecoverNode pivots on it.
-	lastDelivered atomic.Uint64
 	// skipTo makes the restarted decode stage take-and-discard entries
 	// the recovery replay already covered (index ≤ skipTo).
 	skipTo atomic.Uint64
-	// drain runs while the node is crashed, consuming its share of
-	// payload-box handles so blocks never leak; nil when live.
-	drain *system.Drainer
 }
+
+// entryHandle maps a committed entry to the one payload-box handle it
+// carries and its consensus index.
+func entryHandle(e consensus.Entry) ([][]byte, uint64) { return [][]byte{e.Data}, e.Index }
 
 // block is the consensus payload (passed by handle through the box). It
 // is shared read-only by every node's pipeline; per-node processing state
@@ -275,48 +253,28 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	for _, id := range peers {
-		eng, err := openEngine(cfg.DataDir, id)
+		signer, err := cryptoutil.NewSigner(fmt.Sprintf("quorum-node-%d", id))
 		if err != nil {
-			return fail(fmt.Errorf("quorum node %d: open state engine: %w", id, err))
-		}
-		if cfg.EngineHook != nil {
-			eng = cfg.EngineHook(eng)
-		}
-		n := &node{
-			id:     id,
-			nw:     nw,
-			reg:    contract.NewRegistry(cfg.Contracts...),
-			ledger: ledger.New(),
-			st:     state.New(eng, 0),
-			stopCh: make(chan struct{}),
-		}
-		n.signer, err = cryptoutil.NewSigner(fmt.Sprintf("quorum-node-%d", id))
-		if err != nil {
-			n.st.Close() // not yet in nw.nodes; Close won't reach it
 			return fail(fmt.Errorf("quorum node %d: signer: %w", id, err))
 		}
-		n.auth, err = authstate.New(authstate.Config{
-			Signer:       n.signer,
-			PublishEvery: cfg.RootPublishEvery,
-		})
-		if err != nil {
-			n.st.Close()
-			return fail(fmt.Errorf("quorum node %d: root maintainer: %w", id, err))
-		}
-		n.proofs = authstate.NewProofServer(n.auth, cfg.ProofCacheSize)
-		if cfg.CheckpointInterval > 0 {
-			n.ckpt, err = recovery.NewCheckpointer(n.st, recovery.Options{
-				Dir:       ckptDir(cfg.DataDir, id),
+		rep, err := system.OpenReplica(system.ReplicaConfig{
+			Label:      fmt.Sprintf("quorum node %d", id),
+			DataDir:    cfg.DataDir,
+			Name:       fmt.Sprintf("node%d", id),
+			Engine:     system.LSMEngine(cfg.EngineHook),
+			Auth:       &authstate.Config{Signer: signer, PublishEvery: cfg.RootPublishEvery},
+			ProofCache: cfg.ProofCacheSize,
+			Box:        nw.box,
+			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Mode:      cfg.CheckpointMode,
 				FullEvery: cfg.CheckpointFullEvery,
-			})
-			if err != nil {
-				n.auth.Close()
-				n.st.Close()
-				return fail(fmt.Errorf("quorum node %d: checkpointer: %w", id, err))
-			}
+			},
+		})
+		if err != nil {
+			return fail(err)
 		}
+		n := &node{Replica: rep, id: id, nw: nw, reg: contract.NewRegistry(cfg.Contracts...)}
 		n.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ExecutionWorkers,
 			Depth:   cfg.PipelineDepth,
@@ -338,15 +296,12 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw.blockCap.Store(int64(cfg.BlockSize))
 	for _, n := range nw.nodes {
-		n.wg.Add(2)
-		go n.proposeLoop()
-		go n.commitLoop()
+		n.Run(n.proposeLoop, n.commitLoop)
 	}
 	if cfg.Ingress != nil {
 		ing, err := ingress.New(*cfg.Ingress, nw.ingestBatch)
 		if err != nil {
-			nw.Close()
-			return nil, fmt.Errorf("quorum: ingress: %w", err)
+			return fail(fmt.Errorf("quorum: ingress: %w", err))
 		}
 		nw.ing = ing
 	}
@@ -394,7 +349,7 @@ func (nw *Network) pickLive() *node {
 	for range nw.nodes {
 		cand := nw.nodes[nw.rr%uint64(len(nw.nodes))]
 		nw.rr++
-		if !cand.crashed.Load() {
+		if !cand.Crashed() {
 			return cand
 		}
 	}
@@ -405,7 +360,7 @@ func (nw *Network) pickLive() *node {
 // fallback while no node leads (the proposeLoop re-routes strays).
 func (nw *Network) leaderOr(fallback *node) *node {
 	for _, cand := range nw.nodes {
-		if cand.cons.IsLeader() && !cand.crashed.Load() {
+		if cand.cons.IsLeader() && !cand.Crashed() {
 			return cand
 		}
 	}
@@ -436,14 +391,9 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 	target.pendingMu.Lock()
 	target.pending = append(target.pending, t)
 	target.pendingMu.Unlock()
-	select {
-	case r := <-done:
-		t.Trace.Observe(metrics.PhaseCommit, time.Since(start))
-		return r
-	case <-time.After(60 * time.Second):
-		nw.waiters.Cancel(t.ID)
-		return system.Result{Err: errors.New("quorum: commit timeout")}
-	}
+	r := nw.waiters.Await(t.ID, done, "quorum: commit timeout")
+	t.Trace.Observe(metrics.PhaseCommit, time.Since(start))
+	return r
 }
 
 // ingestBatch is the ingress builder's sink: it hands one built batch to
@@ -534,7 +484,7 @@ func (n *node) executeReadOnly(t *txn.Tx) system.Result {
 	var err error
 	var value []byte
 	t.Trace.Time(metrics.PhaseSimulate, func() {
-		snap := n.st.Snapshot()
+		snap := n.St.Snapshot()
 		defer snap.Release()
 		rw, err = n.reg.Execute(snap, t.Invocation)
 		if inv := t.Invocation; err == nil && inv.Contract == "kv" && inv.Method == "get" && len(inv.Args) == 1 {
@@ -561,13 +511,12 @@ func (n *node) verifyClient(t *txn.Tx) error {
 // proposeLoop batches pending transactions into blocks when this node
 // leads consensus. The pre-execution of every transaction at the ledger
 // tip happens here — serially, as in the real system.
-func (n *node) proposeLoop() {
-	defer n.wg.Done()
+func (n *node) proposeLoop(stop <-chan struct{}) {
 	ticker := time.NewTicker(n.nw.cfg.BlockInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-n.stopCh:
+		case <-stop:
 			return
 		case <-ticker.C:
 		}
@@ -580,7 +529,7 @@ func (n *node) proposeLoop() {
 			n.pendingMu.Unlock()
 			if len(stranded) > 0 {
 				for _, cand := range n.nw.nodes {
-					if cand.cons.IsLeader() && !cand.crashed.Load() {
+					if cand.cons.IsLeader() && !cand.Crashed() {
 						cand.pendingMu.Lock()
 						cand.pending = append(cand.pending, stranded...)
 						cand.pendingMu.Unlock()
@@ -623,7 +572,7 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 	raw := make([][]byte, len(batch))
 	for i, t := range batch {
 		start := time.Now()
-		snap := n.st.Snapshot()
+		snap := n.St.Snapshot()
 		_, _ = n.reg.Execute(snap, t.Invocation)
 		snap.Release()
 		t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
@@ -646,9 +595,8 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 
 // commitLoop drives the node's block pipeline over the consensus commit
 // stream until shutdown.
-func (n *node) commitLoop() {
-	defer n.wg.Done()
-	n.pipe.Run(n.cons.Committed(), n.stopCh)
+func (n *node) commitLoop(stop <-chan struct{}) {
+	n.pipe.Run(n.cons.Committed(), stop)
 }
 
 // decodeBlock resolves a committed entry's payload handle (pipeline
@@ -660,7 +608,7 @@ func (n *node) commitLoop() {
 // recovery replay) consume their box copy and are dropped, because the
 // replay already appended their ledger blocks.
 func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
-	n.lastDelivered.Store(e.Index)
+	n.Delivered.Store(e.Index)
 	var blk *block
 	if id, ok := system.HandleID(e.Data); ok {
 		if v, ok := n.nw.box.Take(id); ok {
@@ -710,14 +658,14 @@ func (n *node) validateBlock(nb *nodeBlock) {
 // "double execution" would have produced.
 func (n *node) applyBlock(nb *nodeBlock) {
 	blk := nb.blk
-	blockNum := n.ledger.Height() + 1
+	blockNum := n.Ledger.Height() + 1
 	nb.results = make([]system.Result, len(blk.txs))
 
 	// Per-transaction execution cost for the proposer's trace; a
 	// conflicted transaction's serial re-run overwrites its speculative
 	// timing, so the recorded cost is the authoritative execution's.
 	execDur := make([]time.Duration, len(blk.txs))
-	rws, errs := pipeline.ExecuteBlock(len(blk.txs), n.pipe.Workers(), blockNum, n.st,
+	rws, errs := pipeline.ExecuteBlock(len(blk.txs), n.pipe.Workers(), blockNum, n.St,
 		func(i int, view contract.StateReader) (txn.RWSet, error) {
 			start := time.Now()
 			defer func() { execDur[i] = time.Since(start) }()
@@ -731,7 +679,7 @@ func (n *node) applyBlock(nb *nodeBlock) {
 	// block's delta for the root maintainer. The MPT no longer sits on
 	// this path — the per-block hashing of Fig 11 moved to the
 	// maintainer's worker (internal/authstate).
-	stage := n.st.NewBlock()
+	stage := n.St.NewBlock()
 	var deltas []state.VersionedWrite
 	for i, t := range blk.txs {
 		if err := errs[i]; err != nil {
@@ -762,7 +710,7 @@ func (n *node) applyBlock(nb *nodeBlock) {
 	// when the maintainer trails by a full queue — the backpressure that
 	// bounds root staleness. ErrClosed means the node is shutting down;
 	// the delta dies with it, as a crash would lose it.
-	if err := n.auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
+	if err := n.Auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
 		nb.commitErr = fmt.Errorf("quorum node %d: root maintainer: %w", n.id, err)
 	}
 }
@@ -776,16 +724,12 @@ func (n *node) sealBlock(nb *nodeBlock) {
 		// seal path no longer waits for (or computes) this block's root, so
 		// the commitment may trail Number by a bounded number of blocks
 		// (authstate's queue depth plus the publish interval).
-		var stateRoot cryptoutil.Hash
-		var stateRootHeight uint64
-		if up, ok := n.auth.Published(); ok {
-			stateRoot, stateRootHeight = up.Root.Root, up.Root.Height
-		}
+		stateRoot, stateRootHeight := n.PublishedRoot()
 		// Blocks persist their transactions whole (marshalled, as real
 		// Quorum blocks do), which is what makes the ledger a sufficient
 		// replay source for crash recovery. The bytes are the proposer's;
 		// the transaction root over them is this node's own.
-		n.ledger.Seal(blk.raw, stateRoot, stateRootHeight)
+		n.Ledger.Seal(blk.raw, stateRoot, stateRootHeight)
 	}
 
 	// The proposer resolves the waiting clients once its own commit is
@@ -802,219 +746,63 @@ func (n *node) sealBlock(nb *nodeBlock) {
 
 	// Checkpoint at this block's boundary, still on the committer (see
 	// fabric's sealBlock for the contract).
-	if n.ckpt != nil && nb.commitErr == nil {
-		//lint:allow errshadow failure retained in LastErr for the recovery stats
-		_, _ = n.ckpt.MaybeCheckpoint(n.ledger.Height())
+	if nb.commitErr == nil {
+		n.MaybeCheckpoint(n.Ledger.Height())
 	}
 }
 
-// CrashNode kills node i's execution layer: propose and commit loops
-// stop and its in-memory state — values, versions, trie, ledger — is
-// lost. Its consensus replica keeps running behind a drain so the
-// cluster never wedges on an unread commit stream (crash the leader and
-// the cluster halts until it re-elects, exactly as a real deployment
-// would; tests crash followers). Submission and query routing skip the
-// node from now on.
+// CrashNode kills node i's execution layer (system.Replica.Crash):
+// propose and commit loops stop and its in-memory state — values,
+// versions, trie, ledger — is lost. Its consensus replica keeps running
+// behind the drain so the cluster never wedges on an unread commit stream
+// (crash the leader and the cluster halts until it re-elects, exactly as
+// a real deployment would; tests crash followers). Submission and query
+// routing skip the node from now on.
 func (nw *Network) CrashNode(i int) {
 	n := nw.nodes[i]
-	if n.crashed.Swap(true) {
-		return
-	}
-	n.stopOnce.Do(func() { close(n.stopCh) })
-	n.wg.Wait()
-	// The consensus replica keeps running behind a take-drain: every
-	// entry's box copy is consumed (constant Take counts, no leaks) and
-	// the newest index is recorded — the pivot the rejoin handoff in
-	// RecoverNode resumes from.
-	n.drain = system.NewDrainer()
-	go n.drainWhileDown(n.cons.Committed(), n.drain)
-	if n.ckpt != nil {
-		n.ckpt.Close() // queued delta jobs die with the process, as a real crash would lose them
-	}
-	n.auth.Close() // queued root deltas die with the process too
-	n.st.Close()
-	n.ledger = nil
-	n.auth = nil
-	n.proofs = nil
-}
-
-// drainWhileDown consumes the crashed node's committed stream: every
-// handle is taken (freeing this node's box copy) and the newest index is
-// recorded in lastDelivered.
-func (n *node) drainWhileDown(src <-chan consensus.Entry, d *system.Drainer) {
-	defer d.Finish()
-	for {
-		select {
-		case <-d.Stop():
-			return
-		case e, ok := <-src:
-			if !ok {
-				return
-			}
-			if id, ok := system.HandleID(e.Data); ok {
-				n.nw.box.Take(id)
-			}
-			n.lastDelivered.Store(e.Index)
-		}
-	}
+	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), entryHandle))
 }
 
 // RecoverNode rebuilds crashed node i from its newest on-disk checkpoint
 // with height ≤ maxCkptHeight (0 = newest) plus a replay of the healthy
 // node from's ledger through the node's own validate/apply pipeline
 // stages — including the speculative parallel re-execution and the MPT
-// reconstruction of live double execution — and then REJOINS live block
-// consumption: the replay runs to at least the last index the node's
-// crash-time drain consumed, the restarted decode stage take-and-drops
-// entries the replay already covered (skipTo), and everything above
-// flows through the ordinary pipeline. The network may keep committing
-// throughout — no quiesce is required. May be called after each crash;
-// each call rebuilds from scratch.
+// reconstruction of live double execution — and then rejoins live block
+// consumption (the sequence is system.Replica's). Quorum's rejoin step is
+// skipTo: the restarted decode stage take-and-drops the entries the replay
+// already covered, and everything above flows through the ordinary
+// pipeline. The network may keep committing throughout — no quiesce is
+// required. May be called after each crash; each call rebuilds from
+// scratch.
 func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := nw.nodes[i], nw.nodes[from]
-	if !n.crashed.Load() {
+	// Read once, and before the liveness check: Crash raises the flag
+	// first and drops the ledger after, mid-replay included.
+	srcLedger := src.Ledger
+	if !n.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("quorum: node %d is not crashed", i)
 	}
-	if src.crashed.Load() {
+	if src.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("quorum: source node %d is crashed", from)
 	}
-	// Stop the crash-time drain and pin the handoff pivot: every entry
-	// ≤ D has had this node's box copy taken already.
-	if n.drain != nil {
-		n.drain.Halt()
-		n.drain = nil
-	}
-	D := n.lastDelivered.Load()
-	cfg := recovery.RebuildConfig{
-		Old:     n.st,
-		OldCkpt: n.ckpt,
-		Open: func() (storage.Engine, error) {
-			eng, err := openEngine(nw.cfg.DataDir, n.id)
-			if err != nil || nw.cfg.EngineHook == nil {
-				return eng, err
-			}
-			return nw.cfg.EngineHook(eng), nil
-		},
-		Interval:      nw.cfg.CheckpointInterval,
-		Mode:          nw.cfg.CheckpointMode,
-		FullEvery:     nw.cfg.CheckpointFullEvery,
-		MaxCkptHeight: maxCkptHeight,
-	}
-	if nw.cfg.DataDir != "" {
-		cfg.StateDir = filepath.Join(nw.cfg.DataDir, fmt.Sprintf("node%d", n.id), "state")
-	}
-	if n.ckpt != nil {
-		cfg.CkptDir = n.ckpt.Dir()
-	}
-	st, ckpt, stats, err := recovery.RebuildStore(cfg)
+	stats, err := n.Rebuild(maxCkptHeight)
 	if err != nil {
 		return stats, err
 	}
-	n.ckpt = ckpt
-	ckptHeight := stats.CheckpointHeight
-
-	// Seed the state commitment through the maintainer's delta path: the
-	// restored store dumps as one synthetic block-ckptHeight delta, and
-	// replay then feeds per-block deltas exactly as live commits do. The
-	// trie root is content-determined, so this lands on the same root the
-	// never-crashed node reached incrementally from genesis — without the
-	// O(n) inline reseed the committer used to perform.
-	if n.auth != nil {
-		n.auth.Close()
-	}
-	auth, err := authstate.New(authstate.Config{
-		Signer:       n.signer,
-		PublishEvery: nw.cfg.RootPublishEvery,
-	})
-	if err != nil {
-		st.Close()
-		return stats, fmt.Errorf("quorum node %d: root maintainer: %w", n.id, err)
-	}
-	proofs := authstate.NewProofServer(auth, nw.cfg.ProofCacheSize)
-	if ckptHeight > 0 {
-		var seed []state.VersionedWrite
-		st.Dump(func(key string, value []byte, ver txn.Version) bool {
-			seed = append(seed, state.VersionedWrite{
-				Write:   txn.Write{Key: key, Value: bytes.Clone(value)},
-				Version: ver,
-			})
-			return true
-		})
-		if err := auth.Submit(ckptHeight, seed); err != nil {
-			auth.Close()
-			st.Close()
-			return stats, fmt.Errorf("quorum node %d: seed root maintainer: %w", n.id, err)
-		}
-	}
-
-	led := ledger.New()
-	for bn := uint64(1); bn <= ckptHeight; bn++ {
-		blk, ok := src.ledger.Block(bn)
-		if !ok {
-			st.Close()
-			return stats, fmt.Errorf("quorum: source ledger missing block %d", bn)
-		}
-		if err := led.Append(blk); err != nil {
-			st.Close()
-			return stats, fmt.Errorf("quorum: copy block %d: %w", bn, err)
-		}
-	}
-	n.st, n.ledger = st, led
-	n.auth, n.proofs = auth, proofs
-
-	// Replay the source ledger through the live validate/apply stages
-	// until this node has covered everything its drain consumed (≥ D).
-	// The source keeps committing while we replay, so loop: each pass
-	// replays the tail the source has by now, and if the source has not
-	// yet applied entry D itself, wait for it.
-	replayStart := time.Now()
-	replayOne := func(bn uint64, payloads [][]byte) error {
-		txs, err := recovery.DecodeTxs(payloads)
-		if err != nil {
-			return err
-		}
+	err = n.CatchUpLedger(srcLedger, func(txs []*txn.Tx) error {
 		nb := &nodeBlock{blk: &block{proposer: cluster.NodeID(-1), txs: txs}}
 		n.validateBlock(nb) // client auth, worker-pooled
 		n.applyBlock(nb)    // speculative re-execution + MPT, as live
-		blk, _ := src.ledger.Block(bn)
-		return n.ledger.Append(blk)
+		return nb.commitErr
+	}, &stats)
+	if err != nil {
+		return stats, err
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		cnt, rerr := recovery.Replay(recovery.LedgerSource{L: src.ledger}, n.ledger.Height(), replayOne)
-		stats.ReplayedBlocks += cnt
-		if rerr != nil {
-			stats.ReplayDuration = time.Since(replayStart)
-			return stats, rerr
-		}
-		if cnt == 0 {
-			if n.ledger.Height() >= D {
-				break
-			}
-			if time.Now().After(deadline) {
-				stats.ReplayDuration = time.Since(replayStart)
-				return stats, fmt.Errorf("quorum: source node %d stuck below drained index %d", from, D)
-			}
-			//lint:allow sleepyloop waiting for the live replay source to apply the drained tail
-			time.Sleep(time.Millisecond)
-		}
-	}
-	stats.ReplayDuration = time.Since(replayStart)
-	T1 := n.ledger.Height()
-	stats.TipHeight = T1
-
-	// Rejoin: entries ≤ T1 still buffered in the committed stream are
-	// covered by the replay — the restarted decode take-and-drops them —
-	// and everything above applies live. Indexes align because block N
-	// is always entry N (empty-block pass-through in decode).
-	n.skipTo.Store(T1)
-	n.lastDelivered.Store(T1)
-	n.stopCh = make(chan struct{})
-	n.stopOnce = sync.Once{}
-	n.crashed.Store(false)
-	n.wg.Add(2)
-	go n.proposeLoop()
-	go n.commitLoop()
+	// Entries ≤ T1 still buffered in the committed stream are covered by
+	// the replay; indexes align because block N is always entry N
+	// (empty-block pass-through in decode).
+	n.skipTo.Store(stats.TipHeight)
+	n.Restart(n.proposeLoop, n.commitLoop)
 	return stats, nil
 }
 
@@ -1033,43 +821,43 @@ func (nw *Network) Leader() int {
 
 // Checkpointer exposes node i's checkpointer (nil when disabled) for
 // tests and the recovery experiment.
-func (nw *Network) Checkpointer(i int) *recovery.Checkpointer { return nw.nodes[i].ckpt }
+func (nw *Network) Checkpointer(i int) *recovery.Checkpointer { return nw.nodes[i].Ckpt }
 
 // State exposes node i's striped state store (tests and inspection).
-func (nw *Network) State(i int) *state.Store { return nw.nodes[i].st }
+func (nw *Network) State(i int) *state.Store { return nw.nodes[i].St }
 
 // Ledger exposes a node's ledger for verification in tests and examples.
-func (nw *Network) Ledger(i int) *ledger.Ledger { return nw.nodes[i].ledger }
+func (nw *Network) Ledger(i int) *ledger.Ledger { return nw.nodes[i].Ledger }
 
 // Auth exposes node i's root maintainer (nil on a crashed node) for
 // tests and the authreads experiment.
-func (nw *Network) Auth(i int) *authstate.RootMaintainer { return nw.nodes[i].auth }
+func (nw *Network) Auth(i int) *authstate.RootMaintainer { return nw.nodes[i].Auth }
 
 // Proofs exposes node i's proof server (nil on a crashed node) — the
 // light-client read endpoint.
-func (nw *Network) Proofs(i int) *authstate.ProofServer { return nw.nodes[i].proofs }
+func (nw *Network) Proofs(i int) *authstate.ProofServer { return nw.nodes[i].Proofs }
 
 // StateRoot returns node i's state commitment at its current ledger tip,
 // waiting for the asynchronous maintainer to catch up to it (the
 // synchronous answer tests and cross-replica comparisons expect).
 func (nw *Network) StateRoot(i int) cryptoutil.Hash {
 	n := nw.nodes[i]
-	if n.auth == nil {
+	if n.Auth == nil {
 		return cryptoutil.Hash{}
 	}
 	tip := uint64(0)
-	if n.ledger != nil {
-		tip = n.ledger.Height()
+	if n.Ledger != nil {
+		tip = n.Ledger.Height()
 	}
 	if tip == 0 {
 		return cryptoutil.Hash{}
 	}
-	if sr, err := n.auth.WaitFor(tip, 30*time.Second); err == nil {
+	if sr, err := n.Auth.WaitFor(tip, 30*time.Second); err == nil {
 		return sr.Root
 	}
 	// PublishEvery > 1 never publishes non-multiple heights; fall back to
 	// the freshest published root.
-	if up, ok := n.auth.Published(); ok {
+	if up, ok := n.Auth.Published(); ok {
 		return up.Root.Root
 	}
 	return cryptoutil.Hash{}
@@ -1081,12 +869,12 @@ func (nw *Network) StateRoot(i int) cryptoutil.Hash {
 // block.
 func (nw *Network) StateBytes() int64 {
 	n := nw.nodes[0]
-	size := n.st.ApproxSize()
-	if n.auth != nil && n.ledger != nil {
-		if tip := n.ledger.Height(); tip > 0 {
-			_, _ = n.auth.WaitFor(tip, 30*time.Second)
+	size := n.St.ApproxSize()
+	if n.Auth != nil && n.Ledger != nil {
+		if tip := n.Ledger.Height(); tip > 0 {
+			_, _ = n.Auth.WaitFor(tip, 30*time.Second)
 		}
-		if up, ok := n.auth.Published(); ok {
+		if up, ok := n.Auth.Published(); ok {
 			size += up.Snap.StorageBytes()
 		}
 	}
@@ -1102,24 +890,8 @@ func (nw *Network) Close() {
 			nw.ing.Close()
 		}
 		for _, n := range nw.nodes {
-			n.stopOnce.Do(func() { close(n.stopCh) })
-		}
-		for _, n := range nw.nodes {
 			n.cons.Stop()
-			n.wg.Wait()
-			if n.drain != nil {
-				n.drain.Halt()
-				n.drain = nil
-			}
-			if n.ckpt != nil {
-				n.ckpt.Close()
-			}
-			if n.auth != nil {
-				n.auth.Close()
-			}
-			if n.st != nil {
-				n.st.Close()
-			}
+			n.Close()
 		}
 		nw.net.Close()
 	})

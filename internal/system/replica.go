@@ -1,0 +1,420 @@
+package system
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dichotomy/internal/authstate"
+	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/ledger"
+	"dichotomy/internal/recovery"
+	"dichotomy/internal/state"
+	"dichotomy/internal/storage"
+	"dichotomy/internal/storage/lsm"
+	"dichotomy/internal/txn"
+)
+
+// ReplicaConfig is what a system says about one of its replicas; the
+// lifecycle that follows from it is Replica's.
+type ReplicaConfig struct {
+	// Label names the replica in set-up and recovery errors ("fabric peer0").
+	Label string
+	// DataDir, when set, makes the replica durable under DataDir/Name: the
+	// engine in its state directory, checkpoints in ckpt. Empty keeps it
+	// memory-only.
+	DataDir, Name string
+	// Engine opens the state engine over stateDir ("" = in memory). It runs
+	// at set-up and again for every recovery, which rebuilds onto a fresh
+	// engine.
+	Engine func(stateDir string) (storage.Engine, error)
+	// Auth, when non-nil, gives the replica an off-commit-path root
+	// maintainer and a proof server caching ProofCache entries.
+	Auth       *authstate.Config
+	ProofCache int
+	// Checkpoint configures the checkpointer; Interval 0 turns it off, and
+	// Dir is the runtime's to fill in.
+	Checkpoint recovery.Options
+	// Box is where the handles on the replica's ordered stream resolve; nil
+	// when the stream carries its records whole (Veritas).
+	Box *PayloadBox
+}
+
+// LSMEngine is the ReplicaConfig.Engine of the two blockchains: an LSM
+// tree, disk-backed under stateDir or in memory without one, wrapped by
+// hook when set (fault injection).
+func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (storage.Engine, error) {
+	return func(stateDir string) (storage.Engine, error) {
+		eng, err := lsm.Open(lsm.Options{Dir: stateDir})
+		if err != nil || hook == nil {
+			return eng, err
+		}
+		return hook(eng), nil
+	}
+}
+
+// Replica is the lifecycle every ledger-side replica shares — Fabric's
+// peer, Quorum's node, Veritas's verifier and BigchainDB's validator embed
+// it and add what the paper says distinguishes them (topology, engine
+// choice, pipeline stages, replay source, rejoin step). It owns the
+// replica's engines and goroutines and the sequences over them:
+//
+//   - OpenReplica: engine → store → root maintainer → checkpointer, closing
+//     in reverse on any error.
+//   - Run: the replica's loops, each handed the stop channel.
+//   - Crash: flag → stop the loops → start the drain → close checkpointer,
+//     maintainer, store. The drain keeps taking the replica's payload-box
+//     copies and advancing Delivered, so nothing leaks while it is down.
+//   - Rebuild → CatchUp → Restart: halt the drain, which pins the hand-off
+//     pivot D = Delivered (every position ≤ D has had its box copy taken);
+//     restore the newest checkpoint onto a fresh engine and reseed the
+//     maintainer from it; replay a healthy source through the system's own
+//     stage function to a tip T1 ≥ D; restart the loops. The system's
+//     rejoin step consumes positions D+1..T1 without applying them —
+//     positions align because block N is always stream element N.
+//   - Close: stop, wait, halt the drain, close the engines.
+//
+// The engine fields are exported for the embedding system's stage
+// functions and inspection accessors; only the runtime assigns them, and
+// only while the replica's loops are stopped.
+type Replica struct {
+	cfg ReplicaConfig
+
+	St *state.Store
+	// Ledger is nil while crashed; the ledgerless prototypes leave it empty.
+	Ledger *ledger.Ledger
+	// Auth and Proofs are nil without ReplicaConfig.Auth and while crashed.
+	Auth   *authstate.RootMaintainer
+	Proofs *authstate.ProofServer
+	// Ckpt is nil when checkpointing is off.
+	Ckpt *recovery.Checkpointer
+	// Delivered is the newest position of the ordered stream the replica
+	// has consumed — stored by the system's decode stage while live, by the
+	// drain while down.
+	Delivered atomic.Uint64
+
+	stopCh   chan struct{}
+	stopOnce sync.Once
+	wg       sync.WaitGroup
+	crashed  atomic.Bool
+	// haltDrain stops the crash-time drain and waits for it to exit;
+	// nil when none runs.
+	haltDrain func()
+	// catchUpWait bounds how long CatchUp waits for a live replay source to
+	// apply the tail the replica's drain already consumed: 30 s, which
+	// in-package tests shorten.
+	catchUpWait time.Duration
+}
+
+// OpenReplica opens a replica's engines. On error everything already
+// opened is closed again, so a failed set-up leaks neither an engine nor
+// the maintainer's goroutine.
+func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
+	r := &Replica{cfg: cfg, Ledger: ledger.New(), stopCh: make(chan struct{}), catchUpWait: 30 * time.Second}
+	eng, err := r.openEngine()
+	if err != nil {
+		return nil, fmt.Errorf("%s: open state engine: %w", cfg.Label, err)
+	}
+	r.St = state.New(eng, 0)
+	if err := r.startAuth(); err != nil {
+		r.closeEngines()
+		return nil, err
+	}
+	if cfg.Checkpoint.Interval > 0 {
+		opts := cfg.Checkpoint
+		opts.Dir = r.dir("ckpt")
+		if r.Ckpt, err = recovery.NewCheckpointer(r.St, opts); err != nil {
+			r.closeEngines()
+			return nil, fmt.Errorf("%s: checkpointer: %w", cfg.Label, err)
+		}
+	}
+	return r, nil
+}
+
+// dir returns the replica's sub-directory, or "" for a memory-only one.
+func (r *Replica) dir(sub string) string {
+	if r.cfg.DataDir == "" {
+		return ""
+	}
+	return filepath.Join(r.cfg.DataDir, r.cfg.Name, sub)
+}
+
+func (r *Replica) openEngine() (storage.Engine, error) { return r.cfg.Engine(r.dir("state")) }
+
+// startAuth starts a fresh root maintainer and proof server when the
+// replica is configured with them.
+func (r *Replica) startAuth() error {
+	if r.cfg.Auth == nil {
+		return nil
+	}
+	auth, err := authstate.New(*r.cfg.Auth)
+	if err != nil {
+		return fmt.Errorf("%s: root maintainer: %w", r.cfg.Label, err)
+	}
+	r.Auth, r.Proofs = auth, authstate.NewProofServer(auth, r.cfg.ProofCache)
+	return nil
+}
+
+// closeEngines closes checkpointer, maintainer and store, in that order:
+// queued checkpoint jobs and root deltas die first, as a real crash would
+// lose them. Every close is idempotent.
+func (r *Replica) closeEngines() {
+	if r.Ckpt != nil {
+		r.Ckpt.Close()
+	}
+	if r.Auth != nil {
+		r.Auth.Close()
+	}
+	if r.St != nil {
+		r.St.Close()
+	}
+}
+
+// lose closes the engines and forgets what died with them: the state of a
+// crashed replica, and of one whose recovery failed.
+func (r *Replica) lose() {
+	r.closeEngines()
+	r.Ledger, r.Auth, r.Proofs = nil, nil, nil
+}
+
+// Run starts the replica's loops; each must return once stop closes.
+func (r *Replica) Run(loops ...func(stop <-chan struct{})) {
+	stop := r.stopCh
+	for _, loop := range loops {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			loop(stop)
+		}()
+	}
+}
+
+// Stop stops the loops and waits for them to return.
+func (r *Replica) Stop() {
+	r.stopOnce.Do(func() { close(r.stopCh) })
+	r.wg.Wait()
+}
+
+// Crashed reports whether the replica is down; routing skips it.
+func (r *Replica) Crashed() bool { return r.crashed.Load() }
+
+// Crash kills the replica: its loops stop (blocks already past validation
+// still seal, as a crash between fsyncs would leave them) and its engines
+// close, losing everything in memory. What survives is what recovery may
+// use: the checkpoint directory and the other replicas. drain, when
+// non-nil, then consumes the replica's ordered stream until a recovery or
+// Close halts it. Crash reports false on an already crashed replica.
+func (r *Replica) Crash(drain func(stop <-chan struct{})) bool {
+	if r.crashed.Swap(true) {
+		return false
+	}
+	r.Stop()
+	if drain != nil {
+		stop, done := make(chan struct{}), make(chan struct{})
+		r.haltDrain = func() { close(stop); <-done }
+		go func() {
+			defer close(done)
+			drain(stop)
+		}()
+	}
+	r.lose()
+	return true
+}
+
+// DrainStream returns the drain of a crashed replica whose ordered stream
+// src carries payload-box handles: handles maps one stream element to the
+// handles it carries and the position it advances the replica to.
+func DrainStream[E any](r *Replica, src <-chan E, handles func(E) ([][]byte, uint64)) func(stop <-chan struct{}) {
+	return func(stop <-chan struct{}) {
+		for {
+			select {
+			case <-stop:
+				return
+			case e, ok := <-src:
+				if !ok {
+					return
+				}
+				r.Deliver(handles(e))
+			}
+		}
+	}
+}
+
+// Deliver consumes one stream element on the down replica's behalf: its
+// box copies are taken and dropped — constant Take counts, no leaked
+// entries — and Delivered advances to seq.
+func (r *Replica) Deliver(handles [][]byte, seq uint64) {
+	for _, h := range handles {
+		if id, ok := HandleID(h); ok {
+			r.cfg.Box.Take(id)
+		}
+	}
+	r.Delivered.Store(seq)
+}
+
+// endDrain halts the drain, if one runs. Afterwards Delivered is the
+// hand-off pivot D: every position ≤ D has had its box copy taken.
+func (r *Replica) endDrain() {
+	if r.haltDrain != nil {
+		r.haltDrain()
+		r.haltDrain = nil
+	}
+}
+
+// Rebuild begins a recovery: it halts the drain, restores the newest
+// checkpoint with height ≤ maxCkptHeight (0 = newest) onto a fresh engine
+// with a rebound checkpointer, starts an empty ledger, and rebuilds the
+// state commitment through the maintainer's delta path — the restored
+// store dumps as one synthetic delta at the checkpoint height, and the
+// replay then feeds per-block deltas as live commits do (the trie root is
+// content-determined). A failed Rebuild leaves the replica crashed with
+// its engines closed; it may be retried.
+func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
+	r.endDrain()
+	r.lose() // whatever an earlier attempt's system-side step left open
+	o := r.cfg.Checkpoint
+	cfg := recovery.RebuildConfig{
+		StateDir:      r.dir("state"),
+		Open:          r.openEngine,
+		Interval:      o.Interval,
+		Keep:          o.Keep,
+		Mode:          o.Mode,
+		FullEvery:     o.FullEvery,
+		MaxCkptHeight: maxCkptHeight,
+	}
+	if o.Interval > 0 {
+		cfg.CkptDir = r.dir("ckpt")
+	}
+	st, ckpt, stats, err := recovery.RebuildStore(cfg)
+	if err != nil {
+		return stats, err
+	}
+	r.St, r.Ckpt, r.Ledger = st, ckpt, ledger.New()
+	if err := r.startAuth(); err != nil {
+		r.lose()
+		return stats, err
+	}
+	if r.Auth != nil && stats.CheckpointHeight > 0 {
+		var seed []state.VersionedWrite
+		st.Dump(func(key string, value []byte, ver txn.Version) bool {
+			seed = append(seed, state.VersionedWrite{
+				Write:   txn.Write{Key: key, Value: bytes.Clone(value)},
+				Version: ver,
+			})
+			return true
+		})
+		if err := r.Auth.Submit(stats.CheckpointHeight, seed); err != nil {
+			r.lose()
+			return stats, fmt.Errorf("%s: seed root maintainer: %w", r.cfg.Label, err)
+		}
+	}
+	return stats, nil
+}
+
+// CatchUp replays src from the replica's height() — zero after Rebuild —
+// through stage until it has reached D, the position the replica's drain
+// had consumed when Rebuild halted it. Blocks up to stats.CheckpointHeight
+// are already in the restored state: for those stage only copies what the
+// replica keeps of its history; above, it runs the system's live stages.
+// The source keeps committing meanwhile, so each pass replays what it has
+// by now, and while it has not itself applied D yet — or the checkpoint
+// yet — CatchUp waits for it. src must be a value read once: its owner
+// may crash mid-replay, which then shows as a source that stopped growing.
+// A stage error, a gap in the source or a source still below D at the
+// deadline fails the recovery, leaving the replica as Rebuild's failures
+// do. On success stats.TipHeight is the hand-off tip T1 ≥ D.
+func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage func(n uint64, payloads [][]byte) error, stats *recovery.Stats) error {
+	D := r.Delivered.Load()
+	start := time.Now()
+	err := r.replayTo(D, start.Add(r.catchUpWait), src, height, stage)
+	stats.ReplayDuration = time.Since(start)
+	if h := height(); h > stats.CheckpointHeight {
+		stats.ReplayedBlocks = h - stats.CheckpointHeight
+	}
+	if err != nil {
+		r.lose()
+		return err
+	}
+	stats.TipHeight = height()
+	return nil
+}
+
+func (r *Replica) replayTo(D uint64, deadline time.Time, src recovery.BlockSource, height func() uint64, stage func(n uint64, payloads [][]byte) error) error {
+	for {
+		n, err := recovery.Replay(src, height(), stage)
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			continue
+		}
+		if height() >= D {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s: replay source stuck below drained position %d", r.cfg.Label, D)
+		}
+		//lint:allow sleepyloop waiting for the live replay source to apply the drained tail
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// CatchUpLedger is CatchUp for a replica that keeps a ledger, from a
+// healthy replica's: blocks above the restored checkpoint run through
+// stage (the live validate and apply stages), and every block, below it
+// or above, is appended as the source sealed it — Append verifies it.
+func (r *Replica) CatchUpLedger(src *ledger.Ledger, stage func(txs []*txn.Tx) error, stats *recovery.Stats) error {
+	led, ckpt := r.Ledger, stats.CheckpointHeight
+	return r.CatchUp(recovery.LedgerSource{L: src}, led.Height, func(n uint64, payloads [][]byte) error {
+		if n > ckpt {
+			txs, err := recovery.DecodeTxs(payloads)
+			if err != nil {
+				return err
+			}
+			if err := stage(txs); err != nil {
+				return err
+			}
+		}
+		blk, _ := src.Block(n)
+		return led.Append(blk)
+	}, stats)
+}
+
+// Restart ends a recovery: the replica is live again and runs loops.
+func (r *Replica) Restart(loops ...func(stop <-chan struct{})) {
+	r.stopCh, r.stopOnce = make(chan struct{}), sync.Once{}
+	r.crashed.Store(false)
+	r.Run(loops...)
+}
+
+// Close stops the loops and the drain and closes the engines.
+func (r *Replica) Close() {
+	r.Stop()
+	r.endDrain()
+	r.closeEngines()
+}
+
+// PublishedRoot returns the latest published signed root and its height,
+// for a sealed header — possibly a few blocks behind the block being
+// sealed (bounded staleness); zero without a maintainer.
+func (r *Replica) PublishedRoot() (root cryptoutil.Hash, height uint64) {
+	if r.Auth != nil {
+		if up, ok := r.Auth.Published(); ok {
+			return up.Root.Root, up.Root.Height
+		}
+	}
+	return root, 0
+}
+
+// MaybeCheckpoint runs the checkpoint policy at a block boundary. Systems
+// call it on the committer after the block's clients are answered: the
+// store sits exactly at height, so a snapshot can never tear a block.
+func (r *Replica) MaybeCheckpoint(height uint64) {
+	if r.Ckpt != nil {
+		//lint:allow errshadow failure retained in LastErr for the recovery stats
+		_, _ = r.Ckpt.MaybeCheckpoint(height)
+	}
+}

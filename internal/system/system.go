@@ -314,6 +314,23 @@ func (w *Waiters[K]) Cancel(key K) {
 	w.mu.Unlock()
 }
 
+// commitTimeout is how long a direct execute path waits for the commit
+// pipeline to answer before giving the client an error.
+const commitTimeout = 60 * time.Second
+
+// Await blocks on done — the channel Register(key) returned — until the
+// outcome arrives; after commitTimeout it drops the registration and
+// answers with the error text timeout instead.
+func (w *Waiters[K]) Await(key K, done <-chan Result, timeout string) Result {
+	select {
+	case r := <-done:
+		return r
+	case <-time.After(commitTimeout):
+		w.Cancel(key)
+		return Result{Err: errors.New(timeout)}
+	}
+}
+
 // The replicate-and-wait cadence every consensus-backed write path
 // shares: back off 1 ms while no replica accepts a proposal, re-propose
 // every 100 ms while an accepted one stays unapplied, give up after 30 s.
@@ -363,6 +380,13 @@ func (rp *Replicator) NextID() uint64 { return rp.seq.Add(1) }
 // and duplicate log entries, resolve no one.
 func (rp *Replicator) Resolve(id uint64, r Result) { rp.waiters.Resolve(id, r) }
 
+// GaveUp reports whether err is one of the two errors Do gives up with,
+// as opposed to an error the apply path resolved the request with: after
+// a give-up no replica may ever take what the caller boxed for it.
+func (rp *Replicator) GaveUp(err error) bool {
+	return err == rp.errLeaderless || err == rp.errTimeout
+}
+
 // Do offers the command to each of the group's n replicas in turn —
 // propose(i) reports whether replica i accepted it — backing off while
 // none does, then waits for Resolve(id). With repropose, an accepted
@@ -407,32 +431,4 @@ func (rp *Replicator) Do(id uint64, repropose bool, n int, propose func(i int) b
 			}
 		}
 	}
-}
-
-// Drainer controls a crash-time drain goroutine: the loop that keeps
-// consuming a crashed node's ordered stream (taking its payload-box
-// copies so entries never leak) runs until Halt, which blocks until the
-// loop has observed the stop and exited. Halt is idempotent.
-type Drainer struct {
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-// NewDrainer returns a Drainer; the drain loop must select on Stop and
-// close Done when it returns.
-func NewDrainer() *Drainer {
-	return &Drainer{stop: make(chan struct{}), done: make(chan struct{})}
-}
-
-// Stop is the channel the drain loop selects on.
-func (d *Drainer) Stop() <-chan struct{} { return d.stop }
-
-// Finish marks the drain loop as exited; the loop defers it.
-func (d *Drainer) Finish() { close(d.done) }
-
-// Halt stops the drain loop and waits for it to exit.
-func (d *Drainer) Halt() {
-	d.once.Do(func() { close(d.stop) })
-	<-d.done
 }
