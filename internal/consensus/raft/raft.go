@@ -6,9 +6,10 @@
 //
 // The implementation favours clarity over raw speed but cuts no protocol
 // corners: terms, vote safety (§5.4.1 up-to-date check), the commit rule
-// that only current-term entries commit by counting (§5.4.2), and leader
-// step-down on higher terms are all present, which the failover tests
-// exercise.
+// that only current-term entries commit by counting (§5.4.2) with the
+// new-term no-op that keeps an inherited tail from waiting on it, and
+// leader step-down on higher terms are all present, which the failover
+// tests exercise.
 package raft
 
 import (
@@ -341,6 +342,17 @@ func (n *Node) becomeLeaderLocked() {
 		n.matchIndex[p] = 0
 	}
 	n.matchIndex[n.cfg.ID] = n.lastIndex()
+	if n.lastIndex() > n.commitIndex {
+		// §5.4.2/§8: the tail above commitIndex carries older terms, which
+		// advanceCommitLocked may never count replicas for — and some of it
+		// may already be committed and acknowledged by the leader this one
+		// replaces. An empty entry of the new term commits the whole tail
+		// with it instead of leaving that to the next client proposal, which
+		// may itself be waiting on the tail. Consumers skip an entry with no
+		// data, as they do a PBFT view change's. An election over an empty or
+		// fully committed log — every start-up — appends nothing.
+		n.appendLocal(nil)
+	}
 	n.ticksLeft = n.cfg.HeartbeatTicks
 	n.broadcastAppendLocked()
 }

@@ -3,6 +3,7 @@ package raft
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -397,6 +398,54 @@ func TestRecoveredReplicaCatchesUpAndRejoins(t *testing.T) {
 		if e.Index != reference[i].Index || string(e.Data) != string(reference[i].Data) {
 			t.Fatalf("entry %d: replacement (%d, %q) != leader (%d, %q)",
 				i, e.Index, e.Data, reference[i].Index, reference[i].Data)
+		}
+	}
+}
+
+// TestNewLeaderCommitsInheritedTail: an entry the old leader committed —
+// and so may have acknowledged to a client — but whose commit no follower
+// heard of must still be delivered by the survivors after the leader dies,
+// without waiting for a further proposal. A leader may not count replicas
+// for an entry of an older term (§5.4.2), so the new leader's empty entry
+// of its own term is what commits the inherited tail.
+func TestNewLeaderCommitsInheritedTail(t *testing.T) {
+	net, nodes := group(t, 3)
+	leader := waitLeader(t, nodes, 2*time.Second)
+	id := leader.cfg.ID
+
+	// From here on each follower gets one more message from the leader —
+	// the appendEntries carrying X, whose leaderCommit still precedes X —
+	// and nothing after it. The hook is armed and X appended (what Propose
+	// does on a leader) under the leader's lock, so no heartbeat can slip
+	// between the two and use up a follower's one message.
+	var mu sync.Mutex
+	passed := map[cluster.NodeID]bool{}
+	leader.mu.Lock()
+	net.SetFaults(func(from, to cluster.NodeID) (bool, time.Duration) {
+		if from != id {
+			return false, 0
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		drop := passed[to]
+		passed[to] = true
+		return drop, 0
+	})
+	leader.appendLocal([]byte("X"))
+	leader.mu.Unlock()
+
+	if e := collect(t, leader, 1, 2*time.Second)[0]; string(e.Data) != "X" {
+		t.Fatalf("leader committed %q, want X", e.Data)
+	}
+	net.Crash(id)
+	leader.Stop()
+	for _, n := range nodes {
+		if n == leader {
+			continue
+		}
+		// A few election timeouts (30–60 ms each), no further Propose.
+		if e := collect(t, n, 1, 2*time.Second)[0]; string(e.Data) != "X" || e.Index != 1 {
+			t.Fatalf("survivor %d delivered (%d, %q), want (1, X)", n.cfg.ID, e.Index, e.Data)
 		}
 	}
 }

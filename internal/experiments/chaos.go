@@ -319,24 +319,8 @@ func chaosFabric(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 			_, err := nw.RecoverPeer(1, 0, 0)
 			return err
 		},
-		verify: func() string {
-			if !chaosStable(func() []uint64 {
-				hs := make([]uint64, peers)
-				for i := range hs {
-					hs[i] = nw.Ledger(i).Height()
-				}
-				return hs
-			}) {
-				return "no-quiesce"
-			}
-			for i := 1; i < peers; i++ {
-				if !sameStores(nw.State(0), nw.State(i)) {
-					return "DIVERGED"
-				}
-			}
-			return "ok"
-		},
-		close: nw.Close,
+		verify: storesConverged(peers, func(i int) uint64 { return nw.Ledger(i).Height() }, nw.State),
+		close:  nw.Close,
 	}
 	if b.repair {
 		t.repair = func() error {
@@ -380,24 +364,8 @@ func chaosQuorum(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 			_, err := nw.RecoverNode(vic, (vic+1)%nodes, 0)
 			return err
 		},
-		verify: func() string {
-			if !chaosStable(func() []uint64 {
-				hs := make([]uint64, nodes)
-				for i := range hs {
-					hs[i] = nw.Ledger(i).Height()
-				}
-				return hs
-			}) {
-				return "no-quiesce"
-			}
-			for i := 1; i < nodes; i++ {
-				if !sameStores(nw.State(0), nw.State(i)) {
-					return "DIVERGED"
-				}
-			}
-			return "ok"
-		},
-		close: nw.Close,
+		verify: storesConverged(nodes, func(i int) uint64 { return nw.Ledger(i).Height() }, nw.State),
+		close:  nw.Close,
 	}
 	if b.repair {
 		t.repair = func() error {
@@ -430,24 +398,8 @@ func chaosVeritas(b chaosBuild) (*chaosTarget, error) {
 			_, err := v.RecoverVerifier(1, 0)
 			return err
 		},
-		verify: func() string {
-			if !chaosStable(func() []uint64 {
-				hs := make([]uint64, verifiers)
-				for i := range hs {
-					hs[i] = v.Height(i)
-				}
-				return hs
-			}) {
-				return "no-quiesce"
-			}
-			for i := 1; i < verifiers; i++ {
-				if !sameStores(v.State(0), v.State(i)) {
-					return "DIVERGED"
-				}
-			}
-			return "ok"
-		},
-		close: v.Close,
+		verify: storesConverged(verifiers, v.Height, v.State),
+		close:  v.Close,
 	}, nil
 }
 
@@ -470,24 +422,8 @@ func chaosBigchain(sc Scale, b chaosBuild) (*chaosTarget, error) {
 			_, err := bc.RecoverValidator(2, 0, 0)
 			return err
 		},
-		verify: func() string {
-			if !chaosStable(func() []uint64 {
-				hs := make([]uint64, nodes)
-				for i := range hs {
-					hs[i] = bc.Height(i)
-				}
-				return hs
-			}) {
-				return "no-quiesce"
-			}
-			for i := 1; i < nodes; i++ {
-				if !sameStores(bc.State(0), bc.State(i)) {
-					return "DIVERGED"
-				}
-			}
-			return "ok"
-		},
-		close: bc.Close,
+		verify: storesConverged(nodes, bc.Height, bc.State),
+		close:  bc.Close,
 	}, nil
 }
 
@@ -498,47 +434,8 @@ func chaosTiDB(b chaosBuild) *chaosTarget {
 		DataDir: b.dir, CheckpointInterval: interval, CheckpointMode: mode,
 		CheckpointFullEvery: fullEvery,
 	})
-	const vic = 2
-	return &chaosTarget{
-		sys:       c,
-		setFaults: c.SetFaults,
-		crash: func() {
-			for r := 0; r < c.Regions(); r++ {
-				c.CrashReplica(r, vic)
-			}
-		},
-		recover: func() error {
-			var first error
-			for r := 0; r < c.Regions(); r++ {
-				if _, err := c.RecoverReplica(r, vic); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-		verify: func() string {
-			for r := 0; r < c.Regions(); r++ {
-				reps := c.RegionReplicas(r)
-				if !chaosStable(func() []uint64 {
-					hs := make([]uint64, reps)
-					for p := range hs {
-						hs[p] = c.ReplicaApplied(r, p)
-					}
-					return hs
-				}) {
-					return "no-quiesce"
-				}
-				base := c.DumpRegion(r, 0)
-				for p := 1; p < reps; p++ {
-					if !sameDumps(base, c.DumpRegion(r, p)) {
-						return "DIVERGED"
-					}
-				}
-			}
-			return "ok"
-		},
-		close: c.Close,
-	}
+	return chaosGroups(c, c.SetFaults, groupSurface{c.Regions(), c.RegionReplicas,
+		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpRegion})
 }
 
 func chaosSpanner(b chaosBuild) *chaosTarget {
@@ -548,81 +445,104 @@ func chaosSpanner(b chaosBuild) *chaosTarget {
 		DataDir: b.dir, CheckpointInterval: interval, CheckpointMode: mode,
 		CheckpointFullEvery: fullEvery,
 	})
+	return chaosGroups(c, c.SetFaults, groupSurface{c.Shards(), c.ShardReplicas,
+		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpShard})
+}
+
+// groupSurface is the crash and inspection surface of a database whose
+// data sits in replicated groups — TiDB's regions, Spanner's shards — as
+// the method values of either.
+type groupSurface struct {
+	groups   int
+	replicas func(group int) int
+	crash    func(group, replica int)
+	recover  func(group, replica int) (recovery.Stats, error)
+	applied  func(group, replica int) uint64
+	dump     func(group, replica int) map[string][]byte
+}
+
+// chaosGroups wires such a database: the victim is replica 2 of every
+// group at once, and every group must converge on its own.
+func chaosGroups(sys system.System, setFaults func(cluster.FaultHook), d groupSurface) *chaosTarget {
 	const vic = 2
 	return &chaosTarget{
-		sys:       c,
-		setFaults: c.SetFaults,
+		sys:       sys,
+		setFaults: setFaults,
 		crash: func() {
-			for s := 0; s < c.Shards(); s++ {
-				c.CrashReplica(s, vic)
+			for g := 0; g < d.groups; g++ {
+				d.crash(g, vic)
 			}
 		},
 		recover: func() error {
 			var first error
-			for s := 0; s < c.Shards(); s++ {
-				if _, err := c.RecoverReplica(s, vic); err != nil && first == nil {
+			for g := 0; g < d.groups; g++ {
+				if _, err := d.recover(g, vic); err != nil && first == nil {
 					first = err
 				}
 			}
 			return first
 		},
 		verify: func() string {
-			for s := 0; s < c.Shards(); s++ {
-				reps := c.ShardReplicas(s)
-				if !chaosStable(func() []uint64 {
-					hs := make([]uint64, reps)
-					for p := range hs {
-						hs[p] = c.ReplicaApplied(s, p)
-					}
-					return hs
-				}) {
-					return "no-quiesce"
-				}
-				base := c.DumpShard(s, 0)
-				for p := 1; p < reps; p++ {
-					if !sameDumps(base, c.DumpShard(s, p)) {
-						return "DIVERGED"
-					}
+			for g := 0; g < d.groups; g++ {
+				verdict := converged(d.replicas(g),
+					func(p int) uint64 { return d.applied(g, p) },
+					func(p int) bool { return sameDumps(d.dump(g, 0), d.dump(g, p)) })
+				if verdict != "ok" {
+					return verdict
 				}
 			}
 			return "ok"
 		},
-		close: c.Close,
+		close: sys.Close,
 	}
 }
 
 // --- convergence helpers ---
 
-// chaosStable polls sample until every element is equal and the common
-// value holds still for three consecutive polls.
-func chaosStable(sample func() []uint64) bool {
+// quiesce polls the n replicas' heights until all are equal and the common
+// value has held still for three consecutive polls, and returns it.
+func quiesce(n int, height func(i int) uint64) (uint64, bool) {
 	deadline := time.Now().Add(15 * time.Second)
 	var prev uint64
-	seen := false
 	stable := 0
 	for time.Now().Before(deadline) {
-		cur := sample()
-		same := len(cur) > 0
-		for _, v := range cur[1:] {
-			if v != cur[0] {
-				same = false
-				break
-			}
+		h, same := height(0), true
+		for i := 1; i < n && same; i++ {
+			same = height(i) == h
 		}
-		if same && seen && cur[0] == prev {
+		if same && h == prev {
 			if stable++; stable >= 3 {
-				return true
+				return h, true
 			}
 		} else {
 			stable = 0
 		}
-		if len(cur) > 0 {
-			prev, seen = cur[0], true
-		}
-		//lint:allow sleepyloop convergence poll in the chaos measurement harness
+		prev = h
+		//lint:allow sleepyloop convergence poll in the chaos and recovery measurement harnesses
 		time.Sleep(5 * time.Millisecond)
 	}
-	return false
+	return 0, false
+}
+
+// converged is the one post-run check: wait for the n replicas to quiesce,
+// then require same(i) of every replica i against replica 0.
+func converged(n int, height func(i int) uint64, same func(i int) bool) string {
+	if _, ok := quiesce(n, height); !ok {
+		return "no-quiesce"
+	}
+	for i := 1; i < n; i++ {
+		if !same(i) {
+			return "DIVERGED"
+		}
+	}
+	return "ok"
+}
+
+// storesConverged is converged over replicas that keep a state.Store.
+func storesConverged(n int, height func(i int) uint64, store func(i int) *state.Store) func() string {
+	return func() string {
+		return converged(n, height, func(i int) bool { return sameStores(store(0), store(i)) })
+	}
 }
 
 // sameStores diffs two state stores' values and versions.

@@ -13,7 +13,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
@@ -118,26 +117,22 @@ func BuildEtcd(nodes int) *etcd.Cluster {
 // TiKV adapts the TiDB storage layer as a standalone system (Fig 4's
 // fifth bar): raw reads/writes through region raft groups, no SQL layer,
 // no transactional machinery.
-type TiKV struct{ C *tidb.Cluster }
+type TiKV struct {
+	system.Blocking
+	C *tidb.Cluster
+}
+
+// NewTiKV wraps c.
+func NewTiKV(c *tidb.Cluster) *TiKV {
+	t := &TiKV{C: c}
+	t.Blocking = system.NewBlocking(t.execute)
+	return t
+}
 
 // Name implements system.System.
-func (t TiKV) Name() string { return "tikv" }
+func (t *TiKV) Name() string { return "tikv" }
 
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (t TiKV) Execute(x *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(t, x)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (the adapter has no mempool-fed path).
-func (t TiKV) Submit(ctx context.Context, x *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return t.execute(x) }), nil
-}
-
-func (t TiKV) execute(x *txn.Tx) system.Result {
+func (t *TiKV) execute(x *txn.Tx) system.Result {
 	inv := x.Invocation
 	switch inv.Method {
 	case "get":
@@ -155,7 +150,7 @@ func (t TiKV) execute(x *txn.Tx) system.Result {
 }
 
 // Close implements system.System.
-func (t TiKV) Close() { t.C.Close() }
+func (t *TiKV) Close() { t.C.Close() }
 
 // PreloadYCSB populates sys with the workload's key space.
 func PreloadYCSB(sys system.System, cfg ycsb.Config, client *cryptoutil.Signer) error {

@@ -185,6 +185,34 @@ func TestRecoveryRuns(t *testing.T) {
 	}
 }
 
+// TestChaosRuns pins the chaos experiment's rows: six systems under the
+// crash schedule and under message faults, every one converging.
+func TestChaosRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("twelve chaos rows")
+	}
+	var buf bytes.Buffer
+	Chaos(&buf, tiny(), []string{"crash", "net"}, []float64{0.05})
+	out := buf.String()
+	if !strings.Contains(out, "Chaos:") {
+		t.Fatalf("missing banner:\n%s", out)
+	}
+	rows := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 12 && f[11] == "ok" && (f[1] == "crash" || f[1] == "net") {
+			rows[f[0]+"/"+f[1]]++
+		}
+	}
+	for _, sys := range []string{"fabric", "quorum", "veritas", "bigchaindb", "tidb", "spanner"} {
+		for _, fault := range []string{"crash", "net"} {
+			if rows[sys+"/"+fault] != 1 {
+				t.Fatalf("no verified %s/%s row (want twelve rows ending ok):\n%s", sys, fault, out)
+			}
+		}
+	}
+}
+
 func TestAuthReadsRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins four quorum networks")

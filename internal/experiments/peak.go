@@ -22,7 +22,7 @@ func fig4Systems(sc Scale, client *cryptoutil.Signer) []builder {
 		func() (system.System, error) { return BuildQuorum(sc.Nodes, quorum.Raft, client) },
 		func() (system.System, error) { return BuildTiDB(3, 3), nil },
 		func() (system.System, error) { return BuildEtcd(3), nil },
-		func() (system.System, error) { return TiKV{C: BuildTiDB(3, 3)}, nil },
+		func() (system.System, error) { return NewTiKV(BuildTiDB(3, 3)), nil },
 	}
 }
 

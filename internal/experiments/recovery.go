@@ -8,7 +8,6 @@ import (
 
 	"dichotomy/internal/recovery"
 	"dichotomy/internal/system/fabric"
-	"dichotomy/internal/txn"
 	"dichotomy/internal/workload/ycsb"
 )
 
@@ -84,7 +83,7 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 					return
 				}
 				RunYCSB(nw, cfg, sc, 0, client)
-				tip, ok := quiesceFabric(nw, sc.Nodes)
+				tip, ok := quiesce(sc.Nodes, func(i int) uint64 { return nw.Ledger(i).Height() })
 				if !ok {
 					fmt.Fprintln(w, "fabric failed to quiesce; skipping interval")
 					return
@@ -121,7 +120,7 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 						continue
 					}
 					verified := "ok"
-					if !statesIdentical(nw, 0, crashed) {
+					if !sameStores(nw.State(0), nw.State(crashed)) {
 						verified = "DIVERGED"
 					}
 					Row(w, mode.String(), int(interval), int(tip), ckpts, written, pauseAvg,
@@ -132,58 +131,4 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 			}()
 		}
 	}
-}
-
-// quiesceFabric waits for every live peer's ledger to sit at the same
-// stable height and returns it.
-func quiesceFabric(nw *fabric.Network, peers int) (uint64, bool) {
-	deadline := time.Now().Add(10 * time.Second)
-	var prev uint64
-	stable := 0
-	for time.Now().Before(deadline) {
-		h := nw.Ledger(0).Height()
-		same := true
-		for i := 1; i < peers; i++ {
-			if nw.Ledger(i).Height() != h {
-				same = false
-				break
-			}
-		}
-		if same && h == prev {
-			if stable++; stable >= 3 {
-				return h, true
-			}
-		} else {
-			stable = 0
-		}
-		prev = h
-		//lint:allow sleepyloop replay-progress poll in the recovery measurement harness
-		time.Sleep(5 * time.Millisecond)
-	}
-	return 0, false
-}
-
-// statesIdentical diffs two peers' values and versions.
-func statesIdentical(nw *fabric.Network, a, b int) bool {
-	type entry struct {
-		value string
-		ver   txn.Version
-	}
-	want := make(map[string]entry)
-	nw.State(a).Dump(func(key string, value []byte, ver txn.Version) bool {
-		want[key] = entry{string(value), ver}
-		return true
-	})
-	same := true
-	count := 0
-	nw.State(b).Dump(func(key string, value []byte, ver txn.Version) bool {
-		count++
-		e, ok := want[key]
-		if !ok || e.value != string(value) || e.ver != ver {
-			same = false
-			return false
-		}
-		return true
-	})
-	return same && count == len(want)
 }

@@ -1,7 +1,6 @@
 package hybrid
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,6 +29,7 @@ import (
 // the BFT quorums are expensive, which is why the framework predicts the
 // bottom throughput class.
 type Bigchain struct {
+	system.Blocking
 	cfg      BigchainConfig
 	net      *cluster.Network
 	nodes    []*bigchainNode
@@ -123,6 +123,7 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		box:     system.NewPayloadBox(),
 		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
+	b.Blocking = system.NewBlocking(b.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
 		peers[i] = cluster.NodeID(600000 + i)
@@ -165,20 +166,6 @@ func (b *Bigchain) Name() string { return "bigchaindb-like" }
 // SetFaults installs (or, with nil, removes) a message-fault hook on the
 // network's transport — the chaos layer's drop/delay/reorder seam.
 func (b *Bigchain) SetFaults(hook cluster.FaultHook) { b.net.SetFaults(hook) }
-
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (b *Bigchain) Execute(t *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(b, t)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (this system has no mempool-fed path).
-func (b *Bigchain) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return b.execute(t) }), nil
-}
 
 // execute is the blocking path: the whole transaction is ordered first,
 // then executed identically on every node's local database.

@@ -153,28 +153,3 @@ func diffChain(prev, cur map[string]chainEntry) []deltaEntry {
 	})
 	return out
 }
-
-// RestoreChain is the one-shot form: it materializes the newest intact
-// chain in dir with tip ≤ maxHeight (0 = no limit) and feeds every entry
-// to apply in sorted key order, returning the chain's tip height and the
-// checkpoint bytes read. Components that keep a ChainWriter should use
-// OpenChainWriter + Restore instead, which seeds the delta base in the
-// same pass.
-func RestoreChain(dir string, maxHeight uint64, apply func(key string, value []byte, ver txn.Version) error) (uint64, int64, error) {
-	m, tip, bytesRead, err := loadChain(dir, maxHeight)
-	if err != nil {
-		return 0, 0, err
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		e := m[k]
-		if err := apply(k, e.value, e.ver); err != nil {
-			return 0, 0, err
-		}
-	}
-	return tip, bytesRead, nil
-}

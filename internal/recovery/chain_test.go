@@ -112,31 +112,3 @@ func TestChainWriterMaybeCheckpointInterval(t *testing.T) {
 		t.Fatalf("checkpoint did not fire at interval: height %d", w.LastHeight())
 	}
 }
-
-func TestRestoreChainMaxHeight(t *testing.T) {
-	dir := t.TempDir()
-	// Full mode so every height is independently restorable.
-	w, err := OpenChainWriter(Options{Dir: dir, Interval: 1, Keep: 10, Mode: ModeFull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := chainModel{}
-	for h := uint64(1); h <= 3; h++ {
-		model["k"] = fmt.Sprintf("v%d", h)
-		if err := w.Checkpoint(h, model.dump); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := chainModel{}
-	tip, _, err := RestoreChain(dir, 2, func(key string, value []byte, ver txn.Version) error {
-		got[key] = string(value)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tip != 2 {
-		t.Fatalf("capped restore landed at %d, want 2", tip)
-	}
-	requireModel(t, got, chainModel{"k": "v2"})
-}

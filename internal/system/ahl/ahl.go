@@ -9,7 +9,6 @@
 package ahl
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -70,6 +69,7 @@ func (c Config) withDefaults() Config {
 
 // Cluster is a running AHL deployment.
 type Cluster struct {
+	system.Blocking
 	cfg    Config
 	net    *cluster.Network
 	shards []*shard
@@ -132,6 +132,7 @@ func New(cfg Config) *Cluster {
 		net:  cluster.NewNetwork(cfg.Link),
 		part: sharding.HashPartitioner{N: cfg.Shards},
 	}
+	c.Blocking = system.NewBlocking(c.execute)
 	nodeIDs := make([]int, 0, cfg.Shards*cfg.NodesPerShard)
 	for s := 0; s < cfg.Shards; s++ {
 		var eng storage.Engine = memdb.New()
@@ -324,20 +325,6 @@ func (sh *shard) sequence(cmd *shardCmd) system.Result {
 	return r
 }
 
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (c *Cluster) Execute(t *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(c, t)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (this system has no mempool-fed path).
-func (c *Cluster) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return c.execute(t) }), nil
-}
-
 // execute is the blocking path.
 func (c *Cluster) execute(t *txn.Tx) system.Result {
 	// Reconfiguration pause: the whole system holds transactions during
@@ -486,9 +473,6 @@ func (c *Cluster) ReadState(key string) ([]byte, bool) {
 	v, _, err := c.shards[c.part.Shard(key)].st.Get(key)
 	return v, err == nil
 }
-
-// ShardState exposes shard i's striped state store (tests and inspection).
-func (c *Cluster) ShardState(i int) *state.Store { return c.shards[i].st }
 
 // Rotations reports completed reconfigurations (0 when disabled).
 func (c *Cluster) Rotations() int {

@@ -10,7 +10,6 @@
 package etcd
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,6 +43,7 @@ func (c Config) withDefaults() Config {
 
 // Cluster is a running etcd deployment.
 type Cluster struct {
+	system.Blocking
 	cfg   Config
 	net   *cluster.Network
 	nodes []*node
@@ -81,6 +81,7 @@ func New(cfg Config) *Cluster {
 		box:  system.NewPayloadBox(),
 		repl: system.NewReplicator("etcd: leaderless", "etcd: apply timeout"),
 	}
+	c.Blocking = system.NewBlocking(c.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
 		peers[i] = cluster.NodeID(i)
@@ -125,7 +126,7 @@ func (n *node) applyLoop() {
 func (n *node) apply(e consensus.Entry) {
 	id, ok := system.HandleID(e.Data)
 	if !ok {
-		return
+		return // no handle: raft's empty new-term entry, not an operation
 	}
 	v, ok := n.c.box.Take(id)
 	if !ok {
@@ -192,20 +193,6 @@ func (c *Cluster) leader() *node {
 		//lint:allow sleepyloop bounded wait for a leader during elections
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (c *Cluster) Execute(t *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(c, t)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (this system has no mempool-fed path).
-func (c *Cluster) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return c.execute(t) }), nil
 }
 
 // execute serves single-operation requests only, mirroring etcd's data

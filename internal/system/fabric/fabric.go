@@ -616,11 +616,12 @@ func (p *peer) commitLoop(stop <-chan struct{}) {
 }
 
 // decodeBlock resolves a batch's payload handles into the block's
-// transactions (pipeline Decode stage). Batches that decode to zero
-// transactions still pass through as empty blocks: ledger height must
-// track the ordering sequence exactly — block N is always batch N — or
-// the recovery handoff (RecoverPeer) could not align a ledger replay
-// with a log subscription.
+// transactions (pipeline Decode stage). A record that is no handle — the
+// empty entry a new orderer leader commits its inherited tail with — is
+// skipped, and batches that decode to zero transactions still pass
+// through as empty blocks: ledger height must track the ordering
+// sequence exactly — block N is always batch N — or the recovery handoff
+// (RecoverPeer) could not align a ledger replay with a log subscription.
 func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
 	b := &fabricBlock{
 		txs: make([]*txn.Tx, 0, len(batch.Records)),

@@ -1,0 +1,325 @@
+package system
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dichotomy/internal/cluster"
+	"dichotomy/internal/consensus"
+	"dichotomy/internal/consensus/raft"
+	"dichotomy/internal/recovery"
+	"dichotomy/internal/txn"
+)
+
+// GroupConfig is what a database-side system says about one of its
+// replicated groups — a TiDB region, a Spanner shard; the lifecycle that
+// follows from it is Group's. T is one replica's state machine.
+type GroupConfig[T any] struct {
+	// Label names the group in recovery and read errors ("tidb: region 3").
+	Label string
+	// Net is the transport the members register on; Peers are their node
+	// ids, one replica each.
+	Net   *cluster.Network
+	Peers []cluster.NodeID
+	// DataDir, when set, keeps the replicas' checkpoint chains, one under
+	// DataDir/Name/replica-N each; Checkpoint configures them, and Dir is the
+	// group's to fill in. Without a DataDir or with a zero Interval there are
+	// none, and a recovery replays the whole log.
+	DataDir, Name string
+	Checkpoint    recovery.Options
+	// New returns an empty state machine. A replica starts from one at
+	// construction and again at every recovery.
+	New func() *T
+	// Apply applies one committed entry and names the request it answers.
+	// ok is false for an entry that carries no command, as raft's new-term
+	// no-op does not. The outcome may depend on nothing but the log prefix:
+	// every replica computes it, whichever gets there first answers.
+	Apply func(st *T, e consensus.Entry) (reqID uint64, res Result, ok bool)
+	// Dump emits the state machine's complete content as checkpoint
+	// records; Restore puts one record back into an empty one.
+	Dump    func(st *T, emit func(key string, value []byte))
+	Restore func(st *T, key string, value []byte) error
+	// Leaderless and Timeout are the error texts Propose gives up with.
+	Leaderless, Timeout string
+}
+
+// Group is one raft group of replicas, each applying the committed log
+// into its own copy of a state machine — the lifecycle TiDB's regions and
+// Spanner's shards share, as Replica is the ledger side's. Commands ride
+// inside the log entries, so the log is self-contained: a replica
+// restarted with an empty log is rebuilt by the leader's ordinary
+// re-replication, and one restored from its checkpoint chain skips the
+// prefix the checkpoint covers. The unit of failure is one member, never
+// the group: it keeps committing while a raft quorum remains, and a
+// recovery pauses nobody.
+//
+// The embedded Replicator issues the request ids commands carry and holds
+// the waiters the apply loops resolve; its Deadline is the one test seam.
+type Group[T any] struct {
+	*Replicator
+	cfg         GroupConfig[T]
+	reps        []*groupReplica[T]
+	errNoneLive error
+}
+
+// groupReplica is one member: a raft node plus the state machine its log
+// applies into. cons and state are swapped atomically by crash/recover
+// while reads and proposals keep flowing; mu serializes the lifecycle
+// transitions themselves.
+type groupReplica[T any] struct {
+	id   cluster.NodeID
+	ep   *cluster.Endpoint
+	ckpt recovery.Options // zero Dir: no checkpoint chain
+
+	cons    atomic.Pointer[raft.Node]
+	state   atomic.Pointer[T]
+	applied atomic.Uint64 // newest applied (or restored) raft index
+
+	mu      sync.Mutex
+	crashed atomic.Bool
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
+}
+
+// NewGroup registers the members on the network and starts them all.
+func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
+	g := &Group[T]{
+		Replicator:  NewReplicator(cfg.Leaderless, cfg.Timeout),
+		cfg:         cfg,
+		errNoneLive: errors.New(cfg.Label + " has no live replica"),
+	}
+	for i, id := range cfg.Peers {
+		// 8192 queued messages: deep enough that a replication burst is
+		// never shed at the endpoint before raft's own flow control acts.
+		rep := &groupReplica[T]{id: id, ep: cfg.Net.Register(id, 8192)}
+		if cfg.DataDir != "" && cfg.Checkpoint.Interval > 0 {
+			rep.ckpt = cfg.Checkpoint
+			rep.ckpt.Dir = filepath.Join(cfg.DataDir, cfg.Name, fmt.Sprintf("replica-%d", i))
+		}
+		g.reps = append(g.reps, rep)
+	}
+	for _, rep := range g.reps {
+		if _, _, err := g.start(rep, false); err != nil {
+			// A pre-existing corrupt chain directory is the only way here;
+			// run without checkpoints rather than fail — the raft log still
+			// fully rebuilds the replica.
+			rep.ckpt = recovery.Options{}
+			_, _, _ = g.start(rep, false)
+		}
+	}
+	return g
+}
+
+// start boots (or re-boots) a member: restore its checkpoint chain when it
+// keeps one, join the raft group on its fixed endpoint, run the apply loop.
+// rejoin distinguishes a post-crash reboot from construction: a rebooted
+// member lost its raft log and must sit out elections until re-replication
+// has caught it up (raft.Config.Recovering), while at construction every
+// member is equally empty and someone has to campaign. Callers hold rep.mu
+// or are constructing the group.
+func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
+	st := g.cfg.New()
+	var ckpt *recovery.ChainWriter
+	if rep.ckpt.Dir != "" {
+		if ckpt, err = recovery.OpenChainWriter(rep.ckpt); err != nil {
+			return 0, 0, err
+		}
+		err = ckpt.Restore(func(key string, value []byte, _ txn.Version) error {
+			return g.cfg.Restore(st, key, value)
+		})
+		if err != nil {
+			return 0, 0, err
+		}
+		skipTo, ckptBytes = ckpt.LastHeight(), ckpt.RestoredBytes()
+	}
+	cons := raft.New(raft.Config{ID: rep.id, Peers: g.cfg.Peers, Endpoint: rep.ep, Recovering: rejoin})
+	rep.state.Store(st)
+	rep.cons.Store(cons)
+	rep.applied.Store(skipTo)
+	rep.stopCh = make(chan struct{})
+	rep.wg.Add(1)
+	go g.applyLoop(rep, cons, st, ckpt, skipTo, rep.stopCh)
+	return skipTo, ckptBytes, nil
+}
+
+// applyLoop applies the committed log into one incarnation of a member.
+// Everything that incarnation owns is passed by value, so a crash/recover
+// swap of the member's cons and state never races a stale loop.
+func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
+	defer rep.wg.Done()
+	dump := func(emit func(key string, value []byte, ver txn.Version)) {
+		g.cfg.Dump(st, func(key string, value []byte) { emit(key, value, txn.Version{}) })
+	}
+	for {
+		select {
+		case <-stopCh:
+			return
+		case e, ok := <-cons.Committed():
+			if !ok {
+				return
+			}
+			if e.Index <= skipTo {
+				continue // its effects are in the restored checkpoint already
+			}
+			reqID, res, ok := g.cfg.Apply(st, e)
+			// Publish the applied index BEFORE resolving the waiter: reads
+			// route to the live member with the highest applied index
+			// (Freshest), and whichever member resolves a request is live
+			// with applied ≥ its entry — so a resolved write is visible to
+			// the next read without waiting for an election.
+			rep.applied.Store(e.Index)
+			if ok {
+				g.Resolve(reqID, res)
+			}
+			if ckpt != nil {
+				// A failed checkpoint write only degrades durability —
+				// recovery falls back to a longer log replay — so the apply
+				// path keeps going.
+				_ = ckpt.MaybeCheckpoint(e.Index, dump)
+			}
+		}
+	}
+}
+
+// Propose sequences payload — a command carrying the request id from
+// NextID — through the group's log and waits for the first member to apply
+// it; the Result is Apply's, or one of the two give-up errors.
+//
+// Delivery is at least once. A proposal a member accepted and then lost
+// (it crashed, or was deposed, before replicating it) would otherwise
+// stall the client to the deadline and leave whatever the command was
+// meant to release — a Percolator lock, a prepared 2PC write set —
+// dangling, so an accepted command still unapplied after a lap is proposed
+// again, and a merely slow first proposal then sits in the log twice.
+// Every member applies both copies identically, and only the first finds
+// a waiter, but the second is NOT always a no-op: a TiDB prewrite
+// re-applied after its own rollback re-creates a lock nobody will clear
+// (mvcc.Rollback drops the entry, so Prewrite finds none to refuse), and a
+// Spanner phaseApply or phasePrep re-applied after a later write to the
+// same key, or after the same transaction's finish, is a lost update or a
+// leaked prepared set. Each needs the duplicate reordered behind another
+// command; none has been observed, and nothing here deduplicates — a
+// history checker over recorded runs is what should find them.
+func (g *Group[T]) Propose(id uint64, payload []byte) Result {
+	return g.Do(id, true, len(g.reps), func(i int) bool {
+		rep := g.reps[i]
+		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
+	})
+}
+
+// Freshest returns the state machine of the live member that has applied
+// the most — the one reads are served from (see applyLoop for why that
+// preserves read-your-writes) — or an error naming the group when every
+// member is down.
+func (g *Group[T]) Freshest() (*T, error) {
+	var best *groupReplica[T]
+	var bestApplied uint64
+	for _, rep := range g.reps {
+		if rep.crashed.Load() {
+			continue
+		}
+		if a := rep.applied.Load(); best == nil || a > bestApplied {
+			best, bestApplied = rep, a
+		}
+	}
+	if best == nil {
+		return nil, g.errNoneLive
+	}
+	return best.state.Load(), nil
+}
+
+// Crash fail-stops member i: the network drops its traffic, its raft node
+// halts, its in-memory state machine is abandoned. Its checkpoint chain
+// survives, like a process crash that keeps its disk. Crashing a crashed
+// member does nothing.
+func (g *Group[T]) Crash(i int) {
+	rep := g.reps[i]
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if rep.crashed.Load() {
+		return
+	}
+	// Flip the flag first so proposals and reads stop routing here before
+	// the raft node goes down.
+	rep.crashed.Store(true)
+	g.cfg.Net.Crash(rep.id)
+	close(rep.stopCh)
+	rep.cons.Load().Stop()
+	rep.wg.Wait()
+}
+
+// Recover restarts crashed member i: restore the newest intact checkpoint
+// chain into a fresh state machine, rejoin the raft group on the same
+// endpoint, and let the leader re-replicate the log while the group keeps
+// serving. Catch-up is asynchronous by design — the member is a full one
+// again when this returns, still absorbing backfill — so the stats cover
+// the restore; ReplayedBlocks and TipHeight stay zero.
+func (g *Group[T]) Recover(i int) (recovery.Stats, error) {
+	rep := g.reps[i]
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	if !rep.crashed.Load() {
+		return recovery.Stats{}, fmt.Errorf("%s replica %d is not crashed", g.cfg.Label, i)
+	}
+	start := time.Now()
+	skipTo, ckptBytes, err := g.start(rep, true)
+	if err != nil {
+		return recovery.Stats{}, fmt.Errorf("%s replica %d: recover: %w", g.cfg.Label, i, err)
+	}
+	g.cfg.Net.Restart(rep.id)
+	rep.crashed.Store(false)
+	return recovery.Stats{
+		CheckpointHeight: skipTo,
+		CheckpointBytes:  ckptBytes,
+		RestoreDuration:  time.Since(start),
+	}, nil
+}
+
+// Replicas returns the member count.
+func (g *Group[T]) Replicas() int { return len(g.reps) }
+
+// Applied returns the newest raft index member i has applied (or
+// restored); convergence checks poll it.
+func (g *Group[T]) Applied(i int) uint64 { return g.reps[i].applied.Load() }
+
+// State returns member i's current state machine — an abandoned one while
+// the member is crashed.
+func (g *Group[T]) State(i int) *T { return g.reps[i].state.Load() }
+
+// Dump returns member i's complete content in checkpoint-record form. Two
+// members that have applied the same log prefix return byte-identical
+// maps; the crash-equivalence tests compare exactly this.
+func (g *Group[T]) Dump(i int) map[string][]byte {
+	out := make(map[string][]byte)
+	g.cfg.Dump(g.State(i), func(key string, value []byte) {
+		out[key] = bytes.Clone(value)
+	})
+	return out
+}
+
+// Close stops every live member in two passes: every apply loop is told to
+// stop before any raft node is stopped and waited for, so the loops wind
+// down side by side rather than one member after another. Call it once,
+// before closing the network.
+func (g *Group[T]) Close() {
+	for _, rep := range g.reps {
+		rep.mu.Lock()
+		if !rep.crashed.Load() {
+			close(rep.stopCh)
+		}
+		rep.mu.Unlock()
+	}
+	for _, rep := range g.reps {
+		rep.mu.Lock()
+		if !rep.crashed.Load() {
+			rep.cons.Load().Stop()
+			rep.wg.Wait()
+		}
+		rep.mu.Unlock()
+	}
+}

@@ -603,10 +603,12 @@ func (n *node) commitLoop(stop <-chan struct{}) {
 // Decode stage). Ledger height must track the consensus index exactly —
 // block N is always entry N — or the recovery handoff (RecoverNode)
 // could not align a ledger replay with the committed stream; a handle
-// that fails to resolve therefore still passes through as an empty
-// block, while entries at or below skipTo (covered by a just-finished
-// recovery replay) consume their box copy and are dropped, because the
-// replay already appended their ledger blocks.
+// that fails to resolve — or an entry that carries none, as the empty one
+// a new raft leader commits its inherited tail with — therefore still
+// passes through as an empty block, while entries at or below skipTo
+// (covered by a just-finished recovery replay) consume their box copy
+// and are dropped, because the replay already appended their ledger
+// blocks.
 func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
 	n.Delivered.Store(e.Index)
 	var blk *block

@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"dichotomy/internal/txn"
 )
@@ -161,20 +162,23 @@ func readBytes(buf []byte, off *int) ([]byte, bool) {
 // survive a crash — a phaseFinish replicated after the checkpoint height
 // applies against the restored prepared map.
 
-// dump emits the complete shardState content in checkpoint-record form;
-// it matches recovery.ChainWriter's dump signature.
-func (st *shardState) dump(emit func(key string, value []byte, ver txn.Version)) {
+var errBadRecord = errors.New("spanner: bad checkpoint record")
+
+// dump emits the complete shardState content in checkpoint-record form
+// (the shard group's Dump).
+func (st *shardState) dump(emit func(key string, value []byte)) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for k, v := range st.state {
-		emit("s"+k, v, txn.Version{})
+		emit("s"+k, v)
 	}
 	for txID, writes := range st.prepared {
-		emit("p"+txID, encodeWrites(writes), txn.Version{})
+		emit("p"+txID, encodeWrites(writes))
 	}
 }
 
-// restoreRecord routes one checkpoint record back into the maps.
+// restoreRecord routes one checkpoint record back into the maps (the shard
+// group's Restore).
 func (st *shardState) restoreRecord(key string, value []byte) error {
 	if len(key) == 0 {
 		return errBadRecord

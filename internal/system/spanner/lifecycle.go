@@ -1,107 +1,40 @@
 package spanner
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"time"
+import "dichotomy/internal/recovery"
 
-	"dichotomy/internal/recovery"
-	"dichotomy/internal/txn"
-)
-
-var errBadRecord = errors.New("spanner: bad checkpoint record")
-
-// Shard-replica crash/recover lifecycle. The unit of failure is one raft
+// Shard-replica crash/recover surface. The unit of failure is one raft
 // member of one shard — recovery is per-shard log replay on top of that
 // replica's own checkpoint chain, never a global pause. The shard's lock
 // table is client-side coordination state and is untouched by replica
 // crashes, exactly as a lock service survives a storage-replica failure.
+// The lifecycle itself is system.Group's; these forward to it.
 
-// CrashReplica fail-stops one replica of one shard: the network drops
-// its traffic, its consensus member halts, its in-memory state is
-// abandoned. The durable checkpoint chain under DataDir survives. The
-// shard keeps committing as long as a raft quorum remains.
-func (c *Cluster) CrashReplica(shard, replica int) {
-	rep := c.shards[shard].replicas[replica]
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.crashed.Load() {
-		return
-	}
-	// Flip the flag first so proposals and reads stop routing here
-	// before the consensus member goes down.
-	rep.crashed.Store(true)
-	c.net.Crash(rep.id)
-	close(rep.stopCh)
-	rep.cons.Load().Stop()
-	rep.wg.Wait()
-}
+// CrashReplica fail-stops one replica of one shard (system.Group.Crash).
+// The shard keeps committing as long as a raft quorum remains.
+func (c *Cluster) CrashReplica(shard, replica int) { c.shards[shard].Crash(replica) }
 
-// RecoverReplica restarts a crashed replica: restore the newest intact
-// checkpoint chain into fresh state maps (committed values AND prepared
-// 2PC write sets, so an in-flight 2PC decided after the crash still
-// lands), rejoin the raft group on the same endpoint, and let the leader
-// re-replicate the log. Entries at or below the restore height are
-// skipped; everything above applies through the ordinary code path while
-// the shard keeps serving.
-//
-// Catch-up is asynchronous by design — the replica is a full member
-// again when this returns, still absorbing backfill. The stats cover the
-// restore; ReplayedBlocks/TipHeight stay zero.
+// RecoverReplica restarts a crashed replica (system.Group.Recover). What
+// the restored checkpoint holds includes the prepared 2PC write sets, so
+// an in-flight 2PC decided after the crash still lands.
 func (c *Cluster) RecoverReplica(shard, replica int) (recovery.Stats, error) {
-	rep := c.shards[shard].replicas[replica]
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if !rep.crashed.Load() {
-		return recovery.Stats{}, fmt.Errorf("spanner: shard %d replica %d is not crashed", shard, replica)
-	}
-	start := time.Now()
-	skipTo, ckptBytes, err := rep.start(true)
-	if err != nil {
-		return recovery.Stats{}, fmt.Errorf("spanner: recover shard %d replica %d: %w", shard, replica, err)
-	}
-	c.net.Restart(rep.id)
-	rep.crashed.Store(false)
-	return recovery.Stats{
-		CheckpointHeight: skipTo,
-		CheckpointBytes:  ckptBytes,
-		RestoreDuration:  time.Since(start),
-	}, nil
+	return c.shards[shard].Recover(replica)
 }
 
 // Shards returns the shard count (test/experiment surface).
 func (c *Cluster) Shards() int { return len(c.shards) }
 
 // ShardReplicas returns how many replicas shard has.
-func (c *Cluster) ShardReplicas(shard int) int { return len(c.shards[shard].replicas) }
+func (c *Cluster) ShardReplicas(shard int) int { return c.shards[shard].Replicas() }
 
 // ReplicaApplied returns the newest raft index the replica has applied
 // (or restored); convergence checks poll it.
 func (c *Cluster) ReplicaApplied(shard, replica int) uint64 {
-	return c.shards[shard].replicas[replica].applied.Load()
+	return c.shards[shard].Applied(replica)
 }
 
 // DumpShard returns one replica's complete content in checkpoint-record
 // form — committed values ('s' prefix) and prepared 2PC write sets ('p'
-// prefix). Two replicas of the same shard that have applied the same log
-// prefix must return byte-identical maps; the crash-equivalence tests
-// compare exactly this.
+// prefix) (system.Group.Dump).
 func (c *Cluster) DumpShard(shard, replica int) map[string][]byte {
-	out := make(map[string][]byte)
-	st := c.shards[shard].replicas[replica].st.Load()
-	st.dump(func(key string, value []byte, _ txn.Version) {
-		out[key] = append([]byte(nil), value...)
-	})
-	return out
-}
-
-// sortedKeys is shared by tests comparing dumps.
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return c.shards[shard].Dump(replica)
 }

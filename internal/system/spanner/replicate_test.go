@@ -16,13 +16,13 @@ func TestReplicateUnavailableWhenAllReplicasCrashed(t *testing.T) {
 		c.CrashReplica(0, i)
 	}
 	sh := c.shards[0]
-	sh.repl.Deadline = 30 * time.Millisecond
+	sh.Deadline = 30 * time.Millisecond
 	start := time.Now()
 	err := sh.replicate(&shardCmd{phase: phaseApply, writes: []txn.Write{{Key: "a", Value: []byte("v")}}})
 	if err == nil || err.Error() != "spanner: shard unavailable" {
 		t.Fatalf("replicate into a dead shard: %v, want spanner: shard unavailable", err)
 	}
-	if d := time.Since(start); d < sh.repl.Deadline {
-		t.Fatalf("gave up after %v, before the %v deadline", d, sh.repl.Deadline)
+	if d := time.Since(start); d < sh.Deadline {
+		t.Fatalf("gave up after %v, before the %v deadline", d, sh.Deadline)
 	}
 }

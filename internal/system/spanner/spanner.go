@@ -8,20 +8,23 @@
 // temperament: Spanner's pessimistic locking makes conflicting
 // transactions *wait* for locks, while TiDB aborts instantly — under a
 // skewed workload the waiting depresses throughput below TiDB's (Fig 14).
+//
+// How one replica of one shard boots, applies its log, checkpoints, dies
+// and comes back is not Spanner's: each shard's data is a system.Group over
+// a shardState. This package supplies the command set the log carries
+// (codec.go), its application, and everything above — the lock table,
+// wound-wait and the 2PC participants.
 package spanner
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
-	"dichotomy/internal/consensus/raft"
 	"dichotomy/internal/contract"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/recovery"
@@ -73,6 +76,7 @@ func (c Config) withDefaults() Config {
 
 // Cluster is a running deployment.
 type Cluster struct {
+	system.Blocking
 	cfg    Config
 	net    *cluster.Network
 	part   sharding.Partitioner
@@ -90,13 +94,11 @@ var _ system.System = (*Cluster)(nil)
 // is coordination state, held once per shard on the client-facing path —
 // it is not replicated, exactly as a lock leader's in-memory lock table
 // is not. Committed data and prepared 2PC writes ARE replicated: every
-// replica applies the shard log into its own copy (see shardReplica), so
-// any replica can be crashed and rebuilt without touching the others.
+// replica of the embedded group applies the shard log into its own
+// shardState, so any replica can be crashed and rebuilt without touching
+// the others — or the locks.
 type shard struct {
-	idx      int
-	replicas []*shardReplica
-	peers    []cluster.NodeID
-	repl     *system.Replicator
+	*system.Group[shardState]
 
 	lockMu sync.Mutex
 	locks  map[string]uint64 // key → lock-holder tx priority (start ts)
@@ -116,26 +118,6 @@ func newShardState() *shardState {
 		state:    make(map[string][]byte),
 		prepared: make(map[string][]txn.Write),
 	}
-}
-
-// shardReplica is one raft member plus its materialized state. Commands
-// are encoded into the log entries themselves (codec.go), so a replica
-// restarted with an empty log is rebuilt entirely by the leader's
-// re-replication, optionally shortcut by its own checkpoint chain.
-type shardReplica struct {
-	id       cluster.NodeID
-	ep       *cluster.Endpoint
-	shard    *shard
-	ckptOpts recovery.Options // zero Dir disables checkpointing
-
-	cons    atomic.Pointer[raft.Node]
-	st      atomic.Pointer[shardState]
-	applied atomic.Uint64
-
-	mu      sync.Mutex // serializes crash/recover/close transitions
-	crashed atomic.Bool
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
 }
 
 type shardCmd struct {
@@ -164,40 +146,35 @@ func New(cfg Config) *Cluster {
 		coord:  twopc.NewCoordinator(),
 		oracle: tso.New(),
 	}
+	c.Blocking = system.NewBlocking(c.execute)
+	ckpt := recovery.Options{
+		Interval:  cfg.CheckpointInterval,
+		Keep:      cfg.CheckpointKeep,
+		Mode:      cfg.CheckpointMode,
+		FullEvery: cfg.CheckpointFullEvery,
+	}
 	for s := 0; s < cfg.Shards; s++ {
-		sh := &shard{
-			idx:   s,
-			repl:  system.NewReplicator("spanner: shard unavailable", "spanner: apply timeout"),
-			locks: make(map[string]uint64),
-		}
 		peers := make([]cluster.NodeID, cfg.NodesPerShard)
 		for i := range peers {
 			peers[i] = cluster.NodeID(400000 + s*1000 + i)
 		}
-		sh.peers = peers
-		for i, id := range peers {
-			rep := &shardReplica{id: id, ep: c.net.Register(id, 8192), shard: sh}
-			if cfg.DataDir != "" && cfg.CheckpointInterval > 0 {
-				rep.ckptOpts = recovery.Options{
-					Dir: filepath.Join(cfg.DataDir,
-						fmt.Sprintf("shard-%03d", s), fmt.Sprintf("replica-%d", i)),
-					Interval:  cfg.CheckpointInterval,
-					Keep:      cfg.CheckpointKeep,
-					Mode:      cfg.CheckpointMode,
-					FullEvery: cfg.CheckpointFullEvery,
-				}
-			}
-			sh.replicas = append(sh.replicas, rep)
-		}
-		for _, rep := range sh.replicas {
-			if _, _, err := rep.start(false); err != nil {
-				// Only a pre-existing corrupt chain lands here; run
-				// without checkpoints — the raft log still rebuilds.
-				rep.ckptOpts = recovery.Options{}
-				_, _, _ = rep.start(false)
-			}
-		}
-		c.shards = append(c.shards, sh)
+		c.shards = append(c.shards, &shard{
+			Group: system.NewGroup(system.GroupConfig[shardState]{
+				Label:      fmt.Sprintf("spanner: shard %d", s),
+				Net:        c.net,
+				Peers:      peers,
+				DataDir:    cfg.DataDir,
+				Name:       fmt.Sprintf("shard-%03d", s),
+				Checkpoint: ckpt,
+				New:        newShardState,
+				Apply:      applyShardCmd,
+				Dump:       (*shardState).dump,
+				Restore:    (*shardState).restoreRecord,
+				Leaderless: "spanner: shard unavailable",
+				Timeout:    "spanner: apply timeout",
+			}),
+			locks: make(map[string]uint64),
+		})
 	}
 	return c
 }
@@ -209,78 +186,13 @@ func (c *Cluster) Name() string { return "spanner" }
 // cluster's transport — the chaos layer's drop/delay/reorder seam.
 func (c *Cluster) SetFaults(hook cluster.FaultHook) { c.net.SetFaults(hook) }
 
-// start boots (or re-boots) the replica: restore its checkpoint chain
-// when configured, rejoin the raft group on the fixed endpoint, run the
-// apply loop. Entries at or below the restored height are skipped.
-// rejoin distinguishes a post-crash reboot from initial construction: a
-// rebooted replica lost its raft log and must sit out elections until
-// re-replication catches it up (raft.Config.Recovering), while at
-// construction every replica is equally empty and someone has to
-// campaign. Callers hold rep.mu (or are constructing the cluster).
-func (rep *shardReplica) start(rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
-	st := newShardState()
-	var ckpt *recovery.ChainWriter
-	if rep.ckptOpts.Dir != "" {
-		w, err := recovery.OpenChainWriter(rep.ckptOpts)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := w.Restore(func(key string, value []byte, _ txn.Version) error {
-			return st.restoreRecord(key, value)
-		}); err != nil {
-			return 0, 0, err
-		}
-		ckpt, skipTo, ckptBytes = w, w.LastHeight(), w.RestoredBytes()
-	}
-	cons := raft.New(raft.Config{ID: rep.id, Peers: rep.shard.peers, Endpoint: rep.ep, Recovering: rejoin})
-	rep.st.Store(st)
-	rep.cons.Store(cons)
-	rep.applied.Store(skipTo)
-	stopCh := make(chan struct{})
-	rep.stopCh = stopCh
-	rep.wg.Add(1)
-	go rep.applyLoop(cons, st, ckpt, skipTo, stopCh)
-	return skipTo, ckptBytes, nil
-}
-
-// applyLoop applies the shard log into this replica's state. Every
-// replica applies (deterministically — same log prefix, same state) and
-// every replica resolves the request waiter; resolve-once semantics make
-// the duplicates no-ops.
-func (rep *shardReplica) applyLoop(cons *raft.Node, st *shardState, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
-	defer rep.wg.Done()
-	for {
-		select {
-		case <-stopCh:
-			return
-		case e, ok := <-cons.Committed():
-			if !ok {
-				return
-			}
-			if e.Index <= skipTo {
-				continue // covered by the restored checkpoint
-			}
-			reqID, ok := rep.apply(st, e)
-			// Publish the applied index BEFORE resolving the waiter:
-			// readers route to the most-caught-up live replica, so a
-			// resolved request is guaranteed visible to the next read.
-			rep.applied.Store(e.Index)
-			if ok {
-				rep.shard.repl.Resolve(reqID, system.Result{Committed: true})
-			}
-			if ckpt != nil {
-				// Checkpoint failure degrades durability only; the apply
-				// path keeps going and recovery replays more log.
-				_ = ckpt.MaybeCheckpoint(e.Index, st.dump)
-			}
-		}
-	}
-}
-
-func (rep *shardReplica) apply(st *shardState, e consensus.Entry) (reqID uint64, ok bool) {
+// applyShardCmd is the shard group's Apply: one committed command into
+// one replica's state. An entry that does not decode — raft's new-term
+// no-op carries no bytes at all — applies nothing.
+func applyShardCmd(st *shardState, e consensus.Entry) (reqID uint64, res system.Result, ok bool) {
 	cmd, ok := decodeShardCmd(e.Data)
 	if !ok {
-		return 0, false
+		return 0, system.Result{}, false
 	}
 	st.mu.Lock()
 	switch cmd.phase {
@@ -308,24 +220,16 @@ func (rep *shardReplica) apply(st *shardState, e consensus.Entry) (reqID uint64,
 		}
 	}
 	st.mu.Unlock()
-	return cmd.reqID, true
+	return cmd.reqID, system.Result{Committed: true}, true
 }
 
-// replicate sequences a command through the shard's Raft group. The
-// command rides inside the log entry, so the replicated history is
+// replicate sequences a command through the shard's Raft group and waits
+// until a replica has applied it (system.Group.Propose: at least once).
+// The command rides inside the log entry, so the replicated history is
 // self-contained for recovery replay.
 func (sh *shard) replicate(cmd *shardCmd) error {
-	cmd.reqID = sh.repl.NextID()
-	payload := encodeShardCmd(cmd)
-	// Re-propose until the command is applied rather than stall the
-	// client 30s on a lost proposal. Duplicate application is safe: every
-	// replica applies the same log, and a second apply/prepare/finish of
-	// the same command is a deterministic no-op (state writes are
-	// idempotent, a finished prepare is gone).
-	return sh.repl.Do(cmd.reqID, true, len(sh.replicas), func(i int) bool {
-		rep := sh.replicas[i]
-		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
-	}).Err
+	cmd.reqID = sh.NextID()
+	return sh.Propose(cmd.reqID, encodeShardCmd(cmd)).Err
 }
 
 // lockKeys acquires write locks with wound-wait: an older transaction
@@ -367,49 +271,17 @@ func (sh *shard) unlockKeys(keys []string) {
 	sh.lockMu.Unlock()
 }
 
-// read returns the committed value of key from the most-caught-up live
-// replica. Any replica's apply resolves the request waiter, so routing
-// reads to the highest applied index preserves read-your-writes: the
-// resolver is live with applied ≥ the resolved entry, hence so is the
-// maximum.
+// read returns the committed value of key from the shard's freshest live
+// replica; with none live the key reads as absent.
 func (sh *shard) read(key string) ([]byte, bool) {
-	rep := sh.freshestReplica()
-	if rep == nil {
+	st, err := sh.Freshest()
+	if err != nil {
 		return nil, false
 	}
-	st := rep.st.Load()
 	st.mu.Lock()
 	v, ok := st.state[key]
 	st.mu.Unlock()
 	return v, ok
-}
-
-func (sh *shard) freshestReplica() *shardReplica {
-	var best *shardReplica
-	var bestApplied uint64
-	for _, rep := range sh.replicas {
-		if rep.crashed.Load() {
-			continue
-		}
-		if a := rep.applied.Load(); best == nil || a > bestApplied {
-			best, bestApplied = rep, a
-		}
-	}
-	return best
-}
-
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (c *Cluster) Execute(t *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(c, t)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (this system has no mempool-fed path).
-func (c *Cluster) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return c.execute(t) }), nil
 }
 
 // execute is the blocking path: lock → execute → replicate via 2PC.
@@ -551,21 +423,7 @@ func (s *clusterState) GetState(key string) ([]byte, txn.Version, error) {
 func (c *Cluster) Close() {
 	c.closeOne.Do(func() {
 		for _, sh := range c.shards {
-			for _, rep := range sh.replicas {
-				rep.mu.Lock()
-				if !rep.crashed.Load() {
-					close(rep.stopCh)
-				}
-				rep.mu.Unlock()
-			}
-			for _, rep := range sh.replicas {
-				rep.mu.Lock()
-				if !rep.crashed.Load() {
-					rep.cons.Load().Stop()
-					rep.wg.Wait()
-				}
-				rep.mu.Unlock()
-			}
+			sh.Close()
 		}
 		c.net.Close()
 	})

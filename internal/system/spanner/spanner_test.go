@@ -120,7 +120,10 @@ func TestSmallbankConservation(t *testing.T) {
 	for _, sh := range c.shards {
 		// The replica reads are served from: replica 0 may be a follower
 		// still a heartbeat behind the leader that resolved the request.
-		st := sh.freshestReplica().st.Load()
+		st, err := sh.Freshest()
+		if err != nil {
+			t.Fatal(err)
+		}
 		st.mu.Lock()
 		for k, v := range st.state {
 			if len(k) > 4 && (k[:4] == "chk:" || k[:4] == "sav:") {

@@ -157,6 +157,27 @@ func ExecuteViaSubmit(s Submitter, tx *txn.Tx) Result {
 	return h.Wait(context.Background())
 }
 
+// Blocking is System's Execute and Submit for a system whose one execution
+// path blocks (it has no mempool-fed path); the system embeds it. Submit
+// starts that path on its own goroutine, Execute is Submit then Wait.
+type Blocking struct {
+	run func(tx *txn.Tx) Result
+}
+
+// NewBlocking returns the Execute/Submit pair over the blocking path run.
+func NewBlocking(run func(tx *txn.Tx) Result) Blocking { return Blocking{run: run} }
+
+// Execute implements System as the thin Submit+Wait wrapper.
+func (b Blocking) Execute(tx *txn.Tx) Result { return ExecuteViaSubmit(b, tx) }
+
+// Submit implements System; a cancelled ctx is refused before run starts.
+func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return GoSubmit(func() Result { return b.run(tx) }), nil
+}
+
 // PayloadBox passes in-process block payloads through consensus by handle.
 // Consensus data payloads stay small (8-byte handles) while Message.Size
 // still reports true wire sizes for the bandwidth model; this skips

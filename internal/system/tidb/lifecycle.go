@@ -1,91 +1,41 @@
 package tidb
 
-import (
-	"fmt"
-	"time"
+import "dichotomy/internal/recovery"
 
-	"dichotomy/internal/recovery"
-)
-
-// Region-replica crash/recover lifecycle. The unit of failure is one
+// Region-replica crash/recover surface. The unit of failure is one
 // replica of one region — a TiKV store losing one raft member — not a
 // whole-node ledger: recovery is per-region raft-log replay on top of
-// that region's own checkpoint chain, never a global pause.
+// that region's own checkpoint chain, never a global pause. The
+// lifecycle itself is system.Group's; these forward to it.
 
-// CrashReplica fail-stops one replica of one region: the network drops
-// its traffic, its consensus member halts, and its in-memory MVCC store
-// is abandoned. The durable checkpoint chain under DataDir survives,
-// like a process crash that keeps its disk. The region keeps committing
-// as long as a raft quorum of replicas remains.
-func (c *Cluster) CrashReplica(region, replica int) {
-	rep := c.regions[region].replicas[replica]
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if rep.crashed.Load() {
-		return
-	}
-	// Flip the flag first so proposals and reads stop routing here
-	// before the consensus member goes down.
-	rep.crashed.Store(true)
-	c.net.Crash(rep.id)
-	close(rep.stopCh)
-	rep.cons.Load().Stop()
-	rep.wg.Wait()
-}
+// CrashReplica fail-stops one replica of one region (system.Group.Crash).
+// The region keeps committing as long as a raft quorum of replicas
+// remains.
+func (c *Cluster) CrashReplica(region, replica int) { c.regions[region].Crash(replica) }
 
-// RecoverReplica restarts a crashed replica: restore the newest intact
-// checkpoint chain into a fresh MVCC store, rejoin the raft group on
-// the same endpoint, and let the leader re-replicate the log. The apply
-// loop skips entries at or below the restored height (the checkpoint
-// already holds their effects — including live Percolator locks, which
-// the chain serializes) and applies everything above through the
-// ordinary code path, while the region keeps serving.
-//
-// Catch-up is asynchronous by design — the replica is a full cluster
-// member again when this returns, still absorbing backfill. The stats
-// therefore cover the restore; ReplayedBlocks/TipHeight stay zero.
+// RecoverReplica restarts a crashed replica (system.Group.Recover). What
+// the restored checkpoint holds includes live Percolator locks — the
+// chain serializes them — so a commit or rollback replicated after the
+// checkpoint height still finds its lock.
 func (c *Cluster) RecoverReplica(region, replica int) (recovery.Stats, error) {
-	rep := c.regions[region].replicas[replica]
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if !rep.crashed.Load() {
-		return recovery.Stats{}, fmt.Errorf("tidb: region %d replica %d is not crashed", region, replica)
-	}
-	start := time.Now()
-	skipTo, ckptBytes, err := rep.start(true)
-	if err != nil {
-		return recovery.Stats{}, fmt.Errorf("tidb: recover region %d replica %d: %w", region, replica, err)
-	}
-	c.net.Restart(rep.id)
-	rep.crashed.Store(false)
-	return recovery.Stats{
-		CheckpointHeight: skipTo,
-		CheckpointBytes:  ckptBytes,
-		RestoreDuration:  time.Since(start),
-	}, nil
+	return c.regions[region].Recover(replica)
 }
 
 // Regions returns the region count (test/experiment surface).
 func (c *Cluster) Regions() int { return len(c.regions) }
 
 // RegionReplicas returns how many replicas region has.
-func (c *Cluster) RegionReplicas(region int) int { return len(c.regions[region].replicas) }
+func (c *Cluster) RegionReplicas(region int) int { return c.regions[region].Replicas() }
 
 // ReplicaApplied returns the newest raft index the replica has applied
 // (or restored); convergence checks poll it.
 func (c *Cluster) ReplicaApplied(region, replica int) uint64 {
-	return c.regions[region].replicas[replica].applied.Load()
+	return c.regions[region].Applied(replica)
 }
 
 // DumpRegion returns one replica's complete encoded MVCC content —
 // full version chains and any live locks, one deterministic record per
-// key. Two replicas of the same region that have applied the same log
-// prefix must return byte-identical maps; the crash-equivalence tests
-// compare exactly this.
+// key (system.Group.Dump).
 func (c *Cluster) DumpRegion(region, replica int) map[string][]byte {
-	out := make(map[string][]byte)
-	c.regions[region].replicas[replica].store.Load().DumpEntries(func(key string, entry []byte) {
-		out[key] = entry
-	})
-	return out
+	return c.regions[region].Dump(replica)
 }

@@ -1,26 +1,42 @@
 package tidb
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
 
 // With every replica of a key's region down, a write backs off until the
-// deadline and reports the region leaderless. The deadline is the shared
-// 30 s; the test shortens it on the region's Replicator.
+// deadline and reports the region leaderless, and a read reports that no
+// replica is live. The deadline is the shared 30 s; the test shortens it
+// on the region's Replicator.
 func TestProposeLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 	c := clusterUp(t, Config{StorageNodes: 3, Regions: 2})
-	reg := c.regionOf("kv/a")
-	for i := range reg.replicas {
-		c.CrashReplica(reg.idx, i)
+	if err := c.RawPut("kv/a", []byte("v0")); err != nil {
+		t.Fatal(err)
 	}
-	reg.repl.Deadline = 30 * time.Millisecond
+	reg := c.regionOf("kv/a")
+	for i := 0; i < reg.Replicas(); i++ {
+		reg.Crash(i)
+	}
+	reg.Deadline = 30 * time.Millisecond
 	start := time.Now()
 	err := c.RawPut("kv/a", []byte("v"))
 	if err == nil || err.Error() != "tidb: region leaderless" {
 		t.Fatalf("RawPut into a dead region: %v, want tidb: region leaderless", err)
 	}
-	if d := time.Since(start); d < reg.repl.Deadline {
-		t.Fatalf("gave up after %v, before the %v deadline", d, reg.repl.Deadline)
+	if d := time.Since(start); d < reg.Deadline {
+		t.Fatalf("gave up after %v, before the %v deadline", d, reg.Deadline)
+	}
+
+	// Reads have no replica to be served from either: an error naming the
+	// region, not the abandoned store of a dead replica.
+	region := c.part.Shard("kv/a")
+	want := fmt.Sprintf("tidb: region %d has no live replica", region)
+	if v, err := c.RawGet("kv/a"); err == nil || err.Error() != want {
+		t.Fatalf("RawGet from a dead region: %q, %v, want %s", v, err, want)
+	}
+	if _, err := c.NewTxn().Get("kv/a"); err == nil || err.Error() != want {
+		t.Fatalf("Txn.Get from a dead region: %v, want %s", err, want)
 	}
 }

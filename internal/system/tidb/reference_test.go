@@ -292,14 +292,15 @@ func TestReplicasDecodeValueWithoutCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first *byte
-	for i, rep := range c.regions[0].replicas {
-		for deadline := time.Now().Add(10 * time.Second); rep.applied.Load() < 1; {
+	reg := c.regions[0]
+	for i := 0; i < reg.Replicas(); i++ {
+		for deadline := time.Now().Add(10 * time.Second); reg.Applied(i) < 1; {
 			if time.Now().After(deadline) {
 				t.Fatalf("replica %d never applied the entry", i)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		v, err := rep.store.Load().Get("kv/a", ^uint64(0))
+		v, err := reg.State(i).Get("kv/a", ^uint64(0))
 		if err != nil || string(v) != benchValue {
 			t.Fatalf("replica %d: %d bytes, %v", i, len(v), err)
 		}

@@ -8,20 +8,23 @@
 // consensus cost of every write. The Percolator primary-lock latch is the
 // mechanism behind the skew collapse of Fig 9, and per-region 2PC fan-out
 // is the operation-count cost of Fig 10.
+//
+// How one replica of one region boots, applies its log, checkpoints, dies
+// and comes back is not TiDB's: each region is a system.Group over an MVCC
+// store. This package supplies the command set the log carries (codec.go),
+// its application to the store, and everything above — Percolator and the
+// SQL front end.
 package tidb
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
-	"dichotomy/internal/consensus/raft"
 	"dichotomy/internal/contract"
 	"dichotomy/internal/metrics"
 	"dichotomy/internal/mvcc"
@@ -79,11 +82,14 @@ func (c Config) withDefaults() Config {
 
 // Cluster is a running TiDB deployment.
 type Cluster struct {
-	cfg     Config
-	net     *cluster.Network
-	pd      *tso.Oracle
-	part    sharding.Partitioner
-	regions []*region
+	system.Blocking
+	cfg  Config
+	net  *cluster.Network
+	pd   *tso.Oracle
+	part sharding.Partitioner
+	// regions are the Raft-replicated shards of the key space, each one
+	// replicated group whose state machine is an MVCC store.
+	regions []*system.Group[mvcc.Store]
 	rr      atomic.Uint64
 	// gate models the SQL layer's aggregate processing capacity: each
 	// stateless server contributes a fixed number of concurrent statement
@@ -99,40 +105,6 @@ type Cluster struct {
 }
 
 var _ system.System = (*Cluster)(nil)
-
-// region is one Raft-replicated shard of the key space.
-type region struct {
-	idx      int
-	replicas []*regionReplica
-	peers    []cluster.NodeID
-	repl     *system.Replicator
-}
-
-// regionReplica is one node's copy of a region: a raft member plus the
-// MVCC store the raft log applies into. Replicated commands are encoded
-// directly into log entries (see codec.go), so the log is
-// self-contained: a replica restarted with an empty log is fully
-// rebuilt by the leader's re-replication, and one restored from a
-// checkpoint chain just skips the prefix the checkpoint covers.
-//
-// cons and store are swapped atomically by crash/recover while reads
-// and proposals keep flowing; mu serializes the lifecycle transitions
-// themselves.
-type regionReplica struct {
-	id       cluster.NodeID
-	ep       *cluster.Endpoint
-	region   *region
-	ckptOpts recovery.Options // zero Dir disables checkpointing
-
-	cons    atomic.Pointer[raft.Node]
-	store   atomic.Pointer[mvcc.Store]
-	applied atomic.Uint64 // newest applied raft index (checkpoint height)
-
-	mu      sync.Mutex // serializes crash/recover/close transitions
-	crashed atomic.Bool
-	stopCh  chan struct{}
-	wg      sync.WaitGroup
-}
 
 // regionCmd is the replicated storage command.
 type regionCmd struct {
@@ -167,12 +139,18 @@ func New(cfg Config) *Cluster {
 		part: sharding.HashPartitioner{N: cfg.Regions},
 		gate: make(chan struct{}, cfg.Servers*slotsPerServer),
 	}
+	c.Blocking = system.NewBlocking(c.execute)
 	replicasPer := cfg.ReplicationFactor
 	if replicasPer <= 0 || replicasPer > cfg.StorageNodes {
 		replicasPer = cfg.StorageNodes // full replication
 	}
+	ckpt := recovery.Options{
+		Interval:  cfg.CheckpointInterval,
+		Keep:      cfg.CheckpointKeep,
+		Mode:      cfg.CheckpointMode,
+		FullEvery: cfg.CheckpointFullEvery,
+	}
 	for r := 0; r < cfg.Regions; r++ {
-		reg := &region{idx: r, repl: system.NewReplicator("tidb: region leaderless", "tidb: region apply timeout")}
 		peers := make([]cluster.NodeID, replicasPer)
 		for i := range peers {
 			// Spread region replicas across storage nodes round-robin;
@@ -181,35 +159,20 @@ func New(cfg Config) *Cluster {
 			node := (r + i) % cfg.StorageNodes
 			peers[i] = cluster.NodeID(100000 + r*1000 + node)
 		}
-		reg.peers = peers
-		for i, id := range peers {
-			rep := &regionReplica{
-				id:     id,
-				ep:     c.net.Register(id, 8192),
-				region: reg,
-			}
-			if cfg.DataDir != "" && cfg.CheckpointInterval > 0 {
-				rep.ckptOpts = recovery.Options{
-					Dir: filepath.Join(cfg.DataDir,
-						fmt.Sprintf("region-%03d", r), fmt.Sprintf("replica-%d", i)),
-					Interval:  cfg.CheckpointInterval,
-					Keep:      cfg.CheckpointKeep,
-					Mode:      cfg.CheckpointMode,
-					FullEvery: cfg.CheckpointFullEvery,
-				}
-			}
-			reg.replicas = append(reg.replicas, rep)
-		}
-		for _, rep := range reg.replicas {
-			if _, _, err := rep.start(false); err != nil {
-				// A pre-existing corrupt chain directory is the only way
-				// here; run without checkpoints rather than fail — the
-				// raft log still fully rebuilds the replica.
-				rep.ckptOpts = recovery.Options{}
-				_, _, _ = rep.start(false)
-			}
-		}
-		c.regions = append(c.regions, reg)
+		c.regions = append(c.regions, system.NewGroup(system.GroupConfig[mvcc.Store]{
+			Label:      fmt.Sprintf("tidb: region %d", r),
+			Net:        c.net,
+			Peers:      peers,
+			DataDir:    cfg.DataDir,
+			Name:       fmt.Sprintf("region-%03d", r),
+			Checkpoint: ckpt,
+			New:        mvcc.NewStore,
+			Apply:      applyRegionCmd,
+			Dump:       (*mvcc.Store).DumpEntries,
+			Restore:    (*mvcc.Store).SetEntry,
+			Leaderless: "tidb: region leaderless",
+			Timeout:    "tidb: region apply timeout",
+		}))
 	}
 	return c
 }
@@ -225,110 +188,21 @@ func (c *Cluster) SetFaults(hook cluster.FaultHook) { c.net.SetFaults(hook) }
 func (c *Cluster) Close() {
 	c.closeOne.Do(func() {
 		for _, reg := range c.regions {
-			for _, rep := range reg.replicas {
-				rep.mu.Lock()
-				if !rep.crashed.Load() {
-					close(rep.stopCh)
-				}
-				rep.mu.Unlock()
-			}
-			for _, rep := range reg.replicas {
-				rep.mu.Lock()
-				if !rep.crashed.Load() {
-					rep.cons.Load().Stop()
-					rep.wg.Wait()
-				}
-				rep.mu.Unlock()
-			}
+			reg.Close()
 		}
 		c.net.Close()
 	})
 }
 
 // regionOf routes a key.
-func (c *Cluster) regionOf(key string) *region {
+func (c *Cluster) regionOf(key string) *system.Group[mvcc.Store] {
 	return c.regions[c.part.Shard(key)]
 }
 
-// start boots (or re-boots) the replica: restore its checkpoint chain
-// when one is configured, join the raft group on the replica's fixed
-// endpoint, and run the apply loop. Entries at or below the restored
-// height are skipped — their effects are already in the checkpoint —
-// and everything above arrives through the leader's ordinary log
-// re-replication. rejoin distinguishes a post-crash reboot from initial
-// construction: a rebooted replica lost its raft log and must sit out
-// elections until re-replication catches it up (raft.Config.Recovering),
-// while at construction every replica is equally empty and someone has
-// to campaign. Callers hold rr.mu (or are constructing the cluster).
-func (rr *regionReplica) start(rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
-	store := mvcc.NewStore()
-	var ckpt *recovery.ChainWriter
-	if rr.ckptOpts.Dir != "" {
-		w, err := recovery.OpenChainWriter(rr.ckptOpts)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := w.Restore(func(key string, value []byte, _ txn.Version) error {
-			return store.SetEntry(key, value)
-		}); err != nil {
-			return 0, 0, err
-		}
-		ckpt, skipTo, ckptBytes = w, w.LastHeight(), w.RestoredBytes()
-	}
-	cons := raft.New(raft.Config{ID: rr.id, Peers: rr.region.peers, Endpoint: rr.ep, Recovering: rejoin})
-	rr.store.Store(store)
-	rr.cons.Store(cons)
-	rr.applied.Store(skipTo)
-	stopCh := make(chan struct{})
-	rr.stopCh = stopCh
-	rr.wg.Add(1)
-	go rr.applyLoop(cons, store, ckpt, skipTo, stopCh)
-	return skipTo, ckptBytes, nil
-}
-
-// applyLoop applies committed region commands to the replica's MVCC store.
-// The command outcome is deterministic given the log prefix, so every
-// replica computes the same result; the replica that holds the waiter
-// resolves it. All loop state is passed by value so a crash/recover
-// swap of the replica's cons/store never races a stale loop.
-func (rr *regionReplica) applyLoop(cons *raft.Node, store *mvcc.Store, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
-	defer rr.wg.Done()
-	for {
-		select {
-		case <-stopCh:
-			return
-		case e, ok := <-cons.Committed():
-			if !ok {
-				return
-			}
-			if e.Index <= skipTo {
-				// Covered by the restored checkpoint; re-applying would
-				// double-append versions.
-				continue
-			}
-			reqID, res, ok := rr.apply(store, e)
-			// Publish the applied index BEFORE resolving the waiter:
-			// reads route to the most-caught-up live replica, so a
-			// resolved request is guaranteed visible to the next read.
-			rr.applied.Store(e.Index)
-			if ok {
-				rr.region.repl.Resolve(reqID, res)
-			}
-			if ckpt != nil {
-				// A failed checkpoint write only degrades durability —
-				// recovery falls back to a longer log replay — so the
-				// apply path keeps going.
-				_ = ckpt.MaybeCheckpoint(e.Index, func(emit func(key string, value []byte, ver txn.Version)) {
-					store.DumpEntries(func(key string, entry []byte) {
-						emit(key, entry, txn.Version{})
-					})
-				})
-			}
-		}
-	}
-}
-
-func (rr *regionReplica) apply(store *mvcc.Store, e consensus.Entry) (reqID uint64, res system.Result, ok bool) {
+// applyRegionCmd is the region group's Apply: one committed command into
+// one replica's MVCC store. An entry that does not decode — raft's
+// new-term no-op carries no bytes at all — applies nothing.
+func applyRegionCmd(store *mvcc.Store, e consensus.Entry) (reqID uint64, res system.Result, ok bool) {
 	cmd, ok := decodeRegionCmd(e.Data)
 	if !ok {
 		return 0, system.Result{}, false
@@ -349,45 +223,28 @@ func (rr *regionReplica) apply(store *mvcc.Store, e consensus.Entry) (reqID uint
 	return cmd.reqID, system.Result{Committed: err == nil, Err: err}, true
 }
 
-// propose replicates a command through the region's raft group and waits
-// for its application outcome. The command is encoded into the log entry
-// itself, so the replicated history is self-contained — the property
-// region recovery replays against.
-func (reg *region) propose(cmd *regionCmd) error {
-	cmd.reqID = reg.repl.NextID()
-	payload := encodeRegionCmd(cmd)
-	// Re-propose until the command is applied: waiting on a lost proposal
-	// alone would stall the client 30s and — worse — leave a prewritten
-	// Percolator lock dangling forever. Duplicate application is safe:
-	// every replica applies the same log, and a second
-	// prewrite/commit/rollback of the same (key, startTS) is a
-	// deterministic no-op or error whose result no waiter observes.
-	return reg.repl.Do(cmd.reqID, true, len(reg.replicas), func(i int) bool {
-		rep := reg.replicas[i]
-		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
-	}).Err
+// propose replicates a command through its key's region and waits for its
+// application outcome (system.Group.Propose: at least once). The command is
+// encoded into the log entry itself, so the replicated history is
+// self-contained — the property region recovery replays against.
+func (c *Cluster) propose(cmd *regionCmd) error {
+	reg := c.regionOf(cmd.key)
+	cmd.reqID = reg.NextID()
+	return reg.Propose(cmd.reqID, encodeRegionCmd(cmd)).Err
 }
 
-// leaderStore returns the current leader replica's MVCC store for reads.
-func (reg *region) leaderStore() *mvcc.Store {
-	// Route reads to the most-caught-up live replica. Any replica's
-	// apply resolves the request waiter (after publishing its applied
-	// index), so the maximum applied index is ≥ every resolved entry —
-	// read-your-writes holds without waiting for an election.
-	var best *regionReplica
-	var bestApplied uint64
-	for _, rep := range reg.replicas {
-		if rep.crashed.Load() {
-			continue
-		}
-		if a := rep.applied.Load(); best == nil || a > bestApplied {
-			best, bestApplied = rep, a
-		}
+// get reads key at snapshot ts from the freshest live replica of its
+// region; a key with no version visible at ts reads as nil.
+func (c *Cluster) get(key string, ts uint64) ([]byte, error) {
+	store, err := c.regionOf(key).Freshest()
+	if err != nil {
+		return nil, err
 	}
-	if best == nil {
-		return reg.replicas[0].store.Load()
+	v, err := store.Get(key, ts)
+	if errors.Is(err, mvcc.ErrNotFound) {
+		return nil, nil
 	}
-	return best.store.Load()
+	return v, err
 }
 
 // --- the SQL/transaction front end ---
@@ -451,12 +308,7 @@ func (s *Session) compile(sql string, trace *metrics.Trace) (Stmt, Plan, error) 
 
 // read performs a snapshot point read at a fresh timestamp.
 func (c *Cluster) read(key string) ([]byte, error) {
-	ts := c.pd.Next()
-	v, err := c.regionOf(key).leaderStore().Get(key, ts)
-	if errors.Is(err, mvcc.ErrNotFound) {
-		return nil, nil
-	}
-	return v, err
+	return c.get(key, c.pd.Next())
 }
 
 // Txn is an interactive optimistic transaction (snapshot isolation,
@@ -487,10 +339,8 @@ func (t *Txn) Get(key string) ([]byte, error) {
 	if v, ok := t.reads[key]; ok {
 		return v, nil
 	}
-	v, err := t.c.regionOf(key).leaderStore().Get(key, t.startTS)
-	if errors.Is(err, mvcc.ErrNotFound) {
-		v = nil
-	} else if err != nil {
+	v, err := t.c.get(key, t.startTS)
+	if err != nil {
 		return nil, err
 	}
 	t.reads[key] = v
@@ -536,7 +386,7 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 		wg.Add(1)
 		go func(i int, w txn.Write) {
 			defer wg.Done()
-			prewriteErrs[i] = t.c.regionOf(w.Key).propose(&regionCmd{
+			prewriteErrs[i] = t.c.propose(&regionCmd{
 				kind: cmdPrewrite, key: w.Key, value: w.Value,
 				del: w.Value == nil, startTS: t.startTS, primary: primary,
 			})
@@ -549,7 +399,7 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 		}
 		// Roll back everything we may have locked and abort.
 		for _, w := range t.writes {
-			_ = t.c.regionOf(w.Key).propose(&regionCmd{
+			_ = t.c.propose(&regionCmd{
 				kind: cmdRollback, key: w.Key, startTS: t.startTS,
 			})
 		}
@@ -564,7 +414,7 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	// Commit point: the primary key's commit record decides the
 	// transaction. This is the serialized latch of Fig 9.
 	commitTS := t.c.pd.Next()
-	if err := t.c.regionOf(primary).propose(&regionCmd{
+	if err := t.c.propose(&regionCmd{
 		kind: cmdCommit, key: primary, startTS: t.startTS, commitTS: commitTS,
 	}); err != nil {
 		t.c.Aborts.Inc()
@@ -573,7 +423,7 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	// Secondaries commit after the decision; failures here cannot undo it
 	// (Percolator resolves them lazily; we apply them synchronously).
 	for _, w := range t.writes[1:] {
-		_ = t.c.regionOf(w.Key).propose(&regionCmd{
+		_ = t.c.propose(&regionCmd{
 			kind: cmdCommit, key: w.Key, startTS: t.startTS, commitTS: commitTS,
 		})
 	}
@@ -584,20 +434,6 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 var ErrConflict = errors.New("tidb: transaction conflict")
 
 // --- system.System adapter ---
-
-// Execute implements system.System as the thin Submit+Wait wrapper.
-func (c *Cluster) Execute(t *txn.Tx) system.Result {
-	return system.ExecuteViaSubmit(c, t)
-}
-
-// Submit implements system.System by running the blocking path on its own
-// goroutine (this system has no mempool-fed path).
-func (c *Cluster) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func() system.Result { return c.execute(t) }), nil
-}
 
 // execute translates the generic invocation into SQL statements, exactly
 // as the YCSB/OLTPBench drivers do.
@@ -806,7 +642,7 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 // and TiDB.
 func (c *Cluster) RawPut(key string, value []byte) error {
 	ts := c.pd.Next()
-	return c.regionOf(key).propose(&regionCmd{
+	return c.propose(&regionCmd{
 		kind: cmdRawPut, key: key, value: value,
 		startTS: ts, commitTS: c.pd.Next(),
 	})
@@ -822,7 +658,9 @@ func (c *Cluster) RawGet(key string) ([]byte, error) {
 func (c *Cluster) StateBytes() int64 {
 	var total int64
 	for _, reg := range c.regions {
-		total += reg.replicas[0].store.Load().Bytes()
+		if store, err := reg.Freshest(); err == nil {
+			total += store.Bytes()
+		}
 	}
 	return total
 }

@@ -177,8 +177,7 @@ func TestFailedPrewriteRollsBackEverything(t *testing.T) {
 	blocker := c.NewTxn()
 	blocker.Write("kv/locked", []byte("x"))
 	// Manually prewrite without committing to keep the lock held.
-	reg := c.regionOf("kv/locked")
-	if err := reg.propose(&regionCmd{kind: cmdPrewrite, key: "kv/locked",
+	if err := c.propose(&regionCmd{kind: cmdPrewrite, key: "kv/locked",
 		value: []byte("x"), startTS: blocker.startTS, primary: "kv/locked"}); err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,11 @@ func TestFailedPrewriteRollsBackEverything(t *testing.T) {
 		t.Fatal("commit through a foreign lock succeeded")
 	}
 	// The free key must not be left locked.
-	if c.regionOf("kv/free").leaderStore().Locked("kv/free") {
+	store, err := c.regionOf("kv/free").Freshest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if store.Locked("kv/free") {
 		t.Fatal("rollback leaked a lock")
 	}
 }

@@ -158,7 +158,7 @@ func (rc *ReplicatedCoordinator) pump() {
 				return
 			}
 			if len(e.Data) < 2 {
-				continue
+				continue // not a decision: e.g. a new leader's empty entry
 			}
 			d := Decision(e.Data[0])
 			txID := string(e.Data[1:])
