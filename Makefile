@@ -21,8 +21,8 @@ lint:
 	go build -o $(LINT_BIN) ./cmd/dichotomy-lint
 	go vet -vettool=$(LINT_BIN) ./...
 
-# Same 30s-per-target smoke CI runs; for a real campaign raise
-# -fuzztime or drop it entirely.
+# The CI fuzz-smoke job runs this target itself, so there is one target
+# list: 30s each. For a real campaign raise -fuzztime or drop it entirely.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTxUnmarshal$$' -fuzztime=30s ./internal/txn/
 	go test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime=30s ./internal/recovery/

@@ -27,18 +27,10 @@ func Fig9(w io.Writer, sc Scale, thetas []float64) {
 			func() (system.System, error) { return BuildEtcd(3), nil },
 		}
 		for _, build := range builds {
-			sys, err := build()
-			if err != nil {
-				Row(w, "-", "build-error", err.Error())
-				continue
-			}
-			if err := PreloadYCSB(sys, cfg, client); err != nil {
-				sys.Close()
-				continue
-			}
-			r := RunYCSB(sys, cfg, sc, 0, client)
-			Row(w, sys.Name(), theta, r.TPS, r.AbortRate())
-			sys.Close()
+			ycsbPoint(w, build, cfg, client, []any{theta}, func(sys system.System) {
+				r := RunYCSB(sys, cfg, sc, 0, client)
+				Row(w, sys.Name(), theta, r.TPS, r.AbortRate())
+			})
 		}
 	}
 }
@@ -63,21 +55,13 @@ func Fig10(w io.Writer, sc Scale, opCounts []int) {
 			func() (system.System, error) { return BuildTiDB(3, 3), nil },
 		}
 		for _, build := range builds {
-			sys, err := build()
-			if err != nil {
-				Row(w, "-", "build-error", err.Error())
-				continue
-			}
-			if err := PreloadYCSB(sys, cfg, client); err != nil {
-				sys.Close()
-				continue
-			}
-			r := RunYCSB(sys, cfg, sc, 0, client)
-			Row(w, sys.Name(), ops, r.TPS, r.AbortRate(),
-				r.AbortBy["read-write-conflict"],
-				r.AbortBy["inconsistent-read"],
-				r.AbortBy["write-write-conflict"])
-			sys.Close()
+			ycsbPoint(w, build, cfg, client, []any{ops}, func(sys system.System) {
+				r := RunYCSB(sys, cfg, sc, 0, client)
+				Row(w, sys.Name(), ops, r.TPS, r.AbortRate(),
+					r.AbortBy["read-write-conflict"],
+					r.AbortBy["inconsistent-read"],
+					r.AbortBy["write-write-conflict"])
+			})
 		}
 	}
 }
@@ -101,25 +85,17 @@ func Fig11(w io.Writer, sc Scale, sizes []int) {
 			func() (system.System, error) { return BuildEtcd(3), nil },
 		}
 		for _, build := range builds {
-			sys, err := build()
-			if err != nil {
-				Row(w, "-", "build-error", err.Error())
-				continue
-			}
-			if err := PreloadYCSB(sys, cfg, client); err != nil {
-				sys.Close()
-				continue
-			}
-			r := RunYCSB(sys, cfg, sc, 0, client)
-			if _, isQuorum := sys.(*quorum.Network); isQuorum {
-				Row(w, sys.Name(), size, r.TPS,
-					PhaseMean(r, PhaseProposal),
-					PhaseMean(r, PhaseExecute),
-					PhaseMean(r, PhaseCommit))
-			} else {
-				Row(w, sys.Name(), size, r.TPS, "-", "-", "-")
-			}
-			sys.Close()
+			ycsbPoint(w, build, cfg, client, []any{size}, func(sys system.System) {
+				r := RunYCSB(sys, cfg, sc, 0, client)
+				if _, isQuorum := sys.(*quorum.Network); isQuorum {
+					Row(w, sys.Name(), size, r.TPS,
+						PhaseMean(r, PhaseProposal),
+						PhaseMean(r, PhaseExecute),
+						PhaseMean(r, PhaseCommit))
+				} else {
+					Row(w, sys.Name(), size, r.TPS, "-", "-", "-")
+				}
+			})
 		}
 	}
 }

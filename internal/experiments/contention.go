@@ -33,18 +33,10 @@ func Contention(w io.Writer, sc Scale, workerCounts []int) {
 	}
 	for _, build := range builds {
 		for _, workers := range workerCounts {
-			sys, err := build()
-			if err != nil {
-				Row(w, "-", workers, "build-error", err.Error())
-				continue
-			}
-			if err := PreloadYCSB(sys, cfg, client); err != nil {
-				sys.Close()
-				continue
-			}
-			r := RunYCSB(sys, cfg, sc, workers, client)
-			Row(w, sys.Name(), workers, r.TPS, r.Latency.P50, r.Latency.P99, r.AbortRate())
-			sys.Close()
+			ycsbPoint(w, build, cfg, client, []any{workers}, func(sys system.System) {
+				r := RunYCSB(sys, cfg, sc, workers, client)
+				Row(w, sys.Name(), workers, r.TPS, r.Latency.P50, r.Latency.P99, r.AbortRate())
+			})
 		}
 	}
 }

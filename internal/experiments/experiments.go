@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dichotomy/internal/bench"
@@ -168,6 +169,28 @@ func PreloadYCSB(sys system.System, cfg ycsb.Config, client *cryptoutil.Signer) 
 		txs = append(txs, t)
 	}
 	return bench.Preload(sys, txs, 16)
+}
+
+// builder assembles one system under test.
+type builder func() (system.System, error)
+
+// ycsbPoint measures one data point of a sweep: it builds a system,
+// preloads cfg's key space, hands the system to run — which prints the
+// point's row — and closes it. A build or a preload that fails prints a row
+// saying which and why, under the point's own leading columns, so a sweep
+// never comes up a point short without a word.
+func ycsbPoint(w io.Writer, build builder, cfg ycsb.Config, client *cryptoutil.Signer, point []any, run func(sys system.System)) {
+	sys, err := build()
+	if err != nil {
+		Row(w, slices.Concat([]any{"-"}, point, []any{"build-error", err.Error()})...)
+		return
+	}
+	defer sys.Close()
+	if err := PreloadYCSB(sys, cfg, client); err != nil {
+		Row(w, slices.Concat([]any{sys.Name()}, point, []any{"preload-error", err.Error()})...)
+		return
+	}
+	run(sys)
 }
 
 // BenchOptions builds the closed-loop harness options for sc; workers ≤ 0

@@ -11,10 +11,6 @@ import (
 	"dichotomy/internal/workload/ycsb"
 )
 
-// builder assembles one system under test; a constructor failure is
-// reported as a row rather than panicking the sweep.
-type builder func() (system.System, error)
-
 // fig4Systems builds the five systems of the peak-performance comparison.
 func fig4Systems(sc Scale, client *cryptoutil.Signer) []builder {
 	return []builder{
@@ -36,22 +32,13 @@ func Fig4(w io.Writer, sc Scale) {
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
 
 	for _, build := range fig4Systems(sc, client) {
-		sys, err := build()
-		if err != nil {
-			Row(w, "-", "build-error", err.Error())
-			continue
-		}
-		if err := PreloadYCSB(sys, cfg, client); err != nil {
-			Row(w, sys.Name(), "preload-error", err.Error())
-			sys.Close()
-			continue
-		}
-		update := RunYCSB(sys, cfg, sc, 0, client)
-		queryCfg := cfg
-		queryCfg.ReadFraction = 1
-		query := RunYCSB(sys, queryCfg, sc, 0, client)
-		Row(w, sys.Name(), update.TPS, query.TPS)
-		sys.Close()
+		ycsbPoint(w, build, cfg, client, nil, func(sys system.System) {
+			update := RunYCSB(sys, cfg, sc, 0, client)
+			queryCfg := cfg
+			queryCfg.ReadFraction = 1
+			query := RunYCSB(sys, queryCfg, sc, 0, client)
+			Row(w, sys.Name(), update.TPS, query.TPS)
+		})
 	}
 }
 
@@ -64,21 +51,14 @@ func Fig5(w io.Writer, sc Scale) {
 	client := Client()
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
 	for _, build := range fig4Systems(sc, client) {
-		sys, err := build()
-		if err != nil {
-			continue
-		}
-		if err := PreloadYCSB(sys, cfg, client); err != nil {
-			sys.Close()
-			continue
-		}
-		update := RunYCSB(sys, cfg, sc, 1, client)
-		queryCfg := cfg
-		queryCfg.ReadFraction = 1
-		query := RunYCSB(sys, queryCfg, sc, 1, client)
-		Row(w, sys.Name(), update.Latency.Mean, update.Latency.P99,
-			query.Latency.Mean, query.Latency.P99)
-		sys.Close()
+		ycsbPoint(w, build, cfg, client, nil, func(sys system.System) {
+			update := RunYCSB(sys, cfg, sc, 1, client)
+			queryCfg := cfg
+			queryCfg.ReadFraction = 1
+			query := RunYCSB(sys, queryCfg, sc, 1, client)
+			Row(w, sys.Name(), update.Latency.Mean, update.Latency.P99,
+				query.Latency.Mean, query.Latency.P99)
+		})
 	}
 }
 

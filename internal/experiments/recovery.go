@@ -95,6 +95,7 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 				const crashed = 1
 				ck := nw.Checkpointer(crashed)
 				ck.Flush()
+				ckptErr := ck.LastErr()
 				ckpts, _, written := ck.Totals()
 				_, totalPauseNs := ck.PauseNs()
 				pauseAvg := time.Duration(0)
@@ -122,6 +123,11 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 					verified := "ok"
 					if !sameStores(nw.State(0), nw.State(crashed)) {
 						verified = "DIVERGED"
+					}
+					if ckptErr != nil {
+						// A checkpoint that failed to land shows otherwise
+						// only as fewer bytes written and more blocks replayed.
+						verified += " checkpoint-error: " + ckptErr.Error()
 					}
 					Row(w, mode.String(), int(interval), int(tip), ckpts, written, pauseAvg,
 						int(crashHeight), int(stats.CheckpointHeight), int(stats.ReplayedBlocks),

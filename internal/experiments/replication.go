@@ -56,20 +56,14 @@ func Fig8(w io.Writer, sc Scale) {
 		{"unsaturated", 1},
 		{"saturated", sc.Workers * 4},
 	} {
-		sys, err := BuildFabric(sc.Nodes, client)
-		if err != nil {
-			continue
-		}
-		if err := PreloadYCSB(sys, cfg, client); err != nil {
-			sys.Close()
-			continue
-		}
-		r := RunYCSB(sys, cfg, sc, load.workers, client)
-		Row(w, load.name,
-			PhaseMean(r, PhaseProposal), // endorsement round = execute phase
-			PhaseMean(r, PhaseOrder),
-			PhaseMean(r, PhaseValidate))
-		sys.Close()
+		build := func() (system.System, error) { return BuildFabric(sc.Nodes, client) }
+		ycsbPoint(w, build, cfg, client, []any{load.name}, func(sys system.System) {
+			r := RunYCSB(sys, cfg, sc, load.workers, client)
+			Row(w, load.name,
+				PhaseMean(r, PhaseProposal), // endorsement round = execute phase
+				PhaseMean(r, PhaseOrder),
+				PhaseMean(r, PhaseValidate))
+		})
 	}
 
 	Header(w, "Fig 8b: query latency breakdown")
@@ -114,18 +108,10 @@ func Table4(w io.Writer, sc Scale, nodeCounts []int) {
 			func() (system.System, error) { return BuildEtcd(n), nil },
 		}
 		for _, build := range builds {
-			sys, err := build()
-			if err != nil {
-				Row(w, "-", n, "build-error", err.Error())
-				continue
-			}
-			if err := PreloadYCSB(sys, cfg, client); err != nil {
-				sys.Close()
-				continue
-			}
-			r := RunYCSB(sys, cfg, sc, 0, client)
-			Row(w, sys.Name(), n, r.TPS)
-			sys.Close()
+			ycsbPoint(w, build, cfg, client, []any{n}, func(sys system.System) {
+				r := RunYCSB(sys, cfg, sc, 0, client)
+				Row(w, sys.Name(), n, r.TPS)
+			})
 		}
 	}
 }

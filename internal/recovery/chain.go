@@ -1,155 +1,332 @@
 package recovery
 
 import (
-	"bytes"
 	"fmt"
+	"os"
 	"slices"
 
+	"dichotomy/internal/state"
 	"dichotomy/internal/txn"
 )
 
-// This file generalizes the full+delta checkpoint chain beyond
-// state.Store. TiDB region replicas and Spanner shard replicas carry
-// their durable state in component-specific structures (an MVCC version
-// store, a plain replicated map), yet their crash/recover lifecycles
-// need exactly the chain format PR 5 built: full snapshots, linked
-// deltas, CRC-verified files, corrupt-file fallback, whole-chain
-// pruning. ChainWriter exposes that machinery over a dump callback —
-// the component serializes itself however it likes; the writer owns
-// diffing, folding, file layout, and pruning.
+// A checkpoint chain is one full snapshot plus the deltas that link onto
+// it, each naming the checkpoint it applies on top of. This file is the
+// chain itself — what gets written next, how a chain is loaded back, what
+// may be pruned — under the two writers the package doc describes.
 
-// ChainWriter maintains one on-disk checkpoint chain for a component
-// that can dump its complete logical content as key → (value, version)
-// records. It is NOT safe for concurrent use: systems call it from the
-// single goroutine that applies the component's mutations, which also
-// makes the dump race-free by construction.
-type ChainWriter struct {
-	opts Options
-	// prev is the content of the newest checkpoint — the base the next
-	// delta diffs against. Held in memory: the components using this
-	// writer are per-region/per-shard slices of state, far smaller than
-	// a whole node's store.
-	prev map[string]chainEntry
-	last uint64
-	// restoredBytes is the checkpoint-file volume Open read; recovery
-	// stats report it.
-	restoredBytes int64
-	hasFull       bool
-	sinceFull     int
+// chainEntry is one key's state in a materialized chain: the value and
+// version the chain's newest covering file assigned it.
+type chainEntry struct {
+	value []byte
+	ver   txn.Version
 }
 
-// OpenChainWriter loads the newest intact chain in opts.Dir (if any) and
-// returns a writer seeded with it: LastHeight reports the restore point
-// and Restore feeds its content to the caller. Corrupt files degrade the
-// restore point exactly as Restore for stores does — an intact prefix,
-// never a torn or partial state.
-func OpenChainWriter(opts Options) (*ChainWriter, error) {
-	opts = opts.withDefaults()
-	if opts.Interval == 0 {
-		opts.Interval = 1
+// overlay applies one file's entries over a materialized chain state: live
+// entries replace, tombstones delete.
+func overlay(m map[string]chainEntry, entries []entry) {
+	for _, e := range entries {
+		if e.live {
+			m[e.key] = chainEntry{value: e.value, ver: e.ver}
+		} else {
+			delete(m, e.key)
+		}
 	}
-	m, tip, bytesRead, err := loadChain(opts.Dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("recovery: open chain %s: %w", opts.Dir, err)
-	}
-	if m == nil {
-		m = make(map[string]chainEntry)
-	}
-	return &ChainWriter{
-		opts:          opts,
-		prev:          m,
-		last:          tip,
-		restoredBytes: bytesRead,
-		hasFull:       tip > 0,
-	}, nil
 }
 
-// LastHeight returns the height of the newest checkpoint — on a fresh
-// open, the restore point (0 when no checkpoint exists).
-func (w *ChainWriter) LastHeight() uint64 { return w.last }
-
-// RestoredBytes returns the checkpoint bytes read when the writer was
-// opened.
-func (w *ChainWriter) RestoredBytes() int64 { return w.restoredBytes }
-
-// Restore feeds every entry of the loaded restore point to apply, in
-// sorted key order. Call it once, right after OpenChainWriter, before
-// the component starts applying new mutations.
-func (w *ChainWriter) Restore(apply func(key string, value []byte, ver txn.Version) error) error {
-	keys := make([]string, 0, len(w.prev))
-	for k := range w.prev {
+// sortedKeys returns a materialized chain state's keys in order. Whatever
+// is built from a chain — a restored store, a folded full — is built in
+// this order, so the same chain always yields identical bytes.
+func sortedKeys(m map[string]chainEntry) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	for _, k := range keys {
-		e := w.prev[k]
-		if err := apply(k, e.value, e.ver); err != nil {
-			return err
-		}
-	}
-	return nil
+	return keys
 }
 
-// MaybeCheckpoint writes a checkpoint when height has advanced at least
-// Interval past the previous one; otherwise it is a cheap no-op. dump
-// must emit the component's complete logical content as of height; the
-// writer copies values, so the component may reuse buffers.
-func (w *ChainWriter) MaybeCheckpoint(height uint64, dump func(emit func(key string, value []byte, ver txn.Version))) error {
-	if height < w.last+w.opts.Interval {
-		return nil
-	}
-	return w.Checkpoint(height, dump)
+// stepKind is what a chain takes next.
+type stepKind int
+
+const (
+	// stepFull starts a chain with a full snapshot.
+	stepFull stepKind = iota
+	// stepFold cuts a chain short, after FullEvery-1 deltas, with a full
+	// snapshot again.
+	stepFold
+	// stepDelta extends the chain by the changes since base.
+	stepDelta
+)
+
+// step is one planned checkpoint.
+type step struct {
+	kind         stepKind
+	height, base uint64
 }
 
-// Checkpoint writes one checkpoint at height unconditionally (unless
-// height has not advanced past the last one). The chain's first
-// checkpoint and, in delta mode, every FullEvery-th one are full
-// snapshots; the rest are deltas diffed against the previous content.
-func (w *ChainWriter) Checkpoint(height uint64, dump func(emit func(key string, value []byte, ver txn.Version))) error {
-	if height <= w.last {
-		return nil
+// chain is one directory's checkpoint chain as its writer sees it. It owns
+// the decision what to write next, the counters behind it, and pruning; its
+// writer owns where the records come from and which goroutine does the
+// work.
+type chain struct {
+	opts Options // defaults applied; read-only once the writer runs
+	// tip is the height of the newest checkpoint taken, the base the next
+	// delta links to; until the chain is seeded there is none, and the next
+	// checkpoint is a chain-seeding full.
+	tip       uint64
+	seeded    bool
+	sinceFull int
+}
+
+// due reports whether height is a full interval past the chain's tip.
+func (c *chain) due(height uint64) bool { return height >= c.tip+c.opts.Interval }
+
+// plan says what a checkpoint at height would be. It changes nothing:
+// advance commits the step once its writer knows it is taken.
+func (c *chain) plan(height uint64) step {
+	s := step{kind: stepDelta, height: height, base: c.tip}
+	switch {
+	case c.opts.Mode == ModeFull || !c.seeded:
+		s.kind = stepFull
+	case c.sinceFull+1 >= c.opts.FullEvery:
+		s.kind = stepFold
 	}
-	cur := make(map[string]chainEntry, len(w.prev))
-	dump(func(key string, value []byte, ver txn.Version) {
-		cur[key] = chainEntry{value: bytes.Clone(value), ver: ver}
-	})
-	full := w.opts.Mode == ModeFull || !w.hasFull || w.sinceFull+1 >= w.opts.FullEvery
-	if full {
-		if _, err := writeFullFromMap(w.opts.Dir, height, cur); err != nil {
-			return err
-		}
-		w.hasFull = true
-		w.sinceFull = 0
+	return s
+}
+
+func (c *chain) advance(s step) {
+	c.tip, c.seeded = s.height, true
+	if s.kind == stepDelta {
+		c.sinceFull++
 	} else {
-		if _, err := writeDelta(w.opts.Dir, height, w.last, diffChain(w.prev, cur)); err != nil {
-			return err
-		}
-		w.sinceFull++
+		c.sinceFull = 0
 	}
-	w.prev = cur
-	w.last = height
-	pruneChains(w.opts.Dir, w.opts.Keep)
-	return nil
 }
 
-// diffChain computes the delta entries that turn prev into cur: changed
-// and new keys as live records, vanished keys as tombstones, sorted so
-// delta files are deterministic.
-func diffChain(prev, cur map[string]chainEntry) []deltaEntry {
-	var out []deltaEntry
-	for k, e := range cur {
-		if p, ok := prev[k]; ok && p.ver == e.ver && bytes.Equal(p.value, e.value) {
+// complete materializes the whole state at s.height for a writer that holds
+// only the entries changed since s.base. On a step that starts a chain they
+// are the whole state — whatever the writer tracks changes of, it has
+// tracked from empty; on a fold they overlay the chain on disk up to s.base.
+func (c *chain) complete(s step, changed []entry) (map[string]chainEntry, error) {
+	m := make(map[string]chainEntry)
+	if s.kind == stepFold {
+		var tip uint64
+		var err error
+		m, tip, _, err = loadChain(c.opts.Dir, s.base)
+		if err == nil && tip != s.base {
+			err = fmt.Errorf("recovery: compaction chain tip %d, want %d", tip, s.base)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	overlay(m, changed)
+	return m, nil
+}
+
+// recordSource puts one file's records, in file order.
+type recordSource func(put func(entry))
+
+// changedRecords is a delta's source: the entries changed since its base.
+func changedRecords(changed []entry) recordSource {
+	return func(put func(entry)) {
+		for _, e := range changed {
+			put(e)
+		}
+	}
+}
+
+// stateRecords is a full's source when the complete state is a map.
+func stateRecords(m map[string]chainEntry) recordSource {
+	return func(put func(entry)) {
+		for _, k := range sortedKeys(m) {
+			e := m[k]
+			put(entry{key: k, value: e.value, ver: e.ver, live: true})
+		}
+	}
+}
+
+// write puts a planned step on disk — the entries changed since s.base for
+// a delta, the complete state at s.height for anything else — and prunes
+// what the new file makes unnecessary. It returns the file's size.
+func (c *chain) write(s step, records recordSource) (int64, error) {
+	f := chainFile{height: s.height}
+	if s.kind == stepDelta {
+		f.base, f.delta = s.base, true
+	}
+	w := newFileEncoder(f)
+	records(w.put)
+	n, err := w.commit(c.opts.Dir)
+	if err != nil {
+		return 0, err
+	}
+	pruneChains(c.opts.Dir, c.opts.Keep)
+	return n, nil
+}
+
+// loadChain materializes the newest intact checkpoint chain with tip ≤
+// upto (0 means no limit): the newest loadable full snapshot plus every
+// delta that links onto it, applied in chain order. A corrupt or
+// truncated delta ends the chain there — the intact prefix still
+// restores, and replay covers the difference; a corrupt full falls back
+// to the next older full's chain. Returns the materialized state, the
+// chain's tip height, and the total file bytes read. With no full
+// snapshot at all it returns (nil, 0, 0, nil); with fulls present but
+// none intact, an error.
+func loadChain(dir string, upto uint64) (map[string]chainEntry, uint64, int64, error) {
+	if upto == 0 {
+		upto = ^uint64(0)
+	}
+	files, err := listChain(dir)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	var fulls []chainFile
+	deltasByBase := make(map[uint64][]chainFile)
+	for _, f := range files {
+		if f.height > upto {
 			continue
 		}
-		out = append(out, deltaEntry{key: k, value: e.value, ver: e.ver, live: true})
-	}
-	for k := range prev {
-		if _, ok := cur[k]; !ok {
-			out = append(out, deltaEntry{key: k, live: false})
+		if f.delta {
+			deltasByBase[f.base] = append(deltasByBase[f.base], f)
+		} else {
+			fulls = append(fulls, f)
 		}
 	}
-	slices.SortFunc(out, func(a, b deltaEntry) int {
-		return bytes.Compare([]byte(a.key), []byte(b.key))
-	})
-	return out
+
+	var lastErr error
+	for i := len(fulls) - 1; i >= 0; i-- {
+		m := make(map[string]chainEntry)
+		var tip uint64
+		var bytesRead int64
+		// extend applies one file on top of the chain so far; the file must
+		// be what its name says it is.
+		extend := func(f chainFile) bool {
+			hdr, entries, size, err := readFile(f.path(dir))
+			if err == nil && hdr != f {
+				err = fmt.Errorf("recovery: %s: header says %+v", f.path(dir), hdr)
+			}
+			if err != nil {
+				lastErr = err
+				return false
+			}
+			overlay(m, entries)
+			tip, bytesRead = f.height, bytesRead+size
+			return true
+		}
+		if !extend(fulls[i]) {
+			continue // corrupt full: fall back to the previous chain
+		}
+		for {
+			next, ok := nextDelta(deltasByBase[tip], tip)
+			// A corrupt mid-chain delta keeps the intact prefix. The
+			// restore lands at a lower height and replay covers the rest,
+			// exactly like falling back to an older checkpoint.
+			if !ok || !extend(next) {
+				return m, tip, bytesRead, nil
+			}
+		}
+	}
+	if lastErr != nil {
+		return nil, 0, 0, fmt.Errorf("recovery: no intact checkpoint (newest failure: %w)", lastErr)
+	}
+	return nil, 0, 0, nil
+}
+
+// nextDelta picks the chain's successor among the deltas based at tip:
+// the lowest height above tip. Stale files from a pre-crash incarnation
+// can leave several deltas with the same base; the lowest is the
+// immediate successor (and replay determinism makes the contents of
+// same-height incarnations value-identical anyway).
+func nextDelta(candidates []chainFile, tip uint64) (chainFile, bool) {
+	var best chainFile
+	found := false
+	for _, f := range candidates {
+		if f.height <= tip {
+			continue
+		}
+		if !found || f.height < best.height {
+			best, found = f, true
+		}
+	}
+	return best, found
+}
+
+// Restore loads the newest intact checkpoint chain in dir with tip ≤
+// maxHeight (0 means no limit) into st, which must be empty, and returns
+// the chain's tip height and the total checkpoint bytes read. Corrupt
+// fulls fall back to the previous chain; a corrupt mid-chain delta
+// truncates the chain to its intact prefix. With no usable checkpoint it
+// returns height 0 and a nil error — recovery then replays from genesis.
+func Restore(st *state.Store, dir string, maxHeight uint64) (uint64, int64, error) {
+	m, tip, bytesRead, err := loadChain(dir, maxHeight)
+	if err != nil || tip == 0 {
+		return 0, 0, err
+	}
+	keys := sortedKeys(m)
+	block := make([]state.VersionedWrite, 0, min(len(keys), 1024))
+	for len(keys) > 0 {
+		n := min(len(keys), 1024)
+		block = block[:0]
+		for _, k := range keys[:n] {
+			e := m[k]
+			if e.value == nil {
+				e.value = []byte{} // a nil write would read as a deletion
+			}
+			block = append(block, state.VersionedWrite{
+				Write:   txn.Write{Key: k, Value: e.value},
+				Version: e.ver,
+			})
+		}
+		if err := st.ApplyBlock(block); err != nil {
+			return 0, 0, err
+		}
+		keys = keys[n:]
+	}
+	return tip, bytesRead, nil
+}
+
+// pruneChains removes old checkpoint files, retaining the newest keep
+// files and then extending retention downward along chain links: the
+// full snapshot a retained delta (transitively) applies on top of is
+// never deleted, so pruning keeps whole chains and never orphans a
+// delta.
+func pruneChains(dir string, keep int) {
+	files, err := listChain(dir)
+	if err != nil || len(files) <= keep {
+		return
+	}
+	retained := files[len(files)-keep:]
+	// Collect the heights the retained files depend on by walking delta
+	// bases transitively. A base may itself be a delta (whose own base
+	// extends the walk) or a full (which roots the chain).
+	byHeight := make(map[uint64][]chainFile, len(files))
+	for _, f := range files {
+		byHeight[f.height] = append(byHeight[f.height], f)
+	}
+	needed := make(map[uint64]bool)
+	var walk func(h uint64)
+	walk = func(h uint64) {
+		if h == 0 || needed[h] {
+			return
+		}
+		needed[h] = true
+		for _, f := range byHeight[h] {
+			if f.delta {
+				walk(f.base)
+			}
+		}
+	}
+	for _, f := range retained {
+		needed[f.height] = true
+		if f.delta {
+			walk(f.base)
+		}
+	}
+	for _, f := range files[:len(files)-keep] {
+		if needed[f.height] {
+			continue
+		}
+		os.Remove(f.path(dir))
+	}
 }

@@ -3,24 +3,22 @@ package recovery
 import (
 	"fmt"
 	"testing"
-
-	"dichotomy/internal/txn"
 )
 
 // chainModel is the "component" under test: a plain map the test
 // mutates between checkpoints.
 type chainModel map[string]string
 
-func (m chainModel) dump(emit func(key string, value []byte, ver txn.Version)) {
+func (m chainModel) dump(emit func(key string, value []byte)) {
 	for k, v := range m {
-		emit(k, []byte(v), txn.Version{})
+		emit(k, []byte(v))
 	}
 }
 
 func restoreModel(t *testing.T, w *ChainWriter) chainModel {
 	t.Helper()
 	got := chainModel{}
-	if err := w.Restore(func(key string, value []byte, ver txn.Version) error {
+	if err := w.Restore(func(key string, value []byte) error {
 		got[key] = string(value)
 		return nil
 	}); err != nil {

@@ -18,17 +18,21 @@
 //     system-supplied apply function — systems pass closures over their
 //     live pipeline stages, so recovery exercises the exact validate/
 //     apply code of normal operation against a ledger or shared-log tail.
+//
+// Each decision lives in one place. file.go is the one codec for the two
+// kinds of checkpoint file, which share a layout. chain.go is the chain: a
+// full snapshot plus the deltas linking onto it — what is written next,
+// how a chain loads back, what may be pruned. Two writers feed it, and
+// differ only in their traffic: Checkpointer (this file) hands over a
+// store's dirty set and leaves the file work to a worker goroutine;
+// ChainWriter (chainwriter.go) serves components that are not a store — a
+// TiDB region, a Spanner shard — by diffing each complete dump against the
+// previous one, synchronously on the goroutine that applies their log.
 package recovery
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -36,229 +40,26 @@ import (
 	"dichotomy/internal/txn"
 )
 
-// Checkpoint file layout (all integers big-endian):
-//
-//	magic [6] | height u64 | count u64 |
-//	count × ( klen u32 | key | vlen u32 | value | blockNum u64 | txNum u32 ) |
-//	crc u32  (IEEE, over everything before it)
-//
-// Files are written to <height>-named temp files and atomically renamed,
-// so a crash mid-checkpoint leaves at most a stray .tmp, never a torn
-// checkpoint under the real name.
-var ckptMagic = [6]byte{'D', 'C', 'K', 'P', 'T', '1'}
-
-func ckptPath(dir string, height uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("ckpt-%016d.ckpt", height))
+// storeRecords is a full's source when the complete state is a store: its
+// committed values and versions, in the engine's key order. The caller must
+// guarantee the store sits at a block boundary for the duration — the
+// committer goroutine between blocks, or a quiesced store.
+func storeRecords(st *state.Store) recordSource {
+	return func(put func(entry)) {
+		st.Dump(func(key string, value []byte, ver txn.Version) bool {
+			put(entry{key: key, value: value, ver: ver, live: true})
+			return true
+		})
+	}
 }
 
 // WriteCheckpoint serializes st's committed values and versions at the
-// given height into dir and returns the file's size in bytes. The caller
-// must guarantee the store sits at a block boundary for the duration —
-// the committer goroutine between blocks, or a quiesced store.
+// given height into dir as a full snapshot, pruning nothing, and returns
+// the file's size in bytes. st must sit at a block boundary (storeRecords).
 func WriteCheckpoint(dir string, height uint64, st *state.Store) (int64, error) {
-	return writeFullFile(dir, height, func(put func(key string, value []byte, ver txn.Version)) {
-		st.Dump(func(key string, value []byte, ver txn.Version) bool {
-			put(key, value, ver)
-			return true
-		})
-	})
-}
-
-// writeFullFile writes one full-format checkpoint file: emit is called
-// once and puts every record; one pass buffers the records (the count
-// lands in the header before them), then header, records, and CRC stream
-// to a temp file that is renamed into place.
-func writeFullFile(dir string, height uint64, emit func(put func(key string, value []byte, ver txn.Version))) (int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("recovery: mkdir: %w", err)
-	}
-
-	var records bytes.Buffer
-	count := uint64(0)
-	var rec [12]byte
-	emit(func(key string, value []byte, ver txn.Version) {
-		binary.BigEndian.PutUint32(rec[:4], uint32(len(key)))
-		records.Write(rec[:4])
-		records.WriteString(key)
-		binary.BigEndian.PutUint32(rec[:4], uint32(len(value)))
-		records.Write(rec[:4])
-		records.Write(value)
-		binary.BigEndian.PutUint64(rec[0:8], ver.BlockNum)
-		binary.BigEndian.PutUint32(rec[8:12], ver.TxNum)
-		records.Write(rec[:12])
-		count++
-	})
-
-	var hdr [6 + 8 + 8]byte
-	copy(hdr[:6], ckptMagic[:])
-	binary.BigEndian.PutUint64(hdr[6:14], height)
-	binary.BigEndian.PutUint64(hdr[14:22], count)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(records.Bytes())
-
-	path := ckptPath(dir, height)
-	return writeAtomic(path, func(w *bufio.Writer) {
-		w.Write(hdr[:])
-		w.Write(records.Bytes())
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-		w.Write(tail[:])
-	})
-}
-
-// writeAtomic streams body to path via a synced temp file and atomic
-// rename, returning the bytes written. A crash mid-write leaves at most
-// a stray .tmp, never a torn file under the real name.
-func writeAtomic(path string, body func(w *bufio.Writer)) (int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("recovery: create %s: %w", path, err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	body(w)
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
-}
-
-// loadCheckpoint streams one checkpoint file's records to fn after
-// verifying magic and, at the end, the CRC. fn is called as records are
-// read; a corrupt file can therefore deliver a prefix before the error —
-// callers must buffer and discard everything delivered before a non-nil
-// return (Restore applies nothing until the whole file verified).
-func loadCheckpoint(path string, fn func(key string, value []byte, ver txn.Version) error) (uint64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	// The CRC must cover exactly the bytes before the trailer, so hash on
-	// consumption rather than teeing the (read-ahead) buffered reader.
-	crc := crc32.NewIEEE()
-	r := bufio.NewReaderSize(f, 1<<16)
-	readFull := func(buf []byte) error {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		crc.Write(buf)
-		return nil
-	}
-
-	var hdr [6 + 8 + 8]byte
-	if err := readFull(hdr[:]); err != nil {
-		return 0, fmt.Errorf("recovery: %s: short header: %w", path, err)
-	}
-	if [6]byte(hdr[:6]) != ckptMagic {
-		return 0, fmt.Errorf("recovery: %s: bad magic", path)
-	}
-	height := binary.BigEndian.Uint64(hdr[6:14])
-	count := binary.BigEndian.Uint64(hdr[14:22])
-	// A corrupt length must not trigger a huge allocation; every record is
-	// at least 20 bytes, and no key or value exceeds 1 GiB (same bound as
-	// the WAL).
-	info, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	if count > uint64(info.Size())/20 {
-		return 0, fmt.Errorf("recovery: %s: implausible record count %d", path, count)
-	}
-	checkLen := func(n uint32, what string) error {
-		if int64(n) > info.Size() || n > 1<<30 {
-			return fmt.Errorf("recovery: %s: implausible %s length %d", path, what, n)
-		}
-		return nil
-	}
-
-	var lenBuf [4]byte
-	var verBuf [12]byte
-	for i := uint64(0); i < count; i++ {
-		if err := readFull(lenBuf[:]); err != nil {
-			return 0, fmt.Errorf("recovery: %s: truncated at record %d: %w", path, i, err)
-		}
-		klen := binary.BigEndian.Uint32(lenBuf[:])
-		if err := checkLen(klen, "key"); err != nil {
-			return 0, err
-		}
-		key := make([]byte, klen)
-		if err := readFull(key); err != nil {
-			return 0, fmt.Errorf("recovery: %s: truncated key at record %d: %w", path, i, err)
-		}
-		if err := readFull(lenBuf[:]); err != nil {
-			return 0, fmt.Errorf("recovery: %s: truncated at record %d: %w", path, i, err)
-		}
-		vlen := binary.BigEndian.Uint32(lenBuf[:])
-		if err := checkLen(vlen, "value"); err != nil {
-			return 0, err
-		}
-		value := make([]byte, vlen)
-		if err := readFull(value); err != nil {
-			return 0, fmt.Errorf("recovery: %s: truncated value at record %d: %w", path, i, err)
-		}
-		if err := readFull(verBuf[:]); err != nil {
-			return 0, fmt.Errorf("recovery: %s: truncated version at record %d: %w", path, i, err)
-		}
-		ver := txn.Version{
-			BlockNum: binary.BigEndian.Uint64(verBuf[0:8]),
-			TxNum:    binary.BigEndian.Uint32(verBuf[8:12]),
-		}
-		if err := fn(string(key), value, ver); err != nil {
-			return 0, err
-		}
-	}
-	// The trailer sits outside the checksummed region.
-	want := crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, fmt.Errorf("recovery: %s: missing crc: %w", path, err)
-	}
-	if binary.BigEndian.Uint32(tail[:]) != want {
-		return 0, fmt.Errorf("recovery: %s: crc mismatch", path)
-	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return 0, fmt.Errorf("recovery: %s: trailing bytes", path)
-	}
-	return height, nil
-}
-
-// Checkpoints lists the full-snapshot heights present in dir, ascending
-// (a filter over listChain, the one place checkpoint filenames are
-// parsed).
-func Checkpoints(dir string) ([]uint64, error) {
-	files, err := listChain(dir)
-	if err != nil {
-		return nil, err
-	}
-	var heights []uint64
-	for _, f := range files {
-		if !f.delta {
-			heights = append(heights, f.height)
-		}
-	}
-	return heights, nil
+	w := newFileEncoder(chainFile{height: height})
+	storeRecords(st)(w.put)
+	return w.commit(dir)
 }
 
 // Mode selects the checkpoint strategy.
@@ -325,20 +126,11 @@ func (o Options) withDefaults() Options {
 }
 
 // deltaJob is one materialized checkpoint handed from the committer to
-// the worker: the dirty entries as of height, already copied, so the
-// worker never touches the store.
+// the worker: the planned step and the dirty entries as of its height,
+// already copied, so the worker never touches the store.
 type deltaJob struct {
-	height uint64
-	base   uint64 // previous checkpoint height this delta applies on top of
-	// seedFull marks the chain's first checkpoint: the dirty set covers
-	// every key the store ever committed (dirt accumulates from store
-	// creation, and restore itself re-dirties what it loads), so the
-	// entries ARE the full state and are written as a full snapshot.
-	seedFull bool
-	// compact folds the on-disk chain up to base with the new entries
-	// into a fresh full snapshot at height.
-	compact bool
-	entries []deltaEntry
+	step
+	entries []entry
 }
 
 // Checkpointer writes periodic checkpoints of a store. Systems call
@@ -350,17 +142,11 @@ type deltaJob struct {
 // stalls for a disk write. PauseNs reports the measured commit-path
 // stall per checkpoint in both modes.
 type Checkpointer struct {
-	st   *state.Store
-	opts Options
+	st *state.Store
 
-	mu   sync.Mutex
-	cond *sync.Cond // signals the worker and Flush waiters
-	last uint64
-	// base/haveBase track the on-disk chain tip the next delta links to;
-	// haveBase == false makes the next checkpoint a chain-seeding full.
-	base                      uint64
-	haveBase                  bool
-	sinceFull                 int
+	mu                        sync.Mutex
+	cond                      *sync.Cond // signals the worker and Flush waiters
+	chain                     chain      // counters under mu; the worker reads opts only
 	count                     int
 	lastBytes, totalBytes     int64
 	lastPauseNs, totalPauseNs int64
@@ -382,14 +168,14 @@ func NewCheckpointer(st *state.Store, opts Options) (*Checkpointer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("recovery: mkdir: %w", err)
 	}
-	c := &Checkpointer{st: st, opts: opts}
+	c := &Checkpointer{st: st, chain: chain{opts: opts}}
 	c.cond = sync.NewCond(&c.mu)
 	if opts.Mode == ModeDelta {
 		// Dirty tracking is opt-in on the store (non-checkpointing runs
 		// skip the bookkeeping); a delta checkpointer must see every
 		// write from here on. Callers construct the checkpointer before
 		// traffic — recovery enables tracking even earlier, before the
-		// restore's writes (see RebuildStore).
+		// restore's writes (see RestoreCheckpointer).
 		st.EnableDirtyTracking()
 		c.wg.Add(1)
 		go c.runWorker()
@@ -397,11 +183,33 @@ func NewCheckpointer(st *state.Store, opts Options) (*Checkpointer, error) {
 	return c, nil
 }
 
-// Dir returns the checkpoint directory.
-func (c *Checkpointer) Dir() string { return c.opts.Dir }
-
-// Mode returns the checkpoint mode.
-func (c *Checkpointer) Mode() Mode { return c.opts.Mode }
+// RestoreCheckpointer begins a recovery's storage half: it loads the
+// newest intact checkpoint chain in opts.Dir with tip ≤ maxHeight (0 =
+// newest; a crash at height c means only checkpoints at or below c exist)
+// into st, which must be empty, and binds a fresh checkpointer to it. The
+// stats carry the restore half; the caller replays the replicated tail
+// above stats.CheckpointHeight.
+func RestoreCheckpointer(st *state.Store, opts Options, maxHeight uint64) (*Checkpointer, Stats, error) {
+	var stats Stats
+	start := time.Now()
+	if opts.Mode == ModeDelta {
+		// Enabled before the restore so the restored keys land in the
+		// dirty set: restore itself goes through ApplyBlock, so the set
+		// covers everything it applied.
+		st.EnableDirtyTracking()
+	}
+	var err error
+	stats.CheckpointHeight, stats.CheckpointBytes, err = Restore(st, opts.Dir, maxHeight)
+	if err != nil {
+		return nil, stats, err
+	}
+	// The fresh checkpointer's chain is unseeded, so its first delta-mode
+	// checkpoint is a chain-seeding full built from that dirty set — it
+	// never links onto stale pre-crash files above the restored height.
+	ckpt, err := NewCheckpointer(st, opts)
+	stats.RestoreDuration = time.Since(start)
+	return ckpt, stats, err
+}
 
 // MaybeCheckpoint takes a checkpoint if height has advanced a full
 // interval past the last one. It reports whether a checkpoint was
@@ -410,7 +218,7 @@ func (c *Checkpointer) Mode() Mode { return c.opts.Mode }
 // test) observe the failure.
 func (c *Checkpointer) MaybeCheckpoint(height uint64) (bool, error) {
 	c.mu.Lock()
-	due := height >= c.last+c.opts.Interval
+	due := c.chain.due(height)
 	c.mu.Unlock()
 	if !due {
 		return false, nil
@@ -421,73 +229,53 @@ func (c *Checkpointer) MaybeCheckpoint(height uint64) (bool, error) {
 // Checkpoint takes a checkpoint at height unconditionally. In full mode
 // the whole store is serialized and pruned synchronously; in delta mode
 // the dirty set is materialized and handed to the worker. Either way the
-// store's dirty set resets — the next delta accumulates from here.
+// store's dirty set resets — the next delta accumulates from here — and
+// the pause recorded is the work that stayed on the caller, the committer.
 func (c *Checkpointer) Checkpoint(height uint64) error {
-	if c.opts.Mode == ModeDelta {
-		return c.deltaCheckpoint(height)
-	}
+	delta := c.chain.opts.Mode == ModeDelta
 	start := time.Now()
-	n, err := WriteCheckpoint(c.opts.Dir, height, c.st)
-	c.st.ResetDirty() // a full checkpoint covers everything dirtied so far
-	pause := time.Since(start).Nanoseconds()
+	c.mu.Lock()
+	s := c.chain.plan(height)
+	c.mu.Unlock()
+	var entries []entry
+	var n int64
+	var err error
+	if delta {
+		c.st.DumpDirty(func(key string, value []byte, ver txn.Version, live bool) bool {
+			e := entry{key: key, ver: ver, live: live}
+			if live {
+				// The store may reuse or mutate the backing slice after the
+				// next block commits; the job needs a stable copy.
+				e.value = append([]byte(nil), value...)
+			}
+			entries = append(entries, e)
+			return true
+		})
+	} else {
+		n, err = c.chain.write(s, storeRecords(c.st))
+	}
+	c.st.ResetDirty()
+
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if delta && c.closed {
+		err = fmt.Errorf("recovery: checkpointer closed") // and its worker gone
+	}
+	pause := time.Since(start).Nanoseconds()
 	c.lastPauseNs, c.totalPauseNs = pause, c.totalPauseNs+pause
 	if err != nil {
 		c.lastErr = err
 		return err
 	}
-	c.last, c.base, c.haveBase = height, height, true
+	c.chain.advance(s)
 	c.count++
-	c.lastBytes = n
-	c.totalBytes += n
-	pruneChains(c.opts.Dir, c.opts.Keep)
-	return nil
-}
-
-// deltaCheckpoint materializes the dirty set on the caller (the
-// committer) and enqueues it; the measured pause covers exactly the
-// work that stays on the commit path.
-func (c *Checkpointer) deltaCheckpoint(height uint64) error {
-	start := time.Now()
-	var entries []deltaEntry
-	c.st.DumpDirty(func(key string, value []byte, ver txn.Version, live bool) bool {
-		e := deltaEntry{key: key, ver: ver, live: live}
-		if live {
-			// The store may reuse or mutate the backing slice after the
-			// next block commits; the job needs a stable copy.
-			e.value = append([]byte(nil), value...)
-		}
-		entries = append(entries, e)
-		return true
-	})
-	c.st.ResetDirty()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		err := fmt.Errorf("recovery: checkpointer closed")
-		c.lastErr = err
-		return err
+	if delta {
+		c.jobs = append(c.jobs, deltaJob{step: s, entries: entries})
+		c.cond.Broadcast()
+	} else {
+		c.lastBytes = n
+		c.totalBytes += n
 	}
-	job := deltaJob{height: height, base: c.base, entries: entries}
-	switch {
-	case !c.haveBase:
-		job.seedFull = true
-		c.sinceFull = 0
-	case c.sinceFull+1 >= c.opts.FullEvery:
-		job.compact = true
-		c.sinceFull = 0
-	default:
-		c.sinceFull++
-	}
-	c.base, c.haveBase = height, true
-	c.last = height
-	c.count++
-	c.jobs = append(c.jobs, job)
-	pause := time.Since(start).Nanoseconds()
-	c.lastPauseNs, c.totalPauseNs = pause, c.totalPauseNs+pause
-	c.cond.Broadcast()
 	return nil
 }
 
@@ -518,46 +306,28 @@ func (c *Checkpointer) runWorker() {
 		} else {
 			c.lastBytes = n
 			c.totalBytes += n
-			pruneChains(c.opts.Dir, c.opts.Keep)
 		}
 		c.cond.Broadcast()
 	}
 }
 
-// writeJob turns one materialized dirty set into a file: a chain-seeding
-// full, a compacted full (chain fold + overlay), or a plain delta. A
-// failed fold degrades to a plain delta — the chain keeps extending and
-// the fold error is retained for LastErr.
+// writeJob turns one materialized dirty set into a file. The chain's first
+// dirty set is the complete state: dirt accumulates from store creation,
+// and a restore re-dirties what it loads. A failed fold degrades to a plain
+// delta — the chain keeps extending and the fold error is retained for
+// LastErr.
 func (c *Checkpointer) writeJob(job deltaJob) (int64, error) {
-	dir := c.opts.Dir
-	if job.seedFull {
-		m := make(map[string]chainEntry, len(job.entries))
-		overlayEntries(m, job.entries)
-		return writeFullFromMap(dir, job.height, m)
-	}
-	if job.compact {
-		m, tip, _, err := loadChain(dir, job.base)
-		if err == nil && tip != job.base {
-			err = fmt.Errorf("recovery: compaction chain tip %d, want %d", tip, job.base)
+	if job.kind != stepDelta {
+		m, err := c.chain.complete(job.step, job.entries)
+		if err == nil {
+			return c.chain.write(job.step, stateRecords(m))
 		}
-		if err != nil {
-			n, werr := writeDelta(dir, job.height, job.base, job.entries)
-			if werr != nil {
-				return 0, werr
-			}
-			c.noteErr(fmt.Errorf("recovery: compaction fold failed, wrote delta instead: %w", err))
-			return n, nil
-		}
-		overlayEntries(m, job.entries)
-		return writeFullFromMap(dir, job.height, m)
+		job.kind = stepDelta
+		c.mu.Lock()
+		c.lastErr = fmt.Errorf("recovery: compaction fold failed, wrote delta instead: %w", err)
+		c.mu.Unlock()
 	}
-	return writeDelta(dir, job.height, job.base, job.entries)
-}
-
-func (c *Checkpointer) noteErr(err error) {
-	c.mu.Lock()
-	c.lastErr = err
-	c.mu.Unlock()
+	return c.chain.write(job.step, changedRecords(job.entries))
 }
 
 // Flush blocks until every enqueued delta job has been written to disk
@@ -593,7 +363,7 @@ func (c *Checkpointer) Close() {
 func (c *Checkpointer) LastHeight() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.last
+	return c.chain.tip
 }
 
 // LastErr returns the most recent checkpoint failure, if any.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dichotomy/internal/state"
-	"dichotomy/internal/storage"
 	"dichotomy/internal/storage/memdb"
 	"dichotomy/internal/txn"
 )
@@ -454,12 +453,12 @@ func TestFullModeStillPrunesByCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	heights, err := Checkpoints(dir)
+	files, err := listChain(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(heights) != 2 || heights[0] != 4 || heights[1] != 5 {
-		t.Fatalf("retained %v, want [4 5]", heights)
+	if len(files) != 2 || files[0] != (chainFile{height: 4}) || files[1] != (chainFile{height: 5}) {
+		t.Fatalf("retained %+v, want fulls at 4 and 5", files)
 	}
 }
 
@@ -500,20 +499,13 @@ func TestDeltaRebuildStoreReseedsChain(t *testing.T) {
 	c.Flush()
 
 	// Crash with only checkpoints ≤ 2 surviving the rewind.
-	st, ckpt, stats, err := RebuildStore(RebuildConfig{
-		OldCkpt:       c,
-		Open:          func() (storage.Engine, error) { return memdb.New(), nil },
-		CkptDir:       ckptDir,
-		Interval:      1,
-		Keep:          1 << 20,
-		Mode:          ModeDelta,
-		FullEvery:     1 << 20,
-		MaxCkptHeight: 2,
-	})
+	c.Close()
+	st := state.New(memdb.New(), 0)
+	defer st.Close()
+	ckpt, stats, err := RestoreCheckpointer(st, Options{Dir: ckptDir, Interval: 1, Keep: 1 << 20, Mode: ModeDelta, FullEvery: 1 << 20}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	defer ckpt.Close()
 	if stats.CheckpointHeight != 2 {
 		t.Fatalf("restored height %d, want 2", stats.CheckpointHeight)

@@ -5,59 +5,54 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dichotomy/internal/txn"
 )
 
-// FuzzDeltaDecode drives the delta-checkpoint loader with arbitrary
-// file contents. Crash recovery walks these files after an unclean
-// shutdown, so the loader must turn any corruption — bad magic, lying
-// counts, truncation, trailing bytes — into an error, never a panic or
-// a huge allocation. The format is canonical (loadDelta rejects
-// trailing bytes, writeDelta preserves record order), so anything the
-// loader accepts must survive a byte-exact write/reload round trip.
+// FuzzDeltaDecode drives the checkpoint-file loader with arbitrary file
+// contents of either kind. Crash recovery walks these files after an
+// unclean shutdown, so the loader must turn any corruption — bad magic,
+// lying counts, truncation, trailing bytes — into an error, never a
+// panic or a huge allocation. The format is canonical (readFile rejects
+// trailing bytes and unknown live flags, the encoder preserves record
+// order), so anything the loader accepts must survive a byte-exact
+// write/reload round trip.
 func FuzzDeltaDecode(f *testing.F) {
-	seedDir := f.TempDir()
-	entries := []deltaEntry{
-		{key: "alpha", value: []byte("1"), ver: txn.Version{BlockNum: 3, TxNum: 1}, live: true},
-		{key: "beta", live: false},
-		{key: "", value: nil, ver: txn.Version{}, live: true},
-	}
-	if _, err := writeDelta(seedDir, 8, 4, entries); err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(deltaPath(seedDir, 8, 4))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-2])
+	f.Add(goldenDelta)
+	f.Add(goldenDelta[:len(goldenDelta)-2])
 	f.Add([]byte("DCKDL1"))
 	f.Add([]byte{})
+	f.Add(goldenFull)
+	f.Add(goldenFull[:len(goldenFull)-2])
+	f.Add([]byte("DCKPT1"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "fuzz.dckpt")
+		path := filepath.Join(dir, "fuzz.ckpt")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var got []deltaEntry
-		height, base, err := loadDelta(path, func(key string, value []byte, ver txn.Version, live bool) error {
-			got = append(got, deltaEntry{key: key, value: value, ver: ver, live: live})
-			return nil
-		})
+		hdr, entries, size, err := readFile(path)
 		if err != nil {
+			if entries != nil {
+				t.Fatalf("rejected file leaked %d records", len(entries))
+			}
 			return
 		}
-		if _, err := writeDelta(dir, height, base, got); err != nil {
-			t.Fatalf("rewrite of accepted delta: %v", err)
+		if size != int64(len(data)) {
+			t.Fatalf("size %d of a %d-byte file", size, len(data))
 		}
-		rewritten, err := os.ReadFile(deltaPath(dir, height, base))
+		w := newFileEncoder(hdr)
+		for _, e := range entries {
+			w.put(e)
+		}
+		if _, err := w.commit(dir); err != nil {
+			t.Fatalf("rewrite of accepted file: %v", err)
+		}
+		rewritten, err := os.ReadFile(hdr.path(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(rewritten, data) {
-			t.Fatal("accepted delta did not round-trip byte-exactly")
+			t.Fatal("accepted file did not round-trip byte-exactly")
 		}
 	})
 }

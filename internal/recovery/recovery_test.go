@@ -232,12 +232,12 @@ func TestCheckpointerIntervalAndPruning(t *testing.T) {
 	if c.LastHeight() != 9 {
 		t.Fatalf("last height %d, want 9", c.LastHeight())
 	}
-	heights, err := Checkpoints(dir)
+	files, err := listChain(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(heights) != 2 || heights[0] != 6 || heights[1] != 9 {
-		t.Fatalf("retained checkpoints %v, want [6 9]", heights)
+	if len(files) != 2 || files[0] != (chainFile{height: 6}) || files[1] != (chainFile{height: 9}) {
+		t.Fatalf("retained checkpoints %+v, want fulls at 6 and 9", files)
 	}
 	count, last, total := c.Totals()
 	if count != 3 || last <= 0 || total < 3*last/2 {

@@ -10,7 +10,6 @@
 package lsm
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -264,23 +263,15 @@ func (d *DB) Compact() error {
 }
 
 func (d *DB) compactLocked() error {
-	sources := make([]*tableIter, 0, len(d.l0)+1)
-	for _, t := range d.l0 {
-		sources = append(sources, t.iterate(nil))
-	}
-	if d.l1 != nil {
-		sources = append(sources, d.l1.iterate(nil))
-	}
-	if len(sources) == 0 {
+	srcs := d.tableSources(nil)
+	if len(srcs) == 0 {
 		return nil
 	}
-	merged := mergeTables(sources)
-	// The base level has nothing underneath it, so tombstones can drop.
-	live := merged[:0]
-	for _, e := range merged {
-		if !e.tomb {
-			live = append(live, e)
-		}
+	// The base level has nothing underneath it, so the tombstones the merge
+	// hides can drop.
+	var live []entry
+	for it := newMergeIterator(srcs); it.Next(); {
+		live = append(live, entry{key: it.Key(), value: it.Value()})
 	}
 	if len(live) == 0 {
 		d.removeObsoleteFiles()
@@ -306,65 +297,30 @@ func (d *DB) compactLocked() error {
 	return nil
 }
 
-// mergeTables merges iterators where sources[0] is newest: on duplicate
-// keys the earliest source wins.
-func mergeTables(sources []*tableIter) []entry {
-	type cursor struct {
-		it   *tableIter
-		rank int
-		ok   bool
-	}
-	curs := make([]*cursor, len(sources))
-	for i, it := range sources {
-		c := &cursor{it: it, rank: i}
-		c.ok = it.next()
-		curs[i] = c
-	}
-	var out []entry
-	for {
-		var best *cursor
-		for _, c := range curs {
-			if !c.ok {
-				continue
-			}
-			if best == nil {
-				best = c
-				continue
-			}
-			cmp := bytes.Compare(c.it.ent.key, best.it.ent.key)
-			if cmp < 0 || (cmp == 0 && c.rank < best.rank) {
-				best = c
-			}
-		}
-		if best == nil {
-			return out
-		}
-		key := best.it.ent.key
-		out = append(out, best.it.ent)
-		// Advance every cursor sitting on the chosen key.
-		for _, c := range curs {
-			for c.ok && bytes.Equal(c.it.ent.key, key) {
-				c.ok = c.it.next()
-			}
-		}
-	}
-}
-
 // NewIterator implements storage.Engine. The iterator merges the memtable
 // and all tables, hiding tombstones. It holds a snapshot of the table list;
 // memtable mutations during iteration may or may not be observed.
 func (d *DB) NewIterator(start []byte) storage.Iterator {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	srcs := make([]entrySource, 0, len(d.l0)+2)
-	srcs = append(srcs, &memSource{it: d.mem.NewIterator(start)})
+	return d.newIteratorLocked(start)
+}
+
+func (d *DB) newIteratorLocked(start []byte) storage.Iterator {
+	srcs := append([]entrySource{&memSource{it: d.mem.NewIterator(start)}}, d.tableSources(start)...)
+	return newMergeIterator(srcs)
+}
+
+// tableSources returns a cursor from start over every table, newest first.
+func (d *DB) tableSources(start []byte) []entrySource {
+	srcs := make([]entrySource, 0, len(d.l0)+1)
 	for _, t := range d.l0 {
 		srcs = append(srcs, &tblSource{it: t.iterate(start)})
 	}
 	if d.l1 != nil {
 		srcs = append(srcs, &tblSource{it: d.l1.iterate(start)})
 	}
-	return newMergeIterator(srcs)
+	return srcs
 }
 
 // ApproxSize implements storage.Engine.
@@ -387,24 +343,12 @@ func (d *DB) ApproxSize() int64 {
 func (d *DB) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	it := d.newIteratorLocked()
+	it := d.newIteratorLocked(nil)
 	n := 0
 	for it.Next() {
 		n++
 	}
 	return n
-}
-
-func (d *DB) newIteratorLocked() storage.Iterator {
-	srcs := make([]entrySource, 0, len(d.l0)+2)
-	srcs = append(srcs, &memSource{it: d.mem.NewIterator(nil)})
-	for _, t := range d.l0 {
-		srcs = append(srcs, &tblSource{it: t.iterate(nil)})
-	}
-	if d.l1 != nil {
-		srcs = append(srcs, &tblSource{it: d.l1.iterate(nil)})
-	}
-	return newMergeIterator(srcs)
 }
 
 // Close implements storage.Engine.

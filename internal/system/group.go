@@ -13,7 +13,6 @@ import (
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/raft"
 	"dichotomy/internal/recovery"
-	"dichotomy/internal/txn"
 )
 
 // GroupConfig is what a database-side system says about one of its
@@ -129,9 +128,7 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 		if ckpt, err = recovery.OpenChainWriter(rep.ckpt); err != nil {
 			return 0, 0, err
 		}
-		err = ckpt.Restore(func(key string, value []byte, _ txn.Version) error {
-			return g.cfg.Restore(st, key, value)
-		})
+		err = ckpt.Restore(func(key string, value []byte) error { return g.cfg.Restore(st, key, value) })
 		if err != nil {
 			return 0, 0, err
 		}
@@ -152,9 +149,7 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 // swap of the member's cons and state never races a stale loop.
 func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
-	dump := func(emit func(key string, value []byte, ver txn.Version)) {
-		g.cfg.Dump(st, func(key string, value []byte) { emit(key, value, txn.Version{}) })
-	}
+	dump := func(emit func(key string, value []byte)) { g.cfg.Dump(st, emit) }
 	for {
 		select {
 		case <-stopCh:

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -124,14 +125,20 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, err
 	}
 	if cfg.Checkpoint.Interval > 0 {
-		opts := cfg.Checkpoint
-		opts.Dir = r.dir("ckpt")
-		if r.Ckpt, err = recovery.NewCheckpointer(r.St, opts); err != nil {
+		if r.Ckpt, err = recovery.NewCheckpointer(r.St, r.ckptOptions()); err != nil {
 			r.closeEngines()
 			return nil, fmt.Errorf("%s: checkpointer: %w", cfg.Label, err)
 		}
 	}
 	return r, nil
+}
+
+// ckptOptions is the system's checkpoint configuration over the replica's
+// own checkpoint directory.
+func (r *Replica) ckptOptions() recovery.Options {
+	opts := r.cfg.Checkpoint
+	opts.Dir = r.dir("ckpt")
+	return opts
 }
 
 // dir returns the replica's sub-directory, or "" for a memory-only one.
@@ -275,24 +282,27 @@ func (r *Replica) endDrain() {
 func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
 	r.endDrain()
 	r.lose() // whatever an earlier attempt's system-side step left open
-	o := r.cfg.Checkpoint
-	cfg := recovery.RebuildConfig{
-		StateDir:      r.dir("state"),
-		Open:          r.openEngine,
-		Interval:      o.Interval,
-		Keep:          o.Keep,
-		Mode:          o.Mode,
-		FullEvery:     o.FullEvery,
-		MaxCkptHeight: maxCkptHeight,
+	var stats recovery.Stats
+	if dir := r.dir("state"); dir != "" {
+		// A disk-backed engine may hold writes from after the checkpoint
+		// whose version metadata died with the process; recovery trusts
+		// only the checkpoint.
+		if err := os.RemoveAll(dir); err != nil {
+			return stats, fmt.Errorf("%s: wipe state dir: %w", r.cfg.Label, err)
+		}
 	}
-	if o.Interval > 0 {
-		cfg.CkptDir = r.dir("ckpt")
-	}
-	st, ckpt, stats, err := recovery.RebuildStore(cfg)
+	eng, err := r.openEngine()
 	if err != nil {
-		return stats, err
+		return stats, fmt.Errorf("%s: reopen state engine: %w", r.cfg.Label, err)
 	}
-	r.St, r.Ckpt, r.Ledger = st, ckpt, ledger.New()
+	st := state.New(eng, 0)
+	r.St, r.Ledger = st, ledger.New()
+	if r.cfg.Checkpoint.Interval > 0 {
+		if r.Ckpt, stats, err = recovery.RestoreCheckpointer(st, r.ckptOptions(), maxCkptHeight); err != nil {
+			r.lose()
+			return stats, err
+		}
+	}
 	if err := r.startAuth(); err != nil {
 		r.lose()
 		return stats, err

@@ -94,7 +94,10 @@ func decodeWrites(buf []byte) ([]txn.Write, bool) {
 
 func readWrites(buf []byte, off *int) ([]txn.Write, bool) {
 	n, ok := readU32(buf, off)
-	if !ok {
+	// A write takes at least 5 bytes (key length, hasValue), so a count the
+	// rest of the buffer cannot hold is corrupt; refuse it before it sizes
+	// an allocation.
+	if !ok || int64(n) > int64(len(buf)-*off)/5 {
 		return nil, false
 	}
 	writes := make([]txn.Write, 0, n)
