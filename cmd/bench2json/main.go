@@ -51,6 +51,7 @@ type Output struct {
 var gated = []string{
 	"BenchmarkVerifyDigest", "BenchmarkSignDigest", "BenchmarkEndorsementDigest",
 	"BenchmarkProofServe", "BenchmarkSigVerify", "BenchmarkRegionCmdCodec", "BenchmarkSQLParse",
+	"BenchmarkRootHash/mode=published", "BenchmarkContractExecute",
 }
 
 func isGated(name string) bool {

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	dichotomy-bench [-full] <experiment> [experiment...]
+//	dichotomy-bench [-full] [-cpuprofile file] [-memprofile file] <experiment> [experiment...]
 //	dichotomy-bench all
 //
 // Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
@@ -51,6 +51,12 @@
 // attribution, mean recovery time, and a zero-divergence verification of
 // every replica after each row.
 //
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// run: the CPU profile covers the experiments, the allocation profile is
+// taken after the last one (go tool pprof -sample_index=alloc_objects
+// attributes allocation counts; GODEBUG=memprofilerate=1 records every
+// allocation instead of a sample).
+//
 // -full approaches the paper's parameters (100K records, 10s windows,
 // large sweeps); the default quick scale finishes the whole suite in
 // minutes and preserves every qualitative shape.
@@ -60,15 +66,55 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"dichotomy/internal/experiments"
 )
 
+// startProfiles starts the CPU profile, if one was asked for, and returns
+// the function that finishes it and writes the allocation profile.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile is complete only up to the last collection
+		if err := pprof.Lookup("allocs").WriteTo(mem, 0); err != nil {
+			mem.Close()
+			return err
+		}
+		return mem.Close()
+	}, nil
+}
+
 func main() {
 	full := flag.Bool("full", false, "run at (near-)paper scale; slow")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
+	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` when the run ends")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dichotomy-bench [-full] <experiment>...\n")
+		fmt.Fprintf(os.Stderr, "usage: dichotomy-bench [-full] [-cpuprofile file] [-memprofile file] <experiment>...\n")
 		fmt.Fprintf(os.Stderr, "experiments: all fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table4 table5 peak contention blockshape recovery sigverify authreads ingress chaos\n")
 	}
 	flag.Parse()
@@ -150,14 +196,24 @@ func main() {
 	if len(args) == 1 && args[0] == "all" {
 		args = order
 	}
-	start := time.Now()
 	for _, name := range args {
-		run, ok := runners[name]
-		if !ok {
+		if _, ok := runners[name]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
-		run()
+	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dichotomy-bench: profile: %v\n", err)
+		os.Exit(2)
+	}
+	start := time.Now()
+	for _, name := range args {
+		runners[name]()
 	}
 	fmt.Printf("\ncompleted %d experiment(s) in %v\n", len(args), time.Since(start).Round(time.Millisecond))
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "dichotomy-bench: profile: %v\n", err)
+		os.Exit(1)
+	}
 }

@@ -8,12 +8,22 @@
 // Serialization is a compact custom format rather than Ethereum's RLP; the
 // paper's storage-overhead findings (Fig 13) depend on the trie *shape*
 // (depth × per-node hashing), which is preserved exactly.
+//
+// Mutation copies only what somebody else can see. Every node carries the
+// generation it was made in; Put and Delete change a node of the current
+// generation in place and copy a node of an earlier one, and Snapshot
+// starts a new generation. So a block of K writes between two snapshots
+// copies each node on its paths once, however many of the K keys pass
+// through it, and hashes each once, when the root is next asked for: the
+// hashing the paper charges a ledger for (Fig 11) is all still done, the
+// copying it never asked for is not.
 package mpt
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"dichotomy/internal/cryptoutil"
 )
@@ -21,26 +31,45 @@ import (
 // Trie is a Merkle Patricia Trie. It is not safe for concurrent mutation;
 // systems guard it with their commit lock, mirroring geth's usage.
 // Snapshot captures an immutable view that IS safe for concurrent reads.
+//
+// The invariant that makes it so: a node stamped with the current
+// generation is reachable from this trie's live root only — never from a
+// Snapshot — and every ancestor of such a node carries the current
+// generation too. Put and Delete keep it by stamping what they create,
+// copying a node of an earlier generation before changing it (the copy is
+// linked in by its parent, which the same descent has copied or may change
+// in place), and never linking a node they have changed in place under a
+// second parent; Snapshot keeps it by advancing the generation after
+// capturing the root, which freezes everything the captured root reaches.
+// Readers of a Snapshot synchronize with nothing, so a write that breaks
+// this rule is a data race on a published view.
 type Trie struct {
 	root node
+	// gen is the current generation; see the invariant above.
+	gen uint64
+	// path is the scratch a mutation expands its key's nibbles into. No
+	// node keeps a slice of it: a node that outlives the call copies the
+	// run it needs.
+	path []byte
 	// rebuildCount tracks how many times the root commitment actually
 	// had to be recomputed; the record-size experiment (Fig 11) reads it.
 	rebuilds int
 }
 
 type node interface {
-	// encoded returns the canonical serialization used for hashing.
-	encoded() []byte
+	// encode appends the canonical serialization used for hashing to dst.
+	encode(dst []byte) []byte
 	// cacheRef exposes the node's memoized-hash slot.
 	cacheRef() *hashCache
 }
 
-// hashCache memoizes a node's commitment. Mutation is copy-on-write —
-// Put and Delete allocate fresh (unhashed) nodes along the mutated path
-// and share everything else — so a cache, once filled, is valid for the
-// node's lifetime: RootHash after a K-key block re-hashes only the
-// O(K·depth) fresh nodes, and a fully-hashed subgraph can be read from
-// any number of goroutines without synchronization.
+// hashCache memoizes a node's commitment. A mutation clears the cache of
+// every node on its path — the ones it changes in place and the fresh
+// copies alike — and shares everything else, so a filled cache is valid
+// until the owner next writes through the node: RootHash after a K-key
+// block re-hashes only the O(K·depth) nodes on written paths, and a
+// fully-hashed subgraph of an earlier generation can be read from any
+// number of goroutines without synchronization.
 type hashCache struct {
 	hash   cryptoutil.Hash
 	hashed bool
@@ -50,16 +79,19 @@ type (
 	leafNode struct {
 		path  []byte // remaining nibbles
 		value []byte
+		gen   uint64
 		cache hashCache
 	}
 	extNode struct {
 		path  []byte // shared nibbles
 		child node
+		gen   uint64
 		cache hashCache
 	}
 	branchNode struct {
 		children [16]node
 		value    []byte // set when a key terminates at this branch
+		gen      uint64
 		cache    hashCache
 	}
 )
@@ -73,11 +105,21 @@ func New() *Trie { return &Trie{} }
 
 // nibbles expands a byte key into 4-bit digits, high nibble first.
 func nibbles(key []byte) []byte {
-	out := make([]byte, 0, len(key)*2)
+	return appendNibbles(make([]byte, 0, len(key)*2), key)
+}
+
+func appendNibbles(dst, key []byte) []byte {
 	for _, b := range key {
-		out = append(out, b>>4, b&0x0f)
+		dst = append(dst, b>>4, b&0x0f)
 	}
-	return out
+	return dst
+}
+
+// keyPath expands key into the trie's scratch, valid until the next
+// mutation.
+func (t *Trie) keyPath(key []byte) []byte {
+	t.path = appendNibbles(t.path[:0], key)
+	return t.path
 }
 
 func commonPrefix(a, b []byte) int {
@@ -126,90 +168,121 @@ func get(n node, path []byte) ([]byte, bool) {
 func (t *Trie) Put(key, value []byte) {
 	v := make([]byte, len(value))
 	copy(v, value)
-	t.root = put(t.root, nibbles(key), v)
+	t.root = t.put(t.root, t.keyPath(key), v)
 }
 
-func put(n node, path []byte, value []byte) node {
+// The own functions return the node a mutation may write through: n itself
+// when it was made in the current generation, a copy stamped with the
+// current generation otherwise. Either way its memoized hash is cleared.
+func (t *Trie) ownLeaf(n *leafNode) *leafNode {
+	if n.gen != t.gen {
+		n = &leafNode{path: n.path, value: n.value, gen: t.gen}
+	}
+	n.cache = hashCache{}
+	return n
+}
+
+func (t *Trie) ownExt(n *extNode) *extNode {
+	if n.gen != t.gen {
+		n = &extNode{path: n.path, child: n.child, gen: t.gen}
+	}
+	n.cache = hashCache{}
+	return n
+}
+
+func (t *Trie) ownBranch(n *branchNode) *branchNode {
+	if n.gen != t.gen {
+		n = &branchNode{children: n.children, value: n.value, gen: t.gen}
+	}
+	n.cache = hashCache{}
+	return n
+}
+
+// put returns the subtree n with path bound to value. path is a slice of
+// the trie's scratch; path bytes a node keeps are copied or taken from the
+// node they already live in (node paths are never written, only re-sliced,
+// so nodes of any generation may share one).
+func (t *Trie) put(n node, path []byte, value []byte) node {
 	switch n := n.(type) {
 	case nil:
-		return &leafNode{path: path, value: value}
+		return &leafNode{path: bytes.Clone(path), value: value, gen: t.gen}
 	case *leafNode:
 		if bytes.Equal(n.path, path) {
-			return &leafNode{path: path, value: value}
+			n = t.ownLeaf(n)
+			n.value = value
+			return n
 		}
-		return splitInsert(n.path, n.value, path, value)
+		// Two diverging paths: a branch at the divergence point, under an
+		// extension when they share a prefix.
+		cp := commonPrefix(n.path, path)
+		branch := &branchNode{gen: t.gen}
+		t.hang(branch, n.path[cp:], n.value)
+		t.hang(branch, bytes.Clone(path[cp:]), value)
+		return t.under(n.path[:cp:cp], branch)
 	case *extNode:
 		cp := commonPrefix(n.path, path)
 		if cp == len(n.path) {
-			return &extNode{path: n.path, child: put(n.child, path[cp:], value)}
+			child := t.put(n.child, path[cp:], value)
+			n = t.ownExt(n)
+			n.child = child
+			return n
 		}
-		// Split the extension at the divergence point.
-		branch := &branchNode{}
-		// Remainder of the extension path goes under its first nibble.
-		extRest := n.path[cp:]
-		if len(extRest) == 1 {
+		// Split the extension at the divergence point. The remainder of
+		// its path goes under its first nibble.
+		branch := &branchNode{gen: t.gen}
+		if extRest := n.path[cp:]; len(extRest) == 1 {
 			branch.children[extRest[0]] = n.child
 		} else {
-			branch.children[extRest[0]] = &extNode{path: extRest[1:], child: n.child}
+			branch.children[extRest[0]] = &extNode{path: extRest[1:], child: n.child, gen: t.gen}
 		}
-		// Insert the new key under the branch.
-		keyRest := path[cp:]
-		if len(keyRest) == 0 {
-			branch.value = value
-		} else {
-			branch.children[keyRest[0]] = &leafNode{path: keyRest[1:], value: value}
-		}
-		if cp == 0 {
-			return branch
-		}
-		return &extNode{path: path[:cp:cp], child: branch}
+		t.hang(branch, bytes.Clone(path[cp:]), value)
+		return t.under(n.path[:cp:cp], branch)
 	case *branchNode:
 		if len(path) == 0 {
-			nb := *n
-			nb.value = value
-			nb.cache = hashCache{}
-			return &nb
+			n = t.ownBranch(n)
+			n.value = value
+			return n
 		}
-		nb := *n
-		nb.children[path[0]] = put(n.children[path[0]], path[1:], value)
-		nb.cache = hashCache{}
-		return &nb
+		child := t.put(n.children[path[0]], path[1:], value)
+		n = t.ownBranch(n)
+		n.children[path[0]] = child
+		return n
 	default:
 		panic(fmt.Sprintf("mpt: unknown node %T", n))
 	}
 }
 
-// splitInsert builds the subtree for two diverging leaf paths.
-func splitInsert(aPath, aVal, bPath, bVal []byte) node {
-	cp := commonPrefix(aPath, bPath)
-	branch := &branchNode{}
-	aRest, bRest := aPath[cp:], bPath[cp:]
-	switch {
-	case len(aRest) == 0:
-		branch.value = aVal
-	default:
-		branch.children[aRest[0]] = &leafNode{path: aRest[1:], value: aVal}
+// hang binds rest to value below a branch being built: in the branch's own
+// value slot when rest is empty, in a new leaf under its first nibble
+// otherwise. The leaf keeps rest[1:].
+func (t *Trie) hang(branch *branchNode, rest, value []byte) {
+	if len(rest) == 0 {
+		branch.value = value
+		return
 	}
-	switch {
-	case len(bRest) == 0:
-		branch.value = bVal
-	default:
-		branch.children[bRest[0]] = &leafNode{path: bRest[1:], value: bVal}
-	}
-	if cp == 0 {
+	branch.children[rest[0]] = &leafNode{path: rest[1:], value: value, gen: t.gen}
+}
+
+// under returns branch, behind an extension when the paths it splits share
+// a prefix.
+func (t *Trie) under(prefix []byte, branch *branchNode) node {
+	if len(prefix) == 0 {
 		return branch
 	}
-	return &extNode{path: aPath[:cp:cp], child: branch}
+	return &extNode{path: prefix, child: branch, gen: t.gen}
 }
 
 // Delete removes key from the trie. Absent keys are a no-op. The resulting
 // structure is left un-collapsed (a branch with one child is kept), which
 // changes no hashes of live data and keeps the implementation compact.
 func (t *Trie) Delete(key []byte) {
-	t.root, _ = del(t.root, nibbles(key))
+	t.root, _ = t.del(t.root, t.keyPath(key))
 }
 
-func del(n node, path []byte) (node, bool) {
+// del returns the subtree n without path, and whether path was there. A
+// miss writes nothing: nodes are taken over only on the way back up from a
+// hit.
+func (t *Trie) del(n node, path []byte) (node, bool) {
 	switch n := n.(type) {
 	case nil:
 		return nil, false
@@ -222,43 +295,36 @@ func del(n node, path []byte) (node, bool) {
 		if len(path) < len(n.path) || !bytes.Equal(path[:len(n.path)], n.path) {
 			return n, false
 		}
-		child, ok := del(n.child, path[len(n.path):])
+		child, ok := t.del(n.child, path[len(n.path):])
 		if !ok {
 			return n, false
 		}
 		if child == nil {
 			return nil, true
 		}
-		return &extNode{path: n.path, child: child}, true
+		n = t.ownExt(n)
+		n.child = child
+		return n, true
 	case *branchNode:
-		nb := *n
-		nb.cache = hashCache{}
 		if len(path) == 0 {
 			if n.value == nil {
 				return n, false
 			}
-			nb.value = nil
+			n = t.ownBranch(n)
+			n.value = nil
 		} else {
-			child, ok := del(n.children[path[0]], path[1:])
+			child, ok := t.del(n.children[path[0]], path[1:])
 			if !ok {
 				return n, false
 			}
-			nb.children[path[0]] = child
+			n = t.ownBranch(n)
+			n.children[path[0]] = child
 		}
 		// Collapse to nil when completely empty.
-		if nb.value == nil {
-			empty := true
-			for _, c := range nb.children {
-				if c != nil {
-					empty = false
-					break
-				}
-			}
-			if empty {
-				return nil, true
-			}
+		if n.value == nil && n.children == [16]node{} {
+			return nil, true
 		}
-		return &nb, true
+		return n, true
 	default:
 		panic(fmt.Sprintf("mpt: unknown node %T", n))
 	}
@@ -277,55 +343,91 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
-func (n *leafNode) encoded() []byte {
-	out := []byte{tagLeaf}
-	out = appendBytes(out, n.path)
-	out = appendBytes(out, n.value)
-	return out
+func (n *leafNode) encode(dst []byte) []byte {
+	dst = append(dst, tagLeaf)
+	dst = appendBytes(dst, n.path)
+	return appendBytes(dst, n.value)
 }
 
-func (n *extNode) encoded() []byte {
-	out := []byte{tagExt}
-	out = appendBytes(out, n.path)
+func (n *extNode) encode(dst []byte) []byte {
+	dst = append(dst, tagExt)
+	dst = appendBytes(dst, n.path)
 	h := hashNode(n.child)
-	return append(out, h[:]...)
+	return append(dst, h[:]...)
 }
 
-func (n *branchNode) encoded() []byte {
-	out := []byte{tagBranch}
-	for _, c := range n.children {
+func (n *branchNode) encode(dst []byte) []byte {
+	dst = append(dst, tagBranch)
+	for i := range n.children {
+		c := n.children[i]
 		if c == nil {
-			out = append(out, 0)
+			dst = append(dst, 0)
 			continue
 		}
-		out = append(out, 1)
+		dst = append(dst, 1)
 		h := hashNode(c)
-		out = append(out, h[:]...)
+		dst = append(dst, h[:]...)
 	}
-	out = appendBytes(out, n.value)
-	return out
+	return appendBytes(dst, n.value)
 }
+
+// encPool holds the buffers hashing passes serialize nodes into. The
+// buffer is pooled, not a hasher: a hashing pass may start on any
+// goroutine (a prover walking a trie nobody has hashed yet), and writing
+// piecewise into a hash.Hash makes the pieces escape.
+var encPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledEnc keeps one outsized record (Fig 11 stores 100 KB values)
+// from pinning its buffer in the pool for the life of the process.
+const maxPooledEnc = 1 << 16
 
 func hashNode(n node) cryptoutil.Hash {
 	if n == nil {
 		return cryptoutil.ZeroHash
 	}
 	c := n.cacheRef()
-	if c.hashed {
-		return c.hash
+	if !c.hashed {
+		buf := encPool.Get().(*[]byte)
+		rehash(n, buf)
+		if cap(*buf) > maxPooledEnc {
+			*buf = nil
+		}
+		encPool.Put(buf)
 	}
-	c.hash = cryptoutil.HashBytes(n.encoded())
-	c.hashed = true
 	return c.hash
 }
 
+// rehash memoizes the hash of n and of every unhashed node below it, each
+// serialized into buf in turn. Children go first: once they are memoized
+// n's own encoding only copies their hashes, so nothing below n still
+// needs the buffer when n overwrites it.
+func rehash(n node, buf *[]byte) {
+	if n == nil {
+		return
+	}
+	c := n.cacheRef()
+	if c.hashed {
+		return
+	}
+	switch n := n.(type) {
+	case *extNode:
+		rehash(n.child, buf)
+	case *branchNode:
+		for i := range n.children {
+			rehash(n.children[i], buf)
+		}
+	}
+	*buf = n.encode((*buf)[:0])
+	c.hash = cryptoutil.HashBytes(*buf)
+	c.hashed = true
+}
+
 // RootHash returns the root commitment, recomputing only what a mutation
-// invalidated. Copy-on-write mutation allocates fresh nodes along the
-// touched path, so after a K-key block only O(K·depth) nodes lack a
-// memoized hash — the incremental maintenance the paper contrasts with
-// Quorum's whole-trie reconstruction per commit. As a side effect every
-// reachable node's cache is filled, which is what makes a subsequent
-// Snapshot safe for lock-free concurrent reads.
+// invalidated: after a K-key block only the O(K·depth) nodes on written
+// paths lack a memoized hash — the incremental maintenance the paper
+// contrasts with Quorum's whole-trie reconstruction per commit. As a side
+// effect every reachable node's cache is filled, which is what makes a
+// subsequent Snapshot safe for lock-free concurrent reads.
 func (t *Trie) RootHash() cryptoutil.Hash {
 	if t.root == nil {
 		return cryptoutil.ZeroHash
@@ -340,12 +442,12 @@ func (t *Trie) RootHash() cryptoutil.Hash {
 // to RootHash on an unchanged trie are cache hits and do not count.
 func (t *Trie) Rebuilds() int { return t.rebuilds }
 
-// Snapshot is an immutable point-in-time view of a trie. Because
-// mutation is copy-on-write, the captured subgraph is never modified by
-// later writes to the parent trie; capturing also forces every reachable
-// node's hash cache (via RootHash), so Get and Prove on a Snapshot
-// perform no writes at all and are safe from any number of goroutines
-// while the owner keeps mutating the live trie.
+// Snapshot is an immutable point-in-time view of a trie. Capturing starts a
+// new generation, so later writes to the parent trie copy every captured
+// node they would change (the Trie invariant); capturing also forces every
+// reachable node's hash cache (via RootHash), so Get and Prove on a
+// Snapshot perform no writes at all and are safe from any number of
+// goroutines while the owner keeps mutating the live trie.
 type Snapshot struct {
 	root node
 	hash cryptoutil.Hash
@@ -353,8 +455,12 @@ type Snapshot struct {
 
 // Snapshot captures the trie's current state. O(1) plus the incremental
 // RootHash cost; the returned view shares structure with the live trie.
+// Every node it reaches is frozen from here on: the generation advances,
+// so no later Put or Delete finds one it may change in place.
 func (t *Trie) Snapshot() *Snapshot {
-	return &Snapshot{root: t.root, hash: t.RootHash()}
+	s := &Snapshot{root: t.root, hash: t.RootHash()}
+	t.gen++
+	return s
 }
 
 // RootHash returns the commitment the snapshot was captured at.
@@ -392,7 +498,7 @@ func storageBytes(n node) int64 {
 	if n == nil {
 		return 0
 	}
-	size := int64(32 + len(n.encoded()))
+	size := int64(32 + len(n.encode(nil)))
 	switch n := n.(type) {
 	case *extNode:
 		size += storageBytes(n.child)
@@ -408,7 +514,7 @@ func nodeBytes(n node) int64 {
 	if n == nil {
 		return 0
 	}
-	size := int64(len(n.encoded()))
+	size := int64(len(n.encode(nil)))
 	switch n := n.(type) {
 	case *extNode:
 		size += nodeBytes(n.child)
@@ -503,18 +609,18 @@ func prove(root node, key []byte) (Proof, bool) {
 			if !bytes.Equal(cur.path, path) {
 				return Proof{}, false
 			}
-			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encoded()})
+			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encode(nil)})
 			proof.Value = cur.value
 			return proof, true
 		case *extNode:
 			if len(path) < len(cur.path) || !bytes.Equal(path[:len(cur.path)], cur.path) {
 				return Proof{}, false
 			}
-			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encoded()})
+			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encode(nil)})
 			path = path[len(cur.path):]
 			n = cur.child
 		case *branchNode:
-			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encoded()})
+			proof.Steps = append(proof.Steps, ProofStep{Encoding: cur.encode(nil)})
 			if len(path) == 0 {
 				if cur.value == nil {
 					return Proof{}, false

@@ -167,6 +167,20 @@ func BenchmarkRootHash(b *testing.B) {
 			tr.RootHash()
 		}
 	})
+	// mode=published is the root maintainer's loop — a block of puts, then
+	// Snapshot — so every block starts a generation and copies each node
+	// on its paths once. mode=memoized never snapshots, so it copies
+	// nothing at all. At -benchtime=200x the blocks cover every key once
+	// and allocs/op is exact (CI gates it).
+	b.Run("mode=published", func(b *testing.B) {
+		tr := build()
+		tr.Snapshot()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mutate(tr, i)
+			tr.Snapshot()
+		}
+	})
 	b.Run("mode=rebuild", func(b *testing.B) {
 		tr := build()
 		b.ResetTimer()

@@ -125,7 +125,10 @@ type RootMaintainer struct {
 	wg   sync.WaitGroup
 
 	// trie is owned by the worker goroutine; everyone else reads only
-	// published snapshots.
+	// published snapshots. Between two publications the worker's writes
+	// change the trie's own nodes in place (mpt's generation rule), so a
+	// key written ten times in a block, or in each of PublishEvery
+	// blocks, copies its path once.
 	trie *mpt.Trie
 	// dirty accumulates keys written since the last publication.
 	dirty map[string]struct{}
@@ -230,8 +233,9 @@ func (m *RootMaintainer) apply(d delta) {
 
 func (m *RootMaintainer) publish(height uint64) {
 	// Snapshot fills every reachable hash cache (via the memoized
-	// RootHash), so the published view is read-only for any number of
-	// concurrent provers.
+	// RootHash) and starts a new trie generation, so the published view
+	// is read-only for any number of concurrent provers: apply copies a
+	// node this view reaches before writing through it.
 	snap := m.trie.Snapshot()
 	sig, err := m.cfg.Signer.SignDigest(RootDigest(height, snap.RootHash()))
 	if err != nil {

@@ -32,53 +32,96 @@ func testWrites(rng *rand.Rand, blockNum uint64, n int) []state.VersionedWrite {
 // TestAsyncRootMatchesSyncAtEveryHeight is the equivalence proof the
 // refactor rests on: the maintainer's published root at every height is
 // byte-identical to an inline-updated trie's — the synchronous baseline
-// the committer used to compute under its lock.
+// the committer used to compute under its lock. The inline trie never
+// snapshots, so all its nodes stay in one generation, while the
+// maintainer starts one per publication: blocks that write one key many
+// times and delete what they just wrote, published every block and every
+// third, must leave the two on the same root, and every published
+// snapshot must still hold its own height's content after all later
+// blocks went through the nodes it shares.
 func TestAsyncRootMatchesSyncAtEveryHeight(t *testing.T) {
-	m, err := New(Config{Signer: cryptoutil.MustNewSigner("endorser")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	var mu sync.Mutex
-	published := make(map[uint64]cryptoutil.Hash)
-	m.Subscribe(func(up Update) {
-		mu.Lock()
-		published[up.Root.Height] = up.Root.Root
-		mu.Unlock()
-	})
-
-	rng := rand.New(rand.NewSource(42))
-	inline := mpt.New()
-	want := make(map[uint64]cryptoutil.Hash)
-	const blocks = 60
-	for h := uint64(1); h <= blocks; h++ {
-		ws := testWrites(rng, h, 25)
-		// Synchronous baseline: apply inline, rehash per block.
-		for _, w := range ws {
-			if w.Value == nil {
-				inline.Delete([]byte(w.Key))
-			} else {
-				inline.Put([]byte(w.Key), w.Value)
+	for _, every := range []int{1, 3} {
+		t.Run(fmt.Sprintf("PublishEvery=%d", every), func(t *testing.T) {
+			m, err := New(Config{Signer: cryptoutil.MustNewSigner("endorser"), PublishEvery: every})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		want[h] = inline.RootHash()
-		if err := m.Submit(h, ws); err != nil {
-			t.Fatalf("Submit(%d): %v", h, err)
-		}
-	}
-	if _, err := m.WaitFor(blocks, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(published) != blocks {
-		t.Fatalf("published %d roots, want %d", len(published), blocks)
-	}
-	for h := uint64(1); h <= blocks; h++ {
-		if published[h] != want[h] {
-			t.Fatalf("height %d: async root %x != sync root %x", h, published[h], want[h])
-		}
+			defer m.Close()
+
+			var mu sync.Mutex
+			published := make(map[uint64]Update)
+			m.Subscribe(func(up Update) {
+				mu.Lock()
+				published[up.Root.Height] = up
+				mu.Unlock()
+			})
+
+			rng := rand.New(rand.NewSource(42))
+			inline := mpt.New()
+			live := map[string][]byte{}
+			wantRoot := make(map[uint64]cryptoutil.Hash)
+			wantContent := make(map[uint64]map[string][]byte)
+			const blocks = 60
+			for h := uint64(1); h <= blocks; h++ {
+				ws := testWrites(rng, h, 25)
+				// A hot key written again and again inside the block, its
+				// last write a delete on every fourth block.
+				hot := fmt.Sprintf("key-%03d", h%5)
+				for i := 0; i < 6; i++ {
+					w := state.VersionedWrite{
+						Write:   txn.Write{Key: hot, Value: []byte(fmt.Sprintf("hot-%d-%d", h, i))},
+						Version: txn.Version{BlockNum: h, TxNum: uint32(25 + i)},
+					}
+					if i == 5 && h%4 == 0 {
+						w.Value = nil
+					}
+					ws = append(ws, w)
+				}
+				// Synchronous baseline: apply inline, rehash per block.
+				for _, w := range ws {
+					if w.Value == nil {
+						inline.Delete([]byte(w.Key))
+						delete(live, w.Key)
+					} else {
+						inline.Put([]byte(w.Key), w.Value)
+						live[w.Key] = w.Value
+					}
+				}
+				if h%uint64(every) == 0 {
+					wantRoot[h] = inline.RootHash()
+					content := make(map[string][]byte, len(live))
+					for k, v := range live {
+						content[k] = v
+					}
+					wantContent[h] = content
+				}
+				if err := m.Submit(h, ws); err != nil {
+					t.Fatalf("Submit(%d): %v", h, err)
+				}
+			}
+			if _, err := m.WaitFor(blocks, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(published) != blocks/every {
+				t.Fatalf("published %d roots, want %d", len(published), blocks/every)
+			}
+			for h, want := range wantRoot {
+				up := published[h]
+				if up.Root.Root != want || up.Snap.RootHash() != want {
+					t.Fatalf("height %d: async root %x (snapshot %x) != sync root %x", h, up.Root.Root, up.Snap.RootHash(), want)
+				}
+				if got := up.Snap.Len(); got != len(wantContent[h]) {
+					t.Fatalf("height %d: snapshot holds %d keys, want %d", h, got, len(wantContent[h]))
+				}
+				for k, v := range wantContent[h] {
+					if got, ok := up.Snap.Get([]byte(k)); !ok || string(got) != string(v) {
+						t.Fatalf("height %d: snapshot Get(%s) = %q,%v, want %q", h, k, got, ok, v)
+					}
+				}
+			}
+		})
 	}
 }
 

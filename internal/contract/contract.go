@@ -4,6 +4,13 @@
 // simulate interface Fabric chaincode sees — and the identical code path is
 // replayed post-order in order-execute systems, where determinism is what
 // keeps replicas consistent.
+//
+// An order-execute replica runs every transaction of every block (a
+// four-node Quorum network executes each one five times, the proposer's
+// pre-execution included), so what one execution allocates is multiplied
+// where a database pays it once. The engine's own share is one allocation,
+// the Stub; a contract adds a string per key it names and PutState a copy
+// per value it keeps.
 package contract
 
 import (
@@ -29,26 +36,77 @@ type StateReader interface {
 // Stub is the contract's handle on state during one invocation. It records
 // every read (with its version) and buffers writes; nothing touches the
 // store until the system decides to commit the write set.
+//
+// A stub is one allocation: reads and writes are recorded in slices that
+// start out backed by arrays inside the struct, sized for the contracts in
+// this tree (Smallbank's widest profile reads 3 and writes 3; a YCSB
+// transaction touches 4), and RWSet hands those slices out.
 type Stub struct {
-	state  StateReader
-	reads  []txn.Read
-	writes map[string][]byte
-	order  []string // write keys in first-write order, for determinism
+	state StateReader
+	reads []txn.Read
+	// writes holds one entry per written key, in first-write order (the
+	// order is part of what an endorsement signs). A key is found by
+	// scanning; index takes over past indexAfter keys, so an outsized
+	// write set costs one map, not a quadratic scan.
+	writes []txn.Write
+	index  map[string]int
+
+	readBuf  [4]txn.Read
+	writeBuf [4]txn.Write
 }
+
+// indexAfter is the write-set size past which Stub looks keys up in a map.
+const indexAfter = 16
 
 // NewStub returns a stub over the given committed-state view.
 func NewStub(state StateReader) *Stub {
-	return &Stub{state: state, writes: make(map[string][]byte)}
+	s := &Stub{state: state}
+	s.reads, s.writes = s.readBuf[:0], s.writeBuf[:0]
+	return s
+}
+
+// written returns the position of key in the write set, or -1.
+func (s *Stub) written(key string) int {
+	if s.index != nil {
+		if i, ok := s.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range s.writes {
+		if s.writes[i].Key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// write binds key to value (nil deletes) in the write set.
+func (s *Stub) write(key string, value []byte) {
+	if i := s.written(key); i >= 0 {
+		s.writes[i].Value = value
+		return
+	}
+	s.writes = append(s.writes, txn.Write{Key: key, Value: value})
+	switch {
+	case s.index != nil:
+		s.index[key] = len(s.writes) - 1
+	case len(s.writes) > indexAfter:
+		s.index = make(map[string]int, 2*len(s.writes))
+		for i := range s.writes {
+			s.index[s.writes[i].Key] = i
+		}
+	}
 }
 
 // GetState reads a key, observing earlier writes in the same invocation
 // (read-your-writes) and recording the read version otherwise.
 func (s *Stub) GetState(key string) ([]byte, error) {
-	if v, ok := s.writes[key]; ok {
-		if v == nil {
-			return nil, ErrNotFound
+	if i := s.written(key); i >= 0 {
+		if v := s.writes[i].Value; v != nil {
+			return v, nil
 		}
-		return v, nil
+		return nil, ErrNotFound
 	}
 	v, ver, err := s.state.GetState(key)
 	s.reads = append(s.reads, txn.Read{Key: key, Version: ver})
@@ -58,31 +116,21 @@ func (s *Stub) GetState(key string) ([]byte, error) {
 	return v, nil
 }
 
-// PutState buffers a write.
+// PutState buffers a write. The value is copied; an empty one stays a
+// present, empty value (nil is how the write set spells a delete).
 func (s *Stub) PutState(key string, value []byte) {
-	if _, seen := s.writes[key]; !seen {
-		s.order = append(s.order, key)
-	}
 	v := make([]byte, len(value))
 	copy(v, value)
-	s.writes[key] = v
+	s.write(key, v)
 }
 
 // DelState buffers a deletion.
-func (s *Stub) DelState(key string) {
-	if _, seen := s.writes[key]; !seen {
-		s.order = append(s.order, key)
-	}
-	s.writes[key] = nil
-}
+func (s *Stub) DelState(key string) { s.write(key, nil) }
 
-// RWSet returns the recorded effect of the invocation.
+// RWSet returns the recorded effect of the invocation: the stub's own
+// slices, so the invocation is over — the stub must not be used again.
 func (s *Stub) RWSet() txn.RWSet {
-	ws := make([]txn.Write, 0, len(s.order))
-	for _, k := range s.order {
-		ws = append(ws, txn.Write{Key: k, Value: s.writes[k]})
-	}
-	return txn.RWSet{Reads: s.reads, Writes: ws}
+	return txn.RWSet{Reads: s.reads, Writes: s.writes}
 }
 
 // Contract is a deterministic state-transition program.

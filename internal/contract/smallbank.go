@@ -45,7 +45,8 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 2 {
 			return fmt.Errorf("smallbank: transact_savings wants 2 args")
 		}
-		bal, err := readBalance(stub, savingsKey(args[0]))
+		sav := savingsKey(args[0])
+		bal, err := readBalance(stub, sav)
 		if err != nil {
 			return err
 		}
@@ -53,7 +54,7 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if bal+amount < 0 {
 			return fmt.Errorf("%w: savings overdraft", ErrAbort)
 		}
-		stub.PutState(savingsKey(args[0]), EncodeInt64(bal+amount))
+		stub.PutState(sav, EncodeInt64(bal+amount))
 		return nil
 
 	case "deposit_checking":
@@ -64,11 +65,12 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if amount < 0 {
 			return fmt.Errorf("%w: negative deposit", ErrAbort)
 		}
-		bal, err := readBalance(stub, checkingKey(args[0]))
+		chk := checkingKey(args[0])
+		bal, err := readBalance(stub, chk)
 		if err != nil {
 			return err
 		}
-		stub.PutState(checkingKey(args[0]), EncodeInt64(bal+amount))
+		stub.PutState(chk, EncodeInt64(bal+amount))
 		return nil
 
 	case "send_payment":
@@ -79,19 +81,20 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if amount <= 0 {
 			return fmt.Errorf("%w: non-positive payment", ErrAbort)
 		}
-		src, err := readBalance(stub, checkingKey(args[0]))
+		srcKey, dstKey := checkingKey(args[0]), checkingKey(args[1])
+		src, err := readBalance(stub, srcKey)
 		if err != nil {
 			return err
 		}
 		if src < amount {
 			return fmt.Errorf("%w: insufficient funds", ErrAbort)
 		}
-		dst, err := readBalance(stub, checkingKey(args[1]))
+		dst, err := readBalance(stub, dstKey)
 		if err != nil {
 			return err
 		}
-		stub.PutState(checkingKey(args[0]), EncodeInt64(src-amount))
-		stub.PutState(checkingKey(args[1]), EncodeInt64(dst+amount))
+		stub.PutState(srcKey, EncodeInt64(src-amount))
+		stub.PutState(dstKey, EncodeInt64(dst+amount))
 		return nil
 
 	case "write_check":
@@ -102,7 +105,8 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if amount <= 0 {
 			return fmt.Errorf("%w: non-positive check", ErrAbort)
 		}
-		chk, err := readBalance(stub, checkingKey(args[0]))
+		chkKey := checkingKey(args[0])
+		chk, err := readBalance(stub, chkKey)
 		if err != nil {
 			return err
 		}
@@ -113,9 +117,9 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		// Smallbank semantics: a check beyond total funds incurs a $1
 		// overdraft penalty but still debits checking.
 		if chk+sav < amount {
-			stub.PutState(checkingKey(args[0]), EncodeInt64(chk-amount-1))
+			stub.PutState(chkKey, EncodeInt64(chk-amount-1))
 		} else {
-			stub.PutState(checkingKey(args[0]), EncodeInt64(chk-amount))
+			stub.PutState(chkKey, EncodeInt64(chk-amount))
 		}
 		return nil
 
@@ -123,21 +127,22 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 2 {
 			return fmt.Errorf("smallbank: amalgamate wants 2 args")
 		}
-		sav, err := readBalance(stub, savingsKey(args[0]))
+		savKey, chkKey, dstKey := savingsKey(args[0]), checkingKey(args[0]), checkingKey(args[1])
+		sav, err := readBalance(stub, savKey)
 		if err != nil {
 			return err
 		}
-		chk, err := readBalance(stub, checkingKey(args[0]))
+		chk, err := readBalance(stub, chkKey)
 		if err != nil {
 			return err
 		}
-		dst, err := readBalance(stub, checkingKey(args[1]))
+		dst, err := readBalance(stub, dstKey)
 		if err != nil {
 			return err
 		}
-		stub.PutState(savingsKey(args[0]), EncodeInt64(0))
-		stub.PutState(checkingKey(args[0]), EncodeInt64(0))
-		stub.PutState(checkingKey(args[1]), EncodeInt64(dst+sav+chk))
+		stub.PutState(savKey, EncodeInt64(0))
+		stub.PutState(chkKey, EncodeInt64(0))
+		stub.PutState(dstKey, EncodeInt64(dst+sav+chk))
 		return nil
 
 	case "query":

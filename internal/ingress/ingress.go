@@ -165,6 +165,21 @@ type entry struct {
 	tx  *txn.Tx
 	h   *system.Handle
 	enq time.Time
+	// batch is the dispatched batch the builder pulled e into; nil while
+	// e is still queued.
+	batch *batch
+}
+
+// batch is one dispatched block as its commit-timeout watchdog sees it.
+// The watchdog's timer is the only thing besides byID that can reach a
+// dispatched entry, so the batch lets go of both — stops the timer, drops
+// the entries — the moment its last entry resolves: a resolved transaction
+// is garbage at once, not CommitTimeout later. Fields are guarded by
+// Ingress.mu.
+type batch struct {
+	entries []*entry    // nil once every entry has resolved
+	pending int         // entries not yet resolved
+	timer   *time.Timer // nil until armed; never armed if nothing is pending by then
 }
 
 // Ingress is a running front door: the bounded mempool and its builder.
@@ -270,12 +285,28 @@ func (in *Ingress) Resolve(id cryptoutil.Hash, r system.Result) {
 	in.mu.Lock()
 	e, ok := in.byID[id]
 	if ok {
-		delete(in.byID, id)
+		in.detach(e)
 	}
 	in.mu.Unlock()
 	if ok {
 		in.resolved.Inc()
 		e.h.Resolve(r)
+	}
+}
+
+// detach takes e, the pending entry for its id, out of the pending table.
+// The caller holds in.mu.
+func (in *Ingress) detach(e *entry) {
+	delete(in.byID, e.tx.ID)
+	b := e.batch
+	if b == nil {
+		return
+	}
+	if b.pending--; b.pending == 0 {
+		if b.timer != nil {
+			b.timer.Stop()
+		}
+		b.entries = nil
 	}
 }
 
@@ -292,7 +323,7 @@ func (in *Ingress) resolveEntry(e *entry, r system.Result) {
 	in.mu.Lock()
 	cur, ok := in.byID[e.tx.ID]
 	if ok && cur == e {
-		delete(in.byID, e.tx.ID)
+		in.detach(e)
 	} else {
 		ok = false
 	}
@@ -327,9 +358,10 @@ func (in *Ingress) Stats() Stats {
 	}
 }
 
-// Close stops the builder and answers every pending handle — queued or
-// dispatched-but-uncommitted — with ErrClosed, so no submitter is left
-// blocked on a front door that no longer exists.
+// Close stops the builder and every armed watchdog and answers every
+// pending handle — queued or dispatched-but-uncommitted — with ErrClosed,
+// so no submitter is left blocked on a front door that no longer exists and
+// no timer outlives it.
 func (in *Ingress) Close() {
 	in.closeOnce.Do(func() {
 		close(in.stopCh)
@@ -339,6 +371,11 @@ func (in *Ingress) Close() {
 		pending := make([]*entry, 0, len(in.byID))
 		for _, e := range in.byID {
 			pending = append(pending, e)
+			// An armed batch has an unresolved entry, and every
+			// unresolved entry is here.
+			if e.batch != nil && e.batch.timer != nil {
+				e.batch.timer.Stop()
+			}
 		}
 		in.byID = make(map[cryptoutil.Hash]*entry)
 		in.lanes = make([][]*entry, in.cfg.Lanes)
@@ -375,7 +412,7 @@ func (in *Ingress) oldestEnq() (time.Time, int, bool) {
 // first, recording each entry's queueing delay. The target is the pool
 // occupancy clamped to [MinBlock, MaxBlock]: small blocks at low load,
 // growing toward the blockshape optimum under pressure.
-func (in *Ingress) pull() []*entry {
+func (in *Ingress) pull() (*batch, []*txn.Tx) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	target := in.queued
@@ -383,19 +420,22 @@ func (in *Ingress) pull() []*entry {
 		target = in.cfg.MaxBlock
 	}
 	if target == 0 {
-		return nil
+		return nil, nil
 	}
-	out := make([]*entry, 0, target)
+	b := &batch{entries: make([]*entry, 0, target)}
+	txs := make([]*txn.Tx, 0, target)
 	now := time.Now()
 	for l := range in.lanes {
-		if len(out) == target {
+		if len(txs) == target {
 			break
 		}
 		lane := in.lanes[l]
-		n := min(target-len(out), len(lane))
+		n := min(target-len(txs), len(lane))
 		for _, e := range lane[:n] {
 			in.qdelay.Record(now.Sub(e.enq))
-			out = append(out, e)
+			e.batch = b
+			b.entries = append(b.entries, e)
+			txs = append(txs, e.tx)
 		}
 		if n == len(lane) {
 			in.lanes[l] = nil
@@ -403,8 +443,9 @@ func (in *Ingress) pull() []*entry {
 			in.lanes[l] = lane[n:]
 		}
 	}
-	in.queued -= len(out)
-	return out
+	b.pending = len(txs)
+	in.queued -= len(txs)
+	return b, txs
 }
 
 // buildLoop is the adaptive batch builder: wait for work, give an
@@ -442,13 +483,9 @@ func (in *Ingress) buildLoop() {
 				}
 			}
 		}
-		batch := in.pull()
-		if len(batch) == 0 {
+		batch, txs := in.pull()
+		if batch == nil {
 			continue
-		}
-		txs := make([]*txn.Tx, len(batch))
-		for i, e := range batch {
-			txs[i] = e.tx
 		}
 		in.blocks.Inc()
 		in.blockTxs.Add(uint64(len(txs)))
@@ -484,8 +521,10 @@ func (in *Ingress) buildLoop() {
 // watchdog bounds how long a dispatched batch may stay unresolved: one
 // timer per block (not per transaction) answers any leftover waiters
 // with a timeout error, mirroring the direct paths' per-transaction 60s
-// guard without a goroutine per transaction.
-func (in *Ingress) watchdog(batch []*entry) {
+// guard without a goroutine per transaction. The timer lives only as long
+// as something is left to answer: a batch the sink has already resolved
+// arms none, and detach stops it with the batch's last entry.
+func (in *Ingress) watchdog(b *batch) {
 	if in.cfg.CommitTimeout <= 0 {
 		return
 	}
@@ -495,8 +534,16 @@ func (in *Ingress) watchdog(batch []*entry) {
 			timeout = skewed
 		}
 	}
-	time.AfterFunc(timeout, func() {
-		for _, e := range batch {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if b.pending == 0 {
+		return
+	}
+	b.timer = time.AfterFunc(timeout, func() {
+		in.mu.Lock()
+		left := b.entries
+		in.mu.Unlock()
+		for _, e := range left {
 			in.resolveEntry(e, system.Result{
 				Err: fmt.Errorf("ingress: commit timeout after %v", timeout),
 			})

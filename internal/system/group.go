@@ -81,6 +81,7 @@ type groupReplica[T any] struct {
 
 	mu      sync.Mutex
 	crashed atomic.Bool
+	closed  bool // Close has been here: stopped for good. Guarded by mu.
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
 }
@@ -231,12 +232,12 @@ func (g *Group[T]) Freshest() (*T, error) {
 // Crash fail-stops member i: the network drops its traffic, its raft node
 // halts, its in-memory state machine is abandoned. Its checkpoint chain
 // survives, like a process crash that keeps its disk. Crashing a crashed
-// member does nothing.
+// member, or a member of a closed group, does nothing.
 func (g *Group[T]) Crash(i int) {
 	rep := g.reps[i]
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
-	if rep.crashed.Load() {
+	if rep.crashed.Load() || rep.closed {
 		return
 	}
 	// Flip the flag first so proposals and reads stop routing here before
@@ -260,6 +261,9 @@ func (g *Group[T]) Recover(i int) (recovery.Stats, error) {
 	defer rep.mu.Unlock()
 	if !rep.crashed.Load() {
 		return recovery.Stats{}, fmt.Errorf("%s replica %d is not crashed", g.cfg.Label, i)
+	}
+	if rep.closed {
+		return recovery.Stats{}, fmt.Errorf("%s replica %d: recover: group is closed", g.cfg.Label, i)
 	}
 	start := time.Now()
 	skipTo, ckptBytes, err := g.start(rep, true)
@@ -299,14 +303,17 @@ func (g *Group[T]) Dump(i int) map[string][]byte {
 
 // Close stops every live member in two passes: every apply loop is told to
 // stop before any raft node is stopped and waited for, so the loops wind
-// down side by side rather than one member after another. Call it once,
-// before closing the network.
+// down side by side rather than one member after another. Call it before
+// closing the network. A closed group stays closed: a later Crash does
+// nothing, a later Recover restarts nothing, a second Close finds nothing
+// left to stop.
 func (g *Group[T]) Close() {
 	for _, rep := range g.reps {
 		rep.mu.Lock()
-		if !rep.crashed.Load() {
+		if !rep.crashed.Load() && !rep.closed {
 			close(rep.stopCh)
 		}
+		rep.closed = true
 		rep.mu.Unlock()
 	}
 	for _, rep := range g.reps {

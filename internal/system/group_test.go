@@ -291,3 +291,26 @@ func TestGroupCloseAfterCrashLeaksNothing(t *testing.T) {
 	net.Close()
 	assertGoroutinesReturn(t, base)
 }
+
+// A closed group stays closed, whatever is called on it afterwards and in
+// whatever order. (At the parent Close then Crash closed a member's stop
+// channel twice and panicked.)
+func TestGroupClosedStaysClosed(t *testing.T) {
+	base := goroutineBaseline()
+	net := cluster.NewNetwork(nil)
+	g := system.NewGroup(tallyConfig(net, t.TempDir(), recovery.Options{Interval: 2}))
+	put(t, g, 4)
+	g.Crash(2)
+	g.Close()
+
+	g.Crash(0)
+	if _, err := g.Recover(0); err == nil || !strings.Contains(err.Error(), "replica 0 is not crashed") {
+		t.Fatalf("Recover of a member that was live at Close: %v, want \"is not crashed\"", err)
+	}
+	if _, err := g.Recover(2); err == nil || !strings.Contains(err.Error(), "group is closed") {
+		t.Fatalf("Recover of a member that was down at Close: %v, want \"group is closed\"", err)
+	}
+	g.Close()
+	net.Close()
+	assertGoroutinesReturn(t, base)
+}

@@ -116,7 +116,9 @@ func readWrites(buf []byte, off *int) ([]txn.Write, bool) {
 			if !ok {
 				return nil, false
 			}
-			w.Value = append([]byte(nil), v...)
+			// Never nil, even when empty: nil is how a Write spells delete.
+			w.Value = make([]byte, len(v))
+			copy(w.Value, v)
 		}
 		writes = append(writes, w)
 	}

@@ -14,15 +14,22 @@ import (
 func TestReadWritesRefusesImplausibleCount(t *testing.T) {
 	buf := binary.BigEndian.AppendUint32(nil, 1<<20)
 	buf = append(buf, 0, 0, 0, 0, 0) // room for exactly one (empty-key, deleting) write
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	writes, ok := decodeWrites(buf)
-	runtime.ReadMemStats(&after)
-	if ok {
-		t.Fatalf("accepted a 9-byte buffer claiming 1<<20 writes (%d decoded)", len(writes))
+	// TotalAlloc counts the whole process: take the quietest of a few
+	// attempts, so a runtime goroutine allocating beside one is not billed
+	// to the decoder.
+	quietest := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		writes, ok := decodeWrites(buf)
+		runtime.ReadMemStats(&after)
+		if ok {
+			t.Fatalf("accepted a 9-byte buffer claiming 1<<20 writes (%d decoded)", len(writes))
+		}
+		quietest = min(quietest, after.TotalAlloc-before.TotalAlloc)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<10 {
-		t.Fatalf("allocated %d bytes refusing it, want < 1 KiB", got)
+	if quietest >= 1<<10 {
+		t.Fatalf("allocated %d bytes refusing it, want < 1 KiB", quietest)
 	}
 
 	// The bound is exact: writes of the minimum size, filling the buffer to
@@ -30,5 +37,25 @@ func TestReadWritesRefusesImplausibleCount(t *testing.T) {
 	smallest := []txn.Write{{Key: ""}, {Key: ""}, {Key: ""}}
 	if got, ok := decodeWrites(encodeWrites(smallest)); !ok || len(got) != len(smallest) {
 		t.Fatalf("refused %d minimum-size writes: %v, %v", len(smallest), got, ok)
+	}
+}
+
+// A present-but-empty value is a value: decoding it as nil would turn the
+// write into a delete (txn.Write's nil), which mpt.Put and the contract
+// stub both take care not to do.
+func TestWritesRoundTripKeepsEmptyValue(t *testing.T) {
+	in := []txn.Write{{Key: "empty", Value: []byte{}}, {Key: "gone"}, {Key: "full", Value: []byte("v")}}
+	out, ok := decodeWrites(encodeWrites(in))
+	if !ok || len(out) != len(in) {
+		t.Fatalf("round trip: %v, %v", out, ok)
+	}
+	if out[0].Value == nil || len(out[0].Value) != 0 {
+		t.Fatalf("empty value decoded as %#v, want present and empty", out[0].Value)
+	}
+	if out[1].Value != nil {
+		t.Fatalf("delete decoded as %#v, want nil", out[1].Value)
+	}
+	if string(out[2].Value) != "v" {
+		t.Fatalf("value decoded as %q", out[2].Value)
 	}
 }
