@@ -383,7 +383,7 @@ func (n *veritasNode) decodeBatch(batch sharedlog.Batch) (*veritasBatch, bool) {
 	for _, rec := range batch.Records {
 		t, err := txn.Unmarshal(rec)
 		if err != nil {
-			continue // foreign, corrupt or empty (a new orderer leader's) record: skip, keep the batch
+			continue // foreign or corrupt record: skip, keep the batch
 		}
 		txs = append(txs, t)
 	}

@@ -5,16 +5,54 @@
 // consumers pull independently. Ordering is decoupled from state
 // replication — the property the paper credits for shared logs' throughput
 // staying flat as consumers scale, until producers saturate.
+//
+// The total order is merged from every orderer's committed stream: raft
+// index i is taken from whichever stream delivers it first and later
+// copies are dropped. Raft safety makes every replica's entry at i
+// identical, so this is the order any single stream gives, but it arrives
+// when the leader commits — a follower learns of the commit a heartbeat
+// later — and it does not depend on any one orderer staying reachable.
+//
+// Batches are cut on size (BatchSize records pending) or by one timer,
+// reset at every cut and at every firing, that cuts whatever is pending
+// when it fires: a batch leaves BatchTimeout after the previous cut, never
+// two periods later. Fabric's orderer starts its timer at the first
+// envelope of a batch, but it cuts before consensus; here the cut is made
+// from committed entries, so a record reaches the cutter one raft round
+// after it was appended, and a timer started then would add BatchTimeout
+// to that round instead of overlapping it.
+//
+// Every appended record is delivered exactly once. The service gives it a
+// sequence number, carried in the raft entry ahead of the record (consumers
+// see the bare record), and keeps it in an in-flight table until the total
+// order reaches it. A record accepted by a leader that is deposed before it
+// replicates, or forwarded to one and dropped, is otherwise gone; one still
+// in flight a lap after an orderer accepted it is proposed again, to every
+// orderer, under the same number, and only the first committed copy of a
+// number is passed on. Dedupe is by number, never by content: the same
+// bytes appended twice are two records.
 package sharedlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/raft"
+)
+
+const (
+	// seqLen is the width of the sequence number ahead of a record in its
+	// raft entry.
+	seqLen = 8
+	// resendLap is how long an accepted record may stay unsequenced before
+	// it is proposed again — the lap of system.Replicator, the database
+	// side's replicate-and-wait loop.
+	resendLap = 100 * time.Millisecond
 )
 
 // Batch is one ordered batch of records handed to consumers.
@@ -31,7 +69,8 @@ type Config struct {
 	Orderers int
 	// BatchSize cuts a batch when this many records accumulate. Default 100.
 	BatchSize int
-	// BatchTimeout cuts a non-empty batch after this delay. Default 5ms.
+	// BatchTimeout cuts a non-empty batch this long after the previous
+	// cut. Default 5ms.
 	BatchTimeout time.Duration
 	// Net is the cluster network the orderers attach to. Orderer node ids
 	// are allocated from NodeBase upward.
@@ -56,17 +95,38 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg      Config
 	orderers []*raft.Node
+	// lead indexes the orderer whose stream delivered the newest entry
+	// first — the leader, which commits a heartbeat before its followers.
+	// Appends offer a record to it before the others.
+	lead atomic.Int32
 
 	mu        sync.Mutex
 	consumers []*Consumer
 	batches   []Batch // retained log; consumers replay from any offset
 	pending   [][]byte
-	lastCut   time.Time
 	appended  uint64
+	lastSeq   uint64
+	flight    map[uint64]inflight // appended, not yet sequenced, by number
+	resent    uint64              // records proposed again after a lap
+	copies    uint64              // committed copies of an already sequenced number, dropped
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	done     chan struct{}
+	wg       sync.WaitGroup
+}
+
+// inflight is one appended record awaiting the total order: its raft
+// entry, and when an orderer last accepted it (zero until one has — a
+// record still being offered by its Append is not the resend loop's).
+type inflight struct {
+	entry    []byte
+	accepted time.Time
+}
+
+// commit is one committed entry and the orderer whose stream carried it.
+type commit struct {
+	consensus.Entry
+	from int
 }
 
 // New starts an ordering service on the given network.
@@ -77,20 +137,29 @@ func New(cfg Config) *Service {
 		peers[i] = cfg.NodeBase + cluster.NodeID(i)
 	}
 	s := &Service{
-		cfg:     cfg,
-		stopCh:  make(chan struct{}),
-		done:    make(chan struct{}),
-		lastCut: time.Now(),
+		cfg:    cfg,
+		flight: make(map[uint64]inflight),
+		stopCh: make(chan struct{}),
 	}
-	for i, id := range peers {
+	for _, id := range peers {
 		s.orderers = append(s.orderers, raft.New(raft.Config{
 			ID:       id,
 			Peers:    peers,
 			Endpoint: cfg.Net.Register(id, 8192),
 		}))
-		_ = i
 	}
-	go s.run()
+	// Every stream is read, not only the one the order is taken from: a
+	// follower whose commit buffer fills stops reading its inbox, the
+	// leader's sends to it back up, and the whole append path stalls. The
+	// merge holds a few raft replication batches (256 entries each), so a
+	// follower's burst of copies does not hold the leader's stream up.
+	commits := make(chan commit, 1024)
+	s.wg.Add(len(s.orderers) + 2)
+	for i, o := range s.orderers {
+		go s.forward(i, o.Committed(), commits)
+	}
+	go s.run(commits)
+	go s.resend()
 	return s
 }
 
@@ -98,26 +167,11 @@ func New(cfg Config) *Service {
 // and returns once an orderer accepted the record; ordering completion is
 // observed through consumer delivery.
 func (s *Service) Append(record []byte) error {
-	select {
-	case <-s.stopCh:
-		return consensus.ErrStopped
-	default:
-	}
-	for attempt := 0; ; attempt++ {
-		for _, o := range s.orderers {
-			if err := o.Propose(record); err == nil {
-				return nil
-			}
-		}
-		select {
-		case <-s.stopCh:
-			return consensus.ErrStopped
-		case <-time.After(time.Millisecond):
-		}
-		if attempt > 5000 {
-			return consensus.ErrNotLeader
-		}
-	}
+	attempts := 0
+	return s.offer(record, func() (time.Duration, bool) {
+		attempts++
+		return time.Millisecond, attempts <= 5000
+	})
 }
 
 // TryAppend submits a record with a single pass over the orderers and no
@@ -126,18 +180,7 @@ func (s *Service) Append(record []byte) error {
 // builder uses it to observe consensus pushing back instead of hiding
 // the signal inside Append's patient loop.
 func (s *Service) TryAppend(record []byte) error {
-	select {
-	case <-s.stopCh:
-		return consensus.ErrStopped
-	default:
-	}
-	var err error
-	for _, o := range s.orderers {
-		if err = o.Propose(record); err == nil {
-			return nil
-		}
-	}
-	return err
+	return s.offer(record, func() (time.Duration, bool) { return 0, false })
 }
 
 // AppendBounded submits a record with a bounded exponential-backoff
@@ -148,23 +191,73 @@ func (s *Service) TryAppend(record []byte) error {
 func (s *Service) AppendBounded(record []byte, budget time.Duration) error {
 	backoff := time.Millisecond
 	deadline := time.Now().Add(budget)
-	for {
-		err := s.TryAppend(record)
-		if err == nil || errors.Is(err, consensus.ErrStopped) {
-			return err
-		}
-		if !time.Now().Before(deadline) {
-			return err
-		}
-		select {
-		case <-s.stopCh:
-			return consensus.ErrStopped
-		case <-time.After(backoff):
-		}
+	return s.offer(record, func() (time.Duration, bool) {
+		wait := backoff
 		if backoff < 100*time.Millisecond {
 			backoff *= 2
 		}
+		return wait, time.Now().Before(deadline)
+	})
+}
+
+// offer numbers record, tracks it in flight and proposes it until an
+// orderer accepts it; after each refused pass retry says how long to wait
+// before the next, or to give up. A record reported as refused is
+// forgotten, so it can never be delivered later.
+func (s *Service) offer(record []byte, retry func() (time.Duration, bool)) error {
+	entry := make([]byte, seqLen+len(record))
+	copy(entry[seqLen:], record)
+	s.mu.Lock()
+	select {
+	case <-s.stopCh:
+		s.mu.Unlock()
+		return consensus.ErrStopped
+	default:
 	}
+	s.lastSeq++
+	seq := s.lastSeq
+	binary.BigEndian.PutUint64(entry, seq)
+	s.flight[seq] = inflight{entry: entry}
+	s.mu.Unlock()
+	for {
+		err := s.propose(entry)
+		if err == nil {
+			s.mu.Lock()
+			if f, ok := s.flight[seq]; ok {
+				f.accepted = time.Now()
+				s.flight[seq] = f
+			}
+			s.mu.Unlock()
+			return nil
+		}
+		wait, again := retry()
+		if again && !errors.Is(err, consensus.ErrStopped) {
+			select {
+			case <-s.stopCh:
+				err = consensus.ErrStopped
+			case <-time.After(wait):
+				continue
+			}
+		}
+		s.mu.Lock()
+		delete(s.flight, seq)
+		s.mu.Unlock()
+		return err
+	}
+}
+
+// propose offers entry to the leading orderer, then to the others, until
+// one accepts it.
+func (s *Service) propose(entry []byte) error {
+	n := len(s.orderers)
+	first := int(s.lead.Load())
+	var err error
+	for k := range n {
+		if err = s.orderers[(first+k)%n].Propose(entry); err == nil {
+			return nil
+		}
+	}
+	return err
 }
 
 // SetBatchSize adjusts the record count at which the service cuts a
@@ -191,57 +284,113 @@ func (s *Service) Dropped() uint64 {
 	return n
 }
 
-// run consumes the orderer group's committed entries, cuts batches, and
-// fans them out to consumers.
-func (s *Service) run() {
-	defer close(s.done)
-	// Any single orderer's committed stream is the total order. The other
-	// replicas produce identical streams (Raft safety) that exist only
-	// because every replica applies; drain them, or a follower wedges once
-	// its commit buffer fills — it stops reading its inbox, the leader
-	// blocks sending to it, and the whole append path stalls. The drains
-	// exit when Stop closes the nodes' commit channels.
-	for _, o := range s.orderers[1:] {
-		go func(c <-chan consensus.Entry) {
-			for range c {
-			}
-		}(o.Committed())
+// forward feeds orderer i's committed stream into run's merge until the
+// stream closes or the service stops.
+func (s *Service) forward(i int, src <-chan consensus.Entry, dst chan<- commit) {
+	defer s.wg.Done()
+	for e := range src {
+		select {
+		case dst <- commit{Entry: e, from: i}:
+		case <-s.stopCh:
+			return
+		}
 	}
-	commits := s.orderers[0].Committed()
-	flush := time.NewTicker(s.cfg.BatchTimeout)
-	defer flush.Stop()
+}
+
+// run takes the total order from the merged commit streams, cuts batches,
+// and fans them out to consumers.
+func (s *Service) run(commits <-chan commit) {
+	defer s.wg.Done()
+	next := uint64(1) // the raft index the order takes next
+	timer := time.NewTimer(s.cfg.BatchTimeout)
+	defer timer.Stop()
 	for {
 		select {
 		case <-s.stopCh:
 			return
-		case e, ok := <-commits:
-			if !ok {
-				return
+		case c := <-commits:
+			// Every stream is gapless from index 1, so an index other
+			// than next is one a faster stream already delivered.
+			if c.Index != next {
+				continue
 			}
+			next++
+			s.lead.Store(int32(c.from))
 			s.mu.Lock()
-			s.pending = append(s.pending, e.Data)
-			s.appended++
+			s.sequenceLocked(c.Data)
 			if len(s.pending) >= s.cfg.BatchSize {
 				s.cutLocked()
+				timer.Reset(s.cfg.BatchTimeout)
 			}
 			s.mu.Unlock()
-		case <-flush.C:
+		case <-timer.C:
 			s.mu.Lock()
-			if len(s.pending) > 0 && time.Since(s.lastCut) >= s.cfg.BatchTimeout {
+			if len(s.pending) > 0 {
 				s.cutLocked()
 			}
 			s.mu.Unlock()
+			timer.Reset(s.cfg.BatchTimeout)
 		}
 	}
+}
+
+// sequenceLocked passes the record in a committed entry to the pending
+// batch if it is the first copy of its number. An entry too short to
+// carry a number is the empty one a new raft leader commits its
+// inherited tail with; it is no record.
+func (s *Service) sequenceLocked(entry []byte) {
+	if len(entry) < seqLen {
+		return
+	}
+	seq := binary.BigEndian.Uint64(entry)
+	if _, ok := s.flight[seq]; !ok {
+		s.copies++
+		return
+	}
+	delete(s.flight, seq)
+	s.pending = append(s.pending, entry[seqLen:])
+	s.appended++
 }
 
 func (s *Service) cutLocked() {
 	batch := Batch{Seq: uint64(len(s.batches) + 1), Records: s.pending}
 	s.pending = nil
-	s.lastCut = time.Now()
 	s.batches = append(s.batches, batch)
 	for _, c := range s.consumers {
 		c.notify()
+	}
+}
+
+// resend proposes again, to every orderer, each record an orderer accepted
+// at least a lap ago that the total order has not reached. Whichever
+// orderer leads now sequences it; any other copy that commits is dropped.
+func (s *Service) resend() {
+	defer s.wg.Done()
+	lap := time.NewTicker(resendLap)
+	defer lap.Stop()
+	var due [][]byte
+	for {
+		select {
+		case <-s.stopCh:
+			return
+		case now := <-lap.C:
+			due = due[:0]
+			s.mu.Lock()
+			for seq, f := range s.flight {
+				if !f.accepted.IsZero() && now.Sub(f.accepted) >= resendLap {
+					f.accepted = now
+					s.flight[seq] = f
+					due = append(due, f.entry)
+				}
+			}
+			s.resent += uint64(len(due))
+			s.mu.Unlock()
+			for _, entry := range due {
+				for _, o := range s.orderers {
+					_ = o.Propose(entry)
+				}
+			}
+		}
 	}
 }
 
@@ -262,14 +411,15 @@ func (s *Service) Batches() uint64 {
 	return uint64(len(s.batches))
 }
 
-// Stop shuts the service and its orderers down.
+// Stop shuts the service and its orderers down and waits for the
+// service's own goroutines.
 func (s *Service) Stop() {
 	s.stopOnce.Do(func() {
 		close(s.stopCh)
-		<-s.done
 		for _, o := range s.orderers {
 			o.Stop()
 		}
+		s.wg.Wait()
 		s.mu.Lock()
 		for _, c := range s.consumers {
 			c.close()

@@ -2,6 +2,7 @@ package sharedlog
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,13 +11,20 @@ import (
 
 func service(t *testing.T, batchSize int) *Service {
 	t.Helper()
+	svc, _ := serviceOn(t, batchSize)
+	return svc
+}
+
+// serviceOn is service with the network it runs on, for fault injection.
+func serviceOn(t *testing.T, batchSize int) (*Service, *cluster.Network) {
+	t.Helper()
 	net := cluster.NewNetwork(cluster.ZeroLink{})
 	svc := New(Config{Net: net, NodeBase: 1000, BatchSize: batchSize})
 	t.Cleanup(func() {
 		svc.Stop()
 		net.Close()
 	})
-	return svc
+	return svc, net
 }
 
 func readBatches(t *testing.T, c *Consumer, records int, timeout time.Duration) [][]byte {
@@ -245,4 +253,283 @@ func TestUnpacedBurstAppendDoesNotWedge(t *testing.T) {
 			t.Fatalf("delivered %d/%d records before deadline", seen, records)
 		}
 	}
+}
+
+// waitUntil polls cond every 2 ms until it holds or timeout passes.
+func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// leader waits for an orderer other than the excluded ones to lead and
+// returns its index.
+func leader(t *testing.T, svc *Service, exclude ...int) int {
+	t.Helper()
+	at := -1
+	waitUntil(t, 10*time.Second, "an orderer to lead", func() bool {
+		for i, o := range svc.orderers {
+			if !slices.Contains(exclude, i) && o.IsLeader() {
+				at = i
+				return true
+			}
+		}
+		return false
+	})
+	return at
+}
+
+// isolate cuts orderer i off until the other orderers elect a leader
+// among themselves, then reconnects it.
+func isolate(t *testing.T, svc *Service, net *cluster.Network, i int) {
+	t.Helper()
+	id := svc.cfg.NodeBase + cluster.NodeID(i)
+	net.Crash(id)
+	leader(t, svc, i)
+	net.Restart(id)
+}
+
+// resends returns the service's re-proposal and dropped-copy counters.
+func resends(svc *Service) (resent, copies uint64) {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.resent, svc.copies
+}
+
+// expectNoMore fails if c delivers another batch within three resend laps.
+func expectNoMore(t *testing.T, c *Consumer) {
+	t.Helper()
+	select {
+	case b := <-c.Batches():
+		t.Fatalf("unexpected batch %d: %q", b.Seq, b.Records)
+	case <-time.After(3 * resendLap):
+	}
+}
+
+// TestDeliveryDoesNotDependOnOrdererZero: with orderer 0 cut off after the
+// first election, an appended record is still delivered — whichever
+// orderer's stream commits it first carries the total order.
+func TestDeliveryDoesNotDependOnOrdererZero(t *testing.T) {
+	svc, net := serviceOn(t, 1)
+	c := svc.Subscribe(1)
+	defer c.Close()
+	leader(t, svc)
+	net.Crash(svc.cfg.NodeBase)
+	if err := svc.Append([]byte("without orderer 0")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBatches(t, c, 1, 10*time.Second); string(got[0]) != "without orderer 0" {
+		t.Fatalf("got %q", got[0])
+	}
+}
+
+// TestBatchTimerDoesNotSkip: under a steady trickle of appends the batch
+// timer cuts every BatchTimeout. A timer that only cuts once BatchTimeout
+// has passed since the last cut, checked on a ticker of the same period,
+// misses that instant by microseconds about half the time and cuts a
+// period later.
+func TestBatchTimerDoesNotSkip(t *testing.T) {
+	svc := service(t, 1000) // never cut on size
+	c := svc.Subscribe(1)
+	defer c.Close()
+	if err := svc.Append([]byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	readBatches(t, c, 1, 10*time.Second)
+
+	const records = 300
+	arrivals := make(chan []time.Time, 1)
+	go func() {
+		var at []time.Time
+		for n := 0; n < records; {
+			b, ok := <-c.Batches()
+			if !ok {
+				break
+			}
+			at = append(at, time.Now())
+			n += len(b.Records)
+		}
+		arrivals <- at
+	}()
+	tick := time.NewTicker(time.Millisecond)
+	for i := 0; i < records; i++ {
+		<-tick.C
+		if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tick.Stop()
+	var at []time.Time
+	select {
+	case at = <-arrivals:
+	case <-time.After(10 * time.Second):
+		t.Fatal("trickle never fully delivered")
+	}
+	var gaps []time.Duration
+	for i := 1; i < len(at); i++ {
+		gaps = append(gaps, at[i].Sub(at[i-1]))
+	}
+	if len(gaps) < 10 {
+		t.Fatalf("%d cuts for %d records over 300 ms", len(at), records)
+	}
+	slices.Sort(gaps)
+	median := gaps[len(gaps)/2]
+	if limit := svc.cfg.BatchTimeout * 6 / 5; median > limit {
+		t.Fatalf("median gap between cuts %v > %v (1.2 × BatchTimeout); gaps %v", median, limit, gaps)
+	}
+}
+
+// batchList reads whole batches from c until they hold records records.
+func batchList(t *testing.T, c *Consumer, records int, timeout time.Duration) []Batch {
+	t.Helper()
+	var out []Batch
+	deadline := time.After(timeout)
+	for n := 0; n < records; {
+		select {
+		case b, ok := <-c.Batches():
+			if !ok {
+				t.Fatalf("consumer closed at %d records", n)
+			}
+			out = append(out, b)
+			n += len(b.Records)
+		case <-deadline:
+			t.Fatalf("timeout with %d/%d records", n, records)
+		}
+	}
+	return out
+}
+
+// TestConsumersAgreeAcrossLeaderChange: three consumers see identical
+// batch sequences holding every appended record exactly once, while the
+// leading orderer is cut off mid-stream and a new one takes over.
+func TestConsumersAgreeAcrossLeaderChange(t *testing.T) {
+	svc, net := serviceOn(t, 7)
+	var cs []*Consumer
+	for range 3 {
+		c := svc.Subscribe(1)
+		defer c.Close()
+		cs = append(cs, c)
+	}
+	const total = 200
+	appended := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
+				appended <- err
+				return
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+		appended <- nil
+	}()
+	isolate(t, svc, net, leader(t, svc))
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	ref := batchList(t, cs[0], total, 10*time.Second)
+	seen := map[string]int{}
+	for _, b := range ref {
+		for _, r := range b.Records {
+			seen[string(r)]++
+		}
+	}
+	for i := 0; i < total; i++ {
+		if n := seen[fmt.Sprintf("r-%d", i)]; n != 1 {
+			t.Fatalf("record r-%d delivered %d times", i, n)
+		}
+	}
+	for k, c := range cs[1:] {
+		got := batchList(t, c, total, 10*time.Second)
+		if len(got) != len(ref) {
+			t.Fatalf("consumer %d saw %d batches, consumer 0 %d", k+1, len(got), len(ref))
+		}
+		for j := range ref {
+			if got[j].Seq != ref[j].Seq || !slices.EqualFunc(got[j].Records, ref[j].Records, func(a, b []byte) bool { return string(a) == string(b) }) {
+				t.Fatalf("consumer %d batch %d differs: %q vs %q", k+1, j, got[j].Records, ref[j].Records)
+			}
+		}
+	}
+	expectNoMore(t, cs[0])
+}
+
+// TestRecordLostToLeaderChangeIsResentOnce: the leader is cut off, then
+// accepts a record it can never replicate; the other two orderers elect a
+// leader and the old one returns, truncating the record from its log. The
+// service proposes the record again after a lap, and it is delivered
+// exactly once.
+func TestRecordLostToLeaderChangeIsResentOnce(t *testing.T) {
+	svc, net := serviceOn(t, 1)
+	c := svc.Subscribe(1)
+	defer c.Close()
+	if err := svc.Append([]byte("warm")); err != nil {
+		t.Fatal(err)
+	}
+	readBatches(t, c, 1, 10*time.Second)
+	old := leader(t, svc)
+	svc.lead.Store(int32(old))
+	id := svc.cfg.NodeBase + cluster.NodeID(old)
+	net.Crash(id)
+	if err := svc.Append([]byte("lost")); err != nil {
+		t.Fatal(err)
+	}
+	leader(t, svc, old)
+	net.Restart(id)
+	if got := readBatches(t, c, 1, 10*resendLap); string(got[0]) != "lost" {
+		t.Fatalf("got %q", got[0])
+	}
+	expectNoMore(t, c)
+	if resent, _ := resends(svc); resent == 0 {
+		t.Fatal("delivered without a re-proposal: the record was never lost")
+	}
+}
+
+// TestSameBytesAreDistinctRecords: the service dedupes by the sequence
+// number it assigns, never by content, so a payload appended n times is n
+// records.
+func TestSameBytesAreDistinctRecords(t *testing.T) {
+	svc := service(t, 50)
+	c := svc.Subscribe(1)
+	defer c.Close()
+	record := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	const total = 500
+	for i := 0; i < total; i++ {
+		if err := svc.Append(record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readBatches(t, c, total, 10*time.Second)
+	expectNoMore(t, c)
+	if n := svc.Appended(); n != total {
+		t.Fatalf("Appended() = %d, want %d", n, total)
+	}
+}
+
+// TestRefusedRecordIsForgotten: before the first election no orderer
+// knows a leader, so TryAppend and AppendBounded refuse; a refused record
+// leaves the in-flight table and is never delivered.
+func TestRefusedRecordIsForgotten(t *testing.T) {
+	svc := service(t, 1)
+	c := svc.Subscribe(1)
+	defer c.Close()
+	if svc.TryAppend([]byte("refused")) == nil || svc.AppendBounded([]byte("refused too"), 0) == nil {
+		t.Skip("an orderer was elected before the first append")
+	}
+	svc.mu.Lock()
+	inFlight := len(svc.flight)
+	svc.mu.Unlock()
+	if inFlight != 0 {
+		t.Fatalf("%d refused records still in flight", inFlight)
+	}
+	if err := svc.Append([]byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBatches(t, c, 1, 10*time.Second); string(got[0]) != "kept" {
+		t.Fatalf("first delivered record %q, want \"kept\"", got[0])
+	}
+	expectNoMore(t, c)
 }

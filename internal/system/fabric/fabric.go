@@ -9,9 +9,16 @@
 //     execution is not serialized here — and signs the resulting read/write
 //     set (endorsement).
 //  2. The client checks that all endorsements report identical read sets;
-//     divergence is the "inconsistent read" abort of Fig 10.
+//     divergence is the "inconsistent read" abort of Fig 10. A peer that
+//     crashed while simulating answers from a closed engine; its
+//     endorsement is dropped, and the rest go ahead if they still meet the
+//     policy.
 //  3. The assembled transaction goes to the ordering service (three Raft
-//     orderers behind a shared-log facade), which batches it into blocks.
+//     orderers behind a shared-log facade), which batches it into blocks:
+//     the order is taken from whichever orderer commits an entry first,
+//     and a block is cut when BlockSize transactions are pending or
+//     BlockTimeout after the previous cut. A transaction lost to an
+//     orderer leader change is proposed again and ordered once.
 //  4. Every peer pulls blocks and validates them through the shared
 //     block pipeline (internal/pipeline). By default validation is
 //     serial, as in the modelled system — endorsement signature checks
@@ -67,7 +74,8 @@ type Config struct {
 	Orderers int
 	// BlockSize caps transactions per block. Default 100.
 	BlockSize int
-	// BlockTimeout cuts a non-full block. Default 5ms.
+	// BlockTimeout cuts a non-full block this long after the previous cut.
+	// Default 5ms.
 	BlockTimeout time.Duration
 	// EndorsementsNeeded is how many endorsements a transaction must carry
 	// to validate; the paper's policy requires all peers. 0 means all.
@@ -446,10 +454,34 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 	}
 	wg.Wait()
 	t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
-	for _, r := range results {
-		if r.err != nil {
+	// A peer crashed mid-simulation answers from its closed engine. Its
+	// endorsement is dropped; the others stand if the policy can do without
+	// it. Any other error fails the transaction as before.
+	var closed error
+	for i, r := range results {
+		switch {
+		case r.err == nil:
+		case errors.Is(r.err, storage.ErrClosed) && live[i].Crashed():
+			if closed == nil {
+				closed = r.err
+			}
+		default:
 			return system.Result{Err: r.err}, false
 		}
+	}
+	endorsers := live
+	if closed != nil {
+		endorsers = nil
+		kept := results[:0]
+		for i, r := range results {
+			if r.err == nil {
+				endorsers, kept = append(endorsers, live[i]), append(kept, r)
+			}
+		}
+		if len(kept) < nw.needed() {
+			return system.Result{Err: closed}, false
+		}
+		results = kept
 	}
 	// Client-side consistency check across endorsers.
 	sets := make([]txn.RWSet, len(results))
@@ -464,15 +496,15 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 	t.RWSet = results[0].rw
 	t.Endorsements = t.Endorsements[:0]
 	t.AggEndorsement = nil
-	for i, p := range live {
+	for i, p := range endorsers {
 		t.Endorsements = append(t.Endorsements, txn.Endorsement{Peer: p.name, Sig: results[i].sig})
 	}
 	if nw.cfg.AggregateEndorsements {
-		// The first live peer acts as aggregation leader: it has just
+		// The first endorser acts as aggregation leader: it has just
 		// verified its own endorsement inputs, and every committer knows
 		// its key. Committers that distrust the aggregate fall back to
 		// per-signature checks, so a bad cosign only costs the fast path.
-		if err := t.Cosign(live[0].signer); err != nil {
+		if err := t.Cosign(endorsers[0].signer); err != nil {
 			return system.Result{Err: fmt.Errorf("fabric: aggregate endorsement: %w", err)}, false
 		}
 	}
@@ -616,8 +648,7 @@ func (p *peer) commitLoop(stop <-chan struct{}) {
 }
 
 // decodeBlock resolves a batch's payload handles into the block's
-// transactions (pipeline Decode stage). A record that is no handle — the
-// empty entry a new orderer leader commits its inherited tail with — is
+// transactions (pipeline Decode stage). A record that is no handle is
 // skipped, and batches that decode to zero transactions still pass
 // through as empty blocks: ledger height must track the ordering
 // sequence exactly — block N is always batch N — or the recovery handoff

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,6 +327,75 @@ func TestValidateRejectsRepeatedEndorser(t *testing.T) {
 				t.Errorf("honest transaction rejected: %v", b.verdicts[1])
 			}
 		})
+	}
+}
+
+// closingEngine holds a read of key, once armed, until the engine closes:
+// an endorsement caught mid-simulation by a crash.
+type closingEngine struct {
+	storage.Engine
+	key       string
+	armed     atomic.Bool
+	enterOnce sync.Once
+	closeOnce sync.Once
+	entered   chan struct{}
+	closed    chan struct{}
+}
+
+func (e *closingEngine) Get(key []byte) ([]byte, error) {
+	if e.armed.Load() && string(key) == e.key {
+		e.enterOnce.Do(func() { close(e.entered) })
+		<-e.closed
+	}
+	return e.Engine.Get(key)
+}
+
+func (e *closingEngine) Close() error {
+	err := e.Engine.Close()
+	e.closeOnce.Do(func() { close(e.closed) })
+	return err
+}
+
+// TestEndorsementRacingCrashStillCommits: peer 2 crashes while it
+// simulates, so its endorsement answers storage.ErrClosed. Under a
+// 3-of-4 policy the other three endorsements still carry the
+// transaction, which must commit rather than fail with the closed
+// engine's error.
+func TestEndorsementRacingCrashStillCommits(t *testing.T) {
+	held := &closingEngine{key: "held", entered: make(chan struct{}), closed: make(chan struct{})}
+	opened := 0
+	nw, client := network(t, Config{
+		EndorsementsNeeded: 3,
+		EngineHook: func(e storage.Engine) storage.Engine {
+			if opened++; opened == 3 { // peer 2's engine
+				held.Engine = e
+				return held
+			}
+			return e
+		},
+	})
+	if r := nw.Execute(mustTx(t, client, "put", "held", "0")); !r.Committed {
+		t.Fatalf("seed: %+v", r)
+	}
+	// Let every peer seal the seed block: a commit still waiting behind the
+	// held read's snapshot would keep CrashPeer from stopping the peer.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := range nw.peers {
+		for nw.Ledger(i).Height() < 1 && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	held.armed.Store(true)
+	crashed := make(chan struct{})
+	go func() {
+		defer close(crashed)
+		<-held.entered
+		nw.CrashPeer(2)
+	}()
+	r := nw.Execute(mustTx(t, client, "modify", "held", "1"))
+	<-crashed // CrashPeer finishes before the cleanup's Close
+	if !r.Committed {
+		t.Fatalf("endorsement racing CrashPeer(2): %+v, want a commit on the three live endorsements", r)
 	}
 }
 
