@@ -35,18 +35,18 @@ fuzz-smoke:
 # Chaos smoke, all under the race detector; the CI chaos-smoke job runs
 # this target itself, so there is one command list. The fault injector's
 # determinism units and PBFT liveness under sustained message loss run on
-# fixed seeds. The six chaos-equivalence tests, which keep open-loop load
+# fixed seeds. The seven chaos-equivalence tests, which keep open-loop load
 # running through a crash *and* its recovery, seed from the clock and log
 # the seed, and when their crashes land is wall-clock besides — so a
-# failure is a rate, not a replay, and the database side's two (< 1 s
-# each) run ten times over to catch a one-in-ten. The shared log's two
+# failure is a rate, not a replay, and the database side's three, all on
+# system.Group (< 1 s each), run ten times over to catch a one-in-ten. The shared log's two
 # consumers run five times: a record lost to an orderer leader change
 # costs one 100 ms resend lap, so a run that takes seconds is a stall.
 chaos-smoke:
 	go test -race -count=1 -timeout 10m ./internal/chaos/...
 	go test -race -count=1 -timeout 10m -run 'TestLivenessUnderSustainedDrops' ./internal/consensus/pbft/
 	go test -race -count=1 -timeout 10m -run 'TestChaosEquivalence' ./internal/system/
-	go test -race -count=10 -timeout 10m -run 'TestChaosEquivalence(TiDB|Spanner)' ./internal/system/
+	go test -race -count=10 -timeout 10m -run 'TestChaosEquivalence(TiDB|Spanner|Etcd)' ./internal/system/
 	go test -race -count=5 -timeout 10m -run 'TestChaosEquivalence(Fabric|Veritas)' ./internal/system/
 
 # One run of a benchmark workload, exactly as the pipeline runs it

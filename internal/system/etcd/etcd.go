@@ -7,9 +7,17 @@
 // but ties its throughput to the Raft group size (Table 4's decay), and
 // its relaxed transactional surface (single-op requests; no general
 // transactions) is why the Smallbank experiment excludes it.
+//
+// How a replica boots, applies its log, dies and comes back is not etcd's:
+// the cluster is one system.Group whose state machine is the B+tree. Each
+// op rides encoded in its raft entry, and reads are served from the live
+// replica that has applied the most (Freshest), so a resolved write is
+// visible to the next read; a crashed replica is rebuilt by the leader
+// re-replicating the whole log.
 package etcd
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,7 +25,6 @@ import (
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
-	"dichotomy/internal/consensus/raft"
 	"dichotomy/internal/contract"
 	"dichotomy/internal/metrics"
 	"dichotomy/internal/storage"
@@ -41,158 +48,113 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Cluster is a running etcd deployment.
+// Cluster is a running etcd deployment: one replicated group of B+trees.
 type Cluster struct {
 	system.Blocking
-	cfg   Config
-	net   *cluster.Network
-	nodes []*node
-	box   *system.PayloadBox
-	repl  *system.Replicator
+	*system.Group[bptree.Tree]
+	net *cluster.Network
 
 	closeOne sync.Once
 }
 
 var _ system.System = (*Cluster)(nil)
 
-type node struct {
-	id     cluster.NodeID
-	c      *Cluster
-	cons   *raft.Node
-	tree   *bptree.Tree
-	stopCh chan struct{}
-	wg     sync.WaitGroup
-}
-
-// op is the replicated request.
-type op struct {
-	reqID uint64
-	del   bool
-	key   string
-	value []byte
-}
-
 // New assembles and starts a cluster.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	c := &Cluster{
-		cfg:  cfg,
-		net:  cluster.NewNetwork(cfg.Link),
-		box:  system.NewPayloadBox(),
-		repl: system.NewReplicator("etcd: leaderless", "etcd: apply timeout"),
-	}
+	c := &Cluster{net: cluster.NewNetwork(cfg.Link)}
 	c.Blocking = system.NewBlocking(c.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
 		peers[i] = cluster.NodeID(i)
 	}
-	for _, id := range peers {
-		n := &node{
-			id:     id,
-			c:      c,
-			tree:   bptree.New(),
-			stopCh: make(chan struct{}),
-		}
-		n.cons = raft.New(raft.Config{ID: id, Peers: peers, Endpoint: c.net.Register(id, 8192)})
-		c.nodes = append(c.nodes, n)
-	}
-	for _, n := range c.nodes {
-		n.wg.Add(1)
-		go n.applyLoop()
-	}
+	c.Group = system.NewGroup(system.GroupConfig[bptree.Tree]{
+		Label:      "etcd: cluster",
+		Net:        c.net,
+		Peers:      peers,
+		New:        bptree.New,
+		Apply:      apply,
+		Dump:       dump,
+		Restore:    func(t *bptree.Tree, key string, value []byte) error { return t.Put([]byte(key), value) },
+		Leaderless: "etcd: leaderless",
+		Timeout:    "etcd: apply timeout",
+	})
 	return c
 }
 
 // Name implements system.System.
 func (c *Cluster) Name() string { return "etcd" }
 
-// applyLoop applies committed operations serially — etcd's single apply
-// thread.
-func (n *node) applyLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case e, ok := <-n.cons.Committed():
-			if !ok {
-				return
-			}
-			n.apply(e)
-		}
+// encodeOp returns an op's log entry: the group's header, left for
+// Propose to fill in, then the body (big-endian)
+//
+//	del u8 | klen u32 | key | value
+func encodeOp(del bool, key string, value []byte) []byte {
+	buf := make([]byte, system.GroupHeader, system.GroupHeader+1+4+len(key)+len(value))
+	if del {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
 	}
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
+	return append(buf, value...)
 }
 
-func (n *node) apply(e consensus.Entry) {
-	id, ok := system.HandleID(e.Data)
-	if !ok {
-		return // no handle: raft's empty new-term entry, not an operation
+// apply is the group's Apply: one op into one replica's tree, serially —
+// etcd's single apply thread. The key and value the tree keeps alias the
+// entry: raft hands every replica the one immutable slice, and the tree
+// never mutates either.
+func apply(t *bptree.Tree, e consensus.Entry) system.Result {
+	b := e.Data
+	if len(b) < 5 || int(binary.BigEndian.Uint32(b[1:])) > len(b)-5 {
+		return system.Result{Err: errors.New("etcd: undecodable op")}
 	}
-	v, ok := n.c.box.Take(id)
-	if !ok {
-		return
-	}
-	o := v.(*op)
-	if o.del {
-		_ = n.tree.Delete([]byte(o.key))
+	end := 5 + int(binary.BigEndian.Uint32(b[1:]))
+	key := b[5:end:end]
+	if b[0] == 1 {
+		_ = t.Delete(key)
 	} else {
-		_ = n.tree.Put([]byte(o.key), o.value)
+		_ = t.Put(key, b[end:])
 	}
-	n.c.repl.Resolve(o.reqID, system.Result{Committed: true})
+	return system.Result{Committed: true}
+}
+
+// dump is the group's Dump: the tree's records in key order.
+func dump(t *bptree.Tree, emit func(key string, value []byte)) {
+	it := t.NewIterator(nil)
+	for it.Next() {
+		emit(string(it.Key()), it.Value())
+	}
 }
 
 // Put writes a key through consensus and waits for apply.
-func (c *Cluster) Put(key string, value []byte) error {
-	return c.replicate(&op{key: key, value: value})
-}
+func (c *Cluster) Put(key string, value []byte) error { return c.replicate(false, key, value) }
 
 // Delete removes a key through consensus.
-func (c *Cluster) Delete(key string) error {
-	return c.replicate(&op{key: key, del: true})
-}
+func (c *Cluster) Delete(key string) error { return c.replicate(true, key, nil) }
 
-func (c *Cluster) replicate(o *op) error {
-	o.reqID = c.repl.NextID()
-	id := c.box.Put(o, len(c.nodes))
-	payload := system.EncodeHandle(id)
-	// Proposed once, never again: the box hands the op to each node one
-	// time, so a second log entry carrying the same handle could be
-	// applied twice by one node and not at all by another.
-	err := c.repl.Do(o.reqID, false, len(c.nodes), func(i int) bool {
-		return c.nodes[i].cons.Propose(payload) == nil
-	}).Err
-	if err != nil {
-		// Gave up with takes outstanding: release the op, or it leaks.
-		c.box.Drop(id)
+func (c *Cluster) replicate(del bool, key string, value []byte) error {
+	if key == "" {
+		// etcd refuses it, and the group's checkpoint records keep it for
+		// themselves (system.GroupConfig.Dump).
+		return errors.New("etcd: key is not provided")
 	}
-	return err
+	return c.Propose(encodeOp(del, key, value)).Err
 }
 
-// Get serves a linearizable read from the leader's tree (leader leases;
-// elections are not exercised by the experiments).
+// Get reads key from the freshest live replica; a missing key reads as
+// nil, and a cluster with no live replica errors.
 func (c *Cluster) Get(key string) ([]byte, error) {
-	n := c.leader()
-	v, err := n.tree.Get([]byte(key))
+	t, err := c.Freshest()
+	if err != nil {
+		return nil, err
+	}
+	v, err := t.Get([]byte(key))
 	if errors.Is(err, storage.ErrNotFound) {
 		return nil, nil
 	}
 	return v, err
-}
-
-func (c *Cluster) leader() *node {
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for _, n := range c.nodes {
-			if n.cons.IsLeader() {
-				return n
-			}
-		}
-		if time.Now().After(deadline) {
-			return c.nodes[0]
-		}
-		//lint:allow sleepyloop bounded wait for a leader during elections
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // execute serves single-operation requests only, mirroring etcd's data
@@ -210,37 +172,24 @@ func (c *Cluster) execute(t *txn.Tx) system.Result {
 		t.Trace.Time(metrics.PhaseStorage, func() {
 			v, err = c.Get(string(inv.Args[0]))
 		})
-		if err != nil {
-			return system.Result{Err: err}
-		}
-		return system.Result{Committed: true, Value: v}
+		return system.Result{Committed: err == nil, Value: v, Err: err}
 	case "put", "modify":
 		start := time.Now()
 		err := c.Put(string(inv.Args[0]), inv.Args[1])
 		t.Trace.Observe(metrics.PhaseCommit, time.Since(start))
-		if err != nil {
-			return system.Result{Err: err}
-		}
-		return system.Result{Committed: true}
+		return system.Result{Committed: err == nil, Err: err}
 	default:
 		return system.Result{Err: fmt.Errorf("etcd: unsupported method %q", inv.Method)}
 	}
 }
 
 // StateBytes returns one replica's resident state size.
-func (c *Cluster) StateBytes() int64 { return c.nodes[0].tree.ApproxSize() }
+func (c *Cluster) StateBytes() int64 { return c.State(0).ApproxSize() }
 
 // Close implements system.System.
 func (c *Cluster) Close() {
 	c.closeOne.Do(func() {
-		for _, n := range c.nodes {
-			close(n.stopCh)
-		}
-		for _, n := range c.nodes {
-			n.cons.Stop()
-			n.wg.Wait()
-			n.tree.Close()
-		}
+		c.Group.Close()
 		c.net.Close()
 	})
 }

@@ -3,12 +3,14 @@ package etcd
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"dichotomy/internal/contract"
 	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/storage/bptree"
 	"dichotomy/internal/txn"
 )
 
@@ -56,12 +58,33 @@ func TestAllReplicasApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The leader has applied everything (replicate waits for it); the
-	// others converge shortly after.
-	lead := c.leader()
-	if lead.tree.Len() != 50 {
-		t.Fatalf("leader has %d keys", lead.tree.Len())
+	// The replica reads are served from has applied everything (Put waits
+	// for the first apply); the others converge shortly after, to the same
+	// content.
+	if got := freshest(t, c).Len(); got != 50 {
+		t.Fatalf("freshest replica has %d keys", got)
 	}
+	for deadline := time.Now().Add(10 * time.Second); c.Applied(1) != c.Applied(0) || c.Applied(2) != c.Applied(0); {
+		if time.Now().After(deadline) {
+			t.Fatalf("replicas never converged: applied %d, %d, %d", c.Applied(0), c.Applied(1), c.Applied(2))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < c.Replicas(); i++ {
+		if c.State(i).Len() != 50 || !reflect.DeepEqual(c.Dump(i), c.Dump(0)) {
+			t.Fatalf("replica %d holds %d keys, dump %v; replica 0's %v", i, c.State(i).Len(), c.Dump(i), c.Dump(0))
+		}
+	}
+}
+
+// freshest is the tree reads are served from.
+func freshest(t *testing.T, c *Cluster) *bptree.Tree {
+	t.Helper()
+	tree, err := c.Freshest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -85,8 +108,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if got := c.leader().tree.Len(); got != 200 {
-		t.Fatalf("leader has %d keys, want 200", got)
+	if got := freshest(t, c).Len(); got != 200 {
+		t.Fatalf("freshest replica has %d keys, want 200", got)
 	}
 }
 
@@ -130,5 +153,33 @@ func TestStateBytes(t *testing.T) {
 			t.Fatal("state bytes did not grow")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// An empty key is refused, as etcd's "key is not provided", before it
+// reaches the log.
+func TestEmptyKeyRefused(t *testing.T) {
+	c := newCluster(t, 3)
+	if err := c.Put("", []byte("v")); err == nil || err.Error() != "etcd: key is not provided" {
+		t.Fatalf("Put of the empty key: %v", err)
+	}
+}
+
+// With every replica down a read errors, naming the cluster, instead of
+// polling for a leader; a write gives up leaderless.
+func TestDeadClusterErrors(t *testing.T) {
+	c := newCluster(t, 3)
+	if err := c.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.Replicas(); i++ {
+		c.Crash(i)
+	}
+	if v, err := c.Get("k"); err == nil || err.Error() != "etcd: cluster has no live replica" {
+		t.Fatalf("Get from a dead cluster: %q, %v", v, err)
+	}
+	c.Deadline = 30 * time.Millisecond
+	if err := c.Put("k", []byte("w")); err == nil || err.Error() != "etcd: leaderless" {
+		t.Fatalf("Put into a dead cluster: %v, want etcd: leaderless", err)
 	}
 }

@@ -95,6 +95,23 @@ func TestConcurrentWritersOnHotKeyAbort(t *testing.T) {
 	if r := nw.Execute(mustTx(t, client, "put", "hot", "0")); !r.Committed {
 		t.Fatalf("seed: %+v", r)
 	}
+	// Execute returns at the first peer's seal. A writer that endorses
+	// while another peer has not applied the seed block reads two versions
+	// of the key and aborts as an inconsistent read, never reaching the MVCC
+	// check this test is about — so every peer reaches the seed's height
+	// before the writers start.
+	var seed uint64
+	for i := 0; i < 3; i++ {
+		seed = max(seed, nw.Ledger(i).Height())
+	}
+	for i := 0; i < 3; i++ {
+		for deadline := time.Now().Add(10 * time.Second); nw.Ledger(i).Height() < seed; {
+			if time.Now().After(deadline) {
+				t.Fatalf("peer %d stuck at height %d below the seed's %d", i, nw.Ledger(i).Height(), seed)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 	const writers = 16
 	var wg sync.WaitGroup
 	var mu sync.Mutex

@@ -2,9 +2,11 @@ package system
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +17,15 @@ import (
 	"dichotomy/internal/recovery"
 )
 
+// GroupHeader is how many leading bytes of every command Group.Propose
+// owns: the request id, then the low-water mark, big-endian u64 each.
+const GroupHeader = 16
+
+// windowKey is the checkpoint record a member's window is kept under.
+const windowKey = ""
+
 // GroupConfig is what a database-side system says about one of its
-// replicated groups — a TiDB region, a Spanner shard; the lifecycle that
+// replicated groups — etcd, a TiDB region, a Spanner shard; the lifecycle that
 // follows from it is Group's. T is one replica's state machine.
 type GroupConfig[T any] struct {
 	// Label names the group in recovery and read errors ("tidb: region 3").
@@ -34,13 +43,14 @@ type GroupConfig[T any] struct {
 	// New returns an empty state machine. A replica starts from one at
 	// construction and again at every recovery.
 	New func() *T
-	// Apply applies one committed entry and names the request it answers.
-	// ok is false for an entry that carries no command, as raft's new-term
-	// no-op does not. The outcome may depend on nothing but the log prefix:
-	// every replica computes it, whichever gets there first answers.
-	Apply func(st *T, e consensus.Entry) (reqID uint64, res Result, ok bool)
+	// Apply applies the first copy of one request's command; e.Data is the
+	// command's body, after the group's header. The outcome may depend on
+	// nothing but the log prefix: every replica computes it, whichever gets
+	// there first answers.
+	Apply func(st *T, e consensus.Entry) Result
 	// Dump emits the state machine's complete content as checkpoint
-	// records; Restore puts one record back into an empty one.
+	// records; Restore puts one record back into an empty one. The empty
+	// key is the group's own, so a state machine must never emit it.
 	Dump    func(st *T, emit func(key string, value []byte))
 	Restore func(st *T, key string, value []byte) error
 	// Leaderless and Timeout are the error texts Propose gives up with.
@@ -48,17 +58,21 @@ type GroupConfig[T any] struct {
 }
 
 // Group is one raft group of replicas, each applying the committed log
-// into its own copy of a state machine — the lifecycle TiDB's regions and
-// Spanner's shards share, as Replica is the ledger side's. Commands ride
-// inside the log entries, so the log is self-contained: a replica
-// restarted with an empty log is rebuilt by the leader's ordinary
+// into its own copy of a state machine — the lifecycle etcd, TiDB's
+// regions and Spanner's shards share, as Replica is the ledger side's.
+// Commands ride inside the log entries, so the log is self-contained: a
+// replica restarted with an empty log is rebuilt by the leader's ordinary
 // re-replication, and one restored from its checkpoint chain skips the
 // prefix the checkpoint covers. The unit of failure is one member, never
 // the group: it keeps committing while a raft quorum remains, and a
 // recovery pauses nobody.
 //
-// The embedded Replicator issues the request ids commands carry and holds
-// the waiters the apply loops resolve; its Deadline is the one test seam.
+// The group, not the command codec, frames requests: Propose writes a
+// header of GroupHeader bytes ahead of each command body — the request id
+// and the proposer's low-water mark, the smallest id still in flight — and
+// every member applies each request once, the first copy the log holds
+// (see window). The embedded Replicator issues the ids and holds the
+// waiters the apply loops resolve; its Deadline is the one test seam.
 type Group[T any] struct {
 	*Replicator
 	cfg         GroupConfig[T]
@@ -77,6 +91,7 @@ type groupReplica[T any] struct {
 
 	cons    atomic.Pointer[raft.Node]
 	state   atomic.Pointer[T]
+	win     atomic.Pointer[window]
 	applied atomic.Uint64 // newest applied (or restored) raft index
 
 	mu      sync.Mutex
@@ -123,13 +138,18 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 // member is equally empty and someone has to campaign. Callers hold rep.mu
 // or are constructing the group.
 func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
-	st := g.cfg.New()
+	st, win := g.cfg.New(), &window{}
 	var ckpt *recovery.ChainWriter
 	if rep.ckpt.Dir != "" {
 		if ckpt, err = recovery.OpenChainWriter(rep.ckpt); err != nil {
 			return 0, 0, err
 		}
-		err = ckpt.Restore(func(key string, value []byte) error { return g.cfg.Restore(st, key, value) })
+		err = ckpt.Restore(func(key string, value []byte) error {
+			if key == windowKey {
+				return win.restore(value)
+			}
+			return g.cfg.Restore(st, key, value)
+		})
 		if err != nil {
 			return 0, 0, err
 		}
@@ -137,20 +157,31 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 	}
 	cons := raft.New(raft.Config{ID: rep.id, Peers: g.cfg.Peers, Endpoint: rep.ep, Recovering: rejoin})
 	rep.state.Store(st)
+	rep.win.Store(win)
 	rep.cons.Store(cons)
 	rep.applied.Store(skipTo)
 	rep.stopCh = make(chan struct{})
 	rep.wg.Add(1)
-	go g.applyLoop(rep, cons, st, ckpt, skipTo, rep.stopCh)
+	go g.applyLoop(rep, cons, st, win, ckpt, skipTo, rep.stopCh)
 	return skipTo, ckptBytes, nil
+}
+
+// dump emits a member's complete content in checkpoint-record form: the
+// state machine's records and the window under the empty key.
+func (g *Group[T]) dump(st *T, win *window, emit func(key string, value []byte)) {
+	g.cfg.Dump(st, emit)
+	emit(windowKey, win.encode())
 }
 
 // applyLoop applies the committed log into one incarnation of a member.
 // Everything that incarnation owns is passed by value, so a crash/recover
-// swap of the member's cons and state never races a stale loop.
-func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
+// swap of the member's cons and state never races a stale loop. An entry
+// too short for a header is raft's new-term no-op, and one the window
+// refuses is a later copy of a request already applied (or given up):
+// neither reaches Apply, though both advance the applied index.
+func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
-	dump := func(emit func(key string, value []byte)) { g.cfg.Dump(st, emit) }
+	dump := func(emit func(key string, value []byte)) { g.dump(st, win, emit) }
 	for {
 		select {
 		case <-stopCh:
@@ -162,15 +193,24 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, ckpt 
 			if e.Index <= skipTo {
 				continue // its effects are in the restored checkpoint already
 			}
-			reqID, res, ok := g.cfg.Apply(st, e)
+			id, first := uint64(0), false
+			if len(e.Data) >= GroupHeader {
+				id = binary.BigEndian.Uint64(e.Data)
+				first = win.admit(id, binary.BigEndian.Uint64(e.Data[8:]))
+			}
+			var res Result
+			if first {
+				e.Data = e.Data[GroupHeader:]
+				res = g.cfg.Apply(st, e)
+			}
 			// Publish the applied index BEFORE resolving the waiter: reads
 			// route to the live member with the highest applied index
 			// (Freshest), and whichever member resolves a request is live
 			// with applied ≥ its entry — so a resolved write is visible to
 			// the next read without waiting for an election.
 			rep.applied.Store(e.Index)
-			if ok {
-				g.Resolve(reqID, res)
+			if first {
+				g.Resolve(id, res)
 			}
 			if ckpt != nil {
 				// A failed checkpoint write only degrades durability —
@@ -182,29 +222,35 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, ckpt 
 	}
 }
 
-// Propose sequences payload — a command carrying the request id from
-// NextID — through the group's log and waits for the first member to apply
-// it; the Result is Apply's, or one of the two give-up errors.
+// Propose sequences cmd through the group's log and waits for the first
+// member to apply it; the Result is Apply's, or one of the two give-up
+// errors. cmd's first GroupHeader bytes are the group's: the encoder
+// reserves them, and Propose writes the request id it draws and the
+// low-water mark there, so framing costs no allocation.
 //
-// Delivery is at least once. A proposal a member accepted and then lost
-// (it crashed, or was deposed, before replicating it) would otherwise
+// Every request is applied once. A proposal a member accepted and then
+// lost (it crashed, or was deposed, before replicating it) would otherwise
 // stall the client to the deadline and leave whatever the command was
 // meant to release — a Percolator lock, a prepared 2PC write set —
 // dangling, so an accepted command still unapplied after a lap is proposed
-// again, and a merely slow first proposal then sits in the log twice.
-// Every member applies both copies identically, and only the first finds
-// a waiter, but the second is NOT always a no-op: a TiDB prewrite
-// re-applied after its own rollback re-creates a lock nobody will clear
-// (mvcc.Rollback drops the entry, so Prewrite finds none to refuse), and a
-// Spanner phaseApply or phasePrep re-applied after a later write to the
-// same key, or after the same transaction's finish, is a lost update or a
-// leaked prepared set. Each needs the duplicate reordered behind another
-// command; none has been observed, and nothing here deduplicates — a
-// history checker over recorded runs is what should find them.
-func (g *Group[T]) Propose(id uint64, payload []byte) Result {
-	return g.Do(id, true, len(g.reps), func(i int) bool {
+// again, and a merely slow first proposal then sits in the log twice. The
+// second copy is not harmless — a TiDB prewrite re-applied after its own
+// rollback re-creates a lock nobody clears, a Spanner write re-applied
+// after a later one is a lost update — so each member's window drops it:
+// an id it has applied, or one below the highest mark it has applied.
+// The mark rule is safe because an id is in flight from the instant it is
+// issued until its waiter is resolved or given up, so an entry whose mark
+// passed id X was proposed after X finished — after X's first copy
+// committed, at a lower index — and any copy of X behind it is a
+// duplicate. The filter reads nothing but the log, so every member drops
+// the same copies.
+func (g *Group[T]) Propose(cmd []byte) Result {
+	id, mark, done := g.issue()
+	binary.BigEndian.PutUint64(cmd, id)
+	binary.BigEndian.PutUint64(cmd[8:], mark)
+	return g.await(id, done, true, len(g.reps), func(i int) bool {
 		rep := g.reps[i]
-		return !rep.crashed.Load() && rep.cons.Load().Propose(payload) == nil
+		return !rep.crashed.Load() && rep.cons.Load().Propose(cmd) == nil
 	})
 }
 
@@ -290,12 +336,13 @@ func (g *Group[T]) Applied(i int) uint64 { return g.reps[i].applied.Load() }
 // the member is crashed.
 func (g *Group[T]) State(i int) *T { return g.reps[i].state.Load() }
 
-// Dump returns member i's complete content in checkpoint-record form. Two
-// members that have applied the same log prefix return byte-identical
-// maps; the crash-equivalence tests compare exactly this.
+// Dump returns member i's complete content in checkpoint-record form, its
+// window included. Two members that have applied the same log prefix
+// return byte-identical maps; the crash-equivalence tests compare exactly
+// this.
 func (g *Group[T]) Dump(i int) map[string][]byte {
 	out := make(map[string][]byte)
-	g.cfg.Dump(g.State(i), func(key string, value []byte) {
+	g.dump(g.State(i), g.reps[i].win.Load(), func(key string, value []byte) {
 		out[key] = bytes.Clone(value)
 	})
 	return out
@@ -324,4 +371,81 @@ func (g *Group[T]) Close() {
 		}
 		rep.mu.Unlock()
 	}
+}
+
+// window is one member's exactly-once filter: it admits the first copy of
+// each request id and refuses every later one. floor is the highest mark
+// applied: every id below it has finished, so none applies again. The ring
+// holds the applied ids at or above it, id in slot id mod len(ring), and
+// grows only when the spread of ids above the floor would wrap it, so a
+// steady load allocates nothing. Raising the floor prunes nothing eagerly:
+// an id below it left in a slot is ignored, then overwritten by the id
+// that maps there next, so admit is O(1) amortised over growth. The
+// content is a function of the log prefix alone, and encode's form is
+// canonical, so members that applied one prefix — from scratch or from a
+// checkpoint — encode alike.
+type window struct {
+	mu    sync.Mutex // admit runs on the apply loop, Group.Dump anywhere
+	floor uint64
+	ring  []uint64 // ids start at 1: an empty slot holds none
+}
+
+// admit reports whether id's entry is its request's first copy, and if so
+// records id and raises the floor to mark (a mark never passes its own id).
+func (w *window) admit(id, mark uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if id < w.floor {
+		return false
+	}
+	if id-w.floor >= uint64(len(w.ring)) {
+		ids := w.ids()
+		w.ring = make([]uint64, max(2*len(w.ring), 64, int(id-w.floor+1)))
+		for _, held := range ids {
+			w.ring[held%uint64(len(w.ring))] = held
+		}
+	}
+	slot := &w.ring[id%uint64(len(w.ring))]
+	if *slot == id {
+		return false
+	}
+	*slot = id
+	w.floor = max(w.floor, min(mark, id))
+	return true
+}
+
+// ids returns the applied ids at or above the floor, ascending.
+func (w *window) ids() []uint64 {
+	var out []uint64
+	for _, id := range w.ring {
+		if id != 0 && id >= w.floor {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// encode returns the window's canonical form: the floor, then ids(),
+// big-endian u64 each.
+func (w *window) encode() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := binary.BigEndian.AppendUint64(nil, w.floor)
+	for _, id := range w.ids() {
+		out = binary.BigEndian.AppendUint64(out, id)
+	}
+	return out
+}
+
+// restore loads encode's form into an empty window.
+func (w *window) restore(b []byte) error {
+	if len(b) < 8 || len(b)%8 != 0 {
+		return errors.New("system: corrupt window record")
+	}
+	w.floor = binary.BigEndian.Uint64(b)
+	for b = b[8:]; len(b) > 0; b = b[8:] {
+		w.admit(binary.BigEndian.Uint64(b), 0)
+	}
+	return nil
 }

@@ -1,47 +1,48 @@
-package system_test
+package system
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
+	"dichotomy/internal/israce"
+	"dichotomy/internal/mvcc"
 	"dichotomy/internal/recovery"
-	"dichotomy/internal/system"
 )
 
 // tally is the group tests' state machine: four append-only strings, so
-// applying an entry twice — or skipping one — changes the dump, plus a
-// record of which raft indexes Apply saw each request at. Restored
+// applying a command twice — or skipping one — changes the dump, plus a
+// record of which raft indexes Apply saw each command at. Restored
 // records leave no such record, which is how the tests tell an entry that
-// was re-applied from one the checkpoint covered.
+// was re-applied from one the checkpoint covered. A command's body is its
+// number, unique in the test binary, then a value.
 type tally struct {
 	mu   sync.Mutex
 	vals map[string]string
-	seen map[uint64][]uint64 // request id → raft indexes it was applied at
+	seen map[uint64][]uint64 // command number → raft indexes it was applied at
 }
 
 func newTally() *tally {
 	return &tally{vals: map[string]string{}, seen: map[uint64][]uint64{}}
 }
 
-func (s *tally) apply(e consensus.Entry) (uint64, system.Result, bool) {
-	if len(e.Data) < 8 {
-		return 0, system.Result{}, false
-	}
-	id := binary.BigEndian.Uint64(e.Data)
+func (s *tally) apply(e consensus.Entry) Result {
+	n := binary.BigEndian.Uint64(e.Data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.vals[fmt.Sprintf("k%d", id%4)] += "|" + string(e.Data[8:])
-	s.seen[id] = append(s.seen[id], e.Index)
-	return id, system.Result{Committed: true}, true
+	s.vals[fmt.Sprintf("k%d", n%4)] += "|" + string(e.Data[8:])
+	s.seen[n] = append(s.seen[n], e.Index)
+	return Result{Committed: true}
 }
 
 func (s *tally) dump(emit func(key string, value []byte)) {
@@ -61,16 +62,37 @@ func (s *tally) seenAt() map[uint64][]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[uint64][]uint64, len(s.seen))
-	for id, at := range s.seen {
-		out[id] = append([]uint64(nil), at...)
+	for n, at := range s.seen {
+		out[n] = append([]uint64(nil), at...)
 	}
 	return out
 }
 
+// requireOnce fails unless every command in seen was applied at exactly
+// one index.
+func requireOnce(t *testing.T, who string, seen map[uint64][]uint64) {
+	t.Helper()
+	for n, at := range seen {
+		if len(at) != 1 {
+			t.Fatalf("%s applied command %d at indexes %v, want exactly one", who, n, at)
+		}
+	}
+}
+
+var tallySeq atomic.Uint64
+
+// tallyCmd returns a fresh tally command behind room for the group's
+// header.
+func tallyCmd() []byte {
+	n := tallySeq.Add(1)
+	cmd := binary.BigEndian.AppendUint64(make([]byte, GroupHeader), n)
+	return append(cmd, fmt.Sprintf("v%d", n)...)
+}
+
 // tallyConfig describes a three-member group of tallies on net; dir == ""
 // leaves it without checkpoint chains.
-func tallyConfig(net *cluster.Network, dir string, ckpt recovery.Options) system.GroupConfig[tally] {
-	return system.GroupConfig[tally]{
+func tallyConfig(net *cluster.Network, dir string, ckpt recovery.Options) GroupConfig[tally] {
+	return GroupConfig[tally]{
 		Label:      "test: group 7",
 		Net:        net,
 		Peers:      []cluster.NodeID{70, 71, 72},
@@ -87,10 +109,10 @@ func tallyConfig(net *cluster.Network, dir string, ckpt recovery.Options) system
 }
 
 // tallyGroup starts that group and closes it with the test.
-func tallyGroup(t *testing.T, dir string, ckpt recovery.Options) *system.Group[tally] {
+func tallyGroup(t *testing.T, dir string, ckpt recovery.Options) *Group[tally] {
 	t.Helper()
 	net := cluster.NewNetwork(nil)
-	g := system.NewGroup(tallyConfig(net, dir, ckpt))
+	g := NewGroup(tallyConfig(net, dir, ckpt))
 	t.Cleanup(func() {
 		g.Close()
 		net.Close()
@@ -98,20 +120,41 @@ func tallyGroup(t *testing.T, dir string, ckpt recovery.Options) *system.Group[t
 	return g
 }
 
-// put proposes n commands and requires each to be applied.
-func put(t *testing.T, g *system.Group[tally], n int) {
+// put proposes n commands, requires each to be applied, and returns them,
+// headers filled in.
+func put(t *testing.T, g *Group[tally], n int) [][]byte {
 	t.Helper()
+	var cmds [][]byte
 	for i := 0; i < n; i++ {
-		id := g.NextID()
-		payload := binary.BigEndian.AppendUint64(nil, id)
-		if r := g.Propose(id, append(payload, fmt.Sprintf("v%d", id)...)); r.Err != nil || !r.Committed {
-			t.Fatalf("propose %d: %+v", id, r)
+		cmd := tallyCmd()
+		if r := g.Propose(cmd); r.Err != nil || !r.Committed {
+			t.Fatalf("propose %x: %+v", cmd, r)
 		}
+		cmds = append(cmds, cmd)
+	}
+	return cmds
+}
+
+// proposeCopy hands cmd's exact bytes, header and all, straight to the
+// raft leader's node: a second copy of an applied request, as a
+// re-proposal racing a slow first one leaves in the log.
+func proposeCopy[T any](t *testing.T, g *Group[T], cmd []byte) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		for _, rep := range g.reps {
+			if cons := rep.cons.Load(); !rep.crashed.Load() && cons.IsLeader() && cons.Propose(cmd) == nil {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no leader took the copy")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 // settle waits until every member in live has applied the same index.
-func settle(t *testing.T, g *system.Group[tally], live ...int) uint64 {
+func settle[T any](t *testing.T, g *Group[T], live ...int) uint64 {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -137,11 +180,10 @@ func TestGroupProposeReachesEveryReplica(t *testing.T) {
 	top := settle(t, g, 0, 1, 2)
 	for i := 0; i < g.Replicas(); i++ {
 		seen := g.State(i).seenAt()
-		for id := uint64(1); id <= 5; id++ {
-			if len(seen[id]) == 0 {
-				t.Fatalf("replica %d never applied request %d", i, id)
-			}
+		if len(seen) != 5 {
+			t.Fatalf("replica %d applied %d commands, want 5", i, len(seen))
 		}
+		requireOnce(t, fmt.Sprintf("replica %d", i), seen)
 		if !reflect.DeepEqual(g.Dump(i), g.Dump(0)) {
 			t.Fatalf("replica %d dump %v != replica 0's %v", i, g.Dump(i), g.Dump(0))
 		}
@@ -179,7 +221,11 @@ func TestGroupCrashSkipsReplica(t *testing.T) {
 // A recovered member must end where a never-crashed one is — restoring a
 // checkpoint and applying only the log above it (incremental) equals
 // replaying the whole log into an empty state machine (from scratch), and
-// both equal never having crashed.
+// both equal never having crashed. The log holds a second copy of the
+// request the victim's newest checkpoint ends on, committed while the
+// victim is down and before any later request could raise the mark past
+// it: the checkpoint falls between the two copies, so only the window
+// restored with it can tell the recovered member to drop the second.
 func TestGroupRecoverEqualsNeverCrashed(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -198,9 +244,10 @@ func TestGroupRecoverEqualsNeverCrashed(t *testing.T) {
 			// Checkpoints at 3, 6, 9: in delta mode a full and two deltas.
 			g := tallyGroup(t, dir, recovery.Options{Interval: 3, Keep: 8, Mode: tc.mode, FullEvery: 4})
 			const vic = 2
-			put(t, g, 10)
+			last := put(t, g, 9)[8]
 			settle(t, g, 0, 1, 2)
 			g.Crash(vic)
+			proposeCopy(t, g, last)
 			put(t, g, 7) // committed while the victim is down
 			stats, err := g.Recover(vic)
 			if err != nil {
@@ -212,9 +259,15 @@ func TestGroupRecoverEqualsNeverCrashed(t *testing.T) {
 			if tc.chain != (stats.CheckpointHeight > 0) {
 				t.Fatalf("restored height %d", stats.CheckpointHeight)
 			}
+			lastAt := g.State(0).seenAt()[binary.BigEndian.Uint64(last[GroupHeader:])]
+			if tc.chain && (len(lastAt) == 0 || stats.CheckpointHeight < lastAt[0]) {
+				t.Fatalf("restored height %d is below the first copy (applied at %v)", stats.CheckpointHeight, lastAt)
+			}
 			// Reference: every index a never-crashed member applied each
-			// request at. The recovered state machine must have been handed
-			// exactly those above the restored height, and none at or below.
+			// request at — one each. The recovered state machine must have
+			// been handed exactly those above the restored height, and none
+			// at or below.
+			requireOnce(t, "the never-crashed replica", g.State(0).seenAt())
 			want := map[uint64][]uint64{}
 			for id, at := range g.State(0).seenAt() {
 				for _, idx := range at {
@@ -264,8 +317,7 @@ func TestGroupLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 	}
 	g.Deadline = 30 * time.Millisecond
 	start := time.Now()
-	id := g.NextID()
-	r := g.Propose(id, binary.BigEndian.AppendUint64(nil, id))
+	r := g.Propose(tallyCmd())
 	if r.Err == nil || r.Err.Error() != "test: leaderless" || !g.GaveUp(r.Err) {
 		t.Fatalf("propose into a dead group: %+v, want test: leaderless", r)
 	}
@@ -278,9 +330,9 @@ func TestGroupLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 }
 
 func TestGroupCloseAfterCrashLeaksNothing(t *testing.T) {
-	base := goroutineBaseline()
+	base := GoroutineBaseline()
 	net := cluster.NewNetwork(nil)
-	g := system.NewGroup(tallyConfig(net, t.TempDir(), recovery.Options{Interval: 2}))
+	g := NewGroup(tallyConfig(net, t.TempDir(), recovery.Options{Interval: 2}))
 	put(t, g, 4)
 	g.Crash(0)
 	g.Crash(1)
@@ -289,16 +341,16 @@ func TestGroupCloseAfterCrashLeaksNothing(t *testing.T) {
 	}
 	g.Close()
 	net.Close()
-	assertGoroutinesReturn(t, base)
+	AssertGoroutinesReturn(t, base)
 }
 
 // A closed group stays closed, whatever is called on it afterwards and in
 // whatever order. (At the parent Close then Crash closed a member's stop
 // channel twice and panicked.)
 func TestGroupClosedStaysClosed(t *testing.T) {
-	base := goroutineBaseline()
+	base := GoroutineBaseline()
 	net := cluster.NewNetwork(nil)
-	g := system.NewGroup(tallyConfig(net, t.TempDir(), recovery.Options{Interval: 2}))
+	g := NewGroup(tallyConfig(net, t.TempDir(), recovery.Options{Interval: 2}))
 	put(t, g, 4)
 	g.Crash(2)
 	g.Close()
@@ -312,5 +364,180 @@ func TestGroupClosedStaysClosed(t *testing.T) {
 	}
 	g.Close()
 	net.Close()
-	assertGoroutinesReturn(t, base)
+	AssertGoroutinesReturn(t, base)
+}
+
+// A second copy of an applied request, committed behind a command that
+// conflicts with it, is dropped by every member: the tally's request is
+// applied at one index (at the parent, two, and its value twice).
+func TestGroupDropsCopyBehindConflict(t *testing.T) {
+	g := tallyGroup(t, "", recovery.Options{})
+	first := put(t, g, 1)[0]
+	put(t, g, 4) // one of four consecutive commands shares first's key
+	proposeCopy(t, g, first)
+	put(t, g, 1)
+	settle(t, g, 0, 1, 2)
+	for i := 0; i < g.Replicas(); i++ {
+		requireOnce(t, fmt.Sprintf("replica %d", i), g.State(i).seenAt())
+		if !reflect.DeepEqual(g.Dump(i), g.Dump(0)) {
+			t.Fatalf("replica %d dump %v != replica 0's %v", i, g.Dump(i), g.Dump(0))
+		}
+	}
+}
+
+// The Percolator shape of the same: a prewrite, its rollback, then the
+// prewrite's second copy. Applied, the copy re-creates the lock the
+// rollback cleared, and nothing would ever clear it (at the parent it did).
+func TestGroupDropsPrewriteCopyBehindRollback(t *testing.T) {
+	net := cluster.NewNetwork(nil)
+	g := NewGroup(GroupConfig[mvcc.Store]{
+		Label: "test: locks",
+		Net:   net,
+		Peers: []cluster.NodeID{80, 81, 82},
+		New:   mvcc.NewStore,
+		Apply: func(st *mvcc.Store, e consensus.Entry) Result {
+			var err error
+			switch e.Data[0] {
+			case 'p':
+				err = st.Prewrite("k", []byte("v"), false, 5, "k")
+			case 'r':
+				st.Rollback("k", 5)
+			}
+			return Result{Committed: err == nil, Err: err}
+		},
+		Dump:       (*mvcc.Store).DumpEntries,
+		Restore:    (*mvcc.Store).SetEntry,
+		Leaderless: "test: leaderless",
+		Timeout:    "test: apply timeout",
+	})
+	t.Cleanup(func() {
+		g.Close()
+		net.Close()
+	})
+	cmd := func(kind byte) []byte { return append(make([]byte, GroupHeader), kind) }
+	prewrite := cmd('p')
+	for _, c := range [][]byte{prewrite, cmd('r')} {
+		if r := g.Propose(c); !r.Committed {
+			t.Fatalf("propose %q: %+v", c[GroupHeader:], r)
+		}
+	}
+	proposeCopy(t, g, prewrite)
+	if r := g.Propose(cmd('-')); !r.Committed { // behind the copy
+		t.Fatalf("marker: %+v", r)
+	}
+	settle(t, g, 0, 1, 2)
+	for i := 0; i < g.Replicas(); i++ {
+		if g.State(i).Locked("k") {
+			t.Fatalf("replica %d: the prewrite's copy re-created the lock its rollback cleared", i)
+		}
+	}
+}
+
+// Sixteen proposers racing through Propose: every request is applied
+// exactly once on every member, and none is dropped by a mark that passed
+// it — which would stall it to the deadline.
+func TestGroupRacingProposersApplyEachOnce(t *testing.T) {
+	g := tallyGroup(t, "", recovery.Options{})
+	g.Deadline = 5 * time.Second
+	const proposers, each = 16, 25
+	var wg sync.WaitGroup
+	for p := 0; p < proposers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if r := g.Propose(tallyCmd()); !r.Committed {
+					t.Errorf("propose: %+v", r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	settle(t, g, 0, 1, 2)
+	for i := 0; i < g.Replicas(); i++ {
+		seen := g.State(i).seenAt()
+		if len(seen) != proposers*each {
+			t.Fatalf("replica %d applied %d requests, want %d", i, len(seen), proposers*each)
+		}
+		requireOnce(t, fmt.Sprintf("replica %d", i), seen)
+	}
+}
+
+// The window's admit-and-prune allocates nothing once the ring spans the
+// spread of ids in flight.
+func TestWindowAdmitAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	var w window
+	var id uint64
+	admit := func() {
+		id++
+		if !w.admit(id+8, id) || w.admit(id+8, id) {
+			t.Fatalf("id %d: first copy refused or second admitted", id+8)
+		}
+	}
+	admit()
+	if got := testing.AllocsPerRun(1000, admit); got != 0 {
+		t.Errorf("admit and prune: %v allocs, want 0", got)
+	}
+}
+
+// A window restored from its checkpoint record and fed the rest of a log
+// equals one fed the whole log (incremental = from scratch), admitting the
+// same copies; the log is a proposer's ids and marks with copies of random
+// earlier requests mixed in, across several growths of the ring.
+func TestWindowRestoreEqualsFromScratch(t *testing.T) {
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("seed %d", seed)
+	type entry struct{ id, mark uint64 }
+	var log []entry
+	var inflight []uint64 // ascending
+	for next := uint64(1); next <= 2000; {
+		switch {
+		case len(inflight) > 0 && rng.Intn(3) == 0: // a request finishes
+			inflight = append(inflight[:0:0], inflight[1:]...)
+			if rng.Intn(4) > 0 {
+				i := rng.Intn(len(log))
+				log = append(log, log[i]) // and a copy of an earlier one lands
+			}
+		default: // one is issued, its low-water mark the oldest in flight
+			if rng.Intn(50) == 0 {
+				next += 200 // ids drawn and given up on: the ring must grow
+			}
+			inflight = append(inflight, next)
+			log = append(log, entry{next, inflight[0]})
+			next++
+		}
+	}
+	var scratch window
+	admitted := make([]bool, len(log))
+	for i, e := range log {
+		admitted[i] = scratch.admit(e.id, e.mark)
+	}
+	for _, cut := range []int{0, 1, len(log) / 3, len(log) / 2, len(log) - 1} {
+		var before, after window
+		for _, e := range log[:cut] {
+			before.admit(e.id, e.mark)
+		}
+		if err := after.restore(before.encode()); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for i, e := range log[cut:] {
+			if got := after.admit(e.id, e.mark); got != admitted[cut+i] {
+				t.Fatalf("cut %d: entry %d (%+v) admitted=%v, from scratch %v", cut, cut+i, e, got, admitted[cut+i])
+			}
+		}
+		if !reflect.DeepEqual(after.encode(), scratch.encode()) {
+			t.Fatalf("cut %d: restored window encodes differently from the one fed the whole log", cut)
+		}
+	}
+	if err := new(window).restore([]byte{1, 2, 3}); err == nil {
+		t.Fatal("restored a 3-byte record")
+	}
 }

@@ -6,9 +6,9 @@
 package system_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -16,41 +16,12 @@ import (
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/hybrid"
 	"dichotomy/internal/system"
+	"dichotomy/internal/system/etcd"
 	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/system/quorum"
 	"dichotomy/internal/system/spanner"
 	"dichotomy/internal/system/tidb"
 )
-
-// goroutineBaseline samples the goroutine count after letting any
-// stragglers from earlier tests wind down.
-func goroutineBaseline() int {
-	runtime.GC()
-	time.Sleep(10 * time.Millisecond)
-	return runtime.NumGoroutine()
-}
-
-// assertGoroutinesReturn polls until the goroutine count drops back to
-// the baseline (with a little slack for runtime-internal helpers), and
-// dumps all stacks if it never does.
-func assertGoroutinesReturn(t *testing.T, base int) {
-	t.Helper()
-	const slack = 2
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		n := runtime.NumGoroutine()
-		if n <= base+slack {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutines leaked after Close: %d, baseline %d\n%s", n, base, buf)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
 
 // driveSmallLoad commits a handful of transactions so the pipeline,
 // checkpointer, and appliers all wake up at least once.
@@ -68,7 +39,7 @@ func driveSmallLoad(t *testing.T, sys system.System, client *cryptoutil.Signer) 
 }
 
 func TestFabricCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	nw, err := fabric.New(fabric.Config{
 		Peers:              4,
@@ -86,11 +57,11 @@ func TestFabricCloseReapsGoroutines(t *testing.T) {
 	nw.RegisterClient(client.Name(), client.Public())
 	driveSmallLoad(t, nw, client)
 	nw.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestFabricCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	nw, err := fabric.New(fabric.Config{
 		Peers:              4,
@@ -116,11 +87,11 @@ func TestFabricCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, nw, client)
 	nw.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestQuorumCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	nw, err := quorum.New(quorum.Config{
 		Nodes:              3,
@@ -137,11 +108,11 @@ func TestQuorumCloseReapsGoroutines(t *testing.T) {
 	nw.RegisterClient(client.Name(), client.Public())
 	driveSmallLoad(t, nw, client)
 	nw.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestQuorumCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	nw, err := quorum.New(quorum.Config{
 		Nodes:              3,
@@ -167,11 +138,11 @@ func TestQuorumCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, nw, client)
 	nw.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestVeritasCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	v, err := hybrid.NewVeritas(hybrid.VeritasConfig{
 		Verifiers:          2,
@@ -186,11 +157,11 @@ func TestVeritasCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, v, client)
 	v.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestVeritasCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	v, err := hybrid.NewVeritas(hybrid.VeritasConfig{
 		Verifiers:          2,
@@ -212,11 +183,11 @@ func TestVeritasCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, v, client)
 	v.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestBigchainCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	b, err := hybrid.NewBigchain(hybrid.BigchainConfig{
 		Nodes:              3,
@@ -228,11 +199,11 @@ func TestBigchainCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, b, client)
 	b.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestBigchainCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	b, err := hybrid.NewBigchain(hybrid.BigchainConfig{
 		Nodes:              4,
@@ -250,7 +221,7 @@ func TestBigchainCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, b, client)
 	b.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 // TestFailedSetupReapsGoroutines: a constructor that fails after it has
@@ -278,7 +249,7 @@ func TestFailedSetupReapsGoroutines(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := goroutineBaseline()
+			base := system.GoroutineBaseline()
 			dir := t.TempDir()
 			if err := os.MkdirAll(filepath.Join(dir, tc.replica), 0o755); err != nil {
 				t.Fatal(err)
@@ -294,13 +265,13 @@ func TestFailedSetupReapsGoroutines(t *testing.T) {
 					t.Fatal("constructor succeeded over an unusable checkpoint directory")
 				}
 			}
-			assertGoroutinesReturn(t, base)
+			system.AssertGoroutinesReturn(t, base)
 		})
 	}
 }
 
 func TestTiDBCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	c := tidb.New(tidb.Config{
 		Servers:            2,
@@ -324,11 +295,11 @@ func TestTiDBCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, c, client)
 	c.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
 }
 
 func TestSpannerCrashRecoveryCloseReapsGoroutines(t *testing.T) {
-	base := goroutineBaseline()
+	base := system.GoroutineBaseline()
 	client := cryptoutil.MustNewSigner("leak-client")
 	c := spanner.New(spanner.Config{
 		Shards:             2,
@@ -348,5 +319,27 @@ func TestSpannerCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 	}
 	driveSmallLoad(t, c, client)
 	c.Close()
-	assertGoroutinesReturn(t, base)
+	system.AssertGoroutinesReturn(t, base)
+}
+
+func TestEtcdCrashRecoveryCloseReapsGoroutines(t *testing.T) {
+	base := system.GoroutineBaseline()
+	c := etcd.New(etcd.Config{Nodes: 3})
+	// etcd rejects Smallbank; plain puts wake the same appliers.
+	put := func() {
+		for i := 0; i < 8; i++ {
+			if err := c.Put(fmt.Sprintf("leak%d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put()
+	c.Crash(2)
+	put()
+	if _, err := c.Recover(2); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	put()
+	c.Close()
+	system.AssertGoroutinesReturn(t, base)
 }

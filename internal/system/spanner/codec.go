@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 
+	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
 
@@ -14,15 +15,17 @@ import (
 // copy per entry and lets the leader's re-replication rebuild any
 // replica from scratch.
 //
-// Layout (big-endian):
+// The entry opens with the system.GroupHeader bytes the group frames it
+// with; the body after them is (big-endian):
 //
-//	phase u8 | reqID u64 | commit u8 | tlen u32 | txID |
+//	phase u8 | commit u8 | tlen u32 | txID |
 //	nwrites u32 | nwrites × (klen u32 | key | hasValue u8 | [vlen u32 | value])
 
+// encodeShardCmd returns cmd's log entry, its header left for
+// system.Group.Propose to fill in.
 func encodeShardCmd(cmd *shardCmd) []byte {
-	buf := make([]byte, 0, 18+len(cmd.txID))
+	buf := make([]byte, system.GroupHeader, system.GroupHeader+10+len(cmd.txID))
 	buf = append(buf, byte(cmd.phase))
-	buf = binary.BigEndian.AppendUint64(buf, cmd.reqID)
 	if cmd.commit {
 		buf = append(buf, 1)
 	} else {
@@ -41,9 +44,6 @@ func decodeShardCmd(buf []byte) (*shardCmd, bool) {
 		return nil, false
 	}
 	cmd.phase = phase(p)
-	if cmd.reqID, ok = readU64(buf, &off); !ok {
-		return nil, false
-	}
 	commit, ok := readU8(buf, &off)
 	if !ok {
 		return nil, false
@@ -140,15 +140,6 @@ func readU32(buf []byte, off *int) (uint32, bool) {
 	}
 	v := binary.BigEndian.Uint32(buf[*off:])
 	*off += 4
-	return v, true
-}
-
-func readU64(buf []byte, off *int) (uint64, bool) {
-	if *off+8 > len(buf) {
-		return 0, false
-	}
-	v := binary.BigEndian.Uint64(buf[*off:])
-	*off += 8
 	return v, true
 }
 

@@ -1,9 +1,11 @@
 package spanner
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/txn"
 )
 
@@ -24,5 +26,24 @@ func TestReplicateUnavailableWhenAllReplicasCrashed(t *testing.T) {
 	}
 	if d := time.Since(start); d < sh.Deadline {
 		t.Fatalf("gave up after %v, before the %v deadline", d, sh.Deadline)
+	}
+}
+
+// A read routed to a shard with every replica down fails, naming the shard,
+// as TiDB's does: it does not read the key as absent. (At the parent the
+// get committed with no value.)
+func TestReadFromDeadShardErrors(t *testing.T) {
+	c := clusterUp(t, Config{Shards: 2, NodesPerShard: 3})
+	client := cryptoutil.MustNewSigner("client")
+	if r := c.Execute(kvTx(t, client, "put", "k", "v")); !r.Committed {
+		t.Fatalf("put: %+v", r)
+	}
+	shard := c.part.Shard("k")
+	for i := 0; i < c.ShardReplicas(shard); i++ {
+		c.CrashReplica(shard, i)
+	}
+	want := fmt.Sprintf("spanner: shard %d has no live replica", shard)
+	if r := c.Execute(kvTx(t, client, "get", "k")); r.Committed || r.Err == nil || r.Err.Error() != want {
+		t.Fatalf("get from a dead shard: %+v, want the error %q", r, want)
 	}
 }

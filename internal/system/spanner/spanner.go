@@ -121,7 +121,6 @@ func newShardState() *shardState {
 }
 
 type shardCmd struct {
-	reqID  uint64
 	txID   string
 	phase  phase
 	writes []txn.Write
@@ -187,12 +186,11 @@ func (c *Cluster) Name() string { return "spanner" }
 func (c *Cluster) SetFaults(hook cluster.FaultHook) { c.net.SetFaults(hook) }
 
 // applyShardCmd is the shard group's Apply: one committed command into
-// one replica's state. An entry that does not decode — raft's new-term
-// no-op carries no bytes at all — applies nothing.
-func applyShardCmd(st *shardState, e consensus.Entry) (reqID uint64, res system.Result, ok bool) {
+// one replica's state. A body that does not decode applies nothing.
+func applyShardCmd(st *shardState, e consensus.Entry) system.Result {
 	cmd, ok := decodeShardCmd(e.Data)
 	if !ok {
-		return 0, system.Result{}, false
+		return system.Result{Err: errors.New("spanner: undecodable shard command")}
 	}
 	st.mu.Lock()
 	switch cmd.phase {
@@ -220,16 +218,15 @@ func applyShardCmd(st *shardState, e consensus.Entry) (reqID uint64, res system.
 		}
 	}
 	st.mu.Unlock()
-	return cmd.reqID, system.Result{Committed: true}, true
+	return system.Result{Committed: true}
 }
 
 // replicate sequences a command through the shard's Raft group and waits
-// until a replica has applied it (system.Group.Propose: at least once).
+// until a replica has applied it (system.Group.Propose: exactly once).
 // The command rides inside the log entry, so the replicated history is
 // self-contained for recovery replay.
 func (sh *shard) replicate(cmd *shardCmd) error {
-	cmd.reqID = sh.NextID()
-	return sh.Propose(cmd.reqID, encodeShardCmd(cmd)).Err
+	return sh.Propose(encodeShardCmd(cmd)).Err
 }
 
 // lockKeys acquires write locks with wound-wait: an older transaction
@@ -272,16 +269,16 @@ func (sh *shard) unlockKeys(keys []string) {
 }
 
 // read returns the committed value of key from the shard's freshest live
-// replica; with none live the key reads as absent.
-func (sh *shard) read(key string) ([]byte, bool) {
+// replica, or the error naming the shard when none is live.
+func (sh *shard) read(key string) ([]byte, bool, error) {
 	st, err := sh.Freshest()
 	if err != nil {
-		return nil, false
+		return nil, false, err
 	}
 	st.mu.Lock()
 	v, ok := st.state[key]
 	st.mu.Unlock()
-	return v, ok
+	return v, ok, nil
 }
 
 // execute is the blocking path: lock → execute → replicate via 2PC.
@@ -384,9 +381,10 @@ func (p *participant) Abort(txID string) error {
 }
 
 // ReadState returns the committed value of key, routed to its owning
-// shard (tests and inspection).
+// shard (tests and inspection); a shard with no live replica has none.
 func (c *Cluster) ReadState(key string) ([]byte, bool) {
-	return c.shards[c.part.Shard(key)].read(key)
+	v, ok, _ := c.shards[c.part.Shard(key)].read(key)
+	return v, ok
 }
 
 // simulate runs the contract against cross-shard committed state and also
@@ -412,11 +410,11 @@ type clusterState struct{ c *Cluster }
 
 // GetState implements contract.StateReader.
 func (s *clusterState) GetState(key string) ([]byte, txn.Version, error) {
-	v, ok := s.c.shards[s.c.part.Shard(key)].read(key)
-	if !ok {
-		return nil, txn.Version{}, contract.ErrNotFound
+	v, ok, err := s.c.shards[s.c.part.Shard(key)].read(key)
+	if err == nil && !ok {
+		err = contract.ErrNotFound
 	}
-	return v, txn.Version{}, nil
+	return v, txn.Version{}, err
 }
 
 // Close implements system.System.

@@ -60,7 +60,7 @@ func TestCrossShardAtomic(t *testing.T) {
 		t.Fatalf("cross-shard: %+v", r)
 	}
 	for _, k := range []string{k1, k2} {
-		if _, ok := c.shards[c.part.Shard(k)].read(k); !ok {
+		if _, ok := c.ReadState(k); !ok {
 			t.Fatalf("%s missing after commit", k)
 		}
 	}
@@ -135,7 +135,7 @@ func TestSmallbankConservation(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("total = %d, want 200", total)
 	}
-	if v, _ := c.shards[c.part.Shard("chk:x")].read("chk:x"); contract.DecodeInt64(v) != 50 {
+	if v, _ := c.ReadState("chk:x"); contract.DecodeInt64(v) != 50 {
 		t.Fatalf("x checking = %d, want 50", contract.DecodeInt64(v))
 	}
 }

@@ -4,6 +4,11 @@
 // and the hybrid prototypes. The benchmark harness in internal/bench
 // drives anything satisfying System, which is what lets the paper's
 // experiments compare them on identical workloads.
+//
+// It also holds the two replica runtimes the systems share: Replica under
+// the ledger side's peers and nodes, and Group — one raft-replicated state
+// machine, applying every request once — under etcd, TiDB's regions and
+// Spanner's shards.
 package system
 
 import (
@@ -373,6 +378,7 @@ var lapTimers = sync.Pool{New: func() any { return time.NewTimer(replicateLap) }
 type Replicator struct {
 	waiters *Waiters[uint64]
 	seq     atomic.Uint64
+	low     uint64 // issue's low-water mark; guarded by waiters.mu
 	// Deadline bounds one Do call, leaderless back-off and apply wait
 	// together. Tests shorten it to reach the give-up paths.
 	Deadline time.Duration
@@ -396,6 +402,28 @@ func NewReplicator(leaderless, timeout string) *Replicator {
 // the log to the apply path's Resolve.
 func (rp *Replicator) NextID() uint64 { return rp.seq.Add(1) }
 
+// issue draws a fresh request id and registers its waiter in one step, and
+// returns the low-water mark with them: the smallest id still in flight,
+// this one included. One step under the waiters' lock, because an id
+// issued but not yet registered would be invisible to a faster proposer's
+// mark, which could then pass it. The mark advances over each finished id
+// once, so the scan is amortised O(1).
+func (rp *Replicator) issue() (id, mark uint64, done <-chan Result) {
+	ch := make(chan Result, 1)
+	w := rp.waiters
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	id = rp.seq.Add(1)
+	w.m[id] = waiter{ch: ch}
+	for rp.low < id {
+		if _, live := w.m[rp.low]; live {
+			break
+		}
+		rp.low++
+	}
+	return id, rp.low, ch
+}
+
 // Resolve delivers the apply outcome of request id. Only the first
 // application of a request finds a waiter; replicas that apply it later,
 // and duplicate log entries, resolve no one.
@@ -412,12 +440,16 @@ func (rp *Replicator) GaveUp(err error) bool {
 // propose(i) reports whether replica i accepted it — backing off while
 // none does, then waits for Resolve(id). With repropose, an accepted
 // proposal still unapplied after a lap is offered again: a replica that
-// crashes between accepting and replicating loses it silently, and the
-// caller's command must tolerate the duplicate application a merely slow
-// first proposal then causes. Giving up returns a Result whose Err is one
+// crashes between accepting and replicating loses it silently, and a
+// merely slow first proposal then sits in the log twice (Group's apply
+// loops drop the second copy). Giving up returns a Result whose Err is one
 // of the two errors the Replicator was built with.
 func (rp *Replicator) Do(id uint64, repropose bool, n int, propose func(i int) bool) Result {
-	done := rp.waiters.Register(id)
+	return rp.await(id, rp.waiters.Register(id), repropose, n, propose)
+}
+
+// await is Do for a request whose waiter done is already registered.
+func (rp *Replicator) await(id uint64, done <-chan Result, repropose bool, n int, propose func(i int) bool) Result {
 	deadline := time.Now().Add(rp.Deadline)
 	timer := lapTimers.Get().(*time.Timer)
 	defer func() {

@@ -1,6 +1,10 @@
 package tidb
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"dichotomy/internal/system"
+)
 
 // Region-command wire codec. Commands are serialized INTO the raft log
 // entry rather than passed by payload-box handle: the handle scheme
@@ -18,20 +22,23 @@ import "encoding/binary"
 // same slice to readers uncopied. Code that wants to change a value
 // writes a new one through a new command.
 //
-// Layout (big-endian):
+// The entry opens with the system.GroupHeader bytes the group frames it
+// with; the body after them is (big-endian):
 //
-//	kind u8 | reqID u64 | del u8 | startTS u64 | commitTS u64 |
+//	kind u8 | del u8 | startTS u64 | commitTS u64 |
 //	klen u32 | key | plen u32 | primary | hasValue u8 | [vlen u32 | value]
 
-// regionCmdFixed is the fixed-width prefix: kind, reqID, del, startTS,
+// regionCmdFixed is the body's fixed-width prefix: kind, del, startTS,
 // commitTS.
-const regionCmdFixed = 1 + 8 + 1 + 8 + 8
+const regionCmdFixed = 1 + 1 + 8 + 8
 
+// encodeRegionCmd returns cmd's log entry, its header left for
+// system.Group.Propose to fill in.
 func encodeRegionCmd(cmd *regionCmd) []byte {
-	// Fixed prefix, klen, plen, hasValue, vlen: exact, so no append grows.
-	buf := make([]byte, 0, regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
+	// Header, fixed prefix, klen, plen, hasValue, vlen: exact, so no append
+	// grows.
+	buf := make([]byte, system.GroupHeader, system.GroupHeader+regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
 	buf = append(buf, byte(cmd.kind))
-	buf = binary.BigEndian.AppendUint64(buf, cmd.reqID)
 	if cmd.del {
 		buf = append(buf, 1)
 	} else {
@@ -51,7 +58,7 @@ func encodeRegionCmd(cmd *regionCmd) []byte {
 	return append(buf, cmd.value...)
 }
 
-// decodeRegionCmd parses one log entry. key and primary share a single
+// decodeRegionCmd parses one entry's body. key and primary share a single
 // string allocation (the span key|plen|primary, sliced twice); value
 // aliases buf (see the header). Any kind byte is accepted; del and
 // hasValue are set only by the byte 1.
@@ -60,10 +67,9 @@ func decodeRegionCmd(buf []byte) (cmd regionCmd, ok bool) {
 		return regionCmd{}, false
 	}
 	cmd.kind = cmdKind(buf[0])
-	cmd.reqID = binary.BigEndian.Uint64(buf[1:])
-	cmd.del = buf[9] == 1
-	cmd.startTS = binary.BigEndian.Uint64(buf[10:])
-	cmd.commitTS = binary.BigEndian.Uint64(buf[18:])
+	cmd.del = buf[1] == 1
+	cmd.startTS = binary.BigEndian.Uint64(buf[2:])
+	cmd.commitTS = binary.BigEndian.Uint64(buf[10:])
 	klen := int(binary.BigEndian.Uint32(buf[regionCmdFixed:]))
 	off := regionCmdFixed + 4 // start of key
 	if klen > len(buf)-off-4 {

@@ -40,3 +40,12 @@ func TestProposeLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 		t.Fatalf("Txn.Get from a dead region: %v, want %s", err, want)
 	}
 }
+
+// An empty key is refused before it reaches a region's log, as TiKV
+// refuses it: a region's checkpoint records leave that key to the group.
+func TestEmptyKeyRefused(t *testing.T) {
+	c := clusterUp(t, Config{StorageNodes: 3, Regions: 2})
+	if err := c.RawPut("", []byte("v")); err == nil || err.Error() != "tidb: empty key" {
+		t.Fatalf("RawPut of the empty key: %v, want tidb: empty key", err)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"dichotomy/internal/israce"
+	"dichotomy/internal/system"
 )
 
 // The lexer and the region-command decoder as they were before they
@@ -104,9 +105,6 @@ func refDecodeRegionCmd(buf []byte) (*regionCmd, bool) {
 		return nil, false
 	}
 	cmd.kind = cmdKind(k)
-	if cmd.reqID, ok = u64(); !ok {
-		return nil, false
-	}
 	del, ok := u8()
 	if !ok {
 		return nil, false
@@ -181,15 +179,19 @@ func FuzzLexMatchesReference(f *testing.F) {
 	})
 }
 
+// body is the part of a command's log entry the codec owns: what follows
+// the group's header.
+func body(cmd *regionCmd) []byte { return encodeRegionCmd(cmd)[system.GroupHeader:] }
+
 func FuzzRegionCmdRoundTrip(f *testing.F) {
-	prewrite := encodeRegionCmd(&regionCmd{kind: cmdPrewrite, reqID: 7, key: "kv/a", primary: "kv/p", value: []byte("val"), startTS: 9})
-	commit := encodeRegionCmd(&regionCmd{kind: cmdCommit, reqID: 8, key: "kv/a", startTS: 9, commitTS: 11})
+	prewrite := body(&regionCmd{kind: cmdPrewrite, key: "kv/a", primary: "kv/p", value: []byte("val"), startTS: 9})
+	commit := body(&regionCmd{kind: cmdCommit, key: "kv/a", startTS: 9, commitTS: 11})
 	for _, b := range [][]byte{
 		prewrite, commit,
-		encodeRegionCmd(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", value: []byte{}}), // empty, not nil
-		encodeRegionCmd(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", del: true}),       // nil value
-		encodeRegionCmd(&regionCmd{kind: cmdRollback}),                                          // zero-length key and primary
-		encodeRegionCmd(&regionCmd{kind: cmdRawPut, key: "", primary: "p", value: []byte("v")}),
+		body(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", value: []byte{}}), // empty, not nil
+		body(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", del: true}),       // nil value
+		body(&regionCmd{kind: cmdRollback}),                                          // zero-length key and primary
+		body(&regionCmd{kind: cmdRawPut, key: "", primary: "p", value: []byte("v")}),
 		append(bytes.Clone(prewrite), 0xff),                  // trailing garbage
 		prewrite[:len(prewrite)-1],                           // value cut short
 		prewrite[:regionCmdFixed+2],                          // klen cut short
@@ -210,7 +212,7 @@ func FuzzRegionCmdRoundTrip(f *testing.F) {
 		if !ok {
 			return
 		}
-		if got.kind != want.kind || got.reqID != want.reqID || got.del != want.del ||
+		if got.kind != want.kind || got.del != want.del ||
 			got.startTS != want.startTS || got.commitTS != want.commitTS ||
 			got.key != want.key || got.primary != want.primary ||
 			!bytes.Equal(got.value, want.value) || (got.value == nil) != (want.value == nil) {
@@ -219,13 +221,13 @@ func FuzzRegionCmdRoundTrip(f *testing.F) {
 		// Re-encoding is the canonical form: identical to the input
 		// unless a flag byte was a non-canonical "false" (anything but 1
 		// decodes false and encodes 0), and a fixed point either way.
-		enc := encodeRegionCmd(&got)
+		enc := body(&got)
 		hasValueAt := regionCmdFixed + 4 + len(got.key) + 4 + len(got.primary)
-		if b[9] <= 1 && b[hasValueAt] <= 1 && !bytes.Equal(enc, b) {
+		if b[1] <= 1 && b[hasValueAt] <= 1 && !bytes.Equal(enc, b) {
 			t.Fatalf("encode(decode(%x)) = %x", b, enc)
 		}
 		again, ok := decodeRegionCmd(enc)
-		if !ok || !bytes.Equal(encodeRegionCmd(&again), enc) {
+		if !ok || !bytes.Equal(body(&again), enc) {
 			t.Fatalf("encode(decode(%x)) = %x does not round-trip", b, enc)
 		}
 	})
@@ -237,9 +239,9 @@ func TestCodecAndParseAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	prewrite := encodeRegionCmd(&regionCmd{kind: cmdPrewrite, reqID: 1, key: "kv/user000000001234",
+	prewrite := body(&regionCmd{kind: cmdPrewrite, key: "kv/user000000001234",
 		primary: "kv/user000000000007", value: []byte(benchValue), startTS: 5})
-	commit := encodeRegionCmd(&regionCmd{kind: cmdCommit, reqID: 2, key: "kv/user000000001234", startTS: 5, commitTS: 6})
+	commit := body(&regionCmd{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6})
 	var cmd regionCmd
 	var stmt Stmt
 	for _, p := range []struct {
@@ -252,7 +254,7 @@ func TestCodecAndParseAllocs(t *testing.T) {
 		{"decode 1 KB prewrite", 1, func() { cmd, _ = decodeRegionCmd(prewrite) }},
 		// The key string.
 		{"decode commit", 1, func() { cmd, _ = decodeRegionCmd(commit) }},
-		// The exactly-sized buffer.
+		// The exactly-sized buffer, the group's header included.
 		{"encode 1 KB prewrite", 1, func() { _ = encodeRegionCmd(&cmd) }},
 		// "KV": the table name upper-cased. Tokens sit in Parse's stack
 		// array, keywords lex to constants, one-letter column names to a
@@ -272,7 +274,7 @@ func TestCodecAndParseAllocs(t *testing.T) {
 // TestReplicasDecodeValueWithoutCopy: the value a replica hands to mvcc
 // is the raft entry's own bytes, not a copy of them.
 func TestReplicasDecodeValueWithoutCopy(t *testing.T) {
-	entry := encodeRegionCmd(&regionCmd{kind: cmdPrewrite, key: "kv/a", primary: "kv/a", value: []byte(benchValue), startTS: 1})
+	entry := body(&regionCmd{kind: cmdPrewrite, key: "kv/a", primary: "kv/a", value: []byte(benchValue), startTS: 1})
 	cmd, ok := decodeRegionCmd(entry)
 	if !ok || string(cmd.value) != benchValue {
 		t.Fatalf("decode: ok=%v, %d value bytes", ok, len(cmd.value))
@@ -319,14 +321,14 @@ func BenchmarkRegionCmdCodec(b *testing.B) {
 		name string
 		cmd  regionCmd
 	}{
-		{"prewrite", regionCmd{kind: cmdPrewrite, reqID: 1, key: "kv/user000000001234",
+		{"prewrite", regionCmd{kind: cmdPrewrite, key: "kv/user000000001234",
 			primary: "kv/user000000000007", value: []byte(benchValue), startTS: 5}},
-		{"commit", regionCmd{kind: cmdCommit, reqID: 2, key: "kv/user000000001234", startTS: 5, commitTS: 6}},
+		{"commit", regionCmd{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6}},
 	} {
 		b.Run("shape="+shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, ok := decodeRegionCmd(encodeRegionCmd(&shape.cmd)); !ok {
+				if _, ok := decodeRegionCmd(body(&shape.cmd)); !ok {
 					b.Fatal("round trip rejected")
 				}
 			}

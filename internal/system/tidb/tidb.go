@@ -109,7 +109,6 @@ var _ system.System = (*Cluster)(nil)
 // regionCmd is the replicated storage command.
 type regionCmd struct {
 	kind     cmdKind
-	reqID    uint64
 	key      string
 	value    []byte
 	del      bool
@@ -200,12 +199,11 @@ func (c *Cluster) regionOf(key string) *system.Group[mvcc.Store] {
 }
 
 // applyRegionCmd is the region group's Apply: one committed command into
-// one replica's MVCC store. An entry that does not decode — raft's
-// new-term no-op carries no bytes at all — applies nothing.
-func applyRegionCmd(store *mvcc.Store, e consensus.Entry) (reqID uint64, res system.Result, ok bool) {
+// one replica's MVCC store. A body that does not decode applies nothing.
+func applyRegionCmd(store *mvcc.Store, e consensus.Entry) system.Result {
 	cmd, ok := decodeRegionCmd(e.Data)
 	if !ok {
-		return 0, system.Result{}, false
+		return system.Result{Err: errors.New("tidb: undecodable region command")}
 	}
 	var err error
 	switch cmd.kind {
@@ -220,17 +218,20 @@ func applyRegionCmd(store *mvcc.Store, e consensus.Entry) (reqID uint64, res sys
 			err = store.Commit(cmd.key, cmd.startTS, cmd.commitTS)
 		}
 	}
-	return cmd.reqID, system.Result{Committed: err == nil, Err: err}, true
+	return system.Result{Committed: err == nil, Err: err}
 }
 
 // propose replicates a command through its key's region and waits for its
-// application outcome (system.Group.Propose: at least once). The command is
+// application outcome (system.Group.Propose: exactly once). The command is
 // encoded into the log entry itself, so the replicated history is
 // self-contained — the property region recovery replays against.
 func (c *Cluster) propose(cmd *regionCmd) error {
-	reg := c.regionOf(cmd.key)
-	cmd.reqID = reg.NextID()
-	return reg.Propose(cmd.reqID, encodeRegionCmd(cmd)).Err
+	if cmd.key == "" {
+		// TiKV refuses it, and the region's checkpoint records leave it to
+		// the group (system.GroupConfig.Dump).
+		return errors.New("tidb: empty key")
+	}
+	return c.regionOf(cmd.key).Propose(encodeRegionCmd(cmd)).Err
 }
 
 // get reads key at snapshot ts from the freshest live replica of its
