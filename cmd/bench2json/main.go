@@ -51,6 +51,7 @@ type Output struct {
 var gated = []string{
 	"BenchmarkVerifyDigest", "BenchmarkSignDigest", "BenchmarkEndorsementDigest",
 	"BenchmarkProofServe", "BenchmarkSigVerify", "BenchmarkRegionCmdCodec", "BenchmarkSQLParse",
+	"BenchmarkRegionApply", "BenchmarkSQLStatement",
 	"BenchmarkRootHash/mode=published", "BenchmarkContractExecute",
 }
 

@@ -34,7 +34,7 @@ func (s *stubSystem) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return system.GoSubmit(func() system.Result {
+	return system.GoSubmit(func(*txn.Tx) system.Result {
 		n := s.count.Add(1)
 		if s.latency > 0 {
 			time.Sleep(s.latency)
@@ -43,7 +43,7 @@ func (s *stubSystem) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, err
 			return system.Result{Reason: occ.ReadWriteConflict}
 		}
 		return system.Result{Committed: true}
-	}), nil
+	}, t), nil
 }
 
 func (s *stubSystem) Close() {}

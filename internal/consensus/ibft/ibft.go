@@ -14,6 +14,7 @@
 package ibft
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -69,6 +70,18 @@ type Node struct {
 	roundChangeVotes map[uint64]map[cluster.NodeID]bool
 	queue            [][]byte // local payloads waiting to be proposed
 	stallTicks       int
+	// ahead holds, in arrival order, the messages of heights this
+	// validator has not reached yet, up to aheadHeights past its own;
+	// aheadFrom counts each sender's share, which aheadPerSender bounds.
+	// A faster validator's pre-prepare and prepares for h+1 routinely
+	// arrive before h's last commits; reaching h+1, this one replays them.
+	ahead     []cluster.Envelope
+	aheadFrom map[cluster.NodeID]int
+	// decided holds the digests of the last len(decided) heights, slot
+	// height mod len. Propose gossips a payload to every validator while
+	// the proposer may already be deciding it, so a copy can arrive after
+	// its height; queued, it would be decided a second time.
+	decided [64]cryptoutil.Hash
 
 	commitCh chan consensus.Entry
 	stopCh   chan struct{}
@@ -88,6 +101,7 @@ func New(cfg Config) *Node {
 		prepares:         make(map[cluster.NodeID]bool),
 		commits:          make(map[cluster.NodeID]bool),
 		roundChangeVotes: make(map[uint64]map[cluster.NodeID]bool),
+		aheadFrom:        make(map[cluster.NodeID]int),
 		commitCh:         make(chan consensus.Entry, cfg.CommitBuffer),
 		stopCh:           make(chan struct{}),
 		done:             make(chan struct{}),
@@ -104,6 +118,11 @@ func (n *Node) proposerOf(height, round uint64) cluster.NodeID {
 }
 
 func (n *Node) quorum() int { return 2*n.f + 1 }
+
+// A validator keeps the messages of the next aheadHeights heights, at most
+// aheadPerSender from one sender: a height's pre-prepare, prepare and
+// commit, and room for round changes, for each of those heights.
+const aheadHeights, aheadPerSender = 4, 8 * 4
 
 // --- messages ---
 
@@ -138,6 +157,12 @@ func (m preprepare) Size() int  { return 48 + len(m.Data) }
 func (m prepare) Size() int     { return 48 }
 func (m commitMsg) Size() int   { return 48 }
 func (m roundChange) Size() int { return 16 }
+
+// height is the consensus instance a message belongs to.
+func (m preprepare) height() uint64  { return m.Height }
+func (m prepare) height() uint64     { return m.Height }
+func (m commitMsg) height() uint64   { return m.Height }
+func (m roundChange) height() uint64 { return m.Height }
 
 // --- public API ---
 
@@ -274,30 +299,39 @@ func (n *Node) voteRoundChangeLocked(newRound uint64) {
 }
 
 func (n *Node) handle(env cluster.Envelope) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.stepLocked(env)
+}
+
+// stepLocked handles one message, holding back one for a later height.
+func (n *Node) stepLocked(env cluster.Envelope) {
+	if m, ok := env.Msg.(interface{ height() uint64 }); ok && m.height() > n.height {
+		if m.height() <= n.height+aheadHeights && n.aheadFrom[env.From] < aheadPerSender {
+			n.aheadFrom[env.From]++
+			n.ahead = append(n.ahead, env)
+		}
+		return // further ahead, or its sender's share is full: dropped
+	}
 	switch msg := env.Msg.(type) {
 	case forward:
-		n.onForward(msg)
+		if slices.Contains(n.decided[:], cryptoutil.HashBytes(msg.Data)) {
+			return // a late copy of a decided payload
+		}
+		n.queue = append(n.queue, msg.Data)
+		n.maybeProposeLocked()
 	case preprepare:
-		n.onPrePrepare(env.From, msg)
+		n.onPrePrepareLocked(env.From, msg)
 	case prepare:
-		n.onPrepare(env.From, msg)
+		n.onPrepareLocked(env.From, msg)
 	case commitMsg:
-		n.onCommit(env.From, msg)
+		n.onCommitLocked(env.From, msg)
 	case roundChange:
-		n.onRoundChange(env.From, msg)
+		n.onRoundChangeLocked(env.From, msg)
 	}
 }
 
-func (n *Node) onForward(msg forward) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.queue = append(n.queue, msg.Data)
-	n.maybeProposeLocked()
-}
-
-func (n *Node) onPrePrepare(from cluster.NodeID, msg preprepare) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *Node) onPrePrepareLocked(from cluster.NodeID, msg preprepare) {
 	if msg.Height != n.height || msg.Round < n.round {
 		return
 	}
@@ -320,9 +354,7 @@ func (n *Node) onPrePrepare(from cluster.NodeID, msg preprepare) {
 	n.maybeAdvanceLocked()
 }
 
-func (n *Node) onPrepare(from cluster.NodeID, msg prepare) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *Node) onPrepareLocked(from cluster.NodeID, msg prepare) {
 	if msg.Height != n.height || msg.Round != n.round {
 		return
 	}
@@ -333,9 +365,7 @@ func (n *Node) onPrepare(from cluster.NodeID, msg prepare) {
 	n.maybeAdvanceLocked()
 }
 
-func (n *Node) onCommit(from cluster.NodeID, msg commitMsg) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *Node) onCommitLocked(from cluster.NodeID, msg commitMsg) {
 	if msg.Height != n.height {
 		return
 	}
@@ -364,6 +394,7 @@ func (n *Node) maybeAdvanceLocked() {
 		}
 		// Drop the local copy of the decided payload, if queued here.
 		decided := n.digest
+		n.decided[n.height%uint64(len(n.decided))] = decided
 		for i, q := range n.queue {
 			if cryptoutil.HashBytes(q) == decided {
 				n.queue = append(n.queue[:i], n.queue[i+1:]...)
@@ -380,12 +411,18 @@ func (n *Node) maybeAdvanceLocked() {
 		n.roundChangeVotes = make(map[uint64]map[cluster.NodeID]bool)
 		n.stallTicks = n.cfg.RoundChangeTicks
 		n.maybeProposeLocked()
+		// Replay what arrived early: this height's messages apply now, and
+		// later heights' are held again.
+		held := n.ahead
+		n.ahead = nil
+		clear(n.aheadFrom)
+		for _, env := range held {
+			n.stepLocked(env)
+		}
 	}
 }
 
-func (n *Node) onRoundChange(from cluster.NodeID, msg roundChange) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+func (n *Node) onRoundChangeLocked(from cluster.NodeID, msg roundChange) {
 	if msg.Height != n.height || msg.Round <= n.round {
 		return
 	}

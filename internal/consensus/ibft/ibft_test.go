@@ -7,6 +7,7 @@ import (
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
+	"dichotomy/internal/cryptoutil"
 )
 
 func group(t *testing.T, n int) (*cluster.Network, []*Node) {
@@ -179,5 +180,50 @@ func TestSevenValidators(t *testing.T) {
 	}
 	for _, n := range nodes {
 		collect(t, n, total, 20*time.Second)
+	}
+}
+
+// A validator that receives height 2's pre-prepare and prepares before
+// height 1's commits — a faster proposer is already there — keeps them and
+// decides height 2 in round 0 once it has decided height 1. Validators 0–2
+// are scripted here, their messages sent into validator 3's inbox in order.
+func TestEarlyNextHeightMessagesAreKept(t *testing.T) {
+	net := cluster.NewNetwork(cluster.ZeroLink{})
+	peers := []cluster.NodeID{0, 1, 2, 3}
+	eps := make([]*cluster.Endpoint, 3)
+	for i := range eps {
+		eps[i] = net.Register(peers[i], 8192)
+	}
+	n := New(Config{ID: 3, Peers: peers, Endpoint: net.Register(3, 8192)})
+	t.Cleanup(func() {
+		n.Stop()
+		net.Close()
+	})
+	send := func(from int, msg cluster.Message) {
+		t.Helper()
+		if err := eps[from].Send(3, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := [][]byte{nil, []byte("block-1"), []byte("block-2")}
+	digest := func(h uint64) cryptoutil.Hash { return cryptoutil.HashBytes(blocks[h]) }
+	for h := uint64(1); h <= 2; h++ {
+		proposer := int(n.proposerOf(h, 0))
+		send(proposer, preprepare{Height: h, Round: 0, Digest: digest(h), Data: blocks[h]})
+		for i := 0; i < 3; i++ {
+			if i != proposer {
+				send(i, prepare{Height: h, Round: 0, Digest: digest(h)})
+			}
+		}
+	}
+	for h := uint64(1); h <= 2; h++ {
+		for i := 0; i < 3; i++ {
+			send(i, commitMsg{Height: h, Round: 0, Digest: digest(h)})
+		}
+	}
+	for h, e := range collect(t, n, 2, 2*time.Second) {
+		if e.Index != uint64(h+1) || e.Term != 0 || string(e.Data) != string(blocks[h+1]) {
+			t.Fatalf("delivery %d = height %d round %d %q, want height %d round 0 %q", h, e.Index, e.Term, e.Data, h+1, blocks[h+1])
+		}
 	}
 }

@@ -378,18 +378,18 @@ func (n *Node) sendAppendLocked(to cluster.NodeID) {
 		next = 1
 	}
 	prev := next - 1
-	entries := n.log[next:]
-	if len(entries) > n.cfg.MaxBatch {
-		entries = entries[:n.cfg.MaxBatch]
-	}
-	// Copy: the slice aliases the log, which may grow concurrently.
-	batch := make([]logEntry, len(entries))
-	copy(batch, entries)
+	// The message carries the log's own entries, uncopied. Appending writes
+	// only past the end of the log, and a conflict truncation copies the
+	// log rather than overwriting it in place (onAppendEntries), so the
+	// entries a message was sent with stay what they were; the cap keeps an
+	// append through the message's slice from reaching the log's spare
+	// capacity.
+	end := min(uint64(len(n.log)), next+uint64(n.cfg.MaxBatch))
 	_ = n.cfg.Endpoint.Send(to, appendEntries{
 		Term:         n.term,
 		PrevLogIndex: prev,
 		PrevLogTerm:  n.log[prev].Term,
-		Entries:      batch,
+		Entries:      n.log[next:end:end],
 		LeaderCommit: n.commitIndex,
 	})
 }
@@ -496,8 +496,9 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 		idx = msg.PrevLogIndex + uint64(i) + 1
 		if idx <= n.lastIndex() {
 			if n.log[idx].Term != e.Term {
-				n.log = n.log[:idx]
-				n.log = append(n.log, e)
+				// Truncate into a fresh array: AppendEntries messages this
+				// node sent while it led still alias the old one.
+				n.log = append(n.log[:idx:idx], e)
 			}
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
+	"dichotomy/internal/israce"
 )
 
 // group spins up n raft replicas on a fresh network.
@@ -447,5 +448,77 @@ func TestNewLeaderCommitsInheritedTail(t *testing.T) {
 		if e := collect(t, n, 1, 2*time.Second)[0]; string(e.Data) != "X" || e.Index != 1 {
 			t.Fatalf("survivor %d delivered (%d, %q), want (1, X)", n.cfg.ID, e.Index, e.Data)
 		}
+	}
+}
+
+// idle returns a stopped replica: its state is the caller's alone to drive,
+// one handler at a time. Its log must not commit anything, as nothing
+// delivers a stopped node's commits.
+func idle(cfg Config) *Node {
+	n := New(cfg)
+	n.Stop()
+	return n
+}
+
+// An AppendEntries message carries a slice of its sender's log, not a copy.
+// A leader deposed while one is in flight, whose log a conflicting append
+// then truncates, must not rewrite the entries that message carries.
+func TestInFlightAppendKeepsItsEntries(t *testing.T) {
+	net := cluster.NewNetwork(cluster.ZeroLink{})
+	defer net.Close()
+	peers := []cluster.NodeID{1, 2, 3}
+	inbox2 := net.Register(2, 16).Inbox()
+	net.Register(3, 16)
+	n := idle(Config{ID: 1, Peers: peers, Endpoint: net.Register(1, 16)})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+
+	// Node 1 leads term 1 with two entries of its own and sends them.
+	n.term = 1
+	n.becomeLeaderLocked() // over an empty log: no no-op, and an empty heartbeat
+	n.appendLocal([]byte("a"))
+	n.appendLocal([]byte("b"))
+	n.sendAppendLocked(2)
+	var sent appendEntries
+	for len(sent.Entries) == 0 {
+		sent, _ = (<-inbox2).Msg.(appendEntries)
+	}
+	if cap(sent.Entries) != len(sent.Entries) {
+		t.Fatalf("message entries have cap %d beyond their %d", cap(sent.Entries), len(sent.Entries))
+	}
+
+	// Node 3 leads term 2 and replaces index 2.
+	n.mu.Unlock()
+	n.onAppendEntries(3, appendEntries{Term: 2, PrevLogIndex: 1, PrevLogTerm: 1,
+		Entries: []logEntry{{Term: 2, Data: []byte("x")}}})
+	n.mu.Lock()
+	if n.role != follower || n.log[2].Term != 2 || string(n.log[2].Data) != "x" {
+		t.Fatalf("after the conflicting append: role %v, log[2] %+v", n.role, n.log[2])
+	}
+	want := []logEntry{{Term: 1, Data: []byte("a")}, {Term: 1, Data: []byte("b")}}
+	if fmt.Sprint(sent.Entries) != fmt.Sprint(want) {
+		t.Fatalf("in-flight message now carries %v, was sent with %v", sent.Entries, want)
+	}
+}
+
+// Sending a batch of entries allocates the message alone — boxing it for
+// the transport — and no copy of the entries it carries.
+func TestSendAppendAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	net := cluster.NewNetwork(cluster.ZeroLink{})
+	defer net.Close()
+	net.Register(2, 1024)
+	n := idle(Config{ID: 1, Peers: []cluster.NodeID{1, 2}, Endpoint: net.Register(1, 1024)})
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.term = 1
+	n.becomeLeaderLocked()
+	for i := 0; i < 8; i++ {
+		n.appendLocal([]byte("entry"))
+	}
+	if got := testing.AllocsPerRun(200, func() { n.sendAppendLocked(2) }); got != 1 {
+		t.Errorf("sendAppendLocked of 8 entries: %v allocs, want 1", got)
 	}
 }

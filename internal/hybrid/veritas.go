@@ -262,7 +262,7 @@ func (v *Veritas) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error)
 		return nil, err
 	}
 	if v.ing == nil {
-		return system.GoSubmit(func() system.Result { return v.execute(t) }), nil
+		return system.GoSubmit(v.execute, t), nil
 	}
 	return v.ing.Submit(ctx, t)
 }

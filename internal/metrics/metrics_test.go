@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dichotomy/internal/israce"
 )
 
 func TestCounter(t *testing.T) {
@@ -123,6 +125,29 @@ func TestTracePhases(t *testing.T) {
 	}
 	if d[PhaseCommit] != 2*time.Millisecond {
 		t.Fatalf("commit = %v, want 2ms", d[PhaseCommit])
+	}
+}
+
+// A trace is one allocation however many phases it records up to
+// tracePhases, and keeps counting past them.
+func TestTraceObserveAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		tr := NewTrace()
+		for range tracePhases {
+			tr.Observe(PhaseValidate, time.Millisecond)
+		}
+	}); got != 1 {
+		t.Errorf("a trace of %d phases: %v allocs, want 1", tracePhases, got)
+	}
+	tr := NewTrace()
+	for range tracePhases + 1 {
+		tr.Observe(PhaseValidate, time.Millisecond)
+	}
+	if d := tr.Durations()[PhaseValidate]; d != (tracePhases+1)*time.Millisecond {
+		t.Fatalf("%d phases of 1ms sum to %v", tracePhases+1, d)
 	}
 }
 

@@ -41,12 +41,12 @@ func encodeEntry(e *keyEntry) []byte {
 		buf = append(buf, 1)
 		buf = appendValue(buf, v.value)
 	}
-	if e.lock == nil {
+	if !e.lock.held {
 		return append(buf, 0)
 	}
 	buf = append(buf, 1)
 	buf = binary.BigEndian.AppendUint64(buf, e.lock.startTS)
-	buf = appendValue(buf, []byte(e.lock.primary))
+	buf = appendValue(buf, e.lock.primary)
 	if e.lock.delete_ {
 		buf = append(buf, 1)
 	} else {
@@ -140,15 +140,14 @@ func decodeEntry(buf []byte) (*keyEntry, error) {
 		return nil, err
 	}
 	if hasLock == 1 {
-		l := &lock{}
+		l := &e.lock
+		l.held = true
 		if l.startTS, err = d.u64(); err != nil {
 			return nil, err
 		}
-		primary, err := d.bytes()
-		if err != nil {
+		if l.primary, err = d.bytes(); err != nil {
 			return nil, err
 		}
-		l.primary = string(primary)
 		del, err := d.u8()
 		if err != nil {
 			return nil, err
@@ -157,7 +156,6 @@ func decodeEntry(buf []byte) (*keyEntry, error) {
 		if l.value, err = d.bytes(); err != nil {
 			return nil, err
 		}
-		e.lock = l
 	}
 	if d.off != len(buf) {
 		return nil, fmt.Errorf("mvcc: %d trailing bytes in entry", len(buf)-d.off)
@@ -182,8 +180,6 @@ func (s *Store) SetEntry(key string, encoded []byte) error {
 	if err != nil {
 		return fmt.Errorf("mvcc: restore %q: %w", key, err)
 	}
-	s.keys.Update(key, func(_ *keyEntry, _ bool) (*keyEntry, bool) {
-		return e, true
-	})
+	s.keys.Set(key, e)
 	return nil
 }

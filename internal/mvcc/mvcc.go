@@ -39,10 +39,15 @@ type version struct {
 	value    []byte // nil for delete markers
 }
 
-// lock is a Percolator lock.
+// lock is a Percolator lock, held while held is set. It lives by value in
+// its key's entry, so taking and clearing one allocates nothing. primary
+// and value are the prewriting command's own bytes, kept uncopied: nothing
+// downstream mutates a stored slice (see tidb's region codec), and commit
+// moves value into the version it installs.
 type lock struct {
+	held    bool
 	startTS uint64
-	primary string
+	primary []byte
 	value   []byte
 	delete_ bool
 }
@@ -53,7 +58,7 @@ type lock struct {
 // checks atomic under the stripe lock.
 type keyEntry struct {
 	versions []version
-	lock     *lock
+	lock     lock
 }
 
 // Store is a multi-version key space. Safe for concurrent use; keys hash
@@ -90,7 +95,7 @@ func (s *Store) Get(key string, ts uint64) ([]byte, error) {
 		if !ok {
 			return
 		}
-		if e.lock != nil && e.lock.startTS <= ts {
+		if e.lock.held && e.lock.startTS <= ts {
 			err = fmt.Errorf("%w: key %q since ts %d", ErrLocked, key, e.lock.startTS)
 			return
 		}
@@ -115,12 +120,19 @@ func (s *Store) LatestCommitTS(key string) uint64 {
 // startTS, buffering the new value. primary names the transaction's
 // primary key, whose lock decides the transaction's fate.
 func (s *Store) Prewrite(key string, value []byte, del bool, startTS uint64, primary string) error {
+	return s.PrewriteBytes([]byte(key), value, del, startTS, []byte(primary))
+}
+
+// PrewriteBytes is Prewrite for a key and primary held as bytes, which the
+// store keeps without copying and must not be changed afterwards. Only a
+// key's first write copies it, into the string the store indexes it by.
+func (s *Store) PrewriteBytes(key, value []byte, del bool, startTS uint64, primary []byte) error {
 	var err error
-	s.keys.Update(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
+	s.keys.EditBytes(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
 		if !ok {
 			e = &keyEntry{}
 		}
-		if e.lock != nil {
+		if e.lock.held {
 			if e.lock.startTS == startTS {
 				// Idempotent re-prewrite by the same transaction.
 				e.lock.value, e.lock.delete_ = value, del
@@ -135,7 +147,7 @@ func (s *Store) Prewrite(key string, value []byte, del bool, startTS uint64, pri
 				ErrWriteConflict, key, e.versions[n-1].commitTS, startTS)
 			return e, ok
 		}
-		e.lock = &lock{startTS: startTS, primary: primary, value: value, delete_: del}
+		e.lock = lock{held: true, startTS: startTS, primary: primary, value: value, delete_: del}
 		return e, true
 	})
 	return err
@@ -145,18 +157,22 @@ func (s *Store) Prewrite(key string, value []byte, del bool, startTS uint64, pri
 // commitTS. Committing a missing lock is an error (the transaction was
 // rolled back by a conflicting writer).
 func (s *Store) Commit(key string, startTS, commitTS uint64) error {
+	return s.CommitBytes([]byte(key), startTS, commitTS)
+}
+
+// CommitBytes is Commit for a key held as bytes.
+func (s *Store) CommitBytes(key []byte, startTS, commitTS uint64) error {
 	var err error
-	s.keys.Update(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
-		if !ok || e.lock == nil || e.lock.startTS != startTS {
+	s.keys.EditBytes(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
+		if !ok || !e.lock.held || e.lock.startTS != startTS {
 			err = fmt.Errorf("mvcc: commit of %q at %d: lock gone", key, startTS)
 			return e, ok
 		}
-		l := e.lock
-		e.lock = nil
 		var val []byte
-		if !l.delete_ {
-			val = l.value
+		if !e.lock.delete_ {
+			val = e.lock.value
 		}
+		e.lock = lock{}
 		e.versions = append(e.versions, version{
 			startTS: startTS, commitTS: commitTS, value: val,
 		})
@@ -166,16 +182,19 @@ func (s *Store) Commit(key string, startTS, commitTS uint64) error {
 }
 
 // Rollback removes the transaction's lock on key, if held.
-func (s *Store) Rollback(key string, startTS uint64) {
-	s.keys.Update(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
+func (s *Store) Rollback(key string, startTS uint64) { s.RollbackBytes([]byte(key), startTS) }
+
+// RollbackBytes is Rollback for a key held as bytes.
+func (s *Store) RollbackBytes(key []byte, startTS uint64) {
+	s.keys.EditBytes(key, func(e *keyEntry, ok bool) (*keyEntry, bool) {
 		if !ok {
 			return e, false
 		}
-		if e.lock != nil && e.lock.startTS == startTS {
-			e.lock = nil
+		if e.lock.held && e.lock.startTS == startTS {
+			e.lock = lock{}
 		}
 		// Drop entries a rollback leaves empty.
-		return e, e.lock != nil || len(e.versions) > 0
+		return e, e.lock.held || len(e.versions) > 0
 	})
 }
 
@@ -183,7 +202,7 @@ func (s *Store) Rollback(key string, startTS uint64) {
 func (s *Store) Locked(key string) bool {
 	locked := false
 	s.keys.View(key, func(e *keyEntry, ok bool) {
-		locked = ok && e.lock != nil
+		locked = ok && e.lock.held
 	})
 	return locked
 }

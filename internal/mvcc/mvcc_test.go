@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dichotomy/internal/israce"
 	"dichotomy/internal/tso"
 )
 
@@ -258,3 +259,33 @@ type Counter struct {
 
 func (c *Counter) Add(d int) { c.mu.Lock(); c.n += d; c.mu.Unlock() }
 func (c *Counter) Load() int { c.mu.Lock(); defer c.mu.Unlock(); return c.n }
+
+// Taking and clearing a Percolator lock on a key the store holds allocates
+// nothing: the lock lives in the key's entry, and the key is looked up by
+// its bytes.
+func TestLockCycleAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	s := NewStore()
+	key, value := []byte("kv/user000000001234"), []byte("v")
+	if err := s.PrewriteBytes(key, value, false, 1, key); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitBytes(key, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	ts := uint64(2)
+	if got := testing.AllocsPerRun(200, func() {
+		ts++
+		if err := s.PrewriteBytes(key, value, false, ts, key); err != nil {
+			t.Fatal(err)
+		}
+		s.RollbackBytes(key, ts)
+	}); got != 0 {
+		t.Errorf("prewrite → rollback: %v allocs, want 0", got)
+	}
+	if s.Locked(string(key)) {
+		t.Fatal("rollback left the lock")
+	}
+}

@@ -45,7 +45,8 @@ func sortedKeys(m map[string]chainEntry) []string {
 	return keys
 }
 
-// stepKind is what a chain takes next.
+// stepKind is what a chain takes next. The kinds are ordered: one that
+// starts a chain or cuts it short comes before the delta that extends it.
 type stepKind int
 
 const (

@@ -33,6 +33,7 @@ package recovery
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -280,9 +281,13 @@ func (c *Checkpointer) Checkpoint(height uint64) error {
 }
 
 // runWorker drains the delta-job queue: encode, write, fsync, compact,
-// prune — everything the commit path no longer waits for.
+// prune — everything the commit path no longer waits for. The chain was
+// advanced when each job was planned, so a job whose write fails leaves a
+// hole the next job links across; the next write therefore covers it, as
+// ChainWriter's advance-on-success does.
 func (c *Checkpointer) runWorker() {
 	defer c.wg.Done()
+	var failed *deltaJob
 	c.mu.Lock()
 	for {
 		for len(c.jobs) == 0 && !c.closed {
@@ -297,13 +302,22 @@ func (c *Checkpointer) runWorker() {
 		c.busy = true
 		c.mu.Unlock()
 
+		if failed != nil {
+			// Based where failed was, with failed's entries ahead of its
+			// own — a file's records apply in order, so a key's later one
+			// wins — and a full or a fold whenever either was one.
+			job.entries = append(slices.Clip(failed.entries), job.entries...)
+			job.base, job.kind = failed.base, min(job.kind, failed.kind)
+		}
 		n, err := c.writeJob(job)
 
 		c.mu.Lock()
 		c.busy = false
 		if err != nil {
 			c.lastErr = err
+			failed = &job
 		} else {
+			failed = nil
 			c.lastBytes = n
 			c.totalBytes += n
 		}

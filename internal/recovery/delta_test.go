@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"os"
+	"reflect"
 	"testing"
 
 	"dichotomy/internal/state"
@@ -574,5 +575,71 @@ func TestListChainIgnoresTempFiles(t *testing.T) {
 	defer dst.Close()
 	if h, _, err := Restore(dst, dir, 0); err != nil || h != 2 {
 		t.Fatalf("Restore with stray temps = %d, %v; want 2", h, err)
+	}
+}
+
+// One delta the worker fails to write must not break the chain for good:
+// the next write covers it, so the checkpoints after it still restore to
+// the newest height and equal the store — whether that next write is a
+// delta or a fold.
+func TestDeltaWriteFailureCoveredByNextWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		fullEvery int
+	}{{"next-is-delta", 1 << 20}, {"next-is-fold", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			src := state.New(memdb.New(), 8)
+			defer src.Close()
+			c := newDeltaCheckpointer(t, src, dir, 1<<20, tc.fullEvery)
+			fill(t, src, 1, 100)
+			if err := c.Checkpoint(1); err != nil {
+				t.Fatal(err)
+			}
+			// Height 2's delta cannot be written: a directory holds the name
+			// of its temporary file.
+			blocker := deltaPath(dir, 2, 1) + ".tmp"
+			if err := os.Mkdir(blocker, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			fill(t, src, 2, 20)
+			if err := c.Checkpoint(2); err != nil {
+				t.Fatal(err)
+			}
+			c.Flush()
+			if c.LastErr() == nil {
+				t.Fatal("the blocked write succeeded")
+			}
+			if err := os.Remove(blocker); err != nil {
+				t.Fatal(err)
+			}
+			fill(t, src, 3, 5) // overwrites part of what only height 2 wrote
+			if err := c.Checkpoint(3); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.ApplyBlock([]state.VersionedWrite{
+				{Write: txn.Write{Key: "key-050", Value: nil}},
+				{Write: txn.Write{Key: "extra", Value: []byte("x")}, Version: txn.Version{BlockNum: 4}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Checkpoint(4); err != nil {
+				t.Fatal(err)
+			}
+			c.Flush()
+
+			dst := state.New(memdb.New(), 8)
+			defer dst.Close()
+			h, _, err := Restore(dst, dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != 4 {
+				t.Fatalf("restored height %d, want 4 (files %v)", h, listKinds(t, dir))
+			}
+			if want, got := dump(src), dump(dst); !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored state differs from the store:\n got %v\nwant %v", got, want)
+			}
+		})
 	}
 }

@@ -58,13 +58,15 @@ func NewMap[V any](n int) *Map[V] {
 func (m *Map[V]) ShardCount() int { return len(m.shards) }
 
 // ShardOf returns the index of the stripe owning key (FNV-1a).
-func (m *Map[V]) ShardOf(key string) int {
+func (m *Map[V]) ShardOf(key string) int { return shardOf(key, m.mask) }
+
+func shardOf[K string | []byte](key K, mask uint32) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return int(h & m.mask)
+	return int(h & mask)
 }
 
 // Get returns the value stored under key.
@@ -118,6 +120,23 @@ func (m *Map[V]) Update(key string, fn func(v V, ok bool) (V, bool)) {
 		sh.m[key] = next
 	} else if ok {
 		delete(sh.m, key)
+	}
+}
+
+// EditBytes is Update for a key held as bytes, over values fn changes in
+// place (pointers): an entry that exists keeps its value and its key, and
+// fn's result is stored only for an absent key. So finding, editing and
+// deleting an entry allocate nothing, and a key is copied into a string
+// once, when it first enters the map. keep false deletes the entry.
+func (m *Map[V]) EditBytes(key []byte, fn func(v V, ok bool) (V, bool)) {
+	sh := &m.shards[shardOf(key, m.mask)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	v, ok := sh.m[string(key)]
+	if next, keep := fn(v, ok); keep && !ok {
+		sh.m[string(key)] = next
+	} else if !keep && ok {
+		delete(sh.m, string(key))
 	}
 }
 

@@ -78,6 +78,10 @@ type Group[T any] struct {
 	cfg         GroupConfig[T]
 	reps        []*groupReplica[T]
 	errNoneLive error
+	// lead is the member Propose offers a command to first: the leader the
+	// last member to accept one named. A follower would only forward the
+	// command there, one more message.
+	lead atomic.Int32
 }
 
 // groupReplica is one member: a raft node plus the state machine its log
@@ -226,7 +230,9 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *
 // member to apply it; the Result is Apply's, or one of the two give-up
 // errors. cmd's first GroupHeader bytes are the group's: the encoder
 // reserves them, and Propose writes the request id it draws and the
-// low-water mark there, so framing costs no allocation.
+// low-water mark there, so framing costs no allocation. The command goes
+// first to the member the last accepting one named as leader, and on from
+// there; any member takes it, a follower by forwarding it to its leader.
 //
 // Every request is applied once. A proposal a member accepted and then
 // lost (it crashed, or was deposed, before replicating it) would otherwise
@@ -248,9 +254,17 @@ func (g *Group[T]) Propose(cmd []byte) Result {
 	id, mark, done := g.issue()
 	binary.BigEndian.PutUint64(cmd, id)
 	binary.BigEndian.PutUint64(cmd[8:], mark)
+	lead := int(g.lead.Load())
 	return g.await(id, done, true, len(g.reps), func(i int) bool {
-		rep := g.reps[i]
-		return !rep.crashed.Load() && rep.cons.Load().Propose(cmd) == nil
+		rep := g.reps[(lead+i)%len(g.reps)]
+		cons := rep.cons.Load()
+		if rep.crashed.Load() || cons.Propose(cmd) != nil {
+			return false
+		}
+		if l := slices.Index(g.cfg.Peers, cons.Leader()); l >= 0 {
+			g.lead.Store(int32(l))
+		}
+		return true
 	})
 }
 

@@ -198,6 +198,17 @@ func TestGroupProposeReachesEveryReplica(t *testing.T) {
 	}
 }
 
+// Propose offers a command first to the member the last accepting one
+// named as leader, so a steady group's proposals skip a follower's
+// forwarding hop.
+func TestGroupProposesToLeaderFirst(t *testing.T) {
+	g := tallyGroup(t, "", recovery.Options{})
+	put(t, g, 3)
+	if i := g.lead.Load(); !g.reps[i].cons.Load().IsLeader() {
+		t.Fatalf("Propose would start at member %d, which does not lead", i)
+	}
+}
+
 func TestGroupCrashSkipsReplica(t *testing.T) {
 	g := tallyGroup(t, "", recovery.Options{})
 	put(t, g, 3)

@@ -337,7 +337,7 @@ func (nw *Network) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 	}
 	readOnly := t.Invocation.Method == "get" || t.Invocation.Method == "query"
 	if nw.ing == nil || readOnly {
-		return system.GoSubmit(func() system.Result { return nw.execute(t) }), nil
+		return system.GoSubmit(nw.execute, t), nil
 	}
 	return nw.ing.Submit(ctx, t)
 }

@@ -1,7 +1,10 @@
 package system
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -160,9 +163,54 @@ func TestReplicatorAllocs(t *testing.T) {
 	var id uint64
 	propose := func(int) bool { rp.Resolve(id, Result{Committed: true}); return true }
 	do := func() { id = rp.NextID(); rp.Do(id, true, 1, propose) }
-	do() // leave a timer in the pool
-	// The waiter's channel again; the lap timer comes from the pool.
-	if got := testing.AllocsPerRun(200, do); got > 2 {
-		t.Errorf("Replicator.Do: %v allocs, want at most 2", got)
+	do() // leave a timer and a channel in the pools
+	// The lap timer and the waiter's channel both come from their pools.
+	if got := testing.AllocsPerRun(200, do); got != 0 {
+		t.Errorf("Replicator.Do: %v allocs, want 0", got)
+	}
+}
+
+// Sixteen proposers whose applies land around the deadline, so give-ups
+// race resolves: a Resolve that takes a waiter just before its Do gives up
+// still sends on that waiter's channel. Recycled, such a channel would
+// hand its stale result to a later request. None may ever receive another
+// request's result.
+func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
+	rp := newTestReplicator()
+	rp.Deadline = time.Millisecond // give up at the first lap boundary
+	var wg sync.WaitGroup
+	var answered, gaveUp atomic.Int64
+	for p := 0; p < 16; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(p)))
+			for round := 0; round < 6; round++ {
+				id := rp.NextID()
+				// Applied anywhere from well inside the lap to just past it.
+				delay := replicateLap - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+				r := rp.Do(id, false, 1, func(int) bool {
+					time.AfterFunc(delay, func() {
+						rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
+					})
+					return true
+				})
+				switch {
+				case rp.GaveUp(r.Err):
+					gaveUp.Add(1)
+				case r.Err != nil || len(r.Value) != 8:
+					t.Errorf("request %d: result %+v", id, r)
+				case binary.BigEndian.Uint64(r.Value) != id:
+					t.Errorf("request %d received request %d's result", id, binary.BigEndian.Uint64(r.Value))
+				default:
+					answered.Add(1)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	t.Logf("%d answered, %d given up", answered.Load(), gaveUp.Load())
+	if answered.Load() == 0 || gaveUp.Load() == 0 {
+		t.Fatalf("%d answered, %d given up: the schedule never raced the two", answered.Load(), gaveUp.Load())
 	}
 }

@@ -80,11 +80,18 @@ type Handle struct {
 	mu       sync.Mutex
 	resolved bool
 	result   Result
-	waiters  []chan Result
+	// waiters starts out backed by first: almost every handle has one
+	// waiter, which so costs no slice.
+	waiters []chan Result
+	first   [1]chan Result
 }
 
 // NewHandle returns an unresolved handle.
-func NewHandle() *Handle { return &Handle{} }
+func NewHandle() *Handle {
+	h := &Handle{}
+	h.waiters = h.first[:0]
+	return h
+}
 
 // ResolvedHandle returns a handle already carrying r — for paths that can
 // answer at submission time (local reads, immediate rejections with a
@@ -120,12 +127,10 @@ func (h *Handle) Done() <-chan Result {
 	ch := make(chan Result, 1)
 	h.mu.Lock()
 	if h.resolved {
-		r := h.result
-		h.mu.Unlock()
-		ch <- r
-		return ch
+		ch <- h.result
+	} else {
+		h.waiters = append(h.waiters, ch)
 	}
-	h.waiters = append(h.waiters, ch)
 	h.mu.Unlock()
 	return ch
 }
@@ -141,12 +146,12 @@ func (h *Handle) Wait(ctx context.Context) Result {
 	}
 }
 
-// GoSubmit adapts a blocking execution path to the Submit shape: run is
-// started on its own goroutine and its result resolves the returned
+// GoSubmit adapts a blocking execution path to the Submit shape: run(tx)
+// is started on its own goroutine and its result resolves the returned
 // handle. Systems without a mempool-fed path implement Submit with it.
-func GoSubmit(run func() Result) *Handle {
+func GoSubmit(run func(*txn.Tx) Result, tx *txn.Tx) *Handle {
 	h := NewHandle()
-	go func() { h.Resolve(run()) }()
+	go func() { h.Resolve(run(tx)) }()
 	return h
 }
 
@@ -180,7 +185,7 @@ func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return GoSubmit(func() Result { return b.run(tx) }), nil
+	return GoSubmit(b.run, tx), nil
 }
 
 // PayloadBox passes in-process block payloads through consensus by handle.
@@ -297,9 +302,10 @@ func NewWaiters[K comparable]() *Waiters[K] {
 	return &Waiters[K]{m: make(map[K]waiter)}
 }
 
-// Register returns the channel a client should block on for key.
-func (w *Waiters[K]) Register(key K) <-chan Result {
-	ch := make(chan Result, 1)
+// Register returns the channel a client should block on for key; Await
+// recycles it once it has delivered.
+func (w *Waiters[K]) Register(key K) chan Result {
+	ch := resultChans.Get().(chan Result)
 	w.mu.Lock()
 	w.m[key] = waiter{ch: ch}
 	w.mu.Unlock()
@@ -347,9 +353,10 @@ const commitTimeout = 60 * time.Second
 // Await blocks on done — the channel Register(key) returned — until the
 // outcome arrives; after commitTimeout it drops the registration and
 // answers with the error text timeout instead.
-func (w *Waiters[K]) Await(key K, done <-chan Result, timeout string) Result {
+func (w *Waiters[K]) Await(key K, done chan Result, timeout string) Result {
 	select {
 	case r := <-done:
+		resultChans.Put(done)
 		return r
 	case <-time.After(commitTimeout):
 		w.Cancel(key)
@@ -370,6 +377,13 @@ const (
 // holds one timer for all its laps, and a finished call hands it to the
 // next, so the steady state allocates none.
 var lapTimers = sync.Pool{New: func() any { return time.NewTimer(replicateLap) }}
+
+// resultChans recycles the channels waiters are resolved on. A channel
+// goes back only once its one result has been received — Resolve took the
+// waiter out of the table before sending, so nothing can send on it again
+// — never from a give-up or a Cancel: a Resolve that took the waiter just
+// before may still send on it.
+var resultChans = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Replicator is the client half of "sequence a command through a
 // consensus group and wait until a replica has applied it": request ids,
@@ -408,8 +422,8 @@ func (rp *Replicator) NextID() uint64 { return rp.seq.Add(1) }
 // issued but not yet registered would be invisible to a faster proposer's
 // mark, which could then pass it. The mark advances over each finished id
 // once, so the scan is amortised O(1).
-func (rp *Replicator) issue() (id, mark uint64, done <-chan Result) {
-	ch := make(chan Result, 1)
+func (rp *Replicator) issue() (id, mark uint64, done chan Result) {
+	ch := resultChans.Get().(chan Result)
 	w := rp.waiters
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -449,7 +463,7 @@ func (rp *Replicator) Do(id uint64, repropose bool, n int, propose func(i int) b
 }
 
 // await is Do for a request whose waiter done is already registered.
-func (rp *Replicator) await(id uint64, done <-chan Result, repropose bool, n int, propose func(i int) bool) Result {
+func (rp *Replicator) await(id uint64, done chan Result, repropose bool, n int, propose func(i int) bool) Result {
 	deadline := time.Now().Add(rp.Deadline)
 	timer := lapTimers.Get().(*time.Timer)
 	defer func() {
@@ -476,6 +490,7 @@ func (rp *Replicator) await(id uint64, done <-chan Result, repropose bool, n int
 		timer.Reset(replicateLap)
 		select {
 		case r := <-done:
+			resultChans.Put(done)
 			return r
 		case <-timer.C:
 			if time.Now().After(deadline) {

@@ -1,12 +1,49 @@
 package system
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"dichotomy/internal/israce"
 	"dichotomy/internal/occ"
+	"dichotomy/internal/txn"
 )
+
+// Every Done channel of a handle receives its outcome — the first, the
+// ones after it, and one asked for once it has resolved — and only the
+// first Resolve counts.
+func TestHandleEveryWaiterReceives(t *testing.T) {
+	h := NewHandle()
+	waits := []<-chan Result{h.Done(), h.Done(), h.Done()}
+	h.Resolve(Result{Committed: true})
+	h.Resolve(Result{})
+	waits = append(waits, h.Done())
+	for i, ch := range waits {
+		if r := <-ch; !r.Committed {
+			t.Fatalf("waiter %d received %+v", i, r)
+		}
+	}
+}
+
+// A blocking system's submit path: the handle, the one closure its
+// goroutine runs, and the Done channel's header and buffer (Result holds
+// pointers); the first waiter takes no slice.
+func TestBlockingSubmitAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	b := NewBlocking(func(*txn.Tx) Result { return Result{Committed: true} })
+	tx := &txn.Tx{}
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(200, func() {
+		h, _ := b.Submit(ctx, tx)
+		<-h.Done()
+	}); got > 4 {
+		t.Errorf("Submit → Done → resolve: %v allocs, want at most 4", got)
+	}
+}
 
 func TestHandleRoundTrip(t *testing.T) {
 	f := func(id uint64) bool {

@@ -15,12 +15,14 @@ import (
 // any replica.
 //
 // Entry bytes are immutable once proposed: raft hands the same slice to
-// every in-process replica, and decodeRegionCmd returns a value that
-// ALIASES it instead of copying it out. That is safe because stored
-// values are never mutated anywhere downstream — mvcc keeps the slice in
-// a lock, moves it into a version on commit, and Store.Get hands that
-// same slice to readers uncopied. Code that wants to change a value
-// writes a new one through a new command.
+// every in-process replica, and decodeRegionCmd returns a value whose key,
+// primary and value all ALIAS it instead of copying them out. That is safe
+// because nothing downstream mutates a stored slice — mvcc looks the key
+// up by its bytes and copies it into a string only when the key first
+// enters the store, keeps primary and value in the lock, moves the value
+// into a version on commit, and Store.Get hands that same slice to readers
+// uncopied. Code that wants to change a value writes a new one through a
+// new command.
 //
 // The entry opens with the system.GroupHeader bytes the group frames it
 // with; the body after them is (big-endian):
@@ -34,7 +36,7 @@ const regionCmdFixed = 1 + 1 + 8 + 8
 
 // encodeRegionCmd returns cmd's log entry, its header left for
 // system.Group.Propose to fill in.
-func encodeRegionCmd(cmd *regionCmd) []byte {
+func encodeRegionCmd[K string | []byte](cmd *regionCmd[K]) []byte {
 	// Header, fixed prefix, klen, plen, hasValue, vlen: exact, so no append
 	// grows.
 	buf := make([]byte, system.GroupHeader, system.GroupHeader+regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
@@ -58,13 +60,12 @@ func encodeRegionCmd(cmd *regionCmd) []byte {
 	return append(buf, cmd.value...)
 }
 
-// decodeRegionCmd parses one entry's body. key and primary share a single
-// string allocation (the span key|plen|primary, sliced twice); value
-// aliases buf (see the header). Any kind byte is accepted; del and
+// decodeRegionCmd parses one entry's body without allocating: key, primary
+// and value alias buf (see the header). Any kind byte is accepted; del and
 // hasValue are set only by the byte 1.
-func decodeRegionCmd(buf []byte) (cmd regionCmd, ok bool) {
+func decodeRegionCmd(buf []byte) (cmd regionCmd[[]byte], ok bool) {
 	if len(buf) < regionCmdFixed+4 {
-		return regionCmd{}, false
+		return cmd, false
 	}
 	cmd.kind = cmdKind(buf[0])
 	cmd.del = buf[1] == 1
@@ -73,34 +74,31 @@ func decodeRegionCmd(buf []byte) (cmd regionCmd, ok bool) {
 	klen := int(binary.BigEndian.Uint32(buf[regionCmdFixed:]))
 	off := regionCmdFixed + 4 // start of key
 	if klen > len(buf)-off-4 {
-		return regionCmd{}, false
+		return regionCmd[[]byte]{}, false
 	}
 	plen := int(binary.BigEndian.Uint32(buf[off+klen:]))
 	if plen > len(buf)-off-klen-4 {
-		return regionCmd{}, false
+		return regionCmd[[]byte]{}, false
 	}
-	if plen == 0 {
-		cmd.key = string(buf[off : off+klen])
-	} else {
-		names := string(buf[off : off+klen+4+plen])
-		cmd.key, cmd.primary = names[:klen], names[klen+4:]
-	}
-	off += klen + 4 + plen
+	// Each capped, so an append through the alias cannot reach past it.
+	cmd.key = buf[off : off+klen : off+klen]
+	off += klen + 4
+	cmd.primary = buf[off : off+plen : off+plen]
+	off += plen
 	if off == len(buf) {
-		return regionCmd{}, false // no hasValue byte
+		return regionCmd[[]byte]{}, false // no hasValue byte
 	}
 	hasValue := buf[off]
 	off++
 	if hasValue == 1 {
 		if len(buf)-off < 4 {
-			return regionCmd{}, false
+			return regionCmd[[]byte]{}, false
 		}
 		vlen := int(binary.BigEndian.Uint32(buf[off:]))
 		off += 4
 		if vlen > len(buf)-off {
-			return regionCmd{}, false
+			return regionCmd[[]byte]{}, false
 		}
-		// Capped, so an append through the alias cannot reach past it.
 		cmd.value = buf[off : off+vlen : off+vlen]
 		off += vlen
 	}

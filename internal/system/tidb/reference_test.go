@@ -63,7 +63,7 @@ func refLex(input string) ([]token, error) {
 	return append(toks, token{kind: tokEOF}), nil
 }
 
-func refDecodeRegionCmd(buf []byte) (*regionCmd, bool) {
+func refDecodeRegionCmd(buf []byte) (*regionCmd[string], bool) {
 	off := 0
 	u8 := func() (byte, bool) {
 		if off+1 > len(buf) {
@@ -99,7 +99,7 @@ func refDecodeRegionCmd(buf []byte) (*regionCmd, bool) {
 		return s, true
 	}
 
-	cmd := &regionCmd{}
+	cmd := &regionCmd[string]{}
 	k, ok := u8()
 	if !ok {
 		return nil, false
@@ -181,17 +181,19 @@ func FuzzLexMatchesReference(f *testing.F) {
 
 // body is the part of a command's log entry the codec owns: what follows
 // the group's header.
-func body(cmd *regionCmd) []byte { return encodeRegionCmd(cmd)[system.GroupHeader:] }
+func body[K string | []byte](cmd *regionCmd[K]) []byte {
+	return encodeRegionCmd(cmd)[system.GroupHeader:]
+}
 
 func FuzzRegionCmdRoundTrip(f *testing.F) {
-	prewrite := body(&regionCmd{kind: cmdPrewrite, key: "kv/a", primary: "kv/p", value: []byte("val"), startTS: 9})
-	commit := body(&regionCmd{kind: cmdCommit, key: "kv/a", startTS: 9, commitTS: 11})
+	prewrite := body(&regionCmd[string]{kind: cmdPrewrite, key: "kv/a", primary: "kv/p", value: []byte("val"), startTS: 9})
+	commit := body(&regionCmd[string]{kind: cmdCommit, key: "kv/a", startTS: 9, commitTS: 11})
 	for _, b := range [][]byte{
 		prewrite, commit,
-		body(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", value: []byte{}}), // empty, not nil
-		body(&regionCmd{kind: cmdPrewrite, key: "k", primary: "k", del: true}),       // nil value
-		body(&regionCmd{kind: cmdRollback}),                                          // zero-length key and primary
-		body(&regionCmd{kind: cmdRawPut, key: "", primary: "p", value: []byte("v")}),
+		body(&regionCmd[string]{kind: cmdPrewrite, key: "k", primary: "k", value: []byte{}}), // empty, not nil
+		body(&regionCmd[string]{kind: cmdPrewrite, key: "k", primary: "k", del: true}),       // nil value
+		body(&regionCmd[string]{kind: cmdRollback}),                                          // zero-length key and primary
+		body(&regionCmd[string]{kind: cmdRawPut, key: "", primary: "p", value: []byte("v")}),
 		append(bytes.Clone(prewrite), 0xff),                  // trailing garbage
 		prewrite[:len(prewrite)-1],                           // value cut short
 		prewrite[:regionCmdFixed+2],                          // klen cut short
@@ -214,7 +216,7 @@ func FuzzRegionCmdRoundTrip(f *testing.F) {
 		}
 		if got.kind != want.kind || got.del != want.del ||
 			got.startTS != want.startTS || got.commitTS != want.commitTS ||
-			got.key != want.key || got.primary != want.primary ||
+			string(got.key) != want.key || string(got.primary) != want.primary ||
 			!bytes.Equal(got.value, want.value) || (got.value == nil) != (want.value == nil) {
 			t.Fatalf("decode(%x) = %+v, reference %+v", b, got, *want)
 		}
@@ -239,10 +241,10 @@ func TestCodecAndParseAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
-	prewrite := body(&regionCmd{kind: cmdPrewrite, key: "kv/user000000001234",
+	prewrite := body(&regionCmd[string]{kind: cmdPrewrite, key: "kv/user000000001234",
 		primary: "kv/user000000000007", value: []byte(benchValue), startTS: 5})
-	commit := body(&regionCmd{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6})
-	var cmd regionCmd
+	commit := body(&regionCmd[string]{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6})
+	var cmd regionCmd[[]byte]
 	var stmt Stmt
 	for _, p := range []struct {
 		name string
@@ -266,7 +268,7 @@ func TestCodecAndParseAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs, want at most %v", p.name, got, p.max)
 		}
 	}
-	if stmt.Key != "user000000001234" || cmd.key != "kv/user000000001234" {
+	if stmt.Key != "user000000001234" || string(cmd.key) != "kv/user000000001234" {
 		t.Fatalf("pinned calls produced %+v, %+v", stmt, cmd)
 	}
 }
@@ -274,7 +276,7 @@ func TestCodecAndParseAllocs(t *testing.T) {
 // TestReplicasDecodeValueWithoutCopy: the value a replica hands to mvcc
 // is the raft entry's own bytes, not a copy of them.
 func TestReplicasDecodeValueWithoutCopy(t *testing.T) {
-	entry := body(&regionCmd{kind: cmdPrewrite, key: "kv/a", primary: "kv/a", value: []byte(benchValue), startTS: 1})
+	entry := body(&regionCmd[string]{kind: cmdPrewrite, key: "kv/a", primary: "kv/a", value: []byte(benchValue), startTS: 1})
 	cmd, ok := decodeRegionCmd(entry)
 	if !ok || string(cmd.value) != benchValue {
 		t.Fatalf("decode: ok=%v, %d value bytes", ok, len(cmd.value))
@@ -319,11 +321,11 @@ func TestReplicasDecodeValueWithoutCopy(t *testing.T) {
 func BenchmarkRegionCmdCodec(b *testing.B) {
 	for _, shape := range []struct {
 		name string
-		cmd  regionCmd
+		cmd  regionCmd[string]
 	}{
-		{"prewrite", regionCmd{kind: cmdPrewrite, key: "kv/user000000001234",
+		{"prewrite", regionCmd[string]{kind: cmdPrewrite, key: "kv/user000000001234",
 			primary: "kv/user000000000007", value: []byte(benchValue), startTS: 5}},
-		{"commit", regionCmd{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6}},
+		{"commit", regionCmd[string]{kind: cmdCommit, key: "kv/user000000001234", startTS: 5, commitTS: 6}},
 	} {
 		b.Run("shape="+shape.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,6 +1,7 @@
 package tidb
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"unicode"
@@ -111,9 +112,15 @@ func lex(toks []token, input string) ([]token, error) {
 // in any case lexes to the constant.
 var keywords = [...]string{"SELECT", "INSERT", "UPDATE", "DELETE", "FROM", "WHERE", "INTO", "VALUES", "SET"}
 
+// tables maps each table the workloads address, its name upper-cased as
+// the lexer leaves it, to the prefix of its storage keys. A known table's
+// name lexes to the constant, like a keyword, and a statement on one
+// compiles its storage key with a single concatenation.
+var tables = map[string]string{"KV": "kv/", "CHK": "chk/", "SAV": "sav/"}
+
 // upperIdent is strings.ToUpper for an identifier (ASCII by
-// construction), allocating only for a non-keyword of two or more
-// characters with a lower-case letter among them — a table name.
+// construction), allocating only for an unknown name of two or more
+// characters with a lower-case letter among them.
 func upperIdent(s string) string {
 	if len(s) == 1 && 'a' <= s[0] && s[0] <= 'z' { // a column name: k, v
 		const upper = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -122,6 +129,11 @@ func upperIdent(s string) string {
 	for _, kw := range keywords {
 		if strings.EqualFold(kw, s) {
 			return kw
+		}
+	}
+	for name := range tables {
+		if strings.EqualFold(name, s) {
+			return name
 		}
 	}
 	return strings.ToUpper(s) // s itself when nothing in it is lower-case
@@ -345,13 +357,41 @@ func Compile(stmt Stmt) (Plan, error) {
 	if stmt.Key == "" {
 		return Plan{}, fmt.Errorf("sql: statement has no key")
 	}
-	return Plan{
-		Stmt:       stmt,
-		StorageKey: strings.ToLower(stmt.Table) + "/" + stmt.Key,
-	}, nil
+	prefix, ok := tables[stmt.Table]
+	if !ok {
+		prefix = strings.ToLower(stmt.Table) + "/"
+	}
+	return Plan{Stmt: stmt, StorageKey: prefix + stmt.Key}, nil
 }
 
 // Quote renders a string as a SQL literal.
 func Quote(s string) string {
 	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
+// bind fills each ? of tmpl, in order, with the next literal, quoted as
+// Quote quotes a string. The statement is one buffer of the exact length,
+// and each literal is copied into it once.
+func bind(tmpl string, lits ...[]byte) string {
+	n := len(tmpl) - len(lits)
+	for _, lit := range lits {
+		n += len(lit) + 2 + bytes.Count(lit, []byte{'\''})
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, lit := range lits {
+		i := strings.IndexByte(tmpl, '?')
+		b.WriteString(tmpl[:i])
+		b.WriteByte('\'')
+		for j := bytes.IndexByte(lit, '\''); j >= 0; j = bytes.IndexByte(lit, '\'') {
+			b.Write(lit[:j+1])
+			b.WriteByte('\'')
+			lit = lit[j+1:]
+		}
+		b.Write(lit)
+		b.WriteByte('\'')
+		tmpl = tmpl[i+1:]
+	}
+	b.WriteString(tmpl)
+	return b.String()
 }

@@ -19,8 +19,8 @@ package tidb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
@@ -90,7 +90,6 @@ type Cluster struct {
 	// regions are the Raft-replicated shards of the key space, each one
 	// replicated group whose state machine is an MVCC store.
 	regions []*system.Group[mvcc.Store]
-	rr      atomic.Uint64
 	// gate models the SQL layer's aggregate processing capacity: each
 	// stateless server contributes a fixed number of concurrent statement
 	// slots. Few servers ⇒ statements queue here (Table 5's left column
@@ -106,15 +105,17 @@ type Cluster struct {
 
 var _ system.System = (*Cluster)(nil)
 
-// regionCmd is the replicated storage command.
-type regionCmd struct {
+// regionCmd is the replicated storage command. K is string where a
+// transaction proposes one from its own keys, []byte where a replica
+// decodes one, aliasing the log entry (codec.go).
+type regionCmd[K string | []byte] struct {
 	kind     cmdKind
-	key      string
+	key      K
 	value    []byte
 	del      bool
 	startTS  uint64
 	commitTS uint64
-	primary  string
+	primary  K
 }
 
 type cmdKind uint8
@@ -208,14 +209,14 @@ func applyRegionCmd(store *mvcc.Store, e consensus.Entry) system.Result {
 	var err error
 	switch cmd.kind {
 	case cmdPrewrite:
-		err = store.Prewrite(cmd.key, cmd.value, cmd.del, cmd.startTS, cmd.primary)
+		err = store.PrewriteBytes(cmd.key, cmd.value, cmd.del, cmd.startTS, cmd.primary)
 	case cmdCommit:
-		err = store.Commit(cmd.key, cmd.startTS, cmd.commitTS)
+		err = store.CommitBytes(cmd.key, cmd.startTS, cmd.commitTS)
 	case cmdRollback:
-		store.Rollback(cmd.key, cmd.startTS)
+		store.RollbackBytes(cmd.key, cmd.startTS)
 	case cmdRawPut:
-		if err = store.Prewrite(cmd.key, cmd.value, cmd.del, cmd.startTS, cmd.key); err == nil {
-			err = store.Commit(cmd.key, cmd.startTS, cmd.commitTS)
+		if err = store.PrewriteBytes(cmd.key, cmd.value, cmd.del, cmd.startTS, cmd.key); err == nil {
+			err = store.CommitBytes(cmd.key, cmd.startTS, cmd.commitTS)
 		}
 	}
 	return system.Result{Committed: err == nil, Err: err}
@@ -225,7 +226,7 @@ func applyRegionCmd(store *mvcc.Store, e consensus.Entry) system.Result {
 // application outcome (system.Group.Propose: exactly once). The command is
 // encoded into the log entry itself, so the replicated history is
 // self-contained — the property region recovery replays against.
-func (c *Cluster) propose(cmd *regionCmd) error {
+func (c *Cluster) propose(cmd *regionCmd[string]) error {
 	if cmd.key == "" {
 		// TiKV refuses it, and the region's checkpoint records leave it to
 		// the group (system.GroupConfig.Dump).
@@ -314,59 +315,66 @@ func (c *Cluster) read(key string) ([]byte, error) {
 
 // Txn is an interactive optimistic transaction (snapshot isolation,
 // Percolator commit).
+//
+// A transaction is one allocation. Its reads, its writes and its
+// prewrites' outcomes are kept in slices that start out backed by arrays
+// inside it, sized for the transactions this tree runs (a YCSB multi
+// writes 4 keys; Smallbank reads and writes at most 3), and a key is
+// found by scanning them — the contract.Stub rule. A larger transaction
+// grows the slices.
 type Txn struct {
 	c       *Cluster
 	startTS uint64
-	reads   map[string][]byte
-	writes  []txn.Write
-	order   map[string]int
+	reads   []txn.Write // the snapshot reads made: each key and the value read
+	writes  []txn.Write // first-write order; writes[0] is the primary
+
+	// prewriteErrs and pending are Commit's: each prewrite's outcome, by
+	// write, and the prewrites still running.
+	prewriteErrs []error
+	pending      sync.WaitGroup
+
+	readBuf  [4]txn.Write
+	writeBuf [4]txn.Write
+	errBuf   [4]error
 }
 
 // NewTxn begins a transaction at a fresh snapshot.
 func (c *Cluster) NewTxn() *Txn {
-	return &Txn{
-		c:       c,
-		startTS: c.pd.Next(),
-		reads:   make(map[string][]byte),
-		order:   make(map[string]int),
-	}
+	t := &Txn{c: c, startTS: c.pd.Next()}
+	t.reads, t.writes = t.readBuf[:0], t.writeBuf[:0]
+	return t
 }
+
+// keyIs matches the buffered read or write of key.
+func keyIs(key string) func(txn.Write) bool { return func(w txn.Write) bool { return w.Key == key } }
 
 // Get reads a key at the transaction's snapshot (read-your-writes).
 func (t *Txn) Get(key string) ([]byte, error) {
-	if i, ok := t.order[key]; ok {
+	if i := slices.IndexFunc(t.writes, keyIs(key)); i >= 0 {
 		return t.writes[i].Value, nil
 	}
-	if v, ok := t.reads[key]; ok {
-		return v, nil
+	if i := slices.IndexFunc(t.reads, keyIs(key)); i >= 0 {
+		return t.reads[i].Value, nil
 	}
 	v, err := t.c.get(key, t.startTS)
 	if err != nil {
 		return nil, err
 	}
-	t.reads[key] = v
+	t.reads = append(t.reads, txn.Write{Key: key, Value: v})
 	return v, nil
 }
 
 // Write buffers an upsert.
 func (t *Txn) Write(key string, value []byte) {
-	if i, ok := t.order[key]; ok {
+	if i := slices.IndexFunc(t.writes, keyIs(key)); i >= 0 {
 		t.writes[i].Value = value
 		return
 	}
-	t.order[key] = len(t.writes)
 	t.writes = append(t.writes, txn.Write{Key: key, Value: value})
 }
 
 // Delete buffers a deletion.
-func (t *Txn) Delete(key string) {
-	if i, ok := t.order[key]; ok {
-		t.writes[i].Value = nil
-		return
-	}
-	t.order[key] = len(t.writes)
-	t.writes = append(t.writes, txn.Write{Key: key, Value: nil})
-}
+func (t *Txn) Delete(key string) { t.Write(key, nil) }
 
 // Commit runs Percolator 2PC: prewrite everything (primary first among its
 // region batch), then commit the primary — the atomicity point — then the
@@ -380,27 +388,23 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	defer func() { trace.Observe(metrics.PhaseCommit, time.Since(start)) }()
 	primary := t.writes[0].Key
 
-	// Prewrite phase: fan out per region, concurrently.
-	prewriteErrs := make([]error, len(t.writes))
-	var wg sync.WaitGroup
-	for i, w := range t.writes {
-		wg.Add(1)
-		go func(i int, w txn.Write) {
-			defer wg.Done()
-			prewriteErrs[i] = t.c.propose(&regionCmd{
-				kind: cmdPrewrite, key: w.Key, value: w.Value,
-				del: w.Value == nil, startTS: t.startTS, primary: primary,
-			})
-		}(i, w)
+	// Prewrite phase: fan out per region, concurrently — every prewrite but
+	// the last on a goroutine of its own, the last on this one.
+	t.prewriteErrs = append(t.errBuf[:0], make([]error, len(t.writes))...)
+	last := len(t.writes) - 1
+	t.pending.Add(last)
+	for i := range last {
+		go t.prewriteAsync(i)
 	}
-	wg.Wait()
-	for _, err := range prewriteErrs {
+	t.prewrite(last)
+	t.pending.Wait()
+	for _, err := range t.prewriteErrs {
 		if err == nil {
 			continue
 		}
 		// Roll back everything we may have locked and abort.
 		for _, w := range t.writes {
-			_ = t.c.propose(&regionCmd{
+			_ = t.c.propose(&regionCmd[string]{
 				kind: cmdRollback, key: w.Key, startTS: t.startTS,
 			})
 		}
@@ -415,7 +419,7 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	// Commit point: the primary key's commit record decides the
 	// transaction. This is the serialized latch of Fig 9.
 	commitTS := t.c.pd.Next()
-	if err := t.c.propose(&regionCmd{
+	if err := t.c.propose(&regionCmd[string]{
 		kind: cmdCommit, key: primary, startTS: t.startTS, commitTS: commitTS,
 	}); err != nil {
 		t.c.Aborts.Inc()
@@ -424,11 +428,26 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	// Secondaries commit after the decision; failures here cannot undo it
 	// (Percolator resolves them lazily; we apply them synchronously).
 	for _, w := range t.writes[1:] {
-		_ = t.c.propose(&regionCmd{
+		_ = t.c.propose(&regionCmd[string]{
 			kind: cmdCommit, key: w.Key, startTS: t.startTS, commitTS: commitTS,
 		})
 	}
 	return nil
+}
+
+// prewrite proposes write i's Percolator lock and records the outcome.
+func (t *Txn) prewrite(i int) {
+	w := t.writes[i]
+	t.prewriteErrs[i] = t.c.propose(&regionCmd[string]{
+		kind: cmdPrewrite, key: w.Key, value: w.Value,
+		del: w.Value == nil, startTS: t.startTS, primary: t.writes[0].Key,
+	})
+}
+
+// prewriteAsync is prewrite on a goroutine of Commit's.
+func (t *Txn) prewriteAsync(i int) {
+	defer t.pending.Done()
+	t.prewrite(i)
 }
 
 // ErrConflict is the client-visible conflict abort.
@@ -455,15 +474,14 @@ func (c *Cluster) execKV(s *Session, t *txn.Tx) system.Result {
 	inv := t.Invocation
 	switch inv.Method {
 	case "get":
-		v, err := s.Exec("SELECT v FROM kv WHERE k = "+Quote(string(inv.Args[0])), t.Trace)
+		v, err := s.Exec(bind("SELECT v FROM kv WHERE k = ?", inv.Args[0]), t.Trace)
 		if err != nil {
 			return system.Result{Err: err}
 		}
 		return system.Result{Committed: true, Value: v}
 	case "put", "modify":
 		// A read-modify-write round, as the YCSB update profile does.
-		_, plan, err := s.compile("UPDATE kv SET v = "+Quote(string(inv.Args[1]))+
-			" WHERE k = "+Quote(string(inv.Args[0])), t.Trace)
+		_, plan, err := s.compile(bind("UPDATE kv SET v = ? WHERE k = ?", inv.Args[1], inv.Args[0]), t.Trace)
 		if err != nil {
 			return system.Result{Err: err}
 		}
@@ -481,8 +499,7 @@ func (c *Cluster) execKV(s *Session, t *txn.Tx) system.Result {
 	case "multi":
 		tx := c.NewTxn()
 		for i := 0; i < len(inv.Args); i += 2 {
-			_, plan, err := s.compile("UPDATE kv SET v = "+Quote(string(inv.Args[i+1]))+
-				" WHERE k = "+Quote(string(inv.Args[i])), t.Trace)
+			_, plan, err := s.compile(bind("UPDATE kv SET v = ? WHERE k = ?", inv.Args[i+1], inv.Args[i]), t.Trace)
 			if err != nil {
 				return system.Result{Err: err}
 			}
@@ -512,8 +529,8 @@ func (c *Cluster) conflictResult(err error) system.Result {
 func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 	inv := t.Invocation
 	tx := c.NewTxn()
-	get := func(table, id string) (int64, error) {
-		_, plan, err := s.compile("SELECT v FROM "+table+" WHERE k = "+Quote(id), t.Trace)
+	get := func(table string, id []byte) (int64, error) {
+		_, plan, err := s.compile(bind("SELECT v FROM "+table+" WHERE k = ?", id), t.Trace)
 		if err != nil {
 			return 0, err
 		}
@@ -523,8 +540,8 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 		}
 		return contract.DecodeInt64(v), nil
 	}
-	put := func(table, id string, v int64) error {
-		_, plan, err := s.compile("UPDATE "+table+" SET v = 'x' WHERE k = "+Quote(id), t.Trace)
+	put := func(table string, id []byte, v int64) error {
+		_, plan, err := s.compile(bind("UPDATE "+table+" SET v = 'x' WHERE k = ?", id), t.Trace)
 		if err != nil {
 			return err
 		}
@@ -532,18 +549,17 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 		return nil
 	}
 	fail := func(err error) system.Result { return c.conflictResult(err) }
-	arg := func(i int) string { return string(inv.Args[i]) }
 
 	switch inv.Method {
 	case "create_account":
-		if err := put("chk", arg(0), contract.DecodeInt64(inv.Args[1])); err != nil {
+		if err := put("chk", inv.Args[0], contract.DecodeInt64(inv.Args[1])); err != nil {
 			return fail(err)
 		}
-		if err := put("sav", arg(0), contract.DecodeInt64(inv.Args[2])); err != nil {
+		if err := put("sav", inv.Args[0], contract.DecodeInt64(inv.Args[2])); err != nil {
 			return fail(err)
 		}
 	case "transact_savings":
-		bal, err := get("sav", arg(0))
+		bal, err := get("sav", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
@@ -551,19 +567,19 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 		if bal+amount < 0 {
 			return system.Result{Reason: occ.OK, Err: contract.ErrAbort}
 		}
-		if err := put("sav", arg(0), bal+amount); err != nil {
+		if err := put("sav", inv.Args[0], bal+amount); err != nil {
 			return fail(err)
 		}
 	case "deposit_checking":
-		bal, err := get("chk", arg(0))
+		bal, err := get("chk", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
-		if err := put("chk", arg(0), bal+contract.DecodeInt64(inv.Args[1])); err != nil {
+		if err := put("chk", inv.Args[0], bal+contract.DecodeInt64(inv.Args[1])); err != nil {
 			return fail(err)
 		}
 	case "send_payment":
-		src, err := get("chk", arg(0))
+		src, err := get("chk", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
@@ -571,22 +587,22 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 		if src < amount {
 			return system.Result{Reason: occ.OK, Err: contract.ErrAbort}
 		}
-		dst, err := get("chk", arg(1))
+		dst, err := get("chk", inv.Args[1])
 		if err != nil {
 			return fail(err)
 		}
-		if err := put("chk", arg(0), src-amount); err != nil {
+		if err := put("chk", inv.Args[0], src-amount); err != nil {
 			return fail(err)
 		}
-		if err := put("chk", arg(1), dst+amount); err != nil {
+		if err := put("chk", inv.Args[1], dst+amount); err != nil {
 			return fail(err)
 		}
 	case "write_check":
-		chk, err := get("chk", arg(0))
+		chk, err := get("chk", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
-		sav, err := get("sav", arg(0))
+		sav, err := get("sav", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
@@ -594,36 +610,36 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 		if chk+sav < amount {
 			amount++
 		}
-		if err := put("chk", arg(0), chk-amount); err != nil {
+		if err := put("chk", inv.Args[0], chk-amount); err != nil {
 			return fail(err)
 		}
 	case "amalgamate":
-		sav, err := get("sav", arg(0))
+		sav, err := get("sav", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
-		chk, err := get("chk", arg(0))
+		chk, err := get("chk", inv.Args[0])
 		if err != nil {
 			return fail(err)
 		}
-		dst, err := get("chk", arg(1))
+		dst, err := get("chk", inv.Args[1])
 		if err != nil {
 			return fail(err)
 		}
-		if err := put("sav", arg(0), 0); err != nil {
+		if err := put("sav", inv.Args[0], 0); err != nil {
 			return fail(err)
 		}
-		if err := put("chk", arg(0), 0); err != nil {
+		if err := put("chk", inv.Args[0], 0); err != nil {
 			return fail(err)
 		}
-		if err := put("chk", arg(1), dst+sav+chk); err != nil {
+		if err := put("chk", inv.Args[1], dst+sav+chk); err != nil {
 			return fail(err)
 		}
 	case "query":
-		if _, err := get("sav", arg(0)); err != nil {
+		if _, err := get("sav", inv.Args[0]); err != nil {
 			return fail(err)
 		}
-		if _, err := get("chk", arg(0)); err != nil {
+		if _, err := get("chk", inv.Args[0]); err != nil {
 			return fail(err)
 		}
 		return system.Result{Committed: true}
@@ -643,7 +659,7 @@ func (c *Cluster) execSmallbank(s *Session, t *txn.Tx) system.Result {
 // and TiDB.
 func (c *Cluster) RawPut(key string, value []byte) error {
 	ts := c.pd.Next()
-	return c.propose(&regionCmd{
+	return c.propose(&regionCmd[string]{
 		kind: cmdRawPut, key: key, value: value,
 		startTS: ts, commitTS: c.pd.Next(),
 	})

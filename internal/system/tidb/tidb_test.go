@@ -177,7 +177,7 @@ func TestFailedPrewriteRollsBackEverything(t *testing.T) {
 	blocker := c.NewTxn()
 	blocker.Write("kv/locked", []byte("x"))
 	// Manually prewrite without committing to keep the lock held.
-	if err := c.propose(&regionCmd{kind: cmdPrewrite, key: "kv/locked",
+	if err := c.propose(&regionCmd[string]{kind: cmdPrewrite, key: "kv/locked",
 		value: []byte("x"), startTS: blocker.startTS, primary: "kv/locked"}); err != nil {
 		t.Fatal(err)
 	}
