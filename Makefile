@@ -39,15 +39,18 @@ fuzz-smoke:
 # running through a crash *and* its recovery, seed from the clock and log
 # the seed, and when their crashes land is wall-clock besides — so a
 # failure is a rate, not a replay, and the database side's three, all on
-# system.Group (< 1 s each), run ten times over to catch a one-in-ten. The shared log's two
-# consumers run five times: a record lost to an orderer leader change
-# costs one 100 ms resend lap, so a run that takes seconds is a stall.
+# system.Group (< 1 s each), run ten times over to catch a one-in-ten. The
+# shared log's two consumers run five times, and so do its two leader-change
+# tests: both sides re-propose a lost command on the one Resend lap of
+# consensus/once.go, one or two 100 ms laps after acceptance, so a run that
+# takes seconds is a stall.
 chaos-smoke:
 	go test -race -count=1 -timeout 10m ./internal/chaos/...
 	go test -race -count=1 -timeout 10m -run 'TestLivenessUnderSustainedDrops' ./internal/consensus/pbft/
 	go test -race -count=1 -timeout 10m -run 'TestChaosEquivalence' ./internal/system/
 	go test -race -count=10 -timeout 10m -run 'TestChaosEquivalence(TiDB|Spanner|Etcd)' ./internal/system/
 	go test -race -count=5 -timeout 10m -run 'TestChaosEquivalence(Fabric|Veritas)' ./internal/system/
+	go test -race -count=5 -timeout 10m -run 'TestConsumersAgreeAcrossLeaderChange|TestRecordLostToLeaderChangeIsResentOnce' ./internal/sharedlog/
 
 # One run of a benchmark workload, exactly as the pipeline runs it
 # (benchmark/README.md); allocs_per_tx and alloc_kb_per_tx repeat to

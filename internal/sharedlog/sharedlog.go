@@ -22,14 +22,16 @@
 // after it was appended, and a timer started then would add BatchTimeout
 // to that round instead of overlapping it.
 //
-// Every appended record is delivered exactly once. The service gives it a
-// sequence number, carried in the raft entry ahead of the record (consumers
-// see the bare record), and keeps it in an in-flight table until the total
-// order reaches it. A record accepted by a leader that is deposed before it
-// replicates, or forwarded to one and dropped, is otherwise gone; one still
-// in flight a lap after an orderer accepted it is proposed again, to every
-// orderer, under the same number, and only the first committed copy of a
-// number is passed on. Dedupe is by number, never by content: the same
+// Every appended record is delivered exactly once, through the
+// exactly-once primitive the database side's raft groups share
+// (consensus/once.go). The service's Flight issues each record a request id
+// and low-water mark, carried in the raft entry ahead of the record
+// (consumers see the bare record), and holds it until the total order
+// reaches it. A record accepted by a leader that is deposed before it
+// replicates, or forwarded to one and dropped, is otherwise gone; the
+// Flight's Resend lap proposes it again, one or two laps after an orderer
+// accepted it, and the sequencer's Window passes on only the first
+// committed copy of an id. Dedupe is by id, never by content: the same
 // bytes appended twice are two records.
 package sharedlog
 
@@ -43,16 +45,6 @@ import (
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/raft"
-)
-
-const (
-	// seqLen is the width of the sequence number ahead of a record in its
-	// raft entry.
-	seqLen = 8
-	// resendLap is how long an accepted record may stay unsequenced before
-	// it is proposed again — the lap of system.Replicator, the database
-	// side's replicate-and-wait loop.
-	resendLap = 100 * time.Millisecond
 )
 
 // Batch is one ordered batch of records handed to consumers.
@@ -100,27 +92,21 @@ type Service struct {
 	// Appends offer a record to it before the others.
 	lead atomic.Int32
 
+	flight     consensus.Flight[struct{}] // appended, not yet sequenced
+	stopResend func()                     // ends the flight's Resend lap
+	win        consensus.Window           // the sequencer's first-copy filter
+	resent     atomic.Uint64              // records proposed again by the lap
+
 	mu        sync.Mutex
 	consumers []*Consumer
 	batches   []Batch // retained log; consumers replay from any offset
 	pending   [][]byte
 	appended  uint64
-	lastSeq   uint64
-	flight    map[uint64]inflight // appended, not yet sequenced, by number
-	resent    uint64              // records proposed again after a lap
-	copies    uint64              // committed copies of an already sequenced number, dropped
+	copies    uint64 // committed copies of an already sequenced id, dropped
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-}
-
-// inflight is one appended record awaiting the total order: its raft
-// entry, and when an orderer last accepted it (zero until one has — a
-// record still being offered by its Append is not the resend loop's).
-type inflight struct {
-	entry    []byte
-	accepted time.Time
 }
 
 // commit is one committed entry and the orderer whose stream carried it.
@@ -138,7 +124,6 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:    cfg,
-		flight: make(map[uint64]inflight),
 		stopCh: make(chan struct{}),
 	}
 	for _, id := range peers {
@@ -154,12 +139,15 @@ func New(cfg Config) *Service {
 	// merge holds a few raft replication batches (256 entries each), so a
 	// follower's burst of copies does not hold the leader's stream up.
 	commits := make(chan commit, 1024)
-	s.wg.Add(len(s.orderers) + 2)
+	s.wg.Add(len(s.orderers) + 1)
 	for i, o := range s.orderers {
 		go s.forward(i, o.Committed(), commits)
 	}
 	go s.run(commits)
-	go s.resend()
+	s.stopResend = s.flight.Resend(func(entry []byte) bool {
+		s.resent.Add(1)
+		return s.propose(entry) == nil
+	})
 	return s
 }
 
@@ -174,20 +162,13 @@ func (s *Service) Append(record []byte) error {
 	})
 }
 
-// TryAppend submits a record with a single pass over the orderers and no
-// retry: the last Propose error — cluster.ErrBackpressure from a full
-// forwarding queue included — surfaces to the caller. The ingress batch
-// builder uses it to observe consensus pushing back instead of hiding
-// the signal inside Append's patient loop.
-func (s *Service) TryAppend(record []byte) error {
-	return s.offer(record, func() (time.Duration, bool) { return 0, false })
-}
-
 // AppendBounded submits a record with a bounded exponential-backoff
 // retry: unlike Append it gives up after roughly budget of accumulated
-// waiting and returns the last error, so a throttling caller can shed
-// instead of stalling multi-second. The short retries still ride out
-// leader elections, which resolve in tens of milliseconds here.
+// waiting and returns the last error — cluster.ErrBackpressure from a full
+// forwarding queue included — so a throttling caller can shed instead of
+// stalling multi-second; a zero budget makes one pass over the orderers.
+// The short retries still ride out leader elections, which resolve in tens
+// of milliseconds here.
 func (s *Service) AppendBounded(record []byte, budget time.Duration) error {
 	backoff := time.Millisecond
 	deadline := time.Now().Add(budget)
@@ -200,34 +181,18 @@ func (s *Service) AppendBounded(record []byte, budget time.Duration) error {
 	})
 }
 
-// offer numbers record, tracks it in flight and proposes it until an
+// offer issues record into the in-flight table and proposes it until an
 // orderer accepts it; after each refused pass retry says how long to wait
-// before the next, or to give up. A record reported as refused is
-// forgotten, so it can never be delivered later.
+// before the next, or to give up. A record reported as refused is finished,
+// so the mark passes it, and it was in no orderer's log.
 func (s *Service) offer(record []byte, retry func() (time.Duration, bool)) error {
-	entry := make([]byte, seqLen+len(record))
-	copy(entry[seqLen:], record)
-	s.mu.Lock()
-	select {
-	case <-s.stopCh:
-		s.mu.Unlock()
-		return consensus.ErrStopped
-	default:
-	}
-	s.lastSeq++
-	seq := s.lastSeq
-	binary.BigEndian.PutUint64(entry, seq)
-	s.flight[seq] = inflight{entry: entry}
-	s.mu.Unlock()
+	entry := make([]byte, consensus.Header+len(record))
+	copy(entry[consensus.Header:], record)
+	id := s.flight.Issue(entry, struct{}{})
 	for {
 		err := s.propose(entry)
 		if err == nil {
-			s.mu.Lock()
-			if f, ok := s.flight[seq]; ok {
-				f.accepted = time.Now()
-				s.flight[seq] = f
-			}
-			s.mu.Unlock()
+			s.flight.Accepted(id)
 			return nil
 		}
 		wait, again := retry()
@@ -239,9 +204,7 @@ func (s *Service) offer(record []byte, retry func() (time.Duration, bool)) error
 				continue
 			}
 		}
-		s.mu.Lock()
-		delete(s.flight, seq)
-		s.mu.Unlock()
+		s.flight.Finish(id)
 		return err
 	}
 }
@@ -335,20 +298,20 @@ func (s *Service) run(commits <-chan commit) {
 }
 
 // sequenceLocked passes the record in a committed entry to the pending
-// batch if it is the first copy of its number. An entry too short to
-// carry a number is the empty one a new raft leader commits its
-// inherited tail with; it is no record.
+// batch if the window admits it as the first copy of its id, and finishes
+// the id. An entry too short to carry a header is the empty one a new raft
+// leader commits its inherited tail with; it is no record.
 func (s *Service) sequenceLocked(entry []byte) {
-	if len(entry) < seqLen {
+	if len(entry) < consensus.Header {
 		return
 	}
-	seq := binary.BigEndian.Uint64(entry)
-	if _, ok := s.flight[seq]; !ok {
+	id := binary.BigEndian.Uint64(entry)
+	if !s.win.Admit(id, binary.BigEndian.Uint64(entry[8:])) {
 		s.copies++
 		return
 	}
-	delete(s.flight, seq)
-	s.pending = append(s.pending, entry[seqLen:])
+	s.flight.Finish(id)
+	s.pending = append(s.pending, entry[consensus.Header:])
 	s.appended++
 }
 
@@ -358,39 +321,6 @@ func (s *Service) cutLocked() {
 	s.batches = append(s.batches, batch)
 	for _, c := range s.consumers {
 		c.notify()
-	}
-}
-
-// resend proposes again, to every orderer, each record an orderer accepted
-// at least a lap ago that the total order has not reached. Whichever
-// orderer leads now sequences it; any other copy that commits is dropped.
-func (s *Service) resend() {
-	defer s.wg.Done()
-	lap := time.NewTicker(resendLap)
-	defer lap.Stop()
-	var due [][]byte
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case now := <-lap.C:
-			due = due[:0]
-			s.mu.Lock()
-			for seq, f := range s.flight {
-				if !f.accepted.IsZero() && now.Sub(f.accepted) >= resendLap {
-					f.accepted = now
-					s.flight[seq] = f
-					due = append(due, f.entry)
-				}
-			}
-			s.resent += uint64(len(due))
-			s.mu.Unlock()
-			for _, entry := range due {
-				for _, o := range s.orderers {
-					_ = o.Propose(entry)
-				}
-			}
-		}
 	}
 }
 
@@ -415,6 +345,7 @@ func (s *Service) Batches() uint64 {
 // service's own goroutines.
 func (s *Service) Stop() {
 	s.stopOnce.Do(func() {
+		s.stopResend()
 		close(s.stopCh)
 		for _, o := range s.orderers {
 			o.Stop()
@@ -422,7 +353,7 @@ func (s *Service) Stop() {
 		s.wg.Wait()
 		s.mu.Lock()
 		for _, c := range s.consumers {
-			c.close()
+			c.Close()
 		}
 		s.mu.Unlock()
 	})
@@ -435,13 +366,10 @@ func (s *Service) Stop() {
 func (s *Service) Subscribe(fromSeq uint64) *Consumer {
 	c := &Consumer{
 		svc:    s,
-		next:   fromSeq,
+		next:   max(fromSeq, 1),
 		out:    make(chan Batch, 64),
 		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
-	}
-	if c.next < 1 {
-		c.next = 1
 	}
 	s.mu.Lock()
 	s.consumers = append(s.consumers, c)
@@ -465,11 +393,7 @@ type Consumer struct {
 func (c *Consumer) Batches() <-chan Batch { return c.out }
 
 // Close detaches the consumer.
-func (c *Consumer) Close() { c.close() }
-
-func (c *Consumer) close() {
-	c.closeOnce.Do(func() { close(c.stopCh) })
-}
+func (c *Consumer) Close() { c.closeOnce.Do(func() { close(c.stopCh) }) }
 
 func (c *Consumer) notify() {
 	select {
@@ -481,25 +405,21 @@ func (c *Consumer) notify() {
 func (c *Consumer) pump() {
 	defer close(c.out)
 	for {
-		// Drain everything available from the cursor position.
-		for {
-			c.svc.mu.Lock()
-			var batch Batch
-			have := false
-			if c.next <= uint64(len(c.svc.batches)) {
-				batch = c.svc.batches[c.next-1]
-				have = true
-			}
-			c.svc.mu.Unlock()
-			if !have {
-				break
-			}
+		c.svc.mu.Lock()
+		var batch Batch
+		have := c.next <= uint64(len(c.svc.batches))
+		if have {
+			batch = c.svc.batches[c.next-1]
+		}
+		c.svc.mu.Unlock()
+		if have { // deliver everything available from the cursor first
 			select {
 			case c.out <- batch:
 				c.next++
 			case <-c.stopCh:
 				return
 			}
+			continue
 		}
 		select {
 		case <-c.wake:

@@ -1,12 +1,14 @@
 package sharedlog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"dichotomy/internal/cluster"
+	"dichotomy/internal/consensus"
 )
 
 func service(t *testing.T, batchSize int) *Service {
@@ -298,7 +300,7 @@ func isolate(t *testing.T, svc *Service, net *cluster.Network, i int) {
 func resends(svc *Service) (resent, copies uint64) {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	return svc.resent, svc.copies
+	return svc.resent.Load(), svc.copies
 }
 
 // expectNoMore fails if c delivers another batch within three resend laps.
@@ -307,7 +309,7 @@ func expectNoMore(t *testing.T, c *Consumer) {
 	select {
 	case b := <-c.Batches():
 		t.Fatalf("unexpected batch %d: %q", b.Seq, b.Records)
-	case <-time.After(3 * resendLap):
+	case <-time.After(3 * consensus.Lap):
 	}
 }
 
@@ -479,7 +481,7 @@ func TestRecordLostToLeaderChangeIsResentOnce(t *testing.T) {
 	}
 	leader(t, svc, old)
 	net.Restart(id)
-	if got := readBatches(t, c, 1, 10*resendLap); string(got[0]) != "lost" {
+	if got := readBatches(t, c, 1, 10*consensus.Lap); string(got[0]) != "lost" {
 		t.Fatalf("got %q", got[0])
 	}
 	expectNoMore(t, c)
@@ -510,19 +512,16 @@ func TestSameBytesAreDistinctRecords(t *testing.T) {
 }
 
 // TestRefusedRecordIsForgotten: before the first election no orderer
-// knows a leader, so TryAppend and AppendBounded refuse; a refused record
+// knows a leader, so AppendBounded with no budget refuses; a refused record
 // leaves the in-flight table and is never delivered.
 func TestRefusedRecordIsForgotten(t *testing.T) {
 	svc := service(t, 1)
 	c := svc.Subscribe(1)
 	defer c.Close()
-	if svc.TryAppend([]byte("refused")) == nil || svc.AppendBounded([]byte("refused too"), 0) == nil {
+	if svc.AppendBounded([]byte("refused"), 0) == nil || svc.AppendBounded([]byte("refused too"), 0) == nil {
 		t.Skip("an orderer was elected before the first append")
 	}
-	svc.mu.Lock()
-	inFlight := len(svc.flight)
-	svc.mu.Unlock()
-	if inFlight != 0 {
+	if inFlight := svc.flight.Len(); inFlight != 0 {
 		t.Fatalf("%d refused records still in flight", inFlight)
 	}
 	if err := svc.Append([]byte("kept")); err != nil {
@@ -532,4 +531,40 @@ func TestRefusedRecordIsForgotten(t *testing.T) {
 		t.Fatalf("first delivered record %q, want \"kept\"", got[0])
 	}
 	expectNoMore(t, c)
+}
+
+// TestCopyBehindLaterRecordsIsDropped: a raw copy of an already sequenced
+// record — header and all, as a re-proposal racing a slow first copy
+// leaves it — proposed straight to the leading orderer behind later records
+// is dropped by the sequencer's window, and the record is delivered once.
+func TestCopyBehindLaterRecordsIsDropped(t *testing.T) {
+	svc := service(t, 1)
+	c := svc.Subscribe(1)
+	defer c.Close()
+	// Each append waits for its delivery, so every later record's mark has
+	// passed the first one's id.
+	for _, r := range []string{"first", "second", "third"} {
+		if err := svc.Append([]byte(r)); err != nil {
+			t.Fatal(err)
+		}
+		readBatches(t, c, 1, 10*time.Second)
+	}
+	// A fresh service issues ids from 1, so "first" was id 1, mark 1.
+	dup := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 1)
+	dup = append(dup, "first"...)
+	waitUntil(t, 10*time.Second, "the leader to take the copy", func() bool {
+		l := leader(t, svc)
+		return svc.orderers[l].IsLeader() && svc.orderers[l].Propose(dup) == nil
+	})
+	if err := svc.Append([]byte("marker")); err != nil {
+		t.Fatal(err)
+	}
+	if got := readBatches(t, c, 1, 10*time.Second); string(got[0]) != "marker" {
+		t.Fatalf("delivered %q after the copy, want \"marker\"", got[0])
+	}
+	expectNoMore(t, c)
+	// A record the lap re-proposed under load leaves copies of its own.
+	if resent, copies := resends(svc); copies < 1 || copies > 1+resent {
+		t.Fatalf("%d committed copies dropped with %d re-proposals, want the one proposed", copies, resent)
+	}
 }

@@ -9,6 +9,7 @@
 package ahl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -109,11 +110,17 @@ type shard struct {
 // shardCmd is the payload sequenced through a shard's PBFT group.
 type shardCmd struct {
 	kind    cmdKind
-	reqID   uint64
 	txID    string
 	inv     txn.Invocation
 	writes  []txn.Write
 	commitP bool // 2PC phase-2 verdict
+}
+
+// sequenced is a committed shard command with the request id its entry's
+// header carried.
+type sequenced struct {
+	id  uint64
+	cmd *shardCmd
 }
 
 type cmdKind int
@@ -162,7 +169,7 @@ func New(cfg Config) *Cluster {
 		}
 		for _, n := range sh.nodes {
 			sh.wg.Add(1)
-			go sh.applyLoop(n, c)
+			go sh.applyLoop(n)
 		}
 		c.shards = append(c.shards, sh)
 	}
@@ -202,75 +209,70 @@ func (c *Cluster) Name() string {
 // shard's unit of work is a single sequenced command — 2PC phases
 // interleave with execution, so there is no stateless stage to fan out —
 // which makes this the pipeline's degenerate depth-1 instantiation.
-func (sh *shard) applyLoop(n *pbft.Node, c *Cluster) {
+func (sh *shard) applyLoop(n *pbft.Node) {
 	defer sh.wg.Done()
 	if n != sh.nodes[0] {
 		pipeline.Drain(n.Committed(), sh.stopCh)
 		return
 	}
 	pipe := pipeline.New(pipeline.Config{Workers: 1, Depth: 1},
-		pipeline.Stages[consensus.Entry, *shardCmd]{
+		pipeline.Stages[consensus.Entry, sequenced]{
 			Decode: sh.decodeCmd,
-			Apply:  func(cmd *shardCmd) { sh.apply(cmd, c) },
+			Apply:  func(s sequenced) { sh.repl.Resolve(s.id, sh.apply(s.cmd)) },
 		})
 	pipe.Run(n.Committed(), sh.stopCh)
 }
 
-// decodeCmd resolves a committed entry's payload handle (pipeline Decode
-// stage); view-change no-ops are skipped.
-func (sh *shard) decodeCmd(e consensus.Entry) (*shardCmd, bool) {
-	if len(e.Data) == 0 {
-		return nil, false // view-change no-op
+// decodeCmd resolves a committed entry's payload handle, behind the
+// request header (pipeline Decode stage); view-change no-ops are skipped.
+func (sh *shard) decodeCmd(e consensus.Entry) (sequenced, bool) {
+	if len(e.Data) < consensus.Header {
+		return sequenced{}, false // view-change no-op
 	}
-	id, ok := system.HandleID(e.Data)
+	handle, ok := system.HandleID(e.Data[consensus.Header:])
 	if !ok {
-		return nil, false
+		return sequenced{}, false
 	}
-	v, ok := sh.box.Take(id)
+	v, ok := sh.box.Take(handle)
 	if !ok {
-		return nil, false
+		return sequenced{}, false
 	}
-	return v.(*shardCmd), true
+	return sequenced{id: binary.BigEndian.Uint64(e.Data), cmd: v.(*shardCmd)}, true
 }
 
-// apply sequences one shard command (pipeline Apply stage).
-func (sh *shard) apply(cmd *shardCmd, c *Cluster) {
+// apply sequences one shard command (pipeline Apply stage) and returns the
+// outcome its waiter is resolved with.
+func (sh *shard) apply(cmd *shardCmd) system.Result {
 	sh.height++
 	switch cmd.kind {
 	case cmdExecute:
 		rw, err := sh.reg.Execute(sh.st, cmd.inv)
 		if err != nil {
-			sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
-			return
+			return system.Result{Err: err}
 		}
 		// Respect prepare locks: serial execution must not overwrite a
 		// key a cross-shard transaction holds.
 		for _, w := range rw.Writes {
 			if _, locked := sh.locks[w.Key]; locked {
-				sh.repl.Resolve(cmd.reqID,
-					system.Result{Reason: occ.WriteWriteConflict})
-				return
+				return system.Result{Reason: occ.WriteWriteConflict}
 			}
 		}
 		if err := sh.applyWrites(rw.Writes); err != nil {
-			sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
-			return
+			return system.Result{Err: err}
 		}
-		sh.repl.Resolve(cmd.reqID, system.Result{Committed: true})
+		return system.Result{Committed: true}
 	case cmdPrepare:
 		for _, w := range cmd.writes {
 			if holder, locked := sh.locks[w.Key]; locked && holder != cmd.txID {
-				sh.repl.Resolve(cmd.reqID,
-					system.Result{Reason: occ.WriteWriteConflict})
-				return
+				return system.Result{Reason: occ.WriteWriteConflict}
 			}
 		}
 		for _, w := range cmd.writes {
 			sh.locks[w.Key] = cmd.txID
 		}
 		sh.prepared[cmd.txID] = cmd.writes
-		sh.repl.Resolve(cmd.reqID, system.Result{Committed: true})
-	case cmdFinish:
+		return system.Result{Committed: true}
+	default: // cmdFinish
 		writes := sh.prepared[cmd.txID]
 		delete(sh.prepared, cmd.txID)
 		for _, w := range writes {
@@ -280,11 +282,10 @@ func (sh *shard) apply(cmd *shardCmd, c *Cluster) {
 		}
 		if cmd.commitP {
 			if err := sh.applyWrites(writes); err != nil {
-				sh.repl.Resolve(cmd.reqID, system.Result{Err: err})
-				return
+				return system.Result{Err: err}
 			}
 		}
-		sh.repl.Resolve(cmd.reqID, system.Result{Committed: cmd.commitP})
+		return system.Result{Committed: cmd.commitP}
 	}
 }
 
@@ -307,20 +308,25 @@ func (sh *shard) applyWrites(writes []txn.Write) error {
 }
 
 // sequence pushes a command through the shard's PBFT group and waits.
+// The entry is the request header, then the box handle. It is proposed
+// once — the shard runs no Resend lap: re-proposal is the raft-backed
+// systems' answer to a proposal lost with a crashed leader's log, and this
+// path never needed it.
 func (sh *shard) sequence(cmd *shardCmd) system.Result {
-	cmd.reqID = sh.repl.NextID()
-	id := sh.box.Put(cmd, 1) // only the primary applier takes it
-	payload := system.EncodeHandle(id)
-	// Proposed once: re-proposal is the raft-backed systems' answer to a
-	// proposal lost with a crashed leader's log, and this path never
-	// needed it.
-	r := sh.repl.Do(cmd.reqID, false, len(sh.nodes), func(i int) bool {
-		return sh.nodes[i].Propose(payload) == nil
+	handle := sh.box.Put(cmd, 1) // only the primary applier takes it
+	entry := binary.BigEndian.AppendUint64(make([]byte, consensus.Header, consensus.Header+8), handle)
+	r := sh.repl.Do(entry, func(entry []byte) bool {
+		for _, n := range sh.nodes {
+			if n.Propose(entry) == nil {
+				return true
+			}
+		}
+		return false
 	})
 	if sh.repl.GaveUp(r.Err) {
 		// The primary applier never took the command: release it, or it
 		// leaks. An apply error, by contrast, means it was taken.
-		sh.box.Drop(id)
+		sh.box.Drop(handle)
 	}
 	return r
 }

@@ -90,7 +90,7 @@ func (c *Cluster) Name() string { return "etcd" }
 //
 //	del u8 | klen u32 | key | value
 func encodeOp(del bool, key string, value []byte) []byte {
-	buf := make([]byte, system.GroupHeader, system.GroupHeader+1+4+len(key)+len(value))
+	buf := make([]byte, consensus.Header, consensus.Header+1+4+len(key)+len(value))
 	if del {
 		buf = append(buf, 1)
 	} else {

@@ -844,8 +844,9 @@ func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stat
 	if src.Crashed() {
 		return recovery.Stats{}, fmt.Errorf("fabric: source peer %d is crashed", from)
 	}
+	// The crash-time subscription stays open until the recovery succeeds:
+	// a failed one resumes the drain on it, exactly at Delivered+1.
 	stats, err := p.Rebuild(maxCkptHeight)
-	p.consumer.Close() // the drain is halted; nothing reads the old subscription
 	if err != nil {
 		return stats, err
 	}
@@ -876,6 +877,7 @@ func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stat
 		}
 		tmp.Close()
 	}
+	p.consumer.Close()
 	p.consumer = nw.ordering.Subscribe(T1 + 1)
 	p.Restart(p.commitLoop)
 	return stats, nil

@@ -17,10 +17,6 @@ import (
 	"dichotomy/internal/recovery"
 )
 
-// GroupHeader is how many leading bytes of every command Group.Propose
-// owns: the request id, then the low-water mark, big-endian u64 each.
-const GroupHeader = 16
-
 // windowKey is the checkpoint record a member's window is kept under.
 const windowKey = ""
 
@@ -67,12 +63,11 @@ type GroupConfig[T any] struct {
 // the group: it keeps committing while a raft quorum remains, and a
 // recovery pauses nobody.
 //
-// The group, not the command codec, frames requests: Propose writes a
-// header of GroupHeader bytes ahead of each command body — the request id
-// and the proposer's low-water mark, the smallest id still in flight — and
-// every member applies each request once, the first copy the log holds
-// (see window). The embedded Replicator issues the ids and holds the
-// waiters the apply loops resolve; its Deadline is the one test seam.
+// The group, not the command codec, frames requests, and every member
+// applies each request once: the exactly-once primitive of
+// consensus/once.go, whose Flight the embedded Replicator holds and whose
+// Window each member applies through. The Replicator also holds the waiters
+// the apply loops resolve; its Deadline is the one test seam.
 type Group[T any] struct {
 	*Replicator
 	cfg         GroupConfig[T]
@@ -81,7 +76,8 @@ type Group[T any] struct {
 	// lead is the member Propose offers a command to first: the leader the
 	// last member to accept one named. A follower would only forward the
 	// command there, one more message.
-	lead atomic.Int32
+	lead       atomic.Int32
+	stopResend func() // ends the group's Resend lap
 }
 
 // groupReplica is one member: a raft node plus the state machine its log
@@ -95,7 +91,7 @@ type groupReplica[T any] struct {
 
 	cons    atomic.Pointer[raft.Node]
 	state   atomic.Pointer[T]
-	win     atomic.Pointer[window]
+	win     atomic.Pointer[consensus.Window]
 	applied atomic.Uint64 // newest applied (or restored) raft index
 
 	mu      sync.Mutex
@@ -131,6 +127,7 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 			_, _, _ = g.start(rep, false)
 		}
 	}
+	g.stopResend = g.flight.Resend(g.offer)
 	return g
 }
 
@@ -142,7 +139,7 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 // member is equally empty and someone has to campaign. Callers hold rep.mu
 // or are constructing the group.
 func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
-	st, win := g.cfg.New(), &window{}
+	st, win := g.cfg.New(), &consensus.Window{}
 	var ckpt *recovery.ChainWriter
 	if rep.ckpt.Dir != "" {
 		if ckpt, err = recovery.OpenChainWriter(rep.ckpt); err != nil {
@@ -150,7 +147,7 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 		}
 		err = ckpt.Restore(func(key string, value []byte) error {
 			if key == windowKey {
-				return win.restore(value)
+				return win.Restore(value)
 			}
 			return g.cfg.Restore(st, key, value)
 		})
@@ -172,9 +169,9 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 
 // dump emits a member's complete content in checkpoint-record form: the
 // state machine's records and the window under the empty key.
-func (g *Group[T]) dump(st *T, win *window, emit func(key string, value []byte)) {
+func (g *Group[T]) dump(st *T, win *consensus.Window, emit func(key string, value []byte)) {
 	g.cfg.Dump(st, emit)
-	emit(windowKey, win.encode())
+	emit(windowKey, win.Encode())
 }
 
 // applyLoop applies the committed log into one incarnation of a member.
@@ -183,7 +180,7 @@ func (g *Group[T]) dump(st *T, win *window, emit func(key string, value []byte))
 // too short for a header is raft's new-term no-op, and one the window
 // refuses is a later copy of a request already applied (or given up):
 // neither reaches Apply, though both advance the applied index.
-func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
+func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
 	dump := func(emit func(key string, value []byte)) { g.dump(st, win, emit) }
 	for {
@@ -198,13 +195,13 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *
 				continue // its effects are in the restored checkpoint already
 			}
 			id, first := uint64(0), false
-			if len(e.Data) >= GroupHeader {
+			if len(e.Data) >= consensus.Header {
 				id = binary.BigEndian.Uint64(e.Data)
-				first = win.admit(id, binary.BigEndian.Uint64(e.Data[8:]))
+				first = win.Admit(id, binary.BigEndian.Uint64(e.Data[8:]))
 			}
 			var res Result
 			if first {
-				e.Data = e.Data[GroupHeader:]
+				e.Data = e.Data[consensus.Header:]
 				res = g.cfg.Apply(st, e)
 			}
 			// Publish the applied index BEFORE resolving the waiter: reads
@@ -228,44 +225,37 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *
 
 // Propose sequences cmd through the group's log and waits for the first
 // member to apply it; the Result is Apply's, or one of the two give-up
-// errors. cmd's first GroupHeader bytes are the group's: the encoder
-// reserves them, and Propose writes the request id it draws and the
-// low-water mark there, so framing costs no allocation. The command goes
-// first to the member the last accepting one named as leader, and on from
-// there; any member takes it, a follower by forwarding it to its leader.
-//
-// Every request is applied once. A proposal a member accepted and then
-// lost (it crashed, or was deposed, before replicating it) would otherwise
-// stall the client to the deadline and leave whatever the command was
-// meant to release — a Percolator lock, a prepared 2PC write set —
-// dangling, so an accepted command still unapplied after a lap is proposed
-// again, and a merely slow first proposal then sits in the log twice. The
-// second copy is not harmless — a TiDB prewrite re-applied after its own
-// rollback re-creates a lock nobody clears, a Spanner write re-applied
-// after a later one is a lost update — so each member's window drops it:
-// an id it has applied, or one below the highest mark it has applied.
-// The mark rule is safe because an id is in flight from the instant it is
-// issued until its waiter is resolved or given up, so an entry whose mark
-// passed id X was proposed after X finished — after X's first copy
-// committed, at a lower index — and any copy of X behind it is a
-// duplicate. The filter reads nothing but the log, so every member drops
-// the same copies.
-func (g *Group[T]) Propose(cmd []byte) Result {
-	id, mark, done := g.issue()
-	binary.BigEndian.PutUint64(cmd, id)
-	binary.BigEndian.PutUint64(cmd[8:], mark)
+// errors. cmd's first consensus.Header bytes are the group's: the encoder
+// reserves them, and Propose writes the request id and the low-water mark
+// there (Replicator.Do), so framing costs no allocation. A command accepted
+// and then lost — its member crashed, or was deposed, before replicating
+// it — would otherwise stall the client to the deadline and leave whatever
+// it was meant to release, a Percolator lock or a prepared 2PC write set,
+// dangling; the group's Resend lap proposes it again one or two laps after
+// acceptance, and each member's window applies only the first copy the log
+// holds. A second copy is not harmless: a TiDB prewrite re-applied after
+// its own rollback re-creates a lock nobody clears, and a Spanner write
+// re-applied after a later one is a lost update.
+func (g *Group[T]) Propose(cmd []byte) Result { return g.Do(cmd, g.offer) }
+
+// offer is the group's propose path, for Propose and the Resend lap alike:
+// cmd goes first to the member the last accepting one named as leader, and
+// on from there; any member takes it, a follower by forwarding it to its
+// leader.
+func (g *Group[T]) offer(cmd []byte) bool {
 	lead := int(g.lead.Load())
-	return g.await(id, done, true, len(g.reps), func(i int) bool {
+	for i := range g.reps {
 		rep := g.reps[(lead+i)%len(g.reps)]
 		cons := rep.cons.Load()
 		if rep.crashed.Load() || cons.Propose(cmd) != nil {
-			return false
+			continue
 		}
 		if l := slices.Index(g.cfg.Peers, cons.Leader()); l >= 0 {
 			g.lead.Store(int32(l))
 		}
 		return true
-	})
+	}
+	return false
 }
 
 // Freshest returns the state machine of the live member that has applied
@@ -362,13 +352,14 @@ func (g *Group[T]) Dump(i int) map[string][]byte {
 	return out
 }
 
-// Close stops every live member in two passes: every apply loop is told to
-// stop before any raft node is stopped and waited for, so the loops wind
-// down side by side rather than one member after another. Call it before
-// closing the network. A closed group stays closed: a later Crash does
-// nothing, a later Recover restarts nothing, a second Close finds nothing
-// left to stop.
+// Close stops the Resend lap, then every live member in two passes: every
+// apply loop is told to stop before any raft node is stopped and waited
+// for, so the loops wind down side by side rather than one member after
+// another. Call it before closing the network. A closed group stays
+// closed: a later Crash does nothing, a later Recover restarts nothing, a
+// second Close finds nothing left to stop.
 func (g *Group[T]) Close() {
+	g.stopResend()
 	for _, rep := range g.reps {
 		rep.mu.Lock()
 		if !rep.crashed.Load() && !rep.closed {
@@ -385,81 +376,4 @@ func (g *Group[T]) Close() {
 		}
 		rep.mu.Unlock()
 	}
-}
-
-// window is one member's exactly-once filter: it admits the first copy of
-// each request id and refuses every later one. floor is the highest mark
-// applied: every id below it has finished, so none applies again. The ring
-// holds the applied ids at or above it, id in slot id mod len(ring), and
-// grows only when the spread of ids above the floor would wrap it, so a
-// steady load allocates nothing. Raising the floor prunes nothing eagerly:
-// an id below it left in a slot is ignored, then overwritten by the id
-// that maps there next, so admit is O(1) amortised over growth. The
-// content is a function of the log prefix alone, and encode's form is
-// canonical, so members that applied one prefix — from scratch or from a
-// checkpoint — encode alike.
-type window struct {
-	mu    sync.Mutex // admit runs on the apply loop, Group.Dump anywhere
-	floor uint64
-	ring  []uint64 // ids start at 1: an empty slot holds none
-}
-
-// admit reports whether id's entry is its request's first copy, and if so
-// records id and raises the floor to mark (a mark never passes its own id).
-func (w *window) admit(id, mark uint64) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if id < w.floor {
-		return false
-	}
-	if id-w.floor >= uint64(len(w.ring)) {
-		ids := w.ids()
-		w.ring = make([]uint64, max(2*len(w.ring), 64, int(id-w.floor+1)))
-		for _, held := range ids {
-			w.ring[held%uint64(len(w.ring))] = held
-		}
-	}
-	slot := &w.ring[id%uint64(len(w.ring))]
-	if *slot == id {
-		return false
-	}
-	*slot = id
-	w.floor = max(w.floor, min(mark, id))
-	return true
-}
-
-// ids returns the applied ids at or above the floor, ascending.
-func (w *window) ids() []uint64 {
-	var out []uint64
-	for _, id := range w.ring {
-		if id != 0 && id >= w.floor {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// encode returns the window's canonical form: the floor, then ids(),
-// big-endian u64 each.
-func (w *window) encode() []byte {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := binary.BigEndian.AppendUint64(nil, w.floor)
-	for _, id := range w.ids() {
-		out = binary.BigEndian.AppendUint64(out, id)
-	}
-	return out
-}
-
-// restore loads encode's form into an empty window.
-func (w *window) restore(b []byte) error {
-	if len(b) < 8 || len(b)%8 != 0 {
-		return errors.New("system: corrupt window record")
-	}
-	w.floor = binary.BigEndian.Uint64(b)
-	for b = b[8:]; len(b) > 0; b = b[8:] {
-		w.admit(binary.BigEndian.Uint64(b), 0)
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package system
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,7 +14,6 @@ import (
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
-	"dichotomy/internal/israce"
 	"dichotomy/internal/mvcc"
 	"dichotomy/internal/recovery"
 )
@@ -85,7 +83,7 @@ var tallySeq atomic.Uint64
 // header.
 func tallyCmd() []byte {
 	n := tallySeq.Add(1)
-	cmd := binary.BigEndian.AppendUint64(make([]byte, GroupHeader), n)
+	cmd := binary.BigEndian.AppendUint64(make([]byte, consensus.Header), n)
 	return append(cmd, fmt.Sprintf("v%d", n)...)
 }
 
@@ -270,7 +268,7 @@ func TestGroupRecoverEqualsNeverCrashed(t *testing.T) {
 			if tc.chain != (stats.CheckpointHeight > 0) {
 				t.Fatalf("restored height %d", stats.CheckpointHeight)
 			}
-			lastAt := g.State(0).seenAt()[binary.BigEndian.Uint64(last[GroupHeader:])]
+			lastAt := g.State(0).seenAt()[binary.BigEndian.Uint64(last[consensus.Header:])]
 			if tc.chain && (len(lastAt) == 0 || stats.CheckpointHeight < lastAt[0]) {
 				t.Fatalf("restored height %d is below the first copy (applied at %v)", stats.CheckpointHeight, lastAt)
 			}
@@ -425,11 +423,11 @@ func TestGroupDropsPrewriteCopyBehindRollback(t *testing.T) {
 		g.Close()
 		net.Close()
 	})
-	cmd := func(kind byte) []byte { return append(make([]byte, GroupHeader), kind) }
+	cmd := func(kind byte) []byte { return append(make([]byte, consensus.Header), kind) }
 	prewrite := cmd('p')
 	for _, c := range [][]byte{prewrite, cmd('r')} {
 		if r := g.Propose(c); !r.Committed {
-			t.Fatalf("propose %q: %+v", c[GroupHeader:], r)
+			t.Fatalf("propose %q: %+v", c[consensus.Header:], r)
 		}
 	}
 	proposeCopy(t, g, prewrite)
@@ -475,80 +473,5 @@ func TestGroupRacingProposersApplyEachOnce(t *testing.T) {
 			t.Fatalf("replica %d applied %d requests, want %d", i, len(seen), proposers*each)
 		}
 		requireOnce(t, fmt.Sprintf("replica %d", i), seen)
-	}
-}
-
-// The window's admit-and-prune allocates nothing once the ring spans the
-// spread of ids in flight.
-func TestWindowAdmitAllocs(t *testing.T) {
-	if israce.Enabled {
-		t.Skip("allocation counts do not hold under the race detector")
-	}
-	var w window
-	var id uint64
-	admit := func() {
-		id++
-		if !w.admit(id+8, id) || w.admit(id+8, id) {
-			t.Fatalf("id %d: first copy refused or second admitted", id+8)
-		}
-	}
-	admit()
-	if got := testing.AllocsPerRun(1000, admit); got != 0 {
-		t.Errorf("admit and prune: %v allocs, want 0", got)
-	}
-}
-
-// A window restored from its checkpoint record and fed the rest of a log
-// equals one fed the whole log (incremental = from scratch), admitting the
-// same copies; the log is a proposer's ids and marks with copies of random
-// earlier requests mixed in, across several growths of the ring.
-func TestWindowRestoreEqualsFromScratch(t *testing.T) {
-	seed := time.Now().UnixNano()
-	rng := rand.New(rand.NewSource(seed))
-	t.Logf("seed %d", seed)
-	type entry struct{ id, mark uint64 }
-	var log []entry
-	var inflight []uint64 // ascending
-	for next := uint64(1); next <= 2000; {
-		switch {
-		case len(inflight) > 0 && rng.Intn(3) == 0: // a request finishes
-			inflight = append(inflight[:0:0], inflight[1:]...)
-			if rng.Intn(4) > 0 {
-				i := rng.Intn(len(log))
-				log = append(log, log[i]) // and a copy of an earlier one lands
-			}
-		default: // one is issued, its low-water mark the oldest in flight
-			if rng.Intn(50) == 0 {
-				next += 200 // ids drawn and given up on: the ring must grow
-			}
-			inflight = append(inflight, next)
-			log = append(log, entry{next, inflight[0]})
-			next++
-		}
-	}
-	var scratch window
-	admitted := make([]bool, len(log))
-	for i, e := range log {
-		admitted[i] = scratch.admit(e.id, e.mark)
-	}
-	for _, cut := range []int{0, 1, len(log) / 3, len(log) / 2, len(log) - 1} {
-		var before, after window
-		for _, e := range log[:cut] {
-			before.admit(e.id, e.mark)
-		}
-		if err := after.restore(before.encode()); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		for i, e := range log[cut:] {
-			if got := after.admit(e.id, e.mark); got != admitted[cut+i] {
-				t.Fatalf("cut %d: entry %d (%+v) admitted=%v, from scratch %v", cut, cut+i, e, got, admitted[cut+i])
-			}
-		}
-		if !reflect.DeepEqual(after.encode(), scratch.encode()) {
-			t.Fatalf("cut %d: restored window encodes differently from the one fed the whole log", cut)
-		}
-	}
-	if err := new(window).restore([]byte{1, 2, 3}); err == nil {
-		t.Fatal("restored a 3-byte record")
 	}
 }

@@ -66,17 +66,20 @@ func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (
 //   - OpenReplica: engine → store → root maintainer → checkpointer, closing
 //     in reverse on any error.
 //   - Run: the replica's loops, each handed the stop channel.
-//   - Crash: flag → stop the loops → start the drain → close checkpointer,
-//     maintainer, store. The drain keeps taking the replica's payload-box
-//     copies and advancing Delivered, so nothing leaks while it is down.
+//   - Crash: flag → stop the loops → run the drain as the replica's one
+//     loop → close checkpointer, maintainer, store. The drain keeps taking
+//     the replica's payload-box copies and advancing Delivered, so nothing
+//     leaks while it is down.
 //   - Rebuild → CatchUp → Restart: halt the drain, which pins the hand-off
 //     pivot D = Delivered (every position ≤ D has had its box copy taken);
 //     restore the newest checkpoint onto a fresh engine and reseed the
 //     maintainer from it; replay a healthy source through the system's own
 //     stage function to a tip T1 ≥ D; restart the loops. The system's
 //     rejoin step consumes positions D+1..T1 without applying them —
-//     positions align because block N is always stream element N.
-//   - Close: stop, wait, halt the drain, close the engines.
+//     positions align because block N is always stream element N. A
+//     failed Rebuild or CatchUp runs the drain Crash was given again, so a
+//     replica whose recovery failed still takes its box copies.
+//   - Close: stop the loops or the drain, wait, close the engines.
 //
 // The engine fields are exported for the embedding system's stage
 // functions and inspection accessors; only the runtime assigns them, and
@@ -101,9 +104,9 @@ type Replica struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	crashed  atomic.Bool
-	// haltDrain stops the crash-time drain and waits for it to exit;
-	// nil when none runs.
-	haltDrain func()
+	// drain is the one Crash was given. It runs as the crashed replica's
+	// only loop, so Stop halts it.
+	drain func(stop <-chan struct{})
 	// catchUpWait bounds how long CatchUp waits for a live replay source to
 	// apply the tail the replica's drain already consumed: 30 s, which
 	// in-package tests shorten.
@@ -213,22 +216,26 @@ func (r *Replica) Crashed() bool { return r.crashed.Load() }
 // close, losing everything in memory. What survives is what recovery may
 // use: the checkpoint directory and the other replicas. drain, when
 // non-nil, then consumes the replica's ordered stream until a recovery or
-// Close halts it. Crash reports false on an already crashed replica.
+// Close halts it; it runs again after a failed recovery, so it must resume
+// from Delivered. Crash reports false on an already crashed replica.
 func (r *Replica) Crash(drain func(stop <-chan struct{})) bool {
 	if r.crashed.Swap(true) {
 		return false
 	}
 	r.Stop()
-	if drain != nil {
-		stop, done := make(chan struct{}), make(chan struct{})
-		r.haltDrain = func() { close(stop); <-done }
-		go func() {
-			defer close(done)
-			drain(stop)
-		}()
+	r.drain = drain
+	r.fail()
+	return true
+}
+
+// fail leaves the replica down — at a crash, and after a failed recovery:
+// its engines closed, and its drain, if it has one, running until the next
+// recovery or Close halts it.
+func (r *Replica) fail() {
+	if r.drain != nil {
+		r.restart(r.drain)
 	}
 	r.lose()
-	return true
 }
 
 // DrainStream returns the drain of a crashed replica whose ordered stream
@@ -262,15 +269,6 @@ func (r *Replica) Deliver(handles [][]byte, seq uint64) {
 	r.Delivered.Store(seq)
 }
 
-// endDrain halts the drain, if one runs. Afterwards Delivered is the
-// hand-off pivot D: every position ≤ D has had its box copy taken.
-func (r *Replica) endDrain() {
-	if r.haltDrain != nil {
-		r.haltDrain()
-		r.haltDrain = nil
-	}
-}
-
 // Rebuild begins a recovery: it halts the drain, restores the newest
 // checkpoint with height ≤ maxCkptHeight (0 = newest) onto a fresh engine
 // with a rebound checkpointer, starts an empty ledger, and rebuilds the
@@ -278,11 +276,15 @@ func (r *Replica) endDrain() {
 // store dumps as one synthetic delta at the checkpoint height, and the
 // replay then feeds per-block deltas as live commits do (the trie root is
 // content-determined). A failed Rebuild leaves the replica crashed with
-// its engines closed; it may be retried.
-func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
-	r.endDrain()
+// its engines closed and its drain running again; it may be retried.
+func (r *Replica) Rebuild(maxCkptHeight uint64) (stats recovery.Stats, err error) {
+	r.Stop() // the drain: Delivered is the pivot D from here on
 	r.lose() // whatever an earlier attempt's system-side step left open
-	var stats recovery.Stats
+	defer func() {
+		if err != nil {
+			r.fail()
+		}
+	}()
 	if dir := r.dir("state"); dir != "" {
 		// A disk-backed engine may hold writes from after the checkpoint
 		// whose version metadata died with the process; recovery trusts
@@ -299,12 +301,10 @@ func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
 	r.St, r.Ledger = st, ledger.New()
 	if r.cfg.Checkpoint.Interval > 0 {
 		if r.Ckpt, stats, err = recovery.RestoreCheckpointer(st, r.ckptOptions(), maxCkptHeight); err != nil {
-			r.lose()
 			return stats, err
 		}
 	}
 	if err := r.startAuth(); err != nil {
-		r.lose()
 		return stats, err
 	}
 	if r.Auth != nil && stats.CheckpointHeight > 0 {
@@ -317,7 +317,6 @@ func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
 			return true
 		})
 		if err := r.Auth.Submit(stats.CheckpointHeight, seed); err != nil {
-			r.lose()
 			return stats, fmt.Errorf("%s: seed root maintainer: %w", r.cfg.Label, err)
 		}
 	}
@@ -335,7 +334,8 @@ func (r *Replica) Rebuild(maxCkptHeight uint64) (recovery.Stats, error) {
 // may crash mid-replay, which then shows as a source that stopped growing.
 // A stage error, a gap in the source or a source still below D at the
 // deadline fails the recovery, leaving the replica as Rebuild's failures
-// do. On success stats.TipHeight is the hand-off tip T1 ≥ D.
+// do, its drain resuming from D. On success stats.TipHeight is the
+// hand-off tip T1 ≥ D.
 func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage func(n uint64, payloads [][]byte) error, stats *recovery.Stats) error {
 	D := r.Delivered.Load()
 	start := time.Now()
@@ -345,7 +345,7 @@ func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage 
 		stats.ReplayedBlocks = h - stats.CheckpointHeight
 	}
 	if err != nil {
-		r.lose()
+		r.fail()
 		return err
 	}
 	stats.TipHeight = height()
@@ -395,15 +395,19 @@ func (r *Replica) CatchUpLedger(src *ledger.Ledger, stage func(txs []*txn.Tx) er
 
 // Restart ends a recovery: the replica is live again and runs loops.
 func (r *Replica) Restart(loops ...func(stop <-chan struct{})) {
-	r.stopCh, r.stopOnce = make(chan struct{}), sync.Once{}
 	r.crashed.Store(false)
+	r.restart(loops...)
+}
+
+// restart runs loops on a fresh stop channel.
+func (r *Replica) restart(loops ...func(stop <-chan struct{})) {
+	r.stopCh, r.stopOnce = make(chan struct{}), sync.Once{}
 	r.Run(loops...)
 }
 
-// Close stops the loops and the drain and closes the engines.
+// Close stops the loops — or the drain — and closes the engines.
 func (r *Replica) Close() {
 	r.Stop()
-	r.endDrain()
 	r.closeEngines()
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dichotomy/internal/consensus"
 	"dichotomy/internal/israce"
 )
 
@@ -16,40 +17,38 @@ func newTestReplicator() *Replicator {
 	return NewReplicator("test: leaderless", "test: apply timeout")
 }
 
-func (w *Waiters[K]) live() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.m)
-}
+// idOf reads the request id Do wrote into an entry.
+func idOf(entry []byte) uint64 { return binary.BigEndian.Uint64(entry) }
 
-// A proposal a replica accepted and then lost is proposed again one lap
-// later, and the request still resolves exactly once.
+// A proposal a replica accepted and then lost is proposed again by the
+// Resend lap, one or two laps later, and the request still resolves
+// exactly once.
 func TestReplicatorReproposesLostProposal(t *testing.T) {
 	rp := newTestReplicator()
-	id := rp.NextID()
-	calls := 0
-	start := time.Now()
-	r := rp.Do(id, true, 1, func(int) bool {
-		calls++
-		if calls == 2 {
-			rp.Resolve(id, Result{Committed: true})
+	var calls atomic.Int32
+	propose := func(entry []byte) bool {
+		if calls.Add(1) == 2 {
+			rp.Resolve(idOf(entry), Result{Committed: true})
 			// A second replica applying the same entry, and a duplicate
 			// log entry, find no waiter.
-			rp.Resolve(id, Result{Err: errors.New("second application")})
+			rp.Resolve(idOf(entry), Result{Err: errors.New("second application")})
 		}
 		return true // the first call's proposal vanishes
-	})
+	}
+	defer rp.flight.Resend(propose)()
+	start := time.Now()
+	r := rp.Do(make([]byte, consensus.Header), propose)
 	if !r.Committed || r.Err != nil {
 		t.Fatalf("result %+v, want the first resolution", r)
 	}
-	if calls != 2 {
-		t.Fatalf("propose called %d times, want 2", calls)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("propose called %d times, want 2", n)
 	}
-	if d := time.Since(start); d < replicateLap {
-		t.Fatalf("re-proposed after %v, before the %v lap was over", d, replicateLap)
+	if d := time.Since(start); d < consensus.Lap {
+		t.Fatalf("re-proposed after %v, before the %v lap was over", d, consensus.Lap)
 	}
-	if n := rp.waiters.live(); n != 0 {
-		t.Fatalf("%d waiters left registered", n)
+	if n := rp.flight.Len(); n != 0 {
+		t.Fatalf("%d requests left in flight", n)
 	}
 }
 
@@ -57,11 +56,12 @@ func TestReplicatorReproposesLostProposal(t *testing.T) {
 // waiter.
 func TestReplicatorDuplicateResolveLeavesOthersWaiting(t *testing.T) {
 	rp := newTestReplicator()
-	a, b := rp.NextID(), rp.NextID()
+	chA, chB := make(chan Result, 1), make(chan Result, 1)
+	a := rp.flight.Issue(make([]byte, consensus.Header), chA)
+	b := rp.flight.Issue(make([]byte, consensus.Header), chB)
 	if a == b {
-		t.Fatal("NextID repeated an id")
+		t.Fatal("Issue repeated an id")
 	}
-	chA, chB := rp.waiters.Register(a), rp.waiters.Register(b)
 	rp.Resolve(a, Result{Committed: true})
 	rp.Resolve(a, Result{Committed: true})
 	if r := <-chA; !r.Committed {
@@ -72,74 +72,52 @@ func TestReplicatorDuplicateResolveLeavesOthersWaiting(t *testing.T) {
 		t.Fatalf("b resolved with %+v by a's duplicate", r)
 	default:
 	}
-	if n := rp.waiters.live(); n != 1 {
-		t.Fatalf("%d waiters live, want b's alone", n)
+	if n := rp.flight.Len(); n != 1 {
+		t.Fatalf("%d requests in flight, want b's alone", n)
 	}
 }
 
 // With no replica accepting, Do backs off until the deadline and reports
-// the leaderless error, leaving nothing registered.
+// the leaderless error, leaving nothing in flight.
 func TestReplicatorLeaderlessGiveUp(t *testing.T) {
 	rp := newTestReplicator()
 	rp.Deadline = 30 * time.Millisecond
 	calls := 0
 	start := time.Now()
-	r := rp.Do(rp.NextID(), true, 3, func(int) bool { calls++; return false })
+	r := rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return false })
 	if r.Err != rp.errLeaderless || r.Committed {
 		t.Fatalf("result %+v, want the leaderless error", r)
 	}
 	if d := time.Since(start); d < rp.Deadline {
 		t.Fatalf("gave up after %v, before the %v deadline", d, rp.Deadline)
 	}
-	if calls < 6 || calls%3 != 0 {
-		t.Fatalf("propose called %d times; want every one of 3 replicas asked on each of several rounds", calls)
+	if calls < 2 {
+		t.Fatalf("propose called %d times; want the group asked on each of several rounds", calls)
 	}
-	if n := rp.waiters.live(); n != 0 {
-		t.Fatalf("%d waiters left registered", n)
+	if n := rp.flight.Len(); n != 0 {
+		t.Fatalf("%d requests left in flight", n)
 	}
 }
 
-// An accepted proposal nobody applies times out at the first lap boundary
-// past the deadline; a propose-once caller is asked exactly once.
+// An accepted proposal nobody applies times out at the deadline; with no
+// Resend lap running it is proposed exactly once.
 func TestReplicatorApplyTimeout(t *testing.T) {
-	for _, repropose := range []bool{false, true} {
-		rp := newTestReplicator()
-		rp.Deadline = replicateLap + replicateLap/2
-		calls := 0
-		r := rp.Do(rp.NextID(), repropose, 3, func(int) bool { calls++; return true })
-		if r.Err != rp.errTimeout {
-			t.Fatalf("repropose=%v: result %+v, want the timeout error", repropose, r)
-		}
-		if want := map[bool]int{false: 1, true: 2}[repropose]; calls != want {
-			t.Fatalf("repropose=%v: propose called %d times, want %d", repropose, calls, want)
-		}
-		if n := rp.waiters.live(); n != 0 {
-			t.Fatalf("repropose=%v: %d waiters left registered", repropose, n)
-		}
-	}
-}
-
-// A slow apply that takes three laps waits on one timer, reset each lap.
-func TestReplicatorLapsReuseOneTimer(t *testing.T) {
-	var made atomic.Int32
-	newTimer := lapTimers.New
-	lapTimers.New = func() any { made.Add(1); return newTimer() }
-	defer func() { lapTimers.New = newTimer }()
-
 	rp := newTestReplicator()
-	id := rp.NextID()
+	rp.Deadline = 50 * time.Millisecond
 	calls := 0
-	r := rp.Do(id, true, 1, func(int) bool {
-		if calls++; calls == 4 {
-			rp.Resolve(id, Result{Committed: true})
-		}
-		return true
-	})
-	if !r.Committed || calls != 4 {
-		t.Fatalf("result %+v after %d proposals, want commit on the fourth", r, calls)
+	start := time.Now()
+	r := rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return true })
+	if r.Err != rp.errTimeout {
+		t.Fatalf("result %+v, want the timeout error", r)
 	}
-	if n := made.Load(); n > 1 {
-		t.Fatalf("three laps made %d timers, want at most one", n)
+	if d := time.Since(start); d < rp.Deadline {
+		t.Fatalf("gave up after %v, before the %v deadline", d, rp.Deadline)
+	}
+	if calls != 1 {
+		t.Fatalf("propose called %d times, want 1", calls)
+	}
+	if n := rp.flight.Len(); n != 0 {
+		t.Fatalf("%d requests left in flight", n)
 	}
 }
 
@@ -160,11 +138,11 @@ func TestReplicatorAllocs(t *testing.T) {
 		t.Errorf("Waiters[uint64] register → resolve: %v allocs, want at most 2", got)
 	}
 	rp := newTestReplicator()
-	var id uint64
-	propose := func(int) bool { rp.Resolve(id, Result{Committed: true}); return true }
-	do := func() { id = rp.NextID(); rp.Do(id, true, 1, propose) }
+	entry := make([]byte, consensus.Header)
+	propose := func(entry []byte) bool { rp.Resolve(idOf(entry), Result{Committed: true}); return true }
+	do := func() { rp.Do(entry, propose) }
 	do() // leave a timer and a channel in the pools
-	// The lap timer and the waiter's channel both come from their pools.
+	// The deadline timer and the waiter's channel both come from their pools.
 	if got := testing.AllocsPerRun(200, do); got != 0 {
 		t.Errorf("Replicator.Do: %v allocs, want 0", got)
 	}
@@ -172,12 +150,12 @@ func TestReplicatorAllocs(t *testing.T) {
 
 // Sixteen proposers whose applies land around the deadline, so give-ups
 // race resolves: a Resolve that takes a waiter just before its Do gives up
-// still sends on that waiter's channel. Recycled, such a channel would
-// hand its stale result to a later request. None may ever receive another
-// request's result.
+// still sends on that waiter's channel. Recycled before that send, such a
+// channel would hand its stale result to a later request. None may ever
+// receive another request's result.
 func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 	rp := newTestReplicator()
-	rp.Deadline = time.Millisecond // give up at the first lap boundary
+	rp.Deadline = 50 * time.Millisecond
 	var wg sync.WaitGroup
 	var answered, gaveUp atomic.Int64
 	for p := 0; p < 16; p++ {
@@ -186,10 +164,11 @@ func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(p)))
 			for round := 0; round < 6; round++ {
-				id := rp.NextID()
-				// Applied anywhere from well inside the lap to just past it.
-				delay := replicateLap - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
-				r := rp.Do(id, false, 1, func(int) bool {
+				var id uint64
+				// Applied anywhere from just inside the deadline to just past it.
+				delay := rp.Deadline - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+				r := rp.Do(make([]byte, consensus.Header), func(entry []byte) bool {
+					id = idOf(entry)
 					time.AfterFunc(delay, func() {
 						rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
 					})

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"dichotomy/internal/system"
+	"dichotomy/internal/consensus"
 	"dichotomy/internal/txn"
 )
 
@@ -15,7 +15,7 @@ import (
 // copy per entry and lets the leader's re-replication rebuild any
 // replica from scratch.
 //
-// The entry opens with the system.GroupHeader bytes the group frames it
+// The entry opens with the consensus.Header bytes the group frames it
 // with; the body after them is (big-endian):
 //
 //	phase u8 | commit u8 | tlen u32 | txID |
@@ -24,7 +24,7 @@ import (
 // encodeShardCmd returns cmd's log entry, its header left for
 // system.Group.Propose to fill in.
 func encodeShardCmd(cmd *shardCmd) []byte {
-	buf := make([]byte, system.GroupHeader, system.GroupHeader+10+len(cmd.txID))
+	buf := make([]byte, consensus.Header, consensus.Header+10+len(cmd.txID))
 	buf = append(buf, byte(cmd.phase))
 	if cmd.commit {
 		buf = append(buf, 1)

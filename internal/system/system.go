@@ -7,17 +7,20 @@
 //
 // It also holds the two replica runtimes the systems share: Replica under
 // the ledger side's peers and nodes, and Group — one raft-replicated state
-// machine, applying every request once — under etcd, TiDB's regions and
-// Spanner's shards.
+// machine, applying every request once through the exactly-once primitive
+// of consensus/once.go, which the shared log rides too — under etcd, TiDB's
+// regions and Spanner's shards.
 package system
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dichotomy/internal/consensus"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
 )
@@ -252,32 +255,24 @@ func (b *PayloadBox) Len() int {
 	return len(b.data)
 }
 
-// EncodeHandle encodes a payload handle as the 8-byte consensus payload.
-func EncodeHandle(id uint64) []byte {
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(id >> (8 * (7 - i)))
-	}
-	return out
-}
+// EncodeHandle encodes a payload handle as the 8-byte consensus payload,
+// big-endian.
+func EncodeHandle(id uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 8), id) }
 
 // HandleID decodes a consensus payload back into a handle.
 func HandleID(data []byte) (uint64, bool) {
 	if len(data) != 8 {
 		return 0, false
 	}
-	var id uint64
-	for _, b := range data {
-		id = id<<8 | uint64(b)
-	}
-	return id, true
+	return binary.BigEndian.Uint64(data), true
 }
 
 // Waiters matches submitted requests with their eventual outcomes:
 // clients block on a key, commit paths resolve it. The key is whatever
-// the system already names a request by — a uint64 request id on the
-// database side, the cryptoutil.Hash transaction id on the ledger side —
-// used as the map key directly, with no conversion on either path.
+// the system already names a request by — the ledger side's
+// cryptoutil.Hash transaction id — used as the map key directly, with no
+// conversion. (The database side's waiters live in Replicator's in-flight
+// table, keyed by the request id the log carries.)
 //
 // Content-hash transaction ids collide: two concurrent registrations of
 // one content-identical transaction share a key, the second overwrites
@@ -365,34 +360,31 @@ func (w *Waiters[K]) Await(key K, done chan Result, timeout string) Result {
 }
 
 // The replicate-and-wait cadence every consensus-backed write path
-// shares: back off 1 ms while no replica accepts a proposal, re-propose
-// every 100 ms while an accepted one stays unapplied, give up after 30 s.
+// shares: back off 1 ms while no replica accepts a proposal, give up after
+// 30 s. Re-proposal is the proposer's Resend lap (consensus.Flight).
 const (
 	replicateBackoff  = time.Millisecond
-	replicateLap      = 100 * time.Millisecond
 	replicateDeadline = 30 * time.Second
 )
 
-// lapTimers recycles the timers Replicator.Do waits a lap on: one call
-// holds one timer for all its laps, and a finished call hands it to the
-// next, so the steady state allocates none.
-var lapTimers = sync.Pool{New: func() any { return time.NewTimer(replicateLap) }}
+// deadlineTimers recycles the timers Replicator.Do waits out its deadline
+// on, so the steady state allocates none.
+var deadlineTimers = sync.Pool{New: func() any { return time.NewTimer(replicateDeadline) }}
 
 // resultChans recycles the channels waiters are resolved on. A channel
-// goes back only once its one result has been received — Resolve took the
-// waiter out of the table before sending, so nothing can send on it again
-// — never from a give-up or a Cancel: a Resolve that took the waiter just
-// before may still send on it.
+// goes back only once nothing can send on it again: its one result has
+// been received, or its waiter was taken out of the table by the receiver
+// itself — never from a Cancel, which a Resolve that took the waiter just
+// before may race.
 var resultChans = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Replicator is the client half of "sequence a command through a
-// consensus group and wait until a replica has applied it": request ids,
-// the waiter table the apply path resolves, and the propose/re-propose
-// loop in between.
+// consensus group and wait until a replica has applied it": the in-flight
+// table of the exactly-once primitive (consensus/once.go), whose waiters
+// the apply path resolves, and the propose-and-wait loop in between. A
+// Group runs the table's Resend lap; a Replicator alone proposes once.
 type Replicator struct {
-	waiters *Waiters[uint64]
-	seq     atomic.Uint64
-	low     uint64 // issue's low-water mark; guarded by waiters.mu
+	flight consensus.Flight[chan Result]
 	// Deadline bounds one Do call, leaderless back-off and apply wait
 	// together. Tests shorten it to reach the give-up paths.
 	Deadline time.Duration
@@ -405,43 +397,20 @@ type Replicator struct {
 // timeout when an accepted one was not applied by then.
 func NewReplicator(leaderless, timeout string) *Replicator {
 	return &Replicator{
-		waiters:       NewWaiters[uint64](),
 		Deadline:      replicateDeadline,
 		errLeaderless: errors.New(leaderless),
 		errTimeout:    errors.New(timeout),
 	}
 }
 
-// NextID returns a fresh request id, for the command to carry through
-// the log to the apply path's Resolve.
-func (rp *Replicator) NextID() uint64 { return rp.seq.Add(1) }
-
-// issue draws a fresh request id and registers its waiter in one step, and
-// returns the low-water mark with them: the smallest id still in flight,
-// this one included. One step under the waiters' lock, because an id
-// issued but not yet registered would be invisible to a faster proposer's
-// mark, which could then pass it. The mark advances over each finished id
-// once, so the scan is amortised O(1).
-func (rp *Replicator) issue() (id, mark uint64, done chan Result) {
-	ch := resultChans.Get().(chan Result)
-	w := rp.waiters
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	id = rp.seq.Add(1)
-	w.m[id] = waiter{ch: ch}
-	for rp.low < id {
-		if _, live := w.m[rp.low]; live {
-			break
-		}
-		rp.low++
-	}
-	return id, rp.low, ch
-}
-
 // Resolve delivers the apply outcome of request id. Only the first
 // application of a request finds a waiter; replicas that apply it later,
 // and duplicate log entries, resolve no one.
-func (rp *Replicator) Resolve(id uint64, r Result) { rp.waiters.Resolve(id, r) }
+func (rp *Replicator) Resolve(id uint64, r Result) {
+	if done, ok := rp.flight.Finish(id); ok {
+		done <- r // cap 1, and Finish hands the waiter out once: never blocks
+	}
+}
 
 // GaveUp reports whether err is one of the two errors Do gives up with,
 // as opposed to an error the apply path resolved the request with: after
@@ -450,53 +419,46 @@ func (rp *Replicator) GaveUp(err error) bool {
 	return err == rp.errLeaderless || err == rp.errTimeout
 }
 
-// Do offers the command to each of the group's n replicas in turn —
-// propose(i) reports whether replica i accepted it — backing off while
-// none does, then waits for Resolve(id). With repropose, an accepted
-// proposal still unapplied after a lap is offered again: a replica that
-// crashes between accepting and replicating loses it silently, and a
-// merely slow first proposal then sits in the log twice (Group's apply
-// loops drop the second copy). Giving up returns a Result whose Err is one
-// of the two errors the Replicator was built with.
-func (rp *Replicator) Do(id uint64, repropose bool, n int, propose func(i int) bool) Result {
-	return rp.await(id, rp.waiters.Register(id), repropose, n, propose)
-}
-
-// await is Do for a request whose waiter done is already registered.
-func (rp *Replicator) await(id uint64, done chan Result, repropose bool, n int, propose func(i int) bool) Result {
+// Do issues entry into the in-flight table — writing the request id and
+// low-water mark into its first consensus.Header bytes — and offers it
+// through propose, which reports whether a replica accepted it, backing off
+// while none does; then it waits for Resolve of that id. Giving up returns a
+// Result whose Err is one of the two errors the Replicator was built with.
+func (rp *Replicator) Do(entry []byte, propose func(entry []byte) bool) Result {
+	done := resultChans.Get().(chan Result)
+	id := rp.flight.Issue(entry, done)
 	deadline := time.Now().Add(rp.Deadline)
-	timer := lapTimers.Get().(*time.Timer)
+	for !propose(entry) {
+		if time.Now().After(deadline) {
+			return rp.giveUp(id, done, rp.errLeaderless)
+		}
+		//lint:allow sleepyloop bounded retry backoff while the group re-elects
+		time.Sleep(replicateBackoff)
+	}
+	rp.flight.Accepted(id)
+	timer := deadlineTimers.Get().(*time.Timer)
+	timer.Reset(time.Until(deadline))
 	defer func() {
 		timer.Stop()
-		lapTimers.Put(timer)
+		deadlineTimers.Put(timer)
 	}()
-	accepted := false
-	for {
-		if repropose || !accepted {
-			accepted = false
-			for i := 0; i < n && !accepted; i++ {
-				accepted = propose(i)
-			}
-		}
-		if !accepted {
-			if time.Now().After(deadline) {
-				rp.waiters.Cancel(id)
-				return Result{Err: rp.errLeaderless}
-			}
-			//lint:allow sleepyloop bounded retry backoff while the group re-elects
-			time.Sleep(replicateBackoff)
-			continue
-		}
-		timer.Reset(replicateLap)
-		select {
-		case r := <-done:
-			resultChans.Put(done)
-			return r
-		case <-timer.C:
-			if time.Now().After(deadline) {
-				rp.waiters.Cancel(id)
-				return Result{Err: rp.errTimeout}
-			}
-		}
+	select {
+	case r := <-done:
+		resultChans.Put(done)
+		return r
+	case <-timer.C:
+		return rp.giveUp(id, done, rp.errTimeout)
 	}
+}
+
+// giveUp takes id out of flight and answers err — unless a Resolve took it
+// first, whose result is then on its way and is the answer instead. Either
+// way nothing sends on done afterwards, so it is recycled.
+func (rp *Replicator) giveUp(id uint64, done chan Result, err error) Result {
+	r := Result{Err: err}
+	if _, ok := rp.flight.Finish(id); !ok {
+		r = <-done
+	}
+	resultChans.Put(done)
+	return r
 }

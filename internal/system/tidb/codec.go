@@ -3,7 +3,7 @@ package tidb
 import (
 	"encoding/binary"
 
-	"dichotomy/internal/system"
+	"dichotomy/internal/consensus"
 )
 
 // Region-command wire codec. Commands are serialized INTO the raft log
@@ -24,7 +24,7 @@ import (
 // uncopied. Code that wants to change a value writes a new one through a
 // new command.
 //
-// The entry opens with the system.GroupHeader bytes the group frames it
+// The entry opens with the consensus.Header bytes the group frames it
 // with; the body after them is (big-endian):
 //
 //	kind u8 | del u8 | startTS u64 | commitTS u64 |
@@ -39,7 +39,7 @@ const regionCmdFixed = 1 + 1 + 8 + 8
 func encodeRegionCmd[K string | []byte](cmd *regionCmd[K]) []byte {
 	// Header, fixed prefix, klen, plen, hasValue, vlen: exact, so no append
 	// grows.
-	buf := make([]byte, system.GroupHeader, system.GroupHeader+regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
+	buf := make([]byte, consensus.Header, consensus.Header+regionCmdFixed+4+4+1+4+len(cmd.key)+len(cmd.primary)+len(cmd.value))
 	buf = append(buf, byte(cmd.kind))
 	if cmd.del {
 		buf = append(buf, 1)

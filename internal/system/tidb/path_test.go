@@ -7,7 +7,6 @@ import (
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/israce"
 	"dichotomy/internal/mvcc"
-	"dichotomy/internal/system"
 	"dichotomy/internal/tso"
 )
 
@@ -21,7 +20,7 @@ const benchKey = "kv/user000000001234"
 // entry is cmd's log entry as a replica's Apply sees it: the body, behind
 // the group's header.
 func entry(cmd *regionCmd[string]) consensus.Entry {
-	return consensus.Entry{Data: encodeRegionCmd(cmd)[system.GroupHeader:]}
+	return consensus.Entry{Data: encodeRegionCmd(cmd)[consensus.Header:]}
 }
 
 func TestTransactionPathAllocs(t *testing.T) {

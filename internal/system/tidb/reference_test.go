@@ -10,8 +10,8 @@ import (
 	"unicode"
 	"unsafe"
 
+	"dichotomy/internal/consensus"
 	"dichotomy/internal/israce"
-	"dichotomy/internal/system"
 )
 
 // The lexer and the region-command decoder as they were before they
@@ -182,7 +182,7 @@ func FuzzLexMatchesReference(f *testing.F) {
 // body is the part of a command's log entry the codec owns: what follows
 // the group's header.
 func body[K string | []byte](cmd *regionCmd[K]) []byte {
-	return encodeRegionCmd(cmd)[system.GroupHeader:]
+	return encodeRegionCmd(cmd)[consensus.Header:]
 }
 
 func FuzzRegionCmdRoundTrip(f *testing.F) {
