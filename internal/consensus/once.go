@@ -108,16 +108,9 @@ func (f *Flight[W]) Finish(id uint64) (W, bool) {
 	return e.w, ok
 }
 
-// Len returns how many entries are in flight.
-func (f *Flight[W]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.m)
-}
-
-// Resend starts the re-proposal lap: every Lap it offers each entry a
-// member accepted at least a lap ago, and has not finished, through the
-// owner's own propose path, then waits a lap before offering it again.
+// Resend starts the re-proposal lap: every Lap it hands offer — the owner's
+// propose path — each entry a member accepted at least a lap ago and that
+// has not finished, then waits a lap before offering it again.
 // Whichever member leads by then sequences it; the consumers' windows drop
 // any copy that commits beside the first. offer's verdict is not needed:
 // an entry no member took is due again the next lap, like one that was

@@ -29,10 +29,10 @@
 // (consumers see the bare record), and holds it until the total order
 // reaches it. A record accepted by a leader that is deposed before it
 // replicates, or forwarded to one and dropped, is otherwise gone; the
-// Flight's Resend lap proposes it again, one or two laps after an orderer
-// accepted it, and the sequencer's Window passes on only the first
-// committed copy of an id. Dedupe is by id, never by content: the same
-// bytes appended twice are two records.
+// Flight's Resend lap proposes it again, to every orderer, one or two laps
+// after an orderer accepted it, and the sequencer's Window passes on only
+// the first committed copy of an id. Dedupe is by id, never by content:
+// the same bytes appended twice are two records.
 package sharedlog
 
 import (
@@ -144,9 +144,16 @@ func New(cfg Config) *Service {
 		go s.forward(i, o.Committed(), commits)
 	}
 	go s.run(commits)
+	// A resend goes to every orderer, not through propose: an orderer cut
+	// off while leading keeps believing it leads, accepts the copy and
+	// loses it again, and the lead it would be offered to first is only
+	// moved by a commit.
 	s.stopResend = s.flight.Resend(func(entry []byte) bool {
 		s.resent.Add(1)
-		return s.propose(entry) == nil
+		for _, o := range s.orderers {
+			_ = o.Propose(entry)
+		}
+		return true
 	})
 	return s
 }

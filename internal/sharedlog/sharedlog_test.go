@@ -513,7 +513,7 @@ func TestSameBytesAreDistinctRecords(t *testing.T) {
 
 // TestRefusedRecordIsForgotten: before the first election no orderer
 // knows a leader, so AppendBounded with no budget refuses; a refused record
-// leaves the in-flight table and is never delivered.
+// leaves the in-flight table — the mark passes it — and is never delivered.
 func TestRefusedRecordIsForgotten(t *testing.T) {
 	svc := service(t, 1)
 	c := svc.Subscribe(1)
@@ -521,8 +521,11 @@ func TestRefusedRecordIsForgotten(t *testing.T) {
 	if svc.AppendBounded([]byte("refused"), 0) == nil || svc.AppendBounded([]byte("refused too"), 0) == nil {
 		t.Skip("an orderer was elected before the first append")
 	}
-	if inFlight := svc.flight.Len(); inFlight != 0 {
-		t.Fatalf("%d refused records still in flight", inFlight)
+	probe := make([]byte, consensus.Header)
+	id := svc.flight.Issue(probe, struct{}{})
+	svc.flight.Finish(id)
+	if mark := binary.BigEndian.Uint64(probe[8:]); mark != id {
+		t.Fatalf("mark %d below a fresh id %d: a refused record is still in flight", mark, id)
 	}
 	if err := svc.Append([]byte("kept")); err != nil {
 		t.Fatal(err)

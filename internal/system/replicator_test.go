@@ -20,6 +20,22 @@ func newTestReplicator() *Replicator {
 // idOf reads the request id Do wrote into an entry.
 func idOf(entry []byte) uint64 { return binary.BigEndian.Uint64(entry) }
 
+// lowest returns the smallest request id rp still holds in flight, read as
+// the mark of a probe it issues and finishes — the probe's own id when
+// nothing else is in flight.
+func lowest(rp *Replicator) (mark, probe uint64) {
+	entry := make([]byte, consensus.Header)
+	probe = rp.flight.Issue(entry, nil)
+	rp.flight.Finish(probe)
+	return binary.BigEndian.Uint64(entry[8:]), probe
+}
+
+// idle reports whether rp holds nothing in flight.
+func idle(rp *Replicator) bool {
+	mark, probe := lowest(rp)
+	return mark == probe
+}
+
 // A proposal a replica accepted and then lost is proposed again by the
 // Resend lap, one or two laps later, and the request still resolves
 // exactly once.
@@ -47,8 +63,8 @@ func TestReplicatorReproposesLostProposal(t *testing.T) {
 	if d := time.Since(start); d < consensus.Lap {
 		t.Fatalf("re-proposed after %v, before the %v lap was over", d, consensus.Lap)
 	}
-	if n := rp.flight.Len(); n != 0 {
-		t.Fatalf("%d requests left in flight", n)
+	if !idle(rp) {
+		t.Fatal("a request was left in flight")
 	}
 }
 
@@ -72,8 +88,8 @@ func TestReplicatorDuplicateResolveLeavesOthersWaiting(t *testing.T) {
 		t.Fatalf("b resolved with %+v by a's duplicate", r)
 	default:
 	}
-	if n := rp.flight.Len(); n != 1 {
-		t.Fatalf("%d requests in flight, want b's alone", n)
+	if mark, _ := lowest(rp); mark != b {
+		t.Fatalf("lowest request in flight %d, want b (%d)", mark, b)
 	}
 }
 
@@ -94,8 +110,8 @@ func TestReplicatorLeaderlessGiveUp(t *testing.T) {
 	if calls < 2 {
 		t.Fatalf("propose called %d times; want the group asked on each of several rounds", calls)
 	}
-	if n := rp.flight.Len(); n != 0 {
-		t.Fatalf("%d requests left in flight", n)
+	if !idle(rp) {
+		t.Fatal("a request was left in flight")
 	}
 }
 
@@ -116,8 +132,8 @@ func TestReplicatorApplyTimeout(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("propose called %d times, want 1", calls)
 	}
-	if n := rp.flight.Len(); n != 0 {
-		t.Fatalf("%d requests left in flight", n)
+	if !idle(rp) {
+		t.Fatal("a request was left in flight")
 	}
 }
 
