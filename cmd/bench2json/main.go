@@ -52,7 +52,7 @@ var gated = []string{
 	"BenchmarkVerifyDigest", "BenchmarkSignDigest", "BenchmarkEndorsementDigest",
 	"BenchmarkProofServe", "BenchmarkSigVerify", "BenchmarkRegionCmdCodec", "BenchmarkSQLParse",
 	"BenchmarkRegionApply", "BenchmarkSQLStatement",
-	"BenchmarkRootHash/mode=published", "BenchmarkContractExecute",
+	"BenchmarkRootHash/mode=published", "BenchmarkContractExecute", "BenchmarkCheckpointWorker",
 }
 
 func isGated(name string) bool {

@@ -66,9 +66,9 @@ type step struct {
 }
 
 // chain is one directory's checkpoint chain as its writer sees it. It owns
-// the decision what to write next, the counters behind it, and pruning; its
-// writer owns where the records come from and which goroutine does the
-// work.
+// the decision what to write next, the counters behind it, the content the
+// chain materializes and pruning; its writer owns where the records come
+// from and which goroutine does the work.
 type chain struct {
 	opts Options // defaults applied; read-only once the writer runs
 	// tip is the height of the newest checkpoint taken, the base the next
@@ -77,6 +77,13 @@ type chain struct {
 	tip       uint64
 	seeded    bool
 	sinceFull int
+	// content is the complete state at the newest checkpoint the writer has
+	// taken, so a fold is written from memory, never read back from disk.
+	// With enc, the buffer every file is encoded in, it belongs to the
+	// goroutine that writes files: one copy of the state and the largest
+	// file, kept for the writer's lifetime.
+	content map[string]chainEntry
+	enc     fileEncoder
 }
 
 // due reports whether height is a full interval past the chain's tip.
@@ -104,25 +111,15 @@ func (c *chain) advance(s step) {
 	}
 }
 
-// complete materializes the whole state at s.height for a writer that holds
-// only the entries changed since s.base. On a step that starts a chain they
-// are the whole state — whatever the writer tracks changes of, it has
-// tracked from empty; on a fold they overlay the chain on disk up to s.base.
-func (c *chain) complete(s step, changed []entry) (map[string]chainEntry, error) {
-	m := make(map[string]chainEntry)
-	if s.kind == stepFold {
-		var tip uint64
-		var err error
-		m, tip, _, err = loadChain(c.opts.Dir, s.base)
-		if err == nil && tip != s.base {
-			err = fmt.Errorf("recovery: compaction chain tip %d, want %d", tip, s.base)
-		}
-		if err != nil {
-			return nil, err
-		}
+// take brings content to s.height for a writer that holds only the entries
+// changed since s.base. On a step that starts a chain they are the whole
+// state — whatever the writer tracks changes of, it has tracked from empty
+// — and replace content; on anything else they overlay it.
+func (c *chain) take(s step, changed []entry) {
+	if s.kind == stepFull {
+		c.content = make(map[string]chainEntry, len(changed))
 	}
-	overlay(m, changed)
-	return m, nil
+	overlay(c.content, changed)
 }
 
 // recordSource puts one file's records, in file order.
@@ -149,15 +146,17 @@ func stateRecords(m map[string]chainEntry) recordSource {
 
 // write puts a planned step on disk — the entries changed since s.base for
 // a delta, the complete state at s.height for anything else — and prunes
-// what the new file makes unnecessary. It returns the file's size.
+// what the new file makes unnecessary. It returns the file's size. Every
+// file is encoded in enc's one buffer, so once that has grown to the
+// chain's largest file, encoding allocates nothing.
 func (c *chain) write(s step, records recordSource) (int64, error) {
 	f := chainFile{height: s.height}
 	if s.kind == stepDelta {
 		f.base, f.delta = s.base, true
 	}
-	w := newFileEncoder(f)
-	records(w.put)
-	n, err := w.commit(c.opts.Dir)
+	c.enc.reset(f)
+	records(c.enc.put)
+	n, err := c.enc.commit(c.opts.Dir)
 	if err != nil {
 		return 0, err
 	}

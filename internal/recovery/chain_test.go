@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -109,4 +110,45 @@ func TestChainWriterMaybeCheckpointInterval(t *testing.T) {
 	if w.LastHeight() != 3 {
 		t.Fatalf("checkpoint did not fire at interval: height %d", w.LastHeight())
 	}
+}
+
+// A checkpoint copies only the values that changed: an unchanged one keeps
+// the previous checkpoint's copy, even when the dump hands it over in a
+// buffer of its own.
+func TestChainWriterClonesOnlyChangedValues(t *testing.T) {
+	const n, changed = 500, 7
+	w, err := OpenChainWriter(Options{Dir: t.TempDir(), Interval: 1, Mode: ModeDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := chainModel{}
+	for i := 0; i < n; i++ {
+		m[fmt.Sprintf("k%03d", i)] = fmt.Sprintf("v%d", i)
+	}
+	for h := uint64(1); h <= 2; h++ {
+		if err := w.Checkpoint(h, m.dump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := maps.Clone(w.chain.content)
+	for i := 0; i < changed; i++ {
+		m[fmt.Sprintf("k%03d", i*50)] = "changed"
+	}
+	if err := w.Checkpoint(3, m.dump); err != nil {
+		t.Fatal(err)
+	}
+	clones := 0
+	for k, e := range w.chain.content {
+		if &e.value[0] != &before[k].value[0] {
+			clones++
+		}
+	}
+	if clones != changed {
+		t.Fatalf("a checkpoint with %d of %d values changed cloned %d", changed, n, clones)
+	}
+	fresh, err := OpenChainWriter(w.chain.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireModel(t, restoreModel(t, fresh), m)
 }

@@ -16,12 +16,11 @@ import (
 // from the single goroutine that applies the component's mutations, which
 // also makes the dump race-free by construction.
 type ChainWriter struct {
+	// chain.content is the content of the newest checkpoint, the base the
+	// next delta diffs against. Like Checkpointer's worker, the writer
+	// keeps that one copy of its component's state plus an encode buffer
+	// the size of its largest file.
 	chain chain
-	// prev is the content of the newest checkpoint — the base the next
-	// delta diffs against. Held in memory: the components using this
-	// writer are per-region/per-shard slices of state, far smaller than
-	// a whole node's store.
-	prev map[string]chainEntry
 	// restoredBytes is the checkpoint-file volume Open read; recovery
 	// stats report it.
 	restoredBytes int64
@@ -45,8 +44,7 @@ func OpenChainWriter(opts Options) (*ChainWriter, error) {
 		m = make(map[string]chainEntry)
 	}
 	return &ChainWriter{
-		chain:         chain{opts: opts, tip: tip, seeded: tip > 0},
-		prev:          m,
+		chain:         chain{opts: opts, tip: tip, seeded: tip > 0, content: m},
 		restoredBytes: bytesRead,
 	}, nil
 }
@@ -63,8 +61,8 @@ func (w *ChainWriter) RestoredBytes() int64 { return w.restoredBytes }
 // sorted key order. Call it once, right after OpenChainWriter, before
 // the component starts applying new mutations.
 func (w *ChainWriter) Restore(apply func(key string, value []byte) error) error {
-	for _, k := range sortedKeys(w.prev) {
-		if err := apply(k, w.prev[k].value); err != nil {
+	for _, k := range sortedKeys(w.chain.content) {
+		if err := apply(k, w.chain.content[k].value); err != nil {
 			return err
 		}
 	}
@@ -87,25 +85,32 @@ func (w *ChainWriter) MaybeCheckpoint(height uint64, dump func(emit func(key str
 // complete state, so whenever the chain asks for a full snapshot — its
 // first checkpoint and, in delta mode, every FullEvery-th one — the dump
 // is written as it is; the rest are deltas diffed against the previous
-// content. A failed write leaves the chain where it was.
+// content. A value equal to the previous content's keeps that copy, so a
+// checkpoint copies only what changed. A failed write leaves the chain
+// where it was.
 func (w *ChainWriter) Checkpoint(height uint64, dump func(emit func(key string, value []byte))) error {
 	if height <= w.chain.tip {
 		return nil
 	}
-	cur := make(map[string]chainEntry, len(w.prev))
+	prev := w.chain.content
+	cur := make(map[string]chainEntry, len(prev))
 	dump(func(key string, value []byte) {
-		cur[key] = chainEntry{value: bytes.Clone(value)}
+		if p, ok := prev[key]; ok && bytes.Equal(p.value, value) {
+			cur[key] = p
+		} else {
+			cur[key] = chainEntry{value: bytes.Clone(value)}
+		}
 	})
 	s := w.chain.plan(height)
 	records := stateRecords(cur)
 	if s.kind == stepDelta {
-		records = changedRecords(diffChain(w.prev, cur))
+		records = changedRecords(diffChain(prev, cur))
 	}
 	if _, err := w.chain.write(s, records); err != nil {
 		return err
 	}
 	w.chain.advance(s)
-	w.prev = cur
+	w.chain.content = cur
 	return nil
 }
 

@@ -22,12 +22,16 @@
 // Each decision lives in one place. file.go is the one codec for the two
 // kinds of checkpoint file, which share a layout. chain.go is the chain: a
 // full snapshot plus the deltas linking onto it — what is written next,
-// how a chain loads back, what may be pruned. Two writers feed it, and
-// differ only in their traffic: Checkpointer (this file) hands over a
-// store's dirty set and leaves the file work to a worker goroutine;
-// ChainWriter (chainwriter.go) serves components that are not a store — a
-// TiDB region, a Spanner shard — by diffing each complete dump against the
-// previous one, synchronously on the goroutine that applies their log.
+// the content it materializes, how a chain loads back, what may be
+// pruned. Two writers feed it, and differ only in their traffic:
+// Checkpointer (this file) hands over a store's dirty set and leaves the
+// file work to a worker goroutine, which overlays each set onto the
+// chain's content; ChainWriter (chainwriter.go) serves components that are
+// not a store — a TiDB region, a Spanner shard — by diffing each complete
+// dump against that content, synchronously on the goroutine that applies
+// their log, and then making the dump the content. Either way the content
+// at the chain's tip is in memory, so a fold is written from it and only a
+// restore reads a chain back.
 package recovery
 
 import (
@@ -111,8 +115,9 @@ type Options struct {
 	Mode Mode
 	// FullEvery, in delta mode, folds the chain into a fresh full
 	// snapshot every FullEvery-th checkpoint (≤ 0 selects 8); the fold
-	// runs on the worker, off the commit path. 1 degenerates to
-	// worker-side full checkpoints.
+	// runs on the worker, off the commit path, and is written from the
+	// content the worker keeps in memory, so it also writes over a delta
+	// damaged on disk. 1 degenerates to worker-side full checkpoints.
 	FullEvery int
 }
 
@@ -147,7 +152,7 @@ type Checkpointer struct {
 
 	mu                        sync.Mutex
 	cond                      *sync.Cond // signals the worker and Flush waiters
-	chain                     chain      // counters under mu; the worker reads opts only
+	chain                     chain      // counters under mu; content and enc the file writer's
 	count                     int
 	lastBytes, totalBytes     int64
 	lastPauseNs, totalPauseNs int64
@@ -305,7 +310,9 @@ func (c *Checkpointer) runWorker() {
 		if failed != nil {
 			// Based where failed was, with failed's entries ahead of its
 			// own — a file's records apply in order, so a key's later one
-			// wins — and a full or a fold whenever either was one.
+			// wins — and a full or a fold whenever either was one. Taking
+			// failed's entries into the content again changes nothing:
+			// they are in it already, and no job came between.
 			job.entries = append(slices.Clip(failed.entries), job.entries...)
 			job.base, job.kind = failed.base, min(job.kind, failed.kind)
 		}
@@ -327,21 +334,16 @@ func (c *Checkpointer) runWorker() {
 
 // writeJob turns one materialized dirty set into a file. The chain's first
 // dirty set is the complete state: dirt accumulates from store creation,
-// and a restore re-dirties what it loads. A failed fold degrades to a plain
-// delta — the chain keeps extending and the fold error is retained for
-// LastErr.
+// and a restore re-dirties what it loads. Every set is taken into the
+// chain's content before its file is written, so a fold writes that
+// content and reads nothing back: a corrupt or missing delta behind it
+// cannot stop it, and the full it lays down repairs the chain.
 func (c *Checkpointer) writeJob(job deltaJob) (int64, error) {
-	if job.kind != stepDelta {
-		m, err := c.chain.complete(job.step, job.entries)
-		if err == nil {
-			return c.chain.write(job.step, stateRecords(m))
-		}
-		job.kind = stepDelta
-		c.mu.Lock()
-		c.lastErr = fmt.Errorf("recovery: compaction fold failed, wrote delta instead: %w", err)
-		c.mu.Unlock()
+	c.chain.take(job.step, job.entries)
+	if job.kind == stepDelta {
+		return c.chain.write(job.step, changedRecords(job.entries))
 	}
-	return c.chain.write(job.step, changedRecords(job.entries))
+	return c.chain.write(job.step, stateRecords(c.chain.content))
 }
 
 // Flush blocks until every enqueued delta job has been written to disk

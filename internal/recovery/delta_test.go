@@ -643,3 +643,51 @@ func TestDeltaWriteFailureCoveredByNextWrite(t *testing.T) {
 		})
 	}
 }
+
+// A fold is written from the content the worker holds, not read back from
+// the chain on disk, so a corrupt delta behind it does not stop it: the
+// full it lays down repairs the chain.
+func TestFoldRewritesOverCorruptDelta(t *testing.T) {
+	dir := t.TempDir()
+	src := state.New(memdb.New(), 8)
+	defer src.Close()
+	// FullEvery 4: full@1, delta@2, delta@3, delta@4, then the fold at 5.
+	c := newDeltaCheckpointer(t, src, dir, 1<<20, 4)
+	for b := uint64(1); b <= 4; b++ {
+		fill(t, src, b, 30+5*int(b))
+		if err := c.Checkpoint(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Flush()
+	path := deltaPath(dir, 3, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fill(t, src, 5, 10)
+	if err := c.Checkpoint(5); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+
+	dst := state.New(memdb.New(), 8)
+	defer dst.Close()
+	h, _, err := Restore(dst, dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != 5 {
+		t.Fatalf("restored height %d, want the fold at 5 (files %v)", h, listKinds(t, dir))
+	}
+	if want, got := dump(src), dump(dst); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state differs from the store:\n got %v\nwant %v", got, want)
+	}
+	if err := c.LastErr(); err != nil {
+		t.Fatalf("LastErr = %v", err)
+	}
+}

@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -69,49 +68,54 @@ type entry struct {
 }
 
 // fileEncoder builds one checkpoint file in memory, header first; the
-// record count is patched into the header when the file is committed.
+// record count is patched into the header when the file is committed. Its
+// buffer outlives the file: reset starts the next one in the same memory.
 type fileEncoder struct {
 	file     chainFile
-	buf      bytes.Buffer
+	buf      []byte
 	countOff int
 	count    uint64
 }
 
 func newFileEncoder(f chainFile) *fileEncoder {
-	w := &fileEncoder{file: f}
-	var hdr []byte
-	if f.delta {
-		hdr = binary.BigEndian.AppendUint64(append(hdr, deltaMagic[:]...), f.height)
-		hdr = binary.BigEndian.AppendUint64(hdr, f.base)
-	} else {
-		hdr = binary.BigEndian.AppendUint64(append(hdr, ckptMagic[:]...), f.height)
-	}
-	w.countOff = len(hdr)
-	w.buf.Write(binary.BigEndian.AppendUint64(hdr, 0)) // the count, once commit knows it
+	w := new(fileEncoder)
+	w.reset(f)
 	return w
+}
+
+// reset starts file f over whatever w encoded before, keeping the buffer's
+// capacity: every byte the previous file wrote is overwritten or cut off.
+func (w *fileEncoder) reset(f chainFile) {
+	magic := ckptMagic
+	if f.delta {
+		magic = deltaMagic
+	}
+	w.file, w.count = f, 0
+	w.buf = binary.BigEndian.AppendUint64(append(w.buf[:0], magic[:]...), f.height)
+	if f.delta {
+		w.buf = binary.BigEndian.AppendUint64(w.buf, f.base)
+	}
+	w.countOff = len(w.buf)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, 0) // the count, once commit knows it
 }
 
 // put appends one record, copying key and value. A full's entries are all
 // live: whoever builds one has overlaid the tombstones away already.
 func (w *fileEncoder) put(e entry) {
-	var rec [12]byte
 	w.count++
-	binary.BigEndian.PutUint32(rec[:4], uint32(len(e.key)))
-	w.buf.Write(rec[:4])
-	w.buf.WriteString(e.key)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(e.key)))
+	w.buf = append(w.buf, e.key...)
 	if w.file.delta {
 		if !e.live {
-			w.buf.WriteByte(0)
+			w.buf = append(w.buf, 0)
 			return
 		}
-		w.buf.WriteByte(1)
+		w.buf = append(w.buf, 1)
 	}
-	binary.BigEndian.PutUint32(rec[:4], uint32(len(e.value)))
-	w.buf.Write(rec[:4])
-	w.buf.Write(e.value)
-	binary.BigEndian.PutUint64(rec[0:8], e.ver.BlockNum)
-	binary.BigEndian.PutUint32(rec[8:12], e.ver.TxNum)
-	w.buf.Write(rec[:12])
+	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(e.value)))
+	w.buf = append(w.buf, e.value...)
+	w.buf = binary.BigEndian.AppendUint64(w.buf, e.ver.BlockNum)
+	w.buf = binary.BigEndian.AppendUint32(w.buf, e.ver.TxNum)
 }
 
 // commit writes the file into dir under the name its header gives it and
@@ -122,12 +126,10 @@ func (w *fileEncoder) commit(dir string) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("recovery: mkdir: %w", err)
 	}
-	body := w.buf.Bytes()
+	body := w.buf
 	binary.BigEndian.PutUint64(body[w.countOff:], w.count)
-	crc := crc32.NewIEEE()
-	crc.Write(body)
 	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
+	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body))
 
 	path := w.file.path(dir)
 	tmp := path + ".tmp"
