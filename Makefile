@@ -13,7 +13,7 @@ test:
 
 # The CI race job runs this target itself, so there is one package list.
 race:
-	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/...
+	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.
@@ -31,6 +31,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzVerifyProof$$' -fuzztime=30s ./internal/ads/mpt/
 	go test -run '^$$' -fuzz '^FuzzLexMatchesReference$$' -fuzztime=30s ./internal/system/tidb/
 	go test -run '^$$' -fuzz '^FuzzRegionCmdRoundTrip$$' -fuzztime=30s ./internal/system/tidb/
+	go test -run '^$$' -fuzz '^FuzzShardCmdRoundTrip$$' -fuzztime=30s ./internal/system/ahl/
 
 # Chaos smoke, all under the race detector; the CI chaos-smoke job runs
 # this target itself, so there is one command list. The fault injector's

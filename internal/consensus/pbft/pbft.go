@@ -293,6 +293,14 @@ func (n *Node) IsLeader() bool {
 	return !n.inViewChange && n.primaryOf(n.view) == n.cfg.ID
 }
 
+// Leader returns the current view's primary — during a view change the
+// old view's, a hint a proposer may find stale.
+func (n *Node) Leader() cluster.NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.primaryOf(n.view)
+}
+
 // View returns the current view number.
 func (n *Node) View() uint64 {
 	n.mu.Lock()

@@ -58,8 +58,6 @@ type BigchainConfig struct {
 	// CheckpointFullEvery is the delta-mode compaction period (≤ 0
 	// selects the recovery package default).
 	CheckpointFullEvery int
-	// Link models the network.
-	Link cluster.LinkModel
 }
 
 func (c BigchainConfig) withDefaults() BigchainConfig {
@@ -119,7 +117,7 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 	}
 	b := &Bigchain{
 		cfg:     cfg,
-		net:     cluster.NewNetwork(cfg.Link),
+		net:     cluster.NewNetwork(cluster.ZeroLink{}),
 		box:     system.NewPayloadBox(),
 		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}

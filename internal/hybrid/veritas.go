@@ -101,8 +101,6 @@ type VeritasConfig struct {
 	// sheds at admission with ingress.ErrOverloaded. Nil keeps the
 	// paper-faithful direct path.
 	Ingress *ingress.Config
-	// Link models the network.
-	Link cluster.LinkModel
 }
 
 func (c VeritasConfig) withDefaults() VeritasConfig {
@@ -162,7 +160,7 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 	}
 	v := &Veritas{
 		cfg:     cfg,
-		net:     cluster.NewNetwork(cfg.Link),
+		net:     cluster.NewNetwork(cluster.ZeroLink{}),
 		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
 	v.log = sharedlog.New(sharedlog.Config{

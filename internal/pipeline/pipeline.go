@@ -160,23 +160,6 @@ func (p *Pipeline[R, B]) seal(blk B) {
 	}
 }
 
-// Drain consumes src until it closes or stop closes, discarding records.
-// Redundant replica streams (every replica of a consensus group delivers
-// the same order, but only one drives state) ride this so they never
-// backpressure the group.
-func Drain[R any](src <-chan R, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case _, ok := <-src:
-			if !ok {
-				return
-			}
-		}
-	}
-}
-
 // Parallel runs fn(i) for every i in [0, n) across at most workers
 // goroutines (the caller's goroutine counts as one) and returns when all
 // calls have finished. Work is claimed by atomic counter, so uneven item

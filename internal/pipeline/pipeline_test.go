@@ -170,24 +170,6 @@ func TestRunStopSealsInFlightBlock(t *testing.T) {
 	}
 }
 
-func TestDrainReturnsOnCloseAndStop(t *testing.T) {
-	src := make(chan int, 4)
-	src <- 1
-	close(src)
-	Drain(src, nil) // returns on close
-
-	src2 := make(chan int)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { defer close(done); Drain(src2, stop) }()
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Drain did not honour stop")
-	}
-}
-
 func rw(reads []string, writes []string) txn.RWSet {
 	var s txn.RWSet
 	for _, r := range reads {

@@ -6,10 +6,16 @@
 // coordinator is itself a BFT-replicated state machine, and shards
 // periodically reconfigure to resist adaptive adversaries — pausing
 // transaction processing and costing the ~30% Fig 14 measures.
+//
+// How a replica boots, applies its log and shuts down is not AHL's: each
+// shard is one system.Group over its PBFT committee, in which every member
+// applies the sequenced commands into its own copy of the shard (store,
+// prepare locks, prepared writes, height), and the 2PC reference committee
+// is a four-member Group whose Apply returns the sequenced decision. A
+// command rides encoded in its entry (codec.go).
 package ahl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -21,7 +27,6 @@ import (
 	"dichotomy/internal/consensus/pbft"
 	"dichotomy/internal/contract"
 	"dichotomy/internal/occ"
-	"dichotomy/internal/pipeline"
 	"dichotomy/internal/sharding"
 	"dichotomy/internal/state"
 	"dichotomy/internal/storage"
@@ -45,9 +50,7 @@ type Config struct {
 	ReconfigureEvery time.Duration
 	// ReconfigurePause is the handoff stall per epoch.
 	ReconfigurePause time.Duration
-	// Link models the network.
-	Link cluster.LinkModel
-	// engineHook, when set, wraps each shard's state engine; tests
+	// engineHook, when set, wraps each shard member's state engine; tests
 	// inject failing engines through it.
 	engineHook func(storage.Engine) storage.Engine
 }
@@ -71,43 +74,38 @@ func (c Config) withDefaults() Config {
 // Cluster is a running AHL deployment.
 type Cluster struct {
 	system.Blocking
-	cfg    Config
-	net    *cluster.Network
-	shards []*shard
-	part   sharding.Partitioner
-	coord  *twopc.ReplicatedCoordinator
-	coordN []*pbft.Node
-	recfg  *sharding.Reconfigurer
-	txSeq  atomic.Uint64
+	cfg       Config
+	net       *cluster.Network
+	shards    []*system.Group[shard]
+	part      sharding.Partitioner
+	committee *system.Group[struct{}]
+	coord     *twopc.Coordinator
+	recfg     *sharding.Reconfigurer
+	txSeq     atomic.Uint64
 
 	closeOne sync.Once
 }
 
 var _ system.System = (*Cluster)(nil)
 
-// shard is one PBFT committee plus its slice of the key space. Committed
-// state lives in the shared striped state layer, which cross-shard
-// simulation reads concurrently; the 2PC bookkeeping (prepared writes and
-// prepare locks) plus the height counter are owned exclusively by the
-// primary applier goroutine and need no lock.
+// registry holds the contracts every shard runs; Execute only reads it.
+var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
+
+// shard is one member's copy of a shard: the committed store plus the 2PC
+// bookkeeping (prepared writes and prepare locks) and the height counter.
+// The member's apply loop owns all of it; cross-shard simulation and
+// ReadState read the store concurrently, which the striped state layer
+// allows.
 type shard struct {
 	idx   int
-	nodes []*pbft.Node
-	repl  *system.Replicator
-	box   *system.PayloadBox
-
-	st *state.Store
+	store *state.Store
 	// prepared holds writes locked by in-flight cross-shard transactions.
 	prepared map[string][]txn.Write
 	locks    map[string]string // key → txID holding the prepare lock
 	height   uint64
-
-	reg    *contract.Registry
-	stopCh chan struct{}
-	wg     sync.WaitGroup
 }
 
-// shardCmd is the payload sequenced through a shard's PBFT group.
+// shardCmd is the command sequenced through a shard's PBFT group.
 type shardCmd struct {
 	kind    cmdKind
 	txID    string
@@ -116,14 +114,7 @@ type shardCmd struct {
 	commitP bool // 2PC phase-2 verdict
 }
 
-// sequenced is a committed shard command with the request id its entry's
-// header carried.
-type sequenced struct {
-	id  uint64
-	cmd *shardCmd
-}
-
-type cmdKind int
+type cmdKind uint8
 
 const (
 	cmdExecute cmdKind = iota // single-shard transaction
@@ -131,47 +122,48 @@ const (
 	cmdFinish                 // 2PC phase 2: commit or abort
 )
 
+// pbftMember is the consensus member of every AHL group.
+func pbftMember(id cluster.NodeID, peers []cluster.NodeID, ep *cluster.Endpoint, _ bool) system.Member {
+	return pbft.New(pbft.Config{ID: id, Peers: peers, Endpoint: ep})
+}
+
 // New assembles and starts an AHL cluster.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:  cfg,
-		net:  cluster.NewNetwork(cfg.Link),
+		net:  cluster.NewNetwork(cluster.ZeroLink{}),
 		part: sharding.HashPartitioner{N: cfg.Shards},
 	}
 	c.Blocking = system.NewBlocking(c.execute)
 	nodeIDs := make([]int, 0, cfg.Shards*cfg.NodesPerShard)
 	for s := 0; s < cfg.Shards; s++ {
-		var eng storage.Engine = memdb.New()
-		if cfg.engineHook != nil {
-			eng = cfg.engineHook(eng)
-		}
-		sh := &shard{
-			idx:      s,
-			repl:     system.NewReplicator("ahl: shard unavailable", "ahl: shard timeout"),
-			box:      system.NewPayloadBox(),
-			st:       state.New(eng, 0),
-			prepared: make(map[string][]txn.Write),
-			locks:    make(map[string]string),
-			reg:      contract.NewRegistry(contract.KV{}, contract.Smallbank{}),
-			stopCh:   make(chan struct{}),
-		}
 		peers := make([]cluster.NodeID, cfg.NodesPerShard)
 		for i := range peers {
-			id := cluster.NodeID(200000 + s*1000 + i)
-			peers[i] = id
-			nodeIDs = append(nodeIDs, int(id))
+			peers[i] = cluster.NodeID(200000 + s*1000 + i)
+			nodeIDs = append(nodeIDs, int(peers[i]))
 		}
-		for _, id := range peers {
-			sh.nodes = append(sh.nodes, pbft.New(pbft.Config{
-				ID: id, Peers: peers, Endpoint: c.net.Register(id, 8192),
-			}))
-		}
-		for _, n := range sh.nodes {
-			sh.wg.Add(1)
-			go sh.applyLoop(n)
-		}
-		c.shards = append(c.shards, sh)
+		c.shards = append(c.shards, system.NewGroup(system.GroupConfig[shard]{
+			Label:  fmt.Sprintf("ahl: shard %d", s),
+			Net:    c.net,
+			Peers:  peers,
+			Member: pbftMember,
+			New: func() *shard {
+				var eng storage.Engine = memdb.New()
+				if cfg.engineHook != nil {
+					eng = cfg.engineHook(eng)
+				}
+				return &shard{
+					idx:      s,
+					store:    state.New(eng, 0),
+					prepared: make(map[string][]txn.Write),
+					locks:    make(map[string]string),
+				}
+			},
+			Apply:      applyShardCmd,
+			Leaderless: "ahl: shard unavailable",
+			Timeout:    "ahl: shard timeout",
+		}))
 	}
 	// The reference committee: a separate PBFT group acting as the
 	// replicated 2PC coordinator.
@@ -179,12 +171,17 @@ func New(cfg Config) *Cluster {
 	for i := range coordPeers {
 		coordPeers[i] = cluster.NodeID(300000 + i)
 	}
-	for _, id := range coordPeers {
-		c.coordN = append(c.coordN, pbft.New(pbft.Config{
-			ID: id, Peers: coordPeers, Endpoint: c.net.Register(id, 8192),
-		}))
-	}
-	c.coord = twopc.NewReplicatedCoordinator(c.coordN[0])
+	c.committee = system.NewGroup(system.GroupConfig[struct{}]{
+		Label:      "ahl: 2pc committee",
+		Net:        c.net,
+		Peers:      coordPeers,
+		Member:     pbftMember,
+		New:        func() *struct{} { return &struct{}{} },
+		Apply:      applyDecision,
+		Leaderless: "ahl: 2pc committee unavailable",
+		Timeout:    "ahl: 2pc committee timeout",
+	})
+	c.coord = twopc.NewBFTCoordinator(c.sequenceDecision)
 	if cfg.Reconfigure {
 		c.recfg = sharding.NewReconfigurer(nodeIDs, cfg.Shards,
 			cfg.ReconfigureEvery, cfg.ReconfigurePause)
@@ -200,53 +197,25 @@ func (c *Cluster) Name() string {
 	return "ahl-fixed"
 }
 
-// applyLoop consumes one PBFT replica's commits through the shared block
-// pipeline. Only the first replica's loop mutates shard state and
-// resolves waiters (they all deliver the same order; mutating once stands
-// in for each replica holding its own copy, and keeps the memory
-// footprint of large experiments manageable); the redundant replica
-// streams ride pipeline.Drain so they never backpressure the group. A
-// shard's unit of work is a single sequenced command — 2PC phases
-// interleave with execution, so there is no stateless stage to fan out —
-// which makes this the pipeline's degenerate depth-1 instantiation.
-func (sh *shard) applyLoop(n *pbft.Node) {
-	defer sh.wg.Done()
-	if n != sh.nodes[0] {
-		pipeline.Drain(n.Committed(), sh.stopCh)
-		return
+// applyShardCmd is a shard group's Apply: one sequenced command into one
+// member's copy of the shard. A shard's unit of work is a single command —
+// 2PC phases interleave with execution, so there is no stateless stage to
+// fan out.
+func applyShardCmd(sh *shard, e consensus.Entry) system.Result {
+	cmd, ok := decodeShardCmd(e.Data)
+	if !ok {
+		return system.Result{Err: fmt.Errorf("ahl shard %d: undecodable command", sh.idx)}
 	}
-	pipe := pipeline.New(pipeline.Config{Workers: 1, Depth: 1},
-		pipeline.Stages[consensus.Entry, sequenced]{
-			Decode: sh.decodeCmd,
-			Apply:  func(s sequenced) { sh.repl.Resolve(s.id, sh.apply(s.cmd)) },
-		})
-	pipe.Run(n.Committed(), sh.stopCh)
+	return sh.apply(&cmd)
 }
 
-// decodeCmd resolves a committed entry's payload handle, behind the
-// request header (pipeline Decode stage); view-change no-ops are skipped.
-func (sh *shard) decodeCmd(e consensus.Entry) (sequenced, bool) {
-	if len(e.Data) < consensus.Header {
-		return sequenced{}, false // view-change no-op
-	}
-	handle, ok := system.HandleID(e.Data[consensus.Header:])
-	if !ok {
-		return sequenced{}, false
-	}
-	v, ok := sh.box.Take(handle)
-	if !ok {
-		return sequenced{}, false
-	}
-	return sequenced{id: binary.BigEndian.Uint64(e.Data), cmd: v.(*shardCmd)}, true
-}
-
-// apply sequences one shard command (pipeline Apply stage) and returns the
-// outcome its waiter is resolved with.
+// apply sequences one shard command and returns the outcome its waiter is
+// resolved with.
 func (sh *shard) apply(cmd *shardCmd) system.Result {
 	sh.height++
 	switch cmd.kind {
 	case cmdExecute:
-		rw, err := sh.reg.Execute(sh.st, cmd.inv)
+		rw, err := registry.Execute(sh.store, cmd.inv)
 		if err != nil {
 			return system.Result{Err: err}
 		}
@@ -301,34 +270,26 @@ func (sh *shard) applyWrites(writes []txn.Write) error {
 	for i, w := range writes {
 		vw[i] = state.VersionedWrite{Write: w, Version: ver}
 	}
-	if err := sh.st.ApplyBlock(vw); err != nil {
+	if err := sh.store.ApplyBlock(vw); err != nil {
 		return fmt.Errorf("ahl shard %d: apply: %w", sh.idx, err)
 	}
 	return nil
 }
 
-// sequence pushes a command through the shard's PBFT group and waits.
-// The entry is the request header, then the box handle. It is proposed
-// once — the shard runs no Resend lap: re-proposal is the raft-backed
-// systems' answer to a proposal lost with a crashed leader's log, and this
-// path never needed it.
-func (sh *shard) sequence(cmd *shardCmd) system.Result {
-	handle := sh.box.Put(cmd, 1) // only the primary applier takes it
-	entry := binary.BigEndian.AppendUint64(make([]byte, consensus.Header, consensus.Header+8), handle)
-	r := sh.repl.Do(entry, func(entry []byte) bool {
-		for _, n := range sh.nodes {
-			if n.Propose(entry) == nil {
-				return true
-			}
-		}
-		return false
-	})
-	if sh.repl.GaveUp(r.Err) {
-		// The primary applier never took the command: release it, or it
-		// leaks. An apply error, by contrast, means it was taken.
-		sh.box.Drop(handle)
+// applyDecision is the committee's Apply: the 2PC decision the entry
+// carries (decision u8 | txID), as sequenced.
+func applyDecision(_ *struct{}, e consensus.Entry) system.Result {
+	return system.Result{Committed: len(e.Data) > 0 && twopc.Decision(e.Data[0]) == twopc.DecisionCommit}
+}
+
+// sequenceDecision records txID's 2PC decision by sequencing it through the
+// committee.
+func (c *Cluster) sequenceDecision(txID string, d twopc.Decision) (twopc.Decision, error) {
+	cmd := append(make([]byte, consensus.Header, consensus.Header+1+len(txID)), byte(d))
+	if r := c.committee.Propose(append(cmd, txID...)); !r.Committed {
+		return twopc.DecisionAbort, r.Err
 	}
-	return r
+	return twopc.DecisionCommit, nil
 }
 
 // execute is the blocking path.
@@ -357,7 +318,7 @@ func (c *Cluster) execute(t *txn.Tx) system.Result {
 			shardIdx = s
 		}
 		start := time.Now()
-		r := c.shards[shardIdx].sequence(&shardCmd{kind: cmdExecute, inv: t.Invocation})
+		r := c.shards[shardIdx].Propose(encodeShardCmd(&shardCmd{kind: cmdExecute, inv: t.Invocation}))
 		t.Trace.Observe("consensus", time.Since(start))
 		return r
 	}
@@ -367,7 +328,7 @@ func (c *Cluster) execute(t *txn.Tx) system.Result {
 // crossShard runs execute-at-owner + BFT-coordinated 2PC.
 func (c *Cluster) crossShard(t *txn.Tx, shardSet map[int]bool) system.Result {
 	// Simulate the transaction against a cross-shard read view to obtain
-	// its writes. The read is not serialized with the shards' pipelines;
+	// its writes. The read is not serialized with the shards' apply loops;
 	// the prepare locks re-validate ownership at commit time.
 	rw, err := c.simulate(t.Invocation)
 	if err != nil {
@@ -402,28 +363,32 @@ func (c *Cluster) crossShard(t *txn.Tx, shardSet map[int]bool) system.Result {
 // simulate executes the invocation against the union of shard states.
 func (c *Cluster) simulate(inv txn.Invocation) (txn.RWSet, error) {
 	view := &unionState{c: c}
-	reg := c.shards[0].reg
-	return reg.Execute(view, inv)
+	return registry.Execute(view, inv)
 }
 
 type unionState struct{ c *Cluster }
 
-// GetState implements contract.StateReader across shards; the striped
-// stores make this safe without serializing against the shard pipelines.
+// GetState implements contract.StateReader across shards, each read from
+// the shard's freshest member; the striped stores make this safe without
+// serializing against the members' apply loops.
 func (u *unionState) GetState(key string) ([]byte, txn.Version, error) {
-	return u.c.shards[u.c.part.Shard(key)].st.GetState(key)
+	sh, err := u.c.shards[u.c.part.Shard(key)].Freshest()
+	if err != nil {
+		return nil, txn.Version{}, err
+	}
+	return sh.store.GetState(key)
 }
 
 // shardParticipant adapts a shard to the 2PC participant interface; each
 // phase is sequenced through the shard's PBFT group.
 type shardParticipant struct {
-	sh     *shard
+	sh     *system.Group[shard]
 	writes []txn.Write
 }
 
 // Prepare implements twopc.Participant.
 func (p *shardParticipant) Prepare(txID string) (twopc.Vote, error) {
-	r := p.sh.sequence(&shardCmd{kind: cmdPrepare, txID: txID, writes: p.writes})
+	r := p.sh.Propose(encodeShardCmd(&shardCmd{kind: cmdPrepare, txID: txID, writes: p.writes}))
 	if r.Err != nil {
 		return twopc.VoteAbort, r.Err
 	}
@@ -435,13 +400,13 @@ func (p *shardParticipant) Prepare(txID string) (twopc.Vote, error) {
 
 // Commit implements twopc.Participant.
 func (p *shardParticipant) Commit(txID string) error {
-	r := p.sh.sequence(&shardCmd{kind: cmdFinish, txID: txID, commitP: true})
+	r := p.sh.Propose(encodeShardCmd(&shardCmd{kind: cmdFinish, txID: txID, commitP: true}))
 	return r.Err
 }
 
 // Abort implements twopc.Participant.
 func (p *shardParticipant) Abort(txID string) error {
-	r := p.sh.sequence(&shardCmd{kind: cmdFinish, txID: txID, commitP: false})
+	r := p.sh.Propose(encodeShardCmd(&shardCmd{kind: cmdFinish, txID: txID, commitP: false}))
 	return r.Err
 }
 
@@ -473,10 +438,15 @@ func invocationKeys(inv txn.Invocation) []string {
 	return nil
 }
 
-// ReadState returns the committed value of key, routed to its owning
-// shard — the uniform inspection surface the shared state layer provides.
+// ReadState returns the committed value of key, read from its owning
+// shard's freshest member — the uniform inspection surface the shared
+// state layer provides.
 func (c *Cluster) ReadState(key string) ([]byte, bool) {
-	v, _, err := c.shards[c.part.Shard(key)].st.Get(key)
+	sh, err := c.shards[c.part.Shard(key)].Freshest()
+	if err != nil {
+		return nil, false
+	}
+	v, _, err := sh.store.Get(key)
 	return v, err == nil
 }
 
@@ -488,22 +458,19 @@ func (c *Cluster) Rotations() int {
 	return c.recfg.Rotations()
 }
 
-// Close implements system.System.
+// Close implements system.System: it stops the committee and every shard
+// group — their apply loops and Resend laps — then closes each member's
+// store. The reconfigurer runs no goroutine of its own.
 func (c *Cluster) Close() {
 	c.closeOne.Do(func() {
-		c.coord.Close()
-		for _, n := range c.coordN {
-			n.Stop()
+		c.committee.Close()
+		for _, g := range c.shards {
+			g.Close()
 		}
-		for _, sh := range c.shards {
-			close(sh.stopCh)
-		}
-		for _, sh := range c.shards {
-			for _, n := range sh.nodes {
-				n.Stop()
+		for _, g := range c.shards {
+			for i := 0; i < g.Replicas(); i++ {
+				g.State(i).store.Close()
 			}
-			sh.wg.Wait()
-			sh.st.Close()
 		}
 		c.net.Close()
 	})

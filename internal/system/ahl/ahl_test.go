@@ -90,8 +90,12 @@ func TestSmallbankOnShards(t *testing.T) {
 	}
 	// Balance conservation across shards.
 	total := int64(0)
-	for _, sh := range c.shards {
-		sh.st.Range(func(k string, v []byte) bool {
+	for _, g := range c.shards {
+		sh, err := g.Freshest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh.store.Range(func(k string, v []byte) bool {
 			if len(k) > 4 && (k[:4] == "chk:" || k[:4] == "sav:") {
 				total += contract.DecodeInt64(v)
 			}

@@ -5,16 +5,16 @@ import (
 	"time"
 
 	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/system"
 )
 
-// A command whose sequencing gives up must not stay in the shard's
-// payload box: no replica will ever take it. Before the fix sequence could
-// not tell a give-up from an apply error and left the entry live on both
-// give-up paths (etcd's twin tests are in etcd/giveup_test.go).
+// A command the shard group cannot sequence gives up with the shard's own
+// error text, no sooner than the deadline (etcd's twin tests are in
+// etcd/giveup_test.go).
 
-// settledShard commits one write on a one-shard cluster, so the box is
-// empty before the test breaks the committee, and shortens the deadline.
-func settledShard(t *testing.T) (*Cluster, *shard, *cryptoutil.Signer) {
+// settledShard commits one write on a one-shard cluster, then shortens
+// the shard group's deadline.
+func settledShard(t *testing.T) (*Cluster, *system.Group[shard], *cryptoutil.Signer) {
 	t.Helper()
 	c := clusterUp(t, Config{Shards: 1, NodesPerShard: 4})
 	client := cryptoutil.MustNewSigner("client")
@@ -22,43 +22,34 @@ func settledShard(t *testing.T) (*Cluster, *shard, *cryptoutil.Signer) {
 		t.Fatalf("warm-up put: %+v", r)
 	}
 	sh := c.shards[0]
-	if got := sh.box.Len(); got != 0 {
-		t.Fatalf("%d box entries live after the warm-up write", got)
-	}
-	sh.repl.Deadline = 30 * time.Millisecond
+	sh.Deadline = 30 * time.Millisecond
 	return c, sh, client
 }
 
-func TestUnavailableGiveUpDropsBoxEntry(t *testing.T) {
+func TestUnavailableGiveUp(t *testing.T) {
 	c, sh, client := settledShard(t)
-	for _, n := range sh.nodes {
-		n.Stop() // every Propose is refused from here on
+	for i := 0; i < sh.Replicas(); i++ {
+		sh.Crash(i) // every Propose is refused from here on
 	}
 	start := time.Now()
 	r := c.Execute(kvTx(t, client, "put", "k", "w"))
 	if r.Err == nil || r.Err.Error() != "ahl: shard unavailable" {
 		t.Fatalf("put with no live replica: %+v, want ahl: shard unavailable", r)
 	}
-	if d := time.Since(start); d < sh.repl.Deadline {
-		t.Fatalf("gave up after %v, before the %v deadline", d, sh.repl.Deadline)
-	}
-	if got := sh.box.Len(); got != 0 {
-		t.Fatalf("unavailable give-up left %d box entries live", got)
+	if d := time.Since(start); d < sh.Deadline {
+		t.Fatalf("gave up after %v, before the %v deadline", d, sh.Deadline)
 	}
 }
 
-func TestTimeoutGiveUpDropsBoxEntry(t *testing.T) {
+func TestTimeoutGiveUp(t *testing.T) {
 	c, sh, client := settledShard(t)
 	// Leave one replica without a quorum: it still accepts a proposal but
 	// can never commit it.
-	for _, n := range sh.nodes[1:] {
-		n.Stop()
+	for i := 1; i < sh.Replicas(); i++ {
+		sh.Crash(i)
 	}
 	r := c.Execute(kvTx(t, client, "put", "k", "w"))
 	if r.Err == nil || r.Err.Error() != "ahl: shard timeout" {
 		t.Fatalf("put without a quorum: %+v, want ahl: shard timeout", r)
-	}
-	if got := sh.box.Len(); got != 0 {
-		t.Fatalf("timeout give-up left %d box entries live", got)
 	}
 }

@@ -37,8 +37,6 @@ import (
 type Config struct {
 	// Nodes is the Raft group size.
 	Nodes int
-	// Link models the network; nil = zero latency.
-	Link cluster.LinkModel
 }
 
 func (c Config) withDefaults() Config {
@@ -62,7 +60,7 @@ var _ system.System = (*Cluster)(nil)
 // New assembles and starts a cluster.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
-	c := &Cluster{net: cluster.NewNetwork(cfg.Link)}
+	c := &Cluster{net: cluster.NewNetwork(cluster.ZeroLink{})}
 	c.Blocking = system.NewBlocking(c.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {

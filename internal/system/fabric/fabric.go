@@ -146,10 +146,6 @@ type Config struct {
 	// opened — including the fresh engine a recovering peer rebuilds
 	// onto. The chaos layer injects write failures and fsync stalls here.
 	EngineHook func(storage.Engine) storage.Engine
-	// Link models the network; nil = zero latency.
-	Link cluster.LinkModel
-	// Contracts deployed on all peers. Default: KV and Smallbank.
-	Contracts []contract.Contract
 }
 
 func (c Config) withDefaults() Config {
@@ -170,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 1
-	}
-	if c.Contracts == nil {
-		c.Contracts = []contract.Contract{contract.KV{}, contract.Smallbank{}}
 	}
 	return c
 }
@@ -198,6 +191,10 @@ type Network struct {
 
 var _ system.System = (*Network)(nil)
 
+// registry holds the contracts every peer runs, KV and Smallbank; Execute
+// only reads it.
+var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
+
 // peer is one endorsing/committing peer. Committed state lives in the
 // shared striped state layer: endorsement simulates against a consistent
 // snapshot while validation and block commit go through the store's
@@ -215,7 +212,6 @@ type peer struct {
 	name     string
 	nw       *Network
 	signer   *cryptoutil.Signer
-	reg      *contract.Registry
 	consumer *sharedlog.Consumer
 	pipe     *pipeline.Pipeline[sharedlog.Batch, *fabricBlock]
 }
@@ -260,7 +256,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw := &Network{
 		cfg:       cfg,
-		net:       cluster.NewNetwork(cfg.Link),
+		net:       cluster.NewNetwork(cluster.ZeroLink{}),
 		box:       system.NewPayloadBox(),
 		waiters:   system.NewWaiters[cryptoutil.Hash](),
 		peerKeys:  make(map[string]cryptoutil.PublicKey),
@@ -305,7 +301,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		p := &peer{Replica: rep, name: name, nw: nw, signer: signer, reg: contract.NewRegistry(cfg.Contracts...)}
+		p := &peer{Replica: rep, name: name, nw: nw, signer: signer}
 		nw.peers = append(nw.peers, p)
 		p.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ValidationWorkers,
@@ -623,7 +619,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 	t.Trace.Time(metrics.PhaseSimulate, func() {
 		snap := p.St.Snapshot()
 		defer snap.Release()
-		rw, simErr = p.reg.Execute(snap, t.Invocation)
+		rw, simErr = registry.Execute(snap, t.Invocation)
 	})
 	if simErr != nil {
 		if errors.Is(simErr, contract.ErrAbort) {

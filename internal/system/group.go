@@ -20,9 +20,10 @@ import (
 // windowKey is the checkpoint record a member's window is kept under.
 const windowKey = ""
 
-// GroupConfig is what a database-side system says about one of its
-// replicated groups — etcd, a TiDB region, a Spanner shard; the lifecycle that
-// follows from it is Group's. T is one replica's state machine.
+// GroupConfig is what a system says about one of its replicated groups —
+// etcd, a TiDB region, a Spanner shard, an AHL shard or its 2PC committee;
+// the lifecycle that follows from it is Group's. T is one replica's state
+// machine.
 type GroupConfig[T any] struct {
 	// Label names the group in recovery and read errors ("tidb: region 3").
 	Label string
@@ -30,6 +31,10 @@ type GroupConfig[T any] struct {
 	// ids, one replica each.
 	Net   *cluster.Network
 	Peers []cluster.NodeID
+	// Member starts one replica's consensus node on its endpoint; rejoin
+	// marks a reboot after a crash (see start). Nil means raft; AHL runs
+	// PBFT.
+	Member func(id cluster.NodeID, peers []cluster.NodeID, ep *cluster.Endpoint, rejoin bool) Member
 	// DataDir, when set, keeps the replicas' checkpoint chains, one under
 	// DataDir/Name/replica-N each; Checkpoint configures them, and Dir is the
 	// group's to fill in. Without a DataDir or with a zero Interval there are
@@ -46,22 +51,36 @@ type GroupConfig[T any] struct {
 	Apply func(st *T, e consensus.Entry) Result
 	// Dump emits the state machine's complete content as checkpoint
 	// records; Restore puts one record back into an empty one. The empty
-	// key is the group's own, so a state machine must never emit it.
+	// key is the group's own, so a state machine must never emit it. Only
+	// a checkpoint chain and Group.Dump call them.
 	Dump    func(st *T, emit func(key string, value []byte))
 	Restore func(st *T, key string, value []byte) error
 	// Leaderless and Timeout are the error texts Propose gives up with.
 	Leaderless, Timeout string
 }
 
-// Group is one raft group of replicas, each applying the committed log
-// into its own copy of a state machine — the lifecycle etcd, TiDB's
-// regions and Spanner's shards share, as Replica is the ledger side's.
+// Member is one replica's consensus node as a Group drives it: the
+// consensus contract, plus the member it takes for the leader.
+type Member interface {
+	consensus.Node
+	Leader() cluster.NodeID
+}
+
+// raftMember is the Member a GroupConfig without one gets.
+func raftMember(id cluster.NodeID, peers []cluster.NodeID, ep *cluster.Endpoint, rejoin bool) Member {
+	return raft.New(raft.Config{ID: id, Peers: peers, Endpoint: ep, Recovering: rejoin})
+}
+
+// Group is one consensus group of replicas, each applying the committed
+// log into its own copy of a state machine — the lifecycle etcd, TiDB's
+// regions, Spanner's shards and AHL's shards and committee share, as
+// Replica is the ledger side's.
 // Commands ride inside the log entries, so the log is self-contained: a
 // replica restarted with an empty log is rebuilt by the leader's ordinary
 // re-replication, and one restored from its checkpoint chain skips the
 // prefix the checkpoint covers. The unit of failure is one member, never
-// the group: it keeps committing while a raft quorum remains, and a
-// recovery pauses nobody.
+// the group: it keeps committing while a quorum remains, and a recovery
+// pauses nobody.
 //
 // The group, not the command codec, frames requests, and every member
 // applies each request once: the exactly-once primitive of
@@ -80,8 +99,8 @@ type Group[T any] struct {
 	stopResend func() // ends the group's Resend lap
 }
 
-// groupReplica is one member: a raft node plus the state machine its log
-// applies into. cons and state are swapped atomically by crash/recover
+// groupReplica is one member: a consensus node plus the state machine its
+// log applies into. cons and state are swapped atomically by crash/recover
 // while reads and proposals keep flowing; mu serializes the lifecycle
 // transitions themselves.
 type groupReplica[T any] struct {
@@ -89,10 +108,10 @@ type groupReplica[T any] struct {
 	ep   *cluster.Endpoint
 	ckpt recovery.Options // zero Dir: no checkpoint chain
 
-	cons    atomic.Pointer[raft.Node]
+	cons    atomic.Pointer[Member]
 	state   atomic.Pointer[T]
 	win     atomic.Pointer[consensus.Window]
-	applied atomic.Uint64 // newest applied (or restored) raft index
+	applied atomic.Uint64 // newest applied (or restored) log index
 
 	mu      sync.Mutex
 	crashed atomic.Bool
@@ -103,6 +122,9 @@ type groupReplica[T any] struct {
 
 // NewGroup registers the members on the network and starts them all.
 func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
+	if cfg.Member == nil {
+		cfg.Member = raftMember
+	}
 	g := &Group[T]{
 		Replicator:  NewReplicator(cfg.Leaderless, cfg.Timeout),
 		cfg:         cfg,
@@ -110,7 +132,8 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 	}
 	for i, id := range cfg.Peers {
 		// 8192 queued messages: deep enough that a replication burst is
-		// never shed at the endpoint before raft's own flow control acts.
+		// never shed at the endpoint before the protocol's own flow
+		// control acts.
 		rep := &groupReplica[T]{id: id, ep: cfg.Net.Register(id, 8192)}
 		if cfg.DataDir != "" && cfg.Checkpoint.Interval > 0 {
 			rep.ckpt = cfg.Checkpoint
@@ -121,8 +144,8 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 	for _, rep := range g.reps {
 		if _, _, err := g.start(rep, false); err != nil {
 			// A pre-existing corrupt chain directory is the only way here;
-			// run without checkpoints rather than fail — the raft log still
-			// fully rebuilds the replica.
+			// run without checkpoints rather than fail — the log still fully
+			// rebuilds the replica.
 			rep.ckpt = recovery.Options{}
 			_, _, _ = g.start(rep, false)
 		}
@@ -132,12 +155,12 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 }
 
 // start boots (or re-boots) a member: restore its checkpoint chain when it
-// keeps one, join the raft group on its fixed endpoint, run the apply loop.
-// rejoin distinguishes a post-crash reboot from construction: a rebooted
-// member lost its raft log and must sit out elections until re-replication
-// has caught it up (raft.Config.Recovering), while at construction every
-// member is equally empty and someone has to campaign. Callers hold rep.mu
-// or are constructing the group.
+// keeps one, join the consensus group on its fixed endpoint, run the apply
+// loop. rejoin distinguishes a post-crash reboot from construction: a
+// rebooted raft member lost its log and must sit out elections until
+// re-replication has caught it up (raft.Config.Recovering), while at
+// construction every member is equally empty and someone has to campaign.
+// Callers hold rep.mu or are constructing the group.
 func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
 	st, win := g.cfg.New(), &consensus.Window{}
 	var ckpt *recovery.ChainWriter
@@ -156,16 +179,19 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 		}
 		skipTo, ckptBytes = ckpt.LastHeight(), ckpt.RestoredBytes()
 	}
-	cons := raft.New(raft.Config{ID: rep.id, Peers: g.cfg.Peers, Endpoint: rep.ep, Recovering: rejoin})
+	cons := g.cfg.Member(rep.id, g.cfg.Peers, rep.ep, rejoin)
 	rep.state.Store(st)
 	rep.win.Store(win)
-	rep.cons.Store(cons)
+	rep.cons.Store(&cons)
 	rep.applied.Store(skipTo)
 	rep.stopCh = make(chan struct{})
 	rep.wg.Add(1)
 	go g.applyLoop(rep, cons, st, win, ckpt, skipTo, rep.stopCh)
 	return skipTo, ckptBytes, nil
 }
+
+// member returns the member's current consensus node.
+func (rep *groupReplica[T]) member() Member { return *rep.cons.Load() }
 
 // dump emits a member's complete content in checkpoint-record form: the
 // state machine's records and the window under the empty key.
@@ -177,10 +203,10 @@ func (g *Group[T]) dump(st *T, win *consensus.Window, emit func(key string, valu
 // applyLoop applies the committed log into one incarnation of a member.
 // Everything that incarnation owns is passed by value, so a crash/recover
 // swap of the member's cons and state never races a stale loop. An entry
-// too short for a header is raft's new-term no-op, and one the window
+// too short for a header is a new leader's no-op, and one the window
 // refuses is a later copy of a request already applied (or given up):
 // neither reaches Apply, though both advance the applied index.
-func (g *Group[T]) applyLoop(rep *groupReplica[T], cons *raft.Node, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
+func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
 	dump := func(emit func(key string, value []byte)) { g.dump(st, win, emit) }
 	for {
@@ -246,7 +272,7 @@ func (g *Group[T]) offer(cmd []byte) bool {
 	lead := int(g.lead.Load())
 	for i := range g.reps {
 		rep := g.reps[(lead+i)%len(g.reps)]
-		cons := rep.cons.Load()
+		cons := rep.member()
 		if rep.crashed.Load() || cons.Propose(cmd) != nil {
 			continue
 		}
@@ -279,10 +305,10 @@ func (g *Group[T]) Freshest() (*T, error) {
 	return best.state.Load(), nil
 }
 
-// Crash fail-stops member i: the network drops its traffic, its raft node
-// halts, its in-memory state machine is abandoned. Its checkpoint chain
-// survives, like a process crash that keeps its disk. Crashing a crashed
-// member, or a member of a closed group, does nothing.
+// Crash fail-stops member i: the network drops its traffic, its consensus
+// node halts, its in-memory state machine is abandoned. Its checkpoint
+// chain survives, like a process crash that keeps its disk. Crashing a
+// crashed member, or a member of a closed group, does nothing.
 func (g *Group[T]) Crash(i int) {
 	rep := g.reps[i]
 	rep.mu.Lock()
@@ -291,16 +317,16 @@ func (g *Group[T]) Crash(i int) {
 		return
 	}
 	// Flip the flag first so proposals and reads stop routing here before
-	// the raft node goes down.
+	// the consensus node goes down.
 	rep.crashed.Store(true)
 	g.cfg.Net.Crash(rep.id)
 	close(rep.stopCh)
-	rep.cons.Load().Stop()
+	rep.member().Stop()
 	rep.wg.Wait()
 }
 
 // Recover restarts crashed member i: restore the newest intact checkpoint
-// chain into a fresh state machine, rejoin the raft group on the same
+// chain into a fresh state machine, rejoin the consensus group on the same
 // endpoint, and let the leader re-replicate the log while the group keeps
 // serving. Catch-up is asynchronous by design — the member is a full one
 // again when this returns, still absorbing backfill — so the stats cover
@@ -332,7 +358,7 @@ func (g *Group[T]) Recover(i int) (recovery.Stats, error) {
 // Replicas returns the member count.
 func (g *Group[T]) Replicas() int { return len(g.reps) }
 
-// Applied returns the newest raft index member i has applied (or
+// Applied returns the newest log index member i has applied (or
 // restored); convergence checks poll it.
 func (g *Group[T]) Applied(i int) uint64 { return g.reps[i].applied.Load() }
 
@@ -353,9 +379,9 @@ func (g *Group[T]) Dump(i int) map[string][]byte {
 }
 
 // Close stops the Resend lap, then every live member in two passes: every
-// apply loop is told to stop before any raft node is stopped and waited
-// for, so the loops wind down side by side rather than one member after
-// another. Call it before closing the network. A closed group stays
+// apply loop is told to stop before any consensus node is stopped and
+// waited for, so the loops wind down side by side rather than one member
+// after another. Call it before closing the network. A closed group stays
 // closed: a later Crash does nothing, a later Recover restarts nothing, a
 // second Close finds nothing left to stop.
 func (g *Group[T]) Close() {
@@ -371,7 +397,7 @@ func (g *Group[T]) Close() {
 	for _, rep := range g.reps {
 		rep.mu.Lock()
 		if !rep.crashed.Load() {
-			rep.cons.Load().Stop()
+			rep.member().Stop()
 			rep.wg.Wait()
 		}
 		rep.mu.Unlock()

@@ -140,7 +140,7 @@ func proposeCopy[T any](t *testing.T, g *Group[T], cmd []byte) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		for _, rep := range g.reps {
-			if cons := rep.cons.Load(); !rep.crashed.Load() && cons.IsLeader() && cons.Propose(cmd) == nil {
+			if cons := rep.member(); !rep.crashed.Load() && cons.IsLeader() && cons.Propose(cmd) == nil {
 				return
 			}
 		}
@@ -202,7 +202,7 @@ func TestGroupProposeReachesEveryReplica(t *testing.T) {
 func TestGroupProposesToLeaderFirst(t *testing.T) {
 	g := tallyGroup(t, "", recovery.Options{})
 	put(t, g, 3)
-	if i := g.lead.Load(); !g.reps[i].cons.Load().IsLeader() {
+	if i := g.lead.Load(); !g.reps[i].member().IsLeader() {
 		t.Fatalf("Propose would start at member %d, which does not lead", i)
 	}
 }
@@ -327,7 +327,7 @@ func TestGroupLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 	g.Deadline = 30 * time.Millisecond
 	start := time.Now()
 	r := g.Propose(tallyCmd())
-	if r.Err == nil || r.Err.Error() != "test: leaderless" || !g.GaveUp(r.Err) {
+	if r.Err == nil || r.Err.Error() != "test: leaderless" || r.Err != g.errLeaderless {
 		t.Fatalf("propose into a dead group: %+v, want test: leaderless", r)
 	}
 	if d := time.Since(start); d < g.Deadline {

@@ -15,7 +15,9 @@ import (
 	"dichotomy/internal/contract"
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/hybrid"
+	"dichotomy/internal/sharding"
 	"dichotomy/internal/system"
+	"dichotomy/internal/system/ahl"
 	"dichotomy/internal/system/etcd"
 	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/system/quorum"
@@ -340,6 +342,40 @@ func TestEtcdCrashRecoveryCloseReapsGoroutines(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	put()
+	c.Close()
+	system.AssertGoroutinesReturn(t, base)
+}
+
+func TestAHLCloseReapsGoroutines(t *testing.T) {
+	base := system.GoroutineBaseline()
+	client := cryptoutil.MustNewSigner("leak-client")
+	c := ahl.New(ahl.Config{
+		Shards:           2,
+		NodesPerShard:    4,
+		Reconfigure:      true,
+		ReconfigureEvery: 20 * time.Millisecond,
+		ReconfigurePause: time.Millisecond,
+	})
+	driveSmallLoad(t, c, client)
+	// Cross-shard load: every shard group and the 2PC committee sequence
+	// something, so every apply loop and Resend lap has work behind it.
+	part := sharding.HashPartitioner{N: 2}
+	a, b := "leak-a", ""
+	for i := 0; b == ""; i++ {
+		if k := fmt.Sprintf("leak-b%d", i); part.Shard(k) != part.Shard(a) {
+			b = k
+		}
+	}
+	// Keep it up until the reconfigurer has rotated at least once.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < 8 || c.Rotations() == 0; i++ {
+		if time.Now().After(deadline) {
+			t.Fatal("the reconfigurer never rotated under load")
+		}
+		if r := c.Execute(signTx(t, client, contract.KVName, "multi", a, fmt.Sprint(i), b, fmt.Sprint(i))); !r.Committed {
+			t.Fatalf("cross-shard multi: %+v", r)
+		}
+	}
 	c.Close()
 	system.AssertGoroutinesReturn(t, base)
 }

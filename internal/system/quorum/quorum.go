@@ -121,10 +121,6 @@ type Config struct {
 	// with a bounded handoff, and arrival pressure drives the proposer's
 	// block-cut size. Nil keeps the paper-faithful direct path.
 	Ingress *ingress.Config
-	// Link models the network; nil means zero latency.
-	Link cluster.LinkModel
-	// Contracts deployed on all nodes. Default: KV and Smallbank.
-	Contracts []contract.Contract
 	// EngineHook, when set, wraps each node's state engine as it is
 	// opened — including the fresh engine a recovering node rebuilds
 	// onto. Tests inject failing engines through it; the chaos layer
@@ -147,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipelineDepth <= 0 {
 		c.PipelineDepth = 1
-	}
-	if c.Contracts == nil {
-		c.Contracts = []contract.Contract{contract.KV{}, contract.Smallbank{}}
 	}
 	return c
 }
@@ -175,6 +168,10 @@ type Network struct {
 
 var _ system.System = (*Network)(nil)
 
+// registry holds the contracts every node runs, KV and Smallbank; Execute
+// only reads it.
+var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
+
 // node is one Quorum validator. Committed state lives in the shared
 // striped state layer; the MPT commitment is node-local, maintained by
 // the node's RootMaintainer worker off the commit path and read only
@@ -188,7 +185,6 @@ type node struct {
 	nw        *Network
 	cons      consensus.Node
 	ep        *cluster.Endpoint
-	reg       *contract.Registry
 	pipe      *pipeline.Pipeline[consensus.Entry, *nodeBlock]
 	pendingMu sync.Mutex
 	pending   []*txn.Tx
@@ -238,7 +234,7 @@ func New(cfg Config) (*Network, error) {
 	}
 	nw := &Network{
 		cfg:     cfg,
-		net:     cluster.NewNetwork(cfg.Link),
+		net:     cluster.NewNetwork(cluster.ZeroLink{}),
 		box:     system.NewPayloadBox(),
 		waiters: system.NewWaiters[cryptoutil.Hash](),
 	}
@@ -274,7 +270,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		n := &node{Replica: rep, id: id, nw: nw, reg: contract.NewRegistry(cfg.Contracts...)}
+		n := &node{Replica: rep, id: id, nw: nw}
 		n.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ExecutionWorkers,
 			Depth:   cfg.PipelineDepth,
@@ -486,7 +482,7 @@ func (n *node) executeReadOnly(t *txn.Tx) system.Result {
 	t.Trace.Time(metrics.PhaseSimulate, func() {
 		snap := n.St.Snapshot()
 		defer snap.Release()
-		rw, err = n.reg.Execute(snap, t.Invocation)
+		rw, err = registry.Execute(snap, t.Invocation)
 		if inv := t.Invocation; err == nil && inv.Contract == "kv" && inv.Method == "get" && len(inv.Args) == 1 {
 			if v, _, gerr := snap.Get(string(inv.Args[0])); gerr == nil {
 				value = v
@@ -573,7 +569,7 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 	for i, t := range batch {
 		start := time.Now()
 		snap := n.St.Snapshot()
-		_, _ = n.reg.Execute(snap, t.Invocation)
+		_, _ = registry.Execute(snap, t.Invocation)
 		snap.Release()
 		t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
 		size += t.Size()
@@ -674,7 +670,7 @@ func (n *node) applyBlock(nb *nodeBlock) {
 			if err := nb.authErrs[i]; err != nil {
 				return txn.RWSet{}, err
 			}
-			return n.reg.Execute(view, blk.txs[i].Invocation)
+			return registry.Execute(view, blk.txs[i].Invocation)
 		})
 
 	// Stage writes in block order (later writers win) and collect the

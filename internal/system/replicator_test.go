@@ -191,7 +191,7 @@ func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 					return true
 				})
 				switch {
-				case rp.GaveUp(r.Err):
+				case r.Err == rp.errLeaderless || r.Err == rp.errTimeout:
 					gaveUp.Add(1)
 				case r.Err != nil || len(r.Value) != 8:
 					t.Errorf("request %d: result %+v", id, r)

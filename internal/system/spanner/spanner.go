@@ -41,11 +41,6 @@ type Config struct {
 	Shards int
 	// NodesPerShard is each shard's Raft group size (paper: 3).
 	NodesPerShard int
-	// Link models the network.
-	Link cluster.LinkModel
-	// LockWait bounds how long a transaction waits for a lock before
-	// wound-wait resolves it. Default 50ms.
-	LockWait time.Duration
 
 	// DataDir, together with CheckpointInterval, enables per-shard-replica
 	// checkpoint chains under DataDir/shard-NNN/replica-N.
@@ -53,8 +48,6 @@ type Config struct {
 	// CheckpointInterval is applied raft entries between checkpoints; 0
 	// disables checkpointing (recovery replays the whole shard log).
 	CheckpointInterval uint64
-	// CheckpointKeep bounds retained checkpoint files per replica.
-	CheckpointKeep int
 	// CheckpointMode selects full or delta shard checkpoints.
 	CheckpointMode recovery.Mode
 	// CheckpointFullEvery folds delta chains every N-th checkpoint.
@@ -67,9 +60,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NodesPerShard <= 0 {
 		c.NodesPerShard = 3
-	}
-	if c.LockWait <= 0 {
-		c.LockWait = 50 * time.Millisecond
 	}
 	return c
 }
@@ -140,7 +130,7 @@ func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:    cfg,
-		net:    cluster.NewNetwork(cfg.Link),
+		net:    cluster.NewNetwork(cluster.ZeroLink{}),
 		part:   sharding.HashPartitioner{N: cfg.Shards},
 		coord:  twopc.NewCoordinator(),
 		oracle: tso.New(),
@@ -148,7 +138,6 @@ func New(cfg Config) *Cluster {
 	c.Blocking = system.NewBlocking(c.execute)
 	ckpt := recovery.Options{
 		Interval:  cfg.CheckpointInterval,
-		Keep:      cfg.CheckpointKeep,
 		Mode:      cfg.CheckpointMode,
 		FullEvery: cfg.CheckpointFullEvery,
 	}
@@ -229,13 +218,17 @@ func (sh *shard) replicate(cmd *shardCmd) error {
 	return sh.Propose(encodeShardCmd(cmd)).Err
 }
 
+// lockWait bounds how long a transaction waits for a lock before
+// wound-wait resolves it.
+const lockWait = 50 * time.Millisecond
+
 // lockKeys acquires write locks with wound-wait: an older transaction
 // (lower ts) waits for a younger holder to finish... in wound-wait the
-// older *wounds* the younger; we approximate with bounded waiting, after
-// which the requester aborts (the waiting is the throughput depressant the
-// paper contrasts with TiDB's abort-fast).
-func (sh *shard) lockKeys(keys []string, ts uint64, wait time.Duration) bool {
-	deadline := time.Now().Add(wait)
+// older *wounds* the younger; we approximate with bounded waiting
+// (lockWait), after which the requester aborts (the waiting is the
+// throughput depressant the paper contrasts with TiDB's abort-fast).
+func (sh *shard) lockKeys(keys []string, ts uint64) bool {
+	deadline := time.Now().Add(lockWait)
 	for {
 		sh.lockMu.Lock()
 		allFree := true
@@ -307,7 +300,7 @@ func (c *Cluster) execute(t *txn.Tx) system.Result {
 		if !ok {
 			continue
 		}
-		if !c.shards[s].lockKeys(ks, ts, c.cfg.LockWait) {
+		if !c.shards[s].lockKeys(ks, ts) {
 			for _, ls := range locked {
 				c.shards[ls].unlockKeys(byShard[ls])
 			}

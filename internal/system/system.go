@@ -191,11 +191,11 @@ func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
 	return GoSubmit(b.run, tx), nil
 }
 
-// PayloadBox passes in-process block payloads through consensus by handle.
-// Consensus data payloads stay small (8-byte handles) while Message.Size
-// still reports true wire sizes for the bandwidth model; this skips
-// serialization CPU, which none of the paper's experiments identify as a
-// cost centre, while keeping every other cost real.
+// PayloadBox passes in-process block payloads through consensus by handle
+// (Fabric, Quorum, BigchainDB). Consensus data payloads stay small (8-byte
+// handles), and Message.Size counts the handle, not the payload; this
+// skips serialization CPU, which none of the paper's experiments identify
+// as a cost centre.
 type PayloadBox struct {
 	seq  atomic.Uint64
 	mu   sync.Mutex
@@ -410,13 +410,6 @@ func (rp *Replicator) Resolve(id uint64, r Result) {
 	if done, ok := rp.flight.Finish(id); ok {
 		done <- r // cap 1, and Finish hands the waiter out once: never blocks
 	}
-}
-
-// GaveUp reports whether err is one of the two errors Do gives up with,
-// as opposed to an error the apply path resolved the request with: after
-// a give-up no replica may ever take what the caller boxed for it.
-func (rp *Replicator) GaveUp(err error) bool {
-	return err == rp.errLeaderless || err == rp.errTimeout
 }
 
 // Do issues entry into the in-flight table — writing the request id and

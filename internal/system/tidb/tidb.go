@@ -47,8 +47,6 @@ type Config struct {
 	// ReplicationFactor is replicas per region; 0 means full replication
 	// (every storage node holds every region), the paper's default mode.
 	ReplicationFactor int
-	// Link models the network; nil = zero latency.
-	Link cluster.LinkModel
 
 	// DataDir, when set together with CheckpointInterval, enables
 	// per-region-replica checkpoint chains under
@@ -59,8 +57,6 @@ type Config struct {
 	// checkpoints; 0 disables checkpointing (recovery then replays the
 	// whole region log, which raft backfills anyway).
 	CheckpointInterval uint64
-	// CheckpointKeep bounds retained checkpoint files per replica.
-	CheckpointKeep int
 	// CheckpointMode selects full or delta region checkpoints.
 	CheckpointMode recovery.Mode
 	// CheckpointFullEvery folds delta chains every N-th checkpoint.
@@ -134,7 +130,7 @@ func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:  cfg,
-		net:  cluster.NewNetwork(cfg.Link),
+		net:  cluster.NewNetwork(cluster.ZeroLink{}),
 		pd:   tso.New(),
 		part: sharding.HashPartitioner{N: cfg.Regions},
 		gate: make(chan struct{}, cfg.Servers*slotsPerServer),
@@ -146,7 +142,6 @@ func New(cfg Config) *Cluster {
 	}
 	ckpt := recovery.Options{
 		Interval:  cfg.CheckpointInterval,
-		Keep:      cfg.CheckpointKeep,
 		Mode:      cfg.CheckpointMode,
 		FullEvery: cfg.CheckpointFullEvery,
 	}

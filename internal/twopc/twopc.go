@@ -1,22 +1,21 @@
 // Package twopc implements two-phase commit for cross-shard transactions —
-// the atomicity mechanism of the paper's sharding dimension. Two
-// coordinator flavours exist:
+// the atomicity mechanism of the paper's sharding dimension. Its two
+// coordinator flavours are one Coordinator, whose Run differs only in how
+// the decision is recorded:
 //
-//   - Coordinator: the database flavour — a single trusted coordinator
-//     (TiDB, Spanner). Fast, but a blocking single point of failure.
-//   - ReplicatedCoordinator: the blockchain flavour — the coordinator's
-//     decisions are themselves sequenced through a BFT consensus group
-//     before taking effect (AHL's "2PC state machine in a BFT shard"),
-//     trading latency for a coordinator that cannot equivocate or block.
+//   - NewCoordinator: the database flavour — a single trusted coordinator
+//     (TiDB, Spanner) keeps it in its own memory. Fast, but a blocking
+//     single point of failure.
+//   - NewBFTCoordinator: the blockchain flavour — the decision is sequenced
+//     through a BFT committee before any participant hears it (AHL's "2PC
+//     state machine in a BFT shard", a system.Group over PBFT), trading
+//     latency for a coordinator that cannot equivocate or block.
 package twopc
 
 import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
-
-	"dichotomy/internal/consensus"
 )
 
 // Vote is a participant's answer to prepare.
@@ -53,15 +52,39 @@ const (
 	DecisionAbort
 )
 
-// Coordinator is the trusted single-node coordinator used by databases.
+// Coordinator drives transactions through both phases.
 type Coordinator struct {
+	// record makes txID's decision survive the coordinator and returns it
+	// as recorded.
+	record func(txID string, d Decision) (Decision, error)
+
 	mu       sync.Mutex
 	outcomes map[string]Decision
 }
 
-// NewCoordinator returns an empty coordinator.
+// NewCoordinator returns the trusted single-node coordinator databases
+// use: it records each decision in its own memory, where Outcome reads it.
 func NewCoordinator() *Coordinator {
-	return &Coordinator{outcomes: make(map[string]Decision)}
+	c := &Coordinator{outcomes: make(map[string]Decision)}
+	c.record = func(txID string, d Decision) (Decision, error) {
+		c.mu.Lock()
+		c.outcomes[txID] = d
+		c.mu.Unlock()
+		return d, nil
+	}
+	return c
+}
+
+// NewBFTCoordinator returns a coordinator that records each decision by
+// sequencing it through a replicated committee: sequence returns the
+// decision as the committee's log holds it, or the error that kept it out.
+// No single machine can then block or equivocate on an outcome; the
+// consensus round inserted between voting and completion is the
+// "considerable overhead to the 2PC process" the paper attributes to
+// Byzantine-safe coordination. The committee's log is the record, so
+// Outcome reports nothing.
+func NewBFTCoordinator(sequence func(txID string, d Decision) (Decision, error)) *Coordinator {
+	return &Coordinator{record: sequence}
 }
 
 // Run drives txID through both phases across the participants. The first
@@ -87,9 +110,12 @@ func (c *Coordinator) Run(txID string, parts []Participant) error {
 			break
 		}
 	}
-	c.mu.Lock()
-	c.outcomes[txID] = decision
-	c.mu.Unlock()
+	// Record the decision before telling any participant: once the
+	// committee has sequenced it, the outcome survives coordinator failure.
+	decision, err := c.record(txID, decision)
+	if err != nil {
+		return fmt.Errorf("twopc: record decision for %s: %w", txID, err)
+	}
 	return finish(txID, decision, parts)
 }
 
@@ -119,104 +145,4 @@ func finish(txID string, d Decision, parts []Participant) error {
 		return ErrAborted
 	}
 	return nil
-}
-
-// ReplicatedCoordinator sequences every decision through a consensus node
-// (PBFT in AHL) before applying it, so no single machine can block or
-// equivocate on an outcome. The consensus round inserted between voting
-// and completion is the "considerable overhead to the 2PC process" the
-// paper attributes to Byzantine-safe coordination.
-type ReplicatedCoordinator struct {
-	node consensus.Node
-
-	mu      sync.Mutex
-	waiters map[string]chan Decision
-	stopCh  chan struct{}
-	once    sync.Once
-}
-
-// NewReplicatedCoordinator wraps a running consensus node. The caller owns
-// the node's lifecycle; Close only detaches the decision pump.
-func NewReplicatedCoordinator(node consensus.Node) *ReplicatedCoordinator {
-	rc := &ReplicatedCoordinator{
-		node:    node,
-		waiters: make(map[string]chan Decision),
-		stopCh:  make(chan struct{}),
-	}
-	go rc.pump()
-	return rc
-}
-
-// pump applies sequenced decisions to their waiters.
-func (rc *ReplicatedCoordinator) pump() {
-	for {
-		select {
-		case <-rc.stopCh:
-			return
-		case e, ok := <-rc.node.Committed():
-			if !ok {
-				return
-			}
-			if len(e.Data) < 2 {
-				continue // not a decision: e.g. a new leader's empty entry
-			}
-			d := Decision(e.Data[0])
-			txID := string(e.Data[1:])
-			rc.mu.Lock()
-			if ch, ok := rc.waiters[txID]; ok {
-				delete(rc.waiters, txID)
-				ch <- d
-			}
-			rc.mu.Unlock()
-		}
-	}
-}
-
-// Close detaches the decision pump.
-func (rc *ReplicatedCoordinator) Close() {
-	rc.once.Do(func() { close(rc.stopCh) })
-}
-
-// Run drives txID through 2PC with the decision round replicated.
-func (rc *ReplicatedCoordinator) Run(txID string, parts []Participant) error {
-	votes := make([]Vote, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p Participant) {
-			defer wg.Done()
-			votes[i], errs[i] = p.Prepare(txID)
-		}(i, p)
-	}
-	wg.Wait()
-	decision := DecisionCommit
-	for i := range parts {
-		if errs[i] != nil || votes[i] == VoteAbort {
-			decision = DecisionAbort
-			break
-		}
-	}
-	// Replicate the decision before telling any participant: once
-	// sequenced, the outcome survives coordinator failure.
-	ch := make(chan Decision, 1)
-	rc.mu.Lock()
-	rc.waiters[txID] = ch
-	rc.mu.Unlock()
-	payload := append([]byte{byte(decision)}, txID...)
-	if err := rc.node.Propose(payload); err != nil {
-		rc.mu.Lock()
-		delete(rc.waiters, txID)
-		rc.mu.Unlock()
-		return fmt.Errorf("twopc: replicate decision: %w", err)
-	}
-	select {
-	case sequenced := <-ch:
-		return finish(txID, sequenced, parts)
-	case <-time.After(30 * time.Second):
-		rc.mu.Lock()
-		delete(rc.waiters, txID)
-		rc.mu.Unlock()
-		return fmt.Errorf("twopc: decision for %s never sequenced", txID)
-	}
 }

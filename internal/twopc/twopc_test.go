@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"dichotomy/internal/cluster"
+	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/pbft"
+	"dichotomy/internal/system"
 )
 
 // fakePart is a scriptable participant.
@@ -113,28 +115,41 @@ func TestManyTransactionsIndependent(t *testing.T) {
 	}
 }
 
-func bftGroup(t *testing.T) *pbft.Node {
+// committee returns the BFT flavour over a four-member PBFT group whose
+// Apply returns the sequenced decision — the committee AHL runs.
+func committee(t *testing.T) *Coordinator {
 	t.Helper()
 	net := cluster.NewNetwork(cluster.ZeroLink{})
-	peers := []cluster.NodeID{0, 1, 2, 3}
-	var nodes []*pbft.Node
-	for _, id := range peers {
-		nodes = append(nodes, pbft.New(pbft.Config{
-			ID: id, Peers: peers, Endpoint: net.Register(id, 4096),
-		}))
-	}
+	g := system.NewGroup(system.GroupConfig[struct{}]{
+		Label: "test: committee",
+		Net:   net,
+		Peers: []cluster.NodeID{0, 1, 2, 3},
+		Member: func(id cluster.NodeID, peers []cluster.NodeID, ep *cluster.Endpoint, _ bool) system.Member {
+			return pbft.New(pbft.Config{ID: id, Peers: peers, Endpoint: ep})
+		},
+		New: func() *struct{} { return &struct{}{} },
+		Apply: func(_ *struct{}, e consensus.Entry) system.Result {
+			return system.Result{Committed: Decision(e.Data[0]) == DecisionCommit}
+		},
+		Leaderless: "test: committee unavailable",
+		Timeout:    "test: committee timeout",
+	})
 	t.Cleanup(func() {
-		for _, n := range nodes {
-			n.Stop()
-		}
+		g.Close()
 		net.Close()
 	})
-	return nodes[0]
+	return NewBFTCoordinator(func(txID string, d Decision) (Decision, error) {
+		cmd := append(make([]byte, consensus.Header), byte(d))
+		r := g.Propose(append(cmd, txID...))
+		if !r.Committed {
+			return DecisionAbort, r.Err
+		}
+		return DecisionCommit, nil
+	})
 }
 
 func TestReplicatedCoordinatorCommit(t *testing.T) {
-	rc := NewReplicatedCoordinator(bftGroup(t))
-	defer rc.Close()
+	rc := committee(t)
 	parts := []Participant{newFakePart(VoteCommit), newFakePart(VoteCommit)}
 	done := make(chan error, 1)
 	go func() { done <- rc.Run("xtx-1", parts) }()
@@ -154,8 +169,7 @@ func TestReplicatedCoordinatorCommit(t *testing.T) {
 }
 
 func TestReplicatedCoordinatorAbort(t *testing.T) {
-	rc := NewReplicatedCoordinator(bftGroup(t))
-	defer rc.Close()
+	rc := committee(t)
 	parts := []Participant{newFakePart(VoteCommit), newFakePart(VoteAbort)}
 	if err := rc.Run("xtx-2", parts); !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
