@@ -3,9 +3,12 @@
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark prints the same rows as `dichotomy-bench <figure>` to
-// stderr and reports committed-transaction throughput where meaningful.
-// They run at the quick scale; use the command for paper-scale sweeps.
+// BenchmarkExperiments runs experiments.Registry, one sub-benchmark per
+// experiment, and prints the same tables as `dichotomy-bench <name>` to
+// stderr. BenchmarkBlockShape, BenchmarkRecovery and BenchmarkIngress run
+// smaller sweeps of three of them under names CI's bench trajectory keys
+// on. They run at a reduced quick scale; use the command for paper-scale
+// sweeps.
 package main
 
 import (
@@ -34,92 +37,25 @@ func benchScale() experiments.Scale {
 	return sc
 }
 
-func runOnce(b *testing.B, fn func()) {
+func runOnce(b *testing.B, run func() []experiments.Table) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn()
+		for _, t := range run() {
+			t.Render(os.Stderr)
+		}
 	}
 }
 
-func BenchmarkFig4PeakThroughput(b *testing.B) {
+// BenchmarkExperiments runs every registered experiment at its quick axes,
+// one sub-benchmark each, named as `dichotomy-bench` names it.
+func BenchmarkExperiments(b *testing.B) {
 	sc := benchScale()
-	runOnce(b, func() { experiments.Fig4(os.Stderr, sc) })
-}
-
-func BenchmarkFig5UnsaturatedLatency(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig5(os.Stderr, sc) })
-}
-
-func BenchmarkFig6Smallbank(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig6(os.Stderr, sc) })
-}
-
-func BenchmarkFig7RaftVsIBFT(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig7(os.Stderr, sc, []int{1}) })
-}
-
-func BenchmarkFig8LatencyBreakdown(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig8(os.Stderr, sc) })
-}
-
-func BenchmarkTable4Scalability(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Table4(os.Stderr, sc, []int{3, 5}) })
-}
-
-func BenchmarkTable5TiDBGrid(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Table5(os.Stderr, sc, []int{1, 3}) })
-}
-
-func BenchmarkFig9Skew(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig9(os.Stderr, sc, []float64{0, 1}) })
-}
-
-func BenchmarkFig10OpsPerTxn(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig10(os.Stderr, sc, []int{1, 8}) })
-}
-
-func BenchmarkFig11RecordSize(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig11(os.Stderr, sc, []int{10, 5000}) })
-}
-
-func BenchmarkFig12StorageBreakdown(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig12(os.Stderr, sc, []int{100, 1000}) })
-}
-
-func BenchmarkFig13TamperEvidence(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig13(os.Stderr, sc, []int{10, 100, 1000}) })
-}
-
-func BenchmarkFig14Sharding(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig14(os.Stderr, sc, []int{1, 2}) })
-}
-
-func BenchmarkFig15HybridFramework(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Fig15(os.Stderr, sc) })
-}
-
-func BenchmarkPeakOpenLoop(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Peak(os.Stderr, sc, []float64{0.5, 1.2}) })
-}
-
-func BenchmarkContentionSweep(b *testing.B) {
-	sc := benchScale()
-	runOnce(b, func() { experiments.Contention(os.Stderr, sc, []int{1, 4}) })
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
+			runOnce(b, func() []experiments.Table { return e.Run(sc, false) })
+		})
+	}
 }
 
 // BenchmarkBlockShape sweeps Fabric's block-processing pipeline shape:
@@ -132,8 +68,8 @@ func BenchmarkContentionSweep(b *testing.B) {
 // BenchmarkStateScaling.
 func BenchmarkBlockShape(b *testing.B) {
 	sc := benchScale()
-	runOnce(b, func() {
-		experiments.BlockShape(os.Stderr, sc, []int{100}, []int{1, 4}, []int{1, 2})
+	runOnce(b, func() []experiments.Table {
+		return experiments.BlockShape(sc, experiments.ShapeAxes{Sizes: []int{100}, Workers: []int{1, 4}, Depths: []int{1, 2}})
 	})
 }
 
@@ -149,8 +85,9 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, mode := range []string{"full", "delta"} {
 		b.Run("mode="+mode, func(b *testing.B) {
 			sc := benchScale()
-			runOnce(b, func() {
-				experiments.Recovery(os.Stderr, sc, []string{mode}, []uint64{8}, []float64{1.0})
+			runOnce(b, func() []experiments.Table {
+				return experiments.Recovery(sc, experiments.RecoveryAxes{
+					Modes: []string{mode}, Intervals: []uint64{8}, Crashes: []float64{1.0}})
 			})
 		})
 	}
@@ -165,7 +102,7 @@ func BenchmarkRecovery(b *testing.B) {
 // the CI bench trajectory.
 func BenchmarkIngress(b *testing.B) {
 	sc := benchScale()
-	runOnce(b, func() { experiments.Ingress(os.Stderr, sc, []float64{1, 4}) })
+	runOnce(b, func() []experiments.Table { return experiments.Ingress(sc, []float64{1, 4}) })
 }
 
 // BenchmarkStateScaling measures the shared state layer's worker scaling:

@@ -5,9 +5,8 @@
 //	dichotomy-bench [-full] [-cpuprofile file] [-memprofile file] <experiment> [experiment...]
 //	dichotomy-bench all
 //
-// Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13
-// fig14 fig15 table4 table5 peak contention blockshape recovery
-// sigverify authreads.
+// The experiments are experiments.Registry's, in its order; all runs every
+// one, and no argument prints their names.
 //
 // contention sweeps closed-loop worker counts per system and reports
 // throughput with tail latency — the lock-convoy diagnostic behind the
@@ -68,6 +67,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"dichotomy/internal/experiments"
@@ -113,94 +114,35 @@ func main() {
 	full := flag.Bool("full", false, "run at (near-)paper scale; slow")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` when the run ends")
+	names := []string{"all"}
+	for _, e := range experiments.Registry {
+		names = append(names, e.Name)
+	}
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dichotomy-bench [-full] [-cpuprofile file] [-memprofile file] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: all fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 table4 table5 peak contention blockshape recovery sigverify authreads ingress chaos\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(names, " "))
 	}
 	flag.Parse()
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	sc := experiments.Quick()
-	var (
-		fs      = []int{1, 2}
-		nodes   = []int{3, 7, 11}
-		grid    = []int{1, 3, 5}
-		thetas  = []float64{0, 0.6, 1.0}
-		ops     = []int{1, 4, 10}
-		sizes   = []int{10, 100, 1000, 5000}
-		shards  = []int{1, 2, 4}
-		fracs   = []float64{0.5, 0.9, 1.2}
-		conc    = []int{1, 4, 16}
-		bsizes  = []int{50, 200}
-		vwork   = []int{1, 4}
-		depths  = []int{1, 2}
-		ckints  = []uint64{4, 16}
-		ckmodes = []string{"full", "delta"}
-		crashes = []float64{0.5, 1.0}
-		vmodes  = []string{"serial", "batch", "aggregate"}
-		mults   = []float64{1, 2, 4}
-		cfaults = []string{"crash", "net", "engine", "skew"}
-		crates  = []float64{0.05}
-	)
-	if *full {
-		sc = experiments.Full()
-		fs = []int{1, 2, 3, 4, 5, 6}
-		nodes = []int{3, 7, 11, 15, 19}
-		grid = []int{3, 7, 11, 15, 19}
-		thetas = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-		ops = []int{1, 2, 4, 6, 8, 10}
-		shards = []int{1, 2, 4, 8, 16}
-		fracs = []float64{0.25, 0.5, 0.75, 0.9, 1.0, 1.2}
-		conc = []int{1, 4, 16, 64}
-		bsizes = []int{50, 100, 500, 1000}
-		vwork = []int{1, 2, 4, 8}
-		depths = []int{1, 2, 4}
-		ckints = []uint64{2, 8, 32, 128}
-		crashes = []float64{0.25, 0.5, 0.75, 1.0}
-		mults = []float64{0.5, 1, 2, 4, 8}
-		crates = []float64{0.02, 0.1}
-	}
-
-	runners := map[string]func(){
-		"fig4":       func() { experiments.Fig4(os.Stdout, sc) },
-		"fig5":       func() { experiments.Fig5(os.Stdout, sc) },
-		"fig6":       func() { experiments.Fig6(os.Stdout, sc) },
-		"fig7":       func() { experiments.Fig7(os.Stdout, sc, fs) },
-		"fig8":       func() { experiments.Fig8(os.Stdout, sc) },
-		"fig9":       func() { experiments.Fig9(os.Stdout, sc, thetas) },
-		"fig10":      func() { experiments.Fig10(os.Stdout, sc, ops) },
-		"fig11":      func() { experiments.Fig11(os.Stdout, sc, sizes) },
-		"fig12":      func() { experiments.Fig12(os.Stdout, sc, sizes) },
-		"fig13":      func() { experiments.Fig13(os.Stdout, sc, sizes) },
-		"fig14":      func() { experiments.Fig14(os.Stdout, sc, shards) },
-		"fig15":      func() { experiments.Fig15(os.Stdout, sc) },
-		"table4":     func() { experiments.Table4(os.Stdout, sc, nodes) },
-		"table5":     func() { experiments.Table5(os.Stdout, sc, grid) },
-		"peak":       func() { experiments.Peak(os.Stdout, sc, fracs) },
-		"contention": func() { experiments.Contention(os.Stdout, sc, conc) },
-		"blockshape": func() { experiments.BlockShape(os.Stdout, sc, bsizes, vwork, depths) },
-		"recovery":   func() { experiments.Recovery(os.Stdout, sc, ckmodes, ckints, crashes) },
-		"sigverify":  func() { experiments.SigVerify(os.Stdout, sc, vmodes) },
-		"authreads":  func() { experiments.AuthReads(os.Stdout, sc) },
-		"ingress":    func() { experiments.Ingress(os.Stdout, sc, mults) },
-		"chaos":      func() { experiments.Chaos(os.Stdout, sc, cfaults, crates) },
-	}
-	order := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "table4", "table5",
-		"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "peak",
-		"contention", "blockshape", "recovery", "sigverify", "authreads", "ingress",
-		"chaos"}
-
 	args := flag.Args()
 	if len(args) == 1 && args[0] == "all" {
-		args = order
+		args = names[1:]
 	}
+	var run []experiments.Experiment
 	for _, name := range args {
-		if _, ok := runners[name]; !ok {
+		i := slices.IndexFunc(experiments.Registry, func(e experiments.Experiment) bool { return e.Name == name })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
+		run = append(run, experiments.Registry[i])
+	}
+	sc := experiments.Quick()
+	if *full {
+		sc = experiments.Full()
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
@@ -208,10 +150,12 @@ func main() {
 		os.Exit(2)
 	}
 	start := time.Now()
-	for _, name := range args {
-		runners[name]()
+	for _, e := range run {
+		for _, t := range e.Run(sc, *full) {
+			t.Render(os.Stdout)
+		}
 	}
-	fmt.Printf("\ncompleted %d experiment(s) in %v\n", len(args), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\ncompleted %d experiment(s) in %v\n", len(run), time.Since(start).Round(time.Millisecond))
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "dichotomy-bench: profile: %v\n", err)
 		os.Exit(1)

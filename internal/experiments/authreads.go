@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/ads/mpt"
-	"dichotomy/internal/bench"
-	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/metrics"
+	"dichotomy/internal/system"
 	"dichotomy/internal/system/quorum"
 	"dichotomy/internal/workload/smallbank"
 )
@@ -23,119 +21,88 @@ import (
 // cache hit rate show what the cache buys, staleness shows what lag
 // costs, and writer tps shows the interference the off-commit-path
 // design is supposed to avoid.
-func AuthReads(w io.Writer, sc Scale) {
-	Header(w, "AuthReads: verified reads vs Smallbank writes (readers × cache × root lag)")
-	Row(w, "system", "readers", "cache", "lag", "write-tps", "proof-p50", "proof-p99", "hit%", "stale-mean", "stale-max", "reads")
-	client := Client()
+func AuthReads(sc Scale) []Table {
+	t := Table{Title: "AuthReads: verified reads vs Smallbank writes (readers × cache × root lag)",
+		Cols: []string{"system", "readers", "cache", "lag", "write-tps", "proof-p50", "proof-p99", "hit%", "stale-mean", "stale-max", "reads"}}
 	sbCfg := smallbank.Config{Accounts: sc.Accounts, Theta: 1}
-
-	type point struct {
-		readers, cache, lag int
-	}
-	points := []point{
+	for _, pt := range []struct{ readers, cache, lag int }{
 		{4, 4096, 1},
 		{16, 4096, 1},
 		{16, 64, 1}, // cache far below the key space: mostly trie walks
 		{16, 4096, 4},
-	}
-	for _, pt := range points {
-		nw, err := quorum.New(quorum.Config{
-			Nodes:            sc.Nodes,
-			RootPublishEvery: pt.lag,
-			ProofCacheSize:   pt.cache,
-		})
-		if err != nil {
-			Row(w, "quorum-raft", pt.readers, pt.cache, pt.lag, "build-error", err.Error())
-			continue
+	} {
+		build := func() (system.System, error) {
+			return newQuorum(quorum.Config{Nodes: sc.Nodes, RootPublishEvery: pt.lag, ProofCacheSize: pt.cache})
 		}
-		nw.RegisterClient(client.Name(), client.Public())
-		if err := preloadSmallbank(nw, sbCfg, client); err != nil {
-			nw.Close()
-			continue
-		}
-
-		ps := nw.Proofs(0)
-		pub := nw.Auth(0).Public()
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		hists := make([]*metrics.LocalHistogram, pt.readers)
-		var staleSum, staleMax, reads atomic.Uint64
-		base := ps.Stats()
-		for g := 0; g < pt.readers; g++ {
-			hists[g] = new(metrics.LocalHistogram)
-			wg.Add(1)
-			go func(g int, h *metrics.LocalHistogram) {
-				defer wg.Done()
-				i := g
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					// Pace the reader: a light client polls, it does not
-					// busy-spin — and an unthrottled loop would starve the
-					// writers' consensus goroutines of CPU, measuring
-					// scheduler contention instead of read-path cost.
-					//lint:allow sleepyloop fixed read pacing, not a retry loop
-					time.Sleep(200 * time.Microsecond)
-					key := "chk:" + smallbank.Account(i%sbCfg.Accounts)
-					i += pt.readers
-					start := time.Now()
-					got, err := ps.VerifiedGet(key)
-					if err != nil {
-						continue // no root yet, or a checking account not preloaded
-					}
-					if mpt.VerifyProof(got.Root.Root, []byte(key), got.Proof) != nil {
-						continue // never expected; counted out of the latency series
-					}
-					if got.Root.Verify(pub) != nil {
-						continue
-					}
-					h.Record(time.Since(start))
-					reads.Add(1)
-					staleSum.Add(got.StaleBlocks)
+		t.measure([]any{pt.readers, pt.cache, pt.lag}, build, loadSmallbank(sbCfg), func(sys system.System) [][]any {
+			nw := sys.(*quorum.Network)
+			ps := nw.Proofs(0)
+			pub := nw.Auth(0).Public()
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			hists := make([]*metrics.LocalHistogram, pt.readers)
+			var staleSum, staleMax, reads atomic.Uint64
+			base := ps.Stats()
+			for g := 0; g < pt.readers; g++ {
+				hists[g] = new(metrics.LocalHistogram)
+				wg.Add(1)
+				go func(g int, h *metrics.LocalHistogram) {
+					defer wg.Done()
+					i := g
 					for {
-						cur := staleMax.Load()
-						if got.StaleBlocks <= cur || staleMax.CompareAndSwap(cur, got.StaleBlocks) {
-							break
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						// Pace the reader: a light client polls, it does not
+						// busy-spin — and an unthrottled loop would starve the
+						// writers' consensus goroutines of CPU, measuring
+						// scheduler contention instead of read-path cost.
+						//lint:allow sleepyloop fixed read pacing, not a retry loop
+						time.Sleep(200 * time.Microsecond)
+						key := "chk:" + smallbank.Account(i%sbCfg.Accounts)
+						i += pt.readers
+						start := time.Now()
+						got, err := ps.VerifiedGet(key)
+						if err != nil {
+							continue // no root yet, or a checking account not preloaded
+						}
+						if mpt.VerifyProof(got.Root.Root, []byte(key), got.Proof) != nil {
+							continue // never expected; counted out of the latency series
+						}
+						if got.Root.Verify(pub) != nil {
+							continue
+						}
+						h.Record(time.Since(start))
+						reads.Add(1)
+						staleSum.Add(got.StaleBlocks)
+						for {
+							cur := staleMax.Load()
+							if got.StaleBlocks <= cur || staleMax.CompareAndSwap(cur, got.StaleBlocks) {
+								break
+							}
 						}
 					}
-				}
-			}(g, hists[g])
-		}
+				}(g, hists[g])
+			}
 
-		r := RunSmallbank(nw, sbCfg, sc, client)
-		close(stop)
-		wg.Wait()
-		st := ps.Stats()
-		nw.Close()
+			r := runSmallbank(nw, sbCfg, sc)
+			close(stop)
+			wg.Wait()
+			st := ps.Stats()
 
-		proofs := hists[0]
-		for _, h := range hists[1:] {
-			proofs.Merge(h)
-		}
-		hits := st.Hits - base.Hits
-		misses := st.Misses - base.Misses
-		hitPct := 0.0
-		if hits+misses > 0 {
-			hitPct = 100 * float64(hits) / float64(hits+misses)
-		}
-		staleMean := 0.0
-		if n := reads.Load(); n > 0 {
-			staleMean = float64(staleSum.Load()) / float64(n)
-		}
-		Row(w, nw.Name(), pt.readers, pt.cache, pt.lag,
-			r.TPS, proofs.Percentile(50), proofs.Percentile(99),
-			hitPct, staleMean, staleMax.Load(), reads.Load())
+			proofs := hists[0]
+			for _, h := range hists[1:] {
+				proofs.Merge(h)
+			}
+			staleMean := 0.0
+			if n := reads.Load(); n > 0 {
+				staleMean = float64(staleSum.Load()) / float64(n)
+			}
+			return [][]any{{r.TPS, proofs.Percentile(50), proofs.Percentile(99),
+				percent(st.Hits-base.Hits, st.Misses-base.Misses), staleMean, staleMax.Load(), reads.Load()}}
+		})
 	}
-}
-
-// preloadSmallbank seeds the account table so readers have keys to prove.
-func preloadSmallbank(nw *quorum.Network, cfg smallbank.Config, client *cryptoutil.Signer) error {
-	txs, err := cfg.LoadTxs(client)
-	if err != nil {
-		return err
-	}
-	return bench.Preload(nw, txs, 16)
+	return []Table{t}
 }

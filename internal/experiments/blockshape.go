@@ -1,11 +1,15 @@
 package experiments
 
 import (
-	"io"
-
+	"dichotomy/internal/system"
 	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/workload/ycsb"
 )
+
+// ShapeAxes are BlockShape's sweep axes.
+type ShapeAxes struct {
+	Sizes, Workers, Depths []int
+}
 
 // BlockShape sweeps the block-processing pipeline's shape axes on Fabric
 // under YCSB updates: block size × validation workers × pipeline depth.
@@ -16,43 +20,23 @@ import (
 // claw back, and how block size trades against both. workers=1 ×
 // depth=1 is the paper-faithful serial baseline; the separation from it
 // needs parallel hardware (GOMAXPROCS > 1), like the state-layer sweep.
-func BlockShape(w io.Writer, sc Scale, blockSizes, workerCounts, depths []int) {
-	Header(w, "BlockShape: Fabric YCSB throughput vs block size × validation workers × pipeline depth")
-	Row(w, "system", "blocksize", "workers", "depth", "tps", "p50", "p99", "abort%")
-	if len(blockSizes) == 0 {
-		blockSizes = []int{50, 200}
-	}
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 4}
-	}
-	if len(depths) == 0 {
-		depths = []int{1, 2}
-	}
-	client := Client()
+func BlockShape(sc Scale, ax ShapeAxes) []Table {
+	t := Table{Title: "BlockShape: Fabric YCSB throughput vs block size × validation workers × pipeline depth",
+		Cols: []string{"system", "blocksize", "workers", "depth", "tps", "p50", "p99", "abort%"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 100}
-	for _, bs := range blockSizes {
-		for _, workers := range workerCounts {
-			for _, depth := range depths {
-				nw, err := fabric.New(fabric.Config{
-					Peers:             sc.Nodes,
-					BlockSize:         bs,
-					ValidationWorkers: workers,
-					PipelineDepth:     depth,
+	for _, bs := range ax.Sizes {
+		for _, workers := range ax.Workers {
+			for _, depth := range ax.Depths {
+				build := func() (system.System, error) {
+					return newFabric(fabric.Config{Peers: sc.Nodes, BlockSize: bs,
+						ValidationWorkers: workers, PipelineDepth: depth})
+				}
+				t.measure([]any{bs, workers, depth}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+					r := runYCSB(sys, cfg, sc, 0)
+					return [][]any{{r.TPS, r.Latency.P50, r.Latency.P99, r.AbortRate()}}
 				})
-				if err != nil {
-					Row(w, "fabric", bs, workers, depth, "build-error", err.Error())
-					continue
-				}
-				nw.RegisterClient(client.Name(), client.Public())
-				if err := PreloadYCSB(nw, cfg, client); err != nil {
-					nw.Close()
-					continue
-				}
-				r := RunYCSB(nw, cfg, sc, 0, client)
-				Row(w, nw.Name(), bs, workers, depth,
-					r.TPS, r.Latency.P50, r.Latency.P99, r.AbortRate())
-				nw.Close()
 			}
 		}
 	}
+	return []Table{t}
 }

@@ -2,15 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/bench"
 	"dichotomy/internal/chaos"
 	"dichotomy/internal/cluster"
-	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/hybrid"
 	"dichotomy/internal/ingress"
 	"dichotomy/internal/recovery"
@@ -24,6 +23,12 @@ import (
 	"dichotomy/internal/txn"
 	"dichotomy/internal/workload/ycsb"
 )
+
+// ChaosAxes are Chaos's sweep axes.
+type ChaosAxes struct {
+	Faults []string
+	Rates  []float64
+}
 
 // Chaos sweeps fault type × rate × system with seeded fault injection
 // (internal/chaos) under continuous open-loop load, then verifies zero
@@ -56,23 +61,20 @@ import (
 // budget, and retries that rescued a shed. inject totals every fault the
 // injector (plus the crash schedule) actually landed. Equal seeds give
 // equal fault schedules and draw streams.
-func Chaos(w io.Writer, sc Scale, faults []string, rates []float64) {
-	if len(faults) == 0 {
-		faults = []string{"crash", "net", "engine", "skew"}
-	}
-	if len(rates) == 0 {
-		rates = []float64{0.05}
-	}
-	Header(w, "Chaos: fault type × rate × system under open-loop load")
-	Row(w, "system", "fault", "rate", "tps", "commit", "abort", "err", "shed",
-		"retry", "inject", "recover", "verified")
-	client := Client()
+func Chaos(sc Scale, ax ChaosAxes) []Table {
+	t := Table{Title: "Chaos: fault type × rate × system under open-loop load",
+		Cols: []string{"system", "fault", "rate", "tps", "commit", "abort", "err", "shed",
+			"retry", "inject", "recover", "verified"}}
 	cfg := ycsb.Config{Records: min(sc.Records, 256), RecordSize: 100, Theta: 0.6}
-	for _, fault := range faults {
-		for _, rate := range rates {
-			chaosSweep(w, sc, client, cfg, fault, rate)
+	for _, fault := range ax.Faults {
+		for _, rate := range ax.Rates {
+			systems, wire := chaosWiring(fault)
+			for _, newSys := range systems {
+				chaosRow(&t, sc, cfg, fault, rate, newSys, wire)
+			}
 		}
 	}
+	return []Table{t}
 }
 
 // chaosTarget is one system wired for a chaos row.
@@ -83,7 +85,6 @@ type chaosTarget struct {
 	recover   func() error            // bring them back into live service
 	repair    func() error            // post-run heal before verify (engine rows)
 	verify    func() string           // quiesce + divergence check
-	close     func()
 }
 
 // chaosBuild selects the seams a fault type needs wired at construction.
@@ -94,70 +95,45 @@ type chaosBuild struct {
 	repair bool // heal by crash/recovering every node post-run
 }
 
-func chaosSweep(w io.Writer, sc Scale, client *cryptoutil.Signer, cfg ycsb.Config, fault string, rate float64) {
-	type entry struct {
-		name  string
-		build func(inj *chaos.Injector, dir string) (*chaosTarget, error)
-	}
-	ledgers := func(b func(inj *chaos.Injector, dir string) chaosBuild) []entry {
-		return []entry{
-			{"fabric", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosFabric(sc, client, b(inj, dir))
-			}},
-			{"quorum", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosQuorum(sc, client, b(inj, dir))
-			}},
-			{"veritas", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosVeritas(b(inj, dir))
-			}},
-		}
-	}
-	stores := func(b func(inj *chaos.Injector, dir string) chaosBuild) []entry {
-		return []entry{
-			{"bigchaindb", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosBigchain(sc, b(inj, dir))
-			}},
-			{"tidb", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosTiDB(b(inj, dir)), nil
-			}},
-			{"spanner", func(inj *chaos.Injector, dir string) (*chaosTarget, error) {
-				return chaosSpanner(b(inj, dir)), nil
-			}},
-		}
-	}
-	var targets []entry
+// chaosSystem builds one system with the seams b selects.
+type chaosSystem func(sc Scale, b chaosBuild) (*chaosTarget, error)
+
+var (
+	chaosLedgers = []chaosSystem{chaosFabric, chaosQuorum, chaosVeritas}
+	chaosStores  = []chaosSystem{chaosBigchain, chaosTiDB, chaosSpanner}
+)
+
+// chaosWiring returns the systems a fault type runs on, and the seams it
+// wires into each from the row's injector and data directory.
+func chaosWiring(fault string) ([]chaosSystem, func(*chaos.Injector, string) chaosBuild) {
 	switch fault {
 	case "crash":
-		durable := func(_ *chaos.Injector, dir string) chaosBuild { return chaosBuild{dir: dir} }
-		targets = append(ledgers(durable), stores(durable)...)
+		return slices.Concat(chaosLedgers, chaosStores),
+			func(_ *chaos.Injector, dir string) chaosBuild { return chaosBuild{dir: dir} }
 	case "net":
-		plain := func(*chaos.Injector, string) chaosBuild { return chaosBuild{} }
-		targets = append(ledgers(plain), stores(plain)...)
+		return slices.Concat(chaosLedgers, chaosStores),
+			func(*chaos.Injector, string) chaosBuild { return chaosBuild{} }
 	case "engine":
 		// Only the two blockchains expose the engine-hook seam; no
 		// checkpoints, or the chain would persist write-fault holes below
 		// the checkpoint height and repair-by-replay could not reach them.
 		// Exactly one node takes faults: if every store had holes, no
 		// ledger could serve the victim's drained position during repair.
-		hooked := func(inj *chaos.Injector, _ string) chaosBuild {
+		return chaosLedgers[:2], func(inj *chaos.Injector, _ string) chaosBuild {
 			return chaosBuild{engine: wrapNth(inj, 1), repair: true}
 		}
-		targets = ledgers(hooked)[:2]
 	case "skew":
-		fronted := func(inj *chaos.Injector, _ string) chaosBuild {
+		return chaosLedgers, func(inj *chaos.Injector, _ string) chaosBuild {
 			return chaosBuild{door: &ingress.Config{
 				Capacity: 256, MaxBlock: 64, BuildInterval: time.Millisecond,
 				CommitTimeout: 300 * time.Millisecond, TimeoutSkew: inj.SkewTimeout,
 			}}
 		}
-		targets = ledgers(fronted)
-	default:
-		fmt.Fprintf(w, "unknown fault %q (crash|net|engine|skew)\n", fault)
-		return
 	}
-	for _, e := range targets {
-		runChaosRow(w, sc, client, cfg, fault, rate, e.name, e.build)
+	unknown := func(Scale, chaosBuild) (*chaosTarget, error) {
+		return nil, fmt.Errorf("unknown fault %q (crash|net|engine|skew)", fault)
 	}
+	return []chaosSystem{unknown}, func(*chaos.Injector, string) chaosBuild { return chaosBuild{} }
 }
 
 // wrapNth wraps only the n-th engine the system opens (construction
@@ -189,100 +165,101 @@ func chaosInjector(fault string, rate float64) *chaos.Injector {
 	return chaos.MustNew(c)
 }
 
-func runChaosRow(w io.Writer, sc Scale, client *cryptoutil.Signer, cfg ycsb.Config,
-	fault string, rate float64, name string, build func(*chaos.Injector, string) (*chaosTarget, error)) {
-	dir, err := os.MkdirTemp("", "dichotomy-chaos-*")
-	if err != nil {
-		fmt.Fprintf(w, "tempdir: %v\n", err)
-		return
-	}
-	defer os.RemoveAll(dir)
+// chaosRow measures one system under one fault type and rate.
+func chaosRow(t *Table, sc Scale, cfg ycsb.Config, fault string, rate float64,
+	newSys chaosSystem, wire func(*chaos.Injector, string) chaosBuild) {
 	inj := chaosInjector(fault, rate)
 	// The engine and skew seams are wired at construction, so the
 	// injector stays disarmed through build and preload: the baseline
 	// state loads cleanly and every injected fault lands on measured
 	// traffic.
 	inj.Disarm()
-	t, err := build(inj, dir)
-	if err != nil {
-		Row(w, name, fault, fmt.Sprintf("%g", rate), "build: "+err.Error())
-		return
-	}
-	defer t.close()
-	if err := PreloadYCSB(t.sys, cfg, client); err != nil {
-		Row(w, name, fault, fmt.Sprintf("%g", rate), "preload: "+err.Error())
-		return
-	}
-	if fault == "net" && t.setFaults != nil {
-		t.setFaults(inj.MessageFault)
-	}
-	inj.Arm()
-
-	var events []chaos.Event
-	if fault == "crash" {
-		n := max(1, int(rate*20+0.5))
-		span := sc.Warmup + sc.Duration*2/3
-		events = chaos.Schedule(42, 1, n, span, 50*time.Millisecond, 150*time.Millisecond)
-	}
 	var (
-		recTotal time.Duration
-		recN     int
-		recErr   error
+		tg  *chaosTarget
+		dir string
 	)
-	done := make(chan struct{})
-	start := time.Now()
-	go func() {
-		defer close(done)
-		for _, ev := range events {
-			if d := time.Until(start.Add(ev.At)); d > 0 {
-				//lint:allow sleepyloop waiting out the seeded schedule's next crash offset
-				time.Sleep(d)
-			}
-			t.crash()
-			//lint:allow sleepyloop the scheduled downtime between crash and recovery
-			time.Sleep(ev.Down)
-			r0 := time.Now()
-			if err := t.recover(); err != nil {
-				recErr = err
-				return
-			}
-			recTotal += time.Since(r0)
-			recN++
+	build := func() (system.System, error) {
+		var err error
+		if dir, err = os.MkdirTemp("", "dichotomy-chaos-*"); err != nil {
+			return nil, err
 		}
-	}()
-	opt := bench.Options{
-		Workers: sc.Workers, Duration: sc.Duration, Warmup: sc.Warmup,
-		Mode: bench.OpenLoop, TargetRate: 400, Arrival: bench.Poisson, Seed: 7,
-		Retries: 3, RetryBackoff: 2 * time.Millisecond,
+		if tg, err = newSys(sc, wire(inj, dir)); err != nil {
+			return nil, err
+		}
+		return tg.sys, nil
 	}
-	r := RunYCSBOptions(t.sys, cfg, opt, client)
-	<-done
+	t.measure([]any{fault, fmt.Sprintf("%g", rate)}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+		if fault == "net" {
+			tg.setFaults(inj.MessageFault)
+		}
+		inj.Arm()
 
-	inj.Disarm()
-	if fault == "net" && t.setFaults != nil {
-		t.setFaults(nil)
-	}
-	verified := "ok"
-	switch {
-	case recErr != nil:
-		verified = "recover: " + recErr.Error()
-	case t.repair != nil:
-		if err := t.repair(); err != nil {
-			verified = "repair: " + err.Error()
+		var events []chaos.Event
+		if fault == "crash" {
+			n := max(1, int(rate*20+0.5))
+			span := sc.Warmup + sc.Duration*2/3
+			events = chaos.Schedule(42, 1, n, span, 50*time.Millisecond, 150*time.Millisecond)
 		}
-	}
-	if verified == "ok" {
-		verified = t.verify()
-	}
-	st := inj.Stats()
-	injected := st.Dropped + st.Delayed + st.WriteFaults + st.WriteStalls +
-		st.SkewedTimeouts + uint64(recN)
-	var recMean time.Duration
-	if recN > 0 {
-		recMean = recTotal / time.Duration(recN)
-	}
-	Row(w, name, fault, fmt.Sprintf("%g", rate), r.TPS, r.Committed, r.Aborted,
-		r.Errors-r.Sheds, r.Sheds, r.Retries, injected, recMean, verified)
+		var (
+			recTotal time.Duration
+			recN     int
+			recErr   error
+		)
+		done := make(chan struct{})
+		start := time.Now()
+		go func() {
+			defer close(done)
+			for _, ev := range events {
+				if d := time.Until(start.Add(ev.At)); d > 0 {
+					//lint:allow sleepyloop waiting out the seeded schedule's next crash offset
+					time.Sleep(d)
+				}
+				tg.crash()
+				//lint:allow sleepyloop the scheduled downtime between crash and recovery
+				time.Sleep(ev.Down)
+				r0 := time.Now()
+				if err := tg.recover(); err != nil {
+					recErr = err
+					return
+				}
+				recTotal += time.Since(r0)
+				recN++
+			}
+		}()
+		r := runYCSBWith(sys, cfg, bench.Options{
+			Workers: sc.Workers, Duration: sc.Duration, Warmup: sc.Warmup,
+			Mode: bench.OpenLoop, TargetRate: 400, Arrival: bench.Poisson, Seed: 7,
+			Retries: 3, RetryBackoff: 2 * time.Millisecond,
+		})
+		<-done
+
+		inj.Disarm()
+		if fault == "net" {
+			tg.setFaults(nil)
+		}
+		verified := "ok"
+		switch {
+		case recErr != nil:
+			verified = "recover: " + recErr.Error()
+		case tg.repair != nil:
+			if err := tg.repair(); err != nil {
+				verified = "repair: " + err.Error()
+			}
+		}
+		if verified == "ok" {
+			verified = tg.verify()
+		}
+		st := inj.Stats()
+		injected := st.Dropped + st.Delayed + st.WriteFaults + st.WriteStalls +
+			st.SkewedTimeouts + uint64(recN)
+		var recMean time.Duration
+		if recN > 0 {
+			recMean = recTotal / time.Duration(recN)
+		}
+		return [][]any{{r.TPS, r.Committed, r.Aborted, r.Errors - r.Sheds, r.Sheds, r.Retries,
+			injected, recMean, verified}}
+	})
+	os.RemoveAll(dir)
 }
 
 // --- per-system wiring ---
@@ -294,23 +271,22 @@ func durableCkpt(b chaosBuild) (interval uint64, mode recovery.Mode, fullEvery i
 	return 8, recovery.ModeDelta, 4
 }
 
-func chaosFabric(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarget, error) {
+func chaosFabric(sc Scale, b chaosBuild) (*chaosTarget, error) {
 	peers := sc.Nodes
 	interval, mode, fullEvery := durableCkpt(b)
 	cfg := fabric.Config{
 		Peers: peers, EndorsementsNeeded: max(1, peers-2),
 		EngineHook: b.engine, Ingress: b.door,
 		DataDir: b.dir, CheckpointInterval: interval, CheckpointMode: mode,
-		CheckpointFullEvery: fullEvery, CheckpointKeep: 1 << 20,
+		CheckpointFullEvery: fullEvery,
 	}
-	if b.dir == "" {
-		cfg.DataDir, cfg.CheckpointKeep = "", 0
+	if b.dir != "" {
+		cfg.CheckpointKeep = 1 << 20
 	}
-	nw, err := fabric.New(cfg)
+	nw, err := newFabric(cfg)
 	if err != nil {
 		return nil, err
 	}
-	nw.RegisterClient(client.Name(), client.Public())
 	t := &chaosTarget{
 		sys:       nw,
 		setFaults: nw.SetFaults,
@@ -320,7 +296,6 @@ func chaosFabric(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 			return err
 		},
 		verify: storesConverged(peers, func(i int) uint64 { return nw.Ledger(i).Height() }, nw.State),
-		close:  nw.Close,
 	}
 	if b.repair {
 		t.repair = func() error {
@@ -334,10 +309,10 @@ func chaosFabric(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 	return t, nil
 }
 
-func chaosQuorum(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarget, error) {
+func chaosQuorum(sc Scale, b chaosBuild) (*chaosTarget, error) {
 	nodes := sc.Nodes
 	interval, mode, fullEvery := durableCkpt(b)
-	nw, err := quorum.New(quorum.Config{
+	nw, err := newQuorum(quorum.Config{
 		Nodes: nodes, EngineHook: b.engine, Ingress: b.door,
 		DataDir: b.dir, CheckpointInterval: interval, CheckpointMode: mode,
 		CheckpointFullEvery: fullEvery,
@@ -345,7 +320,6 @@ func chaosQuorum(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 	if err != nil {
 		return nil, err
 	}
-	nw.RegisterClient(client.Name(), client.Public())
 	vic := 1
 	t := &chaosTarget{
 		sys:       nw,
@@ -365,7 +339,6 @@ func chaosQuorum(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 			return err
 		},
 		verify: storesConverged(nodes, func(i int) uint64 { return nw.Ledger(i).Height() }, nw.State),
-		close:  nw.Close,
 	}
 	if b.repair {
 		t.repair = func() error {
@@ -379,7 +352,7 @@ func chaosQuorum(sc Scale, client *cryptoutil.Signer, b chaosBuild) (*chaosTarge
 	return t, nil
 }
 
-func chaosVeritas(b chaosBuild) (*chaosTarget, error) {
+func chaosVeritas(_ Scale, b chaosBuild) (*chaosTarget, error) {
 	const verifiers = 3
 	interval, mode, fullEvery := durableCkpt(b)
 	v, err := hybrid.NewVeritas(hybrid.VeritasConfig{
@@ -399,7 +372,6 @@ func chaosVeritas(b chaosBuild) (*chaosTarget, error) {
 			return err
 		},
 		verify: storesConverged(verifiers, v.Height, v.State),
-		close:  v.Close,
 	}, nil
 }
 
@@ -423,11 +395,10 @@ func chaosBigchain(sc Scale, b chaosBuild) (*chaosTarget, error) {
 			return err
 		},
 		verify: storesConverged(nodes, bc.Height, bc.State),
-		close:  bc.Close,
 	}, nil
 }
 
-func chaosTiDB(b chaosBuild) *chaosTarget {
+func chaosTiDB(_ Scale, b chaosBuild) (*chaosTarget, error) {
 	interval, mode, fullEvery := durableCkpt(b)
 	c := tidb.New(tidb.Config{
 		Servers: 2, StorageNodes: 3, Regions: 2,
@@ -435,10 +406,10 @@ func chaosTiDB(b chaosBuild) *chaosTarget {
 		CheckpointFullEvery: fullEvery,
 	})
 	return chaosGroups(c, c.SetFaults, groupSurface{c.Regions(), c.RegionReplicas,
-		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpRegion})
+		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpRegion}), nil
 }
 
-func chaosSpanner(b chaosBuild) *chaosTarget {
+func chaosSpanner(_ Scale, b chaosBuild) (*chaosTarget, error) {
 	interval, mode, fullEvery := durableCkpt(b)
 	c := spanner.New(spanner.Config{
 		Shards: 2, NodesPerShard: 3,
@@ -446,7 +417,7 @@ func chaosSpanner(b chaosBuild) *chaosTarget {
 		CheckpointFullEvery: fullEvery,
 	})
 	return chaosGroups(c, c.SetFaults, groupSurface{c.Shards(), c.ShardReplicas,
-		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpShard})
+		c.CrashReplica, c.RecoverReplica, c.ReplicaApplied, c.DumpShard}), nil
 }
 
 // groupSurface is the crash and inspection surface of a database whose
@@ -493,7 +464,6 @@ func chaosGroups(sys system.System, setFaults func(cluster.FaultHook), d groupSu
 			}
 			return "ok"
 		},
-		close: sys.Close,
 	}
 }
 

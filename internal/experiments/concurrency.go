@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"io"
-
+	"dichotomy/internal/metrics"
 	"dichotomy/internal/system"
 	"dichotomy/internal/system/quorum"
 	"dichotomy/internal/workload/ycsb"
@@ -11,28 +10,19 @@ import (
 // Fig9 reproduces "Throughput and abort rate with skewed workloads": each
 // transaction read-modify-writes one record whose key follows a Zipfian
 // distribution of coefficient θ.
-func Fig9(w io.Writer, sc Scale, thetas []float64) {
-	Header(w, "Fig 9: throughput & abort rate vs zipfian θ (single-record modify)")
-	Row(w, "system", "theta", "tps", "abort%")
-	if len(thetas) == 0 {
-		thetas = []float64{0, 0.6, 1.0}
-	}
-	client := Client()
+func Fig9(sc Scale, thetas []float64) []Table {
+	t := Table{Title: "Fig 9: throughput & abort rate vs zipfian θ (single-record modify)",
+		Cols: []string{"system", "theta", "tps", "abort%"}}
 	for _, theta := range thetas {
 		cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000, Theta: theta}
-		builds := []builder{
-			func() (system.System, error) { return BuildFabric(sc.Nodes, client) },
-			func() (system.System, error) { return BuildQuorum(sc.Nodes, quorum.Raft, client) },
-			func() (system.System, error) { return BuildTiDB(3, 3), nil },
-			func() (system.System, error) { return BuildEtcd(3), nil },
-		}
-		for _, build := range builds {
-			ycsbPoint(w, build, cfg, client, []any{theta}, func(sys system.System) {
-				r := RunYCSB(sys, cfg, sc, 0, client)
-				Row(w, sys.Name(), theta, r.TPS, r.AbortRate())
+		for _, build := range paperSystems(sc.Nodes, 3) {
+			t.measure([]any{theta}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				r := runYCSB(sys, cfg, sc, 0)
+				return [][]any{{r.TPS, r.AbortRate()}}
 			})
 		}
 	}
+	return []Table{t}
 }
 
 // Fig10 reproduces "Throughput and abort rate with uniformly modified
@@ -40,62 +30,62 @@ func Fig9(w io.Writer, sc Scale, thetas []float64) {
 // total transaction payload stays ~1000 bytes, and aborts are decomposed
 // by cause (Fabric: inconsistent reads vs read-write conflicts; TiDB:
 // write-write conflicts).
-func Fig10(w io.Writer, sc Scale, opCounts []int) {
-	Header(w, "Fig 10: throughput & abort decomposition vs ops/txn (1000B total)")
-	Row(w, "system", "ops", "tps", "abort%", "rw-confl", "incons-rd", "ww-confl")
-	if len(opCounts) == 0 {
-		opCounts = []int{1, 4, 10}
-	}
-	client := Client()
+func Fig10(sc Scale, opCounts []int) []Table {
+	t := Table{Title: "Fig 10: throughput & abort decomposition vs ops/txn (1000B total)",
+		Cols: []string{"system", "ops", "tps", "abort%", "rw-confl", "incons-rd", "ww-confl"}}
 	for _, ops := range opCounts {
 		cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000, OpsPerTxn: ops}
-		builds := []builder{
-			func() (system.System, error) { return BuildFabric(sc.Nodes, client) },
-			func() (system.System, error) { return BuildQuorum(sc.Nodes, quorum.Raft, client) },
-			func() (system.System, error) { return BuildTiDB(3, 3), nil },
-		}
-		for _, build := range builds {
-			ycsbPoint(w, build, cfg, client, []any{ops}, func(sys system.System) {
-				r := RunYCSB(sys, cfg, sc, 0, client)
-				Row(w, sys.Name(), ops, r.TPS, r.AbortRate(),
-					r.AbortBy["read-write-conflict"],
-					r.AbortBy["inconsistent-read"],
-					r.AbortBy["write-write-conflict"])
+		for _, build := range paperSystems(sc.Nodes, 3)[:3] { // fabric, quorum, tidb
+			t.measure([]any{ops}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				r := runYCSB(sys, cfg, sc, 0)
+				return [][]any{{r.TPS, r.AbortRate(), r.AbortBy["read-write-conflict"],
+					r.AbortBy["inconsistent-read"], r.AbortBy["write-write-conflict"]}}
 			})
 		}
 	}
+	return []Table{t}
 }
 
 // Fig11 reproduces "Performance under uniform update workload with
 // increasing record size", including the Quorum proposal/consensus/commit
 // latency breakdown that exposes MPT reconstruction cost.
-func Fig11(w io.Writer, sc Scale, sizes []int) {
-	Header(w, "Fig 11: throughput vs record size + Quorum latency breakdown")
-	Row(w, "system", "size", "tps", "proposal", "consensus", "commit")
-	if len(sizes) == 0 {
-		sizes = []int{10, 1000, 5000}
-	}
-	client := Client()
+func Fig11(sc Scale, sizes []int) []Table {
+	t := Table{Title: "Fig 11: throughput vs record size + Quorum latency breakdown",
+		Cols: []string{"system", "size", "tps", "proposal", "consensus", "commit"}}
 	for _, size := range sizes {
 		cfg := ycsb.Config{Records: sc.Records, RecordSize: size}
-		builds := []builder{
-			func() (system.System, error) { return BuildFabric(sc.Nodes, client) },
-			func() (system.System, error) { return BuildQuorum(sc.Nodes, quorum.Raft, client) },
-			func() (system.System, error) { return BuildTiDB(3, 3), nil },
-			func() (system.System, error) { return BuildEtcd(3), nil },
-		}
-		for _, build := range builds {
-			ycsbPoint(w, build, cfg, client, []any{size}, func(sys system.System) {
-				r := RunYCSB(sys, cfg, sc, 0, client)
-				if _, isQuorum := sys.(*quorum.Network); isQuorum {
-					Row(w, sys.Name(), size, r.TPS,
-						PhaseMean(r, PhaseProposal),
-						PhaseMean(r, PhaseExecute),
-						PhaseMean(r, PhaseCommit))
-				} else {
-					Row(w, sys.Name(), size, r.TPS, "-", "-", "-")
+		for _, build := range paperSystems(sc.Nodes, 3) {
+			t.measure([]any{size}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				r := runYCSB(sys, cfg, sc, 0)
+				if _, isQuorum := sys.(*quorum.Network); !isQuorum {
+					return [][]any{{r.TPS, "-", "-", "-"}}
 				}
+				return [][]any{{r.TPS, r.Phases.Mean(metrics.PhaseProposal),
+					r.Phases.Mean(metrics.PhaseExecute), r.Phases.Mean(metrics.PhaseCommit)}}
 			})
 		}
 	}
+	return []Table{t}
+}
+
+// Contention sweeps closed-loop worker counts per system under a mildly
+// skewed single-record update workload. Before the shared striped state
+// layer (internal/state), every system serialized engine access plus its
+// version map behind one global mutex, so this sweep measured lock
+// convoys; with striping it measures each design's actual concurrency
+// ceiling. p99 rising much faster than throughput at high worker counts
+// is the convoy signature to watch for.
+func Contention(sc Scale, workerCounts []int) []Table {
+	t := Table{Title: "Contention: throughput & tail latency vs closed-loop workers (modify, θ=0.6)",
+		Cols: []string{"system", "workers", "tps", "p50", "p99", "abort%"}}
+	cfg := ycsb.Config{Records: sc.Records, RecordSize: 100, Theta: 0.6}
+	for _, build := range append(paperSystems(sc.Nodes, 3), newVeritas, newBigchain) {
+		for _, workers := range workerCounts {
+			t.measure([]any{workers}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				r := runYCSB(sys, cfg, sc, workers)
+				return [][]any{{r.TPS, r.Latency.P50, r.Latency.P99, r.AbortRate()}}
+			})
+		}
+	}
+	return []Table{t}
 }

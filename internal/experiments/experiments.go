@@ -1,15 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 5). Each Fig*/Table* function builds the systems
 // under test, preloads state, drives the workload through the bench
-// harness, and prints rows shaped like the paper's plots. cmd/dichotomy-
-// bench exposes them as subcommands; bench_test.go wraps them as Go
+// harness, and returns tables shaped like the paper's plots, whose cells
+// keep their Go values; Table.Render prints them. Registry lists every
+// experiment once, with its quick and full sweep axes: cmd/dichotomy-bench
+// runs it by name, and bench_test.go at the repository root runs it as Go
 // benchmarks.
 //
 // Scale controls the cost: Quick() shrinks record counts, durations, and
 // cluster sizes so the full suite completes in CI time, while Full()
 // approaches the paper's parameters. Absolute numbers differ from the
-// paper's testbed by construction; EXPERIMENTS.md records the shape
-// comparison.
+// paper's testbed by construction; README.md maps each experiment to the
+// figure or table whose shape it reproduces.
 package experiments
 
 import (
@@ -21,13 +23,13 @@ import (
 	"dichotomy/internal/bench"
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/hybrid"
-	"dichotomy/internal/metrics"
 	"dichotomy/internal/system"
 	"dichotomy/internal/system/etcd"
 	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/system/quorum"
 	"dichotomy/internal/system/tidb"
 	"dichotomy/internal/txn"
+	"dichotomy/internal/workload/smallbank"
 	"dichotomy/internal/workload/ycsb"
 )
 
@@ -71,179 +73,92 @@ func Full() Scale {
 	}
 }
 
-// Client is the benchmark's signing identity, registered on every
-// blockchain it drives.
-func Client() *cryptoutil.Signer { return cryptoutil.MustNewSigner("bench-client") }
-
-// BuildFabric assembles a Fabric network with peers peers.
-func BuildFabric(peers int, client *cryptoutil.Signer) (*fabric.Network, error) {
-	nw, err := fabric.New(fabric.Config{Peers: peers})
-	if err != nil {
-		return nil, err
-	}
-	nw.RegisterClient(client.Name(), client.Public())
-	return nw, nil
+// Experiment is one entry of Registry.
+type Experiment struct {
+	Name string
+	// Run measures the experiment at sc over its quick axes, or over its
+	// full axes when full is set.
+	Run func(sc Scale, full bool) []Table
 }
 
-// BuildQuorum assembles a Quorum network.
-func BuildQuorum(nodes int, kind quorum.ConsensusKind, client *cryptoutil.Signer) (*quorum.Network, error) {
-	nw, err := quorum.New(quorum.Config{Nodes: nodes, Consensus: kind})
-	if err != nil {
-		return nil, err
-	}
-	nw.RegisterClient(client.Name(), client.Public())
-	return nw, nil
+// recordSizes is the record-size axis of Figs 11–13 at both scales.
+var recordSizes = []int{10, 100, 1000, 5000}
+
+// Registry lists every experiment in the order `dichotomy-bench all` runs
+// them.
+var Registry = []Experiment{
+	fixed("fig4", Fig4),
+	fixed("fig5", Fig5),
+	fixed("fig6", Fig6),
+	swept("fig7", Fig7, []int{1, 2}, []int{1, 2, 3, 4, 5, 6}),
+	fixed("fig8", Fig8),
+	swept("table4", Table4, []int{3, 7, 11}, []int{3, 7, 11, 15, 19}),
+	swept("table5", Table5, []int{1, 3, 5}, []int{3, 7, 11, 15, 19}),
+	swept("fig9", Fig9, []float64{0, 0.6, 1.0}, []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}),
+	swept("fig10", Fig10, []int{1, 4, 10}, []int{1, 2, 4, 6, 8, 10}),
+	swept("fig11", Fig11, recordSizes, recordSizes),
+	swept("fig12", Fig12, recordSizes, recordSizes),
+	swept("fig13", Fig13, recordSizes, recordSizes),
+	swept("fig14", Fig14, []int{1, 2, 4}, []int{1, 2, 4, 8, 16}),
+	fixed("fig15", Fig15),
+	swept("peak", Peak, []float64{0.5, 0.9, 1.2}, []float64{0.25, 0.5, 0.75, 0.9, 1.0, 1.2}),
+	swept("contention", Contention, []int{1, 4, 16}, []int{1, 4, 16, 64}),
+	swept("blockshape", BlockShape,
+		ShapeAxes{Sizes: []int{50, 200}, Workers: []int{1, 4}, Depths: []int{1, 2}},
+		ShapeAxes{Sizes: []int{50, 100, 500, 1000}, Workers: []int{1, 2, 4, 8}, Depths: []int{1, 2, 4}}),
+	swept("recovery", Recovery,
+		RecoveryAxes{Modes: []string{"full", "delta"}, Intervals: []uint64{4, 16}, Crashes: []float64{0.5, 1.0}},
+		RecoveryAxes{Modes: []string{"full", "delta"}, Intervals: []uint64{2, 8, 32, 128}, Crashes: []float64{0.25, 0.5, 0.75, 1.0}}),
+	swept("sigverify", SigVerify, []string{"serial", "batch", "aggregate"}, []string{"serial", "batch", "aggregate"}),
+	fixed("authreads", AuthReads),
+	swept("ingress", Ingress, []float64{1, 2, 4}, []float64{0.5, 1, 2, 4, 8}),
+	swept("chaos", Chaos,
+		ChaosAxes{Faults: []string{"crash", "net", "engine", "skew"}, Rates: []float64{0.05}},
+		ChaosAxes{Faults: []string{"crash", "net", "engine", "skew"}, Rates: []float64{0.02, 0.1}}),
 }
 
-// BuildVeritas assembles a Veritas-like prototype.
-func BuildVeritas(verifiers int) (*hybrid.Veritas, error) {
-	return hybrid.NewVeritas(hybrid.VeritasConfig{Verifiers: verifiers})
+// fixed declares an experiment without sweep axes.
+func fixed(name string, run func(Scale) []Table) Experiment {
+	return Experiment{name, func(sc Scale, _ bool) []Table { return run(sc) }}
 }
 
-// BuildBigchain assembles a BigchainDB-like prototype.
-func BuildBigchain(nodes int) (*hybrid.Bigchain, error) {
-	return hybrid.NewBigchain(hybrid.BigchainConfig{Nodes: nodes})
-}
-
-// BuildTiDB assembles a TiDB cluster in full-replication mode.
-func BuildTiDB(servers, storageNodes int) *tidb.Cluster {
-	return tidb.New(tidb.Config{Servers: servers, StorageNodes: storageNodes, Regions: 8})
-}
-
-// BuildEtcd assembles an etcd cluster.
-func BuildEtcd(nodes int) *etcd.Cluster {
-	return etcd.New(etcd.Config{Nodes: nodes})
-}
-
-// TiKV adapts the TiDB storage layer as a standalone system (Fig 4's
-// fifth bar): raw reads/writes through region raft groups, no SQL layer,
-// no transactional machinery.
-type TiKV struct {
-	system.Blocking
-	C *tidb.Cluster
-}
-
-// NewTiKV wraps c.
-func NewTiKV(c *tidb.Cluster) *TiKV {
-	t := &TiKV{C: c}
-	t.Blocking = system.NewBlocking(t.execute)
-	return t
-}
-
-// Name implements system.System.
-func (t *TiKV) Name() string { return "tikv" }
-
-func (t *TiKV) execute(x *txn.Tx) system.Result {
-	inv := x.Invocation
-	switch inv.Method {
-	case "get":
-		v, err := t.C.RawGet("kv/" + string(inv.Args[0]))
-		if err != nil {
-			return system.Result{Err: err}
+// swept declares an experiment over axes of type A, with their quick and
+// full values.
+func swept[A any](name string, run func(Scale, A) []Table, quick, full A) Experiment {
+	return Experiment{name, func(sc Scale, f bool) []Table {
+		if f {
+			return run(sc, full)
 		}
-		return system.Result{Committed: true, Value: v}
-	default:
-		if err := t.C.RawPut("kv/"+string(inv.Args[0]), inv.Args[1]); err != nil {
-			return system.Result{Err: err}
-		}
-		return system.Result{Committed: true}
+		return run(sc, quick)
+	}}
+}
+
+// Table is one experiment table: a title, named columns, and rows whose
+// cells keep their Go values. A point that could not be measured is an
+// error row: its leading cells, then "build-error" or "preload-error" and
+// the error's text.
+type Table struct {
+	Title string
+	Cols  []string
+	Rows  [][]any
+}
+
+// Render prints t: a banner, the column names, and one aligned line per
+// row.
+func (t Table) Render(w io.Writer) {
+	fmt.Fprintf(w, "\n== %s ==\n", t.Title)
+	head := make([]any, len(t.Cols))
+	for i, c := range t.Cols {
+		head[i] = c
+	}
+	printRow(w, head)
+	for _, r := range t.Rows {
+		printRow(w, r)
 	}
 }
 
-// Close implements system.System.
-func (t *TiKV) Close() { t.C.Close() }
-
-// PreloadYCSB populates sys with the workload's key space.
-func PreloadYCSB(sys system.System, cfg ycsb.Config, client *cryptoutil.Signer) error {
-	cfg.Records = max(cfg.Records, 1)
-	txs := make([]*txn.Tx, 0, cfg.Records)
-	value := make([]byte, max(cfg.RecordSize, 1))
-	for i := 0; i < cfg.Records; i++ {
-		t, err := txn.Sign(client, txn.Invocation{
-			Contract: "kv", Method: "put",
-			Args: [][]byte{[]byte(ycsb.Key(i)), value},
-		})
-		if err != nil {
-			return err
-		}
-		txs = append(txs, t)
-	}
-	return bench.Preload(sys, txs, 16)
-}
-
-// builder assembles one system under test.
-type builder func() (system.System, error)
-
-// ycsbPoint measures one data point of a sweep: it builds a system,
-// preloads cfg's key space, hands the system to run — which prints the
-// point's row — and closes it. A build or a preload that fails prints a row
-// saying which and why, under the point's own leading columns, so a sweep
-// never comes up a point short without a word.
-func ycsbPoint(w io.Writer, build builder, cfg ycsb.Config, client *cryptoutil.Signer, point []any, run func(sys system.System)) {
-	sys, err := build()
-	if err != nil {
-		Row(w, slices.Concat([]any{"-"}, point, []any{"build-error", err.Error()})...)
-		return
-	}
-	defer sys.Close()
-	if err := PreloadYCSB(sys, cfg, client); err != nil {
-		Row(w, slices.Concat([]any{sys.Name()}, point, []any{"preload-error", err.Error()})...)
-		return
-	}
-	run(sys)
-}
-
-// BenchOptions builds the closed-loop harness options for sc; workers ≤ 0
-// selects the scale's saturation worker count.
-func BenchOptions(sc Scale, workers int) bench.Options {
-	if workers <= 0 {
-		workers = sc.Workers
-	}
-	return bench.Options{
-		Workers:  workers,
-		Duration: sc.Duration,
-		Warmup:   sc.Warmup,
-	}
-}
-
-// RunYCSB drives the workload closed-loop and returns the report.
-func RunYCSB(sys system.System, cfg ycsb.Config, sc Scale, workers int, client *cryptoutil.Signer) bench.Report {
-	return RunYCSBOptions(sys, cfg, BenchOptions(sc, workers), client)
-}
-
-// RunYCSBOpenLoop drives the workload with Poisson arrivals at rate tx/s
-// (deterministic seed) and returns a report separating queueing delay
-// from service latency.
-func RunYCSBOpenLoop(sys system.System, cfg ycsb.Config, sc Scale, workers int, rate float64, client *cryptoutil.Signer) bench.Report {
-	opt := BenchOptions(sc, workers)
-	opt.Mode = bench.OpenLoop
-	opt.TargetRate = rate
-	opt.Arrival = bench.Poisson
-	opt.Seed = 1
-	return RunYCSBOptions(sys, cfg, opt, client)
-}
-
-// RunYCSBOptions drives the workload with fully explicit harness options.
-func RunYCSBOptions(sys system.System, cfg ycsb.Config, opt bench.Options, client *cryptoutil.Signer) bench.Report {
-	if opt.Workers <= 0 {
-		opt.Workers = 8
-	}
-	sources := make([]bench.TxSource, opt.Workers)
-	for i := range sources {
-		gen := ycsb.NewGenerator(withSeed(cfg, int64(i+1)), client)
-		sources[i] = bench.FuncSource(gen.Next)
-	}
-	return bench.Run(sys, sources, opt)
-}
-
-func withSeed(cfg ycsb.Config, seed int64) ycsb.Config {
-	cfg.Seed = seed
-	return cfg
-}
-
-// Row prints one aligned table row.
-func Row(w io.Writer, cols ...any) {
-	for i, c := range cols {
+func printRow(w io.Writer, cells []any) {
+	for i, c := range cells {
 		if i > 0 {
 			fmt.Fprint(w, "  ")
 		}
@@ -267,27 +182,184 @@ func Row(w io.Writer, cols ...any) {
 	fmt.Fprintln(w)
 }
 
-// Header prints a figure banner.
-func Header(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
+// builder assembles one system under test.
+type builder func() (system.System, error)
+
+// loader commits a point's initial state.
+type loader func(system.System) error
+
+// measure runs one data point of a sweep — build, load, run, close — and
+// adds the rows run returns, each led by the system's name and key, the
+// point's own columns. A build or a load that fails adds one row saying
+// which and why instead, so a sweep never comes up a point short or shows
+// a zero for a point it did not measure.
+func (t *Table) measure(key []any, build builder, load loader, run func(system.System) [][]any) {
+	sys, err := build()
+	if err != nil {
+		t.Rows = append(t.Rows, slices.Concat([]any{"-"}, key, []any{"build-error", err.Error()}))
+		return
+	}
+	defer sys.Close()
+	if err := load(sys); err != nil {
+		t.Rows = append(t.Rows, slices.Concat([]any{sys.Name()}, key, []any{"preload-error", err.Error()}))
+		return
+	}
+	for _, cells := range run(sys) {
+		t.Rows = append(t.Rows, slices.Concat([]any{sys.Name()}, key, cells))
+	}
 }
 
-// PhaseMean extracts one phase's mean from a report.
-func PhaseMean(r bench.Report, phase string) time.Duration {
-	return r.Phases.Mean(phase)
+// client is the benchmark's signing identity, registered on every
+// blockchain it drives.
+var client = cryptoutil.MustNewSigner("bench-client")
+
+func newFabric(cfg fabric.Config) (*fabric.Network, error) {
+	nw, err := fabric.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw.RegisterClient(client.Name(), client.Public())
+	return nw, nil
 }
 
-// Phases of interest re-exported for the runner.
-const (
-	PhaseProposal = metrics.PhaseProposal
-	PhaseExecute  = metrics.PhaseExecute
-	PhaseOrder    = metrics.PhaseOrder
-	PhaseValidate = metrics.PhaseValidate
-	PhaseCommit   = metrics.PhaseCommit
-	PhaseAuth     = metrics.PhaseAuth
-	PhaseSimulate = metrics.PhaseSimulate
-	PhaseEndorse  = metrics.PhaseEndorse
-	PhaseSQLParse = metrics.PhaseSQLParse
-	PhaseSQLPlan  = metrics.PhaseSQLPlan
-	PhaseStorage  = metrics.PhaseStorage
-)
+func newQuorum(cfg quorum.Config) (*quorum.Network, error) {
+	nw, err := quorum.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	nw.RegisterClient(client.Name(), client.Public())
+	return nw, nil
+}
+
+func newTiDB(servers, storageNodes int) *tidb.Cluster {
+	return tidb.New(tidb.Config{Servers: servers, StorageNodes: storageNodes, Regions: 8})
+}
+
+// paperSystems builds the four systems the paper compares: Fabric and
+// Quorum (Raft) on chainNodes nodes, TiDB and etcd on dbNodes.
+func paperSystems(chainNodes, dbNodes int) []builder {
+	return []builder{
+		func() (system.System, error) { return newFabric(fabric.Config{Peers: chainNodes}) },
+		func() (system.System, error) { return newQuorum(quorum.Config{Nodes: chainNodes}) },
+		func() (system.System, error) { return newTiDB(dbNodes, dbNodes), nil },
+		func() (system.System, error) { return etcd.New(etcd.Config{Nodes: dbNodes}), nil },
+	}
+}
+
+func newVeritas() (system.System, error) {
+	return hybrid.NewVeritas(hybrid.VeritasConfig{Verifiers: 3})
+}
+
+func newBigchain() (system.System, error) {
+	return hybrid.NewBigchain(hybrid.BigchainConfig{Nodes: 4})
+}
+
+// tikv adapts the TiDB storage layer as a standalone system (Fig 4's
+// fifth bar): raw reads/writes through region raft groups, no SQL layer,
+// no transactional machinery.
+type tikv struct {
+	system.Blocking
+	c *tidb.Cluster
+}
+
+func newTiKV(c *tidb.Cluster) *tikv {
+	t := &tikv{c: c}
+	t.Blocking = system.NewBlocking(t.execute)
+	return t
+}
+
+// Name implements system.System.
+func (t *tikv) Name() string { return "tikv" }
+
+func (t *tikv) execute(x *txn.Tx) system.Result {
+	inv := x.Invocation
+	switch inv.Method {
+	case "get":
+		v, err := t.c.RawGet("kv/" + string(inv.Args[0]))
+		if err != nil {
+			return system.Result{Err: err}
+		}
+		return system.Result{Committed: true, Value: v}
+	default:
+		if err := t.c.RawPut("kv/"+string(inv.Args[0]), inv.Args[1]); err != nil {
+			return system.Result{Err: err}
+		}
+		return system.Result{Committed: true}
+	}
+}
+
+// Close implements system.System.
+func (t *tikv) Close() { t.c.Close() }
+
+// loadYCSB populates a system with cfg's key space.
+func loadYCSB(cfg ycsb.Config) loader {
+	return func(sys system.System) error {
+		n := max(cfg.Records, 1)
+		txs := make([]*txn.Tx, 0, n)
+		value := make([]byte, max(cfg.RecordSize, 1))
+		for i := 0; i < n; i++ {
+			t, err := txn.Sign(client, txn.Invocation{
+				Contract: "kv", Method: "put",
+				Args: [][]byte{[]byte(ycsb.Key(i)), value},
+			})
+			if err != nil {
+				return err
+			}
+			txs = append(txs, t)
+		}
+		return bench.Preload(sys, txs, 16)
+	}
+}
+
+// loadSmallbank populates a system with cfg's accounts.
+func loadSmallbank(cfg smallbank.Config) loader {
+	return func(sys system.System) error {
+		txs, err := cfg.LoadTxs(client)
+		if err != nil {
+			return err
+		}
+		return bench.Preload(sys, txs, 16)
+	}
+}
+
+// benchOptions returns the harness options for a closed-loop run at sc;
+// workers ≤ 0 selects the scale's saturation worker count.
+func benchOptions(sc Scale, workers int) bench.Options {
+	if workers <= 0 {
+		workers = sc.Workers
+	}
+	return bench.Options{Workers: workers, Duration: sc.Duration, Warmup: sc.Warmup}
+}
+
+// openLoop returns the harness options for Poisson arrivals at rate tx/s
+// (fixed seed) through workers dispatchers.
+func openLoop(sc Scale, workers int, rate float64) bench.Options {
+	opt := benchOptions(sc, workers)
+	opt.Mode, opt.TargetRate, opt.Arrival, opt.Seed = bench.OpenLoop, rate, bench.Poisson, 1
+	return opt
+}
+
+// runYCSB drives cfg's workload closed-loop with workers clients.
+func runYCSB(sys system.System, cfg ycsb.Config, sc Scale, workers int) bench.Report {
+	return runYCSBWith(sys, cfg, benchOptions(sc, workers))
+}
+
+// runYCSBWith drives cfg's workload under opt, one generator per worker.
+func runYCSBWith(sys system.System, cfg ycsb.Config, opt bench.Options) bench.Report {
+	sources := make([]bench.TxSource, opt.Workers)
+	for i := range sources {
+		cfg.Seed = int64(i + 1)
+		sources[i] = ycsb.NewGenerator(cfg, client)
+	}
+	return bench.Run(sys, sources, opt)
+}
+
+// runSmallbank drives the Smallbank mix closed-loop at saturation.
+func runSmallbank(sys system.System, cfg smallbank.Config, sc Scale) bench.Report {
+	sources := make([]bench.TxSource, sc.Workers)
+	for i := range sources {
+		cfg.Seed = int64(i + 1)
+		sources[i] = smallbank.NewGenerator(cfg, client)
+	}
+	return bench.Run(sys, sources, benchOptions(sc, 0))
+}

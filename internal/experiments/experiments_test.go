@@ -2,9 +2,15 @@ package experiments
 
 import (
 	"bytes"
-	"strings"
+	"errors"
+	"os"
+	"slices"
 	"testing"
 	"time"
+
+	"dichotomy/internal/system"
+	"dichotomy/internal/txn"
+	"dichotomy/internal/workload/ycsb"
 )
 
 // tiny returns a scale small enough for unit tests.
@@ -19,22 +25,98 @@ func tiny() Scale {
 	}
 }
 
+// column returns the cells of tab's column name, one per row, with nil
+// for a row too short to have it.
+func column(t *testing.T, tab Table, name string) []any {
+	t.Helper()
+	i := slices.Index(tab.Cols, name)
+	if i < 0 {
+		t.Fatalf("%s: no column %q in %v", tab.Title, name, tab.Cols)
+	}
+	cells := make([]any, len(tab.Rows))
+	for r, row := range tab.Rows {
+		if i < len(row) {
+			cells[r] = row[i]
+		}
+	}
+	return cells
+}
+
+// failures are the marker cells of a point that was not measured.
+var failures = []any{"build-error", "preload-error", "no-peak", "no-quiesce", "recover-error"}
+
+// requireMeasured fails the test if any row of tab is a failed point.
+func requireMeasured(t *testing.T, tab Table) {
+	t.Helper()
+	for _, row := range tab.Rows {
+		for _, c := range row {
+			if slices.Contains(failures, c) {
+				t.Fatalf("%s: failed point %v", tab.Title, row)
+			}
+		}
+	}
+}
+
+// requireAll fails the test unless every cell is one of want and each of
+// want appears.
+func requireAll(t *testing.T, cells []any, want ...any) {
+	t.Helper()
+	for _, c := range cells {
+		if !slices.Contains(want, c) {
+			t.Fatalf("unexpected cell %v (want one of %v)", c, want)
+		}
+	}
+	for _, w := range want {
+		if !slices.Contains(cells, w) {
+			t.Fatalf("no cell %v in %v", w, cells)
+		}
+	}
+}
+
+// stub is a system whose every transaction fails; it counts its Closes.
+type stub struct {
+	system.Blocking
+	closed int
+}
+
+func (s *stub) Name() string { return "stub" }
+func (s *stub) Close()       { s.closed++ }
+
+// TestFailedPointIsOneErrorRow pins the point runner's failure contract:
+// a build or a preload that fails yields exactly one row, led by the
+// point's key and marked with the step that failed, and never runs the
+// measurement.
+func TestFailedPointIsOneErrorRow(t *testing.T) {
+	boom := errors.New("boom")
+	failing := &stub{Blocking: system.NewBlocking(func(*txn.Tx) system.Result { return system.Result{Err: boom} })}
+	for _, c := range []struct {
+		build builder
+		want  []any
+	}{
+		{func() (system.System, error) { return nil, boom }, []any{"-", 7, "build-error", "boom"}},
+		{func() (system.System, error) { return failing, nil }, []any{"stub", 7, "preload-error", "boom"}},
+	} {
+		var tab Table
+		tab.measure([]any{7}, c.build, loadYCSB(ycsb.Config{Records: 1}), func(system.System) [][]any {
+			t.Fatal("measured a point that failed")
+			return nil
+		})
+		if len(tab.Rows) != 1 || !slices.Equal(tab.Rows[0], c.want) {
+			t.Fatalf("rows %v, want [%v]", tab.Rows, c.want)
+		}
+	}
+	if failing.closed != 1 {
+		t.Fatalf("system whose preload failed closed %d times, want 1", failing.closed)
+	}
+}
+
 func TestFig13ShapesHold(t *testing.T) {
-	var buf bytes.Buffer
-	Fig13(&buf, tiny(), []int{100})
-	out := buf.String()
-	if !strings.Contains(out, "Fig 13") {
-		t.Fatalf("missing banner:\n%s", out)
+	tab := Fig13(tiny(), []int{100})[0]
+	if len(tab.Rows) != 1 {
+		t.Fatalf("want one row, got %v", tab.Rows)
 	}
-	// Parse the data row: size mbt mpt depths.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	last := lines[len(lines)-1]
-	fields := strings.Fields(last)
-	if len(fields) < 5 {
-		t.Fatalf("row %q malformed", last)
-	}
-	mbtOvh := atoi(t, fields[1])
-	mptOvh := atoi(t, fields[2])
+	mbtOvh := column(t, tab, "mbt-ovh")[0].(int64)
+	mptOvh := column(t, tab, "mpt-ovh")[0].(int64)
 	// Fig 13's qualitative claims: MBT overhead is small and bounded by
 	// its fixed tree; MPT overhead is an order of magnitude larger (the
 	// paper reports 24 B vs >1 KB on geth's encoding; our compact node
@@ -47,141 +129,131 @@ func TestFig13ShapesHold(t *testing.T) {
 	}
 }
 
-func atoi(t *testing.T, s string) int {
-	t.Helper()
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			t.Fatalf("not a number: %q", s)
-		}
-		n = n*10 + int(c-'0')
+// TestFig13Golden pins the printed form: Fig 13 is deterministic, so its
+// rendering at the registry's quick axes must match the captured output
+// of `dichotomy-bench fig13` byte for byte.
+func TestFig13Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fig13.golden")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	var got bytes.Buffer
+	for _, tab := range Fig13(Quick(), recordSizes) {
+		tab.Render(&got)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("Fig 13 renders\n%s\nwant\n%s", got.String(), want)
+	}
+}
+
+// TestFig12LedgerIsTheMultiplier checks the claim Fig 12 is drawn for:
+// Fabric's ledger, which retains every block, takes more bytes per record
+// than its state at every record size.
+func TestFig12LedgerIsTheMultiplier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins two systems per record size")
+	}
+	tab := Fig12(tiny(), recordSizes)[0]
+	requireMeasured(t, tab)
+	systems, sizes := column(t, tab, "system"), column(t, tab, "size")
+	states, blocks := column(t, tab, "state"), column(t, tab, "block")
+	fabricRows := 0
+	for i := range tab.Rows {
+		if systems[i] != "fabric" {
+			continue
+		}
+		fabricRows++
+		if blocks[i].(int64) <= states[i].(int64) {
+			t.Fatalf("size %v: fabric block %v B/record ≤ state %v B/record", sizes[i], blocks[i], states[i])
+		}
+	}
+	if fabricRows != len(recordSizes) {
+		t.Fatalf("want one fabric row per size, got %d:\n%v", fabricRows, tab.Rows)
+	}
 }
 
 func TestFig15PredictionsPrinted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs prototypes")
 	}
-	var buf bytes.Buffer
-	Fig15(&buf, tiny())
-	out := buf.String()
-	for _, want := range []string{"Veritas", "BigchainDB", "veritas-like", "bigchaindb-like", "high", "low"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
+	tabs := Fig15(tiny())
+	catalog, measured := tabs[0], tabs[1]
+	for _, want := range []string{"Veritas", "BigchainDB"} {
+		if !slices.Contains(column(t, catalog, "system"), any(want)) {
+			t.Fatalf("catalog missing %q: %v", want, catalog.Rows)
 		}
 	}
+	for _, want := range []string{"high", "low"} {
+		if !slices.Contains(column(t, catalog, "predicted"), any(want)) {
+			t.Fatalf("catalog predicts no %q: %v", want, catalog.Rows)
+		}
+	}
+	requireMeasured(t, measured)
+	requireAll(t, column(t, measured, "prototype"), "veritas-like", "bigchaindb-like")
+	requireAll(t, column(t, measured, "predicted"), "high", "low")
 }
 
 func TestPeakOpenLoopRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two systems across load points")
 	}
-	var buf bytes.Buffer
-	sc := tiny()
-	Peak(&buf, sc, []float64{0.5})
-	out := buf.String()
-	for _, want := range []string{"Peak:", "queue-p99", "quorum-raft", "etcd"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("peak output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "preload-error") || strings.Contains(out, "no-peak") {
-		t.Fatalf("peak sweep failed to calibrate:\n%s", out)
-	}
+	tab := Peak(tiny(), []float64{0.5})[0]
+	requireMeasured(t, tab)
+	requireAll(t, column(t, tab, "system"), "quorum-raft", "etcd")
+	column(t, tab, "queue-p99")
 }
 
 func TestFig4Runs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins five systems")
 	}
-	var buf bytes.Buffer
-	Fig4(&buf, tiny())
-	out := buf.String()
-	for _, sys := range []string{"fabric", "quorum-raft", "tidb", "etcd", "tikv"} {
-		if !strings.Contains(out, sys) {
-			t.Fatalf("Fig4 missing %s:\n%s", sys, out)
-		}
-	}
-	if strings.Contains(out, "preload-error") {
-		t.Fatalf("preload failed:\n%s", out)
-	}
+	tab := Fig4(tiny())[0]
+	requireMeasured(t, tab)
+	requireAll(t, column(t, tab, "system"), "fabric", "quorum-raft", "tidb", "etcd", "tikv")
 }
 
 func TestBlockShapeRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-cell sweep")
 	}
-	var buf bytes.Buffer
-	BlockShape(&buf, tiny(), []int{100}, []int{1, 4}, []int{2})
-	out := buf.String()
-	if !strings.Contains(out, "BlockShape") {
-		t.Fatalf("missing banner:\n%s", out)
+	tab := BlockShape(tiny(), ShapeAxes{Sizes: []int{100}, Workers: []int{1, 4}, Depths: []int{2}})[0]
+	// One row per (blocksize × workers × depth) cell; every cell must
+	// have been measured even on 1-CPU hosts.
+	requireMeasured(t, tab)
+	if len(tab.Rows) != 2 {
+		t.Fatalf("got %d rows, want 2: %v", len(tab.Rows), tab.Rows)
 	}
-	// One row per (blocksize × workers × depth) cell plus the two header
-	// lines; every cell must have produced a row even on 1-CPU hosts.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if got, want := len(lines), 2+2; got != want {
-		t.Fatalf("got %d output lines, want %d:\n%s", got, want, out)
-	}
-	for _, line := range lines[2:] {
-		if !strings.HasPrefix(line, "fabric") {
-			t.Fatalf("unexpected row %q", line)
-		}
-	}
+	requireAll(t, column(t, tab, "system"), "fabric")
+	requireAll(t, column(t, tab, "workers"), 1, 4)
 }
 
 func TestSigVerifyRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins three fabric networks")
 	}
-	var buf bytes.Buffer
-	SigVerify(&buf, tiny(), []string{"serial", "batch", "aggregate"})
-	out := buf.String()
-	if !strings.Contains(out, "SigVerify") {
-		t.Fatalf("missing banner:\n%s", out)
-	}
-	if strings.Contains(out, "build-error") || strings.Contains(out, "unknown-mode") {
-		t.Fatalf("sweep failed to build a mode:\n%s", out)
-	}
-	// Banner + column header + one row per mode.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if got, want := len(lines), 2+3; got != want {
-		t.Fatalf("got %d output lines, want %d:\n%s", got, want, out)
-	}
-	for i, mode := range []string{"serial", "batch", "aggregate"} {
-		if !strings.Contains(lines[2+i], mode) {
-			t.Fatalf("row %d missing mode %s:\n%s", i, mode, out)
-		}
+	modes := []any{"serial", "batch", "aggregate"}
+	tab := SigVerify(tiny(), []string{"serial", "batch", "aggregate"})[0]
+	requireMeasured(t, tab)
+	if got := column(t, tab, "mode"); !slices.Equal(got, modes) {
+		t.Fatalf("modes %v, want one row each of %v", got, modes)
 	}
 }
 
 func TestRecoveryRuns(t *testing.T) {
-	var buf bytes.Buffer
-	Recovery(&buf, tiny(), []string{"full", "delta"}, []uint64{4}, []float64{0.5, 1.0})
-	out := buf.String()
-	if !strings.Contains(out, "Recovery:") {
-		t.Fatalf("missing banner:\n%s", out)
-	}
-	if strings.Contains(out, "DIVERGED") {
-		t.Fatalf("a recovered replica diverged from the healthy one:\n%s", out)
-	}
-	// Two modes × two crash fractions → four data rows, each ending "ok".
-	fullRows, deltaRows := 0, 0
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if !strings.HasSuffix(trimmed, "ok") {
-			continue
+	tab := Recovery(tiny(), RecoveryAxes{Modes: []string{"full", "delta"}, Intervals: []uint64{4}, Crashes: []float64{0.5, 1.0}})[0]
+	requireMeasured(t, tab)
+	// Two modes × two crash fractions → four rows, each verified
+	// byte-identical to the healthy replica.
+	modes, verified := column(t, tab, "mode"), column(t, tab, "verified")
+	rows := map[any]int{}
+	for i := range tab.Rows {
+		if verified[i] != "ok" {
+			t.Fatalf("recovered replica not verified (%v): %v", verified[i], tab.Rows[i])
 		}
-		switch {
-		case strings.HasPrefix(trimmed, "full"):
-			fullRows++
-		case strings.HasPrefix(trimmed, "delta"):
-			deltaRows++
-		}
+		rows[modes[i]]++
 	}
-	if fullRows != 2 || deltaRows != 2 {
-		t.Fatalf("want 2 verified rows per mode, got full=%d delta=%d:\n%s", fullRows, deltaRows, out)
+	if rows["full"] != 2 || rows["delta"] != 2 || len(tab.Rows) != 4 {
+		t.Fatalf("want 2 verified rows per mode, got %v: %v", rows, tab.Rows)
 	}
 }
 
@@ -191,25 +263,25 @@ func TestChaosRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("twelve chaos rows")
 	}
-	var buf bytes.Buffer
-	Chaos(&buf, tiny(), []string{"crash", "net"}, []float64{0.05})
-	out := buf.String()
-	if !strings.Contains(out, "Chaos:") {
-		t.Fatalf("missing banner:\n%s", out)
-	}
+	tab := Chaos(tiny(), ChaosAxes{Faults: []string{"crash", "net"}, Rates: []float64{0.05}})[0]
+	requireMeasured(t, tab)
+	systems, faults, verified := column(t, tab, "system"), column(t, tab, "fault"), column(t, tab, "verified")
 	rows := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		f := strings.Fields(line)
-		if len(f) == 12 && f[11] == "ok" && (f[1] == "crash" || f[1] == "net") {
-			rows[f[0]+"/"+f[1]]++
+	for i := range tab.Rows {
+		if verified[i] != "ok" {
+			t.Fatalf("%v/%v did not converge (%v): %v", systems[i], faults[i], verified[i], tab.Rows[i])
 		}
+		rows[systems[i].(string)+"/"+faults[i].(string)]++
 	}
-	for _, sys := range []string{"fabric", "quorum", "veritas", "bigchaindb", "tidb", "spanner"} {
+	for _, sys := range []string{"fabric", "quorum-raft", "veritas-like", "bigchaindb-like", "tidb", "spanner"} {
 		for _, fault := range []string{"crash", "net"} {
 			if rows[sys+"/"+fault] != 1 {
-				t.Fatalf("no verified %s/%s row (want twelve rows ending ok):\n%s", sys, fault, out)
+				t.Fatalf("no verified %s/%s row (want twelve rows ending ok): %v", sys, fault, tab.Rows)
 			}
 		}
+	}
+	if len(tab.Rows) != 12 {
+		t.Fatalf("want twelve rows, got %d: %v", len(tab.Rows), tab.Rows)
 	}
 }
 
@@ -217,47 +289,41 @@ func TestAuthReadsRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins four quorum networks")
 	}
-	var buf bytes.Buffer
-	AuthReads(&buf, tiny())
-	out := buf.String()
-	if !strings.Contains(out, "AuthReads") {
-		t.Fatalf("missing banner:\n%s", out)
+	tab := AuthReads(tiny())[0]
+	requireMeasured(t, tab)
+	// One row per sweep point.
+	if len(tab.Rows) != 4 {
+		t.Fatalf("got %d rows, want 4: %v", len(tab.Rows), tab.Rows)
 	}
-	if strings.Contains(out, "build-error") {
-		t.Fatalf("sweep failed to build:\n%s", out)
-	}
-	// Banner + column header + one row per sweep point.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if got, want := len(lines), 2+4; got != want {
-		t.Fatalf("got %d output lines, want %d:\n%s", got, want, out)
-	}
-	for _, line := range lines[2:] {
-		if !strings.HasPrefix(strings.TrimSpace(line), "quorum-raft") {
-			t.Fatalf("unexpected row: %q\n%s", line, out)
-		}
-	}
+	requireAll(t, column(t, tab, "system"), "quorum-raft")
 }
 
 func TestIngressRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins three mempool-fed systems across load points")
 	}
-	var buf bytes.Buffer
-	Ingress(&buf, tiny(), []float64{1})
-	out := buf.String()
-	for _, want := range []string{"Ingress:", "door-p99", "shed", "fabric", "quorum-raft", "veritas-like"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ingress output missing %q:\n%s", want, out)
-		}
+	tab := Ingress(tiny(), []float64{1})[0]
+	requireMeasured(t, tab)
+	column(t, tab, "door-p99")
+	column(t, tab, "shed")
+	// One row per system per multiplier.
+	if len(tab.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3: %v", len(tab.Rows), tab.Rows)
 	}
-	for _, bad := range []string{"build-error", "preload-error", "no-peak"} {
-		if strings.Contains(out, bad) {
-			t.Fatalf("ingress sweep failed:\n%s", out)
-		}
+	requireAll(t, column(t, tab, "system"), "fabric", "quorum-raft", "veritas-like")
+}
+
+// TestRegistryOrder pins the experiment names and the order
+// `dichotomy-bench all` runs them in.
+func TestRegistryOrder(t *testing.T) {
+	var names []string
+	for _, e := range Registry {
+		names = append(names, e.Name)
 	}
-	// Banner + column header + one row per system per multiplier.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if got, want := len(lines), 2+3; got != want {
-		t.Fatalf("got %d output lines, want %d:\n%s", got, want, out)
+	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8", "table4", "table5", "fig9", "fig10",
+		"fig11", "fig12", "fig13", "fig14", "fig15", "peak", "contention", "blockshape", "recovery",
+		"sigverify", "authreads", "ingress", "chaos"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("registry %v, want %v", names, want)
 	}
 }

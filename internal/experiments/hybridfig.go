@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"io"
-
 	"dichotomy/internal/hybrid"
 	"dichotomy/internal/system"
 	"dichotomy/internal/workload/ycsb"
@@ -13,51 +11,31 @@ import (
 // against their publicly reported numbers, and against the two runnable
 // mini-prototypes in internal/hybrid, which occupy the framework's
 // opposite corners (storage+CFT-shared-log vs txn+BFT-consensus).
-func Fig15(w io.Writer, sc Scale) {
-	Header(w, "Fig 15: hybrid framework — predictions vs reported numbers")
-	Row(w, "system", "replication", "failure", "approach", "predicted", "reported-tps")
+func Fig15(sc Scale) []Table {
+	catalog := Table{Title: "Fig 15: hybrid framework — predictions vs reported numbers",
+		Cols: []string{"system", "replication", "failure", "approach", "predicted", "reported-tps"}}
 	for _, e := range hybrid.RankByPrediction(hybrid.Catalog()) {
-		Row(w, e.Design.Name,
+		catalog.Rows = append(catalog.Rows, []any{e.Design.Name,
 			e.Design.Replication.String(),
 			e.Design.Failure.String(),
 			e.Design.Approach.String(),
 			hybrid.Predict(e.Design).String(),
-			e.ReportedTPS)
+			e.ReportedTPS})
 	}
 
-	Header(w, "Fig 15 validation: measured mini-prototypes")
-	Row(w, "prototype", "predicted", "measured-tps")
-	client := Client()
+	measured := Table{Title: "Fig 15 validation: measured mini-prototypes",
+		Cols: []string{"prototype", "predicted", "measured-tps"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 100}
-
-	protos := []struct {
+	for _, p := range []struct {
 		build  builder
 		design hybrid.Design
 	}{
-		{
-			build: func() (system.System, error) { return BuildVeritas(3) },
-			design: hybrid.Design{Name: "veritas-like",
-				Replication: hybrid.StorageBased, Failure: hybrid.CFT,
-				Approach: hybrid.SharedLog},
-		},
-		{
-			build: func() (system.System, error) { return BuildBigchain(4) },
-			design: hybrid.Design{Name: "bigchaindb-like",
-				Replication: hybrid.TxnBased, Failure: hybrid.BFT,
-				Approach: hybrid.Consensus},
-		},
+		{newVeritas, hybrid.Design{Replication: hybrid.StorageBased, Failure: hybrid.CFT, Approach: hybrid.SharedLog}},
+		{newBigchain, hybrid.Design{Replication: hybrid.TxnBased, Failure: hybrid.BFT, Approach: hybrid.Consensus}},
+	} {
+		measured.measure([]any{hybrid.Predict(p.design).String()}, p.build, loadYCSB(cfg), func(sys system.System) [][]any {
+			return [][]any{{runYCSB(sys, cfg, sc, 0).TPS}}
+		})
 	}
-	for _, p := range protos {
-		sys, err := p.build()
-		if err != nil {
-			Row(w, p.design.Name, "build-error", err.Error())
-			continue
-		}
-		tps := 0.0
-		if err := PreloadYCSB(sys, cfg, client); err == nil {
-			tps = RunYCSB(sys, cfg, sc, 0, client).TPS
-		}
-		Row(w, sys.Name(), hybrid.Predict(p.design).String(), tps)
-		sys.Close()
-	}
+	return []Table{catalog, measured}
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"io"
 	"time"
 
-	"dichotomy/internal/bench"
 	"dichotomy/internal/hybrid"
 	"dichotomy/internal/ingress"
 	"dichotomy/internal/system"
@@ -30,84 +28,55 @@ type fronted interface {
 // blocks grow toward MaxBlock, consensus backpressure throttles the
 // builder, and the overflow sheds at admission as typed retryable errors
 // — delivered tps plateaus instead of the system wedging.
-func Ingress(w io.Writer, sc Scale, mults []float64) {
-	Header(w, "Ingress: open-loop overload through the mempool front door")
-	Row(w, "system", "mult", "rate", "tps", "svc-p99", "queue-p99", "door-p99",
-		"shed", "dedup", "blocks", "avg-blk", "throttle", "drops")
-	if len(mults) == 0 {
-		mults = []float64{1, 2, 4}
-	}
-	client := Client()
+func Ingress(sc Scale, mults []float64) []Table {
+	t := Table{Title: "Ingress: open-loop overload through the mempool front door",
+		Cols: []string{"system", "mult", "rate", "tps", "svc-p99", "queue-p99", "door-p99",
+			"shed", "dedup", "blocks", "avg-blk", "throttle", "drops"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
 	// A small pool keeps overload visible at CI scale: past peak it
 	// fills within milliseconds and the door starts shedding.
 	door := func() *ingress.Config {
 		return &ingress.Config{Capacity: 128, MaxBlock: 64, BuildInterval: time.Millisecond}
 	}
-	builds := []func() (fronted, error){
-		func() (fronted, error) {
-			nw, err := fabric.New(fabric.Config{Peers: sc.Nodes, Ingress: door()})
-			if err != nil {
-				return nil, err
-			}
-			nw.RegisterClient(client.Name(), client.Public())
-			return nw, nil
-		},
-		func() (fronted, error) {
-			nw, err := quorum.New(quorum.Config{Nodes: sc.Nodes, Ingress: door()})
-			if err != nil {
-				return nil, err
-			}
-			nw.RegisterClient(client.Name(), client.Public())
-			return nw, nil
-		},
-		func() (fronted, error) {
+	builds := []builder{
+		func() (system.System, error) { return newFabric(fabric.Config{Peers: sc.Nodes, Ingress: door()}) },
+		func() (system.System, error) { return newQuorum(quorum.Config{Nodes: sc.Nodes, Ingress: door()}) },
+		func() (system.System, error) {
 			return hybrid.NewVeritas(hybrid.VeritasConfig{Verifiers: 3, Ingress: door()})
 		},
 	}
 	for _, build := range builds {
-		sys, err := build()
-		if err != nil {
-			Row(w, "-", "build-error", err.Error())
-			continue
-		}
-		if err := PreloadYCSB(sys, cfg, client); err != nil {
-			Row(w, sys.Name(), "preload-error", err.Error())
-			sys.Close()
-			continue
-		}
-		peak := RunYCSB(sys, cfg, sc, 0, client).TPS
-		if peak <= 0 {
-			Row(w, sys.Name(), "no-peak")
-			sys.Close()
-			continue
-		}
-		prev, _ := sys.IngressStats()
-		prevDrops := sys.ConsensusDropped()
-		for _, mult := range mults {
-			// Dispatch concurrency far beyond what the system holds in
-			// flight, so the arrival schedule — not the pool of waiting
-			// clients — is the offered load.
-			opt := BenchOptions(sc, 16*sc.Workers)
-			opt.Mode = bench.OpenLoop
-			opt.TargetRate = mult * peak
-			opt.Arrival = bench.Poisson
-			opt.Seed = 1
-			opt.MaxInFlight = 4 * opt.Workers
-			r := RunYCSBOptions(sys, cfg, opt, client)
-			st, _ := sys.IngressStats()
-			drops := sys.ConsensusDropped()
-			blocks := st.Blocks - prev.Blocks
-			var avgBlk float64
-			if blocks > 0 {
-				avgBlk = float64(st.BlockTxs-prev.BlockTxs) / float64(blocks)
+		t.measure(nil, build, loadYCSB(cfg), func(s system.System) [][]any {
+			sys := s.(fronted)
+			peak := runYCSB(sys, cfg, sc, 0).TPS
+			if peak <= 0 {
+				return [][]any{{"no-peak"}}
 			}
-			Row(w, sys.Name(), mult, r.TargetRate, r.TPS, r.Latency.P99,
-				r.QueueDelay.P99, st.QueueDelayP99,
-				st.Shed-prev.Shed, st.Deduped-prev.Deduped, blocks, avgBlk,
-				st.Throttled-prev.Throttled, drops-prevDrops)
-			prev, prevDrops = st, drops
-		}
-		sys.Close()
+			prev, _ := sys.IngressStats()
+			prevDrops := sys.ConsensusDropped()
+			var rows [][]any
+			for _, mult := range mults {
+				// Dispatch concurrency far beyond what the system holds in
+				// flight, so the arrival schedule — not the pool of waiting
+				// clients — is the offered load.
+				opt := openLoop(sc, 16*sc.Workers, mult*peak)
+				opt.MaxInFlight = 4 * opt.Workers
+				r := runYCSBWith(sys, cfg, opt)
+				st, _ := sys.IngressStats()
+				drops := sys.ConsensusDropped()
+				blocks := st.Blocks - prev.Blocks
+				var avgBlk float64
+				if blocks > 0 {
+					avgBlk = float64(st.BlockTxs-prev.BlockTxs) / float64(blocks)
+				}
+				rows = append(rows, []any{mult, r.TargetRate, r.TPS, r.Latency.P99,
+					r.QueueDelay.P99, st.QueueDelayP99,
+					st.Shed - prev.Shed, st.Deduped - prev.Deduped, blocks, avgBlk,
+					st.Throttled - prev.Throttled, drops - prevDrops})
+				prev, prevDrops = st, drops
+			}
+			return rows
+		})
 	}
+	return []Table{t}
 }

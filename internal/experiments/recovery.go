@@ -1,15 +1,22 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"dichotomy/internal/recovery"
+	"dichotomy/internal/system"
 	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/workload/ycsb"
 )
+
+// RecoveryAxes are Recovery's sweep axes.
+type RecoveryAxes struct {
+	Modes     []string
+	Intervals []uint64
+	// Crashes are the crash heights, as fractions of the quiesced tip.
+	Crashes []float64
+}
 
 // Recovery sweeps checkpoint mode × interval × crash height on a durable
 // Fabric network and reports what each point costs on both sides of the
@@ -34,37 +41,23 @@ import (
 // chain ≤ c and replays the ledger tail to the tip. Every recovery is
 // verified byte-identical (values and versions) against the healthy
 // replica before its row prints.
-func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs []float64) {
-	if len(modes) == 0 {
-		modes = []string{"full", "delta"}
-	}
-	if len(intervals) == 0 {
-		intervals = []uint64{4, 16}
-	}
-	if len(fracs) == 0 {
-		fracs = []float64{0.5, 1.0}
-	}
-	Header(w, "Recovery: checkpoint mode × interval × crash height (Fabric, YCSB updates)")
-	Row(w, "mode", "interval", "tip", "ckpts", "written-B", "pause-avg",
-		"crash@", "ckpt@", "replayed", "chain-B", "restore", "replay", "total", "verified")
-	client := Client()
+func Recovery(sc Scale, ax RecoveryAxes) []Table {
+	t := Table{Title: "Recovery: checkpoint mode × interval × crash height (Fabric, YCSB updates)",
+		Cols: []string{"system", "mode", "interval", "tip", "ckpts", "written-B", "pause-avg",
+			"crash@", "ckpt@", "replayed", "chain-B", "restore", "replay", "total", "verified"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 100, Theta: 0.6}
-
-	for _, modeName := range modes {
-		mode, err := recovery.ParseMode(modeName)
-		if err != nil {
-			fmt.Fprintf(w, "%v\n", err)
-			continue
-		}
-		for _, interval := range intervals {
-			dir, err := os.MkdirTemp("", "dichotomy-recovery-*")
-			if err != nil {
-				fmt.Fprintf(w, "tempdir: %v\n", err)
-				return
-			}
-			func() {
-				defer os.RemoveAll(dir)
-				nw, err := fabric.New(fabric.Config{
+	for _, modeName := range ax.Modes {
+		for _, interval := range ax.Intervals {
+			var dir string
+			build := func() (system.System, error) {
+				mode, err := recovery.ParseMode(modeName)
+				if err != nil {
+					return nil, err
+				}
+				if dir, err = os.MkdirTemp("", "dichotomy-recovery-*"); err != nil {
+					return nil, err
+				}
+				return newFabric(fabric.Config{
 					Peers:              sc.Nodes,
 					EndorsementsNeeded: sc.Nodes - 1,
 					DataDir:            dir,
@@ -72,69 +65,63 @@ func Recovery(w io.Writer, sc Scale, modes []string, intervals []uint64, fracs [
 					CheckpointMode:     mode,
 					CheckpointKeep:     1 << 20, // retain all: the sweep rehearses crashes at every height
 				})
-				if err != nil {
-					fmt.Fprintf(w, "fabric: %v\n", err)
-					return
-				}
-				defer nw.Close()
-				nw.RegisterClient(client.Name(), client.Public())
-				if err := PreloadYCSB(nw, cfg, client); err != nil {
-					fmt.Fprintf(w, "preload: %v\n", err)
-					return
-				}
-				RunYCSB(nw, cfg, sc, 0, client)
-				tip, ok := quiesce(sc.Nodes, func(i int) uint64 { return nw.Ledger(i).Height() })
-				if !ok {
-					fmt.Fprintln(w, "fabric failed to quiesce; skipping interval")
-					return
-				}
-
-				// Drain the checkpoint worker so the on-disk chain and the
-				// byte/pause totals reflect the quiesced store, then read
-				// the commit-side costs before the crash discards them.
-				const crashed = 1
-				ck := nw.Checkpointer(crashed)
-				ck.Flush()
-				ckptErr := ck.LastErr()
-				ckpts, _, written := ck.Totals()
-				_, totalPauseNs := ck.PauseNs()
-				pauseAvg := time.Duration(0)
-				if ckpts > 0 {
-					pauseAvg = time.Duration(totalPauseNs / int64(ckpts))
-				}
-
-				for _, f := range fracs {
-					// Each rehearsal needs its own crash: RecoverPeer hands
-					// the peer back to live block consumption, so it is a
-					// fully live cluster member again when it returns.
-					nw.CrashPeer(crashed)
-					crashHeight := uint64(f * float64(tip))
-					if crashHeight < 1 {
-						crashHeight = 1
-					}
-					if crashHeight > tip {
-						crashHeight = tip
-					}
-					stats, err := nw.RecoverPeer(crashed, 0, crashHeight)
-					if err != nil {
-						fmt.Fprintf(w, "recover (mode=%s interval=%d crash=%d): %v\n", mode, interval, crashHeight, err)
-						continue
-					}
-					verified := "ok"
-					if !sameStores(nw.State(0), nw.State(crashed)) {
-						verified = "DIVERGED"
-					}
-					if ckptErr != nil {
-						// A checkpoint that failed to land shows otherwise
-						// only as fewer bytes written and more blocks replayed.
-						verified += " checkpoint-error: " + ckptErr.Error()
-					}
-					Row(w, mode.String(), int(interval), int(tip), ckpts, written, pauseAvg,
-						int(crashHeight), int(stats.CheckpointHeight), int(stats.ReplayedBlocks),
-						stats.CheckpointBytes, stats.RestoreDuration, stats.ReplayDuration,
-						stats.Total(), verified)
-				}
-			}()
+			}
+			t.measure([]any{modeName, int(interval)}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				return rehearseCrashes(sys.(*fabric.Network), sc, cfg, ax.Crashes)
+			})
+			os.RemoveAll(dir)
 		}
 	}
+	return []Table{t}
+}
+
+// rehearseCrashes runs the load on nw, then crashes and recovers one peer
+// once per crash-height fraction, one row each.
+func rehearseCrashes(nw *fabric.Network, sc Scale, cfg ycsb.Config, fracs []float64) [][]any {
+	runYCSB(nw, cfg, sc, 0)
+	tip, ok := quiesce(sc.Nodes, func(i int) uint64 { return nw.Ledger(i).Height() })
+	if !ok {
+		return [][]any{{"no-quiesce"}}
+	}
+
+	// Drain the checkpoint worker so the on-disk chain and the byte/pause
+	// totals reflect the quiesced store, then read the commit-side costs
+	// before the crash discards them.
+	const crashed = 1
+	ck := nw.Checkpointer(crashed)
+	ck.Flush()
+	ckptErr := ck.LastErr()
+	ckpts, _, written := ck.Totals()
+	_, totalPauseNs := ck.PauseNs()
+	pauseAvg := time.Duration(0)
+	if ckpts > 0 {
+		pauseAvg = time.Duration(totalPauseNs / int64(ckpts))
+	}
+
+	var rows [][]any
+	for _, f := range fracs {
+		// Each rehearsal needs its own crash: RecoverPeer hands the peer
+		// back to live block consumption, so it is a fully live cluster
+		// member again when it returns.
+		nw.CrashPeer(crashed)
+		crashHeight := min(max(uint64(f*float64(tip)), 1), tip)
+		head := []any{int(tip), ckpts, written, pauseAvg, int(crashHeight)}
+		stats, err := nw.RecoverPeer(crashed, 0, crashHeight)
+		if err != nil {
+			rows = append(rows, append(head, "recover-error", err.Error()))
+			continue
+		}
+		verified := "ok"
+		if !sameStores(nw.State(0), nw.State(crashed)) {
+			verified = "DIVERGED"
+		}
+		if ckptErr != nil {
+			// A checkpoint that failed to land shows otherwise only as
+			// fewer bytes written and more blocks replayed.
+			verified += " checkpoint-error: " + ckptErr.Error()
+		}
+		rows = append(rows, append(head, int(stats.CheckpointHeight), int(stats.ReplayedBlocks),
+			stats.CheckpointBytes, stats.RestoreDuration, stats.ReplayDuration, stats.Total(), verified))
+	}
+	return rows
 }

@@ -2,9 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
+	"dichotomy/internal/metrics"
 	"dichotomy/internal/system"
+	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/system/quorum"
 	"dichotomy/internal/workload/ycsb"
 )
@@ -12,43 +13,29 @@ import (
 // Fig7 reproduces "Quorum throughput with CFT (Raft) and BFT (IBFT)":
 // peak tps as the tolerated-failure budget f grows. Raft needs 2f+1
 // nodes, IBFT 3f+1 — the quorum-size gap behind IBFT's variance.
-func Fig7(w io.Writer, sc Scale, fs []int) {
-	Header(w, "Fig 7: Quorum Raft vs IBFT throughput by tolerated failures f")
-	Row(w, "f", "raft-nodes", "raft-tps", "ibft-nodes", "ibft-tps")
-	if len(fs) == 0 {
-		fs = []int{1, 2}
-	}
-	client := Client()
+func Fig7(sc Scale, fs []int) []Table {
+	t := Table{Title: "Fig 7: Quorum Raft vs IBFT throughput by tolerated failures f",
+		Cols: []string{"system", "f", "nodes", "tps"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 100}
 	for _, f := range fs {
-		raftNodes := 2*f + 1
-		ibftNodes := 3*f + 1
-		var raftTPS, ibftTPS float64
-		if sys, err := BuildQuorum(raftNodes, quorum.Raft, client); err == nil {
-			if err := PreloadYCSB(sys, cfg, client); err == nil {
-				raftTPS = RunYCSB(sys, cfg, sc, 0, client).TPS
-			}
-			sys.Close()
+		for _, c := range []quorum.Config{{Nodes: 2*f + 1, Consensus: quorum.Raft}, {Nodes: 3*f + 1, Consensus: quorum.IBFT}} {
+			build := func() (system.System, error) { return newQuorum(c) }
+			t.measure([]any{fmt.Sprintf("f=%d", f), c.Nodes}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				return [][]any{{runYCSB(sys, cfg, sc, 0).TPS}}
+			})
 		}
-		if sys, err := BuildQuorum(ibftNodes, quorum.IBFT, client); err == nil {
-			if err := PreloadYCSB(sys, cfg, client); err == nil {
-				ibftTPS = RunYCSB(sys, cfg, sc, 0, client).TPS
-			}
-			sys.Close()
-		}
-		Row(w, fmt.Sprintf("f=%d", f), raftNodes, raftTPS, ibftNodes, ibftTPS)
 	}
+	return []Table{t}
 }
 
 // Fig8 reproduces the latency breakdowns: Fabric's execute/order/validate
 // phases unsaturated vs saturated, and the query-path decomposition
 // (Fabric: auth/simulate/endorse; TiDB: parse/compile/storage-get).
-func Fig8(w io.Writer, sc Scale) {
-	client := Client()
+func Fig8(sc Scale) []Table {
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
-
-	Header(w, "Fig 8a: Fabric update latency breakdown (unsaturated vs saturated)")
-	Row(w, "load", "execute", "order", "validate")
+	fab := func() (system.System, error) { return newFabric(fabric.Config{Peers: sc.Nodes}) }
+	a := Table{Title: "Fig 8a: Fabric update latency breakdown (unsaturated vs saturated)",
+		Cols: []string{"system", "load", "execute", "order", "validate"}}
 	for _, load := range []struct {
 		name    string
 		workers int
@@ -56,90 +43,64 @@ func Fig8(w io.Writer, sc Scale) {
 		{"unsaturated", 1},
 		{"saturated", sc.Workers * 4},
 	} {
-		build := func() (system.System, error) { return BuildFabric(sc.Nodes, client) }
-		ycsbPoint(w, build, cfg, client, []any{load.name}, func(sys system.System) {
-			r := RunYCSB(sys, cfg, sc, load.workers, client)
-			Row(w, load.name,
-				PhaseMean(r, PhaseProposal), // endorsement round = execute phase
-				PhaseMean(r, PhaseOrder),
-				PhaseMean(r, PhaseValidate))
+		a.measure([]any{load.name}, fab, loadYCSB(cfg), func(sys system.System) [][]any {
+			p := runYCSB(sys, cfg, sc, load.workers).Phases
+			// The endorsement round is the execute phase.
+			return [][]any{{p.Mean(metrics.PhaseProposal), p.Mean(metrics.PhaseOrder), p.Mean(metrics.PhaseValidate)}}
 		})
 	}
 
-	Header(w, "Fig 8b: query latency breakdown")
+	b := Table{Title: "Fig 8b: query latency breakdown", Cols: []string{"system", "phase", "mean"}}
 	queryCfg := cfg
 	queryCfg.ReadFraction = 1
-	if sys, err := BuildFabric(sc.Nodes, client); err == nil {
-		if err := PreloadYCSB(sys, cfg, client); err == nil {
-			r := RunYCSB(sys, queryCfg, sc, 1, client)
-			Row(w, "fabric:", "auth", PhaseMean(r, PhaseAuth))
-			Row(w, "", "simulate", PhaseMean(r, PhaseSimulate))
-			Row(w, "", "endorse", PhaseMean(r, PhaseEndorse))
-		}
-		sys.Close()
+	for _, q := range []struct {
+		build  builder
+		phases []string
+	}{
+		{fab, []string{metrics.PhaseAuth, metrics.PhaseSimulate, metrics.PhaseEndorse}},
+		{func() (system.System, error) { return newTiDB(3, 3), nil },
+			[]string{metrics.PhaseSQLParse, metrics.PhaseSQLPlan, metrics.PhaseStorage}},
+	} {
+		b.measure(nil, q.build, loadYCSB(cfg), func(sys system.System) [][]any {
+			p := runYCSB(sys, queryCfg, sc, 1).Phases
+			var rows [][]any
+			for _, phase := range q.phases {
+				rows = append(rows, []any{phase, p.Mean(phase)})
+			}
+			return rows
+		})
 	}
-	{
-		sys := BuildTiDB(3, 3)
-		if err := PreloadYCSB(sys, cfg, client); err == nil {
-			r := RunYCSB(sys, queryCfg, sc, 1, client)
-			Row(w, "tidb:", "sql-parse", PhaseMean(r, PhaseSQLParse))
-			Row(w, "", "sql-compile", PhaseMean(r, PhaseSQLPlan))
-			Row(w, "", "storage-get", PhaseMean(r, PhaseStorage))
-		}
-		sys.Close()
-	}
+	return []Table{a, b}
 }
 
 // Table4 reproduces "Throughput with varying number of nodes under full
 // replication mode" for all four systems.
-func Table4(w io.Writer, sc Scale, nodeCounts []int) {
-	Header(w, "Table 4: throughput (tps) vs nodes, full replication")
-	Row(w, "system", "nodes", "tps")
-	if len(nodeCounts) == 0 {
-		nodeCounts = []int{3, 7, 11}
-	}
-	client := Client()
+func Table4(sc Scale, nodeCounts []int) []Table {
+	t := Table{Title: "Table 4: throughput (tps) vs nodes, full replication", Cols: []string{"system", "nodes", "tps"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
 	for _, n := range nodeCounts {
-		builds := []builder{
-			func() (system.System, error) { return BuildFabric(n, client) },
-			func() (system.System, error) { return BuildQuorum(n, quorum.Raft, client) },
-			func() (system.System, error) { return BuildTiDB(n, n), nil },
-			func() (system.System, error) { return BuildEtcd(n), nil },
-		}
-		for _, build := range builds {
-			ycsbPoint(w, build, cfg, client, []any{n}, func(sys system.System) {
-				r := RunYCSB(sys, cfg, sc, 0, client)
-				Row(w, sys.Name(), n, r.TPS)
+		for _, build := range paperSystems(n, n) {
+			t.measure([]any{n}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				return [][]any{{runYCSB(sys, cfg, sc, 0).TPS}}
 			})
 		}
 	}
+	return []Table{t}
 }
 
-// Table5 reproduces the TiDB-servers × TiKV-nodes throughput grid.
-func Table5(w io.Writer, sc Scale, counts []int) {
-	Header(w, "Table 5: TiDB servers × TiKV nodes throughput grid (tps)")
-	if len(counts) == 0 {
-		counts = []int{1, 3, 5}
-	}
-	client := Client()
+// Table5 reproduces the TiDB-servers × TiKV-nodes throughput grid, one row
+// per cell.
+func Table5(sc Scale, counts []int) []Table {
+	t := Table{Title: "Table 5: TiDB servers × TiKV nodes throughput grid (tps)",
+		Cols: []string{"system", "servers", "tikv", "tps"}}
 	cfg := ycsb.Config{Records: sc.Records, RecordSize: 1000}
-	hdr := []any{"tidb\\tikv"}
-	for _, kv := range counts {
-		hdr = append(hdr, kv)
-	}
-	Row(w, hdr...)
 	for _, servers := range counts {
-		cols := []any{fmt.Sprintf("%d", servers)}
 		for _, storageNodes := range counts {
-			sys := BuildTiDB(servers, storageNodes)
-			tps := 0.0
-			if err := PreloadYCSB(sys, cfg, client); err == nil {
-				tps = RunYCSB(sys, cfg, sc, 0, client).TPS
-			}
-			sys.Close()
-			cols = append(cols, tps)
+			build := func() (system.System, error) { return newTiDB(servers, storageNodes), nil }
+			t.measure([]any{servers, storageNodes}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				return [][]any{{runYCSB(sys, cfg, sc, 0).TPS}}
+			})
 		}
-		Row(w, cols...)
 	}
+	return []Table{t}
 }

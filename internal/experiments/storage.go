@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"io"
-
 	"dichotomy/internal/ads/mbt"
 	"dichotomy/internal/ads/mpt"
 	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/system"
+	"dichotomy/internal/system/fabric"
 	"dichotomy/internal/workload/ycsb"
 )
 
@@ -13,36 +13,29 @@ import (
 // record of Fabric state storage, Fabric block (ledger) storage, and TiDB
 // state as the record size grows. The ledger's history retention is the
 // multiplier the paper highlights.
-func Fig12(w io.Writer, sc Scale, sizes []int) {
-	Header(w, "Fig 12: storage bytes per record (state vs ledger)")
-	Row(w, "size", "fabric-state", "fabric-block", "tidb")
-	if len(sizes) == 0 {
-		sizes = []int{10, 100, 1000, 5000}
-	}
-	client := Client()
+func Fig12(sc Scale, sizes []int) []Table {
+	t := Table{Title: "Fig 12: storage bytes per record (state vs ledger)",
+		Cols: []string{"system", "size", "state", "block"}}
 	records := min(sc.Records, 500)
+	builds := []builder{
+		func() (system.System, error) { return newFabric(fabric.Config{Peers: 3}) },
+		func() (system.System, error) { return newTiDB(3, 3), nil },
+	}
 	for _, size := range sizes {
 		cfg := ycsb.Config{Records: records, RecordSize: size}
-
-		var fabState, fabBlock int64
-		if fab, err := BuildFabric(3, client); err == nil {
-			if err := PreloadYCSB(fab, cfg, client); err == nil {
-				fabState = fab.StateBytes() / int64(records)
-				fabBlock = fab.BlockBytes() / int64(records)
-			}
-			fab.Close()
+		for _, build := range builds {
+			t.measure([]any{size}, build, loadYCSB(cfg), func(sys system.System) [][]any {
+				// A database replica applies after the commit is
+				// acknowledged: wait for its state to stop growing.
+				state := waitStable(sys.(interface{ StateBytes() int64 }).StateBytes) / int64(records)
+				if ledger, ok := sys.(interface{ BlockBytes() int64 }); ok {
+					return [][]any{{state, ledger.BlockBytes() / int64(records)}}
+				}
+				return [][]any{{state, "-"}}
+			})
 		}
-
-		td := BuildTiDB(3, 3)
-		var tdState int64
-		if err := PreloadYCSB(td, cfg, client); err == nil {
-			// Wait for replica 0 of each region to apply.
-			tdState = waitStable(func() int64 { return td.StateBytes() }) / int64(records)
-		}
-		td.Close()
-
-		Row(w, size, fabState, fabBlock, tdState)
 	}
+	return []Table{t}
 }
 
 // waitStable polls f until two consecutive reads agree, then returns it.
@@ -61,17 +54,13 @@ func waitStable(f func() int64) int64 {
 // Fig13 reproduces "Storage overhead to achieve tamper evidence": per-
 // record bytes added by the Merkle Bucket Tree (Fabric v0.6) versus the
 // Merkle Patricia Trie (Quorum/Ethereum) at 10K records of varying size.
-func Fig13(w io.Writer, sc Scale, sizes []int) {
-	Header(w, "Fig 13: tamper-evidence overhead bytes/record (MBT vs MPT)")
-	Row(w, "size", "mbt-ovh", "mpt-ovh", "mbt-depth", "mpt-depth")
-	if len(sizes) == 0 {
-		sizes = []int{10, 100, 1000, 5000}
-	}
+func Fig13(_ Scale, sizes []int) []Table {
+	t := Table{Title: "Fig 13: tamper-evidence overhead bytes/record (MBT vs MPT)",
+		Cols: []string{"size", "mbt-ovh", "mpt-ovh", "mbt-depth", "mpt-depth"}}
 	// Always 10K records, the paper's count: the structural contrast (MBT
 	// fixed overhead vs MPT per-record hash chains) needs the tree to be
 	// populated well past the MBT bucket count. Cheap even at full scale.
 	const records = 10_000
-	_ = sc
 	for _, size := range sizes {
 		value := make([]byte, size)
 		// MBT with the paper's parameters: 1000 buckets, fan-out 4.
@@ -90,8 +79,8 @@ func Fig13(w io.Writer, sc Scale, sizes []int) {
 		}
 		bt.RootHash()
 		pt.RootHash()
-		mbtOvh := bt.OverheadBytes() / int64(records)
-		mptOvh := (pt.StorageBytes() - raw) / int64(records)
-		Row(w, size, mbtOvh, mptOvh, bt.Depth(), pt.MaxDepth())
+		t.Rows = append(t.Rows, []any{size, bt.OverheadBytes() / int64(records),
+			(pt.StorageBytes() - raw) / int64(records), bt.Depth(), pt.MaxDepth()})
 	}
+	return []Table{t}
 }
