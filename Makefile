@@ -26,6 +26,7 @@ lint:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTxUnmarshal$$' -fuzztime=30s ./internal/txn/
 	go test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime=30s ./internal/recovery/
+	go test -run '^$$' -fuzz '^FuzzChainCutPoint$$' -fuzztime=30s ./internal/recovery/
 	go test -run '^$$' -fuzz '^FuzzVerifyBatchMatchesSerial$$' -fuzztime=30s ./internal/cryptoutil/
 	go test -run '^$$' -fuzz '^FuzzVerifyMatchesReference$$' -fuzztime=30s ./internal/cryptoutil/
 	go test -run '^$$' -fuzz '^FuzzVerifyProof$$' -fuzztime=30s ./internal/ads/mpt/

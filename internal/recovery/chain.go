@@ -3,7 +3,9 @@ package recovery
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 
 	"dichotomy/internal/state"
 	"dichotomy/internal/txn"
@@ -81,9 +83,25 @@ type chain struct {
 	// taken, so a fold is written from memory, never read back from disk.
 	// With enc, the buffer every file is encoded in, it belongs to the
 	// goroutine that writes files: one copy of the state and the largest
-	// file, kept for the writer's lifetime.
+	// file, kept for the writer's lifetime. enc.fs is the file system every
+	// change to the directory goes through.
 	content map[string]chainEntry
 	enc     fileEncoder
+}
+
+// sweep removes the temp files a crash mid-write left in the chain's
+// directory. listChain skips them, so nothing else ever would. A writer
+// sweeps as it opens the chain, before it has a write of its own in
+// flight.
+func (c *chain) sweep() {
+	names, _ := os.ReadDir(c.opts.Dir)
+	for _, e := range names {
+		if name, ok := strings.CutSuffix(e.Name(), ".tmp"); ok {
+			if _, ok := parseName(name); ok {
+				c.enc.files().remove(filepath.Join(c.opts.Dir, e.Name()))
+			}
+		}
+	}
 }
 
 // due reports whether height is a full interval past the chain's tip.
@@ -160,7 +178,7 @@ func (c *chain) write(s step, records recordSource) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pruneChains(c.opts.Dir, c.opts.Keep)
+	pruneChains(c.enc.files(), c.opts.Dir, c.opts.Keep)
 	return n, nil
 }
 
@@ -291,7 +309,7 @@ func Restore(st *state.Store, dir string, maxHeight uint64) (uint64, int64, erro
 // full snapshot a retained delta (transitively) applies on top of is
 // never deleted, so pruning keeps whole chains and never orphans a
 // delta.
-func pruneChains(dir string, keep int) {
+func pruneChains(fs fsys, dir string, keep int) {
 	files, err := listChain(dir)
 	if err != nil || len(files) <= keep {
 		return
@@ -327,6 +345,6 @@ func pruneChains(dir string, keep int) {
 		if needed[f.height] {
 			continue
 		}
-		os.Remove(f.path(dir))
+		fs.remove(f.path(dir))
 	}
 }

@@ -43,10 +43,12 @@ func OpenChainWriter(opts Options) (*ChainWriter, error) {
 	if m == nil {
 		m = make(map[string]chainEntry)
 	}
-	return &ChainWriter{
+	w := &ChainWriter{
 		chain:         chain{opts: opts, tip: tip, seeded: tip > 0, content: m},
 		restoredBytes: bytesRead,
-	}, nil
+	}
+	w.chain.sweep()
+	return w, nil
 }
 
 // LastHeight returns the height of the newest checkpoint — on a fresh

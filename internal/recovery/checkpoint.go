@@ -32,6 +32,14 @@
 // their log, and then making the dump the content. Either way the content
 // at the chain's tip is in memory, so a fold is written from it and only a
 // restore reads a chain back.
+//
+// The chain is the repo's one durable format, and its contract is that a
+// checkpoint whose write returned survives a power cut: each file is
+// synced before its rename, and its directory after it (fsys.go names
+// every change a write makes). A cut at any point leaves Restore a height
+// some write reached, with exactly that height's state, and no lower than
+// the newest write that had returned; cut_test.go checks both after every
+// file operation of a recorded write sequence.
 package recovery
 
 import (
@@ -175,6 +183,7 @@ func NewCheckpointer(st *state.Store, opts Options) (*Checkpointer, error) {
 		return nil, fmt.Errorf("recovery: mkdir: %w", err)
 	}
 	c := &Checkpointer{st: st, chain: chain{opts: opts}}
+	c.chain.sweep()
 	c.cond = sync.NewCond(&c.mu)
 	if opts.Mode == ModeDelta {
 		// Dirty tracking is opt-in on the store (non-checkpointing runs

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 
 	"dichotomy/internal/txn"
@@ -71,10 +72,24 @@ type entry struct {
 // record count is patched into the header when the file is committed. Its
 // buffer outlives the file: reset starts the next one in the same memory.
 type fileEncoder struct {
+	// fs is what commit writes through; nil is the os.
+	fs fsys
+	// dirReady says a commit has made sure the directory exists and that
+	// its own name is durable in its parent. Any failed commit clears it,
+	// so an encoder commits into one directory only.
+	dirReady bool
 	file     chainFile
 	buf      []byte
 	countOff int
 	count    uint64
+}
+
+// files is the file system the encoder writes through.
+func (w *fileEncoder) files() fsys {
+	if w.fs == nil {
+		return osFS{}
+	}
+	return w.fs
 }
 
 func newFileEncoder(f chainFile) *fileEncoder {
@@ -121,10 +136,16 @@ func (w *fileEncoder) put(e entry) {
 // commit writes the file into dir under the name its header gives it and
 // returns its size. The bytes go to a temp file that is synced and then
 // renamed, so a crash mid-write leaves at most a stray .tmp, never a torn
-// file under the real name.
+// file under the real name; and dir is synced after the rename, so a file
+// whose commit returned survives a power cut. The first commit, and the
+// first after a failed one, also creates dir if it is missing and syncs
+// its parent, which holds dir's own name.
 func (w *fileEncoder) commit(dir string) (int64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("recovery: mkdir: %w", err)
+	fs := w.files()
+	if !w.dirReady {
+		if err := fs.mkdirAll(dir); err != nil {
+			return 0, fmt.Errorf("recovery: mkdir: %w", err)
+		}
 	}
 	body := w.buf
 	binary.BigEndian.PutUint64(body[w.countOff:], w.count)
@@ -132,9 +153,10 @@ func (w *fileEncoder) commit(dir string) (int64, error) {
 	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body))
 
 	path := w.file.path(dir)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	written := path + ".tmp" // what a failure from here on removes
+	f, err := fs.create(written)
 	if err != nil {
+		w.dirReady = false
 		return 0, fmt.Errorf("recovery: create %s: %w", path, err)
 	}
 	// The trailer goes out on its own: appending it to a buffer that may
@@ -149,10 +171,21 @@ func (w *fileEncoder) commit(dir string) (int64, error) {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		if err = fs.rename(written, path); err == nil {
+			written = path
+		}
 	}
+	if err == nil {
+		err = fs.syncDir(dir)
+	}
+	if err == nil && !w.dirReady {
+		err = fs.syncDir(filepath.Dir(dir))
+	}
+	w.dirReady = err == nil
 	if err != nil {
-		os.Remove(tmp)
+		// A file under its real name whose rename may not be durable is
+		// removed too: the write that covers this one replaces it.
+		fs.remove(written)
 		return 0, err
 	}
 	return int64(len(body) + len(tail)), nil
@@ -296,9 +329,25 @@ func decodeFile(r *bufio.Reader, size int64) (chainFile, []entry, error) {
 	return hdr, entries, nil
 }
 
+// parseName parses a checkpoint file name, the one place one is parsed.
+// Anything else — a stray .tmp left by a crash mid-write included — is not
+// a chain file.
+func parseName(name string) (chainFile, bool) {
+	if h, ok := strings.CutPrefix(name, "ckpt-"); ok {
+		h, ok = strings.CutSuffix(h, ".ckpt")
+		height, err := strconv.ParseUint(h, 10, 64)
+		return chainFile{height: height}, ok && err == nil
+	}
+	hb, prefix := strings.CutPrefix(name, "delta-")
+	hb, suffix := strings.CutSuffix(hb, ".dckpt")
+	h, b, cut := strings.Cut(hb, "-")
+	height, err := strconv.ParseUint(h, 10, 64)
+	base, berr := strconv.ParseUint(b, 10, 64)
+	return chainFile{height: height, base: base, delta: true}, prefix && suffix && cut && err == nil && berr == nil
+}
+
 // listChain lists every checkpoint file in dir — fulls and deltas —
-// sorted by height (a full sorts before a delta at the same height). It is
-// the one place checkpoint file names are parsed.
+// sorted by height (a full sorts before a delta at the same height).
 func listChain(dir string) ([]chainFile, error) {
 	names, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -309,15 +358,8 @@ func listChain(dir string) ([]chainFile, error) {
 	}
 	var files []chainFile
 	for _, e := range names {
-		name := e.Name()
-		var h, b uint64
-		// Sscanf does not anchor the end of the name, so a stray .tmp
-		// left by a crash mid-write ("ckpt-…​.ckpt.tmp") would still
-		// match; the suffix guards keep such phantoms out of the chain.
-		if n, err := fmt.Sscanf(name, "delta-%d-%d.dckpt", &h, &b); n == 2 && err == nil && strings.HasSuffix(name, ".dckpt") {
-			files = append(files, chainFile{height: h, base: b, delta: true})
-		} else if n, err := fmt.Sscanf(name, "ckpt-%d.ckpt", &h); n == 1 && err == nil && strings.HasSuffix(name, ".ckpt") {
-			files = append(files, chainFile{height: h})
+		if f, ok := parseName(e.Name()); ok {
+			files = append(files, f)
 		}
 	}
 	slices.SortFunc(files, func(a, b chainFile) int {

@@ -3,8 +3,11 @@
 // paper. It provides a write-ahead log, a skiplist memtable, immutable
 // SSTables with sparse indexes and Bloom filters, and tiered compaction.
 //
-// With Options.Dir set, SSTables and the WAL live on disk and the engine
-// recovers its state on reopen. With Dir empty the engine is purely
+// With Options.Dir set, every write goes to the WAL and every table to its
+// own file, as a database's would: those disk writes are the modelled cost,
+// and nothing ever reads them back. A replica restarts from its checkpoint
+// chain (internal/recovery), the one durable format, so Open over an
+// earlier DB's directory starts empty. With Dir empty the engine is purely
 // in-memory (tables are still built and compacted — the CPU cost structure
 // is identical) which is what the benchmark harness uses.
 package lsm
@@ -13,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
 	"dichotomy/internal/storage"
@@ -59,7 +61,8 @@ type DB struct {
 var _ storage.Engine = (*DB)(nil)
 var _ storage.Batch = (*DB)(nil)
 
-// Open creates or recovers a DB.
+// Open creates an empty DB. Over a directory an earlier DB wrote it still
+// starts empty: it truncates the stale WAL and reads no table back.
 func Open(opt Options) (*DB, error) {
 	db := &DB{opt: opt.withDefaults(), mem: skiplist.New()}
 	if db.opt.Dir == "" {
@@ -67,20 +70,6 @@ func Open(opt Options) (*DB, error) {
 	}
 	if err := os.MkdirAll(db.opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lsm: mkdir: %w", err)
-	}
-	if err := db.loadManifest(); err != nil {
-		return nil, err
-	}
-	// Replay the WAL into a fresh memtable, then reopen it for appends.
-	err := replayWAL(walPath(db.opt.Dir), func(key, value []byte, tomb bool) {
-		if tomb {
-			db.mem.Delete(key)
-		} else {
-			db.mem.Put(key, value)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("lsm: wal replay: %w", err)
 	}
 	w, err := openWAL(walPath(db.opt.Dir))
 	if err != nil {
@@ -231,11 +220,9 @@ func (d *DB) flushLocked() error {
 		}
 	}
 	if len(d.l0) >= d.opt.L0Limit {
-		if err := d.compactLocked(); err != nil {
-			return err
-		}
+		return d.compactLocked()
 	}
-	return d.saveManifest()
+	return nil
 }
 
 func hasTombs(l *skiplist.List) bool {
@@ -256,10 +243,7 @@ func (d *DB) Compact() error {
 	if d.closed {
 		return storage.ErrClosed
 	}
-	if err := d.compactLocked(); err != nil {
-		return err
-	}
-	return d.saveManifest()
+	return d.compactLocked()
 }
 
 func (d *DB) compactLocked() error {
@@ -365,7 +349,7 @@ func (d *DB) Close() error {
 	return nil
 }
 
-// --- persistence ---
+// --- disk writes ---
 
 func tablePath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf("sst-%08d.sst", seq))
@@ -393,65 +377,4 @@ func (d *DB) removeObsoleteFiles() {
 	if d.l1 != nil {
 		os.Remove(tablePath(d.opt.Dir, d.l1.seq))
 	}
-}
-
-// saveManifest records the live table sequence numbers — L0 newest first,
-// base level last. Written atomically via rename.
-func (d *DB) saveManifest() error {
-	if d.opt.Dir == "" {
-		return nil
-	}
-	var sb strings.Builder
-	for _, t := range d.l0 {
-		fmt.Fprintf(&sb, "l0 %d\n", t.seq)
-	}
-	if d.l1 != nil {
-		fmt.Fprintf(&sb, "l1 %d\n", d.l1.seq)
-	}
-	tmp := filepath.Join(d.opt.Dir, "MANIFEST.tmp")
-	if err := os.WriteFile(tmp, []byte(sb.String()), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(d.opt.Dir, "MANIFEST"))
-}
-
-func (d *DB) loadManifest() error {
-	data, err := os.ReadFile(filepath.Join(d.opt.Dir, "MANIFEST"))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if line == "" {
-			continue
-		}
-		var level string
-		var seq int
-		if _, err := fmt.Sscanf(line, "%s %d", &level, &seq); err != nil {
-			return fmt.Errorf("lsm: bad manifest entry %q", line)
-		}
-		raw, err := os.ReadFile(tablePath(d.opt.Dir, seq))
-		if err != nil {
-			return fmt.Errorf("lsm: load table %d: %w", seq, err)
-		}
-		t, err := openSSTable(raw)
-		if err != nil {
-			return fmt.Errorf("lsm: table %d: %w", seq, err)
-		}
-		t.seq = seq
-		switch level {
-		case "l0":
-			d.l0 = append(d.l0, t)
-		case "l1":
-			d.l1 = t
-		default:
-			return fmt.Errorf("lsm: bad manifest level %q", level)
-		}
-		if seq >= d.seq {
-			d.seq = seq + 1
-		}
-	}
-	return nil
 }

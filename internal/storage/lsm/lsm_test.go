@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -250,58 +252,70 @@ func TestApplyBatch(t *testing.T) {
 	}
 }
 
-func TestPersistenceAcrossReopen(t *testing.T) {
+// TestDirModeKeepsItsDiskWrites pins what a disk-backed DB does with its
+// directory: it writes the WAL and its tables as a database would, and
+// never reads them back.
+func TestDirModeKeepsItsDiskWrites(t *testing.T) {
 	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, MemtableBytes: 4096, L0Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if err := db.Put(key(i), value(i)); err != nil {
+	size := func(name string) int64 {
+		t.Helper()
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
 			t.Fatal(err)
 		}
+		return info.Size()
 	}
-	db.Delete(key(7))
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2, err := Open(Options{Dir: dir, MemtableBytes: 4096, L0Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for i := 0; i < 300; i++ {
-		got, err := db2.Get(key(i))
-		if i == 7 {
-			if !errors.Is(err, storage.ErrNotFound) {
-				t.Fatalf("deleted key survived reopen: %q %v", got, err)
-			}
-			continue
+	tables := func() []string {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(dir, "sst-*.sst"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err != nil || !bytes.Equal(got, value(i)) {
-			t.Fatalf("after reopen Get(%s) = %q, %v", key(i), got, err)
-		}
+		return names
 	}
-}
-
-func TestWALReplayWithoutFlush(t *testing.T) {
-	dir := t.TempDir()
 	db, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Put([]byte("wal-only"), []byte("survives"))
-	db.Close()
+	// A value larger than the WAL's buffer goes straight to the file.
+	big := bytes.Repeat([]byte("v"), 8<<10)
+	if err := db.Put([]byte("big"), big); err != nil {
+		t.Fatal(err)
+	}
+	if n := size("wal.log"); n <= int64(len(big)) {
+		t.Fatalf("wal.log holds %d bytes after an %d-byte Put", n, len(big))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tables(); len(got) != 1 {
+		t.Fatalf("Flush wrote tables %v, want one", got)
+	}
+	if n := size("wal.log"); n != 0 {
+		t.Fatalf("wal.log holds %d bytes after Flush, want it truncated", n)
+	}
+	if err := db.Put([]byte("after"), big); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	db2, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	got, err := db2.Get([]byte("wal-only"))
-	if err != nil || !bytes.Equal(got, []byte("survives")) {
-		t.Fatalf("wal entry lost: %q %v", got, err)
+	if n := db2.Len(); n != 0 {
+		t.Fatalf("a DB opened over an earlier one's directory holds %d keys", n)
+	}
+	for _, k := range []string{"big", "after"} {
+		if v, err := db2.Get([]byte(k)); !errors.Is(err, storage.ErrNotFound) {
+			t.Fatalf("Get(%s) after reopen = %d bytes, %v; want not found", k, len(v), err)
+		}
+	}
+	if n := size("wal.log"); n != 0 {
+		t.Fatalf("Open left the stale wal.log at %d bytes", n)
 	}
 }
 

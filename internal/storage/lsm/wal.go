@@ -3,7 +3,6 @@ package lsm
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,26 +14,22 @@ import (
 //
 //	len u32 | crc u32 | flags u8 | klen u32 | key | value
 //
-// Replay stops at the first torn or corrupt record, discarding the tail —
-// the standard crash-recovery contract. The paper notes databases keep such
-// logs only for recovery and prune them; Sync truncates after a flush.
+// It is written as a database's log is and never read back (see the
+// package doc); like a database, the engine prunes it, truncating it after
+// each flush.
 type wal struct {
-	f   *os.File
-	w   *bufio.Writer
-	len int64
+	f *os.File
+	w *bufio.Writer
 }
 
+// openWAL opens the log at path empty, truncating whatever an earlier DB
+// left there.
 func openWAL(path string) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: open wal: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &wal{f: f, w: bufio.NewWriter(f), len: st.Size()}, nil
+	return &wal{f: f, w: bufio.NewWriter(f)}, nil
 }
 
 func (w *wal) append(key, value []byte, tomb bool) error {
@@ -52,17 +47,12 @@ func (w *wal) append(key, value []byte, tomb bool) error {
 	if _, err := w.w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	w.len += int64(8 + len(payload))
-	return nil
+	_, err := w.w.Write(payload)
+	return err
 }
 
-func (w *wal) flush() error { return w.w.Flush() }
-
-// reset truncates the log after its contents have been made durable in an
-// SSTable.
+// reset truncates the log once a flush has written its contents into a
+// table.
 func (w *wal) reset() error {
 	if err := w.w.Flush(); err != nil {
 		return err
@@ -74,7 +64,6 @@ func (w *wal) reset() error {
 		return err
 	}
 	w.w.Reset(w.f)
-	w.len = 0
 	return nil
 }
 
@@ -84,46 +73,6 @@ func (w *wal) close() error {
 		return err
 	}
 	return w.f.Close()
-}
-
-// replayWAL streams intact records from the log at path to fn. A missing
-// file is not an error. Corrupt tails are truncated away silently.
-func replayWAL(path string, fn func(key, value []byte, tomb bool)) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil // clean end or torn header: stop
-		}
-		plen := binary.BigEndian.Uint32(hdr[0:4])
-		crc := binary.BigEndian.Uint32(hdr[4:8])
-		if plen < 5 || plen > 1<<30 {
-			return nil
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return nil // torn record
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil // corrupt tail
-		}
-		tomb := payload[0]&flagTomb != 0
-		klen := binary.BigEndian.Uint32(payload[1:5])
-		if uint64(5+klen) > uint64(len(payload)) {
-			return nil
-		}
-		key := payload[5 : 5+klen]
-		value := payload[5+klen:]
-		fn(key, value, tomb)
-	}
 }
 
 func walPath(dir string) string { return filepath.Join(dir, "wal.log") }

@@ -286,9 +286,9 @@ func (r *Replica) Rebuild(maxCkptHeight uint64) (stats recovery.Stats, err error
 		}
 	}()
 	if dir := r.dir("state"); dir != "" {
-		// A disk-backed engine may hold writes from after the checkpoint
-		// whose version metadata died with the process; recovery trusts
-		// only the checkpoint.
+		// The engine never reads its files back (lsm's package doc): the
+		// restore comes from the checkpoint chain alone, and the wipe only
+		// drops the dead incarnation's files.
 		if err := os.RemoveAll(dir); err != nil {
 			return stats, fmt.Errorf("%s: wipe state dir: %w", r.cfg.Label, err)
 		}
