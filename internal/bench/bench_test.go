@@ -31,10 +31,7 @@ func (s *stubSystem) Execute(t *txn.Tx) system.Result {
 }
 
 func (s *stubSystem) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return system.GoSubmit(func(*txn.Tx) system.Result {
+	return system.NewBlocking(func(*txn.Tx) system.Result {
 		n := s.count.Add(1)
 		if s.latency > 0 {
 			time.Sleep(s.latency)
@@ -43,7 +40,7 @@ func (s *stubSystem) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, err
 			return system.Result{Reason: occ.ReadWriteConflict}
 		}
 		return system.Result{Committed: true}
-	}, t), nil
+	}).Submit(ctx, t)
 }
 
 func (s *stubSystem) Close() {}
@@ -153,7 +150,9 @@ func (e *errSystem) Submit(ctx context.Context, _ *txn.Tx) (*system.Handle, erro
 		return nil, err
 	}
 	e.count.Add(1)
-	return system.ResolvedHandle(system.Result{Err: errBoom}), nil
+	h := system.NewHandle()
+	h.Resolve(system.Result{Err: errBoom})
+	return h, nil
 }
 
 func TestPreloadSurfacesError(t *testing.T) {

@@ -418,12 +418,9 @@ func (n *Node) onForward(msg forward) {
 	}
 	// Re-forward once if leadership moved; drop otherwise. Propose has
 	// already told the proposer the entry was accepted, so a drop is a
-	// loss unless the proposer re-proposes: for system.Group and the
-	// shared log, whose Resend lap (consensus/once.go) offers it again a lap
-	// or two later, it is a retry. Quorum-Raft's block proposals have no
-	// lap: proposeBatch can propose to a node that has just lost
-	// leadership, and a forward dropped there loses the block until its
-	// clients' 60 s commit timeout.
+	// loss unless the proposer re-proposes: for system.Group, the shared
+	// log and Quorum's blocks, whose Resend lap (consensus/once.go) offers
+	// it again a lap or two later, it is a retry.
 	if n.leaderID >= 0 && n.leaderID != n.cfg.ID {
 		_ = n.cfg.Endpoint.Send(n.leaderID, msg)
 	}

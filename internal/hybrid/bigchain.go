@@ -1,8 +1,10 @@
 package hybrid
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +13,6 @@ import (
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/pbft"
 	"dichotomy/internal/contract"
-	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/metrics"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/pipeline"
@@ -29,12 +30,13 @@ import (
 // the BFT quorums are expensive, which is why the framework predicts the
 // bottom throughput class.
 type Bigchain struct {
-	system.Blocking
-	cfg      BigchainConfig
-	net      *cluster.Network
-	nodes    []*bigchainNode
-	box      *system.PayloadBox
-	waiters  *system.Waiters[cryptoutil.Hash]
+	cfg   BigchainConfig
+	net   *cluster.Network
+	nodes []*bigchainNode
+	box   *system.PayloadBox
+	// pending holds each submitted transaction until a validator applies
+	// it.
+	pending  *system.Pending
 	closeOne sync.Once
 }
 
@@ -116,12 +118,11 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		return nil, fmt.Errorf("bigchain: CheckpointInterval requires DataDir")
 	}
 	b := &Bigchain{
-		cfg:     cfg,
-		net:     cluster.NewNetwork(cluster.ZeroLink{}),
-		box:     system.NewPayloadBox(),
-		waiters: system.NewWaiters[cryptoutil.Hash](),
+		cfg: cfg,
+		net: cluster.NewNetwork(cluster.ZeroLink{}),
+		box: system.NewPayloadBox(),
 	}
-	b.Blocking = system.NewBlocking(b.execute)
+	b.pending = system.NewPending("bigchain: commit timeout", b.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
 		peers[i] = cluster.NodeID(600000 + i)
@@ -165,19 +166,22 @@ func (b *Bigchain) Name() string { return "bigchaindb-like" }
 // network's transport — the chaos layer's drop/delay/reorder seam.
 func (b *Bigchain) SetFaults(hook cluster.FaultHook) { b.net.SetFaults(hook) }
 
-// execute is the blocking path: the whole transaction is ordered first,
-// then executed identically on every node's local database.
-func (b *Bigchain) execute(t *txn.Tx) system.Result {
-	live := 0
-	for _, n := range b.nodes {
-		if !n.Crashed() {
-			live++
-		}
-	}
-	if live == 0 {
+// Execute implements system.System as the thin Submit+Wait wrapper.
+func (b *Bigchain) Execute(t *txn.Tx) system.Result { return system.ExecuteViaSubmit(b, t) }
+
+// Submit implements system.System: t opens its entry in pending, and the
+// execute path runs on its own goroutine.
+func (b *Bigchain) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
+	return b.pending.Submit(ctx, t)
+}
+
+// execute is the one path, run with t's entry open in pending: the whole
+// transaction is ordered first, then executed identically on every node's
+// local database.
+func (b *Bigchain) execute(t *txn.Tx, await func() system.Result) system.Result {
+	if !slices.ContainsFunc(b.nodes, func(n *bigchainNode) bool { return !n.Crashed() }) {
 		return system.Result{Err: errors.New("bigchain: no live validators")}
 	}
-	done := b.waiters.Register(t.ID)
 	// Every validator takes exactly one copy — live decode while up,
 	// take-drain while down, handoff take-and-drop during recovery — so
 	// the count is constant and no copy leaks across crashes.
@@ -188,10 +192,10 @@ func (b *Bigchain) execute(t *txn.Tx) system.Result {
 	// it around the ring until one validator takes it; duplicate offers
 	// are digest-deduped inside PBFT, so over-proposing is harmless.
 	if err := b.propose(system.EncodeHandle(id)); err != nil {
-		b.waiters.Cancel(t.ID)
+		b.box.Drop(id)
 		return system.Result{Err: err}
 	}
-	r := b.waiters.Await(t.ID, done, "bigchain: commit timeout")
+	r := await()
 	t.Trace.Observe(metrics.PhaseConsensus, time.Since(start))
 	return r
 }
@@ -276,7 +280,7 @@ func (n *bigchainNode) apply(t *txn.Tx) {
 		r.Reason = occ.OK
 		r.Err = err
 	}
-	n.b.waiters.Resolve(t.ID, r)
+	n.b.pending.Resolve(t.ID, r)
 	if err == nil {
 		n.MaybeCheckpoint(height)
 	}
@@ -328,15 +332,9 @@ func (n *bigchainNode) setApplied(history [][]byte) {
 // The network may keep committing throughout — no quiesce is required.
 func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := b.nodes[i], b.nodes[from]
-	if !n.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("bigchain: validator %d is not crashed", i)
-	}
-	if src.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("bigchain: source validator %d is crashed", from)
-	}
 	// Replay re-runs the live apply stage, which checkpoints as it goes
 	// through the rebound checkpointer.
-	stats, err := n.Rebuild(maxCkptHeight)
+	stats, err := n.Rebuild(maxCkptHeight, src.Replica)
 	if err != nil {
 		return stats, err
 	}

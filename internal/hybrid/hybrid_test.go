@@ -145,6 +145,14 @@ func TestBigchainCommitAndReplay(t *testing.T) {
 			t.Fatalf("tx %d: %+v", i, r)
 		}
 	}
+	// A client is answered by the first validator to apply its
+	// transaction, so node 0 may still be catching up.
+	for deadline := time.Now().Add(10 * time.Second); b.Height(0) < 10; {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 0 applied %d of 10 transactions", b.Height(0))
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// All validators replayed the same sequence: equal key counts.
 	want := b.nodes[0].St.Len()
 	if want == 0 {

@@ -35,13 +35,15 @@ import (
 // Merkle maintenance sit on the critical path — which is why the framework
 // predicts (and Fig 15 reports) the top throughput class.
 type Veritas struct {
-	cfg      VeritasConfig
-	net      *cluster.Network
-	log      *sharedlog.Service
-	nodes    []*veritasNode
-	waiters  *system.Waiters[cryptoutil.Hash]
-	clients  sync.Map         // name → cryptoutil.PublicKey
-	ing      *ingress.Ingress // nil without VeritasConfig.Ingress
+	cfg     VeritasConfig
+	net     *cluster.Network
+	log     *sharedlog.Service
+	nodes   []*veritasNode
+	clients sync.Map // name → cryptoutil.PublicKey
+	// door holds each submitted transaction pending: the front door's
+	// mempool with VeritasConfig.Ingress, the direct path's table
+	// otherwise.
+	door     *ingress.Door
 	closeOne sync.Once
 }
 
@@ -159,9 +161,8 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 		return nil, fmt.Errorf("veritas: CheckpointInterval requires DataDir")
 	}
 	v := &Veritas{
-		cfg:     cfg,
-		net:     cluster.NewNetwork(cluster.ZeroLink{}),
-		waiters: system.NewWaiters[cryptoutil.Hash](),
+		cfg: cfg,
+		net: cluster.NewNetwork(cluster.ZeroLink{}),
 	}
 	v.log = sharedlog.New(sharedlog.Config{
 		Net: v.net, NodeBase: 500000,
@@ -171,6 +172,11 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 		v.Close()
 		return nil, err
 	}
+	door, err := ingress.NewDoor(cfg.Ingress, v.ingestBatch, v.execute, "veritas: commit timeout")
+	if err != nil {
+		return fail(fmt.Errorf("veritas: ingress: %w", err))
+	}
+	v.door = door
 	for i := 0; i < cfg.Verifiers; i++ {
 		rc := system.ReplicaConfig{
 			Label:   fmt.Sprintf("veritas verifier %d", i),
@@ -207,13 +213,6 @@ func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 		n.consumer = v.log.Subscribe(1)
 		n.Run(n.applyLoop)
 		v.nodes = append(v.nodes, n)
-	}
-	if cfg.Ingress != nil {
-		ing, err := ingress.New(*cfg.Ingress, v.ingestBatch)
-		if err != nil {
-			return fail(fmt.Errorf("veritas: ingress: %w", err))
-		}
-		v.ing = ing
 	}
 	return v, nil
 }
@@ -253,16 +252,10 @@ func (v *Veritas) Execute(t *txn.Tx) system.Result {
 
 // Submit implements system.System. With an ingress front door every
 // transaction goes through the mempool (reads resolve at build time,
-// right after their local execution); without one the direct execute
-// path runs on its own goroutine.
+// right after their local execution); without one it opens its entry in
+// pending and the direct execute path runs on its own goroutine.
 func (v *Veritas) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if v.ing == nil {
-		return system.GoSubmit(v.execute, t), nil
-	}
-	return v.ing.Submit(ctx, t)
+	return v.door.Submit(ctx, t)
 }
 
 // executeLocal runs t against the first verifier's committed state and
@@ -295,23 +288,21 @@ func (v *Veritas) executeLocal(t *txn.Tx, reg *contract.Registry) (r system.Resu
 	return system.Result{}, false
 }
 
-// execute is the direct blocking path: concurrent local execution, then
-// the effect (not the transaction) goes through the shared log —
-// marshalled whole, as Veritas ships effects through Kafka.
-// Self-contained records are what make the retained log tail a replay
-// source: a crashed verifier resubscribes above its checkpoint and
-// catches up through its ordinary apply pipeline.
-func (v *Veritas) execute(t *txn.Tx) system.Result {
+// execute is the direct path, run with t's entry open in the door's table:
+// concurrent local execution, then the effect (not the transaction) goes
+// through the shared log — marshalled whole, as Veritas ships effects
+// through Kafka. Self-contained records are what make the retained log
+// tail a replay source: a crashed verifier resubscribes above its
+// checkpoint and catches up through its ordinary apply pipeline.
+func (v *Veritas) execute(t *txn.Tx, await func() system.Result) system.Result {
 	if r, done := v.executeLocal(t, contract.NewRegistry(contract.KV{}, contract.Smallbank{})); done {
 		return r
 	}
-	done := v.waiters.Register(t.ID)
 	start := time.Now()
 	if err := v.log.Append(t.Marshal()); err != nil {
-		v.waiters.Cancel(t.ID)
 		return system.Result{Err: err}
 	}
-	r := v.waiters.Await(t.ID, done, "veritas: commit timeout")
+	r := await()
 	t.Trace.Observe(metrics.PhaseOrder, time.Since(start))
 	return r
 }
@@ -328,10 +319,9 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 	for _, t := range txs {
 		r, done := v.executeLocal(t, reg)
 		if done {
-			v.ing.Resolve(t.ID, r)
+			v.door.Resolve(t.ID, r)
 			continue
 		}
-		v.waiters.RegisterFunc(t.ID, v.ing.Resolver(t.ID))
 		survivors = append(survivors, t)
 	}
 	if len(survivors) == 0 {
@@ -343,8 +333,7 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 	var throttle error
 	for _, t := range survivors {
 		if err := v.log.AppendBounded(t.Marshal(), time.Second); err != nil {
-			v.waiters.Cancel(t.ID)
-			v.ing.Resolve(t.ID, system.Result{
+			v.door.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: shared log unavailable: %v", ingress.ErrOverloaded, err),
 			})
 			throttle = err
@@ -356,10 +345,7 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 // IngressStats returns the front door's counters; ok is false when the
 // prototype runs without an ingress.
 func (v *Veritas) IngressStats() (ingress.Stats, bool) {
-	if v.ing == nil {
-		return ingress.Stats{}, false
-	}
-	return v.ing.Stats(), true
+	return v.door.Stats()
 }
 
 // ConsensusDropped sums the shared log orderers' transport drop counters —
@@ -465,9 +451,9 @@ func (n *veritasNode) applyBatch(vb *veritasBatch) {
 }
 
 // sealBatch acks the batch's clients; only the first verifier resolves
-// (pipeline Seal stage). Replayed batches resolve no one — their waiters
-// were answered (or timed out) long ago, and Resolve on an unknown id is
-// a no-op.
+// (pipeline Seal stage). Replayed batches resolve no one — their callers
+// were answered (or timed out) long ago, and Resolve on an id with no
+// pending entry is a no-op.
 func (n *veritasNode) sealBatch(vb *veritasBatch) {
 	if n != n.v.nodes[0] {
 		return
@@ -481,7 +467,7 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 		if r.Err == nil && vb.authErrs != nil && vb.authErrs[i] != nil {
 			r.Err = vb.authErrs[i]
 		}
-		n.v.waiters.Resolve(t.ID, r)
+		n.v.door.Resolve(t.ID, r)
 	}
 }
 
@@ -505,10 +491,7 @@ func (v *Veritas) CrashVerifier(i int) {
 // log's batch count for catch-up.
 func (v *Veritas) RecoverVerifier(i int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n := v.nodes[i]
-	if !n.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("veritas: verifier %d is not crashed", i)
-	}
-	stats, err := n.Rebuild(maxCkptHeight)
+	stats, err := n.Rebuild(maxCkptHeight, nil)
 	if err != nil {
 		return stats, err
 	}
@@ -553,11 +536,9 @@ func (v *Veritas) Proofs(i int) *authstate.ProofServer { return v.nodes[i].Proof
 // Close implements system.System.
 func (v *Veritas) Close() {
 	v.closeOne.Do(func() {
-		if v.ing != nil {
-			// Stop admission first: the builder drains or resolves what it
-			// holds while the log and verifiers below are still alive.
-			v.ing.Close()
-		}
+		// Stop admission first: the builder drains or resolves what it
+		// holds while the log and verifiers below are still alive.
+		v.door.Close()
 		v.log.Stop()
 		for _, n := range v.nodes {
 			n.Close()

@@ -13,8 +13,8 @@
 //
 //   - Admission: Submit deduplicates by content-hash transaction id —
 //     concurrent submitters of one identical transaction share a single
-//     pending system.Handle instead of racing each other through the
-//     per-system waiter maps — classifies into priority lanes, and
+//     pending system.Handle, the rule system.Pending keeps on the direct
+//     path — classifies into priority lanes, and
 //     rejects with ErrOverloaded once the bounded pool is full, so
 //     overload sheds at the door instead of inside consensus.
 //   - Building: a single builder goroutine forms blocks from arrival
@@ -230,11 +230,13 @@ func New(cfg Config, sink BatchFunc) (*Ingress, error) {
 	return in, nil
 }
 
-// Submit admits t into the pool and returns its pending handle. A
-// transaction whose content hash is already pending — queued or in
-// flight through consensus — attaches to the existing submission's
-// handle: both callers observe the same committed result, executed once.
-// A full pool rejects with ErrOverloaded; a closed one with ErrClosed.
+// Submit admits t into the pool and returns its pending handle. The pool
+// is the system's one pending table while the front door is on: the sink
+// registers nothing elsewhere. A transaction whose content hash is already
+// pending — queued or in flight through consensus — attaches to the
+// existing submission's handle: every caller observes the one result of
+// one execution, as on the direct path (system.Pending). A full pool
+// rejects with ErrOverloaded; a closed one with ErrClosed.
 func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -276,21 +278,17 @@ func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 	return e.h, nil
 }
 
-// Resolve delivers the outcome for the pending transaction id — the hook
-// a system's seal path (or its sink, for immediate failures) calls. It
-// detaches the entry, so a later re-submission of the same content is a
-// genuinely new transaction. Unknown ids are no-ops, matching the waiter
-// registries' semantics.
+// Resolve delivers the outcome for the pending transaction id to every
+// caller attached to it — the one call a system's seal path makes per
+// transaction (or its sink, for immediate failures). It detaches the
+// entry, so a later re-submission of the same content is a genuinely new
+// transaction. Ids with no pending entry are no-ops, as in system.Pending.
 func (in *Ingress) Resolve(id cryptoutil.Hash, r system.Result) {
 	in.mu.Lock()
-	e, ok := in.byID[id]
-	if ok {
-		in.detach(e)
-	}
+	e := in.byID[id]
 	in.mu.Unlock()
-	if ok {
-		in.resolved.Inc()
-		e.h.Resolve(r)
+	if e != nil {
+		in.resolveEntry(e, r)
 	}
 }
 
@@ -308,12 +306,6 @@ func (in *Ingress) detach(e *entry) {
 		}
 		b.entries = nil
 	}
-}
-
-// Resolver returns Resolve curried on id, in the shape Waiters'
-// RegisterFunc wants.
-func (in *Ingress) Resolver(id cryptoutil.Hash) func(system.Result) {
-	return func(r system.Result) { in.Resolve(id, r) }
 }
 
 // resolveEntry resolves e only if it is still the pending entry for its
@@ -415,10 +407,7 @@ func (in *Ingress) oldestEnq() (time.Time, int, bool) {
 func (in *Ingress) pull() (*batch, []*txn.Tx) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	target := in.queued
-	if target > in.cfg.MaxBlock {
-		target = in.cfg.MaxBlock
-	}
+	target := min(in.queued, in.cfg.MaxBlock)
 	if target == 0 {
 		return nil, nil
 	}
@@ -497,16 +486,10 @@ func (in *Ingress) buildLoop() {
 		}
 		// Throttle: the sink resolved (or will resolve) its transactions;
 		// our job is only to slow down so admission shedding, not
-		// consensus queueing, absorbs the overload.
+		// consensus queueing, absorbs the overload. The backoff doubles
+		// from one BuildInterval up to 64 of them.
 		in.throttled.Inc()
-		if backoff < in.cfg.BuildInterval {
-			backoff = in.cfg.BuildInterval
-		} else {
-			backoff *= 2
-		}
-		if limit := 64 * in.cfg.BuildInterval; backoff > limit {
-			backoff = limit
-		}
+		backoff = min(max(2*backoff, in.cfg.BuildInterval), 64*in.cfg.BuildInterval)
 		in.watchdog(batch)
 		t := time.NewTimer(backoff)
 		select {
@@ -549,4 +532,57 @@ func (in *Ingress) watchdog(b *batch) {
 			})
 		}
 	})
+}
+
+// Door is where a ledger system's submitted updates are pending, in one
+// table per transaction: the front door's mempool when the system runs
+// one, otherwise the direct path's system.Pending. Resolve is that table's
+// Resolve, picked once here — the one call a seal path makes per
+// transaction.
+type Door struct {
+	Resolve func(cryptoutil.Hash, system.Result)
+	in      *Ingress        // nil without a front door
+	pending *system.Pending // nil with one
+}
+
+// NewDoor opens a front door feeding sink when cfg is set, and otherwise
+// the table of the direct path direct, whose commit timeout answers with
+// the error text timeout.
+func NewDoor(cfg *Config, sink BatchFunc, direct system.Direct, timeout string) (*Door, error) {
+	if cfg == nil {
+		p := system.NewPending(timeout, direct)
+		return &Door{Resolve: p.Resolve, pending: p}, nil
+	}
+	in, err := New(*cfg, sink)
+	if err != nil {
+		return nil, err
+	}
+	return &Door{Resolve: in.Resolve, in: in}, nil
+}
+
+// Submit admits t at the front door, or opens t's entry in the direct
+// path's table and runs the direct path on its own goroutine
+// (system.Pending).
+func (d *Door) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
+	if d.in != nil {
+		return d.in.Submit(ctx, t)
+	}
+	return d.pending.Submit(ctx, t)
+}
+
+// Stats snapshots the front door's counters; ok is false without one.
+func (d *Door) Stats() (Stats, bool) {
+	if d.in == nil {
+		return Stats{}, false
+	}
+	return d.in.Stats(), true
+}
+
+// Close closes the front door, answering every handle it holds; the
+// direct path's table needs no closing. A nil Door is a no-op, for a
+// system whose construction failed before opening it.
+func (d *Door) Close() {
+	if d != nil && d.in != nil {
+		d.in.Close()
+	}
 }

@@ -36,6 +36,7 @@
 package sharedlog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -109,6 +110,10 @@ type Service struct {
 	wg       sync.WaitGroup
 }
 
+// testTicks, when a test sets it, stands in for the batch timer of the
+// services New starts: each value run receives on it is one firing.
+var testTicks chan time.Time
+
 // commit is one committed entry and the orderer whose stream carried it.
 type commit struct {
 	consensus.Entry
@@ -143,7 +148,7 @@ func New(cfg Config) *Service {
 	for i, o := range s.orderers {
 		go s.forward(i, o.Committed(), commits)
 	}
-	go s.run(commits)
+	go s.run(commits, testTicks)
 	// A resend goes to every orderer, not through propose: an orderer cut
 	// off while leading keeps believing it leads, accepts the copy and
 	// loses it again, and the lead it would be offered to first is only
@@ -268,12 +273,14 @@ func (s *Service) forward(i int, src <-chan consensus.Entry, dst chan<- commit) 
 }
 
 // run takes the total order from the merged commit streams, cuts batches,
-// and fans them out to consumers.
-func (s *Service) run(commits <-chan commit) {
+// and fans them out to consumers. The batch timer fires on ticks when they
+// are given, a test's hand-driven clock.
+func (s *Service) run(commits <-chan commit, ticks <-chan time.Time) {
 	defer s.wg.Done()
 	next := uint64(1) // the raft index the order takes next
 	timer := time.NewTimer(s.cfg.BatchTimeout)
 	defer timer.Stop()
+	fire := cmp.Or(ticks, timer.C)
 	for {
 		select {
 		case <-s.stopCh:
@@ -293,7 +300,7 @@ func (s *Service) run(commits <-chan commit) {
 				timer.Reset(s.cfg.BatchTimeout)
 			}
 			s.mu.Unlock()
-		case <-timer.C:
+		case <-fire:
 			s.mu.Lock()
 			if len(s.pending) > 0 {
 				s.cutLocked()

@@ -330,59 +330,73 @@ func TestDeliveryDoesNotDependOnOrdererZero(t *testing.T) {
 	}
 }
 
-// TestBatchTimerDoesNotSkip: under a steady trickle of appends the batch
-// timer cuts every BatchTimeout. A timer that only cuts once BatchTimeout
-// has passed since the last cut, checked on a ticker of the same period,
-// misses that instant by microseconds about half the time and cuts a
-// period later.
+// TestBatchTimerDoesNotSkip: each firing of the batch timer with records
+// pending cuts exactly one batch of all of them, an idle firing cuts
+// nothing, and the firing after an idle one still cuts. (A timer that cut
+// only once BatchTimeout had passed since the last cut, checked on a ticker
+// of the same period, missed that instant by microseconds about half the
+// time and cut a period later.) The test fires the timer by hand, so the
+// host's scheduler has no part in it.
 func TestBatchTimerDoesNotSkip(t *testing.T) {
-	svc := service(t, 1000) // never cut on size
+	ticks := make(chan time.Time)
+	testTicks = ticks
+	net := cluster.NewNetwork(cluster.ZeroLink{})
+	// Never cut on size, and a period no firing here waits out: a timer
+	// that asks how long it has been since the last cut never cuts.
+	svc := New(Config{Net: net, NodeBase: 1000, BatchSize: 1000, BatchTimeout: time.Hour})
+	testTicks = nil
+	t.Cleanup(func() {
+		svc.Stop()
+		net.Close()
+	})
 	c := svc.Subscribe(1)
 	defer c.Close()
-	if err := svc.Append([]byte("warm")); err != nil {
-		t.Fatal(err)
-	}
-	readBatches(t, c, 1, 10*time.Second)
 
-	const records = 300
-	arrivals := make(chan []time.Time, 1)
-	go func() {
-		var at []time.Time
-		for n := 0; n < records; {
-			b, ok := <-c.Batches()
-			if !ok {
-				break
+	var appended, seq uint64
+	// Records appended before each firing; 0 is an idle firing.
+	for round, records := range []int{1, 3, 0, 2, 0, 0, 5, 1, 0, 1} {
+		var want []string
+		for i := 0; i < records; i++ {
+			want = append(want, fmt.Sprintf("r-%d", appended))
+			if err := svc.Append([]byte(want[i])); err != nil {
+				t.Fatal(err)
 			}
-			at = append(at, time.Now())
-			n += len(b.Records)
+			appended++
 		}
-		arrivals <- at
-	}()
-	tick := time.NewTicker(time.Millisecond)
-	for i := 0; i < records; i++ {
-		<-tick.C
-		if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
-			t.Fatal(err)
+		// Append returns once an orderer accepted the record; it is
+		// pending once the sequencer has taken it.
+		deadline := time.Now().Add(10 * time.Second)
+		for svc.Appended() < appended {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: %d of %d records sequenced", round, svc.Appended(), appended)
+			}
+			time.Sleep(time.Millisecond)
 		}
-	}
-	tick.Stop()
-	var at []time.Time
-	select {
-	case at = <-arrivals:
-	case <-time.After(10 * time.Second):
-		t.Fatal("trickle never fully delivered")
-	}
-	var gaps []time.Duration
-	for i := 1; i < len(at); i++ {
-		gaps = append(gaps, at[i].Sub(at[i-1]))
-	}
-	if len(gaps) < 10 {
-		t.Fatalf("%d cuts for %d records over 300 ms", len(at), records)
-	}
-	slices.Sort(gaps)
-	median := gaps[len(gaps)/2]
-	if limit := svc.cfg.BatchTimeout * 6 / 5; median > limit {
-		t.Fatalf("median gap between cuts %v > %v (1.2 × BatchTimeout); gaps %v", median, limit, gaps)
+		select {
+		case ticks <- time.Now():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: the service never took the firing", round)
+		}
+		if records == 0 {
+			// The next cut's sequence number shows whether this one cut.
+			continue
+		}
+		select {
+		case b := <-c.Batches():
+			seq++
+			if b.Seq != seq {
+				t.Fatalf("round %d cut batch %d, want %d: an earlier firing cut more than its one batch", round, b.Seq, seq)
+			}
+			var got []string
+			for _, r := range b.Records {
+				got = append(got, string(r))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d cut %q, want the %d pending records %q", round, got, records, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: a firing with %d records pending cut nothing", round, records)
+		}
 	}
 }
 

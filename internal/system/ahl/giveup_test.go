@@ -32,7 +32,10 @@ func TestUnavailableGiveUp(t *testing.T) {
 		sh.Crash(i) // every Propose is refused from here on
 	}
 	start := time.Now()
-	r := c.Execute(kvTx(t, client, "put", "k", "w"))
+	var r system.Result
+	if n := system.CountGiveUps(func() { r = c.Execute(kvTx(t, client, "put", "k", "w")) }); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if r.Err == nil || r.Err.Error() != "ahl: shard unavailable" {
 		t.Fatalf("put with no live replica: %+v, want ahl: shard unavailable", r)
 	}
@@ -48,7 +51,10 @@ func TestTimeoutGiveUp(t *testing.T) {
 	for i := 1; i < sh.Replicas(); i++ {
 		sh.Crash(i)
 	}
-	r := c.Execute(kvTx(t, client, "put", "k", "w"))
+	var r system.Result
+	if n := system.CountGiveUps(func() { r = c.Execute(kvTx(t, client, "put", "k", "w")) }); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if r.Err == nil || r.Err.Error() != "ahl: shard timeout" {
 		t.Fatalf("put without a quorum: %+v, want ahl: shard timeout", r)
 	}

@@ -11,6 +11,7 @@ import (
 	"dichotomy/internal/contract"
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/storage/bptree"
+	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
 
@@ -179,7 +180,11 @@ func TestDeadClusterErrors(t *testing.T) {
 		t.Fatalf("Get from a dead cluster: %q, %v", v, err)
 	}
 	c.Deadline = 30 * time.Millisecond
-	if err := c.Put("k", []byte("w")); err == nil || err.Error() != "etcd: leaderless" {
+	var err error
+	if n := system.CountGiveUps(func() { err = c.Put("k", []byte("w")) }); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
+	if err == nil || err.Error() != "etcd: leaderless" {
 		t.Fatalf("Put into a dead cluster: %v, want etcd: leaderless", err)
 	}
 }

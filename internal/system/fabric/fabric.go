@@ -177,10 +177,13 @@ type Network struct {
 	peers    []*peer
 	ordering *sharedlog.Service
 	box      *system.PayloadBox
-	waiters  *system.Waiters[cryptoutil.Hash]
 	clients  sync.Map // name → cryptoutil.PublicKey
 	peerKeys map[string]cryptoutil.PublicKey
-	ing      *ingress.Ingress // nil without Config.Ingress
+	// door holds each submitted update pending: the front door's mempool
+	// with Config.Ingress, the direct path's table otherwise.
+	door *ingress.Door
+	// reads serves read-only invocations: one peer, never ordered.
+	reads system.Blocking
 
 	// Breakdown aggregates validate-phase sub-costs for Fig 8.
 	Breakdown *metrics.Breakdown
@@ -258,7 +261,6 @@ func New(cfg Config) (*Network, error) {
 		cfg:       cfg,
 		net:       cluster.NewNetwork(cluster.ZeroLink{}),
 		box:       system.NewPayloadBox(),
-		waiters:   system.NewWaiters[cryptoutil.Hash](),
 		peerKeys:  make(map[string]cryptoutil.PublicKey),
 		Breakdown: metrics.NewBreakdown(),
 	}
@@ -314,16 +316,14 @@ func New(cfg Config) (*Network, error) {
 		})
 		nw.peerKeys[name] = signer.Public()
 	}
+	door, err := ingress.NewDoor(cfg.Ingress, nw.ingestBatch, nw.execute, "fabric: commit timeout")
+	if err != nil {
+		return fail(fmt.Errorf("fabric: ingress: %w", err))
+	}
+	nw.door, nw.reads = door, system.NewBlocking(nw.query)
 	for _, p := range nw.peers {
 		p.consumer = nw.ordering.Subscribe(1)
 		p.Run(p.commitLoop)
-	}
-	if cfg.Ingress != nil {
-		ing, err := ingress.New(*cfg.Ingress, nw.ingestBatch)
-		if err != nil {
-			return fail(fmt.Errorf("fabric: ingress: %w", err))
-		}
-		nw.ing = ing
 	}
 	return nw, nil
 }
@@ -365,38 +365,36 @@ func (nw *Network) Execute(t *txn.Tx) system.Result {
 }
 
 // Submit implements system.System. Read-only invocations are served from
-// a single peer without ordering (as on the direct path) and never enter
-// the mempool; updates go through the ingress front door when one is
-// configured, and otherwise run the direct execute path on their own
+// a single peer without ordering and never enter a pending table; updates
+// go through the ingress front door when one is configured, and otherwise
+// open their entry in pending and run the direct execute path on their own
 // goroutine.
 func (nw *Network) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if t.Invocation.Method == "get" || t.Invocation.Method == "query" {
+		return nw.reads.Submit(ctx, t)
 	}
-	readOnly := t.Invocation.Method == "get" || t.Invocation.Method == "query"
-	if nw.ing == nil || readOnly {
-		return system.GoSubmit(nw.execute, t), nil
-	}
-	return nw.ing.Submit(ctx, t)
+	return nw.door.Submit(ctx, t)
 }
 
-// execute is the direct blocking path: the full execute-order-validate
-// lifecycle for updates; local simulation for read-only invocations.
-func (nw *Network) execute(t *txn.Tx) system.Result {
-	readOnly := t.Invocation.Method == "get" || t.Invocation.Method == "query"
+// query serves a read-only invocation from one live peer. Queries are
+// never ordered; the dominant cost is client authentication (Fig 8b).
+func (nw *Network) query(t *txn.Tx) system.Result {
 	live := nw.livePeers()
 	if len(live) == 0 {
 		return system.Result{Err: errors.New("fabric: no live peers")}
 	}
-	if readOnly {
-		// Queries hit a single peer and are never ordered; the dominant
-		// cost is client authentication (Fig 8b).
-		p := live[int(nw.rr.Add(1))%len(live)]
-		if _, _, err := p.endorse(t); err != nil {
-			return system.Result{Err: err}
-		}
-		return system.Result{Committed: true, Value: p.readValue(t.Invocation)}
+	p := live[int(nw.rr.Add(1))%len(live)]
+	if _, _, err := p.endorse(t); err != nil {
+		return system.Result{Err: err}
 	}
+	return system.Result{Committed: true, Value: p.readValue(t.Invocation)}
+}
+
+// execute is the direct path of an update, run with its entry open in the
+// door's table: the full execute-order-validate lifecycle. What it returns
+// answers everyone attached, unless the seal path did first.
+func (nw *Network) execute(t *txn.Tx, await func() system.Result) system.Result {
+	live := nw.livePeers()
 
 	// Phase 1: endorsement — every live peer simulates concurrently. A
 	// crashed peer contributes nothing; the transaction fails here if the
@@ -413,15 +411,13 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 	// a recovering peer's handoff consumer Takes the batches its replay
 	// covered — so the count stays constant across crashes and no entry
 	// leaks.
-	done := nw.waiters.Register(t.ID)
 	orderStart := time.Now()
 	id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 	if err := nw.ordering.Append(system.EncodeHandle(id)); err != nil {
-		nw.waiters.Cancel(t.ID)
 		nw.box.Drop(id)
 		return system.Result{Err: err}
 	}
-	r := nw.waiters.Await(t.ID, done, "fabric: commit timeout")
+	r := await()
 	t.Trace.Observe(metrics.PhaseOrder, time.Since(orderStart))
 	return r
 }
@@ -509,25 +505,22 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 
 // ingestBatch is the ingress builder's sink: it owns every transaction
 // handed to it and resolves each one, either immediately (endorsement
-// failure, ordering unavailable) or through the registered waiter when
-// the commit pipeline seals the block. The returned error is purely a
+// failure, ordering unavailable) or through the mempool's entry, which
+// the commit pipeline resolves when it seals the block. The returned error is purely a
 // throttle signal to the builder.
 func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 	live := nw.livePeers()
 	if len(live) < nw.needed() {
 		err := fmt.Errorf("fabric: %d live peers, endorsement policy needs %d", len(live), nw.needed())
 		for _, t := range txs {
-			nw.ing.Resolve(t.ID, system.Result{Err: err})
+			nw.door.Resolve(t.ID, system.Result{Err: err})
 		}
 		return err
 	}
 	// Endorse the batch CPU-parallel — each transaction already fans out
 	// across peers, but signature verification and simulation are the
 	// builder's real cost and must not serialize block building.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(txs) {
-		workers = len(txs)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(txs))
 	results := make([]system.Result, len(txs))
 	proceed := make([]bool, len(txs))
 	pipeline.Parallel(workers, len(txs), func(i int) {
@@ -536,7 +529,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 	survivors := 0
 	for i, t := range txs {
 		if !proceed[i] {
-			nw.ing.Resolve(t.ID, results[i])
+			nw.door.Resolve(t.ID, results[i])
 			continue
 		}
 		survivors++
@@ -553,12 +546,10 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		if !proceed[i] {
 			continue
 		}
-		nw.waiters.RegisterFunc(t.ID, nw.ing.Resolver(t.ID))
 		id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
 		if err := nw.ordering.AppendBounded(system.EncodeHandle(id), time.Second); err != nil {
-			nw.waiters.Cancel(t.ID)
 			nw.box.Drop(id)
-			nw.ing.Resolve(t.ID, system.Result{
+			nw.door.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: ordering unavailable: %v", ingress.ErrOverloaded, err),
 			})
 			throttle = err
@@ -570,10 +561,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 // IngressStats returns the front door's counters; ok is false when the
 // network runs without an ingress.
 func (nw *Network) IngressStats() (ingress.Stats, bool) {
-	if nw.ing == nil {
-		return ingress.Stats{}, false
-	}
-	return nw.ing.Stats(), true
+	return nw.door.Stats()
 }
 
 // ConsensusDropped sums the ordering service's transport drop counters —
@@ -798,7 +786,7 @@ func (p *peer) sealBlock(b *fabricBlock) {
 		} else {
 			r = system.Result{Committed: b.verdicts[i] == occ.OK, Reason: b.verdicts[i]}
 		}
-		p.nw.waiters.Resolve(t.ID, r)
+		p.nw.door.Resolve(t.ID, r)
 	}
 
 	// Checkpoint after the clients are answered, still on the committer.
@@ -831,18 +819,12 @@ func (nw *Network) CrashPeer(i int) {
 // call rebuilds from scratch.
 func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	p, src := nw.peers[i], nw.peers[from]
-	// Read once, and before the liveness check: Crash raises the flag
-	// first and drops the ledger after, mid-replay included.
+	// Read once, and before Rebuild's liveness check: Crash raises the
+	// flag first and drops the ledger after, mid-replay included.
 	srcLedger := src.Ledger
-	if !p.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("fabric: peer %d is not crashed", i)
-	}
-	if src.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("fabric: source peer %d is crashed", from)
-	}
 	// The crash-time subscription stays open until the recovery succeeds:
 	// a failed one resumes the drain on it, exactly at Delivered+1.
-	stats, err := p.Rebuild(maxCkptHeight)
+	stats, err := p.Rebuild(maxCkptHeight, src.Replica)
 	if err != nil {
 		return stats, err
 	}
@@ -906,11 +888,9 @@ func (nw *Network) BlockBytes() int64 { return nw.peers[0].Ledger.StorageSize() 
 // Close implements system.System.
 func (nw *Network) Close() {
 	nw.closeOne.Do(func() {
-		if nw.ing != nil {
-			// Stop admission first: the builder drains or resolves what it
-			// holds while the ordering path below is still alive.
-			nw.ing.Close()
-		}
+		// Stop admission first: the builder drains or resolves what it
+		// holds while the ordering path below is still alive.
+		nw.door.Close()
 		nw.ordering.Stop()
 		for _, p := range nw.peers {
 			p.Close()

@@ -326,7 +326,10 @@ func TestGroupLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 	}
 	g.Deadline = 30 * time.Millisecond
 	start := time.Now()
-	r := g.Propose(tallyCmd())
+	var r Result
+	if n := CountGiveUps(func() { r = g.Propose(tallyCmd()) }); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if r.Err == nil || r.Err.Error() != "test: leaderless" || r.Err != g.errLeaderless {
 		t.Fatalf("propose into a dead group: %+v, want test: leaderless", r)
 	}

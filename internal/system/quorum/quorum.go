@@ -31,6 +31,7 @@ package quorum
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -153,13 +154,21 @@ type Network struct {
 	net     *cluster.Network
 	nodes   []*node
 	box     *system.PayloadBox
-	waiters *system.Waiters[cryptoutil.Hash]
-	clients sync.Map         // client name → cryptoutil.PublicKey
-	ing     *ingress.Ingress // nil without Config.Ingress
+	clients sync.Map // client name → cryptoutil.PublicKey
+	// door holds each submitted update pending: the front door's mempool
+	// with Config.Ingress, the direct path's table otherwise.
+	door *ingress.Door
+	// reads serves read-only invocations: one node, no consensus.
+	reads system.Blocking
 	// blockCap is the proposer's current block-cut cap: Config.BlockSize
 	// on the direct path, adaptively driven by the ingress builder's batch
 	// size when the front door is on.
 	blockCap atomic.Int64
+	// flight holds each proposed block until a node decodes its first
+	// copy; its Resend lap proposes again a block that a leader accepted
+	// and then lost in a leader change (consensus/once.go).
+	flight     consensus.Flight[struct{}]
+	stopResend func()
 
 	rr       uint64
 	rrMu     sync.Mutex
@@ -191,11 +200,27 @@ type node struct {
 	// skipTo makes the restarted decode stage take-and-discard entries
 	// the recovery replay already covered (index ≤ skipTo).
 	skipTo atomic.Uint64
+	// win admits the first copy of each block in log order. Like
+	// Delivered it follows the log through a crash: the drain and the
+	// rejoin skip admit through it too.
+	win consensus.Window
 }
 
-// entryHandle maps a committed entry to the one payload-box handle it
-// carries and its consensus index.
-func entryHandle(e consensus.Entry) ([][]byte, uint64) { return [][]byte{e.Data}, e.Index }
+// entryHandle maps a committed entry to its consensus index and, when the
+// entry is its block's first copy in the log, the payload-box handle it
+// carries. A copy the Resend lap proposed again carries none, and neither
+// does the empty entry a new raft leader commits its inherited tail with.
+func (n *node) entryHandle(e consensus.Entry) ([][]byte, uint64) {
+	if len(e.Data) != consensus.Header+8 {
+		return nil, e.Index
+	}
+	id := binary.BigEndian.Uint64(e.Data)
+	if !n.win.Admit(id, binary.BigEndian.Uint64(e.Data[8:])) {
+		return nil, e.Index
+	}
+	n.nw.flight.Finish(id)
+	return [][]byte{e.Data[consensus.Header:]}, e.Index
+}
 
 // block is the consensus payload (passed by handle through the box). It
 // is shared read-only by every node's pipeline; per-node processing state
@@ -233,10 +258,10 @@ func New(cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("quorum: CheckpointInterval requires DataDir")
 	}
 	nw := &Network{
-		cfg:     cfg,
-		net:     cluster.NewNetwork(cluster.ZeroLink{}),
-		box:     system.NewPayloadBox(),
-		waiters: system.NewWaiters[cryptoutil.Hash](),
+		cfg:        cfg,
+		net:        cluster.NewNetwork(cluster.ZeroLink{}),
+		box:        system.NewPayloadBox(),
+		stopResend: func() {}, // until New starts the lap
 	}
 	peers := make([]cluster.NodeID, cfg.Nodes)
 	for i := range peers {
@@ -291,16 +316,20 @@ func New(cfg Config) (*Network, error) {
 		nw.nodes = append(nw.nodes, n)
 	}
 	nw.blockCap.Store(int64(cfg.BlockSize))
+	door, err := ingress.NewDoor(cfg.Ingress, nw.ingestBatch, nw.execute, "quorum: commit timeout")
+	if err != nil {
+		return fail(fmt.Errorf("quorum: ingress: %w", err))
+	}
+	nw.door, nw.reads = door, system.NewBlocking(nw.query)
 	for _, n := range nw.nodes {
 		n.Run(n.proposeLoop, n.commitLoop)
 	}
-	if cfg.Ingress != nil {
-		ing, err := ingress.New(*cfg.Ingress, nw.ingestBatch)
-		if err != nil {
-			return fail(fmt.Errorf("quorum: ingress: %w", err))
+	nw.stopResend = nw.flight.Resend(func(entry []byte) bool {
+		if n := nw.leaderOr(nil); n != nil {
+			_ = n.cons.Propose(entry)
 		}
-		nw.ing = ing
-	}
+		return true
+	})
 	return nw, nil
 }
 
@@ -324,18 +353,15 @@ func (nw *Network) Execute(t *txn.Tx) system.Result {
 }
 
 // Submit implements system.System. Read-only invocations execute locally
-// against one node and never enter the mempool; updates go through the
-// ingress front door when one is configured, and otherwise run the direct
-// pool-and-wait path on their own goroutine.
+// against one node and never enter a pending table; updates go through the
+// ingress front door when one is configured, and otherwise open their
+// entry in pending and run the direct pool-and-wait path on their own
+// goroutine.
 func (nw *Network) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if t.Invocation.Method == "get" || t.Invocation.Method == "query" {
+		return nw.reads.Submit(ctx, t)
 	}
-	readOnly := t.Invocation.Method == "get" || t.Invocation.Method == "query"
-	if nw.ing == nil || readOnly {
-		return system.GoSubmit(nw.execute, t), nil
-	}
-	return nw.ing.Submit(ctx, t)
+	return nw.door.Submit(ctx, t)
 }
 
 // pickLive returns a live node, round robin, or nil when none remain.
@@ -363,21 +389,25 @@ func (nw *Network) leaderOr(fallback *node) *node {
 	return fallback
 }
 
-// execute is the direct blocking path: it submits the transaction to a
-// node (round robin) and blocks until the block containing it commits.
-func (nw *Network) execute(t *txn.Tx) system.Result {
+// query serves a read-only transaction on one live node (round robin),
+// locally and without consensus (paper §2.1) — but it still pays client
+// authentication, unlike a database.
+func (nw *Network) query(t *txn.Tx) system.Result {
 	n := nw.pickLive()
 	if n == nil {
 		return system.Result{Err: errors.New("quorum: no live nodes")}
 	}
+	return n.executeReadOnly(t)
+}
 
-	// Read-only transactions execute locally, without consensus (paper
-	// §2.1) — but still pay client authentication, unlike a database.
-	if t.Invocation.Method == "get" || t.Invocation.Method == "query" {
-		return n.executeReadOnly(t)
+// execute is the direct path of an update, run with its entry open in the
+// door's table: it submits the transaction to a node (round robin) and
+// waits until the block containing it commits.
+func (nw *Network) execute(t *txn.Tx, await func() system.Result) system.Result {
+	n := nw.pickLive()
+	if n == nil {
+		return system.Result{Err: errors.New("quorum: no live nodes")}
 	}
-
-	done := nw.waiters.Register(t.ID)
 	start := time.Now()
 	// The transaction pool is shared cluster-wide in spirit: real Quorum
 	// gossips pending transactions so the proposer sees them. Enqueue on
@@ -387,7 +417,7 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 	target.pendingMu.Lock()
 	target.pending = append(target.pending, t)
 	target.pendingMu.Unlock()
-	r := nw.waiters.Await(t.ID, done, "quorum: commit timeout")
+	r := await()
 	t.Trace.Observe(metrics.PhaseCommit, time.Since(start))
 	return r
 }
@@ -396,27 +426,21 @@ func (nw *Network) execute(t *txn.Tx) system.Result {
 // the leader's transaction pool under a bound, so a stalled proposer
 // pushes back on the builder instead of accumulating unbounded pending
 // work. It owns every handed transaction — each resolves either here
-// (no live node, handoff timeout) or through the seal path's waiter.
+// (no live node, handoff timeout) or when the seal path resolves its
+// mempool entry.
 func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 	n := nw.pickLive()
 	if n == nil {
 		err := errors.New("quorum: no live nodes")
 		for _, t := range txs {
-			nw.ing.Resolve(t.ID, system.Result{Err: err})
+			nw.door.Resolve(t.ID, system.Result{Err: err})
 		}
 		return err
-	}
-	for _, t := range txs {
-		nw.waiters.RegisterFunc(t.ID, nw.ing.Resolver(t.ID))
 	}
 	// Adaptive block shape: let the proposer cut where arrival pressure
 	// put this batch (never below the configured size, so the direct
 	// path's behavior is a floor).
-	capTxs := int64(len(txs))
-	if capTxs < int64(nw.cfg.BlockSize) {
-		capTxs = int64(nw.cfg.BlockSize)
-	}
-	nw.blockCap.Store(capTxs)
+	nw.blockCap.Store(max(int64(len(txs)), int64(nw.cfg.BlockSize)))
 	// Bounded handoff: wait briefly for pool space; a pool that stays
 	// full is consensus pushing back, and the overload must shed at
 	// admission rather than queue here.
@@ -434,8 +458,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		if !time.Now().Before(deadline) {
 			err := fmt.Errorf("%w: proposer pool full (%d pending)", ingress.ErrOverloaded, bound)
 			for _, t := range txs {
-				nw.waiters.Cancel(t.ID)
-				nw.ing.Resolve(t.ID, system.Result{Err: err})
+				nw.door.Resolve(t.ID, system.Result{Err: err})
 			}
 			return err
 		}
@@ -447,10 +470,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 // IngressStats returns the front door's counters; ok is false when the
 // network runs without an ingress.
 func (nw *Network) IngressStats() (ingress.Stats, bool) {
-	if nw.ing == nil {
-		return ingress.Stats{}, false
-	}
-	return nw.ing.Stats(), true
+	return nw.door.Stats()
 }
 
 // SetFaults installs (or, with nil, removes) a message-fault hook on the
@@ -578,15 +598,20 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 	// The block is taken exactly once per node — live nodes Take in
 	// decode, crashed nodes Take in their drain — so the count stays
 	// constant across crashes and no entry leaks.
-	id := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
-	if err := n.cons.Propose(system.EncodeHandle(id)); err != nil {
+	handle := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
+	entry := binary.BigEndian.AppendUint64(make([]byte, consensus.Header, consensus.Header+8), handle)
+	id := n.nw.flight.Issue(entry, struct{}{})
+	if err := n.cons.Propose(entry); err != nil {
 		// Leadership moved between check and propose: no node will ever
 		// take this block, so release it, and requeue the batch.
-		n.nw.box.Drop(id)
+		n.nw.flight.Finish(id)
+		n.nw.box.Drop(handle)
 		n.pendingMu.Lock()
 		n.pending = append(batch, n.pending...)
 		n.pendingMu.Unlock()
+		return
 	}
+	n.nw.flight.Accepted(id)
 }
 
 // commitLoop drives the node's block pipeline over the consensus commit
@@ -608,8 +633,8 @@ func (n *node) commitLoop(stop <-chan struct{}) {
 func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
 	n.Delivered.Store(e.Index)
 	var blk *block
-	if id, ok := system.HandleID(e.Data); ok {
-		if v, ok := n.nw.box.Take(id); ok {
+	if hs, _ := n.entryHandle(e); hs != nil {
+		if v, ok := n.nw.box.Take(binary.BigEndian.Uint64(hs[0])); ok {
 			blk = v.(*block)
 		}
 	}
@@ -731,7 +756,7 @@ func (n *node) sealBlock(nb *nodeBlock) {
 	}
 
 	// The proposer resolves the waiting clients once its own commit is
-	// durable (clients connect round-robin but wait on the shared map).
+	// durable (clients connect round-robin but wait in one table).
 	// A commit that failed reaches every client as an error rather than
 	// a silent exit.
 	for i, t := range blk.txs {
@@ -739,7 +764,7 @@ func (n *node) sealBlock(nb *nodeBlock) {
 		if nb.commitErr != nil {
 			r = system.Result{Reason: r.Reason, Err: nb.commitErr}
 		}
-		n.nw.waiters.Resolve(t.ID, r)
+		n.nw.door.Resolve(t.ID, r)
 	}
 
 	// Checkpoint at this block's boundary, still on the committer (see
@@ -758,7 +783,7 @@ func (n *node) sealBlock(nb *nodeBlock) {
 // routing skip the node from now on.
 func (nw *Network) CrashNode(i int) {
 	n := nw.nodes[i]
-	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), entryHandle))
+	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.entryHandle))
 }
 
 // RecoverNode rebuilds crashed node i from its newest on-disk checkpoint
@@ -774,16 +799,10 @@ func (nw *Network) CrashNode(i int) {
 // scratch.
 func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := nw.nodes[i], nw.nodes[from]
-	// Read once, and before the liveness check: Crash raises the flag
-	// first and drops the ledger after, mid-replay included.
+	// Read once, and before Rebuild's liveness check: Crash raises the
+	// flag first and drops the ledger after, mid-replay included.
 	srcLedger := src.Ledger
-	if !n.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("quorum: node %d is not crashed", i)
-	}
-	if src.Crashed() {
-		return recovery.Stats{}, fmt.Errorf("quorum: source node %d is crashed", from)
-	}
-	stats, err := n.Rebuild(maxCkptHeight)
+	stats, err := n.Rebuild(maxCkptHeight, src.Replica)
 	if err != nil {
 		return stats, err
 	}
@@ -882,11 +901,10 @@ func (nw *Network) StateBytes() int64 {
 // Close implements system.System.
 func (nw *Network) Close() {
 	nw.closeOne.Do(func() {
-		if nw.ing != nil {
-			// Stop admission first: the builder drains or resolves what it
-			// holds while the propose/commit paths below are still alive.
-			nw.ing.Close()
-		}
+		// Stop admission first: the builder drains or resolves what it
+		// holds while the propose/commit paths below are still alive.
+		nw.door.Close()
+		nw.stopResend()
 		for _, n := range nw.nodes {
 			n.cons.Stop()
 			n.Close()

@@ -276,8 +276,16 @@ func (r *Replica) Deliver(handles [][]byte, seq uint64) {
 // store dumps as one synthetic delta at the checkpoint height, and the
 // replay then feeds per-block deltas as live commits do (the trie root is
 // content-determined). A failed Rebuild leaves the replica crashed with
-// its engines closed and its drain running again; it may be retried.
-func (r *Replica) Rebuild(maxCkptHeight uint64) (stats recovery.Stats, err error) {
+// its engines closed and its drain running again; it may be retried. It
+// refuses a replica that is not crashed, and a crashed src — the replica
+// to catch up from, nil when the log itself is the source — untouched.
+func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.Stats, err error) {
+	if !r.Crashed() {
+		return stats, fmt.Errorf("%s is not crashed", r.cfg.Label)
+	}
+	if src != nil && src.Crashed() {
+		return stats, fmt.Errorf("%s: source %s is crashed", r.cfg.Label, src.cfg.Label)
+	}
 	r.Stop() // the drain: Delivered is the pivot D from here on
 	r.lose() // whatever an earlier attempt's system-side step left open
 	defer func() {

@@ -82,7 +82,7 @@ func (c *counter) stage(uint64, [][]byte) error { c.Add(1); return nil }
 func TestCatchUpWaitsForSourceBelowD(t *testing.T) {
 	r, _ := testReplica(t, ReplicaConfig{})
 	r.Crash(nil)
-	if _, err := r.Rebuild(0); err != nil {
+	if _, err := r.Rebuild(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.Delivered.Store(5)
@@ -110,7 +110,7 @@ func TestCatchUpWaitsForSourceBelowD(t *testing.T) {
 func TestCatchUpStuckSourceFailsAtDeadline(t *testing.T) {
 	r, engines := testReplica(t, ReplicaConfig{})
 	r.Crash(nil)
-	if _, err := r.Rebuild(0); err != nil {
+	if _, err := r.Rebuild(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.Delivered.Store(5)
@@ -151,7 +151,7 @@ func TestCatchUpReportsStageErrorAndSourceGap(t *testing.T) {
 	} {
 		r, _ := testReplica(t, ReplicaConfig{})
 		r.Crash(nil)
-		if _, err := r.Rebuild(0); err != nil {
+		if _, err := r.Rebuild(0, nil); err != nil {
 			t.Fatal(err)
 		}
 		var h counter
@@ -182,7 +182,7 @@ func TestCatchUpLedgerSurvivesSourceCrashingMidReplay(t *testing.T) {
 	}
 	r, _ := testReplica(t, ReplicaConfig{})
 	r.Crash(nil)
-	stats, err := r.Rebuild(0)
+	stats, err := r.Rebuild(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestCatchUpLedgerCopiesThePrefixAndStagesTheTail(t *testing.T) {
 	seal(2)
 	r, _ := testReplica(t, ReplicaConfig{})
 	r.Crash(nil)
-	stats, err := r.Rebuild(0)
+	stats, err := r.Rebuild(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

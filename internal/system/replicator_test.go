@@ -100,7 +100,12 @@ func TestReplicatorLeaderlessGiveUp(t *testing.T) {
 	rp.Deadline = 30 * time.Millisecond
 	calls := 0
 	start := time.Now()
-	r := rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return false })
+	var r Result
+	if n := CountGiveUps(func() {
+		r = rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return false })
+	}); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if r.Err != rp.errLeaderless || r.Committed {
 		t.Fatalf("result %+v, want the leaderless error", r)
 	}
@@ -122,7 +127,12 @@ func TestReplicatorApplyTimeout(t *testing.T) {
 	rp.Deadline = 50 * time.Millisecond
 	calls := 0
 	start := time.Now()
-	r := rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return true })
+	var r Result
+	if n := CountGiveUps(func() {
+		r = rp.Do(make([]byte, consensus.Header), func([]byte) bool { calls++; return true })
+	}); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if r.Err != rp.errTimeout {
 		t.Fatalf("result %+v, want the timeout error", r)
 	}
@@ -137,21 +147,10 @@ func TestReplicatorApplyTimeout(t *testing.T) {
 	}
 }
 
-// The hot path: register, propose, resolve — no key conversion, no
-// closure, no timer.
+// The hot path: issue, propose, resolve — no closure, no timer.
 func TestReplicatorAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
-	}
-	w := NewWaiters[uint64]()
-	// The waiter's channel: its header and, Result holding pointers, its
-	// separately allocated one-slot buffer.
-	if got := testing.AllocsPerRun(200, func() {
-		ch := w.Register(42)
-		w.Resolve(42, Result{Committed: true})
-		<-ch
-	}); got > 2 {
-		t.Errorf("Waiters[uint64] register → resolve: %v allocs, want at most 2", got)
 	}
 	rp := newTestReplicator()
 	entry := make([]byte, consensus.Header)
@@ -174,38 +173,45 @@ func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 	rp.Deadline = 50 * time.Millisecond
 	var wg sync.WaitGroup
 	var answered, gaveUp atomic.Int64
-	for p := 0; p < 16; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(p)))
-			for round := 0; round < 6; round++ {
-				var id uint64
-				// Applied anywhere from just inside the deadline to just past it.
-				delay := rp.Deadline - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
-				r := rp.Do(make([]byte, consensus.Header), func(entry []byte) bool {
-					id = idOf(entry)
-					time.AfterFunc(delay, func() {
-						rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
+	counted := CountGiveUps(func() {
+		for p := 0; p < 16; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(p)))
+				for round := 0; round < 6; round++ {
+					var id uint64
+					// Applied anywhere from just inside the deadline to just past it.
+					delay := rp.Deadline - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+					r := rp.Do(make([]byte, consensus.Header), func(entry []byte) bool {
+						id = idOf(entry)
+						time.AfterFunc(delay, func() {
+							rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
+						})
+						return true
 					})
-					return true
-				})
-				switch {
-				case r.Err == rp.errLeaderless || r.Err == rp.errTimeout:
-					gaveUp.Add(1)
-				case r.Err != nil || len(r.Value) != 8:
-					t.Errorf("request %d: result %+v", id, r)
-				case binary.BigEndian.Uint64(r.Value) != id:
-					t.Errorf("request %d received request %d's result", id, binary.BigEndian.Uint64(r.Value))
-				default:
-					answered.Add(1)
+					switch {
+					case r.Err == rp.errLeaderless || r.Err == rp.errTimeout:
+						gaveUp.Add(1)
+					case r.Err != nil || len(r.Value) != 8:
+						t.Errorf("request %d: result %+v", id, r)
+					case binary.BigEndian.Uint64(r.Value) != id:
+						t.Errorf("request %d received request %d's result", id, binary.BigEndian.Uint64(r.Value))
+					default:
+						answered.Add(1)
+					}
 				}
-			}
-		}(p)
-	}
-	wg.Wait()
+			}(p)
+		}
+		wg.Wait()
+	})
 	t.Logf("%d answered, %d given up", answered.Load(), gaveUp.Load())
 	if answered.Load() == 0 || gaveUp.Load() == 0 {
 		t.Fatalf("%d answered, %d given up: the schedule never raced the two", answered.Load(), gaveUp.Load())
+	}
+	// Only the give-ups whose error was the answer count: a Resolve that
+	// won the race answered instead.
+	if counted != gaveUp.Load() {
+		t.Fatalf("%d give-ups counted, want the %d answered with a give-up error", counted, gaveUp.Load())
 	}
 }

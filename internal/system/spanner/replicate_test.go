@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/system"
 	"dichotomy/internal/txn"
 )
 
@@ -20,7 +21,12 @@ func TestReplicateUnavailableWhenAllReplicasCrashed(t *testing.T) {
 	sh := c.shards[0]
 	sh.Deadline = 30 * time.Millisecond
 	start := time.Now()
-	err := sh.replicate(&shardCmd{phase: phaseApply, writes: []txn.Write{{Key: "a", Value: []byte("v")}}})
+	var err error
+	if n := system.CountGiveUps(func() {
+		err = sh.replicate(&shardCmd{phase: phaseApply, writes: []txn.Write{{Key: "a", Value: []byte("v")}}})
+	}); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if err == nil || err.Error() != "spanner: shard unavailable" {
 		t.Fatalf("replicate into a dead shard: %v, want spanner: shard unavailable", err)
 	}

@@ -16,11 +16,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/consensus"
+	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
 )
@@ -63,8 +66,10 @@ type System interface {
 	// resolving to its outcome. A non-nil error means the transaction was
 	// not accepted — a cancelled context, a closed system, or an
 	// admission rejection (ingress.ErrOverloaded) — and never ran.
-	// Systems with an ingress front door may return the same Handle to
-	// concurrent submitters of one content-identical transaction.
+	// Every ledger system (Fabric, Quorum, Veritas, BigchainDB) returns
+	// the pending Handle to a concurrent submitter of one content-identical
+	// transaction, on the mempool-fed path and the direct one alike: it
+	// runs once and every caller gets its one result.
 	Submit(ctx context.Context, tx *txn.Tx) (*Handle, error)
 	// Close shuts the system down.
 	Close()
@@ -76,9 +81,10 @@ type Submitter interface {
 }
 
 // Handle is the pending outcome of one submitted transaction. A handle
-// supports any number of waiters — the mempool's dedup path hands the
-// same handle to every submitter of a content-identical transaction —
-// and is resolved exactly once; later Resolve calls are no-ops.
+// supports any number of waiters — a ledger system's pending table (the
+// ingress mempool's, or Pending on the direct path) hands the same handle
+// to every submitter of a content-identical transaction — and is resolved
+// exactly once; later Resolve calls are no-ops.
 type Handle struct {
 	mu       sync.Mutex
 	resolved bool
@@ -94,13 +100,6 @@ func NewHandle() *Handle {
 	h := &Handle{}
 	h.waiters = h.first[:0]
 	return h
-}
-
-// ResolvedHandle returns a handle already carrying r — for paths that can
-// answer at submission time (local reads, immediate rejections with a
-// transaction-level verdict).
-func ResolvedHandle(r Result) *Handle {
-	return &Handle{resolved: true, result: r}
 }
 
 // Resolve delivers the outcome. The first call wins; every channel
@@ -149,15 +148,6 @@ func (h *Handle) Wait(ctx context.Context) Result {
 	}
 }
 
-// GoSubmit adapts a blocking execution path to the Submit shape: run(tx)
-// is started on its own goroutine and its result resolves the returned
-// handle. Systems without a mempool-fed path implement Submit with it.
-func GoSubmit(run func(*txn.Tx) Result, tx *txn.Tx) *Handle {
-	h := NewHandle()
-	go func() { h.Resolve(run(tx)) }()
-	return h
-}
-
 // ExecuteViaSubmit is the canonical blocking Execute implementation:
 // Submit, then Wait without a deadline. Every system's Execute is this
 // thin wrapper, so the closed-loop harness and the asynchronous path
@@ -183,12 +173,16 @@ func NewBlocking(run func(tx *txn.Tx) Result) Blocking { return Blocking{run: ru
 // Execute implements System as the thin Submit+Wait wrapper.
 func (b Blocking) Execute(tx *txn.Tx) Result { return ExecuteViaSubmit(b, tx) }
 
-// Submit implements System; a cancelled ctx is refused before run starts.
+// Submit implements System: run(tx) starts on its own goroutine, and its
+// result resolves the returned handle. A cancelled ctx is refused before
+// run starts.
 func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return GoSubmit(b.run, tx), nil
+	h := NewHandle()
+	go func() { h.Resolve(b.run(tx)) }()
+	return h, nil
 }
 
 // PayloadBox passes in-process block payloads through consensus by handle
@@ -215,9 +209,7 @@ func NewPayloadBox() *PayloadBox {
 // Put stores v for a given number of consumers and returns its handle.
 // The entry is released after the last Take.
 func (b *PayloadBox) Put(v any, consumers int) uint64 {
-	if consumers < 1 {
-		consumers = 1
-	}
+	consumers = max(consumers, 1)
 	id := b.seq.Add(1)
 	b.mu.Lock()
 	b.data[id] = &boxEntry{v: v, remaining: consumers}
@@ -267,96 +259,111 @@ func HandleID(data []byte) (uint64, bool) {
 	return binary.BigEndian.Uint64(data), true
 }
 
-// Waiters matches submitted requests with their eventual outcomes:
-// clients block on a key, commit paths resolve it. The key is whatever
-// the system already names a request by — the ledger side's
-// cryptoutil.Hash transaction id — used as the map key directly, with no
-// conversion. (The database side's waiters live in Replicator's in-flight
-// table, keyed by the request id the log carries.)
-//
-// Content-hash transaction ids collide: two concurrent registrations of
-// one content-identical transaction share a key, the second overwrites
-// the first, and the first waiter then times out. The direct Execute
-// paths keep that historical limitation; the ingress mempool fixes it
-// upstream by deduplicating at admission, so at most one registration
-// per id is ever live on the mempool-fed path.
-type Waiters[K comparable] struct {
-	mu sync.Mutex
-	m  map[K]waiter
+// Pending is the ledger side's direct-path in-flight table: one pending
+// Handle per submitted transaction, keyed by its content-hash id, which the
+// seal path resolves. It keeps the ingress mempool's duplicate rule — a
+// content-identical submission that arrives while the first is pending
+// attaches to its handle, runs nothing, and gets that one result — so both
+// paths answer a repeated transaction alike. (The database side's in-flight
+// table is Replicator's, keyed by the request id the log carries.)
+type Pending struct {
+	mu  sync.Mutex
+	m   map[cryptoutil.Hash]*Handle
+	run Direct
+	// timeout bounds await; tests shorten it to reach the expiry.
+	timeout    time.Duration
+	errTimeout error
 }
 
-// waiter is one registration: a channel (Register) or a callback
-// (RegisterFunc), never both.
-type waiter struct {
-	ch chan Result
-	fn func(Result)
-}
+// Direct is a ledger system's direct path for one submitted transaction,
+// run with its entry open: it returns t's outcome, and once it has handed
+// t on it calls await to wait for the seal path.
+type Direct func(t *txn.Tx, await func() Result) Result
 
-// NewWaiters returns an empty registry.
-func NewWaiters[K comparable]() *Waiters[K] {
-	return &Waiters[K]{m: make(map[K]waiter)}
-}
-
-// Register returns the channel a client should block on for key; Await
-// recycles it once it has delivered.
-func (w *Waiters[K]) Register(key K) chan Result {
-	ch := resultChans.Get().(chan Result)
-	w.mu.Lock()
-	w.m[key] = waiter{ch: ch}
-	w.mu.Unlock()
-	return ch
-}
-
-// RegisterFunc registers fn to be invoked (once, off the registry lock)
-// with the outcome for key — the hook the ingress front door uses to
-// route seal-path resolutions into mempool handles.
-func (w *Waiters[K]) RegisterFunc(key K, fn func(Result)) {
-	w.mu.Lock()
-	w.m[key] = waiter{fn: fn}
-	w.mu.Unlock()
-}
-
-// Resolve delivers the outcome for key, if a waiter exists.
-func (w *Waiters[K]) Resolve(key K, r Result) {
-	w.mu.Lock()
-	wt, ok := w.m[key]
-	if ok {
-		delete(w.m, key)
-	}
-	w.mu.Unlock()
-	if !ok {
-		return
-	}
-	if wt.ch != nil {
-		wt.ch <- r // cap 1, one send per registration: never blocks
-	} else {
-		wt.fn(r)
-	}
-}
-
-// Cancel drops the waiter for key.
-func (w *Waiters[K]) Cancel(key K) {
-	w.mu.Lock()
-	delete(w.m, key)
-	w.mu.Unlock()
-}
-
-// commitTimeout is how long a direct execute path waits for the commit
-// pipeline to answer before giving the client an error.
+// commitTimeout is how long a direct path waits for the commit pipeline to
+// answer before giving the client an error.
 const commitTimeout = 60 * time.Second
 
-// Await blocks on done — the channel Register(key) returned — until the
-// outcome arrives; after commitTimeout it drops the registration and
-// answers with the error text timeout instead.
-func (w *Waiters[K]) Await(key K, done chan Result, timeout string) Result {
+// NewPending returns an empty table over the direct path run, whose commit
+// timeout answers with the error text timeout.
+func NewPending(timeout string, run Direct) *Pending {
+	return &Pending{m: make(map[cryptoutil.Hash]*Handle), run: run, timeout: commitTimeout, errTimeout: errors.New(timeout)}
+}
+
+// Open returns the pending handle for id and whether this call opened it;
+// false means a submission of the same content is pending and the caller
+// has attached to its handle.
+func (p *Pending) Open(id cryptoutil.Hash) (*Handle, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h, ok := p.m[id]; ok {
+		return h, false
+	}
+	h := NewHandle()
+	p.m[id] = h
+	return h, true
+}
+
+// Resolve answers every caller attached to id's entry and closes it, so a
+// later submission of the same content is a new transaction. An id with no
+// entry (resolved, expired or never opened) is a no-op.
+func (p *Pending) Resolve(id cryptoutil.Hash, r Result) {
+	p.mu.Lock()
+	h := p.m[id]
+	p.mu.Unlock()
+	if h != nil && p.take(id, h) {
+		h.Resolve(r)
+	}
+}
+
+// take closes id's entry if it is still h, and reports whether it was: h
+// is then unresolved, and the caller's to resolve.
+func (p *Pending) take(id cryptoutil.Hash, h *Handle) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ok := p.m[id] == h
+	if ok {
+		delete(p.m, id)
+	}
+	return ok
+}
+
+// Submit opens t's entry and, when this call opened it, runs the direct
+// path on its own goroutine and resolves the entry with what it returns,
+// so every early exit answers all attached callers. A duplicate gets the
+// pending handle and runs nothing; a cancelled ctx is refused.
+func (p *Pending) Submit(ctx context.Context, t *txn.Tx) (*Handle, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	h, opened := p.Open(t.ID)
+	if opened {
+		go func() {
+			r := p.run(t, func() Result { return p.await(t.ID, h) })
+			if p.take(t.ID, h) {
+				h.Resolve(r)
+			}
+		}()
+	}
+	return h, nil
+}
+
+// await waits for the seal path to resolve h, the handle Open gave for id.
+// When the commit timeout passes first, it answers every attached caller
+// with the timeout error and counts the expiry in the census; a Resolve
+// after that finds no one.
+func (p *Pending) await(id cryptoutil.Hash, h *Handle) Result {
+	done := h.Done()
 	select {
 	case r := <-done:
-		resultChans.Put(done)
 		return r
-	case <-time.After(commitTimeout):
-		w.Cancel(key)
-		return Result{Err: errors.New(timeout)}
+	case <-time.After(p.timeout):
 	}
+	if p.take(id, h) {
+		giveUps.Add(1)
+		h.Resolve(Result{Err: p.errTimeout})
+	}
+	return <-done
 }
 
 // The replicate-and-wait cadence every consensus-backed write path
@@ -371,11 +378,10 @@ const (
 // on, so the steady state allocates none.
 var deadlineTimers = sync.Pool{New: func() any { return time.NewTimer(replicateDeadline) }}
 
-// resultChans recycles the channels waiters are resolved on. A channel
-// goes back only once nothing can send on it again: its one result has
-// been received, or its waiter was taken out of the table by the receiver
-// itself — never from a Cancel, which a Resolve that took the waiter just
-// before may race.
+// resultChans recycles the channels Replicator's waiters are resolved on.
+// A channel goes back only once nothing can send on it again: its one
+// result has been received, or its waiter was taken out of the in-flight
+// table by the receiver itself.
 var resultChans = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Replicator is the client half of "sequence a command through a
@@ -449,9 +455,39 @@ func (rp *Replicator) Do(entry []byte, propose func(entry []byte) bool) Result {
 // way nothing sends on done afterwards, so it is recycled.
 func (rp *Replicator) giveUp(id uint64, done chan Result, err error) Result {
 	r := Result{Err: err}
-	if _, ok := rp.flight.Finish(id); !ok {
+	if _, ok := rp.flight.Finish(id); ok {
+		giveUps.Add(1)
+	} else {
 		r = <-done
 	}
 	resultChans.Put(done)
 	return r
+}
+
+// giveUps is the timeout census: every direct-path commit timeout that
+// answered its callers (Pending.await) and every Replicator call that gave
+// up at its deadline, process-wide. A test passes by a result, never by
+// waiting out a timer, so the test binaries of both runtimes' packages
+// fail when it is not zero at exit (CensusMain).
+var giveUps atomic.Int64
+
+// CountGiveUps runs f, a test of the give-up paths, and returns how many
+// give-ups it caused, taking them out of the census; the test asserts the
+// number it expects.
+func CountGiveUps(f func()) int64 {
+	before := giveUps.Load()
+	f()
+	return giveUps.Swap(before) - before
+}
+
+// CensusMain runs a test binary's tests and returns its exit code: m.Run's,
+// or 1 when a test left a give-up in the census that it did not count with
+// CountGiveUps. Each package's TestMain is os.Exit(system.CensusMain(m)).
+func CensusMain(m interface{ Run() int }) int {
+	code := m.Run()
+	if n := giveUps.Load(); n != 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: timeout census: %d commit timeouts or replicate give-ups that no test expected\n", n)
+		return max(code, 1)
+	}
+	return code
 }

@@ -2,10 +2,14 @@ package system
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/israce"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
@@ -117,32 +121,110 @@ func TestPayloadBoxConcurrent(t *testing.T) {
 	}
 }
 
-func TestWaitersResolve(t *testing.T) {
-	w := NewWaiters[string]()
-	ch := w.Register("tx1")
-	w.Resolve("tx1", Result{Committed: true})
-	r := <-ch
-	if !r.Committed {
-		t.Fatalf("r = %+v", r)
+// Every caller attached to an entry gets its one resolution, and the entry
+// closes with it: a later submission of the same content opens anew.
+func TestPendingResolve(t *testing.T) {
+	p := NewPending("test: commit timeout", nil)
+	id := cryptoutil.HashBytes([]byte("tx1"))
+	h, opened := p.Open(id)
+	if !opened {
+		t.Fatal("first Open attached")
 	}
-	// Double-resolve must be a no-op, not a panic or double send.
-	w.Resolve("tx1", Result{Committed: false})
+	dup, opened := p.Open(id)
+	if opened || dup != h {
+		t.Fatalf("duplicate Open: opened %v, same handle %v", opened, dup == h)
+	}
+	p.Resolve(id, Result{Committed: true})
+	// A second resolution of the id is a no-op, not a panic or a second
+	// answer.
+	p.Resolve(id, Result{Err: errors.New("second")})
+	for i, h := range []*Handle{h, dup} {
+		if r := <-h.Done(); !r.Committed || r.Err != nil {
+			t.Fatalf("caller %d: %+v", i, r)
+		}
+	}
+	if again, opened := p.Open(id); !opened || again == h {
+		t.Fatal("a submission after the resolution attached to the resolved entry")
+	}
 }
 
-func TestWaitersResolveUnknownKey(t *testing.T) {
-	w := NewWaiters[string]()
-	w.Resolve("ghost", Result{}) // must not panic or block
+func TestPendingResolveUnknownID(t *testing.T) {
+	p := NewPending("test: commit timeout", nil)
+	p.Resolve(cryptoutil.HashBytes([]byte("ghost")), Result{}) // must not panic or block
+	if _, opened := p.Open(cryptoutil.HashBytes([]byte("ghost"))); !opened {
+		t.Fatal("resolving an unknown id opened an entry")
+	}
 }
 
-func TestWaitersCancel(t *testing.T) {
-	w := NewWaiters[string]()
-	ch := w.Register("tx1")
-	w.Cancel("tx1")
-	w.Resolve("tx1", Result{Committed: true})
-	select {
-	case r := <-ch:
-		t.Fatalf("cancelled waiter got %+v", r)
-	default:
+// A timeout answers every attached caller with the table's error, counts
+// one expiry, and closes the entry: a resolution after it finds no one.
+func TestPendingTimeout(t *testing.T) {
+	p := NewPending("test: commit timeout", nil)
+	p.timeout = 20 * time.Millisecond
+	id := cryptoutil.HashBytes([]byte("tx1"))
+	h, _ := p.Open(id)
+	dup, _ := p.Open(id)
+	var r Result
+	if n := CountGiveUps(func() { r = p.await(id, h) }); n != 1 {
+		t.Fatalf("%d expiries counted, want 1", n)
+	}
+	if r.Err != p.errTimeout {
+		t.Fatalf("await: %+v, want the timeout error", r)
+	}
+	if r := <-dup.Done(); r.Err != p.errTimeout {
+		t.Fatalf("attached caller: %+v, want the timeout error", r)
+	}
+	p.Resolve(id, Result{Committed: true})
+	if r := <-h.Done(); r.Committed {
+		t.Fatal("a resolution after the timeout reached the expired entry")
+	}
+	if _, opened := p.Open(id); !opened {
+		t.Fatal("the expired entry stayed open")
+	}
+}
+
+// Submit runs one submission per pending id, and what run returns answers
+// every caller attached meanwhile — the early exits that never reach the
+// seal path included.
+func TestPendingSubmitAnswersEveryExit(t *testing.T) {
+	tx := &txn.Tx{ID: cryptoutil.HashBytes([]byte("tx1"))}
+	release := make(chan struct{})
+	var runs atomic.Int32
+	p := NewPending("test: commit timeout", func(*txn.Tx, func() Result) Result {
+		runs.Add(1)
+		<-release
+		return Result{Err: errors.New("ordering unavailable")}
+	})
+	h, _ := p.Submit(context.Background(), tx)
+	dup, _ := p.Submit(context.Background(), tx)
+	close(release)
+	for i, h := range []*Handle{h, dup} {
+		if r := h.Wait(context.Background()); r.Err == nil || r.Err.Error() != "ordering unavailable" {
+			t.Fatalf("caller %d: %+v", i, r)
+		}
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("run ran %d times, want 1", n)
+	}
+	if _, opened := p.Open(tx.ID); !opened {
+		t.Fatal("the entry stayed open after run returned")
+	}
+}
+
+// The direct path's table: one pending transaction opened and resolved.
+func TestPendingAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	p := NewPending("test: commit timeout", nil)
+	id := cryptoutil.HashBytes([]byte("tx1"))
+	// The Handle, whose first waiter slot is inline. The map's bucket for
+	// id is reused from one run to the next.
+	if got := testing.AllocsPerRun(200, func() {
+		p.Open(id)
+		p.Resolve(id, Result{Committed: true})
+	}); got != 1 {
+		t.Errorf("Pending open → resolve: %v allocs, want 1", got)
 	}
 }
 

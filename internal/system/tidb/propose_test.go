@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"dichotomy/internal/system"
 )
 
 // With every replica of a key's region down, a write backs off until the
@@ -21,7 +23,10 @@ func TestProposeLeaderlessWhenAllReplicasCrashed(t *testing.T) {
 	}
 	reg.Deadline = 30 * time.Millisecond
 	start := time.Now()
-	err := c.RawPut("kv/a", []byte("v"))
+	var err error
+	if n := system.CountGiveUps(func() { err = c.RawPut("kv/a", []byte("v")) }); n != 1 {
+		t.Fatalf("%d give-ups counted, want 1", n)
+	}
 	if err == nil || err.Error() != "tidb: region leaderless" {
 		t.Fatalf("RawPut into a dead region: %v, want tidb: region leaderless", err)
 	}
