@@ -14,10 +14,13 @@ test:
 # The CI race job runs this target itself, so there is one package list.
 # The second line repeats the direct path's pending table — its unit tests
 # and the concurrent duplicate on all four ledger systems — twenty times:
-# Open, Resolve and the commit timeout interleave there.
+# Open, Resolve and the commit timeout interleave there. The third repeats
+# the reuse of decoded blocks ten times: a block released while a depth-2
+# pipeline still reads its views would race with the next decode into it.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
+	go test -race -count=10 -timeout 10m -run 'TestSealedBlockViewsAreHeldByNoOne|TestParallelPipelineReplicaConsistency' ./internal/system/ ./internal/system/fabric/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.
@@ -29,6 +32,7 @@ lint:
 # list: 30s each. For a real campaign raise -fuzztime or drop it entirely.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzTxUnmarshal$$' -fuzztime=30s ./internal/txn/
+	go test -run '^$$' -fuzz '^FuzzBlockRoundTrip$$' -fuzztime=30s ./internal/txn/
 	go test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime=30s ./internal/recovery/
 	go test -run '^$$' -fuzz '^FuzzChainCutPoint$$' -fuzztime=30s ./internal/recovery/
 	go test -run '^$$' -fuzz '^FuzzVerifyBatchMatchesSerial$$' -fuzztime=30s ./internal/cryptoutil/

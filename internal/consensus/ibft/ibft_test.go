@@ -227,3 +227,20 @@ func TestEarlyNextHeightMessagesAreKept(t *testing.T) {
 		}
 	}
 }
+
+// An entry carries a whole block's wire bytes (a Quorum block), not a
+// handle, so every message that carries one counts its bytes in its Size.
+func TestMessageSizeCountsEntryBytes(t *testing.T) {
+	entry := make([]byte, consensus.Header+2522)
+	for _, c := range []struct {
+		msg     cluster.Message
+		payload int
+	}{
+		{forward{Data: entry}, len(entry)},
+		{preprepare{Data: entry}, len(entry)},
+	} {
+		if got := c.msg.Size(); got < c.payload {
+			t.Errorf("%T: Size %d, below the %d payload bytes it carries", c.msg, got, c.payload)
+		}
+	}
+}

@@ -247,3 +247,23 @@ func TestLivenessUnderSustainedDrops(t *testing.T) {
 		}
 	}
 }
+
+// An entry carries a whole transaction's wire bytes (BigchainDB's), not a
+// handle, so every message that carries one counts its bytes in its Size.
+func TestMessageSizeCountsEntryBytes(t *testing.T) {
+	entry := make([]byte, 8+2522)
+	for _, c := range []struct {
+		msg     cluster.Message
+		payload int
+	}{
+		{forward{Data: entry}, len(entry)},
+		{prePrepare{Data: entry}, len(entry)},
+		{fetched{Data: entry}, len(entry)},
+		{viewChange{Prepared: []preparedProof{{Data: entry}}}, len(entry)},
+		{newView{PrePrepares: []prePrepare{{Data: entry}, {Data: entry}}}, 2 * len(entry)},
+	} {
+		if got := c.msg.Size(); got < c.payload {
+			t.Errorf("%T: Size %d, below the %d payload bytes it carries", c.msg, got, c.payload)
+		}
+	}
+}

@@ -522,3 +522,21 @@ func TestSendAppendAllocs(t *testing.T) {
 		t.Errorf("sendAppendLocked of 8 entries: %v allocs, want 1", got)
 	}
 }
+
+// An entry carries a whole block's wire bytes (a Quorum block, a shared-log
+// record), not a handle, so every message that carries entries counts
+// their bytes in its Size — what a link model charges for.
+func TestMessageSizeCountsEntryBytes(t *testing.T) {
+	entry := make([]byte, consensus.Header+2522)
+	for _, c := range []struct {
+		msg     cluster.Message
+		payload int
+	}{
+		{forward{Data: entry}, len(entry)},
+		{appendEntries{Entries: []logEntry{{Data: entry}, {Data: entry}}}, 2 * len(entry)},
+	} {
+		if got := c.msg.Size(); got < c.payload {
+			t.Errorf("%T: Size %d, below the %d payload bytes it carries", c.msg, got, c.payload)
+		}
+	}
+}

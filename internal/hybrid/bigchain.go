@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -33,10 +34,15 @@ type Bigchain struct {
 	cfg   BigchainConfig
 	net   *cluster.Network
 	nodes []*bigchainNode
-	box   *system.PayloadBox
 	// pending holds each submitted transaction until a validator applies
 	// it.
-	pending  *system.Pending
+	pending *system.Pending
+	// seq numbers submissions: an entry is seq u64 | the transaction's wire
+	// bytes, so each submission is a payload of its own. PBFT drops a
+	// payload whose digest it has already sequenced, and a transaction
+	// carries no nonce, so a repeat of one submitted before would otherwise
+	// never commit.
+	seq      atomic.Uint64
 	closeOne sync.Once
 }
 
@@ -74,8 +80,8 @@ func (c BigchainConfig) withDefaults() BigchainConfig {
 // accessor, so no node-level lock is needed. Each consensus entry carries
 // one whole transaction — the BigchainDB archetype's concurrency ceiling
 // — so the shared pipeline runs with single-transaction blocks: it keeps
-// the drain/decode/commit skeleton uniform, and execution concurrency
-// stays capped by the ledger order, as the paper's model demands.
+// the decode/commit skeleton uniform, and execution concurrency stays
+// capped by the ledger order, as the paper's model demands.
 type bigchainNode struct {
 	// Replica is the validator's lifecycle (internal/system). Delivered
 	// counts the transactions the node has consumed from its commit
@@ -83,14 +89,18 @@ type bigchainNode struct {
 	// exactly one, so the count IS the node's position in the global
 	// applied sequence.
 	*system.Replica
-	b      *Bigchain
-	cons   consensus.Node
-	reg    *contract.Registry
-	pipe   *pipeline.Pipeline[consensus.Entry, *txn.Tx]
+	b    *Bigchain
+	cons consensus.Node
+	reg  *contract.Registry
+	pipe *pipeline.Pipeline[consensus.Entry, *txn.Block]
+	// view is the block the Decode stage decodes each entry into, reused:
+	// at depth 1 an entry is applied before the next is decoded.
+	view   txn.Block
 	height atomic.Uint64
-	// applied retains every applied transaction, marshalled, in apply
-	// order — BigchainDB stores its blocks in the local database, and
-	// this retained history is what a crashed peer replays from.
+	// applied retains every applied transaction's wire bytes — the
+	// entry's own — in apply order: BigchainDB stores its blocks in the
+	// local database, and this retained history is what a crashed peer
+	// replays from.
 	appliedMu sync.Mutex
 	applied   [][]byte
 	// skipTo makes the restarted decode stage take-and-discard
@@ -99,14 +109,13 @@ type bigchainNode struct {
 	skipTo atomic.Uint64
 }
 
-// entryHandle maps a committed entry to the payload-box handle it carries
-// and the position it advances the node to: one further for a
-// transaction, none for a view-change no-op.
-func (n *bigchainNode) entryHandle(e consensus.Entry) ([][]byte, uint64) {
-	if _, ok := system.HandleID(e.Data); !ok {
-		return nil, n.Delivered.Load()
+// position is where committed entry e advances the node to: one further
+// for a transaction, none for a view-change no-op.
+func (n *bigchainNode) position(e consensus.Entry) uint64 {
+	if len(e.Data) <= 8 {
+		return n.Delivered.Load()
 	}
-	return [][]byte{e.Data}, n.Delivered.Load() + 1
+	return n.Delivered.Load() + 1
 }
 
 var _ system.System = (*Bigchain)(nil)
@@ -120,7 +129,6 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 	b := &Bigchain{
 		cfg: cfg,
 		net: cluster.NewNetwork(cluster.ZeroLink{}),
-		box: system.NewPayloadBox(),
 	}
 	b.pending = system.NewPending("bigchain: commit timeout", b.execute)
 	peers := make([]cluster.NodeID, cfg.Nodes)
@@ -133,7 +141,6 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 			DataDir: cfg.DataDir,
 			Name:    fmt.Sprintf("validator%d", i),
 			Engine:  openEngine,
-			Box:     b.box,
 			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Mode:      cfg.CheckpointMode,
@@ -146,9 +153,9 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 		}
 		n := &bigchainNode{Replica: rep, b: b, reg: contract.NewRegistry(contract.KV{}, contract.Smallbank{})}
 		n.pipe = pipeline.New(pipeline.Config{Workers: 1, Depth: 1},
-			pipeline.Stages[consensus.Entry, *txn.Tx]{
+			pipeline.Stages[consensus.Entry, *txn.Block]{
 				Decode: n.decodeEntry,
-				Apply:  n.apply,
+				Apply:  func(v *txn.Block) { n.apply(v.Txs[0], v.Raw[0]) },
 			})
 		n.cons = pbft.New(pbft.Config{ID: id, Peers: peers, Endpoint: b.net.Register(id, 8192)})
 		b.nodes = append(b.nodes, n)
@@ -182,17 +189,13 @@ func (b *Bigchain) execute(t *txn.Tx, await func() system.Result) system.Result 
 	if !slices.ContainsFunc(b.nodes, func(n *bigchainNode) bool { return !n.Crashed() }) {
 		return system.Result{Err: errors.New("bigchain: no live validators")}
 	}
-	// Every validator takes exactly one copy — live decode while up,
-	// take-drain while down, handoff take-and-drop during recovery — so
-	// the count is constant and no copy leaks across crashes.
-	id := b.box.Put(t, len(b.nodes))
+	entry := t.AppendTo(binary.BigEndian.AppendUint64(make([]byte, 0, 8+t.EncodedLen()), b.seq.Add(1)))
 	start := time.Now()
 	// Any live validator accepts the proposal (PBFT forwards internally).
 	// A proposal can bounce while a view change is in flight, so re-offer
 	// it around the ring until one validator takes it; duplicate offers
 	// are digest-deduped inside PBFT, so over-proposing is harmless.
-	if err := b.propose(system.EncodeHandle(id)); err != nil {
-		b.box.Drop(id)
+	if err := b.propose(entry); err != nil {
 		return system.Result{Err: err}
 	}
 	r := await()
@@ -232,39 +235,32 @@ func (n *bigchainNode) applyLoop(stop <-chan struct{}) {
 	n.pipe.Run(n.cons.Committed(), stop)
 }
 
-// decodeEntry resolves a committed entry's payload handle (pipeline
-// Decode stage); view-change no-ops are skipped. Every transaction
-// advances the node's delivered position, and transactions at or below
-// skipTo (covered by a just-finished recovery replay) are taken — the
-// box copy must be consumed — but not re-applied.
-func (n *bigchainNode) decodeEntry(e consensus.Entry) (*txn.Tx, bool) {
-	if len(e.Data) == 0 {
+// decodeEntry decodes the node's own view of a committed entry's
+// transaction (pipeline Decode stage); view-change no-ops are skipped.
+// Every transaction advances the node's delivered position, and
+// transactions at or below skipTo (covered by a just-finished recovery
+// replay) are not re-applied.
+func (n *bigchainNode) decodeEntry(e consensus.Entry) (*txn.Block, bool) {
+	if len(e.Data) <= 8 {
 		return nil, false // view-change no-op
 	}
-	id, ok := system.HandleID(e.Data)
-	if !ok {
-		return nil, false
-	}
 	pos := n.Delivered.Add(1)
-	v, ok := n.b.box.Take(id)
-	if !ok {
+	n.view.Reset()
+	if pos <= n.skipTo.Load() || n.view.DecodeOne(e.Data[8:]) != nil {
 		return nil, false
 	}
-	if pos <= n.skipTo.Load() {
-		return nil, false
-	}
-	return v.(*txn.Tx), true
+	return &n.view, true
 }
 
-// apply executes one ordered transaction against the local database
-// (pipeline Apply stage). The marshalled transaction is retained in the
-// node's applied history first, so the history a peer recovers from is
-// complete even if execution aborts the transaction — replay must reach
-// the same verdicts itself.
-func (n *bigchainNode) apply(t *txn.Tx) {
+// apply executes one ordered transaction, encoded as raw, against the
+// local database (pipeline Apply stage). raw is retained in the node's
+// applied history first, so the history a peer recovers from is complete
+// even if execution aborts the transaction — replay must reach the same
+// verdicts itself.
+func (n *bigchainNode) apply(t *txn.Tx, raw []byte) {
 	height := n.height.Add(1)
 	n.appliedMu.Lock()
-	n.applied = append(n.applied, t.Marshal())
+	n.applied = append(n.applied, raw)
 	n.appliedMu.Unlock()
 	rw, err := n.reg.Execute(n.St, t.Invocation)
 	if err == nil {
@@ -308,11 +304,10 @@ func (s appliedSource) Payloads(h uint64) ([][]byte, bool) {
 
 // CrashValidator kills validator i's execution layer (system.Replica.Crash):
 // the apply pipeline stops and its in-memory state and applied history
-// are lost. Its PBFT replica keeps running behind the drain, so the
-// remaining 3f nodes never wait on its unread commit stream.
+// are lost. Its PBFT replica keeps running behind the drain, which reads
+// and drops the commit stream, so the remaining 3f nodes never wait on it.
 func (b *Bigchain) CrashValidator(i int) {
-	n := b.nodes[i]
-	if n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.entryHandle)) {
+	if n := b.nodes[i]; n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.position)) {
 		n.setApplied(nil)
 	}
 }
@@ -328,7 +323,7 @@ func (n *bigchainNode) setApplied(history [][]byte) {
 // healthy validator from's applied history through the node's own apply
 // stage, and then rejoins live consumption (the sequence is
 // system.Replica's). The rejoin step is skipTo, as Quorum's: the restarted
-// decode stage take-and-drops transactions the replay already covered.
+// decode stage drops transactions the replay already covered.
 // The network may keep committing throughout — no quiesce is required.
 func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := b.nodes[i], b.nodes[from]
@@ -350,7 +345,7 @@ func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery
 		if err != nil {
 			return err
 		}
-		n.apply(txs[0]) // the live apply stage: verdicts recomputed, history re-extended
+		n.apply(txs[0], payloads[0]) // the live apply stage: verdicts recomputed, history re-extended
 		return nil
 	}, &stats)
 	if err != nil {

@@ -145,8 +145,8 @@ type veritasNode struct {
 // applying it, which keeps heights aligned with log offsets so a
 // recovering verifier can resubscribe exactly where its checkpoint ends.
 type veritasBatch struct {
-	seq      uint64
-	txs      []*txn.Tx
+	seq uint64
+	txn.Block
 	authErrs []error // per-tx client-auth verdicts; nil slice when auth is off
 	verdicts []occ.AbortReason
 	applyErr error
@@ -299,7 +299,7 @@ func (v *Veritas) execute(t *txn.Tx, await func() system.Result) system.Result {
 		return r
 	}
 	start := time.Now()
-	if err := v.log.Append(t.Marshal()); err != nil {
+	if err := v.log.AppendEntry(logEntry(t)); err != nil {
 		return system.Result{Err: err}
 	}
 	r := await()
@@ -332,7 +332,7 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 	v.log.SetBatchSize(len(survivors))
 	var throttle error
 	for _, t := range survivors {
-		if err := v.log.AppendBounded(t.Marshal(), time.Second); err != nil {
+		if err := v.log.AppendEntryBounded(logEntry(t), time.Second); err != nil {
 			v.door.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: shared log unavailable: %v", ingress.ErrOverloaded, err),
 			})
@@ -341,6 +341,10 @@ func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
 	}
 	return throttle
 }
+
+// logEntry is t's shared-log entry: its wire bytes, encoded once, behind
+// the room the log's header takes.
+func logEntry(t *txn.Tx) []byte { return t.AppendTo(sharedlog.NewEntry(t.EncodedLen())) }
 
 // IngressStats returns the front door's counters; ok is false when the
 // prototype runs without an ingress.
@@ -358,20 +362,16 @@ func (n *veritasNode) applyLoop(stop <-chan struct{}) {
 	n.pipe.Run(n.consumer.Batches(), stop)
 }
 
-// decodeBatch unmarshals a log batch's effect records (pipeline Decode
-// stage). Even a batch with no decodable effects passes through, so the
-// verifier's height stays aligned with log sequence numbers — the
-// invariant recovery's resubscription depends on.
+// decodeBatch decodes the verifier's own views of a log batch's effect
+// records (pipeline Decode stage). Even a batch with no decodable effects
+// passes through, so the verifier's height stays aligned with log sequence
+// numbers — the invariant recovery's resubscription depends on.
 func (n *veritasNode) decodeBatch(batch sharedlog.Batch) (*veritasBatch, bool) {
-	txs := make([]*txn.Tx, 0, len(batch.Records))
+	vb := &veritasBatch{seq: batch.Seq}
 	for _, rec := range batch.Records {
-		t, err := txn.Unmarshal(rec)
-		if err != nil {
-			continue // foreign or corrupt record: skip, keep the batch
-		}
-		txs = append(txs, t)
+		_ = vb.DecodeOne(rec) // foreign or corrupt record: skip, keep the batch
 	}
-	return &veritasBatch{seq: batch.Seq, txs: txs}, true
+	return vb, true
 }
 
 // validateBatch authenticates the batch's client signatures (pipeline
@@ -383,15 +383,15 @@ func (n *veritasNode) validateBatch(vb *veritasBatch) {
 	if !n.v.cfg.VerifyClients {
 		return
 	}
-	vb.authErrs = make([]error, len(vb.txs))
+	vb.authErrs = make([]error, len(vb.Txs))
 	if n.v.cfg.BatchVerify {
-		pipeline.ParallelChunks(n.pipe.Workers(), len(vb.txs), func(lo, hi int) {
-			copy(vb.authErrs[lo:hi], txn.VerifyClientBatch(vb.txs[lo:hi], n.v.clientKey))
+		pipeline.ParallelChunks(n.pipe.Workers(), len(vb.Txs), func(lo, hi int) {
+			copy(vb.authErrs[lo:hi], txn.VerifyClientBatch(vb.Txs[lo:hi], n.v.clientKey))
 		})
 		return
 	}
-	pipeline.Parallel(n.pipe.Workers(), len(vb.txs), func(i int) {
-		t := vb.txs[i]
+	pipeline.Parallel(n.pipe.Workers(), len(vb.Txs), func(i int) {
+		t := vb.Txs[i]
 		pub, ok := n.v.clientKey(t.Client)
 		if !ok {
 			vb.authErrs[i] = fmt.Errorf("veritas: unknown client %s", t.Client)
@@ -410,8 +410,8 @@ func (n *veritasNode) validateBatch(vb *veritasBatch) {
 // is where the periodic checkpoint snapshots it.
 func (n *veritasNode) applyBatch(vb *veritasBatch) {
 	height := vb.seq
-	sets := make([]txn.RWSet, len(vb.txs))
-	for i, t := range vb.txs {
+	sets := make([]txn.RWSet, len(vb.Txs))
+	for i, t := range vb.Txs {
 		if vb.authErrs != nil && vb.authErrs[i] != nil {
 			continue // auth-failed effects take no part in validation
 		}
@@ -425,7 +425,7 @@ func (n *veritasNode) applyBatch(vb *veritasBatch) {
 	}
 	stage := n.St.NewBlock()
 	var deltas []state.VersionedWrite
-	for i, t := range vb.txs {
+	for i, t := range vb.Txs {
 		if vb.verdicts[i] == occ.OK {
 			ver := txn.Version{BlockNum: height, TxNum: uint32(i)}
 			stage.StageAll(t.RWSet.Writes, ver)
@@ -458,7 +458,7 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 	if n != n.v.nodes[0] {
 		return
 	}
-	for i, t := range vb.txs {
+	for i, t := range vb.Txs {
 		r := system.Result{
 			Committed: vb.verdicts[i] == occ.OK && vb.applyErr == nil,
 			Reason:    vb.verdicts[i],
@@ -476,8 +476,7 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 // lost. What survives is the checkpoint directory on disk and the shared
 // log itself, which retains every batch, so no drain is needed.
 func (v *Veritas) CrashVerifier(i int) {
-	n := v.nodes[i]
-	if n.Crash(nil) {
+	if n := v.nodes[i]; n.Crash(nil) {
 		n.consumer.Close()
 	}
 }

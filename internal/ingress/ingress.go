@@ -283,12 +283,18 @@ func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 // transaction (or its sink, for immediate failures). It detaches the
 // entry, so a later re-submission of the same content is a genuinely new
 // transaction. Ids with no pending entry are no-ops, as in system.Pending.
-func (in *Ingress) Resolve(id cryptoutil.Hash, r system.Result) {
+func (in *Ingress) Resolve(id cryptoutil.Hash, r system.Result) { in.Seal(id, r, "", 0) }
+
+// Seal is Resolve for a seal path: when phase is not empty, d — what the
+// resolving replica measured for the transaction — goes on the pooled
+// transaction's trace before any caller is answered, and only from the call
+// that detaches the entry, as in system.Pending.Seal.
+func (in *Ingress) Seal(id cryptoutil.Hash, r system.Result, phase string, d time.Duration) {
 	in.mu.Lock()
 	e := in.byID[id]
 	in.mu.Unlock()
 	if e != nil {
-		in.resolveEntry(e, r)
+		in.sealEntry(e, r, phase, d)
 	}
 }
 
@@ -311,7 +317,10 @@ func (in *Ingress) detach(e *entry) {
 // resolveEntry resolves e only if it is still the pending entry for its
 // id — the commit-timeout watchdog must not clobber a same-content
 // resubmission that arrived after e resolved.
-func (in *Ingress) resolveEntry(e *entry, r system.Result) {
+func (in *Ingress) resolveEntry(e *entry, r system.Result) { in.sealEntry(e, r, "", 0) }
+
+// sealEntry is resolveEntry recording phase first when it is not empty.
+func (in *Ingress) sealEntry(e *entry, r system.Result, phase string, d time.Duration) {
 	in.mu.Lock()
 	cur, ok := in.byID[e.tx.ID]
 	if ok && cur == e {
@@ -321,6 +330,9 @@ func (in *Ingress) resolveEntry(e *entry, r system.Result) {
 	}
 	in.mu.Unlock()
 	if ok {
+		if phase != "" {
+			e.tx.Trace.Observe(phase, d)
+		}
 		in.resolved.Inc()
 		e.h.Resolve(r)
 	}
@@ -536,11 +548,12 @@ func (in *Ingress) watchdog(b *batch) {
 
 // Door is where a ledger system's submitted updates are pending, in one
 // table per transaction: the front door's mempool when the system runs
-// one, otherwise the direct path's system.Pending. Resolve is that table's
-// Resolve, picked once here — the one call a seal path makes per
-// transaction.
+// one, otherwise the direct path's system.Pending. Resolve and Seal are
+// that table's, picked once here: Seal is the one call a seal path makes
+// per transaction, Resolve answers the failures before it.
 type Door struct {
 	Resolve func(cryptoutil.Hash, system.Result)
+	Seal    func(id cryptoutil.Hash, r system.Result, phase string, d time.Duration)
 	in      *Ingress        // nil without a front door
 	pending *system.Pending // nil with one
 }
@@ -551,13 +564,13 @@ type Door struct {
 func NewDoor(cfg *Config, sink BatchFunc, direct system.Direct, timeout string) (*Door, error) {
 	if cfg == nil {
 		p := system.NewPending(timeout, direct)
-		return &Door{Resolve: p.Resolve, pending: p}, nil
+		return &Door{Resolve: p.Resolve, Seal: p.Seal, pending: p}, nil
 	}
 	in, err := New(*cfg, sink)
 	if err != nil {
 		return nil, err
 	}
-	return &Door{Resolve: in.Resolve, in: in}, nil
+	return &Door{Resolve: in.Resolve, Seal: in.Seal, in: in}, nil
 }
 
 // Submit admits t at the front door, or opens t's entry in the direct

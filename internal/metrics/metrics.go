@@ -254,9 +254,9 @@ type Trace struct {
 }
 
 // tracePhases is the longest trace a measured transaction records: Fabric's
-// with four endorsing and committing peers (auth, simulate, endorse and
-// validate on each, then proposal and order).
-const tracePhases = 18
+// with four endorsing peers (auth, simulate and endorse on each, then
+// proposal and order) and validate from the one peer that resolves it.
+const tracePhases = 15
 
 type phaseSpan struct {
 	name string
@@ -285,6 +285,20 @@ func (t *Trace) Time(name string, fn func()) {
 	start := time.Now()
 	fn()
 	t.Observe(name, time.Since(start))
+}
+
+// Count returns how many spans of phase name the trace holds.
+func (t *Trace) Count(name string) (n int) {
+	if t != nil {
+		t.mu.Lock()
+		for _, p := range t.phases {
+			if p.name == name {
+				n++
+			}
+		}
+		t.mu.Unlock()
+	}
+	return n
 }
 
 // Durations returns the accumulated duration per phase name.

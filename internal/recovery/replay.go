@@ -55,18 +55,18 @@ func Replay(src BlockSource, from uint64, apply func(n uint64, payloads [][]byte
 	return replayed, nil
 }
 
-// DecodeTxs unmarshals a block's payloads back into transactions,
-// preserving block order — the decode half every system's replay shares.
+// DecodeTxs decodes a block's payloads, one transaction each, back into
+// transactions in block order — the decode half every system's replay
+// shares, through the block decoder the live Decode stages use. The
+// transactions alias the payloads.
 func DecodeTxs(payloads [][]byte) ([]*txn.Tx, error) {
-	txs := make([]*txn.Tx, len(payloads))
+	var b txn.Block
 	for i, p := range payloads {
-		t, err := txn.Unmarshal(p)
-		if err != nil {
+		if err := b.DecodeOne(p); err != nil {
 			return nil, fmt.Errorf("recovery: payload %d: %w", i, err)
 		}
-		txs[i] = t
 	}
-	return txs, nil
+	return b.Txs, nil
 }
 
 // Stats summarizes one recovery: what it started from, how much it

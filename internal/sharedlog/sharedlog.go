@@ -88,9 +88,10 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg      Config
 	orderers []*raft.Node
-	// lead indexes the orderer whose stream delivered the newest entry
-	// first — the leader, which commits a heartbeat before its followers.
-	// Appends offer a record to it before the others.
+	// lead is one past the index of the orderer whose stream delivered the
+	// newest entry first — the leader, which commits a heartbeat before
+	// its followers — and 0 until an entry has committed. Appends offer a
+	// record to the leader it knows of before the others.
 	lead atomic.Int32
 
 	flight     consensus.Flight[struct{}] // appended, not yet sequenced
@@ -163,28 +164,41 @@ func New(cfg Config) *Service {
 	return s
 }
 
+// NewEntry returns an empty entry with room for a record of n bytes. A
+// producer appends the record's encoding to it and hands it to AppendEntry
+// or AppendEntryBounded: the orderers' logs then carry the very bytes it
+// encoded, and consumers see them as the record.
+func NewEntry(n int) []byte { return make([]byte, consensus.Header, consensus.Header+n) }
+
 // Append submits a record for ordering. It retries through leader changes
 // and returns once an orderer accepted the record; ordering completion is
-// observed through consumer delivery.
+// observed through consumer delivery. The record is copied into an entry;
+// AppendEntry and AppendEntryBounded take one already encoded.
 func (s *Service) Append(record []byte) error {
+	return s.AppendEntry(append(NewEntry(len(record)), record...))
+}
+
+// AppendEntry is Append for an entry from NewEntry, whose record is
+// entry[consensus.Header:]. The service owns entry from here on.
+func (s *Service) AppendEntry(entry []byte) error {
 	attempts := 0
-	return s.offer(record, func() (time.Duration, bool) {
+	return s.offer(entry, func() (time.Duration, bool) {
 		attempts++
 		return time.Millisecond, attempts <= 5000
 	})
 }
 
-// AppendBounded submits a record with a bounded exponential-backoff
-// retry: unlike Append it gives up after roughly budget of accumulated
-// waiting and returns the last error — cluster.ErrBackpressure from a full
-// forwarding queue included — so a throttling caller can shed instead of
-// stalling multi-second; a zero budget makes one pass over the orderers.
-// The short retries still ride out leader elections, which resolve in tens
-// of milliseconds here.
-func (s *Service) AppendBounded(record []byte, budget time.Duration) error {
+// AppendEntryBounded submits an entry from NewEntry with a bounded
+// exponential-backoff retry: unlike AppendEntry it gives up after roughly
+// budget of accumulated waiting and returns the last error —
+// cluster.ErrBackpressure from a full forwarding queue included — so a
+// throttling caller can shed instead of stalling multi-second; a zero
+// budget makes one pass over the orderers. The short retries still ride
+// out leader elections, which resolve in tens of milliseconds here.
+func (s *Service) AppendEntryBounded(entry []byte, budget time.Duration) error {
 	backoff := time.Millisecond
 	deadline := time.Now().Add(budget)
-	return s.offer(record, func() (time.Duration, bool) {
+	return s.offer(entry, func() (time.Duration, bool) {
 		wait := backoff
 		if backoff < 100*time.Millisecond {
 			backoff *= 2
@@ -193,13 +207,11 @@ func (s *Service) AppendBounded(record []byte, budget time.Duration) error {
 	})
 }
 
-// offer issues record into the in-flight table and proposes it until an
+// offer issues entry into the in-flight table and proposes it until an
 // orderer accepts it; after each refused pass retry says how long to wait
 // before the next, or to give up. A record reported as refused is finished,
 // so the mark passes it, and it was in no orderer's log.
-func (s *Service) offer(record []byte, retry func() (time.Duration, bool)) error {
-	entry := make([]byte, consensus.Header+len(record))
-	copy(entry[consensus.Header:], record)
+func (s *Service) offer(entry []byte, retry func() (time.Duration, bool)) error {
 	id := s.flight.Issue(entry, struct{}{})
 	for {
 		err := s.propose(entry)
@@ -222,10 +234,17 @@ func (s *Service) offer(record []byte, retry func() (time.Duration, bool)) error
 }
 
 // propose offers entry to the leading orderer, then to the others, until
-// one accepts it.
+// one accepts it. Once an entry has committed, the leading orderer is the
+// leader lead knows of: on a busy machine a follower's stream can deliver
+// first, and a record offered to a follower is only forwarded, so the
+// next one, offered to the leader, could pass it. Before that, orderer 0
+// is asked first, and forwards to a leader it has heard from.
 func (s *Service) propose(entry []byte) error {
 	n := len(s.orderers)
-	first := int(s.lead.Load())
+	first := max(int(s.lead.Load())-1, 0)
+	if l := s.orderers[first].Leader(); l >= 0 && s.lead.Load() > 0 {
+		first = int(l - s.cfg.NodeBase)
+	}
 	var err error
 	for k := range n {
 		if err = s.orderers[(first+k)%n].Propose(entry); err == nil {
@@ -292,7 +311,7 @@ func (s *Service) run(commits <-chan commit, ticks <-chan time.Time) {
 				continue
 			}
 			next++
-			s.lead.Store(int32(c.from))
+			s.lead.Store(int32(c.from) + 1)
 			s.mu.Lock()
 			s.sequenceLocked(c.Data)
 			if len(s.pending) >= s.cfg.BatchSize {

@@ -31,13 +31,18 @@
 //     LSM-backed state as one batch. Fabric v2 has no Merkle index on
 //     state — tamper evidence comes from the ledger alone.
 //
-// A peer's lifecycle — open, crash, drain while down, rebuild from a
-// checkpoint, catch up from a healthy peer's ledger, rejoin, close — is
-// system.Replica's, shared with Quorum and the hybrid prototypes. This
-// package supplies what distinguishes Fabric: the topology above, the
-// LSM engine, the pipeline stages, how an ordering batch maps to
-// payload-box handles (batchHandles), and the hand-off subscription
-// RecoverPeer rejoins through.
+// The ordering service's records are the assembled transactions' wire
+// bytes, encoded once where they enter ordering: every peer decodes its own
+// views of a batch in its Decode stage and seals the records themselves
+// into its ledger, so the log alone is enough to rebuild any peer.
+//
+// A peer's lifecycle — open, crash, rebuild from a checkpoint, catch up
+// from a healthy peer's ledger, rejoin, close — is system.Replica's, shared
+// with Quorum and the hybrid prototypes. A crashed peer closes its
+// subscription and needs no drain; RecoverPeer subscribes again right above
+// its catch-up tip, as Veritas's verifiers do. This package supplies what
+// distinguishes Fabric: the topology above, the LSM engine and the
+// pipeline stages.
 package fabric
 
 import (
@@ -176,7 +181,6 @@ type Network struct {
 	net      *cluster.Network
 	peers    []*peer
 	ordering *sharedlog.Service
-	box      *system.PayloadBox
 	clients  sync.Map // name → cryptoutil.PublicKey
 	peerKeys map[string]cryptoutil.PublicKey
 	// door holds each submitted update pending: the front door's mempool
@@ -209,7 +213,7 @@ var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
 // strict block order on the committer side.
 type peer struct {
 	// Replica is the peer's lifecycle (internal/system): engines, loops,
-	// crash, drain, rebuild, catch-up, close. Delivered is the newest
+	// crash, rebuild, catch-up, close. Delivered is the newest
 	// ordering-batch sequence the peer has consumed.
 	*system.Replica
 	name     string
@@ -217,27 +221,17 @@ type peer struct {
 	signer   *cryptoutil.Signer
 	consumer *sharedlog.Consumer
 	pipe     *pipeline.Pipeline[sharedlog.Batch, *fabricBlock]
+	// free holds sealed blocks for the Decode stage to decode into again,
+	// so a peer's views and slabs are reused rather than reallocated.
+	free chan *fabricBlock
 }
 
-// batchHandles maps an ordering batch to the payload-box handles it
-// carries, one per record, and its sequence number.
-func batchHandles(b sharedlog.Batch) ([][]byte, uint64) { return b.Records, b.Seq }
-
-// ordered is what rides the payload box through the ordering service: an
-// assembled transaction and its wire bytes, encoded once where it enters
-// ordering. Every peer validates the shared *Tx and seals the same bytes
-// into its own ledger instead of marshalling them again.
-type ordered struct {
-	tx  *txn.Tx
-	raw []byte
-}
-
-// fabricBlock is one decoded block moving through a peer's pipeline.
+// fabricBlock is one decoded block moving through a peer's pipeline: the
+// peer's own views of the batch's records (Raw is nil on recovery replay,
+// which appends the source's block as is) and what its stages compute
+// about them.
 type fabricBlock struct {
-	txs []*txn.Tx
-	// raw holds each transaction's wire bytes, parallel to txs (nil on
-	// recovery replay, which appends the source's block as is).
-	raw      [][]byte
+	txn.Block
 	verdicts []occ.AbortReason
 	// valDur and applyStart together measure the validate phase as time
 	// spent in the Validate and Apply/Seal stages only — at depth ≥ 2 a
@@ -260,7 +254,6 @@ func New(cfg Config) (*Network, error) {
 	nw := &Network{
 		cfg:       cfg,
 		net:       cluster.NewNetwork(cluster.ZeroLink{}),
-		box:       system.NewPayloadBox(),
 		peerKeys:  make(map[string]cryptoutil.PublicKey),
 		Breakdown: metrics.NewBreakdown(),
 	}
@@ -288,7 +281,6 @@ func New(cfg Config) (*Network, error) {
 			DataDir: cfg.DataDir,
 			Name:    name,
 			Engine:  system.LSMEngine(cfg.EngineHook),
-			Box:     nw.box,
 			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Keep:      cfg.CheckpointKeep,
@@ -303,7 +295,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		p := &peer{Replica: rep, name: name, nw: nw, signer: signer}
+		p := &peer{Replica: rep, name: name, nw: nw, signer: signer, free: make(chan *fabricBlock, cfg.PipelineDepth+1)}
 		nw.peers = append(nw.peers, p)
 		p.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ValidationWorkers,
@@ -406,15 +398,10 @@ func (nw *Network) execute(t *txn.Tx, await func() system.Result) system.Result 
 		return r
 	}
 
-	// Phase 2: ordering. The payload is taken exactly once per peer —
-	// live peers Take in decode, crashed peers Take in their drain, and
-	// a recovering peer's handoff consumer Takes the batches its replay
-	// covered — so the count stays constant across crashes and no entry
-	// leaks.
+	// Phase 2: ordering. The transaction is encoded once, into the entry
+	// the orderers' logs carry; every peer decodes its own copy of it.
 	orderStart := time.Now()
-	id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
-	if err := nw.ordering.Append(system.EncodeHandle(id)); err != nil {
-		nw.box.Drop(id)
+	if err := nw.ordering.AppendEntry(ordered(t)); err != nil {
 		return system.Result{Err: err}
 	}
 	r := await()
@@ -546,9 +533,7 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 		if !proceed[i] {
 			continue
 		}
-		id := nw.box.Put(&ordered{tx: t, raw: t.Marshal()}, len(nw.peers))
-		if err := nw.ordering.AppendBounded(system.EncodeHandle(id), time.Second); err != nil {
-			nw.box.Drop(id)
+		if err := nw.ordering.AppendEntryBounded(ordered(t), time.Second); err != nil {
 			nw.door.Resolve(t.ID, system.Result{
 				Err: fmt.Errorf("%w: ordering unavailable: %v", ingress.ErrOverloaded, err),
 			})
@@ -557,6 +542,11 @@ func (nw *Network) ingestBatch(txs []*txn.Tx) error {
 	}
 	return throttle
 }
+
+// ordered is t's shared-log entry: its wire bytes, encoded once, behind the
+// room the ordering service's header takes. The same bytes are what every
+// peer decodes and seals.
+func ordered(t *txn.Tx) []byte { return t.AppendTo(sharedlog.NewEntry(t.EncodedLen())) }
 
 // IngressStats returns the front door's counters; ok is false when the
 // network runs without an ingress.
@@ -631,32 +621,36 @@ func (p *peer) commitLoop(stop <-chan struct{}) {
 	p.pipe.Run(p.consumer.Batches(), stop)
 }
 
-// decodeBlock resolves a batch's payload handles into the block's
-// transactions (pipeline Decode stage). A record that is no handle is
+// decodeBlock decodes the peer's own views of a batch's records into a
+// reused block (pipeline Decode stage). A record that does not decode is
 // skipped, and batches that decode to zero transactions still pass
 // through as empty blocks: ledger height must track the ordering
 // sequence exactly — block N is always batch N — or the recovery handoff
 // (RecoverPeer) could not align a ledger replay with a log subscription.
 func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
-	b := &fabricBlock{
-		txs: make([]*txn.Tx, 0, len(batch.Records)),
-		raw: make([][]byte, 0, len(batch.Records)),
+	var b *fabricBlock
+	select {
+	case b = <-p.free:
+	default:
+		b = &fabricBlock{}
 	}
 	for _, rec := range batch.Records {
-		id, ok := system.HandleID(rec)
-		if !ok {
-			continue
-		}
-		v, ok := p.nw.box.Take(id)
-		if !ok {
-			continue
-		}
-		o := v.(*ordered)
-		b.txs = append(b.txs, o.tx)
-		b.raw = append(b.raw, o.raw)
+		_ = b.DecodeOne(rec) // a foreign record: skipped, the block kept
 	}
 	p.Delivered.Store(batch.Seq)
 	return b, true
+}
+
+// release hands a sealed block back to the Decode stage. Nothing reads its
+// views past Seal: Reset zeroes them, so a late reader would see empty
+// transactions, and under the race detector a race with the next decode.
+func (p *peer) release(b *fabricBlock) {
+	b.Reset()
+	*b = fabricBlock{Block: b.Block, verdicts: b.verdicts}
+	select {
+	case p.free <- b:
+	default:
+	}
 }
 
 // validateBlock runs the stateless half of validation — the endorsement
@@ -670,25 +664,25 @@ func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
 func (p *peer) validateBlock(b *fabricBlock) {
 	start := time.Now()
 	defer func() { b.valDur = time.Since(start) }()
-	b.verdicts = make([]occ.AbortReason, len(b.txs))
+	b.verdicts = append(b.verdicts[:0], make([]occ.AbortReason, len(b.Txs))...)
 	keys := func(name string) (cryptoutil.PublicKey, bool) {
 		pub, ok := p.nw.peerKeys[name]
 		return pub, ok
 	}
 	switch {
 	case p.nw.cfg.AggregateEndorsements:
-		pipeline.Parallel(p.pipe.Workers(), len(b.txs), func(i int) {
+		pipeline.Parallel(p.pipe.Workers(), len(b.Txs), func(i int) {
 			sigStart := time.Now()
-			err := b.txs[i].VerifyEndorsementsAggregate(keys, p.nw.needed())
+			err := b.Txs[i].VerifyEndorsementsAggregate(keys, p.nw.needed())
 			b.sigNanos.Add(int64(time.Since(sigStart)))
 			if err != nil {
 				b.verdicts[i] = occ.InconsistentRead // endorsement failure
 			}
 		})
 	case p.nw.cfg.BatchVerify:
-		pipeline.ParallelChunks(p.pipe.Workers(), len(b.txs), func(lo, hi int) {
+		pipeline.ParallelChunks(p.pipe.Workers(), len(b.Txs), func(lo, hi int) {
 			sigStart := time.Now()
-			errs := txn.VerifyEndorsementsBatch(b.txs[lo:hi], keys, p.nw.needed())
+			errs := txn.VerifyEndorsementsBatch(b.Txs[lo:hi], keys, p.nw.needed())
 			b.sigNanos.Add(int64(time.Since(sigStart)))
 			for i, err := range errs {
 				if err != nil {
@@ -697,9 +691,9 @@ func (p *peer) validateBlock(b *fabricBlock) {
 			}
 		})
 	default:
-		pipeline.Parallel(p.pipe.Workers(), len(b.txs), func(i int) {
+		pipeline.Parallel(p.pipe.Workers(), len(b.Txs), func(i int) {
 			sigStart := time.Now()
-			err := b.txs[i].VerifyEndorsements(keys, p.nw.needed())
+			err := b.Txs[i].VerifyEndorsements(keys, p.nw.needed())
 			b.sigNanos.Add(int64(time.Since(sigStart)))
 			if err != nil {
 				b.verdicts[i] = occ.InconsistentRead // endorsement failure
@@ -716,8 +710,8 @@ func (p *peer) validateBlock(b *fabricBlock) {
 func (p *peer) applyBlock(b *fabricBlock) {
 	b.applyStart = time.Now()
 	blockNum := p.Ledger.Height() + 1
-	sets := make([]txn.RWSet, len(b.txs))
-	for i, t := range b.txs {
+	sets := make([]txn.RWSet, len(b.Txs))
+	for i, t := range b.Txs {
 		if b.verdicts[i] == occ.OK {
 			sets[i] = t.RWSet
 		}
@@ -735,7 +729,7 @@ func (p *peer) applyBlock(b *fabricBlock) {
 	// reports it to every client waiting on the block.
 	blk := p.St.NewBlock()
 	var deltas []state.VersionedWrite
-	for i, t := range b.txs {
+	for i, t := range b.Txs {
 		if b.verdicts[i] != occ.OK {
 			continue
 		}
@@ -762,31 +756,32 @@ func (p *peer) applyBlock(b *fabricBlock) {
 }
 
 // sealBlock appends the ledger block and resolves the waiting clients
-// (pipeline Seal stage, strict block order). Blocks persist their
-// transactions whole (marshalled, as real Fabric blocks do), which is
-// what makes the ledger a sufficient replay source for crash recovery.
-// The bytes are the ones encoded at ordering; the transaction root over
-// them is this peer's own.
+// (pipeline Seal stage, strict block order), then releases the block.
+// Blocks persist their transactions whole (marshalled, as real Fabric
+// blocks do), which is what makes the ledger a sufficient replay source
+// for crash recovery. The bytes are the ordering service's records
+// themselves; the transaction root over them is this peer's own. The
+// first peer to seal a transaction puts its validate time on the submitted
+// transaction's trace.
 func (p *peer) sealBlock(b *fabricBlock) {
 	if b.commitErr == nil {
 		// With AuthState on, headers carry the latest published signed root.
 		stateRoot, stateRootHeight := p.PublishedRoot()
-		p.Ledger.Seal(b.raw, stateRoot, stateRootHeight)
+		p.Ledger.Seal(b.Raw, stateRoot, stateRootHeight)
 	}
 
 	validate := b.valDur + time.Since(b.applyStart)
 	p.nw.Breakdown.Observe(metrics.PhaseValidate, validate)
 	p.nw.Breakdown.Observe("validate-sig", time.Duration(b.sigNanos.Load()))
 
-	for i, t := range b.txs {
-		t.Trace.Observe(metrics.PhaseValidate, validate)
+	for i, t := range b.Txs {
 		var r system.Result
 		if b.commitErr != nil {
 			r = system.Result{Reason: b.verdicts[i], Err: b.commitErr}
 		} else {
 			r = system.Result{Committed: b.verdicts[i] == occ.OK, Reason: b.verdicts[i]}
 		}
-		p.nw.door.Resolve(t.ID, r)
+		p.nw.door.Seal(t.ID, r, metrics.PhaseValidate, validate)
 	}
 
 	// Checkpoint after the clients are answered, still on the committer.
@@ -795,15 +790,18 @@ func (p *peer) sealBlock(b *fabricBlock) {
 	if b.commitErr == nil {
 		p.MaybeCheckpoint(p.Ledger.Height())
 	}
+	p.release(b)
 }
 
-// CrashPeer kills peer i (system.Replica.Crash): its commit pipeline stops
-// and its in-memory state — values, versions, ledger — is lost, while a
-// drain keeps consuming its subscription. Endorsement and query routing
-// skip it from now on.
+// CrashPeer kills peer i (system.Replica.Crash): its commit pipeline stops,
+// its subscription closes, and its in-memory state — values, versions,
+// ledger — is lost. The ordering service retains every batch, so nothing
+// has to read on its behalf while it is down. Endorsement and query
+// routing skip it from now on.
 func (nw *Network) CrashPeer(i int) {
-	p := nw.peers[i]
-	p.Crash(system.DrainStream(p.Replica, p.consumer.Batches(), batchHandles))
+	if p := nw.peers[i]; p.Crash(nil) {
+		p.consumer.Close()
+	}
 }
 
 // RecoverPeer rebuilds crashed peer i from its newest on-disk checkpoint
@@ -811,26 +809,22 @@ func (nw *Network) CrashPeer(i int) {
 // models how far checkpointing had gotten when the crash hit) plus a
 // replay of the healthy peer from's ledger through the peer's own
 // validate/apply pipeline stages, and then rejoins live block consumption
-// (the sequence is system.Replica's). Fabric's rejoin step is a hand-off
-// subscription that takes, and drops, the peer's box copies for the
-// batches the replay covered; the live subscription resumes exactly one
-// past the replay tip. The network may keep committing throughout — no
-// quiesce is required. RecoverPeer may be called after each crash; each
-// call rebuilds from scratch.
+// (the sequence is system.Replica's). Fabric's rejoin step is a new
+// subscription exactly one past the replay tip T1: the service retains
+// every batch, and batch N is block N. The network may keep committing
+// throughout — no quiesce is required. RecoverPeer may be called after
+// each crash; each call rebuilds from scratch.
 func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	p, src := nw.peers[i], nw.peers[from]
 	// Read once, and before Rebuild's liveness check: Crash raises the
 	// flag first and drops the ledger after, mid-replay included.
 	srcLedger := src.Ledger
-	// The crash-time subscription stays open until the recovery succeeds:
-	// a failed one resumes the drain on it, exactly at Delivered+1.
 	stats, err := p.Rebuild(maxCkptHeight, src.Replica)
 	if err != nil {
 		return stats, err
 	}
-	D := p.Delivered.Load()
 	err = p.CatchUpLedger(srcLedger, func(txs []*txn.Tx) error {
-		b := &fabricBlock{txs: txs}
+		b := &fabricBlock{Block: txn.Block{Txs: txs}}
 		p.validateBlock(b) // endorsement signature checks, worker-pooled
 		p.applyBlock(b)    // MVCC waves + state commit, as live
 		return b.commitErr
@@ -838,25 +832,7 @@ func (nw *Network) RecoverPeer(i, from int, maxCkptHeight uint64) (recovery.Stat
 	if err != nil {
 		return stats, err
 	}
-	T1 := stats.TipHeight
-
-	// Block-sync hand-off: batches D+1..T1 were covered by the replay but
-	// their box copies for this peer are still outstanding — take and
-	// drop them, then subscribe live at T1+1. Sequences align because
-	// block N is always batch N (empty-batch pass-through in decode).
-	if T1 > D {
-		tmp := nw.ordering.Subscribe(D + 1)
-		for p.Delivered.Load() < T1 {
-			b, ok := <-tmp.Batches()
-			if !ok {
-				break
-			}
-			p.Deliver(batchHandles(b))
-		}
-		tmp.Close()
-	}
-	p.consumer.Close()
-	p.consumer = nw.ordering.Subscribe(T1 + 1)
+	p.consumer = nw.ordering.Subscribe(stats.TipHeight + 1)
 	p.Restart(p.commitLoop)
 	return stats, nil
 }

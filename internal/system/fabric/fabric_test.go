@@ -335,7 +335,7 @@ func TestValidateRejectsRepeatedEndorser(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			b := &fabricBlock{txs: []*txn.Tx{forged, honest}}
+			b := &fabricBlock{Block: txn.Block{Txs: []*txn.Tx{forged, honest}}}
 			nw.peers[1].validateBlock(b)
 			if b.verdicts[0] == occ.OK {
 				t.Error("one peer's endorsement, copied four times, satisfied a 4-of-4 policy")

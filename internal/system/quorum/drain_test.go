@@ -10,11 +10,10 @@ import (
 )
 
 // TestFailedRecoveryRestartsDrain: a recovery that fails leaves the node
-// crashed with its drain running again, so its payload-box copies keep
-// being taken while the others commit and the box stays bounded; a retried
-// recovery then ends where a never-crashed node is. Before the fix the
-// failed recovery left the drain halted, and the box grew by one entry per
-// block.
+// crashed with its drain running again, so its consensus member's commit
+// stream keeps being read while the others commit; a retried recovery then
+// ends where a never-crashed node is. Before the fix the failed recovery
+// left the drain halted, and the down node's position stopped.
 func TestFailedRecoveryRestartsDrain(t *testing.T) {
 	var engines []*failEngine
 	cfg := Config{Nodes: 3}
@@ -48,13 +47,13 @@ func TestFailedRecoveryRestartsDrain(t *testing.T) {
 	for i := 0; nw.Ledger(leader).Height() < base+50; i++ {
 		put(fmt.Sprintf("k%03d", i))
 	}
-	// Every block's box entry is released once all three nodes took their
-	// copy — the down node's through its drain.
+	// The down node's drain reads every entry the leader commits: its
+	// position follows the leader's.
 	deadline := time.Now().Add(10 * time.Second)
-	for nw.box.Len() > 2 {
+	for down, up := nw.nodes[victim], nw.nodes[leader]; down.Delivered.Load() < up.Delivered.Load(); {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d box entries live %d blocks after the failed recovery: the down node's copies are not taken",
-				nw.box.Len(), nw.Ledger(leader).Height()-base)
+			t.Fatalf("down node at index %d, the leader at %d, %d blocks after the failed recovery: its commit stream is not read",
+				down.Delivered.Load(), up.Delivered.Load(), nw.Ledger(leader).Height()-base)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -7,9 +7,8 @@ import (
 )
 
 // TestRefusedProposalDropsItsBoxEntry: when consensus refuses a block the
-// proposer has already boxed, the batch goes back on the queue and the
-// box entry — which no node will ever take — is released. Before the fix
-// every refused proposal leaked one block.
+// proposer has already issued, the batch goes back on the queue and the
+// block — in no node's log — leaves the in-flight table.
 func TestRefusedProposalDropsItsBoxEntry(t *testing.T) {
 	nw, client := network(t, Config{Nodes: 1})
 	if r := nw.Execute(mustTx(t, client, "put", "alpha", "1")); !r.Committed {
@@ -20,15 +19,15 @@ func TestRefusedProposalDropsItsBoxEntry(t *testing.T) {
 	// consensus member, so the next Propose is refused.
 	n.Stop()
 	n.cons.Stop()
-	if got := nw.box.Len(); got != 0 {
-		t.Fatalf("%d box entries live before the refused proposal", got)
+	if inFlight(nw) {
+		t.Fatal("a block in flight before the refused proposal")
 	}
 
 	tx := mustTx(t, client, "put", "beta", "2")
 	n.proposeBatch([]*txn.Tx{tx})
 
-	if got := nw.box.Len(); got != 0 {
-		t.Fatalf("refused proposal left %d box entries live", got)
+	if inFlight(nw) {
+		t.Fatal("refused proposal left its block in flight")
 	}
 	n.pendingMu.Lock()
 	defer n.pendingMu.Unlock()

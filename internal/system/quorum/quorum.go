@@ -20,13 +20,20 @@
 //     blames for the record-size collapse in Fig 11), and appends the
 //     block.
 //
+// A consensus entry is a block: the exactly-once header (consensus.Header)
+// and then its transactions' wire bytes back to back, encoded once by the
+// proposer. Every node decodes its own views of the entry in its Decode
+// stage and seals the encoded bytes themselves into its ledger.
+//
 // A node's lifecycle — open, crash, drain while down, rebuild from a
 // checkpoint, catch up from a healthy node's ledger, rejoin, close — is
-// system.Replica's, shared with Fabric and the hybrid prototypes. This
-// package supplies what distinguishes Quorum: consensus inside every
-// node, the LSM engine under an always-on root maintainer, the pipeline
-// stages, how a committed entry maps to its payload-box handle
-// (entryHandle), and the skipTo rejoin in RecoverNode.
+// system.Replica's, shared with Fabric and the hybrid prototypes. The
+// drain only keeps the crashed node's consensus member's commit stream
+// read (and its Window current); the entries carry everything, so it owes
+// no one a copy. This package supplies what distinguishes Quorum:
+// consensus inside every node, the LSM engine under an always-on root
+// maintainer, the pipeline stages, which committed entries are blocks
+// (admit), and the skipTo rejoin in RecoverNode.
 package quorum
 
 import (
@@ -153,7 +160,6 @@ type Network struct {
 	cfg     Config
 	net     *cluster.Network
 	nodes   []*node
-	box     *system.PayloadBox
 	clients sync.Map // client name → cryptoutil.PublicKey
 	// door holds each submitted update pending: the front door's mempool
 	// with Config.Ingress, the direct path's table otherwise.
@@ -190,11 +196,13 @@ type node struct {
 	// crash, drain, rebuild, catch-up, close. Delivered is the newest
 	// consensus index the node has consumed.
 	*system.Replica
-	id        cluster.NodeID
-	nw        *Network
-	cons      consensus.Node
-	ep        *cluster.Endpoint
-	pipe      *pipeline.Pipeline[consensus.Entry, *nodeBlock]
+	id   cluster.NodeID
+	nw   *Network
+	cons consensus.Node
+	ep   *cluster.Endpoint
+	pipe *pipeline.Pipeline[consensus.Entry, *nodeBlock]
+	// free holds sealed blocks for the Decode stage to decode into again.
+	free      chan *nodeBlock
 	pendingMu sync.Mutex
 	pending   []*txn.Tx
 	// skipTo makes the restarted decode stage take-and-discard entries
@@ -206,43 +214,36 @@ type node struct {
 	win consensus.Window
 }
 
-// entryHandle maps a committed entry to its consensus index and, when the
-// entry is its block's first copy in the log, the payload-box handle it
-// carries. A copy the Resend lap proposed again carries none, and neither
-// does the empty entry a new raft leader commits its inherited tail with.
-func (n *node) entryHandle(e consensus.Entry) ([][]byte, uint64) {
-	if len(e.Data) != consensus.Header+8 {
-		return nil, e.Index
+// admit reports whether committed entry e is a block's first copy in the
+// log, admitting it through the node's Window and finishing its flight. A
+// copy the Resend lap proposed again is not, and neither is the empty
+// entry a new raft leader commits its inherited tail with.
+func (n *node) admit(e consensus.Entry) bool {
+	if len(e.Data) < consensus.Header {
+		return false
 	}
 	id := binary.BigEndian.Uint64(e.Data)
 	if !n.win.Admit(id, binary.BigEndian.Uint64(e.Data[8:])) {
-		return nil, e.Index
+		return false
 	}
 	n.nw.flight.Finish(id)
-	return [][]byte{e.Data[consensus.Header:]}, e.Index
-}
-
-// block is the consensus payload (passed by handle through the box). It
-// is shared read-only by every node's pipeline; per-node processing state
-// lives in nodeBlock.
-type block struct {
-	proposer cluster.NodeID
-	txs      []*txn.Tx
-	// raw holds each transaction's wire bytes, parallel to txs, encoded
-	// once by the proposer; every node seals these same bytes into its own
-	// ledger (nil on recovery replay, which appends the source's block).
-	raw  [][]byte
-	size int
+	return true
 }
 
 // nodeBlock is one node's in-flight view of a committed block moving
-// through its pipeline.
+// through its pipeline: its own views of the entry's transactions (Raw
+// nil on recovery replay, which appends the source's block) and what its
+// stages compute about them.
 type nodeBlock struct {
-	blk *block
+	txn.Block
 	// authErrs holds per-transaction client-authentication failures
 	// (pipeline Validate stage, stateless and worker-pooled).
 	authErrs []error
 	results  []system.Result
+	// execDur is each transaction's execution time, for the trace of the
+	// node that resolves it; a conflicted transaction's serial re-run
+	// overwrites its speculative timing.
+	execDur []time.Duration
 	// commitErr surfaces a failed state or ledger commit to the block's
 	// waiting clients instead of panicking the node (fabric's pattern).
 	commitErr error
@@ -260,7 +261,6 @@ func New(cfg Config) (*Network, error) {
 	nw := &Network{
 		cfg:        cfg,
 		net:        cluster.NewNetwork(cluster.ZeroLink{}),
-		box:        system.NewPayloadBox(),
 		stopResend: func() {}, // until New starts the lap
 	}
 	peers := make([]cluster.NodeID, cfg.Nodes)
@@ -285,7 +285,6 @@ func New(cfg Config) (*Network, error) {
 			Engine:     system.LSMEngine(cfg.EngineHook),
 			Auth:       &authstate.Config{Signer: signer, PublishEvery: cfg.RootPublishEvery},
 			ProofCache: cfg.ProofCacheSize,
-			Box:        nw.box,
 			Checkpoint: recovery.Options{
 				Interval:  cfg.CheckpointInterval,
 				Mode:      cfg.CheckpointMode,
@@ -295,7 +294,7 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		n := &node{Replica: rep, id: id, nw: nw}
+		n := &node{Replica: rep, id: id, nw: nw, free: make(chan *nodeBlock, cfg.PipelineDepth+1)}
 		n.pipe = pipeline.New(pipeline.Config{
 			Workers: cfg.ExecutionWorkers,
 			Depth:   cfg.PipelineDepth,
@@ -581,31 +580,28 @@ func (n *node) proposeLoop(stop <-chan struct{}) {
 
 // proposeBatch pre-executes batch serially at the tip (order-execute: the
 // proposer validates transactions before batching them) and proposes it
-// as one block; a refused proposal puts the batch back at the head of the
+// as one block, its transactions encoded once into the entry consensus
+// carries; a refused proposal puts the batch back at the head of the
 // queue.
 func (n *node) proposeBatch(batch []*txn.Tx) {
-	size := 0
-	raw := make([][]byte, len(batch))
-	for i, t := range batch {
+	size := consensus.Header
+	for _, t := range batch {
 		start := time.Now()
 		snap := n.St.Snapshot()
 		_, _ = registry.Execute(snap, t.Invocation)
 		snap.Release()
 		t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
-		size += t.Size()
-		raw[i] = t.Marshal()
+		size += t.EncodedLen()
 	}
-	// The block is taken exactly once per node — live nodes Take in
-	// decode, crashed nodes Take in their drain — so the count stays
-	// constant across crashes and no entry leaks.
-	handle := n.nw.box.Put(&block{proposer: n.id, txs: batch, raw: raw, size: size}, len(n.nw.nodes))
-	entry := binary.BigEndian.AppendUint64(make([]byte, consensus.Header, consensus.Header+8), handle)
+	entry := make([]byte, consensus.Header, size)
+	for _, t := range batch {
+		entry = t.AppendTo(entry)
+	}
 	id := n.nw.flight.Issue(entry, struct{}{})
 	if err := n.cons.Propose(entry); err != nil {
-		// Leadership moved between check and propose: no node will ever
-		// take this block, so release it, and requeue the batch.
+		// Leadership moved between check and propose: the block is in no
+		// log, so it leaves flight, and the batch is requeued.
 		n.nw.flight.Finish(id)
-		n.nw.box.Drop(handle)
 		n.pendingMu.Lock()
 		n.pending = append(batch, n.pending...)
 		n.pendingMu.Unlock()
@@ -620,31 +616,43 @@ func (n *node) commitLoop(stop <-chan struct{}) {
 	n.pipe.Run(n.cons.Committed(), stop)
 }
 
-// decodeBlock resolves a committed entry's payload handle (pipeline
-// Decode stage). Ledger height must track the consensus index exactly —
-// block N is always entry N — or the recovery handoff (RecoverNode)
-// could not align a ledger replay with the committed stream; a handle
-// that fails to resolve — or an entry that carries none, as the empty one
-// a new raft leader commits its inherited tail with — therefore still
-// passes through as an empty block, while entries at or below skipTo
-// (covered by a just-finished recovery replay) consume their box copy
-// and are dropped, because the replay already appended their ledger
-// blocks.
+// decodeBlock decodes the node's own views of a committed entry's block
+// into a reused nodeBlock (pipeline Decode stage). Ledger height must track
+// the consensus index exactly — block N is always entry N — or the
+// recovery handoff (RecoverNode) could not align a ledger replay with the
+// committed stream; an entry that is no block's first copy — a Resend
+// duplicate, or the empty one a new raft leader commits its inherited
+// tail with — or that does not decode therefore still passes through as
+// an empty block, while entries at or below skipTo (covered by a
+// just-finished recovery replay) are admitted and dropped, because the
+// replay already appended their ledger blocks.
 func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
 	n.Delivered.Store(e.Index)
-	var blk *block
-	if hs, _ := n.entryHandle(e); hs != nil {
-		if v, ok := n.nw.box.Take(binary.BigEndian.Uint64(hs[0])); ok {
-			blk = v.(*block)
-		}
-	}
+	first := n.admit(e)
 	if e.Index <= n.skipTo.Load() {
 		return nil, false
 	}
-	if blk == nil {
-		blk = &block{}
+	var nb *nodeBlock
+	select {
+	case nb = <-n.free:
+	default:
+		nb = &nodeBlock{}
 	}
-	return &nodeBlock{blk: blk}, true
+	if first {
+		_ = nb.Decode(e.Data[consensus.Header:]) // corrupt: an empty block
+	}
+	return nb, true
+}
+
+// release hands a sealed block back to the Decode stage; Reset zeroes its
+// views, so nothing may read them past Seal.
+func (n *node) release(nb *nodeBlock) {
+	nb.Reset()
+	nb.commitErr = nil
+	select {
+	case n.free <- nb:
+	default:
+	}
 }
 
 // validateBlock authenticates the block's clients across the worker pool
@@ -653,7 +661,7 @@ func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
 // one VerifyBatch pass instead of per-tx curve checks; verdicts are
 // identical either way.
 func (n *node) validateBlock(nb *nodeBlock) {
-	nb.authErrs = make([]error, len(nb.blk.txs))
+	nb.authErrs = append(nb.authErrs[:0], make([]error, len(nb.Txs))...)
 	if n.nw.cfg.BatchVerify {
 		keys := func(client string) (cryptoutil.PublicKey, bool) {
 			pubAny, ok := n.nw.clients.Load(client)
@@ -662,13 +670,13 @@ func (n *node) validateBlock(nb *nodeBlock) {
 			}
 			return pubAny.(cryptoutil.PublicKey), true
 		}
-		pipeline.ParallelChunks(n.pipe.Workers(), len(nb.blk.txs), func(lo, hi int) {
-			copy(nb.authErrs[lo:hi], txn.VerifyClientBatch(nb.blk.txs[lo:hi], keys))
+		pipeline.ParallelChunks(n.pipe.Workers(), len(nb.Txs), func(lo, hi int) {
+			copy(nb.authErrs[lo:hi], txn.VerifyClientBatch(nb.Txs[lo:hi], keys))
 		})
 		return
 	}
-	pipeline.Parallel(n.pipe.Workers(), len(nb.blk.txs), func(i int) {
-		nb.authErrs[i] = n.verifyClient(nb.blk.txs[i])
+	pipeline.Parallel(n.pipe.Workers(), len(nb.Txs), func(i int) {
+		nb.authErrs[i] = n.verifyClient(nb.Txs[i])
 	})
 }
 
@@ -680,22 +688,17 @@ func (n *node) validateBlock(nb *nodeBlock) {
 // concurrently while every replica still reaches the state the serial
 // "double execution" would have produced.
 func (n *node) applyBlock(nb *nodeBlock) {
-	blk := nb.blk
 	blockNum := n.Ledger.Height() + 1
-	nb.results = make([]system.Result, len(blk.txs))
-
-	// Per-transaction execution cost for the proposer's trace; a
-	// conflicted transaction's serial re-run overwrites its speculative
-	// timing, so the recorded cost is the authoritative execution's.
-	execDur := make([]time.Duration, len(blk.txs))
-	rws, errs := pipeline.ExecuteBlock(len(blk.txs), n.pipe.Workers(), blockNum, n.St,
+	nb.results = append(nb.results[:0], make([]system.Result, len(nb.Txs))...)
+	nb.execDur = append(nb.execDur[:0], make([]time.Duration, len(nb.Txs))...)
+	rws, errs := pipeline.ExecuteBlock(len(nb.Txs), n.pipe.Workers(), blockNum, n.St,
 		func(i int, view contract.StateReader) (txn.RWSet, error) {
 			start := time.Now()
-			defer func() { execDur[i] = time.Since(start) }()
+			defer func() { nb.execDur[i] = time.Since(start) }()
 			if err := nb.authErrs[i]; err != nil {
 				return txn.RWSet{}, err
 			}
-			return registry.Execute(view, blk.txs[i].Invocation)
+			return registry.Execute(view, nb.Txs[i].Invocation)
 		})
 
 	// Stage writes in block order (later writers win) and collect the
@@ -704,7 +707,7 @@ func (n *node) applyBlock(nb *nodeBlock) {
 	// maintainer's worker (internal/authstate).
 	stage := n.St.NewBlock()
 	var deltas []state.VersionedWrite
-	for i, t := range blk.txs {
+	for i := range nb.Txs {
 		if err := errs[i]; err != nil {
 			if nb.authErrs[i] != nil {
 				nb.results[i] = system.Result{Err: err}
@@ -719,9 +722,6 @@ func (n *node) applyBlock(nb *nodeBlock) {
 			deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
 		}
 		nb.results[i] = system.Result{Committed: true}
-		if n.id == blk.proposer {
-			t.Trace.Observe(metrics.PhaseExecute, execDur[i])
-		}
 	}
 	// A failed commit no longer panics the node: the error travels to
 	// Seal, which reports it to every client waiting on the block.
@@ -739,9 +739,8 @@ func (n *node) applyBlock(nb *nodeBlock) {
 }
 
 // sealBlock appends the ledger block and resolves the waiting clients
-// (pipeline Seal stage, strict block order).
+// (pipeline Seal stage, strict block order), then releases the block.
 func (n *node) sealBlock(nb *nodeBlock) {
-	blk := nb.blk
 	if nb.commitErr == nil {
 		// The header carries the latest *published* state commitment — the
 		// seal path no longer waits for (or computes) this block's root, so
@@ -750,21 +749,22 @@ func (n *node) sealBlock(nb *nodeBlock) {
 		stateRoot, stateRootHeight := n.PublishedRoot()
 		// Blocks persist their transactions whole (marshalled, as real
 		// Quorum blocks do), which is what makes the ledger a sufficient
-		// replay source for crash recovery. The bytes are the proposer's;
-		// the transaction root over them is this node's own.
-		n.Ledger.Seal(blk.raw, stateRoot, stateRootHeight)
+		// replay source for crash recovery. The bytes are the proposer's,
+		// in the entry itself; the transaction root over them is this
+		// node's own.
+		n.Ledger.Seal(nb.Raw, stateRoot, stateRootHeight)
 	}
 
-	// The proposer resolves the waiting clients once its own commit is
-	// durable (clients connect round-robin but wait in one table).
-	// A commit that failed reaches every client as an error rather than
-	// a silent exit.
-	for i, t := range blk.txs {
+	// The first node to seal a transaction resolves its waiting clients
+	// (clients connect round-robin but wait in one table) and puts its own
+	// execution time on the submitted transaction's trace. A commit that
+	// failed reaches every client as an error rather than a silent exit.
+	for i, t := range nb.Txs {
 		r := nb.results[i]
 		if nb.commitErr != nil {
 			r = system.Result{Reason: r.Reason, Err: nb.commitErr}
 		}
-		n.nw.door.Resolve(t.ID, r)
+		n.nw.door.Seal(t.ID, r, metrics.PhaseExecute, nb.execDur[i])
 	}
 
 	// Checkpoint at this block's boundary, still on the committer (see
@@ -772,18 +772,24 @@ func (n *node) sealBlock(nb *nodeBlock) {
 	if nb.commitErr == nil {
 		n.MaybeCheckpoint(n.Ledger.Height())
 	}
+	n.release(nb)
 }
 
 // CrashNode kills node i's execution layer (system.Replica.Crash):
 // propose and commit loops stop and its in-memory state — values,
 // versions, trie, ledger — is lost. Its consensus replica keeps running
-// behind the drain so the cluster never wedges on an unread commit stream
-// (crash the leader and the cluster halts until it re-elects, exactly as
-// a real deployment would; tests crash followers). Submission and query
-// routing skip the node from now on.
+// behind the drain, which reads and drops the commit stream — admitting
+// each entry through the node's Window, which follows the log through the
+// crash — so the cluster never wedges on an unread stream (crash the
+// leader and the cluster halts until it re-elects, exactly as a real
+// deployment would; tests crash followers). Submission and query routing
+// skip the node from now on.
 func (nw *Network) CrashNode(i int) {
 	n := nw.nodes[i]
-	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.entryHandle))
+	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), func(e consensus.Entry) uint64 {
+		n.admit(e)
+		return e.Index
+	}))
 }
 
 // RecoverNode rebuilds crashed node i from its newest on-disk checkpoint
@@ -792,8 +798,8 @@ func (nw *Network) CrashNode(i int) {
 // stages — including the speculative parallel re-execution and the MPT
 // reconstruction of live double execution — and then rejoins live block
 // consumption (the sequence is system.Replica's). Quorum's rejoin step is
-// skipTo: the restarted decode stage take-and-drops the entries the replay
-// already covered, and everything above flows through the ordinary
+// skipTo: the restarted decode stage admits and drops the entries the
+// replay already covered, and everything above flows through the ordinary
 // pipeline. The network may keep committing throughout — no quiesce is
 // required. May be called after each crash; each call rebuilds from
 // scratch.
@@ -807,7 +813,7 @@ func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stat
 		return stats, err
 	}
 	err = n.CatchUpLedger(srcLedger, func(txs []*txn.Tx) error {
-		nb := &nodeBlock{blk: &block{proposer: cluster.NodeID(-1), txs: txs}}
+		nb := &nodeBlock{Block: txn.Block{Txs: txs}}
 		n.validateBlock(nb) // client auth, worker-pooled
 		n.applyBlock(nb)    // speculative re-execution + MPT, as live
 		return nb.commitErr

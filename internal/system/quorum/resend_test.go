@@ -40,7 +40,7 @@ func TestBlockLostToLeaderChangeIsProposedAgain(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	waitFor("an idle box", func() bool { return nw.box.Len() == 0 })
+	waitFor("no block in flight", func() bool { return !inFlight(nw) })
 	old := nw.Leader()
 	if old < 0 {
 		t.Fatal("no leader")
@@ -53,7 +53,7 @@ func TestBlockLostToLeaderChangeIsProposedAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor("the old leader to propose the block", func() bool { return nw.box.Len() == 1 })
+	waitFor("the old leader to propose the block", func() bool { return inFlight(nw) })
 	waitFor("a new leader", func() bool { l := nw.Leader(); return l >= 0 && l != old })
 	nw.SetFaults(nil)
 	healed := time.Now()
@@ -64,7 +64,7 @@ func TestBlockLostToLeaderChangeIsProposedAgain(t *testing.T) {
 		t.Fatalf("deposit after the leader change: %+v", r)
 	}
 	t.Logf("committed %v after the heal", time.Since(healed))
-	waitFor("every node to take the block", func() bool { return nw.box.Len() == 0 })
+	waitFor("a node to decode the block", func() bool { return !inFlight(nw) })
 	waitConverged(t, nw, 4)
 	for i := range nw.nodes {
 		v, _, err := nw.State(i).Get("chk:acct")

@@ -39,9 +39,6 @@ type ReplicaConfig struct {
 	// Checkpoint configures the checkpointer; Interval 0 turns it off, and
 	// Dir is the runtime's to fill in.
 	Checkpoint recovery.Options
-	// Box is where the handles on the replica's ordered stream resolve; nil
-	// when the stream carries its records whole (Veritas).
-	Box *PayloadBox
 }
 
 // LSMEngine is the ReplicaConfig.Engine of the two blockchains: an LSM
@@ -66,19 +63,24 @@ func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (
 //   - OpenReplica: engine → store → root maintainer → checkpointer, closing
 //     in reverse on any error.
 //   - Run: the replica's loops, each handed the stop channel.
-//   - Crash: flag → stop the loops → run the drain as the replica's one
-//     loop → close checkpointer, maintainer, store. The drain keeps taking
-//     the replica's payload-box copies and advancing Delivered, so nothing
-//     leaks while it is down.
+//   - Crash: flag → stop the loops → run the drain, if the system gives
+//     one, as the replica's one loop → close checkpointer, maintainer,
+//     store. Every ordered stream carries its payloads whole, so a down
+//     replica owes no one its copies: a drain only keeps reading a stream
+//     that must not back up — a consensus member's commit stream, which
+//     Quorum's and BigchainDB's members keep running behind their crashed
+//     execution layers — and advances Delivered. A shared-log consumer
+//     (Fabric's peer, Veritas's verifier) closes its subscription instead,
+//     and needs none.
 //   - Rebuild → CatchUp → Restart: halt the drain, which pins the hand-off
-//     pivot D = Delivered (every position ≤ D has had its box copy taken);
-//     restore the newest checkpoint onto a fresh engine and reseed the
-//     maintainer from it; replay a healthy source through the system's own
-//     stage function to a tip T1 ≥ D; restart the loops. The system's
-//     rejoin step consumes positions D+1..T1 without applying them —
-//     positions align because block N is always stream element N. A
-//     failed Rebuild or CatchUp runs the drain Crash was given again, so a
-//     replica whose recovery failed still takes its box copies.
+//     pivot D = Delivered; restore the newest checkpoint onto a fresh
+//     engine and reseed the maintainer from it; replay a healthy source
+//     through the system's own stage function to a tip T1 ≥ D; restart the
+//     loops. The system's rejoin step resumes the stream at T1+1 — a
+//     resubscription, or a skip over the positions D+1..T1 still buffered
+//     in a commit stream — and positions align because block N is always
+//     stream element N. A failed Rebuild or CatchUp runs the drain Crash
+//     was given again.
 //   - Close: stop the loops or the drain, wait, close the engines.
 //
 // The engine fields are exported for the embedding system's stage
@@ -96,8 +98,8 @@ type Replica struct {
 	// Ckpt is nil when checkpointing is off.
 	Ckpt *recovery.Checkpointer
 	// Delivered is the newest position of the ordered stream the replica
-	// has consumed — stored by the system's decode stage while live, by the
-	// drain while down.
+	// has consumed — stored by the system's decode stage while live, by its
+	// drain, if it has one, while down.
 	Delivered atomic.Uint64
 
 	stopCh   chan struct{}
@@ -215,9 +217,10 @@ func (r *Replica) Crashed() bool { return r.crashed.Load() }
 // still seal, as a crash between fsyncs would leave them) and its engines
 // close, losing everything in memory. What survives is what recovery may
 // use: the checkpoint directory and the other replicas. drain, when
-// non-nil, then consumes the replica's ordered stream until a recovery or
-// Close halts it; it runs again after a failed recovery, so it must resume
-// from Delivered. Crash reports false on an already crashed replica.
+// non-nil, then reads the replica's commit stream until a recovery or
+// Close halts it, so the consensus member behind it never backs up; it
+// runs again after a failed recovery, so it must resume from Delivered.
+// Crash reports false on an already crashed replica.
 func (r *Replica) Crash(drain func(stop <-chan struct{})) bool {
 	if r.crashed.Swap(true) {
 		return false
@@ -238,10 +241,10 @@ func (r *Replica) fail() {
 	r.lose()
 }
 
-// DrainStream returns the drain of a crashed replica whose ordered stream
-// src carries payload-box handles: handles maps one stream element to the
-// handles it carries and the position it advances the replica to.
-func DrainStream[E any](r *Replica, src <-chan E, handles func(E) ([][]byte, uint64)) func(stop <-chan struct{}) {
+// DrainStream returns the drain of a crashed replica whose commit stream
+// src must still be read: each element is read and dropped, and pos maps it
+// to the position it advances Delivered to.
+func DrainStream[E any](r *Replica, src <-chan E, pos func(E) uint64) func(stop <-chan struct{}) {
 	return func(stop <-chan struct{}) {
 		for {
 			select {
@@ -251,22 +254,10 @@ func DrainStream[E any](r *Replica, src <-chan E, handles func(E) ([][]byte, uin
 				if !ok {
 					return
 				}
-				r.Deliver(handles(e))
+				r.Delivered.Store(pos(e))
 			}
 		}
 	}
-}
-
-// Deliver consumes one stream element on the down replica's behalf: its
-// box copies are taken and dropped — constant Take counts, no leaked
-// entries — and Delivered advances to seq.
-func (r *Replica) Deliver(handles [][]byte, seq uint64) {
-	for _, h := range handles {
-		if id, ok := HandleID(h); ok {
-			r.cfg.Box.Take(id)
-		}
-	}
-	r.Delivered.Store(seq)
 }
 
 // Rebuild begins a recovery: it halts the drain, restores the newest
@@ -332,8 +323,9 @@ func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.St
 }
 
 // CatchUp replays src from the replica's height() — zero after Rebuild —
-// through stage until it has reached D, the position the replica's drain
-// had consumed when Rebuild halted it. Blocks up to stats.CheckpointHeight
+// through stage until it has reached D, the position the replica had
+// consumed when Rebuild halted its drain (or, without one, when it
+// crashed). Blocks up to stats.CheckpointHeight
 // are already in the restored state: for those stage only copies what the
 // replica keeps of its history; above, it runs the system's live stages.
 // The source keeps committing meanwhile, so each pass replays what it has
@@ -342,7 +334,7 @@ func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.St
 // may crash mid-replay, which then shows as a source that stopped growing.
 // A stage error, a gap in the source or a source still below D at the
 // deadline fails the recovery, leaving the replica as Rebuild's failures
-// do, its drain resuming from D. On success stats.TipHeight is the
+// do, its drain (if any) resuming from D. On success stats.TipHeight is the
 // hand-off tip T1 ≥ D.
 func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage func(n uint64, payloads [][]byte) error, stats *recovery.Stats) error {
 	D := r.Delivered.Load()

@@ -242,8 +242,7 @@ func TestCatchUpLedgerCopiesThePrefixAndStagesTheTail(t *testing.T) {
 }
 
 func TestCrashIsIdempotentAndCloseHaltsTheDrain(t *testing.T) {
-	box := NewPayloadBox()
-	r, engines := testReplica(t, ReplicaConfig{Box: box})
+	r, engines := testReplica(t, ReplicaConfig{})
 	looped := make(chan struct{})
 	r.Run(func(stop <-chan struct{}) { <-stop; close(looped) })
 
@@ -252,9 +251,7 @@ func TestCrashIsIdempotentAndCloseHaltsTheDrain(t *testing.T) {
 	exited := make(chan struct{})
 	drain := func(stop <-chan struct{}) {
 		drains++
-		DrainStream(r, stream, func(id uint64) ([][]byte, uint64) {
-			return [][]byte{EncodeHandle(id)}, id
-		})(stop)
+		DrainStream(r, stream, func(pos uint64) uint64 { return pos })(stop)
 		close(exited)
 	}
 	if !r.Crash(drain) {
@@ -272,18 +269,16 @@ func TestCrashIsIdempotentAndCloseHaltsTheDrain(t *testing.T) {
 		t.Fatal("second Crash reported it crashed the replica again")
 	}
 
-	// The drain takes the down replica's box copies and advances Delivered.
-	id := box.Put("payload", 1)
+	// The drain reads the down replica's commit stream and advances
+	// Delivered.
+	id := uint64(1)
 	stream <- id
-	stream <- id + 1 // not in the box: skipped, position still advances
+	stream <- id + 1
 	for deadline := time.Now().Add(5 * time.Second); r.Delivered.Load() != id+1; {
 		if time.Now().After(deadline) {
 			t.Fatalf("drain delivered up to %d, want %d", r.Delivered.Load(), id+1)
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if box.Len() != 0 {
-		t.Fatalf("drain left %d box entries live", box.Len())
 	}
 
 	r.Close()

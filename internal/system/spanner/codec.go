@@ -8,11 +8,9 @@ import (
 	"dichotomy/internal/txn"
 )
 
-// Shard-command wire codec. Commands ride inside the raft log entry
-// rather than behind a payload-box handle: handle copies are in-memory
-// and die with a crashed process, so they can neither survive a replica
-// crash nor feed log-replay recovery. A self-contained log costs one
-// copy per entry and lets the leader's re-replication rebuild any
+// Shard-command wire codec. Commands ride inside the raft log entry, as
+// every log in the repo carries its commands: a self-contained log costs
+// one copy per entry and lets the leader's re-replication rebuild any
 // replica from scratch.
 //
 // The entry opens with the consensus.Header bytes the group frames it

@@ -24,6 +24,7 @@ import (
 
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/cryptoutil"
+	"dichotomy/internal/metrics"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
 )
@@ -185,79 +186,10 @@ func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
 	return h, nil
 }
 
-// PayloadBox passes in-process block payloads through consensus by handle
-// (Fabric, Quorum, BigchainDB). Consensus data payloads stay small (8-byte
-// handles), and Message.Size counts the handle, not the payload; this
-// skips serialization CPU, which none of the paper's experiments identify
-// as a cost centre.
-type PayloadBox struct {
-	seq  atomic.Uint64
-	mu   sync.Mutex
-	data map[uint64]*boxEntry
-}
-
-type boxEntry struct {
-	v         any
-	remaining int
-}
-
-// NewPayloadBox returns an empty box.
-func NewPayloadBox() *PayloadBox {
-	return &PayloadBox{data: make(map[uint64]*boxEntry)}
-}
-
-// Put stores v for a given number of consumers and returns its handle.
-// The entry is released after the last Take.
-func (b *PayloadBox) Put(v any, consumers int) uint64 {
-	consumers = max(consumers, 1)
-	id := b.seq.Add(1)
-	b.mu.Lock()
-	b.data[id] = &boxEntry{v: v, remaining: consumers}
-	b.mu.Unlock()
-	return id
-}
-
-// Take returns the value for a handle, consuming one reference.
-func (b *PayloadBox) Take(id uint64) (any, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	e, ok := b.data[id]
-	if !ok {
-		return nil, false
-	}
-	e.remaining--
-	if e.remaining <= 0 {
-		delete(b.data, id)
-	}
-	return e.v, true
-}
-
-// Drop releases a stored payload without consumers (submission paths that
-// failed after Put), so aborted appends cannot leak box entries.
-func (b *PayloadBox) Drop(id uint64) {
-	b.mu.Lock()
-	delete(b.data, id)
-	b.mu.Unlock()
-}
-
-// Len reports how many live payloads the box holds (tests bound leaks).
-func (b *PayloadBox) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.data)
-}
-
-// EncodeHandle encodes a payload handle as the 8-byte consensus payload,
-// big-endian.
+// EncodeHandle encodes id as an 8-byte big-endian consensus payload. No
+// system passes payloads by handle any more; the benchmark's consensus and
+// shared-log probes use it as a fixed-size record.
 func EncodeHandle(id uint64) []byte { return binary.BigEndian.AppendUint64(make([]byte, 0, 8), id) }
-
-// HandleID decodes a consensus payload back into a handle.
-func HandleID(data []byte) (uint64, bool) {
-	if len(data) != 8 {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(data), true
-}
 
 // Pending is the ledger side's direct-path in-flight table: one pending
 // Handle per submitted transaction, keyed by its content-hash id, which the
@@ -268,11 +200,18 @@ func HandleID(data []byte) (uint64, bool) {
 // table is Replicator's, keyed by the request id the log carries.)
 type Pending struct {
 	mu  sync.Mutex
-	m   map[cryptoutil.Hash]*Handle
+	m   map[cryptoutil.Hash]pending
 	run Direct
 	// timeout bounds await; tests shorten it to reach the expiry.
 	timeout    time.Duration
 	errTimeout error
+}
+
+// pending is one open entry: its handle, and the trace of the submission
+// that opened it, which Seal records the resolving replica's phase on.
+type pending struct {
+	h     *Handle
+	trace *metrics.Trace
 }
 
 // Direct is a ledger system's direct path for one submitted transaction,
@@ -287,32 +226,45 @@ const commitTimeout = 60 * time.Second
 // NewPending returns an empty table over the direct path run, whose commit
 // timeout answers with the error text timeout.
 func NewPending(timeout string, run Direct) *Pending {
-	return &Pending{m: make(map[cryptoutil.Hash]*Handle), run: run, timeout: commitTimeout, errTimeout: errors.New(timeout)}
+	return &Pending{m: make(map[cryptoutil.Hash]pending), run: run, timeout: commitTimeout, errTimeout: errors.New(timeout)}
 }
 
 // Open returns the pending handle for id and whether this call opened it;
 // false means a submission of the same content is pending and the caller
 // has attached to its handle.
-func (p *Pending) Open(id cryptoutil.Hash) (*Handle, bool) {
+func (p *Pending) Open(id cryptoutil.Hash) (*Handle, bool) { return p.open(id, nil) }
+
+// open is Open for a submission whose trace Seal records on.
+func (p *Pending) open(id cryptoutil.Hash, trace *metrics.Trace) (*Handle, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if h, ok := p.m[id]; ok {
-		return h, false
+	if e, ok := p.m[id]; ok {
+		return e.h, false
 	}
 	h := NewHandle()
-	p.m[id] = h
+	p.m[id] = pending{h: h, trace: trace}
 	return h, true
 }
 
 // Resolve answers every caller attached to id's entry and closes it, so a
 // later submission of the same content is a new transaction. An id with no
 // entry (resolved, expired or never opened) is a no-op.
-func (p *Pending) Resolve(id cryptoutil.Hash, r Result) {
+func (p *Pending) Resolve(id cryptoutil.Hash, r Result) { p.Seal(id, r, "", 0) }
+
+// Seal is Resolve for a seal path: when phase is not empty, d — what the
+// resolving replica measured for the transaction — goes on the submitted
+// transaction's trace before any caller is answered. Only the call that
+// closes the entry records, so a trace holds the seal-side phases of one
+// replica, the first to resolve.
+func (p *Pending) Seal(id cryptoutil.Hash, r Result, phase string, d time.Duration) {
 	p.mu.Lock()
-	h := p.m[id]
+	e, ok := p.m[id]
 	p.mu.Unlock()
-	if h != nil && p.take(id, h) {
-		h.Resolve(r)
+	if ok && p.take(id, e.h) {
+		if phase != "" {
+			e.trace.Observe(phase, d)
+		}
+		e.h.Resolve(r)
 	}
 }
 
@@ -321,7 +273,7 @@ func (p *Pending) Resolve(id cryptoutil.Hash, r Result) {
 func (p *Pending) take(id cryptoutil.Hash, h *Handle) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ok := p.m[id] == h
+	ok := p.m[id].h == h
 	if ok {
 		delete(p.m, id)
 	}
@@ -336,7 +288,7 @@ func (p *Pending) Submit(ctx context.Context, t *txn.Tx) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	h, opened := p.Open(t.ID)
+	h, opened := p.open(t.ID, t.Trace)
 	if opened {
 		go func() {
 			r := p.run(t, func() Result { return p.await(t.ID, h) })

@@ -7,12 +7,10 @@ import (
 )
 
 // Region-command wire codec. Commands are serialized INTO the raft log
-// entry rather than passed by payload-box handle: the handle scheme
-// (one in-memory copy per live replica) cannot survive a replica crash
-// or feed a log-replay recovery, because the box copies die with the
-// process. A self-contained log costs one encode per command and buys
-// the whole recovery story — the leader's re-replication alone rebuilds
-// any replica.
+// entry, as every log in the repo carries its commands — the ledger
+// side's blocks included: a self-contained log costs one encode per
+// command and buys the whole recovery story — the leader's
+// re-replication alone rebuilds any replica.
 //
 // Entry bytes are immutable once proposed: raft hands the same slice to
 // every in-process replica, and decodeRegionCmd returns a value whose key,

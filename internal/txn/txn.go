@@ -256,22 +256,6 @@ func (t *Tx) VerifyEndorsements(keys func(peer string) (cryptoutil.PublicKey, bo
 	return nil
 }
 
-// Size approximates the transaction's wire footprint, used by the simulated
-// network's bandwidth model.
-func (t *Tx) Size() int {
-	s := 32 + 64 + len(t.Client) + len(t.Invocation.Contract) + len(t.Invocation.Method)
-	for _, a := range t.Invocation.Args {
-		s += len(a) + 4
-	}
-	for _, r := range t.RWSet.Reads {
-		s += len(r.Key) + 12
-	}
-	for _, w := range t.RWSet.Writes {
-		s += len(w.Key) + len(w.Value) + 8
-	}
-	s += len(t.Endorsements) * (64 + 8)
-	if t.AggEndorsement != nil {
-		s += len(t.AggEndorsement.Leader) + 4 + 32 + 64 + 1
-	}
-	return s
-}
+// Size is the transaction's wire footprint, EncodedLen: what a consensus
+// entry carrying it adds to a message's size.
+func (t *Tx) Size() int { return t.EncodedLen() }
