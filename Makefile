@@ -17,10 +17,14 @@ test:
 # Open, Resolve and the commit timeout interleave there. The third repeats
 # the reuse of decoded blocks ten times: a block released while a depth-2
 # pipeline still reads its views would race with the next decode into it.
+# The fourth repeats the database side's fan-out ten times: calls started
+# before any is waited, give-ups racing resolves, and a region held while
+# the other secondaries commit.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
 	go test -race -count=10 -timeout 10m -run 'TestSealedBlockViewsAreHeldByNoOne|TestParallelPipelineReplicaConsistency' ./internal/system/ ./internal/system/fabric/
+	go test -race -count=10 -timeout 10m -run 'TestSecondariesCommitConcurrently|TestCommit|TestReplicator' ./internal/system/ ./internal/system/tidb/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

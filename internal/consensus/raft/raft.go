@@ -17,6 +17,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dichotomy/internal/cluster"
@@ -110,6 +111,17 @@ type Node struct {
 	recovering  bool
 	rng         *rand.Rand
 
+	// shown mirrors role, leaderID and term for IsLeader, Leader and Term,
+	// which read it without n.mu: applyLocked holds n.mu while it waits on
+	// a full commit channel, and a reader must never wait on the stream's
+	// consumer, which may itself be the reader. publishLocked writes it
+	// under n.mu wherever the three change.
+	shown struct {
+		leading atomic.Bool
+		leader  atomic.Int64
+		term    atomic.Uint64
+	}
+
 	commitCh chan consensus.Entry
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -132,6 +144,7 @@ func New(cfg Config) *Node {
 		stopCh:     make(chan struct{}),
 		done:       make(chan struct{}),
 	}
+	n.publishLocked()
 	n.resetElectionTimer()
 	go n.run()
 	return n
@@ -218,18 +231,10 @@ func (n *Node) appendLocal(data []byte) {
 func (n *Node) Committed() <-chan consensus.Entry { return n.commitCh }
 
 // IsLeader implements consensus.Node.
-func (n *Node) IsLeader() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.role == leader
-}
+func (n *Node) IsLeader() bool { return n.shown.leading.Load() }
 
 // Leader returns the id of the last known leader, or -1.
-func (n *Node) Leader() cluster.NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leaderID
-}
+func (n *Node) Leader() cluster.NodeID { return cluster.NodeID(n.shown.leader.Load()) }
 
 // Dropped returns the replica's transport drop counter — sends its
 // bounded endpoint queue refused. Aggregators (the shared log's Dropped)
@@ -237,11 +242,7 @@ func (n *Node) Leader() cluster.NodeID {
 func (n *Node) Dropped() uint64 { return n.cfg.Endpoint.Dropped() }
 
 // Term returns the current term; tests observe elections with it.
-func (n *Node) Term() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.term
-}
+func (n *Node) Term() uint64 { return n.shown.term.Load() }
 
 // Recovering reports whether the replica is still in the non-voting
 // rejoin phase of a post-crash recovery (see Config.Recovering).
@@ -258,6 +259,14 @@ func (n *Node) Stop() {
 		<-n.done
 		close(n.commitCh)
 	})
+}
+
+// publishLocked copies role, leaderID and term into shown; every change to
+// them is followed by it before anything that may block.
+func (n *Node) publishLocked() {
+	n.shown.leading.Store(n.role == leader)
+	n.shown.leader.Store(int64(n.leaderID))
+	n.shown.term.Store(n.term)
 }
 
 // --- event loop ---
@@ -313,6 +322,7 @@ func (n *Node) startElectionLocked() {
 	n.term++
 	n.votedFor = n.cfg.ID
 	n.leaderID = -1
+	n.publishLocked()
 	n.votes = map[cluster.NodeID]bool{n.cfg.ID: true}
 	n.resetElectionTimer()
 	msg := requestVote{
@@ -335,6 +345,7 @@ func (n *Node) quorum(count int) bool { return count*2 > len(n.cfg.Peers) }
 func (n *Node) becomeLeaderLocked() {
 	n.role = leader
 	n.leaderID = n.cfg.ID
+	n.publishLocked()
 	n.nextIndex = make(map[cluster.NodeID]uint64, len(n.cfg.Peers))
 	n.matchIndex = make(map[cluster.NodeID]uint64, len(n.cfg.Peers))
 	for _, p := range n.cfg.Peers {
@@ -360,6 +371,7 @@ func (n *Node) becomeLeaderLocked() {
 func (n *Node) stepDownLocked(term uint64) {
 	n.term = term
 	n.role = follower
+	n.publishLocked()
 	n.votedFor = -1
 	n.resetElectionTimer()
 }
@@ -479,6 +491,7 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 	}
 	n.term = msg.Term
 	n.leaderID = from
+	n.publishLocked()
 	n.resetElectionTimer()
 
 	// Consistency check on the previous entry.

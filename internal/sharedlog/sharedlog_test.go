@@ -1,6 +1,7 @@
 package sharedlog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -96,10 +97,30 @@ func TestMultipleConsumersSeeSameOrder(t *testing.T) {
 	}
 }
 
+// warmUp appends one record and waits until the service has sequenced it.
+// Append promises acceptance, not order: a fresh service's first record
+// may be accepted by an orderer that loses it in a startup election, and
+// the Resend lap then sequences it after later ones. A test of where a
+// sequence starts lets that settle on a record of its own first.
+func warmUp(t *testing.T, svc *Service) {
+	t.Helper()
+	if err := svc.Append([]byte("warm-up")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Appended() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the warm-up record was never sequenced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestLateSubscriberReplaysFromStart(t *testing.T) {
 	svc := service(t, 5)
-	const total = 15
-	for i := 0; i < total; i++ {
+	warmUp(t, svc)
+	const total = 1 + 15
+	for i := 1; i < total; i++ {
 		if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -112,15 +133,16 @@ func TestLateSubscriberReplaysFromStart(t *testing.T) {
 	c := svc.Subscribe(1)
 	defer c.Close()
 	records := readBatches(t, c, total, 10*time.Second)
-	if string(records[0]) != "r-0" {
+	if string(records[0]) != "warm-up" {
 		t.Fatalf("replay started at %q", records[0])
 	}
 }
 
 func TestSubscribeFromOffset(t *testing.T) {
 	svc := service(t, 1) // one record per batch → batch seq == record index+1
-	const total = 10
-	for i := 0; i < total; i++ {
+	warmUp(t, svc)
+	const total = 1 + 10
+	for i := 1; i < total; i++ {
 		if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +151,15 @@ func TestSubscribeFromOffset(t *testing.T) {
 	for svc.Appended() < total && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	c := svc.Subscribe(6)
+	all := svc.Subscribe(1)
+	defer all.Close()
+	log := readBatches(t, all, total, 10*time.Second)
+	const from = 6
+	c := svc.Subscribe(from)
 	defer c.Close()
-	records := readBatches(t, c, total-5, 10*time.Second)
-	if string(records[0]) != "r-5" {
-		t.Fatalf("offset subscribe started at %q", records[0])
+	records := readBatches(t, c, total-from+1, 10*time.Second)
+	if !slices.EqualFunc(records, log[from-1:], bytes.Equal) {
+		t.Fatalf("offset subscribe from %d read %q, the log from there is %q", from, records, log[from-1:])
 	}
 }
 

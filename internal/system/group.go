@@ -253,7 +253,7 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *cons
 // member to apply it; the Result is Apply's, or one of the two give-up
 // errors. cmd's first consensus.Header bytes are the group's: the encoder
 // reserves them, and Propose writes the request id and the low-water mark
-// there (Replicator.Do), so framing costs no allocation. A command accepted
+// there (Replicator.Start), so framing costs no allocation. A command accepted
 // and then lost — its member crashed, or was deposed, before replicating
 // it — would otherwise stall the client to the deadline and leave whatever
 // it was meant to release, a Percolator lock or a prepared 2PC write set,
@@ -262,7 +262,13 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *cons
 // holds. A second copy is not harmless: a TiDB prewrite re-applied after
 // its own rollback re-creates a lock nobody clears, and a Spanner write
 // re-applied after a later one is a lost update.
-func (g *Group[T]) Propose(cmd []byte) Result { return g.Do(cmd, g.offer) }
+func (g *Group[T]) Propose(cmd []byte) Result { return g.Start(cmd).Wait() }
+
+// Start is Propose's first half: cmd is offered and, once a member accepted
+// it, the returned Call waits for its application. Commands started on
+// several groups before any is waited commit in one round, not one after
+// another.
+func (g *Group[T]) Start(cmd []byte) Call { return g.Replicator.Start(cmd, g.offer) }
 
 // offer is the group's propose path, for Propose and the Resend lap alike:
 // cmd goes first to the member the last accepting one named as leader, and

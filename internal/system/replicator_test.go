@@ -17,7 +17,7 @@ func newTestReplicator() *Replicator {
 	return NewReplicator("test: leaderless", "test: apply timeout")
 }
 
-// idOf reads the request id Do wrote into an entry.
+// idOf reads the request id Start wrote into an entry.
 func idOf(entry []byte) uint64 { return binary.BigEndian.Uint64(entry) }
 
 // lowest returns the smallest request id rp still holds in flight, read as
@@ -147,27 +147,72 @@ func TestReplicatorApplyTimeout(t *testing.T) {
 	}
 }
 
-// The hot path: issue, propose, resolve — no closure, no timer.
+// A fan-out of calls gives up each on its own: one that no replica
+// accepted answers leaderless, one accepted and never applied times out,
+// and a third, applied, is answered — waited in any order.
+func TestReplicatorStartWaitGiveUps(t *testing.T) {
+	rp := newTestReplicator()
+	rp.Deadline = 30 * time.Millisecond
+	var leaderless, timedOut, applied Result
+	if n := CountGiveUps(func() {
+		timeout := rp.Start(make([]byte, consensus.Header), func([]byte) bool { return true })
+		none := rp.Start(make([]byte, consensus.Header), func([]byte) bool { return false })
+		ok := rp.Start(make([]byte, consensus.Header), func(entry []byte) bool {
+			rp.Resolve(idOf(entry), Result{Committed: true})
+			return true
+		})
+		applied, leaderless, timedOut = ok.Wait(), none.Wait(), timeout.Wait()
+	}); n != 2 {
+		t.Fatalf("%d give-ups counted, want 2", n)
+	}
+	if leaderless.Err != rp.errLeaderless || timedOut.Err != rp.errTimeout || !applied.Committed || applied.Err != nil {
+		t.Fatalf("results %+v, %+v, %+v; want leaderless, timeout, committed", leaderless, timedOut, applied)
+	}
+	if !idle(rp) {
+		t.Fatal("a request was left in flight")
+	}
+}
+
+// The hot path: issue, propose, resolve — no closure, no timer — alone
+// and as a fan-out of four calls started before any is waited.
 func TestReplicatorAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	rp := newTestReplicator()
-	entry := make([]byte, consensus.Header)
+	var entries [4][]byte
+	for i := range entries {
+		entries[i] = make([]byte, consensus.Header)
+	}
 	propose := func(entry []byte) bool { rp.Resolve(idOf(entry), Result{Committed: true}); return true }
-	do := func() { rp.Do(entry, propose) }
-	do() // leave a timer and a channel in the pools
+	do := func() { rp.Do(entries[0], propose) }
+	fanOut := func() {
+		var calls [4]Call
+		for i, e := range entries {
+			calls[i] = rp.Start(e, propose)
+		}
+		for _, c := range calls {
+			c.Wait()
+		}
+	}
+	fanOut() // leave timers and channels in the pools
 	// The deadline timer and the waiter's channel both come from their pools.
-	if got := testing.AllocsPerRun(200, do); got != 0 {
-		t.Errorf("Replicator.Do: %v allocs, want 0", got)
+	for _, p := range []struct {
+		name string
+		fn   func()
+	}{{"Do", do}, {"4 × Start, then 4 × Wait", fanOut}} {
+		if got := testing.AllocsPerRun(200, p.fn); got != 0 {
+			t.Errorf("Replicator %s: %v allocs, want 0", p.name, got)
+		}
 	}
 }
 
 // Sixteen proposers whose applies land around the deadline, so give-ups
-// race resolves: a Resolve that takes a waiter just before its Do gives up
-// still sends on that waiter's channel. Recycled before that send, such a
-// channel would hand its stale result to a later request. None may ever
-// receive another request's result.
+// race resolves: a Resolve that takes a waiter just before its call gives
+// up still sends on that waiter's channel. Recycled before that send, such
+// a channel would hand its stale result to a later request. Each proposer
+// starts three calls a round and waits them in reverse order. None may
+// ever receive another request's result.
 func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 	rp := newTestReplicator()
 	rp.Deadline = 50 * time.Millisecond
@@ -180,25 +225,32 @@ func TestReplicatorRecycledChannelsNeverCrossResults(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(p)))
 				for round := 0; round < 6; round++ {
-					var id uint64
-					// Applied anywhere from just inside the deadline to just past it.
-					delay := rp.Deadline - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
-					r := rp.Do(make([]byte, consensus.Header), func(entry []byte) bool {
-						id = idOf(entry)
-						time.AfterFunc(delay, func() {
-							rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
+					var ids [3]uint64
+					var calls [3]Call
+					for i := range calls {
+						// Applied anywhere from just inside the deadline to just past it.
+						delay := rp.Deadline - 5*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+						calls[i] = rp.Start(make([]byte, consensus.Header), func(entry []byte) bool {
+							id := idOf(entry)
+							ids[i] = id
+							time.AfterFunc(delay, func() {
+								rp.Resolve(id, Result{Committed: true, Value: binary.BigEndian.AppendUint64(nil, id)})
+							})
+							return true
 						})
-						return true
-					})
-					switch {
-					case r.Err == rp.errLeaderless || r.Err == rp.errTimeout:
-						gaveUp.Add(1)
-					case r.Err != nil || len(r.Value) != 8:
-						t.Errorf("request %d: result %+v", id, r)
-					case binary.BigEndian.Uint64(r.Value) != id:
-						t.Errorf("request %d received request %d's result", id, binary.BigEndian.Uint64(r.Value))
-					default:
-						answered.Add(1)
+					}
+					for i := len(calls) - 1; i >= 0; i-- {
+						r, id := calls[i].Wait(), ids[i]
+						switch {
+						case r.Err == rp.errLeaderless || r.Err == rp.errTimeout:
+							gaveUp.Add(1)
+						case r.Err != nil || len(r.Value) != 8:
+							t.Errorf("request %d: result %+v", id, r)
+						case binary.BigEndian.Uint64(r.Value) != id:
+							t.Errorf("request %d received request %d's result", id, binary.BigEndian.Uint64(r.Value))
+						default:
+							answered.Add(1)
+						}
 					}
 				}
 			}(p)

@@ -326,8 +326,8 @@ const (
 	replicateDeadline = 30 * time.Second
 )
 
-// deadlineTimers recycles the timers Replicator.Do waits out its deadline
-// on, so the steady state allocates none.
+// deadlineTimers recycles the timers Call.Wait waits out its deadline on,
+// so the steady state allocates none.
 var deadlineTimers = sync.Pool{New: func() any { return time.NewTimer(replicateDeadline) }}
 
 // resultChans recycles the channels Replicator's waiters are resolved on.
@@ -339,18 +339,19 @@ var resultChans = sync.Pool{New: func() any { return make(chan Result, 1) }}
 // Replicator is the client half of "sequence a command through a
 // consensus group and wait until a replica has applied it": the in-flight
 // table of the exactly-once primitive (consensus/once.go), whose waiters
-// the apply path resolves, and the propose-and-wait loop in between. A
-// Group runs the table's Resend lap; a Replicator alone proposes once.
+// the apply path resolves, and the propose-and-wait call in between —
+// Start, then Call.Wait. A Group runs the table's Resend lap; a Replicator
+// alone proposes once.
 type Replicator struct {
 	flight consensus.Flight[chan Result]
-	// Deadline bounds one Do call, leaderless back-off and apply wait
+	// Deadline bounds one call, leaderless back-off and apply wait
 	// together. Tests shorten it to reach the give-up paths.
 	Deadline time.Duration
 
 	errLeaderless, errTimeout error
 }
 
-// NewReplicator returns a Replicator whose Do reports the error text
+// NewReplicator returns a Replicator whose calls report the error text
 // leaderless when no replica accepted a proposal before the deadline and
 // timeout when an accepted one was not applied by then.
 func NewReplicator(leaderless, timeout string) *Replicator {
@@ -370,35 +371,64 @@ func (rp *Replicator) Resolve(id uint64, r Result) {
 	}
 }
 
-// Do issues entry into the in-flight table — writing the request id and
+// Do is Start(entry, propose).Wait(): one command, proposed and waited for.
+func (rp *Replicator) Do(entry []byte, propose func(entry []byte) bool) Result {
+	return rp.Start(entry, propose).Wait()
+}
+
+// Call is one request Start has issued: accepted by a replica, or given up
+// leaderless. It is a small value with no allocation of its own; Wait it
+// exactly once, or its channel and its in-flight entry are never returned.
+type Call struct {
+	rp       *Replicator
+	id       uint64
+	done     chan Result
+	deadline time.Time
+	// leaderless is set when no replica accepted the entry by the deadline:
+	// Wait then gives up at once.
+	leaderless bool
+}
+
+// Start issues entry into the in-flight table — writing the request id and
 // low-water mark into its first consensus.Header bytes — and offers it
 // through propose, which reports whether a replica accepted it, backing off
-// while none does; then it waits for Resolve of that id. Giving up returns a
-// Result whose Err is one of the two errors the Replicator was built with.
-func (rp *Replicator) Do(entry []byte, propose func(entry []byte) bool) Result {
+// while none does. It returns once a replica has accepted it, or once the
+// deadline passed with none doing so; the apply wait is the Call's. Many
+// calls started before any is waited run their rounds side by side.
+func (rp *Replicator) Start(entry []byte, propose func(entry []byte) bool) Call {
 	done := resultChans.Get().(chan Result)
-	id := rp.flight.Issue(entry, done)
-	deadline := time.Now().Add(rp.Deadline)
+	c := Call{rp: rp, id: rp.flight.Issue(entry, done), done: done, deadline: time.Now().Add(rp.Deadline)}
 	for !propose(entry) {
-		if time.Now().After(deadline) {
-			return rp.giveUp(id, done, rp.errLeaderless)
+		if time.Now().After(c.deadline) {
+			c.leaderless = true
+			return c
 		}
 		//lint:allow sleepyloop bounded retry backoff while the group re-elects
 		time.Sleep(replicateBackoff)
 	}
-	rp.flight.Accepted(id)
+	rp.flight.Accepted(c.id)
+	return c
+}
+
+// Wait blocks until Resolve of the call's id or the deadline Start set,
+// whichever comes first. Giving up returns a Result whose Err is one of the
+// two errors the Replicator was built with.
+func (c Call) Wait() Result {
+	if c.leaderless {
+		return c.rp.giveUp(c.id, c.done, c.rp.errLeaderless)
+	}
 	timer := deadlineTimers.Get().(*time.Timer)
-	timer.Reset(time.Until(deadline))
+	timer.Reset(time.Until(c.deadline))
 	defer func() {
 		timer.Stop()
 		deadlineTimers.Put(timer)
 	}()
 	select {
-	case r := <-done:
-		resultChans.Put(done)
+	case r := <-c.done:
+		resultChans.Put(c.done)
 		return r
 	case <-timer.C:
-		return rp.giveUp(id, done, rp.errTimeout)
+		return c.rp.giveUp(c.id, c.done, c.rp.errTimeout)
 	}
 }
 

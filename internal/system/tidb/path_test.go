@@ -86,10 +86,9 @@ func TestTransactionPathAllocs(t *testing.T) {
 }
 
 // A 4-write commit on one-replica regions, where no message crosses the
-// network: the transaction, eight entry encodes (four prewrites, four
-// commits), and a goroutine for each prewrite but the last, which runs on
-// the committing one. The prewrites' outcomes and the wait for them live
-// in the transaction.
+// network: the transaction and eight entry encodes (four prewrites, four
+// commits). The region calls each phase fans out to live in the
+// transaction, and no goroutine is started.
 func TestCommitAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -106,8 +105,8 @@ func TestCommitAllocs(t *testing.T) {
 		}
 	}
 	commit() // every key enters its store once
-	if got := testing.AllocsPerRun(200, commit); got > 1+8+3 {
-		t.Errorf("4-write Commit: %v allocs, want at most 12", got)
+	if got := testing.AllocsPerRun(200, commit); got > 1+8 {
+		t.Errorf("4-write Commit: %v allocs, want at most 9", got)
 	}
 }
 
@@ -156,4 +155,27 @@ func BenchmarkSQLStatement(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTxnCommit is one transaction's Percolator commit on an
+// in-memory cluster of one-replica regions, where no message crosses the
+// network: the prewrites, the primary's commit and the secondaries', each
+// write in a region of its own. allocs/op is the transaction and its
+// command encodes (TestCommitAllocs).
+func BenchmarkTxnCommit(b *testing.B) {
+	b.Run("writes=4", func(b *testing.B) {
+		c := clusterUp(b, Config{StorageNodes: 1, Regions: 4})
+		keys := keysInRegions(c, 4)
+		value := []byte("v")
+		b.ReportAllocs()
+		for b.Loop() {
+			tx := c.NewTxn()
+			for _, k := range keys {
+				tx.Write(k, value)
+			}
+			if err := tx.Commit(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -7,7 +7,10 @@
 // bottleneck on statement processing; many TiKV replicas inflate the
 // consensus cost of every write. The Percolator primary-lock latch is the
 // mechanism behind the skew collapse of Fig 9, and per-region 2PC fan-out
-// is the operation-count cost of Fig 10.
+// is the operation-count cost of Fig 10. A commit costs three rounds of
+// region consensus, whatever the number of regions it writes: every
+// prewrite in one, the primary's commit record, then every secondary's in
+// one (Txn.Commit).
 //
 // How one replica of one region boots, applies its log, checkpoints, dies
 // and comes back is not TiDB's: each region is a system.Group over an MVCC
@@ -17,6 +20,7 @@
 package tidb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -217,18 +221,29 @@ func applyRegionCmd(store *mvcc.Store, e consensus.Entry) system.Result {
 	return system.Result{Committed: err == nil, Err: err}
 }
 
-// propose replicates a command through its key's region and waits for its
-// application outcome (system.Group.Propose: exactly once). The command is
-// encoded into the log entry itself, so the replicated history is
-// self-contained — the property region recovery replays against.
-func (c *Cluster) propose(cmd *regionCmd[string]) error {
+// start offers a command to its key's region (system.Group.Start: exactly
+// once) and returns the call that waits for its application outcome. The
+// command is encoded into the log entry itself, so the replicated history
+// is self-contained — the property region recovery replays against. The
+// empty key never reaches a log: TiKV refuses it, and the region's
+// checkpoint records leave it to the group (system.GroupConfig.Dump).
+func (c *Cluster) start(cmd *regionCmd[string]) (system.Call, error) {
 	if cmd.key == "" {
-		// TiKV refuses it, and the region's checkpoint records leave it to
-		// the group (system.GroupConfig.Dump).
-		return errors.New("tidb: empty key")
+		return system.Call{}, errEmptyKey
 	}
-	return c.regionOf(cmd.key).Propose(encodeRegionCmd(cmd)).Err
+	return c.regionOf(cmd.key).Start(encodeRegionCmd(cmd)), nil
 }
+
+// propose is start, then the wait.
+func (c *Cluster) propose(cmd *regionCmd[string]) error {
+	call, err := c.start(cmd)
+	if err != nil {
+		return err
+	}
+	return call.Wait().Err
+}
+
+var errEmptyKey = errors.New("tidb: empty key")
 
 // get reads key at snapshot ts from the freshest live replica of its
 // region; a key with no version visible at ts reads as nil.
@@ -311,10 +326,10 @@ func (c *Cluster) read(key string) ([]byte, error) {
 // Txn is an interactive optimistic transaction (snapshot isolation,
 // Percolator commit).
 //
-// A transaction is one allocation. Its reads, its writes and its
-// prewrites' outcomes are kept in slices that start out backed by arrays
-// inside it, sized for the transactions this tree runs (a YCSB multi
-// writes 4 keys; Smallbank reads and writes at most 3), and a key is
+// A transaction is one allocation. Its reads, its writes and the region
+// calls its commit waits on are kept in slices that start out backed by
+// arrays inside it, sized for the transactions this tree runs (a YCSB
+// multi writes 4 keys; Smallbank reads and writes at most 3), and a key is
 // found by scanning them — the contract.Stub rule. A larger transaction
 // grows the slices.
 type Txn struct {
@@ -323,14 +338,9 @@ type Txn struct {
 	reads   []txn.Write // the snapshot reads made: each key and the value read
 	writes  []txn.Write // first-write order; writes[0] is the primary
 
-	// prewriteErrs and pending are Commit's: each prewrite's outcome, by
-	// write, and the prewrites still running.
-	prewriteErrs []error
-	pending      sync.WaitGroup
-
 	readBuf  [4]txn.Write
 	writeBuf [4]txn.Write
-	errBuf   [4]error
+	calls    [4]system.Call // one phase's fan-out (Commit)
 }
 
 // NewTxn begins a transaction at a fresh snapshot.
@@ -371,38 +381,28 @@ func (t *Txn) Write(key string, value []byte) {
 // Delete buffers a deletion.
 func (t *Txn) Delete(key string) { t.Write(key, nil) }
 
-// Commit runs Percolator 2PC: prewrite everything (primary first among its
-// region batch), then commit the primary — the atomicity point — then the
-// secondaries. Any prewrite failure rolls back and aborts; TiDB aborts
-// instantly on conflict rather than waiting for locks.
+// Commit runs Percolator 2PC: prewrite everything, then commit the
+// primary — the atomicity point — then the secondaries. Any prewrite
+// failure rolls back and aborts; TiDB aborts instantly on conflict rather
+// than waiting for locks.
+//
+// Each phase is one parallel round across the regions it touches: every
+// command of the phase is offered before any is waited for, on this
+// goroutine alone, so a phase costs the slowest region's raft round and
+// not their sum. The secondaries commit after the decision, in one round,
+// before the client is answered (TiDB commits them in parallel batches
+// too): a failure there cannot undo the decision, and waiting for them
+// keeps read-your-writes with no lock resolution on the read path.
 func (t *Txn) Commit(trace *metrics.Trace) error {
 	if len(t.writes) == 0 {
 		return nil
 	}
 	start := time.Now()
 	defer func() { trace.Observe(metrics.PhaseCommit, time.Since(start)) }()
-	primary := t.writes[0].Key
 
-	// Prewrite phase: fan out per region, concurrently — every prewrite but
-	// the last on a goroutine of its own, the last on this one.
-	t.prewriteErrs = append(t.errBuf[:0], make([]error, len(t.writes))...)
-	last := len(t.writes) - 1
-	t.pending.Add(last)
-	for i := range last {
-		go t.prewriteAsync(i)
-	}
-	t.prewrite(last)
-	t.pending.Wait()
-	for _, err := range t.prewriteErrs {
-		if err == nil {
-			continue
-		}
+	if err := t.fanOut(cmdPrewrite, t.writes, 0); err != nil {
 		// Roll back everything we may have locked and abort.
-		for _, w := range t.writes {
-			_ = t.c.propose(&regionCmd[string]{
-				kind: cmdRollback, key: w.Key, startTS: t.startTS,
-			})
-		}
+		_ = t.fanOut(cmdRollback, t.writes, 0)
 		t.c.Aborts.Inc()
 		if errors.Is(err, mvcc.ErrWriteConflict) || errors.Is(err, mvcc.ErrLocked) {
 			t.c.WWConf.Inc()
@@ -414,35 +414,42 @@ func (t *Txn) Commit(trace *metrics.Trace) error {
 	// Commit point: the primary key's commit record decides the
 	// transaction. This is the serialized latch of Fig 9.
 	commitTS := t.c.pd.Next()
-	if err := t.c.propose(&regionCmd[string]{
-		kind: cmdCommit, key: primary, startTS: t.startTS, commitTS: commitTS,
-	}); err != nil {
+	primary := t.cmd(cmdCommit, t.writes[0], commitTS)
+	if err := t.c.propose(&primary); err != nil {
 		t.c.Aborts.Inc()
 		return err
 	}
-	// Secondaries commit after the decision; failures here cannot undo it
-	// (Percolator resolves them lazily; we apply them synchronously).
-	for _, w := range t.writes[1:] {
-		_ = t.c.propose(&regionCmd[string]{
-			kind: cmdCommit, key: w.Key, startTS: t.startTS, commitTS: commitTS,
-		})
-	}
+	_ = t.fanOut(cmdCommit, t.writes[1:], commitTS)
 	return nil
 }
 
-// prewrite proposes write i's Percolator lock and records the outcome.
-func (t *Txn) prewrite(i int) {
-	w := t.writes[i]
-	t.prewriteErrs[i] = t.c.propose(&regionCmd[string]{
-		kind: cmdPrewrite, key: w.Key, value: w.Value,
-		del: w.Value == nil, startTS: t.startTS, primary: t.writes[0].Key,
-	})
+// cmd is the region command of kind for write w.
+func (t *Txn) cmd(kind cmdKind, w txn.Write, commitTS uint64) regionCmd[string] {
+	cmd := regionCmd[string]{kind: kind, key: w.Key, startTS: t.startTS, commitTS: commitTS}
+	if kind == cmdPrewrite {
+		cmd.value, cmd.del, cmd.primary = w.Value, w.Value == nil, t.writes[0].Key
+	}
+	return cmd
 }
 
-// prewriteAsync is prewrite on a goroutine of Commit's.
-func (t *Txn) prewriteAsync(i int) {
-	defer t.pending.Done()
-	t.prewrite(i)
+// fanOut starts the command of kind for every write, then waits for them
+// all, and returns the first error: a refused start's, else the first in
+// write order.
+func (t *Txn) fanOut(kind cmdKind, writes []txn.Write, commitTS uint64) (err error) {
+	calls := t.calls[:0]
+	for _, w := range writes {
+		cmd := t.cmd(kind, w, commitTS)
+		call, refused := t.c.start(&cmd)
+		if refused != nil {
+			err = cmp.Or(err, refused)
+			continue
+		}
+		calls = append(calls, call)
+	}
+	for _, call := range calls {
+		err = cmp.Or(err, call.Wait().Err)
+	}
+	return err
 }
 
 // ErrConflict is the client-visible conflict abort.

@@ -15,7 +15,7 @@ import (
 	"dichotomy/internal/txn"
 )
 
-func clusterUp(t *testing.T, cfg Config) *Cluster {
+func clusterUp(t testing.TB, cfg Config) *Cluster {
 	t.Helper()
 	c := New(cfg)
 	t.Cleanup(c.Close)
@@ -170,6 +170,9 @@ func TestMultiKeyTransactionAtomic(t *testing.T) {
 	}
 }
 
+// A prewrite conflict on one key rolls back the locks the others took, in
+// one round: none is left, and a later transaction over the other keys
+// commits.
 func TestFailedPrewriteRollsBackEverything(t *testing.T) {
 	c := small(t)
 	tr := metrics.NewTrace()
@@ -181,19 +184,35 @@ func TestFailedPrewriteRollsBackEverything(t *testing.T) {
 		value: []byte("x"), startTS: blocker.startTS, primary: "kv/locked"}); err != nil {
 		t.Fatal(err)
 	}
+	free := []string{"kv/a", "kv/b", "kv/free"}
 	victim := c.NewTxn()
-	victim.Write("kv/free", []byte("y"))
-	victim.Write("kv/locked", []byte("z"))
-	if err := victim.Commit(tr); err == nil {
-		t.Fatal("commit through a foreign lock succeeded")
+	for _, k := range append(free, "kv/locked") {
+		victim.Write(k, []byte("y"))
 	}
-	// The free key must not be left locked.
-	store, err := c.regionOf("kv/free").Freshest()
-	if err != nil {
-		t.Fatal(err)
+	if err := victim.Commit(tr); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit through a foreign lock: %v, want %v", err, ErrConflict)
 	}
-	if store.Locked("kv/free") {
-		t.Fatal("rollback leaked a lock")
+	// The free keys must not be left locked.
+	for _, k := range free {
+		store, err := c.regionOf(k).Freshest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if store.Locked(k) {
+			t.Fatalf("rollback leaked the lock on %s", k)
+		}
+	}
+	later := c.NewTxn()
+	for _, k := range free {
+		later.Write(k, []byte("z"))
+	}
+	if err := later.Commit(tr); err != nil {
+		t.Fatalf("a later transaction over the free keys: %v", err)
+	}
+	for _, k := range free {
+		if v, err := c.RawGet(k); err != nil || string(v) != "z" {
+			t.Fatalf("%s reads %q, %v; want z", k, v, err)
+		}
 	}
 }
 
