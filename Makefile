@@ -19,12 +19,15 @@ test:
 # pipeline still reads its views would race with the next decode into it.
 # The fourth repeats the database side's fan-out ten times: calls started
 # before any is waited, give-ups racing resolves, and a region held while
-# the other secondaries commit.
+# the other secondaries commit. The fifth repeats the consensus loop's suite
+# twenty times: a Propose racing Stop, and a replica whose commit stream
+# nobody reads, for raft, PBFT and IBFT.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
 	go test -race -count=10 -timeout 10m -run 'TestSealedBlockViewsAreHeldByNoOne|TestParallelPipelineReplicaConsistency' ./internal/system/ ./internal/system/fabric/
 	go test -race -count=10 -timeout 10m -run 'TestSecondariesCommitConcurrently|TestCommit|TestReplicator' ./internal/system/ ./internal/system/tidb/
+	go test -race -count=20 -timeout 10m -run 'TestLoop' ./internal/consensus/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

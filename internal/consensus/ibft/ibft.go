@@ -11,43 +11,31 @@
 // rate hostage to the ledger's sequentiality (Section 5.2.2); the larger
 // quorums (2f+1 of 3f+1 vs Raft's f+1 of 2f+1) produce the throughput
 // variance at scale that Fig 7 reports.
+//
+// A consensus.Loop drives each validator and sends what it decides on the
+// commit channel holding no lock of the validator's, so a reader that
+// falls behind its stream stalls that stream alone.
 package ibft
 
 import (
 	"slices"
 	"sync"
-	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/cryptoutil"
 )
 
-// Config configures one validator.
+// Config configures one validator. Its timer is the package's constant.
 type Config struct {
 	ID       cluster.NodeID
 	Peers    []cluster.NodeID // validator set, including ID; len = 3f+1
 	Endpoint *cluster.Endpoint
-	// TickInterval is the internal clock granularity. Default 2ms.
-	TickInterval time.Duration
-	// RoundChangeTicks is how many ticks a height may stall before the
-	// validators move to the next round (and proposer). Default 50.
-	RoundChangeTicks int
-	CommitBuffer     int
 }
 
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 2 * time.Millisecond
-	}
-	if c.RoundChangeTicks <= 0 {
-		c.RoundChangeTicks = 50
-	}
-	if c.CommitBuffer <= 0 {
-		c.CommitBuffer = 4096
-	}
-	return c
-}
+// roundChangeTicks is how many ticks of the loop's clock (2 ms) a height
+// may stall before the validators move to the next round and proposer.
+const roundChangeTicks = 50
 
 // F returns the number of Byzantine faults tolerated by n validators.
 func F(n int) int { return (n - 1) / 3 }
@@ -83,17 +71,13 @@ type Node struct {
 	// its height; queued, it would be decided a second time.
 	decided [64]cryptoutil.Hash
 
-	commitCh chan consensus.Entry
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	loop consensus.Loop
 }
 
 var _ consensus.Node = (*Node)(nil)
 
 // New starts a validator.
 func New(cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:              cfg,
 		f:                F(len(cfg.Peers)),
@@ -102,12 +86,9 @@ func New(cfg Config) *Node {
 		commits:          make(map[cluster.NodeID]bool),
 		roundChangeVotes: make(map[uint64]map[cluster.NodeID]bool),
 		aheadFrom:        make(map[cluster.NodeID]int),
-		commitCh:         make(chan consensus.Entry, cfg.CommitBuffer),
-		stopCh:           make(chan struct{}),
-		done:             make(chan struct{}),
+		stallTicks:       roundChangeTicks,
 	}
-	n.stallTicks = cfg.RoundChangeTicks
-	go n.run()
+	n.loop.Start(cfg.Endpoint.Inbox(), n.tick, n.handle)
 	return n
 }
 
@@ -170,10 +151,8 @@ func (m roundChange) height() uint64 { return m.Height }
 // proposed when this validator becomes the proposer, or forwarded to the
 // current proposer otherwise.
 func (n *Node) Propose(data []byte) error {
-	select {
-	case <-n.stopCh:
+	if n.loop.Stopped() {
 		return consensus.ErrStopped
-	default:
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -205,11 +184,11 @@ func (n *Node) acceptProposalLocked(round uint64, digest cryptoutil.Hash, data [
 	n.digest = digest
 	n.data = data
 	n.prepares[n.cfg.ID] = true
-	n.stallTicks = n.cfg.RoundChangeTicks
+	n.stallTicks = roundChangeTicks
 }
 
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.commitCh }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
 
 // IsLeader reports whether this validator proposes the current height.
 func (n *Node) IsLeader() bool {
@@ -233,13 +212,7 @@ func (n *Node) Round() uint64 {
 }
 
 // Stop implements consensus.Node.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopCh)
-		<-n.done
-		close(n.commitCh)
-	})
-}
+func (n *Node) Stop() { n.loop.Stop() }
 
 func (n *Node) broadcast(msg cluster.Message) {
 	for _, p := range n.cfg.Peers {
@@ -251,32 +224,13 @@ func (n *Node) broadcast(msg cluster.Message) {
 
 // --- event loop ---
 
-func (n *Node) run() {
-	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			n.tick()
-		case env, ok := <-n.cfg.Endpoint.Inbox():
-			if !ok {
-				return
-			}
-			n.handle(env)
-		}
-	}
-}
-
 func (n *Node) tick() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// The round-change timer runs only while this height has work: a
 	// locked proposal, or queued payloads waiting on a dead proposer.
 	if !n.locked && len(n.queue) == 0 {
-		n.stallTicks = n.cfg.RoundChangeTicks
+		n.stallTicks = roundChangeTicks
 		return
 	}
 	n.stallTicks--
@@ -287,7 +241,7 @@ func (n *Node) tick() {
 }
 
 func (n *Node) voteRoundChangeLocked(newRound uint64) {
-	n.stallTicks = n.cfg.RoundChangeTicks
+	n.stallTicks = roundChangeTicks
 	votes := n.roundChangeVotes[newRound]
 	if votes == nil {
 		votes = make(map[cluster.NodeID]bool)
@@ -386,12 +340,7 @@ func (n *Node) maybeAdvanceLocked() {
 	}
 	if len(n.commits) >= n.quorum() {
 		// Height decided: deliver with embedded metadata and move on.
-		entry := consensus.Entry{Index: n.height, Data: n.data, Term: n.round}
-		select {
-		case n.commitCh <- entry:
-		case <-n.stopCh:
-			return
-		}
+		n.loop.Deliver(consensus.Entry{Index: n.height, Data: n.data, Term: n.round})
 		// Drop the local copy of the decided payload, if queued here.
 		decided := n.digest
 		n.decided[n.height%uint64(len(n.decided))] = decided
@@ -409,7 +358,7 @@ func (n *Node) maybeAdvanceLocked() {
 		n.prepares = make(map[cluster.NodeID]bool)
 		n.commits = make(map[cluster.NodeID]bool)
 		n.roundChangeVotes = make(map[uint64]map[cluster.NodeID]bool)
-		n.stallTicks = n.cfg.RoundChangeTicks
+		n.stallTicks = roundChangeTicks
 		n.maybeProposeLocked()
 		// Replay what arrived early: this height's messages apply now, and
 		// later heights' are held again.
@@ -452,7 +401,7 @@ func (n *Node) maybeChangeRoundLocked(newRound uint64) {
 		if n.locked {
 			n.prepares = map[cluster.NodeID]bool{n.cfg.ID: true}
 			n.commits = make(map[cluster.NodeID]bool)
-			n.stallTicks = n.cfg.RoundChangeTicks
+			n.stallTicks = roundChangeTicks
 			n.broadcast(preprepare{Height: n.height, Round: n.round, Digest: n.digest, Data: n.data})
 		} else {
 			n.maybeProposeLocked()
@@ -462,7 +411,7 @@ func (n *Node) maybeChangeRoundLocked(newRound uint64) {
 
 func (n *Node) enterRoundLocked(r uint64) {
 	n.round = r
-	n.stallTicks = n.cfg.RoundChangeTicks
+	n.stallTicks = roundChangeTicks
 	if n.locked {
 		// Keep the locked value but reset vote tallies for the new round.
 		n.prepares = map[cluster.NodeID]bool{n.cfg.ID: true}

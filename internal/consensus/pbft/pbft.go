@@ -9,52 +9,40 @@
 // messages carry no signatures; payload-level signatures belong to the
 // application layer. Checkpointing is replaced by delivering entries in
 // contiguous order, which the systems built on top require anyway.
+//
+// A consensus.Loop drives each replica and sends what it delivers on the
+// commit channel holding no lock of the replica's, so a reader that falls
+// behind its stream stalls that stream alone.
 package pbft
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/cryptoutil"
 )
 
-// Config configures one replica.
+// Config configures one replica. Its timers are the package's constants.
 type Config struct {
 	ID       cluster.NodeID
 	Peers    []cluster.NodeID // all validators, including ID; len = 3f+1
 	Endpoint *cluster.Endpoint
-	// TickInterval is the internal clock granularity. Default 2ms.
-	TickInterval time.Duration
-	// ViewChangeTicks is how many ticks without progress trigger a view
-	// change while work is outstanding. Default 50.
-	ViewChangeTicks int
-	// RetransmitTicks is how many ticks between retransmissions of the
-	// protocol messages for in-flight instances. The simulated channels
-	// may drop messages (fault injection); without retransmission a
-	// three-phase quorum waits forever for a message that will never
-	// arrive and liveness degenerates to view-change churn. Default 10.
-	RetransmitTicks int
-	CommitBuffer    int
 }
 
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 2 * time.Millisecond
-	}
-	if c.ViewChangeTicks <= 0 {
-		c.ViewChangeTicks = 50
-	}
-	if c.RetransmitTicks <= 0 {
-		c.RetransmitTicks = 10
-	}
-	if c.CommitBuffer <= 0 {
-		c.CommitBuffer = 4096
-	}
-	return c
-}
+// Timers count ticks of the loop's clock (2 ms) and run only while work is
+// outstanding.
+const (
+	// viewChangeTicks without progress trigger a view change.
+	viewChangeTicks = 50
+	// retransmitTicks separate retransmissions of the protocol messages
+	// for in-flight instances. The simulated channels may drop messages
+	// (fault injection); without retransmission a three-phase quorum waits
+	// forever for a message that will never arrive and liveness
+	// degenerates to view-change churn.
+	retransmitTicks = 10
+)
 
 // F returns the number of Byzantine faults tolerated by a group of n.
 func F(n int) int { return (n - 1) / 3 }
@@ -111,17 +99,13 @@ type Node struct {
 	// it (a dropped newView would otherwise strand them in the old view).
 	lastNewView *newView
 
-	commitCh chan consensus.Entry
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	loop consensus.Loop
 }
 
 var _ consensus.Node = (*Node)(nil)
 
 // New starts a PBFT replica.
 func New(cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:             cfg,
 		f:               F(len(cfg.Peers)),
@@ -129,12 +113,9 @@ func New(cfg Config) *Node {
 		forwarded:       make(map[cryptoutil.Hash][]byte),
 		assigned:        make(map[cryptoutil.Hash]bool),
 		viewChangeVotes: make(map[uint64]map[cluster.NodeID]*viewChange),
-		commitCh:        make(chan consensus.Entry, cfg.CommitBuffer),
-		stopCh:          make(chan struct{}),
-		done:            make(chan struct{}),
+		progressTicks:   viewChangeTicks,
 	}
-	n.progressTicks = cfg.ViewChangeTicks
-	go n.run()
+	n.loop.Start(cfg.Endpoint.Inbox(), n.tick, n.handle)
 	return n
 }
 
@@ -230,10 +211,8 @@ func (m newView) Size() int {
 // Propose implements consensus.Node. Non-primaries forward to the current
 // primary.
 func (n *Node) Propose(data []byte) error {
-	select {
-	case <-n.stopCh:
+	if n.loop.Stopped() {
 		return consensus.ErrStopped
-	default:
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -284,7 +263,7 @@ func (n *Node) drainPendingLocked() {
 }
 
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.commitCh }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
 
 // IsLeader implements consensus.Node.
 func (n *Node) IsLeader() bool {
@@ -309,13 +288,7 @@ func (n *Node) View() uint64 {
 }
 
 // Stop implements consensus.Node.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopCh)
-		<-n.done
-		close(n.commitCh)
-	})
-}
+func (n *Node) Stop() { n.loop.Stop() }
 
 func (n *Node) broadcast(msg cluster.Message) {
 	for _, p := range n.cfg.Peers {
@@ -326,25 +299,6 @@ func (n *Node) broadcast(msg cluster.Message) {
 }
 
 // --- event loop ---
-
-func (n *Node) run() {
-	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			n.tick()
-		case env, ok := <-n.cfg.Endpoint.Inbox():
-			if !ok {
-				return
-			}
-			n.handle(env)
-		}
-	}
-}
 
 // tick drives the retransmission and view-change timers: both count
 // down only while there is outstanding work (undelivered instances or
@@ -359,12 +313,12 @@ func (n *Node) tick() {
 		// The vote already broadcast still counts at peers that do need
 		// the view change, so retracting is purely local.
 		n.inViewChange = false
-		n.progressTicks = n.cfg.ViewChangeTicks
+		n.progressTicks = viewChangeTicks
 		return
 	}
 	if n.retransTicks--; n.retransTicks <= 0 {
 		n.retransmitLocked()
-		n.retransTicks = n.cfg.RetransmitTicks
+		n.retransTicks = retransmitTicks
 	}
 	n.progressTicks--
 	if n.progressTicks > 0 {
@@ -521,7 +475,7 @@ func (n *Node) onFetched(from cluster.NodeID, msg fetched) {
 	inst.data = msg.Data
 	inst.prePrepared = true
 	inst.committed = true
-	n.progressTicks = n.cfg.ViewChangeTicks
+	n.progressTicks = viewChangeTicks
 	n.deliverReadyLocked()
 }
 
@@ -563,7 +517,7 @@ func (n *Node) onPrePrepare(from cluster.NodeID, msg prePrepare) {
 	inst.prePrepared = true
 	inst.prepares[from] = true // primary's implicit prepare
 	inst.prepares[n.cfg.ID] = true
-	n.progressTicks = n.cfg.ViewChangeTicks
+	n.progressTicks = viewChangeTicks
 	n.broadcast(prepare{View: msg.View, Seq: msg.Seq, Digest: msg.Digest})
 	n.maybeAdvanceLocked(msg.Seq)
 }
@@ -617,7 +571,7 @@ func (n *Node) maybeAdvanceLocked(seq uint64) {
 	}
 	if !inst.committed && len(inst.commits) >= n.quorum() {
 		inst.committed = true
-		n.progressTicks = n.cfg.ViewChangeTicks
+		n.progressTicks = viewChangeTicks
 	}
 	n.deliverReadyLocked()
 }
@@ -633,11 +587,7 @@ func (n *Node) deliverReadyLocked() {
 		n.delivered = next
 		delete(n.forwarded, inst.digest)
 		n.assigned[inst.digest] = true
-		select {
-		case n.commitCh <- consensus.Entry{Index: next, Data: inst.data, Term: inst.view}:
-		case <-n.stopCh:
-			return
-		}
+		n.loop.Deliver(consensus.Entry{Index: next, Data: inst.data, Term: inst.view})
 	}
 }
 
@@ -648,7 +598,7 @@ func (n *Node) startViewChangeLocked(newV uint64) {
 		return
 	}
 	n.inViewChange = true
-	n.progressTicks = n.cfg.ViewChangeTicks
+	n.progressTicks = viewChangeTicks
 	n.votedView = newV
 	vc := &viewChange{NewView: newV, Prepared: n.preparedSetLocked()}
 	// Record own vote and broadcast.
@@ -785,7 +735,7 @@ func (n *Node) onNewView(from cluster.NodeID, msg newView) {
 func (n *Node) enterViewLocked(v uint64) {
 	n.view = v
 	n.inViewChange = false
-	n.progressTicks = n.cfg.ViewChangeTicks
+	n.progressTicks = viewChangeTicks
 	// Retransmit unacknowledged forwards to the new primary, or queue them
 	// locally when this replica takes over (the caller drains the queue
 	// after it finishes setting up the new view).

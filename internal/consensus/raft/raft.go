@@ -10,6 +10,11 @@
 // new-term no-op that keeps an inherited tail from waiting on it, and
 // leader step-down on higher terms are all present, which the failover
 // tests exercise.
+//
+// A consensus.Loop drives each replica: it runs the clock and the inbox,
+// and it sends the entries the core commits on the commit channel holding
+// no lock of the core's, so a reader that falls behind its stream stalls
+// that stream alone. The core never holds n.mu across a channel operation.
 package raft
 
 import (
@@ -17,14 +22,12 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 )
 
-// Config configures one replica.
+// Config configures one replica. Its timers are the package's constants.
 type Config struct {
 	// ID is this replica's node id; it must appear in Peers.
 	ID cluster.NodeID
@@ -32,17 +35,6 @@ type Config struct {
 	Peers []cluster.NodeID
 	// Endpoint is the replica's attachment to the cluster network.
 	Endpoint *cluster.Endpoint
-	// TickInterval is the internal clock granularity. Default 2ms.
-	TickInterval time.Duration
-	// HeartbeatTicks is the leader heartbeat period in ticks. Default 3.
-	HeartbeatTicks int
-	// ElectionTicks is the base election timeout in ticks; the effective
-	// timeout is uniform in [ElectionTicks, 2×ElectionTicks). Default 15.
-	ElectionTicks int
-	// MaxBatch bounds entries per AppendEntries message. Default 256.
-	MaxBatch int
-	// CommitBuffer sizes the Committed channel. Default 4096.
-	CommitBuffer int
 	// Recovering marks a replica rebooted after losing its durable raft
 	// state (log, term, vote) — the crash/recover lifecycle the systems
 	// drive, where only the state-machine checkpoint survives. Raft's
@@ -60,24 +52,14 @@ type Config struct {
 	Recovering bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.TickInterval <= 0 {
-		c.TickInterval = 2 * time.Millisecond
-	}
-	if c.HeartbeatTicks <= 0 {
-		c.HeartbeatTicks = 3
-	}
-	if c.ElectionTicks <= 0 {
-		c.ElectionTicks = 15
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.CommitBuffer <= 0 {
-		c.CommitBuffer = 4096
-	}
-	return c
-}
+// Timers count ticks of the loop's clock (2 ms). The effective election
+// timeout is uniform in [electionTicks, 2×electionTicks).
+const (
+	heartbeatTicks = 3
+	electionTicks  = 15
+	// maxBatch bounds the entries one AppendEntries message carries.
+	maxBatch = 256
+)
 
 type role int
 
@@ -111,28 +93,13 @@ type Node struct {
 	recovering  bool
 	rng         *rand.Rand
 
-	// shown mirrors role, leaderID and term for IsLeader, Leader and Term,
-	// which read it without n.mu: applyLocked holds n.mu while it waits on
-	// a full commit channel, and a reader must never wait on the stream's
-	// consumer, which may itself be the reader. publishLocked writes it
-	// under n.mu wherever the three change.
-	shown struct {
-		leading atomic.Bool
-		leader  atomic.Int64
-		term    atomic.Uint64
-	}
-
-	commitCh chan consensus.Entry
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	loop consensus.Loop
 }
 
 var _ consensus.Node = (*Node)(nil)
 
 // New starts a replica. The returned node runs until Stop.
 func New(cfg Config) *Node {
-	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:        cfg,
 		votedFor:   -1,
@@ -140,13 +107,9 @@ func New(cfg Config) *Node {
 		recovering: cfg.Recovering,
 		log:        make([]logEntry, 1),
 		rng:        rand.New(rand.NewSource(int64(cfg.ID) + 1)),
-		commitCh:   make(chan consensus.Entry, cfg.CommitBuffer),
-		stopCh:     make(chan struct{}),
-		done:       make(chan struct{}),
 	}
-	n.publishLocked()
 	n.resetElectionTimer()
-	go n.run()
+	n.loop.Start(cfg.Endpoint.Inbox(), n.tick, n.handle)
 	return n
 }
 
@@ -201,10 +164,8 @@ func (m forward) Size() int        { return 8 + len(m.Data) }
 // forwarded to the last known leader; if no leader is known the proposal is
 // rejected and the caller retries.
 func (n *Node) Propose(data []byte) error {
-	select {
-	case <-n.stopCh:
+	if n.loop.Stopped() {
 		return consensus.ErrStopped
-	default:
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -228,13 +189,21 @@ func (n *Node) appendLocal(data []byte) {
 }
 
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.commitCh }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
 
 // IsLeader implements consensus.Node.
-func (n *Node) IsLeader() bool { return n.shown.leading.Load() }
+func (n *Node) IsLeader() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.role == leader
+}
 
 // Leader returns the id of the last known leader, or -1.
-func (n *Node) Leader() cluster.NodeID { return cluster.NodeID(n.shown.leader.Load()) }
+func (n *Node) Leader() cluster.NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.leaderID
+}
 
 // Dropped returns the replica's transport drop counter — sends its
 // bounded endpoint queue refused. Aggregators (the shared log's Dropped)
@@ -242,7 +211,11 @@ func (n *Node) Leader() cluster.NodeID { return cluster.NodeID(n.shown.leader.Lo
 func (n *Node) Dropped() uint64 { return n.cfg.Endpoint.Dropped() }
 
 // Term returns the current term; tests observe elections with it.
-func (n *Node) Term() uint64 { return n.shown.term.Load() }
+func (n *Node) Term() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.term
+}
 
 // Recovering reports whether the replica is still in the non-voting
 // rejoin phase of a post-crash recovery (see Config.Recovering).
@@ -253,42 +226,9 @@ func (n *Node) Recovering() bool {
 }
 
 // Stop implements consensus.Node.
-func (n *Node) Stop() {
-	n.stopOnce.Do(func() {
-		close(n.stopCh)
-		<-n.done
-		close(n.commitCh)
-	})
-}
-
-// publishLocked copies role, leaderID and term into shown; every change to
-// them is followed by it before anything that may block.
-func (n *Node) publishLocked() {
-	n.shown.leading.Store(n.role == leader)
-	n.shown.leader.Store(int64(n.leaderID))
-	n.shown.term.Store(n.term)
-}
+func (n *Node) Stop() { n.loop.Stop() }
 
 // --- event loop ---
-
-func (n *Node) run() {
-	defer close(n.done)
-	ticker := time.NewTicker(n.cfg.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case <-ticker.C:
-			n.tick()
-		case env, ok := <-n.cfg.Endpoint.Inbox():
-			if !ok {
-				return
-			}
-			n.handle(env)
-		}
-	}
-}
 
 func (n *Node) tick() {
 	n.mu.Lock()
@@ -299,7 +239,7 @@ func (n *Node) tick() {
 	}
 	if n.role == leader {
 		n.broadcastAppendLocked()
-		n.ticksLeft = n.cfg.HeartbeatTicks
+		n.ticksLeft = heartbeatTicks
 		return
 	}
 	if n.recovering {
@@ -312,7 +252,7 @@ func (n *Node) tick() {
 }
 
 func (n *Node) resetElectionTimer() {
-	n.ticksLeft = n.cfg.ElectionTicks + n.rng.Intn(n.cfg.ElectionTicks)
+	n.ticksLeft = electionTicks + n.rng.Intn(electionTicks)
 }
 
 func (n *Node) lastIndex() uint64 { return uint64(len(n.log) - 1) }
@@ -322,7 +262,6 @@ func (n *Node) startElectionLocked() {
 	n.term++
 	n.votedFor = n.cfg.ID
 	n.leaderID = -1
-	n.publishLocked()
 	n.votes = map[cluster.NodeID]bool{n.cfg.ID: true}
 	n.resetElectionTimer()
 	msg := requestVote{
@@ -345,7 +284,6 @@ func (n *Node) quorum(count int) bool { return count*2 > len(n.cfg.Peers) }
 func (n *Node) becomeLeaderLocked() {
 	n.role = leader
 	n.leaderID = n.cfg.ID
-	n.publishLocked()
 	n.nextIndex = make(map[cluster.NodeID]uint64, len(n.cfg.Peers))
 	n.matchIndex = make(map[cluster.NodeID]uint64, len(n.cfg.Peers))
 	for _, p := range n.cfg.Peers {
@@ -364,14 +302,13 @@ func (n *Node) becomeLeaderLocked() {
 		// fully committed log — every start-up — appends nothing.
 		n.appendLocal(nil)
 	}
-	n.ticksLeft = n.cfg.HeartbeatTicks
+	n.ticksLeft = heartbeatTicks
 	n.broadcastAppendLocked()
 }
 
 func (n *Node) stepDownLocked(term uint64) {
 	n.term = term
 	n.role = follower
-	n.publishLocked()
 	n.votedFor = -1
 	n.resetElectionTimer()
 }
@@ -396,7 +333,7 @@ func (n *Node) sendAppendLocked(to cluster.NodeID) {
 	// entries a message was sent with stay what they were; the cap keeps an
 	// append through the message's slice from reaching the log's spare
 	// capacity.
-	end := min(uint64(len(n.log)), next+uint64(n.cfg.MaxBatch))
+	end := min(uint64(len(n.log)), next+maxBatch)
 	_ = n.cfg.Endpoint.Send(to, appendEntries{
 		Term:         n.term,
 		PrevLogIndex: prev,
@@ -491,7 +428,6 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 	}
 	n.term = msg.Term
 	n.leaderID = from
-	n.publishLocked()
 	n.resetElectionTimer()
 
 	// Consistency check on the previous entry.
@@ -594,10 +530,6 @@ func (n *Node) applyLocked() {
 	for n.applied < n.commitIndex {
 		n.applied++
 		e := n.log[n.applied]
-		select {
-		case n.commitCh <- consensus.Entry{Index: n.applied, Data: e.Data, Term: e.Term}:
-		case <-n.stopCh:
-			return
-		}
+		n.loop.Deliver(consensus.Entry{Index: n.applied, Data: e.Data, Term: e.Term})
 	}
 }

@@ -540,52 +540,3 @@ func TestMessageSizeCountsEntryBytes(t *testing.T) {
 		}
 	}
 }
-
-// applyLocked holds n.mu while it waits on a full commit channel, so a
-// proposal can block behind an unread stream. IsLeader, Leader and Term
-// must still answer: a reader may be that stream's consumer.
-func TestReadersDoNotWaitOnTheCommitStream(t *testing.T) {
-	net := cluster.NewNetwork(cluster.ZeroLink{})
-	n := New(Config{ID: 0, Peers: []cluster.NodeID{0}, Endpoint: net.Register(0, 64), CommitBuffer: 1})
-	defer func() {
-		n.Stop()
-		net.Close()
-	}()
-	waitLeader(t, []*Node{n}, 2*time.Second)
-	go func() {
-		// The first entry fills the unread stream; the second's apply
-		// waits on it, holding n.mu until Stop.
-		for i := range 2 {
-			_ = n.Propose([]byte{byte(i)})
-		}
-	}()
-	// The ticker takes n.mu for microseconds; ten refusals in a row, a
-	// millisecond apart, mean the proposal holds it.
-	deadline := time.Now().Add(5 * time.Second)
-	for refused := 0; refused < 10; time.Sleep(time.Millisecond) {
-		if n.mu.TryLock() {
-			n.mu.Unlock()
-			refused = 0
-		} else {
-			refused++
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the second proposal never blocked on the commit stream")
-		}
-	}
-	type read struct {
-		leading bool
-		leader  cluster.NodeID
-		term    uint64
-	}
-	answered := make(chan read, 1)
-	go func() { answered <- read{n.IsLeader(), n.Leader(), n.Term()} }()
-	select {
-	case r := <-answered:
-		if !r.leading || r.leader != 0 || r.term == 0 {
-			t.Fatalf("IsLeader %v, Leader %d, Term %d; want the single node leading in a term above 0", r.leading, r.leader, r.term)
-		}
-	case <-time.After(100 * time.Millisecond):
-		t.Fatal("IsLeader, Leader and Term waited on the commit stream")
-	}
-}

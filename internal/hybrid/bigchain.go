@@ -305,7 +305,7 @@ func (s appliedSource) Payloads(h uint64) ([][]byte, bool) {
 // CrashValidator kills validator i's execution layer (system.Replica.Crash):
 // the apply pipeline stops and its in-memory state and applied history
 // are lost. Its PBFT replica keeps running behind the drain, which reads
-// and drops the commit stream, so the remaining 3f nodes never wait on it.
+// and drops the commit stream, so what it commits does not pile up unread.
 func (b *Bigchain) CrashValidator(i int) {
 	if n := b.nodes[i]; n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.position)) {
 		n.setApplied(nil)

@@ -139,10 +139,9 @@ func New(cfg Config) *Service {
 			Endpoint: cfg.Net.Register(id, 8192),
 		}))
 	}
-	// Every stream is read, not only the one the order is taken from: a
-	// follower whose commit buffer fills stops reading its inbox, the
-	// leader's sends to it back up, and the whole append path stalls. The
-	// merge holds a few raft replication batches (256 entries each), so a
+	// Every stream is read, not only the one the order is taken from: an
+	// orderer whose stream nobody reads keeps every entry it commits in
+	// its loop's delivery queue, which grows without bound. The merge holds a few raft replication batches (256 entries each), so a
 	// follower's burst of copies does not hold the leader's stream up.
 	commits := make(chan commit, 1024)
 	s.wg.Add(len(s.orderers) + 1)

@@ -214,7 +214,7 @@ func TestHighVolumeAppendDoesNotWedge(t *testing.T) {
 	}
 	svc := service(t, 100)
 	c := svc.Subscribe(1)
-	const records = 6_000 // > CommitBuffer (4096) + slack
+	const records = 6_000 // > consensus.CommitBuffer (4096) + slack
 	delivered := make(chan int, 1)
 	go func() {
 		n := 0
@@ -269,7 +269,7 @@ func TestUnpacedBurstAppendDoesNotWedge(t *testing.T) {
 	}
 	svc := service(t, 100)
 	c := svc.Subscribe(1)
-	const records = 10_000 // > raft CommitBuffer (4096) and inbox (8192)
+	const records = 10_000 // > consensus.CommitBuffer (4096) and the inbox (8192)
 	deadline := time.Now().Add(120 * time.Second)
 	for i := 0; i < records; i++ {
 		if time.Now().After(deadline) {

@@ -780,7 +780,7 @@ func (n *node) sealBlock(nb *nodeBlock) {
 // versions, trie, ledger — is lost. Its consensus replica keeps running
 // behind the drain, which reads and drops the commit stream — admitting
 // each entry through the node's Window, which follows the log through the
-// crash — so the cluster never wedges on an unread stream (crash the
+// crash — so the entries it commits do not pile up unread (crash the
 // leader and the cluster halts until it re-elects, exactly as a real
 // deployment would; tests crash followers). Submission and query routing
 // skip the node from now on.
