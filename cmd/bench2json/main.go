@@ -54,6 +54,7 @@ var gated = []string{
 	"BenchmarkProofServe", "BenchmarkSigVerify", "BenchmarkRegionCmdCodec", "BenchmarkSQLParse",
 	"BenchmarkRegionApply", "BenchmarkSQLStatement", "BenchmarkTxnCommit",
 	"BenchmarkRootHash/mode=published", "BenchmarkContractExecute", "BenchmarkCheckpointWorker",
+	"BenchmarkApplyBlock",
 }
 
 func isGated(name string) bool {

@@ -17,6 +17,12 @@
 // through it, and hashes each once, when the root is next asked for: the
 // hashing the paper charges a ledger for (Fig 11) is all still done, the
 // copying it never asked for is not.
+//
+// Ownership: Put keeps the value slice it is handed — the caller must not
+// modify it afterwards, and a caller that reuses a buffer copies it first —
+// while keys are only read, so a key may be a view of bytes the caller
+// still owns. The trie never writes into a stored value, so the values Get
+// and Snapshot return may be shared.
 package mpt
 
 import (
@@ -162,13 +168,15 @@ func get(n node, path []byte) ([]byte, bool) {
 	}
 }
 
-// Put inserts or replaces the value for key. Values are copied. An empty
-// value is a legal stored value (distinct from absence, which branch nodes
-// represent with a nil slice internally).
+// Put inserts or replaces the value for key. The trie keeps value itself,
+// so the caller must not modify it afterwards; key is only read (its
+// nibbles are copied). An empty value is a legal stored value (distinct
+// from absence, which branch nodes represent with a nil slice internally).
 func (t *Trie) Put(key, value []byte) {
-	v := make([]byte, len(value))
-	copy(v, value)
-	t.root = t.put(t.root, t.keyPath(key), v)
+	if value == nil {
+		value = []byte{}
+	}
+	t.root = t.put(t.root, t.keyPath(key), value)
 }
 
 // The own functions return the node a mutation may write through: n itself

@@ -156,7 +156,9 @@ func BenchmarkRootHash(b *testing.B) {
 	mutate := func(tr *Trie, round int) {
 		for i := 0; i < blockKeys; i++ {
 			k := (round*blockKeys + i) % keys
-			tr.Put([]byte(fmt.Sprintf("acct%08d", k)), []byte(fmt.Sprintf("bal-%d-%d", round, i)))
+			// Appendf, not []byte(Sprintf(…)): the conversion of a value the
+			// trie keeps would move to the heap and hide its copy here.
+			tr.Put([]byte(fmt.Sprintf("acct%08d", k)), fmt.Appendf(nil, "bal-%d-%d", round, i))
 		}
 	}
 	b.Run("mode=memoized", func(b *testing.B) {

@@ -32,6 +32,7 @@ import (
 	"dichotomy/internal/ads/mpt"
 	"dichotomy/internal/cryptoutil"
 	"dichotomy/internal/state"
+	"dichotomy/internal/storage"
 )
 
 // SignedRoot is a height-tagged, endorser-signed state commitment — what
@@ -216,9 +217,9 @@ func (m *RootMaintainer) run() {
 func (m *RootMaintainer) apply(d delta) {
 	for _, w := range d.writes {
 		if w.Value == nil {
-			m.trie.Delete([]byte(w.Key))
+			m.trie.Delete(storage.KeyView(w.Key))
 		} else {
-			m.trie.Put([]byte(w.Key), w.Value)
+			m.trie.Put(storage.KeyView(w.Key), w.Value)
 		}
 		m.dirty[w.Key] = struct{}{}
 	}

@@ -56,7 +56,7 @@ type Node struct {
 	// roundChangeVotes[r] holds validators asking for round r of the
 	// current height.
 	roundChangeVotes map[uint64]map[cluster.NodeID]bool
-	queue            [][]byte // local payloads waiting to be proposed
+	queue            []queued // local payloads waiting to be proposed
 	stallTicks       int
 	// ahead holds, in arrival order, the messages of heights this
 	// validator has not reached yet, up to aheadHeights past its own;
@@ -104,6 +104,14 @@ func (n *Node) quorum() int { return 2*n.f + 1 }
 // aheadPerSender from one sender: a height's pre-prepare, prepare and
 // commit, and room for round changes, for each of those heights.
 const aheadHeights, aheadPerSender = 4, 8 * 4
+
+// queued is a payload waiting to be proposed, with its digest, computed
+// once when it is queued: proposing it and dropping it once decided both
+// compare digests and hash nothing.
+type queued struct {
+	data   []byte
+	digest cryptoutil.Hash
+}
 
 // --- messages ---
 
@@ -161,7 +169,7 @@ func (n *Node) Propose(data []byte) error {
 	// validator proposes next has the payload at hand. Delivery removes
 	// the queued copy by digest on all validators.
 	n.broadcast(forward{Data: data})
-	n.queue = append(n.queue, data)
+	n.queue = append(n.queue, queued{data: data, digest: cryptoutil.HashBytes(data)})
 	n.maybeProposeLocked()
 	return nil
 }
@@ -172,10 +180,10 @@ func (n *Node) maybeProposeLocked() {
 	if n.locked || len(n.queue) == 0 || n.proposerOf(n.height, n.round) != n.cfg.ID {
 		return
 	}
-	data := n.queue[0]
+	q := n.queue[0]
 	n.queue = n.queue[1:]
-	n.acceptProposalLocked(n.round, cryptoutil.HashBytes(data), data)
-	n.broadcast(preprepare{Height: n.height, Round: n.round, Digest: n.digest, Data: data})
+	n.acceptProposalLocked(n.round, q.digest, q.data)
+	n.broadcast(preprepare{Height: n.height, Round: n.round, Digest: n.digest, Data: n.data})
 }
 
 func (n *Node) acceptProposalLocked(round uint64, digest cryptoutil.Hash, data []byte) {
@@ -269,10 +277,11 @@ func (n *Node) stepLocked(env cluster.Envelope) {
 	}
 	switch msg := env.Msg.(type) {
 	case forward:
-		if slices.Contains(n.decided[:], cryptoutil.HashBytes(msg.Data)) {
+		digest := cryptoutil.HashBytes(msg.Data)
+		if slices.Contains(n.decided[:], digest) {
 			return // a late copy of a decided payload
 		}
-		n.queue = append(n.queue, msg.Data)
+		n.queue = append(n.queue, queued{data: msg.Data, digest: digest})
 		n.maybeProposeLocked()
 	case preprepare:
 		n.onPrePrepareLocked(env.From, msg)
@@ -344,11 +353,8 @@ func (n *Node) maybeAdvanceLocked() {
 		// Drop the local copy of the decided payload, if queued here.
 		decided := n.digest
 		n.decided[n.height%uint64(len(n.decided))] = decided
-		for i, q := range n.queue {
-			if cryptoutil.HashBytes(q) == decided {
-				n.queue = append(n.queue[:i], n.queue[i+1:]...)
-				break
-			}
+		if i := slices.IndexFunc(n.queue, func(q queued) bool { return q.digest == decided }); i >= 0 {
+			n.queue = slices.Delete(n.queue, i, i+1)
 		}
 		n.height++
 		n.round = 0

@@ -244,3 +244,60 @@ func TestMessageSizeCountsEntryBytes(t *testing.T) {
 		}
 	}
 }
+
+// Deciding a height costs the same number of hashes however many payloads
+// wait in the queue: each payload's digest is computed once, when it is
+// queued, and the decided one is dropped by comparing digests. Validator 3
+// queues k payloads; validators 0–2 are scripted and decide the last one.
+func TestDecidingIgnoresQueueLength(t *testing.T) {
+	hashesToDecide := func(k int) uint64 {
+		net := cluster.NewNetwork(cluster.ZeroLink{})
+		peers := []cluster.NodeID{0, 1, 2, 3}
+		eps := make([]*cluster.Endpoint, 3)
+		for i := range eps {
+			eps[i] = net.Register(peers[i], 8192)
+		}
+		n := New(Config{ID: 3, Peers: peers, Endpoint: net.Register(3, 8192)})
+		defer func() {
+			n.Stop()
+			net.Close()
+		}()
+		var data []byte
+		for i := range k {
+			data = fmt.Appendf(nil, "payload-%d", i)
+			if err := n.Propose(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		digest := cryptoutil.HashBytes(data)
+		send := func(from int, msg cluster.Message) {
+			if err := eps[from].Send(3, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := cryptoutil.HashOps()
+		proposer := int(n.proposerOf(1, 0))
+		send(proposer, preprepare{Height: 1, Round: 0, Digest: digest, Data: data})
+		for i := range 3 {
+			if i != proposer {
+				send(i, prepare{Height: 1, Round: 0, Digest: digest})
+			}
+			send(i, commitMsg{Height: 1, Round: 0, Digest: digest})
+		}
+		if e := collect(t, n, 1, 2*time.Second)[0]; string(e.Data) != string(data) {
+			t.Fatalf("decided %q, want %q", e.Data, data)
+		}
+		n.Height() // the handler that delivered has returned
+		hashes := cryptoutil.HashOps() - before
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if len(n.queue) != k-1 {
+			t.Fatalf("k=%d: %d payloads queued after the decision, want %d", k, len(n.queue), k-1)
+		}
+		return hashes
+	}
+	small, large := hashesToDecide(16), hashesToDecide(256)
+	if small != large {
+		t.Fatalf("deciding a height took %d hashes with 16 payloads queued and %d with 256", small, large)
+	}
+}

@@ -51,6 +51,20 @@ type Store struct {
 	dirtyMu    sync.Mutex
 	dirty      map[string]struct{}
 	dirtyBytes int64
+
+	// scratch is ApplyBlock's working memory, reused block after block;
+	// the commit gate, held exclusively, serializes its users.
+	scratch struct {
+		idxs    []int            // each write's stripe
+		starts  []int            // each stripe's first index in group; len ShardCount
+		stripes []int            // the touched stripes, ascending
+		group   []VersionedWrite // the block's writes, grouped by stripe
+		// batch is one group's engine batch. Its keys view the write
+		// set's strings and its values are the write set's own slices,
+		// which the engine keeps (storage.Engine's ownership rule):
+		// nothing here copies a write.
+		batch []storage.Write
+	}
 }
 
 // EnableDirtyTracking turns on dirty-key tracking. It must be called
@@ -64,11 +78,13 @@ func (s *Store) EnableDirtyTracking() { s.trackDirty.Store(true) }
 // New layers a versioned store over engine with the given stripe count
 // (≤ 0 selects DefaultShards; 1 is the global-lock baseline).
 func New(engine storage.Engine, shards int) *Store {
-	return &Store{
+	s := &Store{
 		engine:   engine,
 		versions: NewMap[txn.Version](shards),
 		dirty:    make(map[string]struct{}),
 	}
+	s.scratch.starts = make([]int, s.versions.ShardCount())
+	return s
 }
 
 // Engine exposes the underlying engine (for footprint accounting).
@@ -88,7 +104,7 @@ func (s *Store) Get(key string) ([]byte, txn.Version, error) {
 		err error
 	)
 	s.versions.View(key, func(v txn.Version, ok bool) {
-		val, err = s.engine.Get([]byte(key))
+		val, err = s.engine.Get(storage.KeyView(key))
 		if ok {
 			ver = v
 		}
@@ -216,7 +232,7 @@ func (s *Store) DumpDirty(fn func(key string, value []byte, ver txn.Version, liv
 	s.dirtyMu.Unlock()
 	slices.Sort(keys)
 	for _, k := range keys {
-		v, err := s.engine.Get([]byte(k))
+		v, err := s.engine.Get(storage.KeyView(k))
 		if err != nil {
 			// Deleted since it was dirtied (or unreadable, which the
 			// in-memory engines only report as not-found): tombstone.
@@ -277,67 +293,60 @@ func (s *Store) ApplyBlock(writes []VersionedWrite) error {
 	s.gate.Lock()
 	defer s.gate.Unlock()
 
-	// Small blocks: stripe ids on the stack, grouped by rescanning the
-	// write slice per stripe. Large blocks: one-pass map bucketing.
-	const smallBlock = 64
-	if len(writes) <= smallBlock {
-		var idxArr, bufArr [smallBlock]int
-		idxs := idxArr[:0]
-		for _, w := range writes {
-			idxs = append(idxs, s.versions.ShardOf(w.Key))
-		}
-		sorted := append(bufArr[:0], idxs...)
-		slices.Sort(sorted)
-		stripes := slices.Compact(sorted)
-		s.versions.lockShards(stripes)
-		defer s.versions.unlockShards(stripes)
-		if len(stripes) == 1 {
-			return s.applyGroup(stripes[0], writes)
-		}
-		group := make([]VersionedWrite, 0, len(writes))
-		for _, idx := range stripes {
-			group = group[:0]
-			for i, w := range writes {
-				if idxs[i] == idx {
-					group = append(group, w)
-				}
-			}
-			if err := s.applyGroup(idx, group); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	groups := make(map[int][]VersionedWrite, 8)
+	// Group the writes by stripe, a counting sort into the scratch: count
+	// each stripe's writes, turn the counts into each group's end, then
+	// place the writes last to first, which leaves starts at each group's
+	// start and each group in slice order.
+	sc := &s.scratch
+	idxs, starts := sc.idxs[:0], sc.starts
+	clear(starts)
 	for _, w := range writes {
 		idx := s.versions.ShardOf(w.Key)
-		groups[idx] = append(groups[idx], w)
+		idxs = append(idxs, idx)
+		starts[idx]++
 	}
-	stripes := make([]int, 0, len(groups))
-	for idx := range groups {
-		stripes = append(stripes, idx)
+	stripes, sum := sc.stripes[:0], 0
+	for idx, n := range starts {
+		if n > 0 {
+			stripes = append(stripes, idx)
+		}
+		sum += n
+		starts[idx] = sum
 	}
-	slices.Sort(stripes)
+	group := slices.Grow(sc.group[:0], len(writes))[:len(writes)]
+	for i := len(writes) - 1; i >= 0; i-- {
+		starts[idxs[i]]--
+		group[starts[idxs[i]]] = writes[i]
+	}
 	s.versions.lockShards(stripes)
 	defer s.versions.unlockShards(stripes)
-	for _, idx := range stripes {
-		if err := s.applyGroup(idx, groups[idx]); err != nil {
-			return err
+	var err error
+	for k, idx := range stripes {
+		end := len(group)
+		if k+1 < len(stripes) {
+			end = starts[stripes[k+1]]
+		}
+		if err = s.applyGroup(idx, group[starts[idx]:end]); err != nil {
+			break
 		}
 	}
-	return nil
+	clear(group) // hold no write past the commit
+	sc.idxs, sc.stripes, sc.group = idxs, stripes, group[:0]
+	return err
 }
 
 // applyGroup flushes one stripe's write group through the engine batch
 // path and installs its version metadata; the caller holds the commit
 // gate and the stripe's write lock.
 func (s *Store) applyGroup(idx int, group []VersionedWrite) error {
-	batch := make([]storage.Write, len(group))
-	for i, w := range group {
-		batch[i] = storage.Write{Key: []byte(w.Key), Value: w.Value}
+	batch := s.scratch.batch[:0]
+	for _, w := range group {
+		batch = append(batch, storage.Write{Key: storage.KeyView(w.Key), Value: w.Value})
 	}
-	if err := storage.ApplyWrites(s.engine, batch); err != nil {
+	err := storage.ApplyWrites(s.engine, batch)
+	clear(batch) // hold no value past the commit
+	s.scratch.batch = batch[:0]
+	if err != nil {
 		return fmt.Errorf("state: block commit (stripe %d): %w", idx, err)
 	}
 	m := s.versions.shardMap(idx)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dichotomy/internal/contract"
+	"dichotomy/internal/israce"
 	"dichotomy/internal/storage"
 	"dichotomy/internal/storage/memdb"
 	"dichotomy/internal/txn"
@@ -406,5 +407,100 @@ func TestDirtyTrackingFollowsVersionCAS(t *testing.T) {
 	}
 	if st := s.DirtyStats(); st.Keys != 1 {
 		t.Fatalf("successful CAS dirtied %d keys, want 1", st.Keys)
+	}
+}
+
+// TestApplyBlockGroupsInSliceOrder commits blocks that write each key
+// several times, spread over every stripe, and checks that each key ends
+// with its last write: grouping by stripe keeps slice order within a group.
+func TestApplyBlockGroupsInSliceOrder(t *testing.T) {
+	for _, keys := range []int{5, 100} {
+		s := New(memdb.New(), 8)
+		var block []VersionedWrite
+		for round := range 3 {
+			for i := range keys {
+				v := fmt.Sprintf("v%d", round)
+				block = append(block, VersionedWrite{Write: put(fmt.Sprintf("k%d", i), v), Version: ver(1, uint32(len(block)))})
+			}
+		}
+		if err := s.ApplyBlock(block); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range block[len(block)-keys:] {
+			v, vv, err := s.Get(w.Key)
+			if err != nil || string(v) != "v2" || vv != w.Version {
+				t.Fatalf("%d keys: k%d = %q %v %v, want the last write %q %v", keys, i, v, vv, err, "v2", w.Version)
+			}
+		}
+		s.Close()
+	}
+}
+
+// TestApplyBlockAndGetAllocs pins what the store itself adds to a block of
+// overwrites on memdb, small or large, and to a point read: nothing. The
+// block's keys reach the engine as views of their strings and its values as
+// the write set's own slices, grouped by stripe in scratch the store
+// reuses, so the only allocation left is the skiplist's, one per
+// overwritten entry (its value header). A Get hands the engine a view of
+// its key.
+func TestApplyBlockAndGetAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	s := New(memdb.New(), 0)
+	defer s.Close()
+	var block []VersionedWrite
+	for _, keys := range []int{16, 200} {
+		block = make([]VersionedWrite, keys)
+		for i := range block {
+			block[i] = VersionedWrite{Write: put(fmt.Sprintf("chk:acct%08d", i), "balance"), Version: ver(1, uint32(i))}
+		}
+		if err := s.ApplyBlock(block); err != nil {
+			t.Fatal(err)
+		}
+		perBlock := testing.AllocsPerRun(100, func() {
+			if err := s.ApplyBlock(block); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perBlock != float64(keys) {
+			t.Fatalf("ApplyBlock of %d overwrites: %.1f allocs, want %d (one per skiplist entry)", keys, perBlock, keys)
+		}
+	}
+	key := block[3].Key
+	perGet := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.Get(key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perGet != 0 {
+		t.Fatalf("Get: %.1f allocs, want 0", perGet)
+	}
+}
+
+// BenchmarkApplyBlock commits a 64-write block of overwrites into a
+// 2 000-key store on memdb, the order-execute commit a replica repeats for
+// every block. Its allocs/op is the store's and the engine's own cost per
+// block (CI gates it): one skiplist value header per write.
+func BenchmarkApplyBlock(b *testing.B) {
+	const keys, blockKeys = 2000, 64
+	s := New(memdb.New(), 0)
+	defer s.Close()
+	key := func(i int) string { return fmt.Sprintf("chk:acct%08d", i) }
+	for i := range keys {
+		if err := s.ApplyBlock([]VersionedWrite{{Write: put(key(i), "balance"), Version: ver(1, 0)}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	block := make([]VersionedWrite, blockKeys)
+	for i := range block {
+		block[i] = VersionedWrite{Write: put(key(i*keys/blockKeys), "12345678"), Version: ver(2, uint32(i))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if err := s.ApplyBlock(block); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -90,11 +90,11 @@ func (t *Tree) Put(key, value []byte) error {
 	return nil
 }
 
+// putLocked keeps value itself (storage.Engine's ownership rule) and copies
+// key only when it inserts it.
 func (t *Tree) putLocked(key, value []byte) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
 	root := t.root.Load()
-	newRoot, split, replaced, oldLen := insert(root, k, v)
+	newRoot, split, replaced, oldLen := insert(root, key, value)
 	if split != nil {
 		newRoot = &node{
 			keys:     [][]byte{split.key},
@@ -103,10 +103,10 @@ func (t *Tree) putLocked(key, value []byte) {
 	}
 	t.root.Store(newRoot)
 	if replaced {
-		t.bytes.Add(int64(len(v) - oldLen))
+		t.bytes.Add(int64(len(value) - oldLen))
 	} else {
 		t.count.Add(1)
-		t.bytes.Add(int64(len(k) + len(v)))
+		t.bytes.Add(int64(len(key) + len(value)))
 	}
 }
 
@@ -127,7 +127,7 @@ func insert(n *node, key, value []byte) (*node, *splitResult, bool, int) {
 			c.vals[i] = value
 			return c, nil, true, oldLen
 		}
-		c.keys = insertAt(c.keys, i, key)
+		c.keys = insertAt(c.keys, i, bytes.Clone(key))
 		c.vals = insertAt(c.vals, i, value)
 		if len(c.keys) < order {
 			return c, nil, false, 0

@@ -4,11 +4,20 @@
 // TiKV) while etcd runs over a copy-on-write B+tree (BoltDB). Both engine
 // families live in subpackages and satisfy the Engine interface defined
 // here, so systems can be assembled with either.
+//
+// Ownership: a value handed to an engine (Engine.Put, Batch.ApplyBatch) is
+// the engine's from then on. The engine keeps the slice itself, so the
+// caller must not modify it afterwards; a caller that reuses a buffer copies
+// it before handing it over. Keys are the other way round: an engine never
+// writes into a key it is handed and copies every key it keeps, so a key
+// may be a view of bytes the caller still owns (see KeyView). No engine
+// writes into a value it stores, so values read back may be shared.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // ErrNotFound is returned by Get when the key has never been written or was
@@ -23,7 +32,9 @@ var ErrClosed = errors.New("storage: engine closed")
 type Engine interface {
 	// Get returns the value stored under key, or ErrNotFound.
 	Get(key []byte) ([]byte, error)
-	// Put stores value under key, replacing any previous value.
+	// Put stores value under key, replacing any previous value. The engine
+	// keeps value itself: the caller must not modify it afterwards. key is
+	// only read; the engine copies it if it keeps it.
 	Put(key, value []byte) error
 	// Delete removes key. Deleting an absent key is not an error.
 	Delete(key []byte) error
@@ -58,10 +69,13 @@ type Iterator interface {
 // writes atomically; the block-commit paths use it when present.
 type Batch interface {
 	// ApplyBatch applies all writes (value == nil means delete) atomically.
+	// Like Put, it keeps each value and only reads each key; the writes
+	// slice itself is not retained, so the caller may reuse it.
 	ApplyBatch(writes []Write) error
 }
 
-// Write is one entry of a batch. A nil Value deletes the key.
+// Write is one entry of a batch. A nil Value deletes the key. The engine
+// keeps Value (see Batch); Key may be a view.
 type Write struct {
 	Key   []byte
 	Value []byte
@@ -88,3 +102,10 @@ func ApplyWrites(e Engine, writes []Write) error {
 	}
 	return nil
 }
+
+// KeyView returns the bytes of s without copying them, for handing a string
+// key to an Engine or an mpt.Trie. It is sound because neither ever writes
+// into a key it is handed and each copies every key it keeps. The slice
+// shares the string's immutable bytes: writing into it, anywhere, is
+// undefined behaviour.
+func KeyView(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }

@@ -2,14 +2,19 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"dichotomy/internal/israce"
 	"dichotomy/internal/storage"
 )
 
@@ -483,5 +488,71 @@ func TestBloomRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALRecordFormat reads the log back and checks every record against
+// the format wal.go documents — len u32 | crc u32 | flags u8 | klen u32 |
+// key | value, the CRC over everything after it — and that appending a
+// record allocates nothing: the buffered writer's copy is the only one.
+func TestWALRecordFormat(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		key, value string
+		tomb       bool
+	}
+	want := []rec{{"a", "1", false}, {"bb", "", false}, {"a", "", true}, {"key", strings.Repeat("v", 5000), false}}
+	for _, r := range want {
+		if r.tomb {
+			err = db.Delete([]byte(r.key))
+		} else {
+			err = db.ApplyBatch([]storage.Write{{Key: []byte(r.key), Value: []byte(r.value)}})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !israce.Enabled {
+		k, v := []byte("key"), []byte("value")
+		if n := testing.AllocsPerRun(100, func() { _ = db.wal.append(k, v, false) }); n != 0 {
+			t.Fatalf("wal append: %.1f allocs per record, want 0", n)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []rec
+	for len(b) > 0 {
+		if len(b) < 8 {
+			t.Fatalf("torn record header: %d bytes", len(b))
+		}
+		n := binary.BigEndian.Uint32(b[0:4])
+		payload := b[8 : 8+n]
+		if crc := crc32.ChecksumIEEE(payload); crc != binary.BigEndian.Uint32(b[4:8]) {
+			t.Fatalf("record %d: crc %08x, header says %08x", len(got), crc, binary.BigEndian.Uint32(b[4:8]))
+		}
+		klen := binary.BigEndian.Uint32(payload[1:5])
+		got = append(got, rec{
+			key:   string(payload[5 : 5+klen]),
+			value: string(payload[5+klen:]),
+			tomb:  payload[0] == flagTomb,
+		})
+		b = b[8+n:]
+	}
+	if len(got) < len(want) || !slices.Equal(got[:len(want)], want) {
+		t.Fatalf("wal records %v, want %v first", got, want)
+	}
+	for _, r := range got[len(want):] {
+		if r != (rec{"key", "value", false}) {
+			t.Fatalf("unexpected record %v", r)
+		}
 	}
 }

@@ -20,6 +20,9 @@ import (
 type wal struct {
 	f *os.File
 	w *bufio.Writer
+	// hdr is append's scratch for a record's fixed-size prefix; the DB's
+	// write lock serializes appends.
+	hdr [8 + 1 + 4]byte // len | crc | flags | klen
 }
 
 // openWAL opens the log at path empty, truncating whatever an earlier DB
@@ -32,22 +35,28 @@ func openWAL(path string) (*wal, error) {
 	return &wal{f: f, w: bufio.NewWriter(f)}, nil
 }
 
+// append writes one record straight into the buffered writer, piece by
+// piece, checksumming the pieces as it goes: the writer's copy is the only
+// one.
 func (w *wal) append(key, value []byte, tomb bool) error {
-	payload := make([]byte, 1+4+len(key)+len(value))
+	hdr := w.hdr[:]
+	hdr[8] = 0
 	if tomb {
-		payload[0] = flagTomb
+		hdr[8] = flagTomb
 	}
-	binary.BigEndian.PutUint32(payload[1:5], uint32(len(key)))
-	copy(payload[5:], key)
-	copy(payload[5+len(key):], value)
-
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(key)))
+	crc := crc32.ChecksumIEEE(hdr[8:])
+	crc = crc32.Update(crc, crc32.IEEETable, key)
+	crc = crc32.Update(crc, crc32.IEEETable, value)
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(1+4+len(key)+len(value)))
+	binary.BigEndian.PutUint32(hdr[4:8], crc)
+	if _, err := w.w.Write(hdr); err != nil {
 		return err
 	}
-	_, err := w.w.Write(payload)
+	if _, err := w.w.Write(key); err != nil {
+		return err
+	}
+	_, err := w.w.Write(value)
 	return err
 }
 

@@ -104,7 +104,9 @@ func (l *List) GetEntry(key []byte) (value []byte, tomb, found bool) {
 	return value, n.tomb.Load(), true
 }
 
-// Put inserts or replaces the value for key.
+// Put inserts or replaces the value for key. The list keeps value itself,
+// so the caller must not modify it afterwards; it copies key on insert and
+// never writes into either.
 func (l *List) Put(key, value []byte) {
 	l.set(key, value, false)
 }
@@ -116,6 +118,9 @@ func (l *List) Delete(key []byte) {
 }
 
 func (l *List) set(key, value []byte, tomb bool) {
+	if value == nil && !tomb {
+		value = []byte{} // a live entry's value is never nil
+	}
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
 
@@ -129,15 +134,13 @@ func (l *List) set(key, value []byte, tomb bool) {
 	if n != nil && bytes.Equal(n.key, key) {
 		old := n.value.Load()
 		wasTomb := n.tomb.Load()
-		v := make([]byte, len(value))
-		copy(v, value)
-		n.value.Store(&v)
+		n.value.Store(&value)
 		n.tomb.Store(tomb)
 		var delta int64
 		if old != nil {
 			delta -= int64(len(*old))
 		}
-		delta += int64(len(v))
+		delta += int64(len(value))
 		l.bytes.Add(delta)
 		switch {
 		case wasTomb && !tomb:
@@ -154,10 +157,8 @@ func (l *List) set(key, value []byte, tomb bool) {
 	}
 	k := make([]byte, len(key))
 	copy(k, key)
-	v := make([]byte, len(value))
-	copy(v, value)
 	nn := &node{key: k}
-	nn.value.Store(&v)
+	nn.value.Store(&value)
 	nn.tomb.Store(tomb)
 	// Link bottom-up so concurrent readers never see a node reachable at a
 	// high level but missing below.
@@ -167,7 +168,7 @@ func (l *List) set(key, value []byte, tomb bool) {
 	for i := 0; i < lvl; i++ {
 		preds[i].next[i].Store(nn)
 	}
-	l.bytes.Add(int64(len(k) + len(v)))
+	l.bytes.Add(int64(len(k) + len(value)))
 	if !tomb {
 		l.length.Add(1)
 	}

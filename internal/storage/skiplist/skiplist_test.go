@@ -127,14 +127,23 @@ func TestIteratorStartBetweenKeys(t *testing.T) {
 	}
 }
 
-func TestValueCopiedOnInsert(t *testing.T) {
+// TestKeyCopiedOnInsert pins the list's half of the storage ownership
+// rule: it keeps the value slice it is handed, but copies the key, so a
+// caller may reuse (or view) the key's bytes.
+func TestKeyCopiedOnInsert(t *testing.T) {
 	l := New()
-	v := []byte("mutable")
-	l.Put([]byte("k"), v)
-	v[0] = 'X'
-	got, _ := l.Get([]byte("k"))
-	if got[0] == 'X' {
-		t.Fatal("list aliases caller's value slice")
+	k, v := []byte("k"), []byte("value")
+	l.Put(k, v)
+	k[0] = 'X'
+	got, ok := l.Get([]byte("k"))
+	if !ok {
+		t.Fatal("list aliases caller's key slice: entry lost under its original key")
+	}
+	if &got[0] != &v[0] {
+		t.Fatal("list copied the value it was handed")
+	}
+	if _, ok := l.Get(k); ok {
+		t.Fatal("entry found under the overwritten key")
 	}
 }
 
