@@ -21,13 +21,17 @@ test:
 # before any is waited, give-ups racing resolves, and a region held while
 # the other secondaries commit. The fifth repeats the consensus loop's suite
 # twenty times: a Propose racing Stop, and a replica whose commit stream
-# nobody reads, for raft, PBFT and IBFT.
+# nobody reads, for raft, PBFT and IBFT. The sixth repeats the ledger
+# replicas' one block commit twenty times: the root maintainer's worker
+# hashes each block's delta while the committer stages the next block into
+# the same reused block.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
 	go test -race -count=10 -timeout 10m -run 'TestSealedBlockViewsAreHeldByNoOne|TestParallelPipelineReplicaConsistency' ./internal/system/ ./internal/system/fabric/
 	go test -race -count=10 -timeout 10m -run 'TestSecondariesCommitConcurrently|TestCommit|TestReplicator' ./internal/system/ ./internal/system/tidb/
 	go test -race -count=20 -timeout 10m -run 'TestLoop' ./internal/consensus/
+	go test -race -count=20 -timeout 10m -run 'TestReplicaCommit' ./internal/system/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

@@ -13,7 +13,6 @@ import (
 	"dichotomy/internal/cluster"
 	"dichotomy/internal/consensus"
 	"dichotomy/internal/consensus/pbft"
-	"dichotomy/internal/contract"
 	"dichotomy/internal/metrics"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/pipeline"
@@ -91,7 +90,6 @@ type bigchainNode struct {
 	*system.Replica
 	b    *Bigchain
 	cons consensus.Node
-	reg  *contract.Registry
 	pipe *pipeline.Pipeline[consensus.Entry, *txn.Block]
 	// view is the block the Decode stage decodes each entry into, reused:
 	// at depth 1 an entry is applied before the next is decoded.
@@ -151,7 +149,7 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 			b.Close()
 			return nil, err
 		}
-		n := &bigchainNode{Replica: rep, b: b, reg: contract.NewRegistry(contract.KV{}, contract.Smallbank{})}
+		n := &bigchainNode{Replica: rep, b: b}
 		n.pipe = pipeline.New(pipeline.Config{Workers: 1, Depth: 1},
 			pipeline.Stages[consensus.Entry, *txn.Block]{
 				Decode: n.decodeEntry,
@@ -262,14 +260,10 @@ func (n *bigchainNode) apply(t *txn.Tx, raw []byte) {
 	n.appliedMu.Lock()
 	n.applied = append(n.applied, raw)
 	n.appliedMu.Unlock()
-	rw, err := n.reg.Execute(n.St, t.Invocation)
+	rw, err := registry.Execute(n.St, t.Invocation)
 	if err == nil {
-		ver := txn.Version{BlockNum: height}
-		vw := make([]state.VersionedWrite, len(rw.Writes))
-		for i, w := range rw.Writes {
-			vw[i] = state.VersionedWrite{Write: w, Version: ver}
-		}
-		err = n.St.ApplyBlock(vw)
+		n.Write(rw.Writes, txn.Version{BlockNum: height})
+		err = n.Commit(height)
 	}
 	r := system.Result{Committed: err == nil}
 	if err != nil {

@@ -7,8 +7,11 @@
 // mini-prototypes (Veritas-like and BigchainDB-like) used to validate the
 // prediction ordering experimentally. Their replicas' lifecycle — open,
 // crash, drain, rebuild, catch up, rejoin, close — is system.Replica's,
-// shared with Fabric and Quorum; a verifier rejoins by resubscribing to
-// the shared log above its checkpoint, a validator by replaying a healthy
+// shared with Fabric and Quorum, and so is the landing of an ordered batch
+// (Veritas's effects) or transaction (BigchainDB's): Replica.Write stages
+// its writes and Replica.Commit applies them, handing a Veritas verifier's
+// root maintainer the delta. A verifier rejoins by resubscribing to the
+// shared log above its checkpoint, a validator by replaying a healthy
 // peer's applied history and skipping what that covered.
 package hybrid
 

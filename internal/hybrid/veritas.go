@@ -39,7 +39,7 @@ type Veritas struct {
 	net     *cluster.Network
 	log     *sharedlog.Service
 	nodes   []*veritasNode
-	clients sync.Map // name → cryptoutil.PublicKey
+	clients system.Clients
 	// door holds each submitted transaction pending: the front door's
 	// mempool with VeritasConfig.Ingress, the direct path's table
 	// otherwise.
@@ -154,6 +154,10 @@ type veritasBatch struct {
 
 var _ system.System = (*Veritas)(nil)
 
+// registry holds the contracts both prototypes run, KV and Smallbank;
+// Execute only reads it.
+var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
+
 // NewVeritas assembles and starts the prototype.
 func NewVeritas(cfg VeritasConfig) (*Veritas, error) {
 	cfg = cfg.withDefaults()
@@ -234,15 +238,7 @@ func (v *Veritas) Name() string { return "veritas-like" }
 // VerifyClients is on; unregistered clients' effects are then rejected at
 // the validate stage.
 func (v *Veritas) RegisterClient(name string, pub cryptoutil.PublicKey) {
-	v.clients.Store(name, pub)
-}
-
-func (v *Veritas) clientKey(name string) (cryptoutil.PublicKey, bool) {
-	pubAny, ok := v.clients.Load(name)
-	if !ok {
-		return cryptoutil.PublicKey{}, false
-	}
-	return pubAny.(cryptoutil.PublicKey), true
+	v.clients.Register(name, pub)
 }
 
 // Execute implements system.System as the thin Submit+Wait wrapper.
@@ -263,7 +259,7 @@ func (v *Veritas) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error)
 // abort, or a read-only commit); done=false means t's effect (now in
 // t.RWSet) must go through the shared log. Shared by the direct execute
 // path and the ingress batch sink.
-func (v *Veritas) executeLocal(t *txn.Tx, reg *contract.Registry) (r system.Result, done bool) {
+func (v *Veritas) executeLocal(t *txn.Tx) (r system.Result, done bool) {
 	n := v.nodes[0] // any node can execute; effects are ordered globally
 	if n.Crashed() {
 		return system.Result{Err: errors.New("veritas: executing verifier is down")}, true
@@ -273,7 +269,7 @@ func (v *Veritas) executeLocal(t *txn.Tx, reg *contract.Registry) (r system.Resu
 	t.Trace.Time(metrics.PhaseExecute, func() {
 		snap := n.St.Snapshot()
 		defer snap.Release()
-		rw, err = reg.Execute(snap, t.Invocation)
+		rw, err = registry.Execute(snap, t.Invocation)
 	})
 	if err != nil {
 		if errors.Is(err, contract.ErrAbort) {
@@ -295,7 +291,7 @@ func (v *Veritas) executeLocal(t *txn.Tx, reg *contract.Registry) (r system.Resu
 // tail a replay source: a crashed verifier resubscribes above its
 // checkpoint and catches up through its ordinary apply pipeline.
 func (v *Veritas) execute(t *txn.Tx, await func() system.Result) system.Result {
-	if r, done := v.executeLocal(t, contract.NewRegistry(contract.KV{}, contract.Smallbank{})); done {
+	if r, done := v.executeLocal(t); done {
 		return r
 	}
 	start := time.Now()
@@ -314,10 +310,9 @@ func (v *Veritas) execute(t *txn.Tx, await func() system.Result) system.Result {
 // pressure, and appends the surviving effects with a bounded retry so a
 // pushed-back log throttles the builder instead of stalling it.
 func (v *Veritas) ingestBatch(txs []*txn.Tx) error {
-	reg := contract.NewRegistry(contract.KV{}, contract.Smallbank{})
 	survivors := make([]*txn.Tx, 0, len(txs))
 	for _, t := range txs {
-		r, done := v.executeLocal(t, reg)
+		r, done := v.executeLocal(t)
 		if done {
 			v.door.Resolve(t.ID, r)
 			continue
@@ -384,21 +379,7 @@ func (n *veritasNode) validateBatch(vb *veritasBatch) {
 		return
 	}
 	vb.authErrs = make([]error, len(vb.Txs))
-	if n.v.cfg.BatchVerify {
-		pipeline.ParallelChunks(n.pipe.Workers(), len(vb.Txs), func(lo, hi int) {
-			copy(vb.authErrs[lo:hi], txn.VerifyClientBatch(vb.Txs[lo:hi], n.v.clientKey))
-		})
-		return
-	}
-	pipeline.Parallel(n.pipe.Workers(), len(vb.Txs), func(i int) {
-		t := vb.Txs[i]
-		pub, ok := n.v.clientKey(t.Client)
-		if !ok {
-			vb.authErrs[i] = fmt.Errorf("veritas: unknown client %s", t.Client)
-			return
-		}
-		vb.authErrs[i] = t.VerifyClient(pub)
-	})
+	n.v.clients.VerifyAll(vb.Txs, vb.authErrs, n.pipe.Workers(), n.v.cfg.BatchVerify)
 }
 
 // applyBatch validates the batch's effects and commits them (pipeline
@@ -423,27 +404,13 @@ func (n *veritasNode) applyBatch(vb *veritasBatch) {
 			vb.verdicts[i] = occ.InconsistentRead // authentication failure
 		}
 	}
-	stage := n.St.NewBlock()
-	var deltas []state.VersionedWrite
 	for i, t := range vb.Txs {
 		if vb.verdicts[i] == occ.OK {
-			ver := txn.Version{BlockNum: height, TxNum: uint32(i)}
-			stage.StageAll(t.RWSet.Writes, ver)
-			if n.Auth != nil {
-				for _, w := range t.RWSet.Writes {
-					deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
-				}
-			}
+			n.Write(t.RWSet.Writes, txn.Version{BlockNum: height, TxNum: uint32(i)})
 		}
 	}
-	vb.applyErr = stage.Commit()
-	if n.Auth != nil && vb.applyErr == nil {
-		// Off the apply path: the maintainer hashes the delta on its own
-		// worker. ErrClosed only happens at shutdown.
-		if err := n.Auth.Submit(height, deltas); err != nil && err != authstate.ErrClosed {
-			vb.applyErr = err
-		}
-	}
+	// With AuthState on, the maintainer hashes the delta on its own worker.
+	vb.applyErr = n.Commit(height)
 	n.height.Store(height)
 	if vb.applyErr == nil {
 		n.MaybeCheckpoint(height)

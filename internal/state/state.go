@@ -414,8 +414,9 @@ func (sn *Snapshot) Release() {
 // overlay reads, so order-execute systems re-executing a block see their
 // own earlier writes (read-your-block-writes) before anything touches the
 // store. Commit flushes the staged writes through ApplyBlock in one
-// multi-stripe critical section. A Block is used by a single committer
-// goroutine and is not safe for concurrent use.
+// multi-stripe critical section and empties the block, so one Block may
+// stage block after block. A Block is used by a single committer goroutine
+// and is not safe for concurrent use.
 type Block struct {
 	s      *Store
 	dirty  map[string]stagedWrite
@@ -449,6 +450,10 @@ func (b *Block) StageAll(ws []txn.Write, ver txn.Version) {
 // Pending returns the number of staged writes.
 func (b *Block) Pending() int { return len(b.writes) }
 
+// Writes returns the staged writes in staging order. The slice is the
+// block's own: Commit zeroes it and the next Stage writes into it.
+func (b *Block) Writes() []VersionedWrite { return b.writes }
+
 // GetState implements contract.StateReader: staged writes shadow the
 // store, giving in-block read-your-writes.
 func (b *Block) GetState(key string) ([]byte, txn.Version, error) {
@@ -475,14 +480,14 @@ func (b *Block) CommittedVersion(key string) (txn.Version, bool) {
 }
 
 // Commit applies the staged writes through the store's grouped batch
-// path. On success the block resets for reuse; on error the staged
-// writes are preserved so the caller can inspect or retry (see
-// ApplyBlock's error contract).
+// path and empties the block whether or not the apply failed: a failed
+// block's writes are dropped, as a block started afresh would drop them,
+// and the next block stages only its own (see ApplyBlock's error
+// contract). The block holds no staged value past Commit.
 func (b *Block) Commit() error {
-	if err := b.s.ApplyBlock(b.writes); err != nil {
-		return err
-	}
+	err := b.s.ApplyBlock(b.writes)
+	clear(b.writes)
 	b.writes = b.writes[:0]
 	clear(b.dirty)
-	return nil
+	return err
 }

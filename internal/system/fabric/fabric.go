@@ -38,11 +38,16 @@
 //
 // A peer's lifecycle — open, crash, rebuild from a checkpoint, catch up
 // from a healthy peer's ledger, rejoin, close — is system.Replica's, shared
-// with Quorum and the hybrid prototypes. A crashed peer closes its
-// subscription and needs no drain; RecoverPeer subscribes again right above
-// its catch-up tip, as Veritas's verifiers do. This package supplies what
-// distinguishes Fabric: the topology above, the LSM engine and the
-// pipeline stages.
+// with Quorum and the hybrid prototypes, and so is the landing of a
+// validated block: the Apply stage stages the valid write sets with
+// Replica.Write and commits them with Replica.Commit, the Seal stage
+// appends the ledger block with Replica.Seal, live and in recovery replay
+// alike. A crashed peer closes its subscription and needs no drain;
+// RecoverPeer subscribes again right above its catch-up tip, as Veritas's
+// verifiers do. This package supplies what distinguishes Fabric: the
+// topology above, the LSM engine and the pipeline stages — when a
+// block's effects are computed (endorsement, before ordering) and
+// checked (validation, after it).
 package fabric
 
 import (
@@ -181,7 +186,7 @@ type Network struct {
 	net      *cluster.Network
 	peers    []*peer
 	ordering *sharedlog.Service
-	clients  sync.Map // name → cryptoutil.PublicKey
+	clients  system.Clients
 	peerKeys map[string]cryptoutil.PublicKey
 	// door holds each submitted update pending: the front door's mempool
 	// with Config.Ingress, the direct path's table otherwise.
@@ -325,7 +330,7 @@ func (nw *Network) Name() string { return "fabric" }
 
 // RegisterClient makes a client identity known to all peers.
 func (nw *Network) RegisterClient(name string, pub cryptoutil.PublicKey) {
-	nw.clients.Store(name, pub)
+	nw.clients.Register(name, pub)
 }
 
 // needed returns the endorsement threshold. The default policy requires
@@ -578,7 +583,7 @@ func (p *peer) readValue(inv txn.Invocation) []byte {
 func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 	var authErr error
 	t.Trace.Time(metrics.PhaseAuth, func() {
-		pubAny, ok := p.nw.clients.Load(t.Client)
+		pub, ok := p.nw.clients.Key(t.Client)
 		if !ok {
 			authErr = fmt.Errorf("fabric: unknown client %s", t.Client)
 			return
@@ -587,7 +592,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 		// verified-signature cache (with single-flight on concurrent
 		// misses) makes an E-peer endorsement cost one curve check
 		// instead of E.
-		authErr = t.VerifyClientCached(pubAny.(cryptoutil.PublicKey))
+		authErr = t.VerifyClientCached(pub)
 	})
 	if authErr != nil {
 		return txn.RWSet{}, cryptoutil.Signature{}, authErr
@@ -600,11 +605,8 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 		rw, simErr = registry.Execute(snap, t.Invocation)
 	})
 	if simErr != nil {
-		if errors.Is(simErr, contract.ErrAbort) {
-			// Business rejection: endorse an empty effect; the client
-			// counts it as an application abort.
-			return txn.RWSet{}, cryptoutil.Signature{}, simErr
-		}
+		// A business rejection (contract.ErrAbort) reaches the client as
+		// an application abort.
 		return txn.RWSet{}, cryptoutil.Signature{}, simErr
 	}
 	var sig cryptoutil.Signature
@@ -723,36 +725,16 @@ func (p *peer) applyBlock(b *fabricBlock) {
 		}
 	}
 
-	// Stage valid write sets and commit them as one block: grouped by
-	// stripe, flushed through the engine's batch fast path. A failed
-	// commit no longer panics the peer: the error travels to Seal, which
-	// reports it to every client waiting on the block.
-	blk := p.St.NewBlock()
-	var deltas []state.VersionedWrite
+	// Stage valid write sets and commit them as one block (Replica.Commit:
+	// grouped by stripe, flushed through the engine's batch fast path, the
+	// delta handed to the root maintainer). A failed commit's error travels
+	// to Seal, which reports it to every client waiting on the block.
 	for i, t := range b.Txs {
-		if b.verdicts[i] != occ.OK {
-			continue
-		}
-		ver := txn.Version{BlockNum: blockNum, TxNum: uint32(i)}
-		blk.StageAll(t.RWSet.Writes, ver)
-		if p.Auth != nil {
-			for _, w := range t.RWSet.Writes {
-				deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
-			}
+		if b.verdicts[i] == occ.OK {
+			p.Write(t.RWSet.Writes, txn.Version{BlockNum: blockNum, TxNum: uint32(i)})
 		}
 	}
-	if err := blk.Commit(); err != nil {
-		b.commitErr = fmt.Errorf("fabric %s: block commit: %w", p.name, err)
-		return
-	}
-	if p.Auth != nil {
-		// Off-commit-path commitment: the maintainer hashes this delta on
-		// its own worker. ErrClosed only happens on shutdown — the delta
-		// dies with the peer, as a crash would lose it.
-		if err := p.Auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
-			b.commitErr = fmt.Errorf("fabric %s: root maintainer: %w", p.name, err)
-		}
-	}
+	b.commitErr = p.Commit(blockNum)
 }
 
 // sealBlock appends the ledger block and resolves the waiting clients
@@ -766,8 +748,7 @@ func (p *peer) applyBlock(b *fabricBlock) {
 func (p *peer) sealBlock(b *fabricBlock) {
 	if b.commitErr == nil {
 		// With AuthState on, headers carry the latest published signed root.
-		stateRoot, stateRootHeight := p.PublishedRoot()
-		p.Ledger.Seal(b.Raw, stateRoot, stateRootHeight)
+		p.Seal(b.Raw)
 	}
 
 	validate := b.valDur + time.Since(b.applyStart)

@@ -15,10 +15,11 @@
 //     verify across a worker pool, write-disjoint transactions re-execute
 //     speculatively in parallel (with a deterministic serial fix-up for
 //     conflicting ones, so every replica still reaches the identical
-//     state), writes land in the LSM-backed state as one batch, the node
-//     reconstructs the MPT commitment (the per-commit hashing the paper
-//     blames for the record-size collapse in Fig 11), and appends the
-//     block.
+//     state), writes land in the LSM-backed state as one batch, the
+//     block's delta goes to the node's root maintainer, which reconstructs
+//     the MPT commitment on its own worker (the per-commit hashing the
+//     paper blames for the record-size collapse in Fig 11), and the node
+//     appends the block under the latest published root.
 //
 // A consensus entry is a block: the exactly-once header (consensus.Header)
 // and then its transactions' wire bytes back to back, encoded once by the
@@ -27,7 +28,10 @@
 //
 // A node's lifecycle — open, crash, drain while down, rebuild from a
 // checkpoint, catch up from a healthy node's ledger, rejoin, close — is
-// system.Replica's, shared with Fabric and the hybrid prototypes. The
+// system.Replica's, shared with Fabric and the hybrid prototypes, and so
+// is step 4's landing of a block: Replica.Write stages each re-executed
+// write set, Replica.Commit applies them and hands the root maintainer the
+// block's delta, and Replica.Seal appends the ledger block. The
 // drain only keeps the crashed node's consensus member's commit stream
 // read (and its Window current); the entries carry everything, so it owes
 // no one a copy. This package supplies what distinguishes Quorum:
@@ -160,7 +164,7 @@ type Network struct {
 	cfg     Config
 	net     *cluster.Network
 	nodes   []*node
-	clients sync.Map // client name → cryptoutil.PublicKey
+	clients system.Clients
 	// door holds each submitted update pending: the front door's mempool
 	// with Config.Ingress, the direct path's table otherwise.
 	door *ingress.Door
@@ -343,7 +347,7 @@ func (nw *Network) Name() string {
 // RegisterClient makes a client identity known to all nodes; transactions
 // from unknown clients are rejected at execution.
 func (nw *Network) RegisterClient(name string, pub cryptoutil.PublicKey) {
-	nw.clients.Store(name, pub)
+	nw.clients.Register(name, pub)
 }
 
 // Execute implements system.System as the thin Submit+Wait wrapper.
@@ -490,18 +494,17 @@ func (nw *Network) ConsensusDropped() uint64 {
 func (n *node) executeReadOnly(t *txn.Tx) system.Result {
 	var authErr error
 	t.Trace.Time(metrics.PhaseAuth, func() {
-		authErr = n.verifyClient(t)
+		authErr = n.nw.clients.Verify(t)
 	})
 	if authErr != nil {
 		return system.Result{Err: authErr}
 	}
-	var rw txn.RWSet
 	var err error
 	var value []byte
 	t.Trace.Time(metrics.PhaseSimulate, func() {
 		snap := n.St.Snapshot()
 		defer snap.Release()
-		rw, err = registry.Execute(snap, t.Invocation)
+		_, err = registry.Execute(snap, t.Invocation)
 		if inv := t.Invocation; err == nil && inv.Contract == "kv" && inv.Method == "get" && len(inv.Args) == 1 {
 			if v, _, gerr := snap.Get(string(inv.Args[0])); gerr == nil {
 				value = v
@@ -511,16 +514,7 @@ func (n *node) executeReadOnly(t *txn.Tx) system.Result {
 	if err != nil {
 		return system.Result{Reason: occ.OK, Err: err}
 	}
-	_ = rw
 	return system.Result{Committed: true, Value: value}
-}
-
-func (n *node) verifyClient(t *txn.Tx) error {
-	pubAny, ok := n.nw.clients.Load(t.Client)
-	if !ok {
-		return fmt.Errorf("quorum: unknown client %s", t.Client)
-	}
-	return t.VerifyClient(pubAny.(cryptoutil.PublicKey))
 }
 
 // proposeLoop batches pending transactions into blocks when this node
@@ -662,22 +656,7 @@ func (n *node) release(nb *nodeBlock) {
 // identical either way.
 func (n *node) validateBlock(nb *nodeBlock) {
 	nb.authErrs = append(nb.authErrs[:0], make([]error, len(nb.Txs))...)
-	if n.nw.cfg.BatchVerify {
-		keys := func(client string) (cryptoutil.PublicKey, bool) {
-			pubAny, ok := n.nw.clients.Load(client)
-			if !ok {
-				return cryptoutil.PublicKey{}, false
-			}
-			return pubAny.(cryptoutil.PublicKey), true
-		}
-		pipeline.ParallelChunks(n.pipe.Workers(), len(nb.Txs), func(lo, hi int) {
-			copy(nb.authErrs[lo:hi], txn.VerifyClientBatch(nb.Txs[lo:hi], keys))
-		})
-		return
-	}
-	pipeline.Parallel(n.pipe.Workers(), len(nb.Txs), func(i int) {
-		nb.authErrs[i] = n.verifyClient(nb.Txs[i])
-	})
+	n.nw.clients.VerifyAll(nb.Txs, nb.authErrs, n.pipe.Workers(), n.nw.cfg.BatchVerify)
 }
 
 // applyBlock re-executes the block and commits state (pipeline Apply
@@ -701,12 +680,13 @@ func (n *node) applyBlock(nb *nodeBlock) {
 			return registry.Execute(view, nb.Txs[i].Invocation)
 		})
 
-	// Stage writes in block order (later writers win) and collect the
-	// block's delta for the root maintainer. The MPT no longer sits on
-	// this path — the per-block hashing of Fig 11 moved to the
-	// maintainer's worker (internal/authstate).
-	stage := n.St.NewBlock()
-	var deltas []state.VersionedWrite
+	// Stage writes in block order (later writers win) and commit them as
+	// one block; Replica.Commit hands the block's delta to the root
+	// maintainer, whose worker does the per-block hashing of Fig 11 off
+	// this path (internal/authstate). Submit only blocks when the
+	// maintainer trails by a full queue — the backpressure that bounds root
+	// staleness. A failed commit's error travels to Seal, which reports it
+	// to every client waiting on the block.
 	for i := range nb.Txs {
 		if err := errs[i]; err != nil {
 			if nb.authErrs[i] != nil {
@@ -716,26 +696,10 @@ func (n *node) applyBlock(nb *nodeBlock) {
 			}
 			continue
 		}
-		ver := txn.Version{BlockNum: blockNum, TxNum: uint32(i)}
-		for _, w := range rws[i].Writes {
-			stage.Stage(w, ver)
-			deltas = append(deltas, state.VersionedWrite{Write: w, Version: ver})
-		}
+		n.Write(rws[i].Writes, txn.Version{BlockNum: blockNum, TxNum: uint32(i)})
 		nb.results[i] = system.Result{Committed: true}
 	}
-	// A failed commit no longer panics the node: the error travels to
-	// Seal, which reports it to every client waiting on the block.
-	if err := stage.Commit(); err != nil {
-		nb.commitErr = fmt.Errorf("quorum node %d: block commit: %w", n.id, err)
-		return
-	}
-	// Hand the committed delta to the root maintainer. Submit only blocks
-	// when the maintainer trails by a full queue — the backpressure that
-	// bounds root staleness. ErrClosed means the node is shutting down;
-	// the delta dies with it, as a crash would lose it.
-	if err := n.Auth.Submit(blockNum, deltas); err != nil && err != authstate.ErrClosed {
-		nb.commitErr = fmt.Errorf("quorum node %d: root maintainer: %w", n.id, err)
-	}
+	nb.commitErr = n.Commit(blockNum)
 }
 
 // sealBlock appends the ledger block and resolves the waiting clients
@@ -746,13 +710,12 @@ func (n *node) sealBlock(nb *nodeBlock) {
 		// seal path no longer waits for (or computes) this block's root, so
 		// the commitment may trail Number by a bounded number of blocks
 		// (authstate's queue depth plus the publish interval).
-		stateRoot, stateRootHeight := n.PublishedRoot()
 		// Blocks persist their transactions whole (marshalled, as real
 		// Quorum blocks do), which is what makes the ledger a sufficient
 		// replay source for crash recovery. The bytes are the proposer's,
 		// in the entry itself; the transaction root over them is this
 		// node's own.
-		n.Ledger.Seal(nb.Raw, stateRoot, stateRootHeight)
+		n.Seal(nb.Raw)
 	}
 
 	// The first node to seal a transaction resolves its waiting clients

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,6 +84,16 @@ func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (
 //     was given again.
 //   - Close: stop the loops or the drain, wait, close the engines.
 //
+// Between those, every block lands the same way, whatever the system's
+// order of execution and validation: the system's apply stage stages the
+// block's valid write sets with Write and lands them with Commit — one
+// grouped store commit, and the block's delta to the root maintainer —
+// and its seal stage appends the ledger block with Seal. The staging
+// block is the replica's own, kept for its lifetime and remade on the
+// restored store by Rebuild, so a block costs no staging allocations;
+// Write and Commit run on the replica's one committer (its apply stage,
+// or CatchUp's stage while the loops are stopped).
+//
 // The engine fields are exported for the embedding system's stage
 // functions and inspection accessors; only the runtime assigns them, and
 // only while the replica's loops are stopped.
@@ -97,6 +108,8 @@ type Replica struct {
 	Proofs *authstate.ProofServer
 	// Ckpt is nil when checkpointing is off.
 	Ckpt *recovery.Checkpointer
+	// blk stages the next block's writes over St (Write, Commit).
+	blk *state.Block
 	// Delivered is the newest position of the ordered stream the replica
 	// has consumed — stored by the system's decode stage while live, by its
 	// drain, if it has one, while down.
@@ -125,6 +138,7 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 		return nil, fmt.Errorf("%s: open state engine: %w", cfg.Label, err)
 	}
 	r.St = state.New(eng, 0)
+	r.blk = r.St.NewBlock()
 	if err := r.startAuth(); err != nil {
 		r.closeEngines()
 		return nil, err
@@ -297,7 +311,7 @@ func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.St
 		return stats, fmt.Errorf("%s: reopen state engine: %w", r.cfg.Label, err)
 	}
 	st := state.New(eng, 0)
-	r.St, r.Ledger = st, ledger.New()
+	r.St, r.blk, r.Ledger = st, st.NewBlock(), ledger.New()
 	if r.cfg.Checkpoint.Interval > 0 {
 		if r.Ckpt, stats, err = recovery.RestoreCheckpointer(st, r.ckptOptions(), maxCkptHeight); err != nil {
 			return stats, err
@@ -411,16 +425,46 @@ func (r *Replica) Close() {
 	r.closeEngines()
 }
 
-// PublishedRoot returns the latest published signed root and its height,
-// for a sealed header — possibly a few blocks behind the block being
-// sealed (bounded staleness); zero without a maintainer.
-func (r *Replica) PublishedRoot() (root cryptoutil.Hash, height uint64) {
+// Write stages one transaction's write set at ver into the replica's
+// block; a later write of a key wins at Commit.
+func (r *Replica) Write(ws []txn.Write, ver txn.Version) { r.blk.StageAll(ws, ver) }
+
+// Commit lands the staged block at height: the writes go to the store in
+// one grouped commit and, with a root maintainer, to the maintainer as the
+// block's delta — a copy of its own, which no later block writes into, so
+// the maintainer's worker hashes it while the replica stages the next one.
+// The block is empty afterwards either way; a failed apply drops its
+// writes. A maintainer closed by a shutdown (authstate.ErrClosed) is not
+// an error: the delta dies with the replica, as a crash would lose it.
+func (r *Replica) Commit(height uint64) error {
+	var delta []state.VersionedWrite
 	if r.Auth != nil {
-		if up, ok := r.Auth.Published(); ok {
-			return up.Root.Root, up.Root.Height
+		delta = slices.Clone(r.blk.Writes())
+	}
+	if err := r.blk.Commit(); err != nil {
+		return fmt.Errorf("%s: block commit: %w", r.cfg.Label, err)
+	}
+	if r.Auth != nil {
+		if err := r.Auth.Submit(height, delta); err != nil && err != authstate.ErrClosed {
+			return fmt.Errorf("%s: root maintainer: %w", r.cfg.Label, err)
 		}
 	}
-	return root, 0
+	return nil
+}
+
+// Seal appends the ledger block of the transactions raw. With a root
+// maintainer its header carries the latest published signed root — which
+// may trail the block by the maintainer's queue and publish interval
+// (bounded staleness); without one, a zero root at height 0.
+func (r *Replica) Seal(raw [][]byte) {
+	var root cryptoutil.Hash
+	var height uint64
+	if r.Auth != nil {
+		if up, ok := r.Auth.Published(); ok {
+			root, height = up.Root.Root, up.Root.Height
+		}
+	}
+	r.Ledger.Seal(raw, root, height)
 }
 
 // MaybeCheckpoint runs the checkpoint policy at a block boundary. Systems

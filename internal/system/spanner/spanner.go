@@ -80,6 +80,10 @@ type Cluster struct {
 
 var _ system.System = (*Cluster)(nil)
 
+// registry holds the contracts every transaction runs, KV and Smallbank;
+// Execute only reads it.
+var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
+
 // shard is a Raft-replicated partition with a lock table. The lock table
 // is coordination state, held once per shard on the client-facing path —
 // it is not replicated, exactly as a lock leader's in-memory lock table
@@ -383,8 +387,7 @@ func (c *Cluster) ReadState(key string) ([]byte, bool) {
 // simulate runs the contract against cross-shard committed state and also
 // returns the full set of touched keys (reads ∪ writes) for locking.
 func (c *Cluster) simulate(inv txn.Invocation) (txn.RWSet, []string, error) {
-	reg := contract.NewRegistry(contract.KV{}, contract.Smallbank{})
-	rw, err := reg.Execute(&clusterState{c: c}, inv)
+	rw, err := registry.Execute(&clusterState{c: c}, inv)
 	if err != nil {
 		return txn.RWSet{}, nil, err
 	}
