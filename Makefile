@@ -49,6 +49,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzVerifyBatchMatchesSerial$$' -fuzztime=30s ./internal/cryptoutil/
 	go test -run '^$$' -fuzz '^FuzzVerifyMatchesReference$$' -fuzztime=30s ./internal/cryptoutil/
 	go test -run '^$$' -fuzz '^FuzzVerifyProof$$' -fuzztime=30s ./internal/ads/mpt/
+	go test -run '^$$' -fuzz '^FuzzStubMatchesReference$$' -fuzztime=30s ./internal/contract/
 	go test -run '^$$' -fuzz '^FuzzLexMatchesReference$$' -fuzztime=30s ./internal/system/tidb/
 	go test -run '^$$' -fuzz '^FuzzRegionCmdRoundTrip$$' -fuzztime=30s ./internal/system/tidb/
 	go test -run '^$$' -fuzz '^FuzzShardCmdRoundTrip$$' -fuzztime=30s ./internal/system/ahl/

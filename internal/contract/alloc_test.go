@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -26,36 +27,52 @@ func bankOf(tb testing.TB, n int) (*mapState, *Registry) {
 
 func acct(i int) []byte { return []byte(fmt.Sprintf("acct%08d", i)) }
 
-var executeCases = []struct {
-	method string
-	args   [][]byte
+// executeCase is one invocation whose allocations are pinned.
+type executeCase struct {
+	name   string
+	inv    txn.Invocation
+	abort  bool // the contract rejects it on a business rule
 	allocs float64
-}{
-	// The stub, one key per account, one copy per written balance.
-	{"send_payment", [][]byte{acct(0), acct(1), EncodeInt64(5)}, 5},
-	{"deposit_checking", [][]byte{acct(0), EncodeInt64(5)}, 3},
+}
+
+func smallbankCall(method string, args ...[]byte) txn.Invocation {
+	return txn.Invocation{Contract: SmallbankName, Method: method, Args: args}
+}
+
+var executeCases = []executeCase{
+	// The stub alone: the keys and balances fit in its space, and an abort
+	// returns a package-level error.
+	{"send_payment", smallbankCall("send_payment", acct(0), acct(1), EncodeInt64(5)), false, 1},
+	{"deposit_checking", smallbankCall("deposit_checking", acct(0), EncodeInt64(5)), false, 1},
+	{"amalgamate", smallbankCall("amalgamate", acct(0), acct(1)), false, 1},
+	{"send_payment_abort", smallbankCall("send_payment", acct(0), acct(1), EncodeInt64(2_000_000)), true, 1},
+	// The stub and the value's copy, which outgrows the space.
+	{"kv_modify", txn.Invocation{Contract: KVName, Method: "modify",
+		Args: [][]byte{[]byte("user000000001"), make([]byte, 1000)}}, false, 2},
+}
+
+// execute runs c once and fails tb unless it ends as c expects.
+func (c executeCase) execute(tb testing.TB, reg *Registry, st StateReader) {
+	_, err := reg.Execute(st, c.inv)
+	if c.abort && !errors.Is(err, ErrAbort) || !c.abort && err != nil {
+		tb.Fatalf("%s: err = %v, want an abort: %v", c.name, err, c.abort)
+	}
 }
 
 // TestExecuteAllocs pins what one execution costs an order-execute replica
-// (every node runs every transaction): the map and its buckets, the order
-// and read slices grown one key at a time, the rebuilt write set and the
-// twice-built keys are gone — send_payment 14 → 5, deposit_checking 9 → 3.
-// (EncodeInt64 inlines into Invoke, so a balance is encoded on the stack
-// and the one copy per write is PutState's.)
+// (every node runs every transaction): the stub, and nothing else unless a
+// value outgrows the stub's space. Keys and balances are copied into that
+// space, a business abort returns a package-level error, and EncodeInt64
+// inlines into Invoke, so a balance is encoded on the stack.
 func TestExecuteAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
 	}
 	st, reg := bankOf(t, 2)
 	for _, c := range executeCases {
-		inv := txn.Invocation{Contract: SmallbankName, Method: c.method, Args: c.args}
-		got := testing.AllocsPerRun(200, func() {
-			if _, err := reg.Execute(st, inv); err != nil {
-				t.Fatal(err)
-			}
-		})
+		got := testing.AllocsPerRun(200, func() { c.execute(t, reg, st) })
 		if got > c.allocs {
-			t.Errorf("%s: %.0f allocs per Execute, want ≤ %.0f", c.method, got, c.allocs)
+			t.Errorf("%s: %.0f allocs per Execute, want ≤ %.0f", c.name, got, c.allocs)
 		}
 	}
 }
@@ -63,13 +80,10 @@ func TestExecuteAllocs(t *testing.T) {
 func BenchmarkContractExecute(b *testing.B) {
 	st, reg := bankOf(b, 2)
 	for _, c := range executeCases {
-		inv := txn.Invocation{Contract: SmallbankName, Method: c.method, Args: c.args}
-		b.Run("method="+c.method, func(b *testing.B) {
+		b.Run("method="+c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := reg.Execute(st, inv); err != nil {
-					b.Fatal(err)
-				}
+				c.execute(b, reg, st)
 			}
 		})
 	}

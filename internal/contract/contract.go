@@ -8,14 +8,19 @@
 // An order-execute replica runs every transaction of every block (a
 // four-node Quorum network executes each one five times, the proposer's
 // pre-execution included), so what one execution allocates is multiplied
-// where a database pays it once. The engine's own share is one allocation,
-// the Stub; a contract adds a string per key it names and PutState a copy
-// per value it keeps.
+// where a database pays it once. One execution is one allocation, the
+// Stub, whether it commits or aborts on a business rule: the keys a
+// contract names (Stub.Key) and the values it keeps (PutState) are copied
+// into space inside the stub, and a business abort is a package-level
+// error. Only what outgrows that space — a 1 KB YCSB value, say — costs an
+// allocation of its own, and so does an error that names its key (a
+// missing Smallbank account).
 package contract
 
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"dichotomy/internal/txn"
 )
@@ -40,7 +45,14 @@ type StateReader interface {
 // A stub is one allocation: reads and writes are recorded in slices that
 // start out backed by arrays inside the struct, sized for the contracts in
 // this tree (Smallbank's widest profile reads 3 and writes 3; a YCSB
-// transaction touches 4), and RWSet hands those slices out.
+// transaction touches 4), and RWSet hands those slices out. The keys Key
+// builds and the values PutState copies go into space, inline too, sized
+// for the same profiles (amalgamate's three 16-byte keys and three 8-byte
+// balances; a 4-key YCSB multi's keys). The space is filled append-only:
+// a byte handed out is never written again, and a stub is never reused or
+// pooled, so every key and value it hands out stays valid for as long as
+// anything holds it (which keeps the stub alive). What does not fit in the
+// space left costs one allocation of its own.
 type Stub struct {
 	state StateReader
 	reads []txn.Read
@@ -53,7 +65,14 @@ type Stub struct {
 
 	readBuf  [4]txn.Read
 	writeBuf [4]txn.Write
+
+	space [spaceLen]byte
+	used  int // bytes of space handed out
 }
+
+// spaceLen is the inline space for keys and values; with it a Stub fills
+// the 448-byte allocation size class.
+const spaceLen = 80
 
 // indexAfter is the write-set size past which Stub looks keys up in a map.
 const indexAfter = 16
@@ -63,6 +82,36 @@ func NewStub(state StateReader) *Stub {
 	s := &Stub{state: state}
 	s.reads, s.writes = s.readBuf[:0], s.writeBuf[:0]
 	return s
+}
+
+// take returns n bytes of space no one has been handed, or a fresh slice
+// when they do not fit. Its capacity is n, so an append by a holder cannot
+// reach bytes handed out after it; with n = 0 it is empty but not nil.
+func (s *Stub) take(n int) []byte {
+	if s.used+n > spaceLen {
+		return make([]byte, n)
+	}
+	b := s.space[s.used : s.used+n : s.used+n]
+	s.used += n
+	return b
+}
+
+// view returns b as a string without copying it, for the keys Key builds.
+// It is sound because every b it is handed comes from take and nothing
+// writes into it afterwards: the space is append-only and a stub is never
+// reused or pooled. The string shares b's bytes: writing into them,
+// anywhere, is undefined behaviour.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Key returns the key prefix+id, built in the stub's space; contracts name
+// every key they read or write through it, so the bytes a transaction's
+// arguments arrive in are never kept. The string is valid for as long as
+// anything holds it.
+func (s *Stub) Key(prefix string, id []byte) string {
+	b := s.take(len(prefix) + len(id))
+	n := copy(b, prefix)
+	copy(b[n:], id)
+	return view(b)
 }
 
 // written returns the position of key in the write set, or -1.
@@ -116,10 +165,12 @@ func (s *Stub) GetState(key string) ([]byte, error) {
 	return v, nil
 }
 
-// PutState buffers a write. The value is copied; an empty one stays a
-// present, empty value (nil is how the write set spells a delete).
+// PutState buffers a write. The value is copied, into the stub's space
+// while it fits and into an allocation of its own past that, and the copy
+// is never written again; an empty value stays a present, empty value (nil
+// is how the write set spells a delete).
 func (s *Stub) PutState(key string, value []byte) {
-	v := make([]byte, len(value))
+	v := s.take(len(value))
 	copy(v, value)
 	s.write(key, v)
 }
@@ -128,8 +179,11 @@ func (s *Stub) PutState(key string, value []byte) {
 func (s *Stub) DelState(key string) { s.write(key, nil) }
 
 // RWSet returns the recorded effect of the invocation: the stub's own
-// slices, so the invocation is over — the stub must not be used again.
+// slices, so the invocation is over — the stub must not be used again. It
+// drops the state reader: a value the store keeps holds its stub, and must
+// not hold the snapshot or block overlay the stub read through as well.
 func (s *Stub) RWSet() txn.RWSet {
+	s.state = nil
 	return txn.RWSet{Reads: s.reads, Writes: s.writes}
 }
 

@@ -29,7 +29,7 @@ func (KV) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 1 {
 			return fmt.Errorf("kv: get wants 1 arg, got %d", len(args))
 		}
-		_, err := stub.GetState(string(args[0]))
+		_, err := stub.GetState(stub.Key("", args[0]))
 		if errors.Is(err, ErrNotFound) {
 			return nil // reading an absent key is not an error for YCSB
 		}
@@ -38,13 +38,13 @@ func (KV) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 2 {
 			return fmt.Errorf("kv: put wants 2 args, got %d", len(args))
 		}
-		stub.PutState(string(args[0]), args[1])
+		stub.PutState(stub.Key("", args[0]), args[1])
 		return nil
 	case "modify":
 		if len(args) != 2 {
 			return fmt.Errorf("kv: modify wants 2 args, got %d", len(args))
 		}
-		key := string(args[0])
+		key := stub.Key("", args[0])
 		if _, err := stub.GetState(key); err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
@@ -55,7 +55,7 @@ func (KV) Invoke(stub *Stub, method string, args [][]byte) error {
 			return fmt.Errorf("kv: multi wants key/value pairs, got %d args", len(args))
 		}
 		for i := 0; i < len(args); i += 2 {
-			key := string(args[i])
+			key := stub.Key("", args[i])
 			if _, err := stub.GetState(key); err != nil && !errors.Is(err, ErrNotFound) {
 				return err
 			}

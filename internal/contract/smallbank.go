@@ -18,9 +18,21 @@ const SmallbankName = "smallbank"
 // Name implements Contract.
 func (Smallbank) Name() string { return SmallbankName }
 
-// Account key layout.
-func savingsKey(id []byte) string  { return "sav:" + string(id) }
-func checkingKey(id []byte) string { return "chk:" + string(id) }
+// Account key layout: a prefix and the account id, built through Stub.Key.
+const (
+	savings  = "sav:"
+	checking = "chk:"
+)
+
+// The business-rule aborts. Each is built once, so an aborted transaction
+// costs what a committed one does; errors.Is(err, ErrAbort) holds for all.
+var (
+	errSavingsOverdraft   = fmt.Errorf("%w: savings overdraft", ErrAbort)
+	errNegativeDeposit    = fmt.Errorf("%w: negative deposit", ErrAbort)
+	errNonPositivePayment = fmt.Errorf("%w: non-positive payment", ErrAbort)
+	errInsufficientFunds  = fmt.Errorf("%w: insufficient funds", ErrAbort)
+	errNonPositiveCheck   = fmt.Errorf("%w: non-positive check", ErrAbort)
+)
 
 // Invoke implements Contract. Methods follow the OLTPBench profile set:
 //
@@ -37,22 +49,22 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 3 {
 			return fmt.Errorf("smallbank: create_account wants 3 args")
 		}
-		stub.PutState(checkingKey(args[0]), args[1])
-		stub.PutState(savingsKey(args[0]), args[2])
+		stub.PutState(stub.Key(checking, args[0]), args[1])
+		stub.PutState(stub.Key(savings, args[0]), args[2])
 		return nil
 
 	case "transact_savings":
 		if len(args) != 2 {
 			return fmt.Errorf("smallbank: transact_savings wants 2 args")
 		}
-		sav := savingsKey(args[0])
+		sav := stub.Key(savings, args[0])
 		bal, err := readBalance(stub, sav)
 		if err != nil {
 			return err
 		}
 		amount := DecodeInt64(args[1])
 		if bal+amount < 0 {
-			return fmt.Errorf("%w: savings overdraft", ErrAbort)
+			return errSavingsOverdraft
 		}
 		stub.PutState(sav, EncodeInt64(bal+amount))
 		return nil
@@ -63,9 +75,9 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		}
 		amount := DecodeInt64(args[1])
 		if amount < 0 {
-			return fmt.Errorf("%w: negative deposit", ErrAbort)
+			return errNegativeDeposit
 		}
-		chk := checkingKey(args[0])
+		chk := stub.Key(checking, args[0])
 		bal, err := readBalance(stub, chk)
 		if err != nil {
 			return err
@@ -79,15 +91,15 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		}
 		amount := DecodeInt64(args[2])
 		if amount <= 0 {
-			return fmt.Errorf("%w: non-positive payment", ErrAbort)
+			return errNonPositivePayment
 		}
-		srcKey, dstKey := checkingKey(args[0]), checkingKey(args[1])
+		srcKey, dstKey := stub.Key(checking, args[0]), stub.Key(checking, args[1])
 		src, err := readBalance(stub, srcKey)
 		if err != nil {
 			return err
 		}
 		if src < amount {
-			return fmt.Errorf("%w: insufficient funds", ErrAbort)
+			return errInsufficientFunds
 		}
 		dst, err := readBalance(stub, dstKey)
 		if err != nil {
@@ -103,14 +115,14 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		}
 		amount := DecodeInt64(args[1])
 		if amount <= 0 {
-			return fmt.Errorf("%w: non-positive check", ErrAbort)
+			return errNonPositiveCheck
 		}
-		chkKey := checkingKey(args[0])
+		chkKey := stub.Key(checking, args[0])
 		chk, err := readBalance(stub, chkKey)
 		if err != nil {
 			return err
 		}
-		sav, err := readBalance(stub, savingsKey(args[0]))
+		sav, err := readBalance(stub, stub.Key(savings, args[0]))
 		if err != nil {
 			return err
 		}
@@ -127,7 +139,7 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 2 {
 			return fmt.Errorf("smallbank: amalgamate wants 2 args")
 		}
-		savKey, chkKey, dstKey := savingsKey(args[0]), checkingKey(args[0]), checkingKey(args[1])
+		savKey, chkKey, dstKey := stub.Key(savings, args[0]), stub.Key(checking, args[0]), stub.Key(checking, args[1])
 		sav, err := readBalance(stub, savKey)
 		if err != nil {
 			return err
@@ -149,10 +161,10 @@ func (Smallbank) Invoke(stub *Stub, method string, args [][]byte) error {
 		if len(args) != 1 {
 			return fmt.Errorf("smallbank: query wants 1 arg")
 		}
-		if _, err := readBalance(stub, savingsKey(args[0])); err != nil {
+		if _, err := readBalance(stub, stub.Key(savings, args[0])); err != nil {
 			return err
 		}
-		_, err := readBalance(stub, checkingKey(args[0]))
+		_, err := readBalance(stub, stub.Key(checking, args[0]))
 		return err
 
 	default:

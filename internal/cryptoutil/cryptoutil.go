@@ -208,13 +208,13 @@ func Verify(pub PublicKey, msg []byte, sig Signature) error {
 
 // VerifyDigest checks sig over a precomputed digest under pub.
 //
-// BenchmarkVerifyDigest -benchmem pins the cost: 11 allocs/op, 656 B/op
-// with a cached key, 12 allocs/op, 688 B/op when a literal PublicKey
-// rebuilds the ecdsa.PublicKey per call (linux/amd64, go1.24). Ten are
-// inside crypto/ecdsa, which re-parses the curve point per verify; the
-// eleventh is ecdsaValid's 72-byte DER buffer, heap-allocated only because
-// VerifyASN1's sig parameter escapes. ns/op is P-256 scalar math, which is
-// exactly why the batch, cache, and aggregate layers in sigverify.go exist.
+// BenchmarkVerifyDigest -benchmem pins the cost: 10 allocs/op, 576 B/op
+// with a cached key, 11 allocs/op, 608 B/op when a literal PublicKey
+// rebuilds the ecdsa.PublicKey per call (linux/amd64, go1.24). All ten are
+// inside crypto/ecdsa, which re-parses the curve point per verify;
+// ecdsaValid's DER buffer comes from a pool. ns/op is P-256 scalar math,
+// which is exactly why the batch, cache, and aggregate layers in
+// sigverify.go exist.
 func VerifyDigest(pub PublicKey, digest Hash, sig Signature) error {
 	verifyCount.Add(1)
 	if !ecdsaValid(pub, digest, sig) {
@@ -227,13 +227,20 @@ func VerifyDigest(pub PublicKey, digest Hash, sig Signature) error {
 // callers decide whether the work is accounted per-signature (VerifyDigest)
 // or per-batch (VerifyBatch).
 func ecdsaValid(pub PublicKey, digest Hash, sig Signature) bool {
-	var buf [maxDERLen]byte
+	buf := derBufs.Get().(*[maxDERLen]byte)
 	der, ok := derFromRaw(buf[:0], sig)
-	if !ok {
-		return false
+	if ok {
+		ok = ecdsa.VerifyASN1(pub.runtimeKey(), digest[:], der)
 	}
-	return ecdsa.VerifyASN1(pub.runtimeKey(), digest[:], der)
+	derBufs.Put(buf)
+	return ok
 }
+
+// derBufs holds ecdsaValid's DER buffers. A buffer on ecdsaValid's stack
+// would move to the heap on every call, because VerifyASN1's sig parameter
+// escapes; VerifyASN1 keeps nothing of it past its return, so the buffer
+// goes back to the pool as soon as it has.
+var derBufs = sync.Pool{New: func() any { return new([maxDERLen]byte) }}
 
 // ── Raw r‖s ⇄ DER ───────────────────────────────────────────────────────
 //
