@@ -24,7 +24,9 @@ test:
 # nobody reads, for raft, PBFT and IBFT. The sixth repeats the ledger
 # replicas' one block commit twenty times: the root maintainer's worker
 # hashes each block's delta while the committer stages the next block into
-# the same reused block.
+# the same reused block. The seventh repeats the order-execute ledgers'
+# crash and recovery ten times: CatchUp records the recovery tip while the
+# replica's loops are stopped, and the restarted decode stage reads it.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
@@ -32,6 +34,7 @@ race:
 	go test -race -count=10 -timeout 10m -run 'TestSecondariesCommitConcurrently|TestCommit|TestReplicator' ./internal/system/ ./internal/system/tidb/
 	go test -race -count=20 -timeout 10m -run 'TestLoop' ./internal/consensus/
 	go test -race -count=20 -timeout 10m -run 'TestReplicaCommit' ./internal/system/
+	go test -race -count=10 -timeout 10m -run 'TestCrashEquivalence(Quorum|Bigchain)|TestFailedRecovery' ./internal/system/ ./internal/system/quorum/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

@@ -118,7 +118,7 @@ func chaosWiring(fault string) ([]chaosSystem, func(*chaos.Injector, string) cha
 		// checkpoints, or the chain would persist write-fault holes below
 		// the checkpoint height and repair-by-replay could not reach them.
 		// Exactly one node takes faults: if every store had holes, no
-		// ledger could serve the victim's drained position during repair.
+		// ledger could serve the victim's crash-time position during repair.
 		return chaosLedgers[:2], func(inj *chaos.Injector, _ string) chaosBuild {
 			return chaosBuild{engine: wrapNth(inj, 1), repair: true}
 		}

@@ -101,19 +101,6 @@ type bigchainNode struct {
 	// replays from.
 	appliedMu sync.Mutex
 	applied   [][]byte
-	// skipTo makes the restarted decode stage take-and-discard
-	// transactions a just-finished recovery replay already covered
-	// (position ≤ skipTo).
-	skipTo atomic.Uint64
-}
-
-// position is where committed entry e advances the node to: one further
-// for a transaction, none for a view-change no-op.
-func (n *bigchainNode) position(e consensus.Entry) uint64 {
-	if len(e.Data) <= 8 {
-		return n.Delivered.Load()
-	}
-	return n.Delivered.Load() + 1
 }
 
 var _ system.System = (*Bigchain)(nil)
@@ -236,15 +223,14 @@ func (n *bigchainNode) applyLoop(stop <-chan struct{}) {
 // decodeEntry decodes the node's own view of a committed entry's
 // transaction (pipeline Decode stage); view-change no-ops are skipped.
 // Every transaction advances the node's delivered position, and
-// transactions at or below skipTo (covered by a just-finished recovery
-// replay) are not re-applied.
+// transactions at or below the recovery tip T1 (covered by a
+// just-finished recovery replay, Replica.Consume) are not re-applied.
 func (n *bigchainNode) decodeEntry(e consensus.Entry) (*txn.Block, bool) {
 	if len(e.Data) <= 8 {
 		return nil, false // view-change no-op
 	}
-	pos := n.Delivered.Add(1)
 	n.view.Reset()
-	if pos <= n.skipTo.Load() || n.view.DecodeOne(e.Data[8:]) != nil {
+	if !n.Consume(n.Delivered.Load()+1) || n.view.DecodeOne(e.Data[8:]) != nil {
 		return nil, false
 	}
 	return &n.view, true
@@ -298,10 +284,10 @@ func (s appliedSource) Payloads(h uint64) ([][]byte, bool) {
 
 // CrashValidator kills validator i's execution layer (system.Replica.Crash):
 // the apply pipeline stops and its in-memory state and applied history
-// are lost. Its PBFT replica keeps running behind the drain, which reads
-// and drops the commit stream, so what it commits does not pile up unread.
+// are lost. Its PBFT replica keeps running, and what it commits waits
+// unread in its queue until RecoverValidator restarts the decode stage.
 func (b *Bigchain) CrashValidator(i int) {
-	if n := b.nodes[i]; n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), n.position)) {
+	if n := b.nodes[i]; n.Crash() {
 		n.setApplied(nil)
 	}
 }
@@ -316,8 +302,9 @@ func (n *bigchainNode) setApplied(history [][]byte) {
 // checkpoint with height ≤ maxCkptHeight (0 = newest) plus a replay of
 // healthy validator from's applied history through the node's own apply
 // stage, and then rejoins live consumption (the sequence is
-// system.Replica's). The rejoin step is skipTo, as Quorum's: the restarted
-// decode stage drops transactions the replay already covered.
+// system.Replica's). The restarted decode stage reads the transactions
+// queued since the crash and, as Quorum's does, drops those the replay
+// already covered (Replica.Consume).
 // The network may keep committing throughout — no quiesce is required.
 func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := b.nodes[i], b.nodes[from]
@@ -345,10 +332,8 @@ func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery
 	if err != nil {
 		return stats, err
 	}
-	// Transactions at positions ≤ T1 still buffered in the commit stream
-	// are covered by the replay. Delivered keeps running from D, so they
-	// land at positions D+1..T1 and match.
-	n.skipTo.Store(stats.TipHeight)
+	// Delivered resumes from D, so the queued transactions the replay
+	// covered land at positions D+1..T1 and match.
 	n.Restart(n.applyLoop)
 	return stats, nil
 }

@@ -6,7 +6,7 @@
 // log) as a refinement. The package also contains two runnable
 // mini-prototypes (Veritas-like and BigchainDB-like) used to validate the
 // prediction ordering experimentally. Their replicas' lifecycle — open,
-// crash, drain, rebuild, catch up, rejoin, close — is system.Replica's,
+// crash, rebuild, catch up, rejoin, close — is system.Replica's,
 // shared with Fabric and Quorum, and so is the landing of an ordered batch
 // (Veritas's effects) or transaction (BigchainDB's): Replica.Write stages
 // its writes and Replica.Commit applies them, handing a Veritas verifier's

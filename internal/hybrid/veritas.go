@@ -130,9 +130,9 @@ func (c VeritasConfig) withDefaults() VeritasConfig {
 // sequence number (atomic so recovery and tests can watch catch-up).
 type veritasNode struct {
 	// Replica is the verifier's lifecycle (internal/system). A verifier
-	// needs neither drain nor catch-up: log records are self-contained, so
-	// it resubscribes above its checkpoint and its ordinary pipeline
-	// replays the tail.
+	// needs no catch-up: log records are self-contained, so it
+	// resubscribes above its checkpoint and its ordinary pipeline replays
+	// the tail.
 	*system.Replica
 	v        *Veritas
 	consumer *sharedlog.Consumer
@@ -441,9 +441,9 @@ func (n *veritasNode) sealBatch(vb *veritasBatch) {
 // CrashVerifier kills verifier i (system.Replica.Crash): its apply
 // pipeline stops and its in-memory state — values, versions, cursor — is
 // lost. What survives is the checkpoint directory on disk and the shared
-// log itself, which retains every batch, so no drain is needed.
+// log itself, which retains every batch.
 func (v *Veritas) CrashVerifier(i int) {
-	if n := v.nodes[i]; n.Crash(nil) {
+	if n := v.nodes[i]; n.Crash() {
 		n.consumer.Close()
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -384,10 +385,12 @@ func (s *Service) Stop() {
 		}
 		s.wg.Wait()
 		s.mu.Lock()
-		for _, c := range s.consumers {
+		consumers := s.consumers
+		s.consumers = nil
+		s.mu.Unlock()
+		for _, c := range consumers {
 			c.Close()
 		}
-		s.mu.Unlock()
 	})
 }
 
@@ -424,8 +427,19 @@ type Consumer struct {
 // Batches returns the channel of delivered batches, in order.
 func (c *Consumer) Batches() <-chan Batch { return c.out }
 
-// Close detaches the consumer.
-func (c *Consumer) Close() { c.closeOnce.Do(func() { close(c.stopCh) }) }
+// Close detaches the consumer: its pump stops, and later cuts no longer
+// notify it.
+func (c *Consumer) Close() {
+	c.closeOnce.Do(func() {
+		close(c.stopCh)
+		s := c.svc
+		s.mu.Lock()
+		if i := slices.Index(s.consumers, c); i >= 0 {
+			s.consumers = slices.Delete(s.consumers, i, i+1)
+		}
+		s.mu.Unlock()
+	})
+}
 
 func (c *Consumer) notify() {
 	select {

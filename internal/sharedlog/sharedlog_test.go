@@ -197,6 +197,39 @@ func TestStopClosesConsumers(t *testing.T) {
 	}
 }
 
+// TestCloseDetachesTheConsumer: a closed consumer leaves the service's
+// list, so a hundred subscribe/close cycles — a crashed replica's, or a
+// recovery rehearsal's — leave only the live consumers for each cut to
+// notify, and the live one still receives every batch.
+func TestCloseDetachesTheConsumer(t *testing.T) {
+	svc := service(t, 1)
+	live := svc.Subscribe(1)
+	defer live.Close()
+	const total = 100
+	for i := 0; i < total; i++ {
+		svc.Subscribe(1).Close()
+		if err := svc.Append([]byte(fmt.Sprintf("r-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.mu.Lock()
+	consumers := slices.Clone(svc.consumers)
+	svc.mu.Unlock()
+	if len(consumers) != 1 || consumers[0] != live {
+		t.Fatalf("%d consumers attached after %d subscribe/close cycles, want only the live one", len(consumers), total)
+	}
+	records := readBatches(t, live, total, 10*time.Second)
+	got := make(map[string]bool, total)
+	for _, r := range records {
+		got[string(r)] = true
+	}
+	for i := 0; i < total; i++ {
+		if !got[fmt.Sprintf("r-%d", i)] {
+			t.Fatalf("the live consumer never received r-%d (%d records)", i, len(records))
+		}
+	}
+}
+
 // TestHighVolumeAppendDoesNotWedge regression-tests the follower-drain
 // bug: only orderer 0's committed stream is consumed as the total order,
 // and before the service drained the other replicas' identical streams, a

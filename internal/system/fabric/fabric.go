@@ -42,12 +42,11 @@
 // validated block: the Apply stage stages the valid write sets with
 // Replica.Write and commits them with Replica.Commit, the Seal stage
 // appends the ledger block with Replica.Seal, live and in recovery replay
-// alike. A crashed peer closes its subscription and needs no drain;
-// RecoverPeer subscribes again right above its catch-up tip, as Veritas's
-// verifiers do. This package supplies what distinguishes Fabric: the
-// topology above, the LSM engine and the pipeline stages — when a
-// block's effects are computed (endorsement, before ordering) and
-// checked (validation, after it).
+// alike. A crashed peer closes its subscription; RecoverPeer subscribes
+// again right above its catch-up tip, as Veritas's verifiers do. This
+// package supplies what distinguishes Fabric: the topology above, the LSM
+// engine and the pipeline stages — when a block's effects are computed
+// (endorsement, before ordering) and checked (validation, after it).
 package fabric
 
 import (
@@ -629,7 +628,11 @@ func (p *peer) commitLoop(stop <-chan struct{}) {
 // through as empty blocks: ledger height must track the ordering
 // sequence exactly — block N is always batch N — or the recovery handoff
 // (RecoverPeer) could not align a ledger replay with a log subscription.
+// The subscription starts above the recovery tip, so Consume never skips.
 func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
+	if !p.Consume(batch.Seq) {
+		return nil, false
+	}
 	var b *fabricBlock
 	select {
 	case b = <-p.free:
@@ -639,7 +642,6 @@ func (p *peer) decodeBlock(batch sharedlog.Batch) (*fabricBlock, bool) {
 	for _, rec := range batch.Records {
 		_ = b.DecodeOne(rec) // a foreign record: skipped, the block kept
 	}
-	p.Delivered.Store(batch.Seq)
 	return b, true
 }
 
@@ -780,7 +782,7 @@ func (p *peer) sealBlock(b *fabricBlock) {
 // has to read on its behalf while it is down. Endorsement and query
 // routing skip it from now on.
 func (nw *Network) CrashPeer(i int) {
-	if p := nw.peers[i]; p.Crash(nil) {
+	if p := nw.peers[i]; p.Crash() {
 		p.consumer.Close()
 	}
 }

@@ -161,7 +161,7 @@ func NewGroup[T any](cfg GroupConfig[T]) *Group[T] {
 // re-replication has caught it up (raft.Config.Recovering), while at
 // construction every member is equally empty and someone has to campaign.
 // Callers hold rep.mu or are constructing the group.
-func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckptBytes int64, err error) {
+func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (restored uint64, ckptBytes int64, err error) {
 	st, win := g.cfg.New(), &consensus.Window{}
 	var ckpt *recovery.ChainWriter
 	if rep.ckpt.Dir != "" {
@@ -177,17 +177,17 @@ func (g *Group[T]) start(rep *groupReplica[T], rejoin bool) (skipTo uint64, ckpt
 		if err != nil {
 			return 0, 0, err
 		}
-		skipTo, ckptBytes = ckpt.LastHeight(), ckpt.RestoredBytes()
+		restored, ckptBytes = ckpt.LastHeight(), ckpt.RestoredBytes()
 	}
 	cons := g.cfg.Member(rep.id, g.cfg.Peers, rep.ep, rejoin)
 	rep.state.Store(st)
 	rep.win.Store(win)
 	rep.cons.Store(&cons)
-	rep.applied.Store(skipTo)
+	rep.applied.Store(restored)
 	rep.stopCh = make(chan struct{})
 	rep.wg.Add(1)
-	go g.applyLoop(rep, cons, st, win, ckpt, skipTo, rep.stopCh)
-	return skipTo, ckptBytes, nil
+	go g.applyLoop(rep, cons, st, win, ckpt, restored, rep.stopCh)
+	return restored, ckptBytes, nil
 }
 
 // member returns the member's current consensus node.
@@ -206,7 +206,7 @@ func (g *Group[T]) dump(st *T, win *consensus.Window, emit func(key string, valu
 // too short for a header is a new leader's no-op, and one the window
 // refuses is a later copy of a request already applied (or given up):
 // neither reaches Apply, though both advance the applied index.
-func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, skipTo uint64, stopCh chan struct{}) {
+func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, restored uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
 	dump := func(emit func(key string, value []byte)) { g.dump(st, win, emit) }
 	for {
@@ -217,7 +217,7 @@ func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *cons
 			if !ok {
 				return
 			}
-			if e.Index <= skipTo {
+			if e.Index <= restored {
 				continue // its effects are in the restored checkpoint already
 			}
 			id, first := uint64(0), false
@@ -348,14 +348,14 @@ func (g *Group[T]) Recover(i int) (recovery.Stats, error) {
 		return recovery.Stats{}, fmt.Errorf("%s replica %d: recover: group is closed", g.cfg.Label, i)
 	}
 	start := time.Now()
-	skipTo, ckptBytes, err := g.start(rep, true)
+	restored, ckptBytes, err := g.start(rep, true)
 	if err != nil {
 		return recovery.Stats{}, fmt.Errorf("%s replica %d: recover: %w", g.cfg.Label, i, err)
 	}
 	g.cfg.Net.Restart(rep.id)
 	rep.crashed.Store(false)
 	return recovery.Stats{
-		CheckpointHeight: skipTo,
+		CheckpointHeight: restored,
 		CheckpointBytes:  ckptBytes,
 		RestoreDuration:  time.Since(start),
 	}, nil

@@ -26,18 +26,19 @@
 // proposer. Every node decodes its own views of the entry in its Decode
 // stage and seals the encoded bytes themselves into its ledger.
 //
-// A node's lifecycle — open, crash, drain while down, rebuild from a
-// checkpoint, catch up from a healthy node's ledger, rejoin, close — is
-// system.Replica's, shared with Fabric and the hybrid prototypes, and so
-// is step 4's landing of a block: Replica.Write stages each re-executed
-// write set, Replica.Commit applies them and hands the root maintainer the
-// block's delta, and Replica.Seal appends the ledger block. The
-// drain only keeps the crashed node's consensus member's commit stream
-// read (and its Window current); the entries carry everything, so it owes
-// no one a copy. This package supplies what distinguishes Quorum:
-// consensus inside every node, the LSM engine under an always-on root
-// maintainer, the pipeline stages, which committed entries are blocks
-// (admit), and the skipTo rejoin in RecoverNode.
+// A node's lifecycle — open, crash, rebuild from a checkpoint, catch up
+// from a healthy node's ledger, rejoin, close — is system.Replica's,
+// shared with Fabric and the hybrid prototypes, and so is step 4's landing
+// of a block: Replica.Write stages each re-executed write set,
+// Replica.Commit applies them and hands the root maintainer the block's
+// delta, and Replica.Seal appends the ledger block. While a node is down
+// nothing reads its consensus member's commit stream: the entries carry
+// everything, so they wait in the member's queue, and the restarted decode
+// stage admits each through the node's Window and skips those the
+// recovery replay covered (Replica.Consume). This package supplies what
+// distinguishes Quorum: consensus inside every node, the LSM engine under
+// an always-on root maintainer, the pipeline stages, and which committed
+// entries are blocks (admit).
 package quorum
 
 import (
@@ -197,8 +198,8 @@ var registry = contract.NewRegistry(contract.KV{}, contract.Smallbank{})
 // through its published snapshots.
 type node struct {
 	// Replica is the node's lifecycle (internal/system): engines, loops,
-	// crash, drain, rebuild, catch-up, close. Delivered is the newest
-	// consensus index the node has consumed.
+	// crash, rebuild, catch-up, close. Delivered is the newest consensus
+	// index the node has consumed.
 	*system.Replica
 	id   cluster.NodeID
 	nw   *Network
@@ -209,12 +210,10 @@ type node struct {
 	free      chan *nodeBlock
 	pendingMu sync.Mutex
 	pending   []*txn.Tx
-	// skipTo makes the restarted decode stage take-and-discard entries
-	// the recovery replay already covered (index ≤ skipTo).
-	skipTo atomic.Uint64
 	// win admits the first copy of each block in log order. Like
-	// Delivered it follows the log through a crash: the drain and the
-	// rejoin skip admit through it too.
+	// Delivered it follows the log through a crash: the restarted decode
+	// stage admits the entries queued while the node was down, those the
+	// recovery replay covered included.
 	win consensus.Window
 }
 
@@ -537,16 +536,11 @@ func (n *node) proposeLoop(stop <-chan struct{}) {
 			n.pending = nil
 			n.pendingMu.Unlock()
 			if len(stranded) > 0 {
-				for _, cand := range n.nw.nodes {
-					if cand.cons.IsLeader() && !cand.Crashed() {
-						cand.pendingMu.Lock()
-						cand.pending = append(cand.pending, stranded...)
-						cand.pendingMu.Unlock()
-						stranded = nil
-						break
-					}
-				}
-				if stranded != nil {
+				if cand := n.nw.leaderOr(nil); cand != nil {
+					cand.pendingMu.Lock()
+					cand.pending = append(cand.pending, stranded...)
+					cand.pendingMu.Unlock()
+				} else {
 					// No leader right now; keep them local.
 					n.pendingMu.Lock()
 					n.pending = append(stranded, n.pending...)
@@ -617,13 +611,12 @@ func (n *node) commitLoop(stop <-chan struct{}) {
 // committed stream; an entry that is no block's first copy — a Resend
 // duplicate, or the empty one a new raft leader commits its inherited
 // tail with — or that does not decode therefore still passes through as
-// an empty block, while entries at or below skipTo (covered by a
-// just-finished recovery replay) are admitted and dropped, because the
-// replay already appended their ledger blocks.
+// an empty block, while entries at or below the recovery tip T1 (covered
+// by a just-finished recovery replay, Replica.Consume) are admitted and
+// dropped, because the replay already appended their ledger blocks.
 func (n *node) decodeBlock(e consensus.Entry) (*nodeBlock, bool) {
-	n.Delivered.Store(e.Index)
 	first := n.admit(e)
-	if e.Index <= n.skipTo.Load() {
+	if !n.Consume(e.Index) {
 		return nil, false
 	}
 	var nb *nodeBlock
@@ -741,29 +734,22 @@ func (n *node) sealBlock(nb *nodeBlock) {
 // CrashNode kills node i's execution layer (system.Replica.Crash):
 // propose and commit loops stop and its in-memory state — values,
 // versions, trie, ledger — is lost. Its consensus replica keeps running
-// behind the drain, which reads and drops the commit stream — admitting
-// each entry through the node's Window, which follows the log through the
-// crash — so the entries it commits do not pile up unread (crash the
-// leader and the cluster halts until it re-elects, exactly as a real
-// deployment would; tests crash followers). Submission and query routing
-// skip the node from now on.
-func (nw *Network) CrashNode(i int) {
-	n := nw.nodes[i]
-	n.Crash(system.DrainStream(n.Replica, n.cons.Committed(), func(e consensus.Entry) uint64 {
-		n.admit(e)
-		return e.Index
-	}))
-}
+// (crash the leader and the cluster halts until it re-elects, exactly as
+// a real deployment would; tests crash followers), and the entries it
+// commits wait unread in its queue until RecoverNode restarts the decode
+// stage. Submission and query routing skip the node from now on.
+func (nw *Network) CrashNode(i int) { nw.nodes[i].Crash() }
 
 // RecoverNode rebuilds crashed node i from its newest on-disk checkpoint
 // with height ≤ maxCkptHeight (0 = newest) plus a replay of the healthy
 // node from's ledger through the node's own validate/apply pipeline
 // stages — including the speculative parallel re-execution and the MPT
 // reconstruction of live double execution — and then rejoins live block
-// consumption (the sequence is system.Replica's). Quorum's rejoin step is
-// skipTo: the restarted decode stage admits and drops the entries the
-// replay already covered, and everything above flows through the ordinary
-// pipeline. The network may keep committing throughout — no quiesce is
+// consumption (the sequence is system.Replica's): the restarted decode
+// stage reads the entries queued since the crash, admits and drops those
+// the replay already covered (Replica.Consume), and everything above flows
+// through the ordinary pipeline; indexes align because block N is always
+// entry N (empty-block pass-through in decode). The network may keep committing throughout — no quiesce is
 // required. May be called after each crash; each call rebuilds from
 // scratch.
 func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
@@ -784,10 +770,6 @@ func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stat
 	if err != nil {
 		return stats, err
 	}
-	// Entries ≤ T1 still buffered in the committed stream are covered by
-	// the replay; indexes align because block N is always entry N
-	// (empty-block pass-through in decode).
-	n.skipTo.Store(stats.TipHeight)
 	n.Restart(n.proposeLoop, n.commitLoop)
 	return stats, nil
 }

@@ -64,25 +64,23 @@ func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (
 //   - OpenReplica: engine → store → root maintainer → checkpointer, closing
 //     in reverse on any error.
 //   - Run: the replica's loops, each handed the stop channel.
-//   - Crash: flag → stop the loops → run the drain, if the system gives
-//     one, as the replica's one loop → close checkpointer, maintainer,
+//   - Crash: flag → stop the loops → close checkpointer, maintainer,
 //     store. Every ordered stream carries its payloads whole, so a down
-//     replica owes no one its copies: a drain only keeps reading a stream
-//     that must not back up — a consensus member's commit stream, which
-//     Quorum's and BigchainDB's members keep running behind their crashed
-//     execution layers — and advances Delivered. A shared-log consumer
-//     (Fabric's peer, Veritas's verifier) closes its subscription instead,
-//     and needs none.
-//   - Rebuild → CatchUp → Restart: halt the drain, which pins the hand-off
-//     pivot D = Delivered; restore the newest checkpoint onto a fresh
-//     engine and reseed the maintainer from it; replay a healthy source
-//     through the system's own stage function to a tip T1 ≥ D; restart the
-//     loops. The system's rejoin step resumes the stream at T1+1 — a
-//     resubscription, or a skip over the positions D+1..T1 still buffered
-//     in a commit stream — and positions align because block N is always
-//     stream element N. A failed Rebuild or CatchUp runs the drain Crash
-//     was given again.
-//   - Close: stop the loops or the drain, wait, close the engines.
+//     replica owes no one its copies, and nothing reads its stream: a
+//     consensus member's commit stream — Quorum's and BigchainDB's members
+//     keep running behind their crashed execution layers — queues in its
+//     consensus.Loop, and a shared-log consumer (Fabric's peer, Veritas's
+//     verifier) closes its subscription.
+//   - Rebuild → CatchUp → Restart: restore the newest checkpoint onto a
+//     fresh engine and reseed the maintainer from it; replay a healthy
+//     source through the system's own stage function to a tip T1 ≥ D, the
+//     position consumed when the replica crashed; restart the loops. The
+//     stream resumes above T1 — by resubscription, or, for a commit stream
+//     that queued D+1.. meanwhile, by the decode stage's Consume, which
+//     skips positions up to T1 — and positions align because block N is
+//     always stream element N. A failed Rebuild or CatchUp leaves the
+//     replica as Crash does.
+//   - Close: stop the loops, wait, close the engines.
 //
 // Between those, every block lands the same way, whatever the system's
 // order of execution and validation: the system's apply stage stages the
@@ -111,20 +109,23 @@ type Replica struct {
 	// blk stages the next block's writes over St (Write, Commit).
 	blk *state.Block
 	// Delivered is the newest position of the ordered stream the replica
-	// has consumed — stored by the system's decode stage while live, by its
-	// drain, if it has one, while down.
+	// has consumed, stored by the system's decode stage through Consume.
 	Delivered atomic.Uint64
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	crashed  atomic.Bool
-	// drain is the one Crash was given. It runs as the crashed replica's
-	// only loop, so Stop halts it.
-	drain func(stop <-chan struct{})
+	// tip is T1, the height the last successful CatchUp replayed to.
+	// CatchUp writes it while the loops are stopped, and the decode stage
+	// Restart starts reads it in Consume.
+	tip uint64
+	// source is the replica Rebuild was given to catch up from, nil when
+	// the log itself is the source; CatchUp fails once it crashes.
+	source *Replica
 	// catchUpWait bounds how long CatchUp waits for a live replay source to
-	// apply the tail the replica's drain already consumed: 30 s, which
-	// in-package tests shorten.
+	// apply the tail the replica had consumed before it crashed: 30 s,
+	// which in-package tests shorten.
 	catchUpWait time.Duration
 }
 
@@ -230,60 +231,38 @@ func (r *Replica) Crashed() bool { return r.crashed.Load() }
 // Crash kills the replica: its loops stop (blocks already past validation
 // still seal, as a crash between fsyncs would leave them) and its engines
 // close, losing everything in memory. What survives is what recovery may
-// use: the checkpoint directory and the other replicas. drain, when
-// non-nil, then reads the replica's commit stream until a recovery or
-// Close halts it, so the consensus member behind it never backs up; it
-// runs again after a failed recovery, so it must resume from Delivered.
-// Crash reports false on an already crashed replica.
-func (r *Replica) Crash(drain func(stop <-chan struct{})) bool {
+// use: the checkpoint directory and the other replicas. Nothing reads the
+// replica's stream while it is down; Delivered stays where the decode
+// stage left it, the pivot D of the next recovery. Crash reports false on
+// an already crashed replica.
+func (r *Replica) Crash() bool {
 	if r.crashed.Swap(true) {
 		return false
 	}
 	r.Stop()
-	r.drain = drain
-	r.fail()
+	r.lose()
 	return true
 }
 
-// fail leaves the replica down — at a crash, and after a failed recovery:
-// its engines closed, and its drain, if it has one, running until the next
-// recovery or Close halts it.
-func (r *Replica) fail() {
-	if r.drain != nil {
-		r.restart(r.drain)
-	}
-	r.lose()
+// Consume records pos as the newest stream position the replica has
+// consumed and reports whether it lies above T1, the tip its last recovery
+// replayed to; the decode stage drops an element at or below it, whose
+// block the replay already appended.
+func (r *Replica) Consume(pos uint64) bool {
+	r.Delivered.Store(pos)
+	return pos > r.tip
 }
 
-// DrainStream returns the drain of a crashed replica whose commit stream
-// src must still be read: each element is read and dropped, and pos maps it
-// to the position it advances Delivered to.
-func DrainStream[E any](r *Replica, src <-chan E, pos func(E) uint64) func(stop <-chan struct{}) {
-	return func(stop <-chan struct{}) {
-		for {
-			select {
-			case <-stop:
-				return
-			case e, ok := <-src:
-				if !ok {
-					return
-				}
-				r.Delivered.Store(pos(e))
-			}
-		}
-	}
-}
-
-// Rebuild begins a recovery: it halts the drain, restores the newest
-// checkpoint with height ≤ maxCkptHeight (0 = newest) onto a fresh engine
-// with a rebound checkpointer, starts an empty ledger, and rebuilds the
-// state commitment through the maintainer's delta path — the restored
-// store dumps as one synthetic delta at the checkpoint height, and the
-// replay then feeds per-block deltas as live commits do (the trie root is
+// Rebuild begins a recovery: it restores the newest checkpoint with
+// height ≤ maxCkptHeight (0 = newest) onto a fresh engine with a rebound
+// checkpointer, starts an empty ledger, and rebuilds the state commitment
+// through the maintainer's delta path — the restored store dumps as one
+// synthetic delta at the checkpoint height, and the replay then feeds
+// per-block deltas as live commits do (the trie root is
 // content-determined). A failed Rebuild leaves the replica crashed with
-// its engines closed and its drain running again; it may be retried. It
-// refuses a replica that is not crashed, and a crashed src — the replica
-// to catch up from, nil when the log itself is the source — untouched.
+// its engines closed; it may be retried. It refuses a replica that is not
+// crashed, and a crashed src — the replica to catch up from, nil when the
+// log itself is the source — untouched.
 func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.Stats, err error) {
 	if !r.Crashed() {
 		return stats, fmt.Errorf("%s is not crashed", r.cfg.Label)
@@ -291,11 +270,11 @@ func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.St
 	if src != nil && src.Crashed() {
 		return stats, fmt.Errorf("%s: source %s is crashed", r.cfg.Label, src.cfg.Label)
 	}
-	r.Stop() // the drain: Delivered is the pivot D from here on
+	r.source = src
 	r.lose() // whatever an earlier attempt's system-side step left open
 	defer func() {
 		if err != nil {
-			r.fail()
+			r.lose()
 		}
 	}()
 	if dir := r.dir("state"); dir != "" {
@@ -337,19 +316,19 @@ func (r *Replica) Rebuild(maxCkptHeight uint64, src *Replica) (stats recovery.St
 }
 
 // CatchUp replays src from the replica's height() — zero after Rebuild —
-// through stage until it has reached D, the position the replica had
-// consumed when Rebuild halted its drain (or, without one, when it
-// crashed). Blocks up to stats.CheckpointHeight
-// are already in the restored state: for those stage only copies what the
-// replica keeps of its history; above, it runs the system's live stages.
-// The source keeps committing meanwhile, so each pass replays what it has
-// by now, and while it has not itself applied D yet — or the checkpoint
-// yet — CatchUp waits for it. src must be a value read once: its owner
-// may crash mid-replay, which then shows as a source that stopped growing.
-// A stage error, a gap in the source or a source still below D at the
-// deadline fails the recovery, leaving the replica as Rebuild's failures
-// do, its drain (if any) resuming from D. On success stats.TipHeight is the
-// hand-off tip T1 ≥ D.
+// through stage until it has reached D = Delivered, the position the
+// replica had consumed when it crashed. Blocks up to
+// stats.CheckpointHeight are already in the restored state: for those
+// stage only copies what the replica keeps of its history; above, it runs
+// the system's live stages. The source keeps committing meanwhile, so
+// each pass replays what it has by now, and while it has not itself
+// applied D yet — or the checkpoint yet — CatchUp waits for it. src must
+// be a value read once: its owner may crash mid-replay, which then shows
+// as a source that stopped growing, and fails the recovery at once when
+// that owner is the replica Rebuild was given. A stage error, a gap in the
+// source or a source still below D at the deadline fails the recovery too,
+// leaving the replica as Rebuild's failures do. On success
+// stats.TipHeight is the hand-off tip T1 ≥ D, which Consume skips up to.
 func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage func(n uint64, payloads [][]byte) error, stats *recovery.Stats) error {
 	D := r.Delivered.Load()
 	start := time.Now()
@@ -359,10 +338,11 @@ func (r *Replica) CatchUp(src recovery.BlockSource, height func() uint64, stage 
 		stats.ReplayedBlocks = h - stats.CheckpointHeight
 	}
 	if err != nil {
-		r.fail()
+		r.lose()
 		return err
 	}
 	stats.TipHeight = height()
+	r.tip = stats.TipHeight
 	return nil
 }
 
@@ -378,10 +358,13 @@ func (r *Replica) replayTo(D uint64, deadline time.Time, src recovery.BlockSourc
 		if height() >= D {
 			return nil
 		}
+		if r.source != nil && r.source.Crashed() {
+			return fmt.Errorf("%s: replay source %s crashed below position %d", r.cfg.Label, r.source.cfg.Label, D)
+		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%s: replay source stuck below drained position %d", r.cfg.Label, D)
 		}
-		//lint:allow sleepyloop waiting for the live replay source to apply the drained tail
+		//lint:allow sleepyloop waiting for the live replay source to apply the tail consumed before the crash
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -407,19 +390,15 @@ func (r *Replica) CatchUpLedger(src *ledger.Ledger, stage func(txs []*txn.Tx) er
 	}, stats)
 }
 
-// Restart ends a recovery: the replica is live again and runs loops.
+// Restart ends a recovery: the replica is live again and runs loops on a
+// fresh stop channel.
 func (r *Replica) Restart(loops ...func(stop <-chan struct{})) {
 	r.crashed.Store(false)
-	r.restart(loops...)
-}
-
-// restart runs loops on a fresh stop channel.
-func (r *Replica) restart(loops ...func(stop <-chan struct{})) {
 	r.stopCh, r.stopOnce = make(chan struct{}), sync.Once{}
 	r.Run(loops...)
 }
 
-// Close stops the loops — or the drain — and closes the engines.
+// Close stops the loops and closes the engines.
 func (r *Replica) Close() {
 	r.Stop()
 	r.closeEngines()

@@ -35,7 +35,9 @@ func (e *spyEngine) Close() error {
 func testReplica(t *testing.T, cfg ReplicaConfig) (r *Replica, engines *[]*spyEngine) {
 	t.Helper()
 	engines = new([]*spyEngine)
-	cfg.Label = "test replica"
+	if cfg.Label == "" {
+		cfg.Label = "test replica"
+	}
 	cfg.Engine = func(string) (storage.Engine, error) {
 		e := &spyEngine{Engine: memdb.New()}
 		*engines = append(*engines, e)
@@ -81,7 +83,7 @@ func (c *counter) stage(uint64, [][]byte) error { c.Add(1); return nil }
 
 func TestCatchUpWaitsForSourceBelowD(t *testing.T) {
 	r, _ := testReplica(t, ReplicaConfig{})
-	r.Crash(nil)
+	r.Crash()
 	if _, err := r.Rebuild(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestCatchUpWaitsForSourceBelowD(t *testing.T) {
 
 func TestCatchUpStuckSourceFailsAtDeadline(t *testing.T) {
 	r, engines := testReplica(t, ReplicaConfig{})
-	r.Crash(nil)
+	r.Crash()
 	if _, err := r.Rebuild(0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestCatchUpReportsStageErrorAndSourceGap(t *testing.T) {
 		"source gap": {&fakeSource{height: 3, gone: 2}, func(uint64, [][]byte) error { return nil }, "source missing block 2"},
 	} {
 		r, _ := testReplica(t, ReplicaConfig{})
-		r.Crash(nil)
+		r.Crash()
 		if _, err := r.Rebuild(0, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +183,7 @@ func TestCatchUpLedgerSurvivesSourceCrashingMidReplay(t *testing.T) {
 		src.Ledger.Seal(nil, cryptoutil.Hash{}, 0)
 	}
 	r, _ := testReplica(t, ReplicaConfig{})
-	r.Crash(nil)
+	r.Crash()
 	stats, err := r.Rebuild(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +193,7 @@ func TestCatchUpLedgerSurvivesSourceCrashingMidReplay(t *testing.T) {
 	staged := 0
 	err = r.CatchUpLedger(src.Ledger, func([]*txn.Tx) error {
 		if staged++; staged == 2 {
-			src.Crash(nil)
+			src.Crash()
 		}
 		return nil
 	}, &stats)
@@ -200,6 +202,66 @@ func TestCatchUpLedgerSurvivesSourceCrashingMidReplay(t *testing.T) {
 	}
 	if staged != 3 || stats.ReplayedBlocks != 3 {
 		t.Fatalf("staged %d blocks (stats %+v), want all 3 the source had sealed", staged, stats)
+	}
+}
+
+// The replica handed to Rebuild as the source crashes mid-replay: the
+// catch-up fails as soon as the source has nothing more to give, naming
+// it, instead of waiting out catchUpWait's 30 s.
+func TestCatchUpFailsAtOnceWhenItsSourceCrashes(t *testing.T) {
+	src, _ := testReplica(t, ReplicaConfig{Label: "source replica"})
+	for i := 0; i < 3; i++ {
+		src.Ledger.Seal(nil, cryptoutil.Hash{}, 0)
+	}
+	srcLedger := src.Ledger
+	r, _ := testReplica(t, ReplicaConfig{})
+	r.Crash()
+	stats, err := r.Rebuild(0, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Delivered.Store(5) // the source never gets there
+	staged := 0
+	start := time.Now()
+	err = r.CatchUpLedger(srcLedger, func([]*txn.Tx) error {
+		if staged++; staged == 2 {
+			src.Crash()
+		}
+		return nil
+	}, &stats)
+	if err == nil || !strings.Contains(err.Error(), "replay source source replica crashed below position 5") {
+		t.Fatalf("catch-up from a source that crashed mid-replay: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("gave up after %v; the 30 s deadline, not the crash, ended the catch-up", d)
+	}
+	if staged != 3 || !r.Crashed() {
+		t.Fatalf("staged %d blocks, crashed=%v; want all 3 the source had sealed, and still crashed", staged, r.Crashed())
+	}
+}
+
+// Consume records each stream position and skips those at or below the
+// tip the last catch-up replayed to: the restarted decode stage drops what
+// the replay already appended and takes everything above.
+func TestConsumeSkipsUpToTheRecoveryTip(t *testing.T) {
+	r, _ := testReplica(t, ReplicaConfig{})
+	if !r.Consume(1) {
+		t.Fatal("a never-recovered replica skipped position 1")
+	}
+	r.Crash()
+	if _, err := r.Rebuild(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	var h counter
+	var stats recovery.Stats
+	if err := r.CatchUp(&fakeSource{height: 4}, h.Load, h.stage, &stats); err != nil {
+		t.Fatal(err)
+	}
+	r.Restart()
+	for pos, want := range map[uint64]bool{2: false, 4: false, 5: true} {
+		if got := r.Consume(pos); got != want || r.Delivered.Load() != pos {
+			t.Fatalf("Consume(%d) = %v with Delivered %d after a catch-up to 4; want %v and %d", pos, got, r.Delivered.Load(), want, pos)
+		}
 	}
 }
 
@@ -215,7 +277,7 @@ func TestCatchUpLedgerCopiesThePrefixAndStagesTheTail(t *testing.T) {
 	}
 	seal(2)
 	r, _ := testReplica(t, ReplicaConfig{})
-	r.Crash(nil)
+	r.Crash()
 	stats, err := r.Rebuild(0, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -241,20 +303,12 @@ func TestCatchUpLedgerCopiesThePrefixAndStagesTheTail(t *testing.T) {
 	}
 }
 
-func TestCrashIsIdempotentAndCloseHaltsTheDrain(t *testing.T) {
+func TestCrashIsIdempotentAndStopsTheReplica(t *testing.T) {
 	r, engines := testReplica(t, ReplicaConfig{})
 	looped := make(chan struct{})
 	r.Run(func(stop <-chan struct{}) { <-stop; close(looped) })
 
-	stream := make(chan uint64)
-	drains := 0
-	exited := make(chan struct{})
-	drain := func(stop <-chan struct{}) {
-		drains++
-		DrainStream(r, stream, func(pos uint64) uint64 { return pos })(stop)
-		close(exited)
-	}
-	if !r.Crash(drain) {
+	if !r.Crash() {
 		t.Fatal("first Crash reported the replica already down")
 	}
 	select {
@@ -265,30 +319,8 @@ func TestCrashIsIdempotentAndCloseHaltsTheDrain(t *testing.T) {
 	if !r.Crashed() || r.Ledger != nil || !(*engines)[0].closed.Load() {
 		t.Fatal("Crash left the replica live, its ledger in place or its engine open")
 	}
-	if r.Crash(drain) {
+	if r.Crash() {
 		t.Fatal("second Crash reported it crashed the replica again")
-	}
-
-	// The drain reads the down replica's commit stream and advances
-	// Delivered.
-	id := uint64(1)
-	stream <- id
-	stream <- id + 1
-	for deadline := time.Now().Add(5 * time.Second); r.Delivered.Load() != id+1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("drain delivered up to %d, want %d", r.Delivered.Load(), id+1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	r.Close()
-	select {
-	case <-exited:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close returned with the drain still running")
-	}
-	if drains != 1 {
-		t.Fatalf("%d drains started, want 1", drains)
 	}
 }
 
