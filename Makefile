@@ -20,13 +20,19 @@ test:
 # The fourth repeats the database side's fan-out ten times: calls started
 # before any is waited, give-ups racing resolves, and a region held while
 # the other secondaries commit. The fifth repeats the consensus loop's suite
-# twenty times: a Propose racing Stop, and a replica whose commit stream
-# nobody reads, for raft, PBFT and IBFT. The sixth repeats the ledger
-# replicas' one block commit twenty times: the root maintainer's worker
-# hashes each block's delta while the committer stages the next block into
-# the same reused block. The seventh repeats the order-execute ledgers'
-# crash and recovery ten times: CatchUp records the recovery tip while the
-# replica's loops are stopped, and the restarted decode stage reads it.
+# twenty times, for raft, PBFT and IBFT: a Propose racing Stop, a leader
+# whose log nobody reads, and readers taking committed entries by index
+# under the protocol's lock while it commits more. The sixth repeats the
+# ledger replicas' one block commit twenty times: the root maintainer's
+# worker hashes each block's delta while the committer stages the next
+# block into the same reused block. The seventh repeats the order-execute
+# ledgers' crash and recovery ten times: CatchUp records the recovery tip
+# while the replica's loops are stopped, and the restarted decode stage
+# reads it. The eighth repeats the shared log's sequencer ten times: it
+# reads every orderer's log by index while the orderers commit, and moves
+# the orderer it waits on. The ninth repeats the database side's restart
+# ten times: a recovered member's apply loop reads its new consensus node
+# from the index after its checkpoint while the leader re-replicates.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
@@ -35,6 +41,8 @@ race:
 	go test -race -count=20 -timeout 10m -run 'TestLoop' ./internal/consensus/
 	go test -race -count=20 -timeout 10m -run 'TestReplicaCommit' ./internal/system/
 	go test -race -count=10 -timeout 10m -run 'TestCrashEquivalence(Quorum|Bigchain)|TestFailedRecovery' ./internal/system/ ./internal/system/quorum/
+	go test -race -count=10 -timeout 10m -run 'TestDeliveryDoesNotDependOnOrdererZero|TestConsumersAgreeAcrossLeaderChange|TestBatchTimerDoesNotSkip' ./internal/sharedlog/
+	go test -race -count=10 -timeout 10m -run 'TestGroupRecoverEqualsNeverCrashed|TestGroupCrashSkipsReplica' ./internal/system/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

@@ -12,9 +12,10 @@
 // quorums (2f+1 of 3f+1 vs Raft's f+1 of 2f+1) produce the throughput
 // variance at scale that Fig 7 reports.
 //
-// A consensus.Loop drives each validator and sends what it decides on the
-// commit channel holding no lock of the validator's, so a reader that
-// falls behind its stream stalls that stream alone.
+// A consensus.Loop drives each validator. The validator keeps what it
+// decides, height by height, as its log: a reader takes it by height with
+// Entries, woken by Notify, at its own pace, so a reader that falls behind
+// stalls nobody.
 package ibft
 
 import (
@@ -70,6 +71,8 @@ type Node struct {
 	// the proposer may already be deciding it, so a copy can arrive after
 	// its height; queued, it would be decided a second time.
 	decided [64]cryptoutil.Hash
+	// log holds every decided height's entry, log[h-1] height h's.
+	log []consensus.Entry
 
 	loop consensus.Loop
 }
@@ -195,8 +198,21 @@ func (n *Node) acceptProposalLocked(round uint64, digest cryptoutil.Hash, data [
 	n.stallTicks = roundChangeTicks
 }
 
+// Entries implements consensus.Node: the decided heights from on.
+func (n *Node) Entries(from uint64, buf []consensus.Entry) []consensus.Entry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for h := max(from, 1); h <= uint64(len(n.log)); h++ {
+		buf = append(buf, n.log[h-1])
+	}
+	return buf
+}
+
+// Notify implements consensus.Node.
+func (n *Node) Notify() <-chan struct{} { return n.loop.Notify() }
+
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed(n) }
 
 // IsLeader reports whether this validator proposes the current height.
 func (n *Node) IsLeader() bool {
@@ -348,8 +364,9 @@ func (n *Node) maybeAdvanceLocked() {
 		n.broadcast(commitMsg{Height: n.height, Round: n.round, Digest: n.digest})
 	}
 	if len(n.commits) >= n.quorum() {
-		// Height decided: deliver with embedded metadata and move on.
-		n.loop.Deliver(consensus.Entry{Index: n.height, Data: n.data, Term: n.round})
+		// Height decided: log it with embedded metadata and move on.
+		n.log = append(n.log, consensus.Entry{Index: n.height, Data: n.data, Term: n.round})
+		n.loop.Signal()
 		// Drop the local copy of the decided payload, if queued here.
 		decided := n.digest
 		n.decided[n.height%uint64(len(n.decided))] = decided

@@ -12,38 +12,31 @@ import (
 // timers, IBFT's round-change timer, all counted in ticks.
 const tickInterval = 2 * time.Millisecond
 
-// CommitBuffer is the capacity of a replica's commit channel. Past it,
-// committed entries wait in the loop's delivery queue, which has no bound.
-const CommitBuffer = 4096
-
-// Loop is the driver Raft, PBFT and IBFT share. One goroutine feeds the
-// protocol its clock ticks and inbox messages; a second sends committed
-// entries on the commit channel. The protocol hands an entry over with
-// Deliver under its own lock, and Deliver never blocks, so a reader that
-// falls behind its stream stalls only that stream: the protocol keeps
-// ticking, voting, heartbeating and accepting proposals.
+// Loop is the driver Raft, PBFT and IBFT share: one goroutine feeds the
+// protocol its clock ticks and inbox messages. The protocol keeps its
+// committed entries and serves them by index (Node.Entries); it tells a
+// waiting reader with Signal, which never blocks, so a reader that falls
+// behind, or never reads, stalls nothing: the protocol keeps ticking,
+// voting, heartbeating and accepting proposals.
 type Loop struct {
-	commit chan Entry
+	notify chan struct{} // holds one token once an entry has committed
 	stop   chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
 
-	mu    sync.Mutex
-	queue []Entry       // delivered, not yet sent on commit
-	wake  chan struct{} // holds one token while queue may be non-empty
+	compatOnce sync.Once
+	compat     chan Entry // Committed's stream
 }
 
 // Start runs the loop: tick every tickInterval and handle each message of
 // inbox, on one goroutine, until Stop or until the inbox closes. The loop
 // must already be where tick and handle find it, since either may call
-// Deliver at once.
+// Signal at once.
 func (l *Loop) Start(inbox <-chan cluster.Envelope, tick func(), handle func(cluster.Envelope)) {
-	l.commit = make(chan Entry, CommitBuffer)
+	l.notify = make(chan struct{}, 1)
 	l.stop = make(chan struct{})
-	l.wake = make(chan struct{}, 1)
-	l.wg.Add(2)
+	l.wg.Add(1)
 	go l.run(inbox, tick, handle)
-	go l.send()
 }
 
 func (l *Loop) run(inbox <-chan cluster.Envelope, tick func(), handle func(cluster.Envelope)) {
@@ -65,49 +58,41 @@ func (l *Loop) run(inbox <-chan cluster.Envelope, tick func(), handle func(clust
 	}
 }
 
-// Deliver queues a committed entry for the commit channel. Entries leave in
-// the order they are delivered. Deliver never blocks; after Stop the entry
-// is never sent.
-func (l *Loop) Deliver(e Entry) {
-	l.mu.Lock()
-	l.queue = append(l.queue, e)
-	l.mu.Unlock()
+// Signal tells the reader waiting on Notify that an entry has committed.
+// It never blocks, and works after Stop: the channel is never closed.
+func (l *Loop) Signal() {
 	select {
-	case l.wake <- struct{}{}:
+	case l.notify <- struct{}{}:
 	default:
 	}
 }
 
-// send moves the delivery queue onto the commit channel, holding no lock
-// while it waits on the reader, and closes the channel on Stop: it is the
-// channel's only sender.
-func (l *Loop) send() {
-	defer l.wg.Done()
-	defer close(l.commit)
-	var batch []Entry
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.wake:
-		}
-		l.mu.Lock()
-		batch, l.queue = l.queue, batch[:0]
-		l.mu.Unlock()
-		for _, e := range batch {
-			select {
-			case l.commit <- e:
-			case <-l.stop:
-				return
-			}
-		}
-		// The spare keeps no payload alive once the reader has it.
-		clear(batch)
-	}
-}
+// Notify implements Node.Notify for the protocol.
+func (l *Loop) Notify() <-chan struct{} { return l.notify }
 
-// Committed returns the channel of committed entries; Stop closes it.
-func (l *Loop) Committed() <-chan Entry { return l.commit }
+// Committed implements Node.Committed for the protocol n: a goroutine,
+// started on the first call, reads n's log from index 1 and sends every
+// entry on the returned channel, which Stop closes. benchmark/layers.go is
+// its one caller; once that reads Entries, this and Node.Committed go.
+func (l *Loop) Committed(n Node) <-chan Entry {
+	l.compatOnce.Do(func() {
+		l.compat = make(chan Entry)
+		l.wg.Add(1)
+		go func() {
+			defer l.wg.Done()
+			defer close(l.compat)
+			r := NewReader(n, 1)
+			for e, ok := r.Next(l.stop); ok; e, ok = r.Next(l.stop) {
+				select {
+				case l.compat <- e:
+				case <-l.stop:
+					return
+				}
+			}
+		}()
+	})
+	return l.compat
+}
 
 // Stopped reports whether Stop has been called.
 func (l *Loop) Stopped() bool {
@@ -119,10 +104,16 @@ func (l *Loop) Stopped() bool {
 	}
 }
 
-// Stop ends both goroutines and returns once they have exited and the
-// commit channel is closed. Entries still queued are dropped.
+// Stop ends the loop's goroutines and returns once they have exited; the
+// committed entries stay readable.
 func (l *Loop) Stop() {
 	l.once.Do(func() {
+		// A Committed stream asked for after Stop is closed at once; one
+		// asked for before has its goroutine counted by now.
+		l.compatOnce.Do(func() {
+			l.compat = make(chan Entry)
+			close(l.compat)
+		})
 		close(l.stop)
 		l.wg.Wait()
 	})

@@ -1,9 +1,11 @@
 package consensus_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +53,7 @@ var protocols = []protocol{
 }
 
 // group is four replicas of one protocol on their own network. Every
-// stream but the leader's is read.
+// replica's log but the leader's is read, each through a Reader.
 type group struct {
 	net     *cluster.Network
 	nodes   []consensus.Node
@@ -60,15 +62,22 @@ type group struct {
 	next    uint64         // proposals made so far; each carries its number
 	got     []atomic.Int64 // proposals committed, per replica; the leader's stays 0
 	moved   atomic.Bool    // some follower committed an entry of a later epoch
+	stop    chan struct{}  // ends the readers
 	readers sync.WaitGroup
+	once    sync.Once
 }
 
-// fill starts a group and proposes to its leader until the leader's unread
-// stream holds CommitBuffer entries and more wait behind it.
-func fill(t *testing.T, p protocol) *group {
+// backlog is how many entries the leader commits, unread, before the
+// unread-leader checks run: as many as a commit channel once buffered
+// before its stream stalled, and more.
+const backlog = 4096 + 64
+
+// start starts a group, waits for a leader and starts a reader on every
+// other replica.
+func start(t *testing.T, p protocol) *group {
 	t.Helper()
 	const size = 4
-	g := &group{net: cluster.NewNetwork(cluster.ZeroLink{}), got: make([]atomic.Int64, size)}
+	g := &group{net: cluster.NewNetwork(cluster.ZeroLink{}), got: make([]atomic.Int64, size), stop: make(chan struct{})}
 	peers := make([]cluster.NodeID, size)
 	for i := range peers {
 		peers[i] = cluster.NodeID(i)
@@ -76,13 +85,7 @@ func fill(t *testing.T, p protocol) *group {
 	for _, id := range peers {
 		g.nodes = append(g.nodes, p.start(id, peers, g.net.Register(id, 8192)))
 	}
-	t.Cleanup(func() {
-		for _, n := range g.nodes {
-			n.Stop()
-		}
-		g.net.Close()
-		g.readers.Wait()
-	})
+	t.Cleanup(g.shutdown)
 	for deadline := time.Now().Add(5 * time.Second); g.lead == nil; time.Sleep(time.Millisecond) {
 		for i, n := range g.nodes {
 			if n.IsLeader() {
@@ -100,8 +103,13 @@ func fill(t *testing.T, p protocol) *group {
 		g.readers.Add(1)
 		go func() {
 			defer g.readers.Done()
+			log := consensus.NewReader(n, 1)
 			first, seen := uint64(0), false
-			for e := range n.Committed() {
+			for {
+				e, ok := log.Next(g.stop)
+				if !ok {
+					return
+				}
 				if e.Data == nil {
 					continue // a new leader's or view's no-op
 				}
@@ -113,10 +121,28 @@ func fill(t *testing.T, p protocol) *group {
 			}
 		}()
 	}
-	g.propose(t, consensus.CommitBuffer+64)
-	for deadline := time.Now().Add(10 * time.Second); len(g.lead.Committed()) < consensus.CommitBuffer; time.Sleep(time.Millisecond) {
+	return g
+}
+
+// shutdown stops every replica and the network, and waits for the readers.
+func (g *group) shutdown() {
+	g.once.Do(func() { close(g.stop) })
+	for _, n := range g.nodes {
+		n.Stop()
+	}
+	g.net.Close()
+	g.readers.Wait()
+}
+
+// fill starts a group and proposes backlog entries, which the leader's
+// log holds unread.
+func fill(t *testing.T, p protocol) *group {
+	t.Helper()
+	g := start(t, p)
+	g.propose(t, backlog)
+	for deadline := time.Now().Add(10 * time.Second); len(g.lead.Entries(1, nil)) < backlog; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the leader's stream holds %d entries, want %d", len(g.lead.Committed()), consensus.CommitBuffer)
+			t.Fatalf("the leader's log holds %d entries, want %d", len(g.lead.Entries(1, nil)), backlog)
 		}
 	}
 	return g
@@ -167,12 +193,12 @@ func (g *group) slowest() uint64 {
 	return uint64(least)
 }
 
-// With the leader's stream full and unread, the replica and its group work
-// on: (b) IsLeader and the protocol's own readers answer at once, since a
-// reader may be that stream's consumer; (a) for a second proposals return,
-// the followers commit them, and nobody holds an election, a view change
-// or a round change; (c) Stop returns at once and closes the stream, and
-// every goroutine the group started exits.
+// With the leader's log full and unread, the replica and its group work
+// on: (b) IsLeader, the protocol's own readers and Entries answer at once,
+// since a reader may be that log's consumer; (a) for a second proposals
+// return, the followers commit them, and nobody holds an election, a view
+// change or a round change; (c) Stop returns at once, and every goroutine
+// the group started exits.
 func TestLoopUnreadLeaderStream(t *testing.T) {
 	for _, p := range protocols {
 		t.Run(p.name, func(t *testing.T) {
@@ -184,10 +210,11 @@ func TestLoopUnreadLeaderStream(t *testing.T) {
 					leading bool
 					leader  cluster.NodeID
 					epoch   uint64
+					logged  int
 				}
 				answered := make(chan read, 1)
 				go func() {
-					r := read{leading: g.lead.IsLeader(), leader: g.leadID, epoch: p.epoch(g.lead)}
+					r := read{leading: g.lead.IsLeader(), leader: g.leadID, epoch: p.epoch(g.lead), logged: len(g.lead.Entries(1, nil))}
 					if l, ok := g.lead.(interface{ Leader() cluster.NodeID }); ok {
 						r.leader = l.Leader()
 					}
@@ -195,12 +222,12 @@ func TestLoopUnreadLeaderStream(t *testing.T) {
 				}()
 				select {
 				case r := <-answered:
-					if !r.leading || r.leader != g.leadID || r.epoch != epoch {
-						t.Fatalf("IsLeader %v, Leader %d, epoch %d; want node %d leading in epoch %d",
-							r.leading, r.leader, r.epoch, g.leadID, epoch)
+					if !r.leading || r.leader != g.leadID || r.epoch != epoch || r.logged < backlog {
+						t.Fatalf("IsLeader %v, Leader %d, epoch %d, %d entries; want node %d leading in epoch %d with %d",
+							r.leading, r.leader, r.epoch, r.logged, g.leadID, epoch, backlog)
 					}
 				case <-time.After(100 * time.Millisecond):
-					t.Fatal("IsLeader and the protocol's readers waited on the commit stream")
+					t.Fatal("IsLeader, the protocol's readers and Entries waited on the unread log")
 				}
 			})
 			t.Run("live", func(t *testing.T) {
@@ -223,20 +250,14 @@ func TestLoopUnreadLeaderStream(t *testing.T) {
 			stopped := make(chan struct{})
 			go func() {
 				g.lead.Stop()
-				for range g.lead.Committed() {
-				}
 				close(stopped)
 			}()
 			select {
 			case <-stopped:
 			case <-time.After(time.Second):
-				t.Fatal("Stop with a full stream did not return and close it within 1s")
+				t.Fatal("Stop with a full, unread log did not return within 1s")
 			}
-			for _, n := range g.nodes {
-				n.Stop()
-			}
-			g.net.Close()
-			g.readers.Wait()
+			g.shutdown()
 			deadline := time.Now().Add(time.Second)
 			for runtime.NumGoroutine() > before {
 				if time.Now().After(deadline) {
@@ -248,9 +269,71 @@ func TestLoopUnreadLeaderStream(t *testing.T) {
 	}
 }
 
+// The log is the stream: after a run of proposals every replica holds the
+// same committed entries 1..k and nothing above k, and a Reader started at
+// any j reads exactly j..k — the rule system.Group restarts a member's apply
+// loop by, at its checkpoint's index plus one. Entries into a buffer that is
+// large enough allocates nothing.
+func TestLoopEntriesByIndex(t *testing.T) {
+	for _, p := range protocols {
+		t.Run(p.name, func(t *testing.T) {
+			g := start(t, p)
+			g.propose(t, 100)
+			var logs [][]consensus.Entry
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				logs = logs[:0]
+				for _, n := range g.nodes {
+					logs = append(logs, n.Entries(1, nil))
+				}
+				if slices.IndexFunc(logs, func(l []consensus.Entry) bool { return len(l) != len(logs[0]) }) < 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("the replicas' logs never agreed in length")
+				}
+			}
+			k := uint64(len(logs[0]))
+			if k < 100 {
+				t.Fatalf("the logs hold %d entries for 100 proposals", k)
+			}
+			for i, log := range logs {
+				for j, e := range log {
+					if w := logs[0][j]; e.Index != uint64(j+1) || !bytes.Equal(e.Data, w.Data) || e.Term != w.Term {
+						t.Fatalf("replica %d entry %d is {%d %x %d}, want index %d, data %x, term %d",
+							i, j, e.Index, e.Data, e.Term, j+1, w.Data, w.Term)
+					}
+				}
+				if above := g.nodes[i].Entries(k+1, nil); len(above) != 0 {
+					t.Fatalf("replica %d holds %d entries above %d", i, len(above), k)
+				}
+			}
+			for i, n := range g.nodes {
+				for _, j := range []uint64{1, 2, k / 2, k, k + 1} {
+					log := consensus.NewReader(n, j)
+					for want := j; want <= k; want++ {
+						if e, ok := log.Next(g.stop); !ok || e.Index != want {
+							t.Fatalf("replica %d: a reader from %d read %d (%v), want %d", i, j, e.Index, ok, want)
+						}
+					}
+					stop := make(chan struct{})
+					time.AfterFunc(10*time.Millisecond, func() { close(stop) })
+					if e, ok := log.Next(stop); ok {
+						t.Fatalf("replica %d: a reader from %d read %d past %d", i, j, e.Index, k)
+					}
+				}
+				buf := make([]consensus.Entry, 0, k)
+				if a := testing.AllocsPerRun(50, func() { buf = n.Entries(1, buf[:0]) }); a != 0 {
+					t.Fatalf("replica %d: Entries into a large enough buffer allocates %v times", i, a)
+				}
+			}
+		})
+	}
+}
+
 // (d) A Propose racing Stop on a one-member group returns ErrStopped once
-// the stop lands, and never sends on the closed commit channel: a one-member
-// raft group commits inside Propose, after its loop may have exited.
+// the stop lands and does not panic: a one-member raft group commits inside
+// Propose, after its loop may have exited, and signals a Notify channel
+// that is never closed. The log stays readable after Stop.
 func TestLoopProposeRacingStop(t *testing.T) {
 	const members = 100
 	for _, p := range protocols {
@@ -286,7 +369,10 @@ func TestLoopProposeRacingStop(t *testing.T) {
 				if err := <-refused; !errors.Is(err, consensus.ErrStopped) {
 					t.Fatalf("member %d: Propose after Stop returned %v, want ErrStopped", i, err)
 				}
-				for range n.Committed() {
+				for j, e := range n.Entries(1, nil) {
+					if e.Index != uint64(j+1) {
+						t.Fatalf("member %d: entry %d of its log after Stop has index %d", i, j, e.Index)
+					}
 				}
 			}
 		})

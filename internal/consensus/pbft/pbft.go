@@ -10,9 +10,10 @@
 // application layer. Checkpointing is replaced by delivering entries in
 // contiguous order, which the systems built on top require anyway.
 //
-// A consensus.Loop drives each replica and sends what it delivers on the
-// commit channel holding no lock of the replica's, so a reader that falls
-// behind its stream stalls that stream alone.
+// A consensus.Loop drives each replica. Delivered instances stay in the
+// replica's instance table, which is its log: a reader takes them by
+// sequence number with Entries, woken by Notify, at its own pace, so a
+// reader that falls behind stalls nobody.
 package pbft
 
 import (
@@ -56,7 +57,6 @@ type instance struct {
 	prepares    map[cluster.NodeID]bool
 	commits     map[cluster.NodeID]bool
 	committed   bool
-	delivered   bool
 	// fetchVotes collects state-transfer replies (fetched) by sender; the
 	// instance is adopted once f+1 peers agree on the digest, so no single
 	// faulty peer can feed this replica a fabricated committed value.
@@ -262,8 +262,23 @@ func (n *Node) drainPendingLocked() {
 	n.pending = nil
 }
 
+// Entries implements consensus.Node: instances from..delivered, which are
+// never deleted (only undelivered ones are, on a view change).
+func (n *Node) Entries(from uint64, buf []consensus.Entry) []consensus.Entry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for seq := max(from, 1); seq <= n.delivered; seq++ {
+		inst := n.instances[seq]
+		buf = append(buf, consensus.Entry{Index: seq, Data: inst.data, Term: inst.view})
+	}
+	return buf
+}
+
+// Notify implements consensus.Node.
+func (n *Node) Notify() <-chan struct{} { return n.loop.Notify() }
+
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed(n) }
 
 // IsLeader implements consensus.Node.
 func (n *Node) IsLeader() bool {
@@ -348,7 +363,7 @@ func (n *Node) retransmitLocked() {
 	}
 	primary := n.primaryOf(n.view)
 	for seq, inst := range n.instances {
-		if seq <= n.delivered || inst.delivered || !inst.prePrepared || inst.view != n.view {
+		if seq <= n.delivered || !inst.prePrepared || inst.view != n.view {
 			continue
 		}
 		if primary == n.cfg.ID {
@@ -389,8 +404,7 @@ func (n *Node) outstandingLocked() bool {
 		// Orphan prepare/commit votes above the watermark count too: they
 		// are evidence the group sequenced something this replica never
 		// saw the pre-prepare for, and the fetch path must keep running.
-		if seq > n.delivered && !inst.delivered &&
-			(inst.prePrepared || len(inst.prepares) > 0 || len(inst.commits) > 0) {
+		if seq > n.delivered && (inst.prePrepared || len(inst.prepares) > 0 || len(inst.commits) > 0) {
 			return true
 		}
 	}
@@ -436,7 +450,7 @@ func (n *Node) onFetch(from cluster.NodeID, msg fetch) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	inst, ok := n.instances[msg.Seq]
-	if !ok || !inst.delivered {
+	if !ok || msg.Seq > n.delivered {
 		return
 	}
 	_ = n.cfg.Endpoint.Send(from, fetched{
@@ -454,9 +468,6 @@ func (n *Node) onFetched(from cluster.NodeID, msg fetched) {
 		return
 	}
 	inst := n.getInstance(msg.Seq)
-	if inst.delivered {
-		return
-	}
 	if inst.fetchVotes == nil {
 		inst.fetchVotes = make(map[cluster.NodeID]cryptoutil.Hash)
 	}
@@ -580,14 +591,13 @@ func (n *Node) deliverReadyLocked() {
 	for {
 		next := n.delivered + 1
 		inst, ok := n.instances[next]
-		if !ok || !inst.committed || inst.delivered {
+		if !ok || !inst.committed {
 			return
 		}
-		inst.delivered = true
 		n.delivered = next
 		delete(n.forwarded, inst.digest)
 		n.assigned[inst.digest] = true
-		n.loop.Deliver(consensus.Entry{Index: next, Data: inst.data, Term: inst.view})
+		n.loop.Signal()
 	}
 }
 

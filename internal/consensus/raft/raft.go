@@ -11,10 +11,11 @@
 // leader step-down on higher terms are all present, which the failover
 // tests exercise.
 //
-// A consensus.Loop drives each replica: it runs the clock and the inbox,
-// and it sends the entries the core commits on the commit channel holding
-// no lock of the core's, so a reader that falls behind its stream stalls
-// that stream alone. The core never holds n.mu across a channel operation.
+// A consensus.Loop drives each replica: it runs the clock and the inbox.
+// The log is the commit stream: a reader takes n.log[from..commitIndex]
+// with Entries, woken by Notify, at its own pace, so a reader that falls
+// behind stalls nobody. The core never holds n.mu across a channel
+// operation.
 package raft
 
 import (
@@ -85,7 +86,6 @@ type Node struct {
 	leaderID    cluster.NodeID // -1 when unknown
 	log         []logEntry     // log[0] is a sentinel with Term 0
 	commitIndex uint64
-	applied     uint64
 	nextIndex   map[cluster.NodeID]uint64
 	matchIndex  map[cluster.NodeID]uint64
 	votes       map[cluster.NodeID]bool
@@ -188,8 +188,22 @@ func (n *Node) appendLocal(data []byte) {
 	n.advanceCommitLocked()
 }
 
+// Entries implements consensus.Node: the log's entries from..commitIndex,
+// which no truncation reaches.
+func (n *Node) Entries(from uint64, buf []consensus.Entry) []consensus.Entry {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i := max(from, 1); i <= n.commitIndex; i++ {
+		buf = append(buf, consensus.Entry{Index: i, Data: n.log[i].Data, Term: n.log[i].Term})
+	}
+	return buf
+}
+
+// Notify implements consensus.Node.
+func (n *Node) Notify() <-chan struct{} { return n.loop.Notify() }
+
 // Committed implements consensus.Node.
-func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed() }
+func (n *Node) Committed() <-chan consensus.Entry { return n.loop.Committed(n) }
 
 // IsLeader implements consensus.Node.
 func (n *Node) IsLeader() bool {
@@ -458,6 +472,7 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 	match := msg.PrevLogIndex + uint64(len(msg.Entries))
 	if msg.LeaderCommit > n.commitIndex {
 		n.commitIndex = min(msg.LeaderCommit, n.lastIndex())
+		n.loop.Signal()
 	}
 	if n.recovering && n.lastIndex() >= msg.LeaderCommit {
 		// The log now covers everything the leader has committed, and
@@ -467,7 +482,6 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 		n.recovering = false
 	}
 	term := n.term
-	n.applyLocked()
 	n.mu.Unlock()
 	_ = n.cfg.Endpoint.Send(from, appendResponse{Term: term, Success: true, MatchIndex: match})
 }
@@ -522,14 +536,6 @@ func (n *Node) advanceCommitLocked() {
 	idx := matches[len(matches)-q]
 	if idx > n.commitIndex && n.log[idx].Term == n.term {
 		n.commitIndex = idx
-	}
-	n.applyLocked()
-}
-
-func (n *Node) applyLocked() {
-	for n.applied < n.commitIndex {
-		n.applied++
-		e := n.log[n.applied]
-		n.loop.Deliver(consensus.Entry{Index: n.applied, Data: e.Data, Term: e.Term})
+		n.loop.Signal()
 	}
 }

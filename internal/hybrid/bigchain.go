@@ -83,13 +83,16 @@ func (c BigchainConfig) withDefaults() BigchainConfig {
 // capped by the ledger order, as the paper's model demands.
 type bigchainNode struct {
 	// Replica is the validator's lifecycle (internal/system). Delivered
-	// counts the transactions the node has consumed from its commit
-	// stream: PBFT totally orders transactions and every entry carries
-	// exactly one, so the count IS the node's position in the global
-	// applied sequence.
+	// counts the transactions the node has consumed from its log: PBFT
+	// totally orders transactions and every entry carries exactly one, so
+	// the count IS the node's position in the global applied sequence.
 	*system.Replica
 	b    *Bigchain
 	cons consensus.Node
+	// log is the decode stage's position in cons's log, which a view
+	// change's no-ops put ahead of Delivered. Like Delivered it follows the
+	// log through a crash: the restarted decode stage reads on from it.
+	log  *consensus.Reader
 	pipe *pipeline.Pipeline[consensus.Entry, *txn.Block]
 	// view is the block the Decode stage decodes each entry into, reused:
 	// at depth 1 an entry is applied before the next is decoded.
@@ -143,6 +146,7 @@ func NewBigchain(cfg BigchainConfig) (*Bigchain, error) {
 				Apply:  func(v *txn.Block) { n.apply(v.Txs[0], v.Raw[0]) },
 			})
 		n.cons = pbft.New(pbft.Config{ID: id, Peers: peers, Endpoint: b.net.Register(id, 8192)})
+		n.log = consensus.NewReader(n.cons, 1)
 		b.nodes = append(b.nodes, n)
 	}
 	for _, n := range b.nodes {
@@ -214,10 +218,10 @@ func (b *Bigchain) propose(data []byte) error {
 	}
 }
 
-// applyLoop drives the node's pipeline over the consensus commit stream
-// until shutdown.
+// applyLoop drives the node's pipeline over the consensus log until
+// shutdown.
 func (n *bigchainNode) applyLoop(stop <-chan struct{}) {
-	n.pipe.Run(n.cons.Committed(), stop)
+	n.pipe.Run(n.log.Next, stop)
 }
 
 // decodeEntry decodes the node's own view of a committed entry's
@@ -284,8 +288,8 @@ func (s appliedSource) Payloads(h uint64) ([][]byte, bool) {
 
 // CrashValidator kills validator i's execution layer (system.Replica.Crash):
 // the apply pipeline stops and its in-memory state and applied history
-// are lost. Its PBFT replica keeps running, and what it commits waits
-// unread in its queue until RecoverValidator restarts the decode stage.
+// are lost. Its PBFT replica keeps running, and nothing reads what it
+// commits until RecoverValidator restarts the decode stage.
 func (b *Bigchain) CrashValidator(i int) {
 	if n := b.nodes[i]; n.Crash() {
 		n.setApplied(nil)
@@ -302,9 +306,9 @@ func (n *bigchainNode) setApplied(history [][]byte) {
 // checkpoint with height ≤ maxCkptHeight (0 = newest) plus a replay of
 // healthy validator from's applied history through the node's own apply
 // stage, and then rejoins live consumption (the sequence is
-// system.Replica's). The restarted decode stage reads the transactions
-// queued since the crash and, as Quorum's does, drops those the replay
-// already covered (Replica.Consume).
+// system.Replica's). The restarted decode stage reads the log on from
+// where it stopped and, as Quorum's does, drops the transactions the
+// replay already covered (Replica.Consume).
 // The network may keep committing throughout — no quiesce is required.
 func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery.Stats, error) {
 	n, src := b.nodes[i], b.nodes[from]
@@ -332,8 +336,8 @@ func (b *Bigchain) RecoverValidator(i, from int, maxCkptHeight uint64) (recovery
 	if err != nil {
 		return stats, err
 	}
-	// Delivered resumes from D, so the queued transactions the replay
-	// covered land at positions D+1..T1 and match.
+	// Delivered resumes from D, so the transactions committed since the
+	// crash that the replay covered land at positions D+1..T1 and match.
 	n.Restart(n.applyLoop)
 	return stats, nil
 }

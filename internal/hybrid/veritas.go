@@ -354,7 +354,7 @@ func (v *Veritas) ConsensusDropped() uint64 { return v.log.Dropped() }
 // applyLoop drives the verifier's batch pipeline over the shared log
 // until shutdown.
 func (n *veritasNode) applyLoop(stop <-chan struct{}) {
-	n.pipe.Run(n.consumer.Batches(), stop)
+	n.pipe.Run(n.consumer.Next, stop)
 }
 
 // decodeBatch decodes the verifier's own views of a log batch's effect

@@ -52,7 +52,7 @@ func (c Config) withDefaults() Config {
 // consensus.Entry); B is the system's decoded block.
 type Stages[R, B any] struct {
 	// Decode turns a raw record into a block; ok=false skips it (empty
-	// batch, foreign handle). Runs on the intake goroutine.
+	// batch, foreign handle). Runs on the intake goroutine. Required.
 	Decode func(r R) (blk B, ok bool)
 	// Validate runs the block's stateless checks. It may overlap the
 	// previous block's Apply/Seal (Depth ≥ 2), so it must not touch
@@ -74,89 +74,60 @@ type Pipeline[R, B any] struct {
 
 // New builds a pipeline from the config and stage hooks.
 func New[R, B any](cfg Config, st Stages[R, B]) *Pipeline[R, B] {
+	if st.Validate == nil {
+		st.Validate = func(B) {}
+	}
+	if st.Seal == nil {
+		st.Seal = func(B) {}
+	}
 	return &Pipeline[R, B]{cfg: cfg.withDefaults(), st: st}
 }
 
 // Workers returns the effective validation worker pool size.
 func (p *Pipeline[R, B]) Workers() int { return p.cfg.Workers }
 
-// Run consumes src until it closes or stop closes, pushing every record
-// through the stages. It blocks for the pipeline's lifetime — systems call
-// it from their commit goroutine. On stop, blocks already past Validate
-// are still applied and sealed before Run returns, so a block is never
-// half-committed by shutdown.
-func (p *Pipeline[R, B]) Run(src <-chan R, stop <-chan struct{}) {
-	if p.cfg.Depth <= 1 {
-		for {
-			select {
-			case <-stop:
-				return
-			case r, ok := <-src:
-				if !ok {
-					return
-				}
-				if blk, ok := p.decode(r); ok {
-					p.validate(blk)
-					p.st.Apply(blk)
-					p.seal(blk)
-				}
-			}
-		}
-	}
-
-	// Depth ≥ 2: a committer goroutine applies and seals in order while
-	// this goroutine decodes and validates the blocks behind it. The
-	// channel buffer holds Depth-2 validated blocks, so at most Depth
-	// blocks are in flight: one validating, Depth-2 queued, one applying.
-	applyCh := make(chan B, p.cfg.Depth-2)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for blk := range applyCh {
-			p.st.Apply(blk)
-			p.seal(blk)
-		}
-	}()
-	defer func() {
-		close(applyCh)
-		wg.Wait()
-	}()
-	for {
-		select {
-		case <-stop:
-			return
-		case r, ok := <-src:
-			if !ok {
-				return
-			}
-			blk, ok := p.decode(r)
-			if !ok {
-				continue
-			}
-			p.validate(blk)
-			applyCh <- blk
-		}
-	}
-}
-
-func (p *Pipeline[R, B]) decode(r R) (B, bool) {
-	if p.st.Decode == nil {
-		var zero B
-		return zero, false
-	}
-	return p.st.Decode(r)
-}
-
-func (p *Pipeline[R, B]) validate(blk B) {
-	if p.st.Validate != nil {
-		p.st.Validate(blk)
-	}
-}
-
-func (p *Pipeline[R, B]) seal(blk B) {
-	if p.st.Seal != nil {
+// Run pulls records with next until next reports false — stop closed, or
+// the stream ended — pushing every record through the stages. next is the
+// stream's reader: a consensus.Reader's or a sharedlog.Consumer's Next. Run
+// blocks for the pipeline's lifetime — systems call it from their commit
+// goroutine. On stop, blocks already past Validate are still applied and
+// sealed before Run returns, so a block is never half-committed by
+// shutdown.
+func (p *Pipeline[R, B]) Run(next func(stop <-chan struct{}) (R, bool), stop <-chan struct{}) {
+	commit := func(blk B) {
+		p.st.Apply(blk)
 		p.st.Seal(blk)
+	}
+	if p.cfg.Depth >= 2 {
+		// A committer goroutine applies and seals in order while this
+		// goroutine decodes and validates the blocks behind it. The
+		// channel buffer holds Depth-2 validated blocks, so at most Depth
+		// blocks are in flight: one validating, Depth-2 queued, one
+		// applying.
+		applyCh := make(chan B, p.cfg.Depth-2)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func(commit func(B)) {
+			defer wg.Done()
+			for blk := range applyCh {
+				commit(blk)
+			}
+		}(commit)
+		defer func() {
+			close(applyCh)
+			wg.Wait()
+		}()
+		commit = func(blk B) { applyCh <- blk }
+	}
+	for {
+		r, ok := next(stop)
+		if !ok {
+			return
+		}
+		if blk, ok := p.st.Decode(r); ok {
+			p.st.Validate(blk)
+			commit(blk)
+		}
 	}
 }
 

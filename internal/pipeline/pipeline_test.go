@@ -73,7 +73,7 @@ func TestRunAppliesInOrder(t *testing.T) {
 			src <- i
 		}
 		close(src)
-		p.Run(src, stop)
+		p.Run(recv(src), stop)
 		mu.Lock()
 		defer mu.Unlock()
 		want := make([]int, 0, n)
@@ -123,7 +123,7 @@ func TestRunOverlapsValidateWithApply(t *testing.T) {
 	})
 	go func() {
 		defer close(done)
-		p.Run(src, stop)
+		p.Run(recv(src), stop)
 	}()
 	src <- 0
 	src <- 1
@@ -154,7 +154,7 @@ func TestRunStopSealsInFlightBlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.Run(src, stop)
+		p.Run(recv(src), stop)
 	}()
 	src <- 0
 	<-inApply
@@ -246,6 +246,18 @@ func TestWavesDependencies(t *testing.T) {
 					t.Fatalf("%s: wave %d = %v, want %v", tc.name, w, got[w], tc.want[w])
 				}
 			}
+		}
+	}
+}
+
+// recv reads a test's records off a channel, as Run's next.
+func recv(src <-chan int) func(stop <-chan struct{}) (int, bool) {
+	return func(stop <-chan struct{}) (int, bool) {
+		select {
+		case r, ok := <-src:
+			return r, ok
+		case <-stop:
+			return 0, false
 		}
 	}
 }

@@ -6,12 +6,15 @@
 // replication — the property the paper credits for shared logs' throughput
 // staying flat as consumers scale, until producers saturate.
 //
-// The total order is merged from every orderer's committed stream: raft
-// index i is taken from whichever stream delivers it first and later
-// copies are dropped. Raft safety makes every replica's entry at i
-// identical, so this is the order any single stream gives, but it arrives
-// when the leader commits — a follower learns of the commit a heartbeat
-// later — and it does not depend on any one orderer staying reachable.
+// The sequencer reads the total order out of the orderers' logs by raft
+// index, keeping its own position: it waits on the orderer it takes for
+// the leader, and at every wake and every batch-timer firing it takes the
+// entries from its position on from each orderer, that one first. Raft
+// safety makes every replica's entry at index i identical, so this is the
+// order any single log gives, but it arrives when the leader commits — a
+// follower learns of the commit a heartbeat later — and it does not depend
+// on any one orderer staying reachable: the timer's reads find a new
+// leader's entries, and the sequencer waits on it from then on.
 //
 // Batches are cut on size (BatchSize records pending) or by one timer,
 // reset at every cut and at every firing, that cuts whatever is pending
@@ -89,10 +92,10 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg      Config
 	orderers []*raft.Node
-	// lead is one past the index of the orderer whose stream delivered the
-	// newest entry first — the leader, which commits a heartbeat before
-	// its followers — and 0 until an entry has committed. Appends offer a
-	// record to the leader it knows of before the others.
+	// lead is one past the index of the orderer whose log was furthest
+	// ahead at the sequencer's last read — the leader, which commits a
+	// heartbeat before its followers — and 0 until an entry has committed.
+	// Appends offer a record to the leader it knows of before the others.
 	lead atomic.Int32
 
 	flight     consensus.Flight[struct{}] // appended, not yet sequenced
@@ -116,12 +119,6 @@ type Service struct {
 // services New starts: each value run receives on it is one firing.
 var testTicks chan time.Time
 
-// commit is one committed entry and the orderer whose stream carried it.
-type commit struct {
-	consensus.Entry
-	from int
-}
-
 // New starts an ordering service on the given network.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
@@ -140,16 +137,8 @@ func New(cfg Config) *Service {
 			Endpoint: cfg.Net.Register(id, 8192),
 		}))
 	}
-	// Every stream is read, not only the one the order is taken from: an
-	// orderer whose stream nobody reads keeps every entry it commits in
-	// its loop's delivery queue, which grows without bound. The merge holds a few raft replication batches (256 entries each), so a
-	// follower's burst of copies does not hold the leader's stream up.
-	commits := make(chan commit, 1024)
-	s.wg.Add(len(s.orderers) + 1)
-	for i, o := range s.orderers {
-		go s.forward(i, o.Committed(), commits)
-	}
-	go s.run(commits, testTicks)
+	s.wg.Add(1)
+	go s.run(testTicks)
 	// A resend goes to every orderer, not through propose: an orderer cut
 	// off while leading keeps believing it leads, accepts the copy and
 	// loses it again, and the lead it would be offered to first is only
@@ -278,55 +267,49 @@ func (s *Service) Dropped() uint64 {
 	return n
 }
 
-// forward feeds orderer i's committed stream into run's merge until the
-// stream closes or the service stops.
-func (s *Service) forward(i int, src <-chan consensus.Entry, dst chan<- commit) {
+// run takes the total order from the orderers' logs, cuts batches, and
+// fans them out to consumers. The batch timer fires on ticks when they are
+// given, a test's hand-driven clock.
+func (s *Service) run(ticks <-chan time.Time) {
 	defer s.wg.Done()
-	for e := range src {
-		select {
-		case dst <- commit{Entry: e, from: i}:
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
-// run takes the total order from the merged commit streams, cuts batches,
-// and fans them out to consumers. The batch timer fires on ticks when they
-// are given, a test's hand-driven clock.
-func (s *Service) run(commits <-chan commit, ticks <-chan time.Time) {
-	defer s.wg.Done()
-	next := uint64(1) // the raft index the order takes next
+	next, lead := uint64(1), 0 // the raft index the order takes next; the orderer waited on
+	var buf []consensus.Entry
 	timer := time.NewTimer(s.cfg.BatchTimeout)
 	defer timer.Stop()
 	fire := cmp.Or(ticks, timer.C)
 	for {
+		fired := false
 		select {
 		case <-s.stopCh:
 			return
-		case c := <-commits:
-			// Every stream is gapless from index 1, so an index other
-			// than next is one a faster stream already delivered.
-			if c.Index != next {
-				continue
-			}
-			next++
-			s.lead.Store(int32(c.from) + 1)
-			s.mu.Lock()
-			s.sequenceLocked(c.Data)
-			if len(s.pending) >= s.cfg.BatchSize {
-				s.cutLocked()
-				timer.Reset(s.cfg.BatchTimeout)
-			}
-			s.mu.Unlock()
+		case <-s.orderers[lead].Notify():
 		case <-fire:
-			s.mu.Lock()
-			if len(s.pending) > 0 {
-				s.cutLocked()
-			}
-			s.mu.Unlock()
+			fired = true
 			timer.Reset(s.cfg.BatchTimeout)
 		}
+		// Each log is gapless from index 1, so what an orderer holds from
+		// next on is new, and the last one that holds any is furthest
+		// ahead.
+		s.mu.Lock()
+		for k := range s.orderers {
+			i := (lead + k) % len(s.orderers)
+			if buf = s.orderers[i].Entries(next, buf[:0]); len(buf) > 0 {
+				next = buf[len(buf)-1].Index + 1
+				s.lead.Store(int32(i) + 1)
+			}
+			for _, e := range buf {
+				s.sequenceLocked(e.Data)
+				if len(s.pending) >= s.cfg.BatchSize {
+					s.cutLocked()
+					timer.Reset(s.cfg.BatchTimeout)
+				}
+			}
+		}
+		if fired && len(s.pending) > 0 {
+			s.cutLocked()
+		}
+		s.mu.Unlock()
+		lead = max(int(s.lead.Load())-1, 0)
 	}
 }
 
@@ -426,6 +409,17 @@ type Consumer struct {
 
 // Batches returns the channel of delivered batches, in order.
 func (c *Consumer) Batches() <-chan Batch { return c.out }
+
+// Next returns the next batch in order, or false once stop closes or the
+// consumer is closed.
+func (c *Consumer) Next(stop <-chan struct{}) (Batch, bool) {
+	select {
+	case b, ok := <-c.out:
+		return b, ok
+	case <-stop:
+		return Batch{}, false
+	}
+}
 
 // Close detaches the consumer: its pump stops, and later cuts no longer
 // notify it.

@@ -247,7 +247,7 @@ func TestHighVolumeAppendDoesNotWedge(t *testing.T) {
 	}
 	svc := service(t, 100)
 	c := svc.Subscribe(1)
-	const records = 6_000 // > consensus.CommitBuffer (4096) + slack
+	const records = 6_000 // past the 4096 entries at which a follower once wedged, + slack
 	delivered := make(chan int, 1)
 	go func() {
 		n := 0
@@ -302,7 +302,7 @@ func TestUnpacedBurstAppendDoesNotWedge(t *testing.T) {
 	}
 	svc := service(t, 100)
 	c := svc.Subscribe(1)
-	const records = 10_000 // > consensus.CommitBuffer (4096) and the inbox (8192)
+	const records = 10_000 // past the 4096-entry wedge above and the orderers' inbox (8192)
 	deadline := time.Now().Add(120 * time.Second)
 	for i := 0; i < records; i++ {
 		if time.Now().After(deadline) {

@@ -7,10 +7,11 @@ import (
 )
 
 // TestCommitteeSequencesEveryDecision pushes more decisions through the
-// 2PC committee than a PBFT member's commit buffer holds (4 096). A
-// member whose commit stream nobody reads blocks on its full buffer while
-// holding its lock; with three of four so blocked the committee loses its
-// quorum and every later decision waits out the deadline.
+// 2PC committee than a PBFT member's commit buffer once held (4 096). A
+// member whose commit stream nobody read blocked on its full buffer while
+// holding its lock; with three of four so blocked the committee lost its
+// quorum and every later decision waited out the deadline. Members now
+// keep their log and every reader reads it by index, so none can block.
 func TestCommitteeSequencesEveryDecision(t *testing.T) {
 	c := clusterUp(t, Config{Shards: 1, NodesPerShard: 4})
 	const workers, each = 16, 320

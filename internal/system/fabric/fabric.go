@@ -619,7 +619,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 // commitLoop drives the peer's block pipeline over the ordering service's
 // batch stream until shutdown.
 func (p *peer) commitLoop(stop <-chan struct{}) {
-	p.pipe.Run(p.consumer.Batches(), stop)
+	p.pipe.Run(p.consumer.Next, stop)
 }
 
 // decodeBlock decodes the peer's own views of a batch's records into a

@@ -200,51 +200,46 @@ func (g *Group[T]) dump(st *T, win *consensus.Window, emit func(key string, valu
 	emit(windowKey, win.Encode())
 }
 
-// applyLoop applies the committed log into one incarnation of a member.
-// Everything that incarnation owns is passed by value, so a crash/recover
-// swap of the member's cons and state never races a stale loop. An entry
-// too short for a header is a new leader's no-op, and one the window
-// refuses is a later copy of a request already applied (or given up):
-// neither reaches Apply, though both advance the applied index.
+// applyLoop applies the committed log into one incarnation of a member,
+// reading it from restored+1: the restored checkpoint holds the effects of
+// everything below. Everything that incarnation owns is passed by value,
+// so a crash/recover swap of the member's cons and state never races a
+// stale loop. An entry too short for a header is a new leader's no-op, and
+// one the window refuses is a later copy of a request already applied (or
+// given up): neither reaches Apply, though both advance the applied index.
 func (g *Group[T]) applyLoop(rep *groupReplica[T], cons Member, st *T, win *consensus.Window, ckpt *recovery.ChainWriter, restored uint64, stopCh chan struct{}) {
 	defer rep.wg.Done()
 	dump := func(emit func(key string, value []byte)) { g.dump(st, win, emit) }
+	log := consensus.NewReader(cons, restored+1)
 	for {
-		select {
-		case <-stopCh:
+		e, ok := log.Next(stopCh)
+		if !ok {
 			return
-		case e, ok := <-cons.Committed():
-			if !ok {
-				return
-			}
-			if e.Index <= restored {
-				continue // its effects are in the restored checkpoint already
-			}
-			id, first := uint64(0), false
-			if len(e.Data) >= consensus.Header {
-				id = binary.BigEndian.Uint64(e.Data)
-				first = win.Admit(id, binary.BigEndian.Uint64(e.Data[8:]))
-			}
-			var res Result
-			if first {
-				e.Data = e.Data[consensus.Header:]
-				res = g.cfg.Apply(st, e)
-			}
-			// Publish the applied index BEFORE resolving the waiter: reads
-			// route to the live member with the highest applied index
-			// (Freshest), and whichever member resolves a request is live
-			// with applied ≥ its entry — so a resolved write is visible to
-			// the next read without waiting for an election.
-			rep.applied.Store(e.Index)
-			if first {
-				g.Resolve(id, res)
-			}
-			if ckpt != nil {
-				// A failed checkpoint write only degrades durability —
-				// recovery falls back to a longer log replay — so the apply
-				// path keeps going.
-				_ = ckpt.MaybeCheckpoint(e.Index, dump)
-			}
+		}
+		id, first := uint64(0), false
+		if len(e.Data) >= consensus.Header {
+			id = binary.BigEndian.Uint64(e.Data)
+			first = win.Admit(id, binary.BigEndian.Uint64(e.Data[8:]))
+		}
+		var res Result
+		if first {
+			e.Data = e.Data[consensus.Header:]
+			res = g.cfg.Apply(st, e)
+		}
+		// Publish the applied index BEFORE resolving the waiter: reads
+		// route to the live member with the highest applied index
+		// (Freshest), and whichever member resolves a request is live
+		// with applied ≥ its entry — so a resolved write is visible to
+		// the next read without waiting for an election.
+		rep.applied.Store(e.Index)
+		if first {
+			g.Resolve(id, res)
+		}
+		if ckpt != nil {
+			// A failed checkpoint write only degrades durability —
+			// recovery falls back to a longer log replay — so the apply
+			// path keeps going.
+			_ = ckpt.MaybeCheckpoint(e.Index, dump)
 		}
 	}
 }

@@ -8,18 +8,23 @@ import (
 	"dichotomy/internal/storage"
 )
 
-// TestFailedRecoveryRetriesOverTheQueuedStream: a recovery that fails
-// leaves the node crashed, and nothing reads its consensus member's commit
-// stream while the others commit 50 blocks — the entries queue in the
-// member; a retried recovery then replays past them, skips them as they
-// come off the queue, and ends where a never-crashed node is.
-func TestFailedRecoveryRetriesOverTheQueuedStream(t *testing.T) {
+// TestFailedRecoveryRetriesOverTheLog: a recovery that fails leaves the
+// node crashed, and nothing reads its consensus member's log while the
+// others commit 50 blocks; a retried recovery then replays past them, its
+// decode stage reads on from the entry after the one it last consumed and
+// skips them, and it ends where a never-crashed node is. Over IBFT the
+// member's log is the decided heights it keeps.
+func TestFailedRecoveryRetriesOverTheLog(t *testing.T) {
+	t.Run("raft", func(t *testing.T) { failedRecoveryRetries(t, Config{Nodes: 3}) })
+	t.Run("ibft", func(t *testing.T) { failedRecoveryRetries(t, Config{Nodes: 4, Consensus: IBFT}) })
+}
+
+func failedRecoveryRetries(t *testing.T, cfg Config) {
 	var engines []*failEngine
-	cfg := Config{Nodes: 3}
 	cfg.EngineHook = func(e storage.Engine) storage.Engine {
 		fe := &failEngine{Engine: e}
 		engines = append(engines, fe)
-		fe.armed.Store(len(engines) == 4) // the three nodes' engines, then the recovery's
+		fe.armed.Store(len(engines) == cfg.Nodes+1) // the nodes' engines, then the recovery's
 		return fe
 	}
 	nw, client := network(t, cfg)
@@ -36,7 +41,7 @@ func TestFailedRecoveryRetriesOverTheQueuedStream(t *testing.T) {
 	if leader < 0 {
 		t.Fatal("no leader after committed blocks")
 	}
-	victim := (leader + 1) % 3
+	victim := (leader + 1) % cfg.Nodes
 	nw.CrashNode(victim)
 	down := nw.nodes[victim]
 	crashedAt := down.Delivered.Load()
@@ -49,14 +54,14 @@ func TestFailedRecoveryRetriesOverTheQueuedStream(t *testing.T) {
 		put(fmt.Sprintf("k%03d", i))
 	}
 	if got := down.Delivered.Load(); got != crashedAt {
-		t.Fatalf("down node's position moved %d → %d while it was down: something read its commit stream", crashedAt, got)
+		t.Fatalf("down node's position moved %d → %d while it was down: something read its log", crashedAt, got)
 	}
 
 	if _, err := nw.RecoverNode(victim, leader, 0); err != nil {
 		t.Fatalf("retried recovery: %v", err)
 	}
 	put("after")
-	h := waitConverged(t, nw, 3)
+	h := waitConverged(t, nw, cfg.Nodes)
 	if got := nw.Ledger(victim).Height(); got != h {
 		t.Fatalf("recovered node at height %d, the others at %d", got, h)
 	}

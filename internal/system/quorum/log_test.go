@@ -23,7 +23,8 @@ func inFlight(nw *Network) bool {
 // The consensus log holds the blocks themselves: every committed entry at
 // index N decodes, on its own, to exactly the payloads of ledger block N,
 // and an empty no-op entry to an empty block. One follower's loops are
-// stopped so the test reads its commit stream in their place.
+// stopped so the test reads its log in their place, from where its decode
+// stage stopped.
 func TestCommittedEntriesCarryTheirBlocks(t *testing.T) {
 	nw, client := network(t, Config{Nodes: 3})
 	if r := nw.Execute(mustTx(t, client, "put", "warm", "up")); !r.Committed {
@@ -42,12 +43,13 @@ func TestCommittedEntriesCarryTheirBlocks(t *testing.T) {
 	}
 	tip := nw.Ledger(leader).Height()
 	txs := 0
+	stop := make(chan struct{})
+	defer time.AfterFunc(10*time.Second, func() { close(stop) }).Stop()
+	log := consensus.NewReader(tap.cons, tap.Delivered.Load()+1)
 	for index := tap.Delivered.Load(); index < tip; {
-		var e consensus.Entry
-		select {
-		case e = <-tap.cons.Committed():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("the commit stream stopped at index %d, the ledger is at %d", index, tip)
+		e, ok := log.Next(stop)
+		if !ok {
+			t.Fatalf("the log stopped at index %d, the ledger is at %d", index, tip)
 		}
 		index = e.Index
 		nb, ok := tap.decodeBlock(e)

@@ -32,9 +32,9 @@
 // of a block: Replica.Write stages each re-executed write set,
 // Replica.Commit applies them and hands the root maintainer the block's
 // delta, and Replica.Seal appends the ledger block. While a node is down
-// nothing reads its consensus member's commit stream: the entries carry
-// everything, so they wait in the member's queue, and the restarted decode
-// stage admits each through the node's Window and skips those the
+// nothing reads its consensus member's log: the entries carry everything,
+// so the restarted decode stage reads on from the one after the last it
+// consumed, admits each through the node's Window and skips those the
 // recovery replay covered (Replica.Consume). This package supplies what
 // distinguishes Quorum: consensus inside every node, the LSM engine under
 // an always-on root maintainer, the pipeline stages, and which committed
@@ -212,8 +212,8 @@ type node struct {
 	pending   []*txn.Tx
 	// win admits the first copy of each block in log order. Like
 	// Delivered it follows the log through a crash: the restarted decode
-	// stage admits the entries queued while the node was down, those the
-	// recovery replay covered included.
+	// stage admits the entries committed while the node was down, those
+	// the recovery replay covered included.
 	win consensus.Window
 }
 
@@ -528,7 +528,7 @@ func (n *node) proposeLoop(stop <-chan struct{}) {
 			return
 		case <-ticker.C:
 		}
-		if !n.cons.IsLeader() {
+		if cand := n.nw.leaderOr(nil); cand != nil && cand != n {
 			// Re-route stranded transactions to the current leader (the
 			// txpool gossip a real node performs).
 			n.pendingMu.Lock()
@@ -536,19 +536,18 @@ func (n *node) proposeLoop(stop <-chan struct{}) {
 			n.pending = nil
 			n.pendingMu.Unlock()
 			if len(stranded) > 0 {
-				if cand := n.nw.leaderOr(nil); cand != nil {
-					cand.pendingMu.Lock()
-					cand.pending = append(cand.pending, stranded...)
-					cand.pendingMu.Unlock()
-				} else {
-					// No leader right now; keep them local.
-					n.pendingMu.Lock()
-					n.pending = append(stranded, n.pending...)
-					n.pendingMu.Unlock()
-				}
+				cand.pendingMu.Lock()
+				cand.pending = append(cand.pending, stranded...)
+				cand.pendingMu.Unlock()
 			}
 			continue
 		}
+		// This node leads, or no live node does: the leader's execution
+		// layer — over IBFT this height's proposer's, so every node's in
+		// its turn — is down while its consensus member runs on. This node
+		// then proposes through its own member, which forwards the block
+		// there; during an election the member refuses it, and the batch
+		// waits here for the next tick.
 		cut := int(n.nw.blockCap.Load())
 		n.pendingMu.Lock()
 		batch := n.pending
@@ -598,10 +597,12 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 	n.nw.flight.Accepted(id)
 }
 
-// commitLoop drives the node's block pipeline over the consensus commit
-// stream until shutdown.
+// commitLoop drives the node's block pipeline over the consensus log until
+// shutdown, from the entry after the last one the decode stage consumed:
+// the first, or, after a recovery, the first committed while the node was
+// down.
 func (n *node) commitLoop(stop <-chan struct{}) {
-	n.pipe.Run(n.cons.Committed(), stop)
+	n.pipe.Run(consensus.NewReader(n.cons, n.Delivered.Load()+1).Next, stop)
 }
 
 // decodeBlock decodes the node's own views of a committed entry's block
@@ -734,10 +735,10 @@ func (n *node) sealBlock(nb *nodeBlock) {
 // CrashNode kills node i's execution layer (system.Replica.Crash):
 // propose and commit loops stop and its in-memory state — values,
 // versions, trie, ledger — is lost. Its consensus replica keeps running
-// (crash the leader and the cluster halts until it re-elects, exactly as
-// a real deployment would; tests crash followers), and the entries it
-// commits wait unread in its queue until RecoverNode restarts the decode
-// stage. Submission and query routing skip the node from now on.
+// (a crashed leader's, or IBFT proposer's, member keeps sequencing the
+// blocks the live nodes forward to it; see proposeLoop), and nothing reads
+// the entries it commits until RecoverNode restarts the decode stage.
+// Submission and query routing skip the node from now on.
 func (nw *Network) CrashNode(i int) { nw.nodes[i].Crash() }
 
 // RecoverNode rebuilds crashed node i from its newest on-disk checkpoint
@@ -746,8 +747,8 @@ func (nw *Network) CrashNode(i int) { nw.nodes[i].Crash() }
 // stages — including the speculative parallel re-execution and the MPT
 // reconstruction of live double execution — and then rejoins live block
 // consumption (the sequence is system.Replica's): the restarted decode
-// stage reads the entries queued since the crash, admits and drops those
-// the replay already covered (Replica.Consume), and everything above flows
+// stage reads the log from the entry after Delivered, admits and drops
+// those the replay already covered (Replica.Consume), and everything above flows
 // through the ordinary pipeline; indexes align because block N is always
 // entry N (empty-block pass-through in decode). The network may keep committing throughout — no quiesce is
 // required. May be called after each crash; each call rebuilds from
@@ -775,9 +776,7 @@ func (nw *Network) RecoverNode(i, from int, maxCkptHeight uint64) (recovery.Stat
 }
 
 // Leader returns the index of the current consensus leader, or -1 while
-// no node leads. Crash tests use it to kill a follower: a crashed
-// leader's execution layer halts proposals (as in a real deployment)
-// until consensus re-elects.
+// no node leads. Crash tests use it to pick a follower to kill.
 func (nw *Network) Leader() int {
 	for i, n := range nw.nodes {
 		if n.cons.IsLeader() {

@@ -67,18 +67,18 @@ func LSMEngine(hook func(storage.Engine) storage.Engine) func(stateDir string) (
 //   - Crash: flag → stop the loops → close checkpointer, maintainer,
 //     store. Every ordered stream carries its payloads whole, so a down
 //     replica owes no one its copies, and nothing reads its stream: a
-//     consensus member's commit stream — Quorum's and BigchainDB's members
-//     keep running behind their crashed execution layers — queues in its
-//     consensus.Loop, and a shared-log consumer (Fabric's peer, Veritas's
-//     verifier) closes its subscription.
+//     consensus member — Quorum's and BigchainDB's keep running behind
+//     their crashed execution layers — keeps its log as it would anyway,
+//     and a shared-log consumer (Fabric's peer, Veritas's verifier) closes
+//     its subscription.
 //   - Rebuild → CatchUp → Restart: restore the newest checkpoint onto a
 //     fresh engine and reseed the maintainer from it; replay a healthy
 //     source through the system's own stage function to a tip T1 ≥ D, the
 //     position consumed when the replica crashed; restart the loops. The
-//     stream resumes above T1 — by resubscription, or, for a commit stream
-//     that queued D+1.. meanwhile, by the decode stage's Consume, which
-//     skips positions up to T1 — and positions align because block N is
-//     always stream element N. A failed Rebuild or CatchUp leaves the
+//     stream resumes above T1 — by resubscription, or, for a consensus
+//     log, by a decode stage that reads on from D+1 and skips, through
+//     Consume, positions up to T1 — and positions align because block N
+//     is always stream element N. A failed Rebuild or CatchUp leaves the
 //     replica as Crash does.
 //   - Close: stop the loops, wait, close the engines.
 //
