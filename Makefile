@@ -32,7 +32,12 @@ test:
 # reads every orderer's log by index while the orderers commit, and moves
 # the orderer it waits on. The ninth repeats the database side's restart
 # ten times: a recovered member's apply loop reads its new consensus node
-# from the index after its checkpoint while the leader re-replicates.
+# from the index after its checkpoint while the leader re-replicates. The
+# tenth repeats what the front door and the block decoder recycle twenty
+# times: commit timeouts fire on the door's one timer while the sealer
+# answers the same batches, each caller is answered once, a reused batch
+# carries none of the batch before it, and interned names survive Reset
+# and the table's cap.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
@@ -43,6 +48,7 @@ race:
 	go test -race -count=10 -timeout 10m -run 'TestCrashEquivalence(Quorum|Bigchain)|TestFailedRecovery' ./internal/system/ ./internal/system/quorum/
 	go test -race -count=10 -timeout 10m -run 'TestDeliveryDoesNotDependOnOrdererZero|TestConsumersAgreeAcrossLeaderChange|TestBatchTimerDoesNotSkip' ./internal/sharedlog/
 	go test -race -count=10 -timeout 10m -run 'TestGroupRecoverEqualsNeverCrashed|TestGroupCrashSkipsReplica' ./internal/system/
+	go test -race -count=20 -timeout 10m -run 'TestTimeoutRacingSealAnswersOnce|TestTimeoutSkipsAnEntryResolvedWhileQueued|TestStaleWatchdogDoesNotClobberResubmission|TestResolvedTransactionIsCollectable|TestCloseStopsWatchdogs|TestBlockInterned|TestBlockInternPastTheCap|TestBlockResetZeroesViews' ./internal/ingress/ ./internal/txn/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

@@ -3,6 +3,8 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +61,31 @@ func TestParseLineRejectsNonBench(t *testing.T) {
 	}
 }
 
+// convert records the CPU model from go test's header and the CPU count
+// beside the rows, and compare reads neither: a run on other hardware with
+// the same counts passes.
+func TestConvertRecordsTheHardware(t *testing.T) {
+	out, err := convert(strings.NewReader("goos: linux\ngoarch: amd64\npkg: dichotomy/internal/txn\n" +
+		"cpu: Intel(R) Xeon(R) Processor\n" +
+		"BenchmarkTxMarshal-2   1173304   209.2 ns/op   576 B/op   1 allocs/op\nPASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.CPU != "Intel(R) Xeon(R) Processor" || out.NumCPU != runtime.NumCPU() {
+		t.Fatalf("hardware %q × %d, want the header's model × %d", out.CPU, out.NumCPU, runtime.NumCPU())
+	}
+	if _, ok := out.Benchmarks["BenchmarkTxMarshal"]; !ok || len(out.Benchmarks) != 1 {
+		t.Fatalf("rows %v", out.Benchmarks)
+	}
+	other := Output{CPU: "another", NumCPU: 64, Benchmarks: out.Benchmarks}
+	if bad := compare(out, other); len(bad) != 0 {
+		t.Fatalf("compare read the hardware: %q", bad)
+	}
+	if _, err := convert(strings.NewReader("cpu: x\nPASS\n")); err == nil {
+		t.Fatal("input without a benchmark line converted")
+	}
+}
+
 func TestCompareGatesAllocs(t *testing.T) {
 	row := func(allocs float64) Result {
 		return Result{Iterations: 1, Metrics: map[string]float64{"allocs/op": allocs, "ns/op": 100}}
@@ -71,6 +98,7 @@ func TestCompareGatesAllocs(t *testing.T) {
 		"BenchmarkSQLParse/stmt=update-1KB":     row(1),
 		"BenchmarkIngress":                      row(9057443), // a sweep: not gated
 		"BenchmarkStateScaling/striped/workers": {Iterations: 1, Metrics: map[string]float64{"ns/op": 5}},
+		"BenchmarkReplay/system=quorum":         row(14362), // 0.1 % slack: 14 allocations
 	})
 	for _, c := range []struct {
 		name string
@@ -78,6 +106,13 @@ func TestCompareGatesAllocs(t *testing.T) {
 		want []string
 	}{
 		{"identical", old.Benchmarks, nil},
+		{"a replay inside its slack", map[string]Result{
+			"BenchmarkVerifyDigest":                row(11),
+			"BenchmarkSigVerify/mode=serial":       row(704),
+			"BenchmarkRegionCmdCodec/shape=commit": row(2),
+			"BenchmarkSQLParse/stmt=update-1KB":    row(1),
+			"BenchmarkReplay/system=quorum":        row(14376),
+		}, nil},
 		{"improved and a new row", map[string]Result{
 			"BenchmarkVerifyDigest":                 row(10),
 			"BenchmarkSigVerify/mode=serial":        row(704),
@@ -86,6 +121,7 @@ func TestCompareGatesAllocs(t *testing.T) {
 			"BenchmarkSQLParse/stmt=select":         row(1),
 			"BenchmarkIngress":                      row(1),
 			"BenchmarkStateScaling/striped/workers": row(0),
+			"BenchmarkReplay/system=quorum":         row(14000),
 		}, nil},
 		{"ungated row rose", map[string]Result{
 			"BenchmarkVerifyDigest":                row(11),
@@ -93,12 +129,15 @@ func TestCompareGatesAllocs(t *testing.T) {
 			"BenchmarkRegionCmdCodec/shape=commit": row(2),
 			"BenchmarkSQLParse/stmt=update-1KB":    row(1),
 			"BenchmarkIngress":                     row(99057443),
+			"BenchmarkReplay/system=quorum":        row(14362),
 		}, nil},
-		{"one more allocation, and a gated row gone", map[string]Result{
+		{"one more allocation, a replay past its slack, and a gated row gone", map[string]Result{
 			"BenchmarkVerifyDigest":                row(12),
 			"BenchmarkRegionCmdCodec/shape=commit": row(2),
 			"BenchmarkSQLParse/stmt=update-1KB":    row(3),
+			"BenchmarkReplay/system=quorum":        row(14382), // one more per block
 		}, []string{
+			"BenchmarkReplay/system=quorum: allocs/op 14362 -> 14382",
 			"BenchmarkSQLParse/stmt=update-1KB: allocs/op 1 -> 3",
 			"BenchmarkSigVerify/mode=serial: allocs/op 704 -> row missing",
 			"BenchmarkVerifyDigest: allocs/op 11 -> 12",

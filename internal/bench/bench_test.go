@@ -150,7 +150,7 @@ func (e *errSystem) Submit(ctx context.Context, _ *txn.Tx) (*system.Handle, erro
 		return nil, err
 	}
 	e.count.Add(1)
-	h := system.NewHandle()
+	h := new(system.Handle)
 	h.Resolve(system.Result{Err: errBoom})
 	return h, nil
 }
@@ -354,7 +354,7 @@ func (s *shedSystem) Execute(t *txn.Tx) system.Result {
 }
 
 func (s *shedSystem) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error) {
-	h := system.NewHandle()
+	h := new(system.Handle)
 	h.Resolve(s.Execute(t))
 	return h, nil
 }

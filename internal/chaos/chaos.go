@@ -3,7 +3,7 @@
 // new ones: message drop/delay at cluster.Endpoint.Send (via
 // cluster.FaultHook), engine write failure and slow-fsync stalls via the
 // storage-engine hook the systems expose, clock-skewed commit timeouts
-// at the ingress watchdog, and scheduled node crashes driven through the
+// at the ingress front door, and scheduled node crashes driven through the
 // systems' existing Crash*/Recover* lifecycles.
 //
 // Determinism contract: the fault *schedule* (Schedule) is a pure
@@ -62,7 +62,7 @@ type Config struct {
 	MaxStall time.Duration
 
 	// SkewMin and SkewMax bound the multiplicative clock skew applied to
-	// the ingress commit timeout: each armed watchdog uses a timeout of
+	// the ingress commit timeout: each dispatched batch's timeout is
 	// nominal × uniform[SkewMin, SkewMax]. Both zero disables skew.
 	SkewMin float64
 	SkewMax float64
@@ -180,7 +180,7 @@ func (in *Injector) MessageFault(from, to cluster.NodeID) (bool, time.Duration) 
 	return false, 0
 }
 
-// SkewTimeout is the ingress watchdog hook: it maps the nominal commit
+// SkewTimeout is the ingress commit-timeout hook: it maps the nominal commit
 // timeout to the skewed one this batch's clock would have used.
 func (in *Injector) SkewTimeout(nominal time.Duration) time.Duration {
 	if in == nil || in.disarmed.Load() || in.cfg.SkewMax <= 0 {

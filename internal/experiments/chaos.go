@@ -51,7 +51,7 @@ type ChaosAxes struct {
 //     crash/recovering the victim from a healthy peer after the run —
 //     full ledger replay re-executes the canonical block stream onto a
 //     fresh engine — before the divergence check.
-//   - skew: the ingress watchdog's commit timeout is multiplied by a
+//   - skew: the ingress front door's commit timeout is multiplied by a
 //     clock-skew factor uniform in [rate, 1.0] (Fabric, Quorum, Veritas
 //     behind the front door). Spurious timeouts are client-visible
 //     errors only; replicas must still converge.

@@ -26,12 +26,25 @@
 //     bounded append, a leaderless interval) the builder backs off
 //     exponentially, the pool fills, and new arrivals shed as retryable
 //     admission errors rather than queueing without bound.
+//
+// What one transaction's trip through the door leaves behind is only what
+// its caller keeps: the entry, which holds the caller's system.Handle in
+// the same allocation. Everything else is reused. A lane keeps its
+// capacity when the builder drains it. A built batch — its entries and the
+// []*txn.Tx handed to the sink — goes back to a free list, its slices
+// emptied, once the sink has returned and its last entry has detached
+// (resolved, timed out, or swept by Close); a sink therefore copies the
+// pointers it keeps, and one that kept the slice would read nil
+// transactions in place of a later batch's. Commit timeouts run on one
+// timer for the whole door, armed for the earliest deadline among the
+// dispatched batches that still have entries pending.
 package ingress
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,7 +144,9 @@ func (c Config) Validate() error {
 // Resolve, either immediately (per-transaction admission failures) or
 // later via the system's commit path. The returned error is purely a
 // throttle signal (consensus pushing back); it must not leave handed
-// transactions unresolved.
+// transactions unresolved. The slice is the front door's, reused for a
+// later batch once the sink has returned and every transaction in it has
+// resolved: a sink copies the pointers it keeps, never the slice.
 type BatchFunc func(txs []*txn.Tx) error
 
 // Stats is a point-in-time snapshot of the front door's counters.
@@ -160,26 +175,31 @@ type Stats struct {
 
 // entry is one admitted transaction: its handle outlives the queue (it
 // stays in byID until resolved, so duplicate submissions attach even
-// while the transaction is in flight through consensus).
+// while the transaction is in flight through consensus), and lives in the
+// entry's own allocation — Submit hands out &e.h.
 type entry struct {
+	h   system.Handle
 	tx  *txn.Tx
-	h   *system.Handle
 	enq time.Time
-	// batch is the dispatched batch the builder pulled e into; nil while
-	// e is still queued.
+	// batch is the dispatched batch the builder pulled e into; nil while e
+	// is queued and once it has detached. Guarded by Ingress.mu.
 	batch *batch
 }
 
-// batch is one dispatched block as its commit-timeout watchdog sees it.
-// The watchdog's timer is the only thing besides byID that can reach a
-// dispatched entry, so the batch lets go of both — stops the timer, drops
-// the entries — the moment its last entry resolves: a resolved transaction
-// is garbage at once, not CommitTimeout later. Fields are guarded by
-// Ingress.mu.
+// batch is one built block, from the pull that cuts it until its last entry
+// detaches and it goes back to the free list. Besides byID, only the out
+// list reaches a dispatched entry, so a resolved transaction is garbage at
+// once, not CommitTimeout later. Fields are guarded by Ingress.mu.
 type batch struct {
-	entries []*entry    // nil once every entry has resolved
-	pending int         // entries not yet resolved
-	timer   *time.Timer // nil until armed; never armed if nothing is pending by then
+	entries []*entry
+	txs     []*txn.Tx // what the sink is handed
+	// pending counts the entries not yet detached, plus one while the
+	// builder holds the batch (until the sink returns), so a batch whose
+	// entries all resolve inside the sink is not reused under it.
+	pending int
+	// timeout and deadline are set when the sink returns.
+	timeout  time.Duration
+	deadline time.Time
 }
 
 // Ingress is a running front door: the bounded mempool and its builder.
@@ -192,6 +212,13 @@ type Ingress struct {
 	byID   map[cryptoutil.Hash]*entry
 	queued int
 	closed bool
+	// free holds batches for pull to cut into again; out holds the
+	// dispatched batches with entries pending. timer is armed for armed,
+	// the earliest deadline in out (zero while it is stopped).
+	free  []*batch
+	out   []*batch
+	timer *time.Timer
+	armed time.Time
 
 	wake      chan struct{}
 	stopCh    chan struct{}
@@ -225,6 +252,8 @@ func New(cfg Config, sink BatchFunc) (*Ingress, error) {
 		wake:   make(chan struct{}, 1),
 		stopCh: make(chan struct{}),
 	}
+	in.timer = time.AfterFunc(time.Hour, in.expire)
+	in.timer.Stop()
 	in.wg.Add(1)
 	go in.buildLoop()
 	return in, nil
@@ -249,7 +278,7 @@ func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 	if e, ok := in.byID[t.ID]; ok {
 		in.mu.Unlock()
 		in.deduped.Inc()
-		return e.h, nil
+		return &e.h, nil
 	}
 	if in.queued >= in.cfg.Capacity {
 		in.mu.Unlock()
@@ -265,7 +294,7 @@ func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 			lane = in.cfg.Lanes - 1
 		}
 	}
-	e := &entry{tx: t, h: system.NewHandle(), enq: time.Now()}
+	e := &entry{tx: t, enq: time.Now()}
 	in.lanes[lane] = append(in.lanes[lane], e)
 	in.byID[t.ID] = e
 	in.queued++
@@ -275,7 +304,7 @@ func (in *Ingress) Submit(ctx context.Context, t *txn.Tx) (*system.Handle, error
 	case in.wake <- struct{}{}:
 	default:
 	}
-	return e.h, nil
+	return &e.h, nil
 }
 
 // Resolve delivers the outcome for the pending transaction id to every
@@ -292,49 +321,63 @@ func (in *Ingress) Resolve(id cryptoutil.Hash, r system.Result) { in.Seal(id, r,
 func (in *Ingress) Seal(id cryptoutil.Hash, r system.Result, phase string, d time.Duration) {
 	in.mu.Lock()
 	e := in.byID[id]
-	in.mu.Unlock()
 	if e != nil {
-		in.sealEntry(e, r, phase, d)
+		in.detach(e)
 	}
+	in.mu.Unlock()
+	if e == nil {
+		return
+	}
+	if phase != "" {
+		e.tx.Trace.Observe(phase, d)
+	}
+	in.resolved.Inc()
+	e.h.Resolve(r)
 }
 
-// detach takes e, the pending entry for its id, out of the pending table.
-// The caller holds in.mu.
+// detach takes e, the pending entry for its id, out of the pending table
+// and out of its batch. The caller holds in.mu.
 func (in *Ingress) detach(e *entry) {
 	delete(in.byID, e.tx.ID)
 	b := e.batch
 	if b == nil {
 		return
 	}
+	e.batch = nil
 	if b.pending--; b.pending == 0 {
-		if b.timer != nil {
-			b.timer.Stop()
+		// The builder has let go of b (it holds a count until the sink
+		// returns), so b is in out.
+		i := slices.Index(in.out, b)
+		in.out = slices.Delete(in.out, i, i+1)
+		if b.deadline.Equal(in.armed) {
+			in.arm()
 		}
-		b.entries = nil
+		in.recycle(b)
 	}
 }
 
-// resolveEntry resolves e only if it is still the pending entry for its
-// id — the commit-timeout watchdog must not clobber a same-content
-// resubmission that arrived after e resolved.
-func (in *Ingress) resolveEntry(e *entry, r system.Result) { in.sealEntry(e, r, "", 0) }
+// recycle empties b's slices, keeping their capacity, and puts b on the
+// free list. The caller holds in.mu, and nothing else reaches b.
+func (in *Ingress) recycle(b *batch) {
+	clear(b.entries)
+	clear(b.txs)
+	b.entries, b.txs = b.entries[:0], b.txs[:0]
+	in.free = append(in.free, b)
+}
 
-// sealEntry is resolveEntry recording phase first when it is not empty.
-func (in *Ingress) sealEntry(e *entry, r system.Result, phase string, d time.Duration) {
-	in.mu.Lock()
-	cur, ok := in.byID[e.tx.ID]
-	if ok && cur == e {
-		in.detach(e)
-	} else {
-		ok = false
-	}
-	in.mu.Unlock()
-	if ok {
-		if phase != "" {
-			e.tx.Trace.Observe(phase, d)
+// arm points the door's timer at the earliest deadline in out, or stops it
+// when out is empty. The caller holds in.mu.
+func (in *Ingress) arm() {
+	var first time.Time
+	for _, b := range in.out {
+		if first.IsZero() || b.deadline.Before(first) {
+			first = b.deadline
 		}
-		in.resolved.Inc()
-		e.h.Resolve(r)
+	}
+	if in.armed = first; first.IsZero() {
+		in.timer.Stop()
+	} else {
+		in.timer.Reset(time.Until(first))
 	}
 }
 
@@ -362,7 +405,7 @@ func (in *Ingress) Stats() Stats {
 	}
 }
 
-// Close stops the builder and every armed watchdog and answers every
+// Close stops the builder and the commit-timeout timer and answers every
 // pending handle — queued or dispatched-but-uncommitted — with ErrClosed,
 // so no submitter is left blocked on a front door that no longer exists and
 // no timer outlives it.
@@ -375,15 +418,13 @@ func (in *Ingress) Close() {
 		pending := make([]*entry, 0, len(in.byID))
 		for _, e := range in.byID {
 			pending = append(pending, e)
-			// An armed batch has an unresolved entry, and every
-			// unresolved entry is here.
-			if e.batch != nil && e.batch.timer != nil {
-				e.batch.timer.Stop()
-			}
 		}
 		in.byID = make(map[cryptoutil.Hash]*entry)
 		in.lanes = make([][]*entry, in.cfg.Lanes)
 		in.queued = 0
+		// A timer callback already under way finds nothing to expire.
+		in.out, in.free = nil, nil
+		in.timer.Stop()
 		in.mu.Unlock()
 		for _, e := range pending {
 			in.resolved.Inc()
@@ -413,40 +454,41 @@ func (in *Ingress) oldestEnq() (time.Time, int, bool) {
 }
 
 // pull drains up to the adaptive target from the lanes, highest priority
-// first, recording each entry's queueing delay. The target is the pool
-// occupancy clamped to [MinBlock, MaxBlock]: small blocks at low load,
-// growing toward the blockshape optimum under pressure.
-func (in *Ingress) pull() (*batch, []*txn.Tx) {
+// first, recording each entry's queueing delay, into a batch from the free
+// list. The target is the pool occupancy clamped to [MinBlock, MaxBlock]:
+// small blocks at low load, growing toward the blockshape optimum under
+// pressure. What a lane keeps moves to its front, so the lane's capacity
+// serves the arrivals after.
+func (in *Ingress) pull() *batch {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	target := min(in.queued, in.cfg.MaxBlock)
 	if target == 0 {
-		return nil, nil
+		return nil
 	}
-	b := &batch{entries: make([]*entry, 0, target)}
-	txs := make([]*txn.Tx, 0, target)
+	var b *batch
+	if n := len(in.free); n > 0 {
+		b, in.free[n-1] = in.free[n-1], nil
+		in.free = in.free[:n-1]
+	} else {
+		b = &batch{entries: make([]*entry, 0, target), txs: make([]*txn.Tx, 0, target)}
+	}
 	now := time.Now()
-	for l := range in.lanes {
-		if len(txs) == target {
-			break
-		}
-		lane := in.lanes[l]
-		n := min(target-len(txs), len(lane))
+	for l, lane := range in.lanes {
+		n := min(target-len(b.txs), len(lane))
 		for _, e := range lane[:n] {
 			in.qdelay.Record(now.Sub(e.enq))
 			e.batch = b
 			b.entries = append(b.entries, e)
-			txs = append(txs, e.tx)
+			b.txs = append(b.txs, e.tx)
 		}
-		if n == len(lane) {
-			in.lanes[l] = nil
-		} else {
-			in.lanes[l] = lane[n:]
-		}
+		left := copy(lane, lane[n:])
+		clear(lane[left:])
+		in.lanes[l] = lane[:left]
 	}
-	b.pending = len(txs)
-	in.queued -= len(txs)
-	return b, txs
+	b.pending = len(b.txs) + 1 // the builder's hold, let go by dispatched
+	in.queued -= len(b.txs)
+	return b
 }
 
 // buildLoop is the adaptive batch builder: wait for work, give an
@@ -484,16 +526,16 @@ func (in *Ingress) buildLoop() {
 				}
 			}
 		}
-		batch, txs := in.pull()
-		if batch == nil {
+		b := in.pull()
+		if b == nil {
 			continue
 		}
 		in.blocks.Inc()
-		in.blockTxs.Add(uint64(len(txs)))
-		err := in.sink(txs)
+		in.blockTxs.Add(uint64(len(b.txs)))
+		err := in.sink(b.txs)
+		in.dispatched(b)
 		if err == nil {
 			backoff = 0
-			in.watchdog(batch)
 			continue
 		}
 		// Throttle: the sink resolved (or will resolve) its transactions;
@@ -502,7 +544,6 @@ func (in *Ingress) buildLoop() {
 		// from one BuildInterval up to 64 of them.
 		in.throttled.Inc()
 		backoff = min(max(2*backoff, in.cfg.BuildInterval), 64*in.cfg.BuildInterval)
-		in.watchdog(batch)
 		t := time.NewTimer(backoff)
 		select {
 		case <-in.stopCh:
@@ -513,16 +554,13 @@ func (in *Ingress) buildLoop() {
 	}
 }
 
-// watchdog bounds how long a dispatched batch may stay unresolved: one
-// timer per block (not per transaction) answers any leftover waiters
-// with a timeout error, mirroring the direct paths' per-transaction 60s
-// guard without a goroutine per transaction. The timer lives only as long
-// as something is left to answer: a batch the sink has already resolved
-// arms none, and detach stops it with the batch's last entry.
-func (in *Ingress) watchdog(b *batch) {
-	if in.cfg.CommitTimeout <= 0 {
-		return
-	}
+// dispatched lets go of the builder's hold on b once the sink has returned
+// and starts b's commit timeout: the door's one timer answers any entry
+// still pending at b's deadline with a timeout error, mirroring the direct
+// paths' per-transaction 60s guard with neither a goroutine nor a timer per
+// transaction or batch. A batch the sink has already resolved is reused at
+// once.
+func (in *Ingress) dispatched(b *batch) {
 	timeout := in.cfg.CommitTimeout
 	if in.cfg.TimeoutSkew != nil {
 		if skewed := in.cfg.TimeoutSkew(timeout); skewed > 0 {
@@ -531,19 +569,56 @@ func (in *Ingress) watchdog(b *batch) {
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	if b.pending == 0 {
+	if b.pending--; b.pending == 0 {
+		in.recycle(b)
 		return
 	}
-	b.timer = time.AfterFunc(timeout, func() {
-		in.mu.Lock()
-		left := b.entries
-		in.mu.Unlock()
-		for _, e := range left {
-			in.resolveEntry(e, system.Result{
-				Err: fmt.Errorf("ingress: commit timeout after %v", timeout),
-			})
+	b.timeout, b.deadline = timeout, time.Now().Add(timeout)
+	in.out = append(in.out, b)
+	if in.armed.IsZero() || b.deadline.Before(in.armed) {
+		in.armed = b.deadline
+		in.timer.Reset(timeout)
+	}
+}
+
+// expire is the door's timer callback: each dispatched batch whose deadline
+// has passed detaches its pending entries, which are answered with a
+// timeout error, and goes back to the free list; the timer is armed again
+// for the earliest deadline left. A callback that runs late, or after a
+// Reset, acts only on deadlines that have passed.
+func (in *Ingress) expire() {
+	type late struct {
+		e       *entry
+		timeout time.Duration
+	}
+	var answer []late
+	now := time.Now()
+	in.mu.Lock()
+	kept := in.out[:0]
+	for _, b := range in.out {
+		if b.deadline.After(now) {
+			kept = append(kept, b)
+			continue
 		}
-	})
+		for _, e := range b.entries {
+			// Still pending: not detached, and not resolved while it was
+			// queued, after which a resubmission may hold its id.
+			if e.batch == b && in.byID[e.tx.ID] == e {
+				delete(in.byID, e.tx.ID)
+				e.batch = nil
+				answer = append(answer, late{e, b.timeout})
+			}
+		}
+		in.recycle(b)
+	}
+	clear(in.out[len(kept):])
+	in.out = kept
+	in.arm()
+	in.mu.Unlock()
+	for _, a := range answer {
+		in.resolved.Inc()
+		a.e.h.Resolve(system.Result{Err: fmt.Errorf("ingress: commit timeout after %v", a.timeout)})
+	}
 }
 
 // Door is where a ledger system's submitted updates are pending, in one

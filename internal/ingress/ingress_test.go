@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,7 +97,7 @@ type gatedSink struct {
 func (g *gatedSink) sink(txs []*txn.Tx) error {
 	<-g.gate
 	g.mu.Lock()
-	g.batches = append(g.batches, txs)
+	g.batches = append(g.batches, slices.Clone(txs)) // the door reuses txs
 	g.mu.Unlock()
 	if g.resolve {
 		for _, tx := range txs {
@@ -463,10 +466,11 @@ func TestWatchdogTimesOutUnresolved(t *testing.T) {
 }
 
 func TestStaleWatchdogDoesNotClobberResubmission(t *testing.T) {
-	// The commit-timeout watchdog holds the *entry* it dispatched, not
-	// just its id. After the entry resolves and a same-content
-	// resubmission creates a fresh entry under the same id, the stale
-	// timer firing must be a no-op on the new entry.
+	// The commit-timeout timer acts on the *entries* a batch dispatched,
+	// not on their ids. After the entry resolves and a same-content
+	// resubmission creates a fresh entry under the same id, a stale timer
+	// firing must be a no-op on the new entry — even once the first batch
+	// has been reused for the second.
 	var in *Ingress
 	var err error
 	in, err = New(Config{}, func(txs []*txn.Tx) error {
@@ -484,21 +488,7 @@ func TestStaleWatchdogDoesNotClobberResubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for dispatch, then grab the first entry the way its watchdog
-	// timer holds it.
-	deadline := time.Now().Add(5 * time.Second)
-	var e1 *entry
-	for e1 == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("first submission never dispatched")
-		}
-		in.mu.Lock()
-		e1 = in.byID[tx1.ID]
-		in.mu.Unlock()
-		if e1 == nil {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	waitDispatched(t, in, tx1.ID)
 	in.Resolve(tx1.ID, system.Result{Committed: true})
 	if r := h1.Wait(ctx); !r.Committed {
 		t.Fatalf("first submission %+v", r)
@@ -514,8 +504,11 @@ func TestStaleWatchdogDoesNotClobberResubmission(t *testing.T) {
 		t.Fatalf("resubmission after resolve was deduplicated: %+v", st)
 	}
 
-	// The stale timer fires: pointer identity must protect the new entry.
-	in.resolveEntry(e1, system.Result{Err: errors.New("stale watchdog")})
+	// The timer fires late, its deadline long passed for nothing it still
+	// reaches: the new entry's batch is not due, and the first one's was
+	// let go when it resolved.
+	waitDispatched(t, in, tx1.ID)
+	in.expire()
 	select {
 	case r := <-h2.Done():
 		t.Fatalf("stale watchdog resolved the resubmission: %+v", r)
@@ -524,6 +517,42 @@ func TestStaleWatchdogDoesNotClobberResubmission(t *testing.T) {
 	in.Resolve(tx1.ID, system.Result{Committed: true})
 	if r := h2.Wait(ctx); !r.Committed {
 		t.Fatalf("second submission %+v", r)
+	}
+}
+
+// TestTimeoutSkipsAnEntryResolvedWhileQueued: an entry resolved while still
+// queued is pulled into a batch all the same, and the same content
+// submitted again lands beside it. When the batch times out, the door
+// answers the resubmission once and leaves the resolved entry — and the id
+// the resubmission holds — alone.
+func TestTimeoutSkipsAnEntryResolvedWhileQueued(t *testing.T) {
+	g := newGated(t, Config{CommitTimeout: 20 * time.Millisecond}, false)
+	defer g.in.Close()
+	g.hold(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	h1, err := g.in.Submit(ctx, mkTx(t, "twice", "queued"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mkTx(t, "twice", "queued")
+	g.in.Resolve(tx.ID, system.Result{Committed: true})
+	h2, err := g.in.Submit(ctx, tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h2 == h1 {
+		t.Fatal("the resubmission attached to the resolved entry")
+	}
+	close(g.gate)
+	if r := h1.Wait(ctx); !r.Committed {
+		t.Fatalf("first submission %+v", r)
+	}
+	if r := h2.Wait(ctx); r.Err == nil || !strings.Contains(r.Err.Error(), "commit timeout") {
+		t.Fatalf("resubmission %+v, want a commit timeout", r)
+	}
+	if st := g.in.Stats(); st.Resolved != st.Admitted {
+		t.Fatalf("%d answers for %d admissions", st.Resolved, st.Admitted)
 	}
 }
 
@@ -617,13 +646,8 @@ func TestResolvedTransactionIsCollectable(t *testing.T) {
 				}
 				if late {
 					id := <-dispatched
-					// Let the builder arm the batch's watchdog first.
-					for armed := false; !armed; time.Sleep(time.Millisecond) {
-						in.mu.Lock()
-						e := in.byID[id]
-						armed = e != nil && e.batch != nil && e.batch.timer != nil
-						in.mu.Unlock()
-					}
+					// Let the builder arm the batch's timeout first.
+					waitDispatched(t, in, id)
 					in.Resolve(id, system.Result{Committed: true})
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -643,7 +667,7 @@ func TestResolvedTransactionIsCollectable(t *testing.T) {
 	}
 }
 
-// TestCloseStopsWatchdogs: a timer armed for a batch that never resolved
+// TestCloseStopsWatchdogs: the timer armed for a batch that never resolved
 // must not outlive Close.
 func TestCloseStopsWatchdogs(t *testing.T) {
 	in, err := New(Config{CommitTimeout: time.Hour}, func([]*txn.Tx) error { return nil })
@@ -655,19 +679,150 @@ func TestCloseStopsWatchdogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var timer *time.Timer
-	for ; timer == nil; time.Sleep(time.Millisecond) {
-		in.mu.Lock()
-		if b := in.byID[tx.ID].batch; b != nil {
-			timer = b.timer
-		}
-		in.mu.Unlock()
-	}
+	waitDispatched(t, in, tx.ID)
 	in.Close()
 	if r := <-h.Done(); !errors.Is(r.Err, ErrClosed) {
 		t.Fatalf("r = %+v, want ErrClosed", r)
 	}
-	if timer.Stop() {
-		t.Fatal("the batch's watchdog timer was still armed after Close")
+	if in.timer.Stop() {
+		t.Fatal("the commit-timeout timer was still armed after Close")
 	}
+}
+
+// waitDispatched waits until id's pending entry sits in a batch the sink
+// has returned from, so the batch's commit timeout runs.
+func waitDispatched(t *testing.T, in *Ingress, id cryptoutil.Hash) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		in.mu.Lock()
+		e := in.byID[id]
+		armed := e != nil && e.batch != nil && slices.Contains(in.out, e.batch) && !in.armed.IsZero()
+		in.mu.Unlock()
+		if armed {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the submission never dispatched")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTimeoutRacingSealAnswersOnce: commit timeouts of 1–3 ms (the skew
+// varies them, so deadlines leave the out list out of dispatch order) fire
+// while the sealer answers the same batches, half of each at once and the
+// rest about when it times out. Every submission is answered exactly once,
+// by one or the other, and every batch the sink is handed — most of them
+// reused — holds only transactions no batch held before.
+func TestTimeoutRacingSealAnswersOnce(t *testing.T) {
+	const n = 600
+	var skew atomic.Int64
+	var in *Ingress
+	sealed := make(chan []*txn.Tx, n)
+	seen := make(map[cryptoutil.Hash]bool)
+	var sinkErr error
+	in, err := New(Config{
+		MaxBlock:      8,
+		CommitTimeout: time.Millisecond,
+		TimeoutSkew:   func(d time.Duration) time.Duration { return d * time.Duration(1+skew.Add(1)%3) },
+	}, func(txs []*txn.Tx) error {
+		for _, tx := range txs {
+			if tx == nil || seen[tx.ID] {
+				sinkErr = fmt.Errorf("a batch carries %v, nil or handed out before", tx)
+			}
+			seen[tx.ID] = true
+		}
+		sealed <- slices.Clone(txs)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	done := make(chan struct{})
+	go func() { // the seal path: half of each batch at once, the rest about when it times out
+		defer close(done)
+		for txs := range sealed {
+			for i, tx := range txs {
+				if i == len(txs)/2 {
+					time.Sleep(time.Duration(1+len(txs)%2) * time.Millisecond)
+				}
+				in.Resolve(tx.ID, system.Result{Committed: true})
+			}
+		}
+	}()
+	handles := make([]*system.Handle, n)
+	for i := range handles {
+		if handles[i], err = in.Submit(context.Background(), mkTx(t, fmt.Sprintf("race%d", i), "v")); err != nil {
+			t.Fatal(err)
+		}
+		if i%16 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i, h := range handles {
+		ch := h.Done()
+		select {
+		case r := <-ch:
+			if !r.Committed && (r.Err == nil || !strings.Contains(r.Err.Error(), "commit timeout")) {
+				t.Fatalf("submission %d: %+v, want committed or timed out", i, r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("submission %d was never answered", i)
+		}
+	}
+	in.Close()
+	close(sealed)
+	<-done
+	if sinkErr != nil {
+		t.Fatal(sinkErr)
+	}
+	if st := in.Stats(); st.Admitted != n || st.Resolved != n {
+		t.Fatalf("%d admitted, %d answered; want %d of each", st.Admitted, st.Resolved, n)
+	}
+}
+
+// BenchmarkIngressRoundTrip is the front door's own cost per transaction:
+// Submit, the builder's pull, a sink that seals what it is handed, and the
+// caller's wait. The transactions are signed once and submitted again
+// after they resolve, each time a new transaction to the door. What stays
+// per transaction is the entry (which holds the handle) and the waiter's
+// channel; the batch, its slices and the timer are reused.
+func BenchmarkIngressRoundTrip(b *testing.B) {
+	txs := make([]*txn.Tx, 256)
+	for i := range txs {
+		txs[i] = mkTx(b, fmt.Sprintf("rt%d", i), "v")
+	}
+	var in *Ingress
+	in, err := New(Config{}, func(batch []*txn.Tx) error {
+		for _, tx := range batch {
+			in.Seal(tx.ID, system.Result{Committed: true}, "execute", time.Microsecond)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer in.Close()
+	ctx := context.Background()
+	roundTrip := func(tx *txn.Tx) {
+		h, err := in.Submit(ctx, tx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r := h.Wait(ctx); !r.Committed {
+			b.Fatalf("r = %+v", r)
+		}
+	}
+	for _, tx := range txs { // size the lanes, the table and the free list
+		roundTrip(tx)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		roundTrip(txs[i%len(txs)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tx")
 }

@@ -246,6 +246,7 @@ func TestPipelineEquivalenceSmallbank(t *testing.T) {
 				serial := newSmallbankStore(t)
 				parallel := newSmallbankStore(t)
 				reg := contract.NewRegistry(contract.Smallbank{})
+				var exec Executor // reused block after block, as a replica does
 				for bn := uint64(2); bn < 2+blocks; bn++ {
 					invs := randomSmallbankBlock(rng, 1+rng.Intn(12))
 
@@ -264,7 +265,7 @@ func TestPipelineEquivalenceSmallbank(t *testing.T) {
 					}
 
 					// Parallel path: speculative re-execution.
-					rws, errs := ExecuteBlock(len(invs), workers, bn, parallel,
+					rws, errs := exec.ExecuteBlock(len(invs), workers, bn, parallel,
 						func(i int, view contract.StateReader) (txn.RWSet, error) {
 							return reg.Execute(view, invs[i])
 						})
@@ -358,6 +359,7 @@ func TestPipelineEquivalenceSmallbank(t *testing.T) {
 func TestExecuteBlockSerialAndParallelAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	reg := contract.NewRegistry(contract.Smallbank{})
+	var exec Executor // one for both modes, every round
 	for round := 0; round < 20; round++ {
 		n := 1 + rng.Intn(16)
 		invs := make([]txn.Invocation, n)
@@ -372,7 +374,7 @@ func TestExecuteBlockSerialAndParallelAgree(t *testing.T) {
 		serial := newSmallbankStore(t)
 		parallel := newSmallbankStore(t)
 		run := func(st *state.Store, workers int) {
-			rws, errs := ExecuteBlock(n, workers, 2, st,
+			rws, errs := exec.ExecuteBlock(n, workers, 2, st,
 				func(i int, view contract.StateReader) (txn.RWSet, error) {
 					return reg.Execute(view, invs[i])
 				})

@@ -8,6 +8,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"dichotomy/internal/contract"
 	"dichotomy/internal/occ"
 	"dichotomy/internal/txn"
@@ -172,6 +174,19 @@ func (r *readRecorder) GetState(key string) ([]byte, txn.Version, error) {
 	return r.base.GetState(key)
 }
 
+// Executor runs ExecuteBlock block after block and keeps its per-block
+// scratch — the write sets and errors it returns, the overlay and the read
+// recorders — for the next block, so a replica's re-execution allocates
+// only what its contracts do. The zero value is ready. An Executor serves
+// one block at a time, and what ExecuteBlock returns is valid until its
+// next call.
+type Executor struct {
+	rws       []txn.RWSet
+	errs      []error
+	overlay   execOverlay
+	recorders []readRecorder
+}
+
 // ExecuteBlock re-executes a block of n transactions with speculative
 // intra-block parallelism — Quorum's "double execution", minus the serial
 // bottleneck. Every transaction first executes concurrently against the
@@ -187,15 +202,21 @@ func (r *readRecorder) GetState(key string) ([]byte, txn.Version, error) {
 //
 // The returned write sets stage in index order (last writer of a key
 // wins), exactly as the serial loop staged them.
-func ExecuteBlock(n, workers int, blockNum uint64, base contract.StateReader, run ExecFunc) ([]txn.RWSet, []error) {
-	rws := make([]txn.RWSet, n)
-	errs := make([]error, n)
+func (x *Executor) ExecuteBlock(n, workers int, blockNum uint64, base contract.StateReader, run ExecFunc) ([]txn.RWSet, []error) {
+	// Every index below n is written before it is returned.
+	x.rws, x.errs = slices.Grow(x.rws[:0], n)[:n], slices.Grow(x.errs[:0], n)[:n]
+	rws, errs := x.rws, x.errs
 	if n == 0 {
 		return rws, errs
 	}
+	overlay := &x.overlay
+	overlay.base = base
+	if overlay.dirty == nil {
+		overlay.dirty = make(map[string]execEntry)
+	}
+	clear(overlay.dirty)
 	if workers <= 1 || n == 1 {
 		// Serial baseline: one overlay, strict block order.
-		overlay := &execOverlay{base: base, dirty: make(map[string]execEntry)}
 		for i := 0; i < n; i++ {
 			rws[i], errs[i] = run(i, overlay)
 			publish(overlay, rws[i], errs[i], blockNum, i)
@@ -203,12 +224,16 @@ func ExecuteBlock(n, workers int, blockNum uint64, base contract.StateReader, ru
 		return rws, errs
 	}
 
-	recorders := make([]*readRecorder, n)
+	// Each recorder keeps its keys' capacity from block to block.
+	x.recorders = slices.Grow(x.recorders[:0], n)[:n]
+	recorders := x.recorders
+	for i := range recorders {
+		clear(recorders[i].keys)
+		recorders[i] = readRecorder{base: base, keys: recorders[i].keys[:0]}
+	}
 	Parallel(workers, n, func(i int) {
-		recorders[i] = &readRecorder{base: base}
-		rws[i], errs[i] = run(i, recorders[i])
+		rws[i], errs[i] = run(i, &recorders[i])
 	})
-	overlay := &execOverlay{base: base, dirty: make(map[string]execEntry)}
 	for i := 0; i < n; i++ {
 		conflicted := false
 		for _, k := range recorders[i].keys {

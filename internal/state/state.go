@@ -380,8 +380,18 @@ type Snapshot struct {
 // Snapshot returns a consistent view of the store. The caller must
 // Release it; reads through a released snapshot are invalid.
 func (s *Store) Snapshot() *Snapshot {
+	sn := new(Snapshot)
+	s.SnapshotInto(sn)
+	return sn
+}
+
+// SnapshotInto pins sn as Snapshot pins a new one: a caller that takes one
+// short-lived snapshot after another on one goroutine (Quorum's proposer,
+// once per transaction) keeps a single Snapshot and allocates none. sn
+// must not be pinned.
+func (s *Store) SnapshotInto(sn *Snapshot) {
 	s.gate.RLock()
-	return &Snapshot{s: s}
+	*sn = Snapshot{s: s}
 }
 
 // Get returns the value and version of key in the snapshot.

@@ -280,36 +280,11 @@ func New(cfg Config) (*Network, error) {
 		if err != nil {
 			return fail(err)
 		}
-		rc := system.ReplicaConfig{
-			Label:   "fabric " + name,
-			DataDir: cfg.DataDir,
-			Name:    name,
-			Engine:  system.LSMEngine(cfg.EngineHook),
-			Checkpoint: recovery.Options{
-				Interval:  cfg.CheckpointInterval,
-				Keep:      cfg.CheckpointKeep,
-				Mode:      cfg.CheckpointMode,
-				FullEvery: cfg.CheckpointFullEvery,
-			},
-		}
-		if cfg.AuthState {
-			rc.Auth = &authstate.Config{Signer: signer}
-		}
-		rep, err := system.OpenReplica(rc)
+		p, err := nw.openPeer(name, signer)
 		if err != nil {
 			return fail(err)
 		}
-		p := &peer{Replica: rep, name: name, nw: nw, signer: signer, free: make(chan *fabricBlock, cfg.PipelineDepth+1)}
 		nw.peers = append(nw.peers, p)
-		p.pipe = pipeline.New(pipeline.Config{
-			Workers: cfg.ValidationWorkers,
-			Depth:   cfg.PipelineDepth,
-		}, pipeline.Stages[sharedlog.Batch, *fabricBlock]{
-			Decode:   p.decodeBlock,
-			Validate: p.validateBlock,
-			Apply:    p.applyBlock,
-			Seal:     p.sealBlock,
-		})
 		nw.peerKeys[name] = signer.Public()
 	}
 	door, err := ingress.NewDoor(cfg.Ingress, nw.ingestBatch, nw.execute, "fabric: commit timeout")
@@ -322,6 +297,42 @@ func New(cfg Config) (*Network, error) {
 		p.Run(p.commitLoop)
 	}
 	return nw, nil
+}
+
+// openPeer opens the replica and block pipeline of a peer that endorses as
+// signer: all of a peer but its subscription.
+func (nw *Network) openPeer(name string, signer *cryptoutil.Signer) (*peer, error) {
+	cfg := nw.cfg
+	rc := system.ReplicaConfig{
+		Label:   "fabric " + name,
+		DataDir: cfg.DataDir,
+		Name:    name,
+		Engine:  system.LSMEngine(cfg.EngineHook),
+		Checkpoint: recovery.Options{
+			Interval:  cfg.CheckpointInterval,
+			Keep:      cfg.CheckpointKeep,
+			Mode:      cfg.CheckpointMode,
+			FullEvery: cfg.CheckpointFullEvery,
+		},
+	}
+	if cfg.AuthState {
+		rc.Auth = &authstate.Config{Signer: signer}
+	}
+	rep, err := system.OpenReplica(rc)
+	if err != nil {
+		return nil, err
+	}
+	p := &peer{Replica: rep, name: name, nw: nw, signer: signer, free: make(chan *fabricBlock, cfg.PipelineDepth+1)}
+	p.pipe = pipeline.New(pipeline.Config{
+		Workers: cfg.ValidationWorkers,
+		Depth:   cfg.PipelineDepth,
+	}, pipeline.Stages[sharedlog.Batch, *fabricBlock]{
+		Decode:   p.decodeBlock,
+		Validate: p.validateBlock,
+		Apply:    p.applyBlock,
+		Seal:     p.sealBlock,
+	})
+	return p, nil
 }
 
 // Name implements system.System.

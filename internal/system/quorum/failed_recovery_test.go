@@ -37,10 +37,7 @@ func failedRecoveryRetries(t *testing.T, cfg Config) {
 	for _, k := range []string{"alpha", "beta", "gamma"} {
 		put(k)
 	}
-	leader := nw.Leader()
-	if leader < 0 {
-		t.Fatal("no leader after committed blocks")
-	}
+	leader := waitLeader(t, nw)
 	victim := (leader + 1) % cfg.Nodes
 	nw.CrashNode(victim)
 	down := nw.nodes[victim]

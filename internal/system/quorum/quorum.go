@@ -207,7 +207,12 @@ type node struct {
 	ep   *cluster.Endpoint
 	pipe *pipeline.Pipeline[consensus.Entry, *nodeBlock]
 	// free holds sealed blocks for the Decode stage to decode into again.
-	free      chan *nodeBlock
+	free chan *nodeBlock
+	// exec is the Apply stage's re-execution scratch, and pre the view the
+	// proposer pins for each transaction it pre-executes: each serves one
+	// goroutine, so neither allocates per block or per transaction.
+	exec      pipeline.Executor
+	pre       state.Snapshot
 	pendingMu sync.Mutex
 	pending   []*txn.Tx
 	// win admits the first copy of each block in log order. Like
@@ -277,36 +282,10 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	for _, id := range peers {
-		signer, err := cryptoutil.NewSigner(fmt.Sprintf("quorum-node-%d", id))
-		if err != nil {
-			return fail(fmt.Errorf("quorum node %d: signer: %w", id, err))
-		}
-		rep, err := system.OpenReplica(system.ReplicaConfig{
-			Label:      fmt.Sprintf("quorum node %d", id),
-			DataDir:    cfg.DataDir,
-			Name:       fmt.Sprintf("node%d", id),
-			Engine:     system.LSMEngine(cfg.EngineHook),
-			Auth:       &authstate.Config{Signer: signer, PublishEvery: cfg.RootPublishEvery},
-			ProofCache: cfg.ProofCacheSize,
-			Checkpoint: recovery.Options{
-				Interval:  cfg.CheckpointInterval,
-				Mode:      cfg.CheckpointMode,
-				FullEvery: cfg.CheckpointFullEvery,
-			},
-		})
+		n, err := nw.openNode(id)
 		if err != nil {
 			return fail(err)
 		}
-		n := &node{Replica: rep, id: id, nw: nw, free: make(chan *nodeBlock, cfg.PipelineDepth+1)}
-		n.pipe = pipeline.New(pipeline.Config{
-			Workers: cfg.ExecutionWorkers,
-			Depth:   cfg.PipelineDepth,
-		}, pipeline.Stages[consensus.Entry, *nodeBlock]{
-			Decode:   n.decodeBlock,
-			Validate: n.validateBlock,
-			Apply:    n.applyBlock,
-			Seal:     n.sealBlock,
-		})
 		ep := nw.net.Register(id, 8192)
 		n.ep = ep
 		switch cfg.Consensus {
@@ -333,6 +312,43 @@ func New(cfg Config) (*Network, error) {
 		return true
 	})
 	return nw, nil
+}
+
+// openNode opens node id's replica and block pipeline: all of a node but
+// its consensus member and endpoint.
+func (nw *Network) openNode(id cluster.NodeID) (*node, error) {
+	cfg := nw.cfg
+	signer, err := cryptoutil.NewSigner(fmt.Sprintf("quorum-node-%d", id))
+	if err != nil {
+		return nil, fmt.Errorf("quorum node %d: signer: %w", id, err)
+	}
+	rep, err := system.OpenReplica(system.ReplicaConfig{
+		Label:      fmt.Sprintf("quorum node %d", id),
+		DataDir:    cfg.DataDir,
+		Name:       fmt.Sprintf("node%d", id),
+		Engine:     system.LSMEngine(cfg.EngineHook),
+		Auth:       &authstate.Config{Signer: signer, PublishEvery: cfg.RootPublishEvery},
+		ProofCache: cfg.ProofCacheSize,
+		Checkpoint: recovery.Options{
+			Interval:  cfg.CheckpointInterval,
+			Mode:      cfg.CheckpointMode,
+			FullEvery: cfg.CheckpointFullEvery,
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := &node{Replica: rep, id: id, nw: nw, free: make(chan *nodeBlock, cfg.PipelineDepth+1)}
+	n.pipe = pipeline.New(pipeline.Config{
+		Workers: cfg.ExecutionWorkers,
+		Depth:   cfg.PipelineDepth,
+	}, pipeline.Stages[consensus.Entry, *nodeBlock]{
+		Decode:   n.decodeBlock,
+		Validate: n.validateBlock,
+		Apply:    n.applyBlock,
+		Seal:     n.sealBlock,
+	})
+	return n, nil
 }
 
 // Name implements system.System.
@@ -574,9 +590,9 @@ func (n *node) proposeBatch(batch []*txn.Tx) {
 	size := consensus.Header
 	for _, t := range batch {
 		start := time.Now()
-		snap := n.St.Snapshot()
-		_, _ = registry.Execute(snap, t.Invocation)
-		snap.Release()
+		n.St.SnapshotInto(&n.pre)
+		_, _ = registry.Execute(&n.pre, t.Invocation)
+		n.pre.Release()
 		t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
 		size += t.EncodedLen()
 	}
@@ -664,7 +680,7 @@ func (n *node) applyBlock(nb *nodeBlock) {
 	blockNum := n.Ledger.Height() + 1
 	nb.results = append(nb.results[:0], make([]system.Result, len(nb.Txs))...)
 	nb.execDur = append(nb.execDur[:0], make([]time.Duration, len(nb.Txs))...)
-	rws, errs := pipeline.ExecuteBlock(len(nb.Txs), n.pipe.Workers(), blockNum, n.St,
+	rws, errs := n.exec.ExecuteBlock(len(nb.Txs), n.pipe.Workers(), blockNum, n.St,
 		func(i int, view contract.StateReader) (txn.RWSet, error) {
 			start := time.Now()
 			defer func() { nb.execDur[i] = time.Since(start) }()
@@ -807,8 +823,10 @@ func (nw *Network) Proofs(i int) *authstate.ProofServer { return nw.nodes[i].Pro
 // StateRoot returns node i's state commitment at its current ledger tip,
 // waiting for the asynchronous maintainer to catch up to it (the
 // synchronous answer tests and cross-replica comparisons expect).
-func (nw *Network) StateRoot(i int) cryptoutil.Hash {
-	n := nw.nodes[i]
+func (nw *Network) StateRoot(i int) cryptoutil.Hash { return nw.nodes[i].stateRoot() }
+
+// stateRoot is StateRoot for node n.
+func (n *node) stateRoot() cryptoutil.Hash {
 	if n.Auth == nil {
 		return cryptoutil.Hash{}
 	}

@@ -113,6 +113,20 @@ func waitConverged(t *testing.T, nw *Network, nodes int) uint64 {
 	return 0
 }
 
+// waitLeader returns the current leader once a node claims to lead. Over
+// IBFT each node names the proposer of its own height and round, so while
+// the nodes step from one height to the next none may claim it.
+func waitLeader(t *testing.T, nw *Network) int {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if l := nw.Leader(); l >= 0 {
+			return l
+		}
+	}
+	t.Fatal("no leader after committed blocks")
+	return -1
+}
+
 func TestIBFTModeCommits(t *testing.T) {
 	nw, client := network(t, Config{Nodes: 4, Consensus: IBFT})
 	r := nw.Execute(mustTx(t, client, "put", "k", "v"))

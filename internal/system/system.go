@@ -85,22 +85,17 @@ type Submitter interface {
 // supports any number of waiters — a ledger system's pending table (the
 // ingress mempool's, or Pending on the direct path) hands the same handle
 // to every submitter of a content-identical transaction — and is resolved
-// exactly once; later Resolve calls are no-ops.
+// exactly once; later Resolve calls are no-ops. The zero Handle is
+// unresolved and ready, so a pending table may hold it inside its own
+// entry; a Handle must not be copied.
 type Handle struct {
 	mu       sync.Mutex
 	resolved bool
 	result   Result
-	// waiters starts out backed by first: almost every handle has one
-	// waiter, which so costs no slice.
-	waiters []chan Result
-	first   [1]chan Result
-}
-
-// NewHandle returns an unresolved handle.
-func NewHandle() *Handle {
-	h := &Handle{}
-	h.waiters = h.first[:0]
-	return h
+	// first is the one waiter almost every handle has, which so costs no
+	// slice; more holds the rest.
+	first chan Result
+	more  []chan Result
 }
 
 // Resolve delivers the outcome. The first call wins; every channel
@@ -114,11 +109,16 @@ func (h *Handle) Resolve(r Result) {
 	}
 	h.resolved = true
 	h.result = r
-	ws := h.waiters
-	h.waiters = nil
+	first, more := h.first, h.more
+	h.first, h.more = nil, nil
 	h.mu.Unlock()
-	for _, ch := range ws {
-		ch <- r // cap 1, one per Done call: never blocks
+	// Each channel has capacity 1 and is handed out by one Done call, so
+	// no send blocks.
+	if first != nil {
+		first <- r
+	}
+	for _, ch := range more {
+		ch <- r
 	}
 }
 
@@ -129,10 +129,13 @@ func (h *Handle) Resolve(r Result) {
 func (h *Handle) Done() <-chan Result {
 	ch := make(chan Result, 1)
 	h.mu.Lock()
-	if h.resolved {
+	switch {
+	case h.resolved:
 		ch <- h.result
-	} else {
-		h.waiters = append(h.waiters, ch)
+	case h.first == nil:
+		h.first = ch
+	default:
+		h.more = append(h.more, ch)
 	}
 	h.mu.Unlock()
 	return ch
@@ -181,7 +184,7 @@ func (b Blocking) Submit(ctx context.Context, tx *txn.Tx) (*Handle, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	h := NewHandle()
+	h := new(Handle)
 	go func() { h.Resolve(b.run(tx)) }()
 	return h, nil
 }
@@ -241,7 +244,7 @@ func (p *Pending) open(id cryptoutil.Hash, trace *metrics.Trace) (*Handle, bool)
 	if e, ok := p.m[id]; ok {
 		return e.h, false
 	}
-	h := NewHandle()
+	h := new(Handle)
 	p.m[id] = pending{h: h, trace: trace}
 	return h, true
 }

@@ -19,7 +19,7 @@ import (
 // ones after it, and one asked for once it has resolved — and only the
 // first Resolve counts.
 func TestHandleEveryWaiterReceives(t *testing.T) {
-	h := NewHandle()
+	h := new(Handle)
 	waits := []<-chan Result{h.Done(), h.Done(), h.Done()}
 	h.Resolve(Result{Committed: true})
 	h.Resolve(Result{})

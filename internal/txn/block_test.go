@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -139,10 +140,11 @@ func smallbankTx(i int) *Tx {
 }
 
 // The steady-state decode of a block into a reused Block: the slabs and Txs
-// are the previous block's, so what is left is one allocation per block,
-// Raw — the slice the ledger seals and keeps, sized by the last block — and
-// one per transaction, its string: client, contract, method, keys and
-// endorser names, copied out together.
+// are the previous block's, and its names are interned, so what is left is
+// one allocation per block, Raw — the slice the ledger seals and keeps,
+// sized by the last block. The Fabric batch's client name (68 bytes) is
+// longer than the table takes, so each of its transactions still copies
+// out its one string: client, contract, method, keys and endorser names.
 func TestBlockDecodeAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -155,25 +157,115 @@ func TestBlockDecodeAllocs(t *testing.T) {
 		entry = smallbankTx(i).AppendTo(entry)
 	}
 	var batch, block Block
-	for name, decode := range map[string]func(){
-		"100-record Fabric batch": func() {
+	for _, c := range []struct {
+		name   string
+		want   float64
+		decode func()
+	}{
+		{"100-record Fabric batch", 1 + txs, func() {
 			batch.Reset()
 			for _, rec := range records {
 				if err := batch.DecodeOne(rec); err != nil {
 					t.Fatal(err)
 				}
 			}
-		},
-		"100-transaction Quorum entry": func() {
+		}},
+		{"100-transaction Quorum entry", 1, func() {
 			block.Reset()
 			if err := block.Decode(entry); err != nil {
 				t.Fatal(err)
 			}
-		},
+		}},
 	} {
-		decode() // size the slabs
-		if got := testing.AllocsPerRun(50, decode); got != 1+txs {
-			t.Errorf("%s: %v allocs per block, want %d (Raw, and one string per transaction)", name, got, 1+txs)
+		c.decode() // size the slabs and fill the table
+		if got := testing.AllocsPerRun(50, c.decode); got != c.want {
+			t.Errorf("%s: %v allocs per block, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// An interned name is the string a fresh decode gives, and it is the same
+// string every time the block meets the name again: after Reset, and
+// when the block decodes the same entry again. A string the block handed
+// out never changes, whatever it decodes later.
+func TestBlockInternedNames(t *testing.T) {
+	var entry []byte
+	for i := range 10 {
+		entry = smallbankTx(i).AppendTo(entry)
+	}
+	var b Block
+	if err := b.Decode(entry); err != nil {
+		t.Fatal(err)
+	}
+	first := b.Txs[3]
+	client, contract, method := first.Client, first.Invocation.Contract, first.Invocation.Method
+	for _, tx := range b.Txs {
+		if unsafe.StringData(tx.Client) != unsafe.StringData(client) || unsafe.StringData(tx.Invocation.Method) != unsafe.StringData(method) {
+			t.Fatal("a repeated name within one block was copied out again")
+		}
+	}
+	b.Reset()
+	data, _ := goldenBlock() // other names, decoded into the same table
+	if err := b.Decode(data); err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := b.Decode(entry); err != nil {
+		t.Fatal(err)
+	}
+	if client != "bench-client" || contract != "smallbank" || method != "send_payment" {
+		t.Fatalf("names handed out changed to %q %q %q", client, contract, method)
+	}
+	for i, tx := range b.Txs {
+		want, err := Unmarshal(b.Raw[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tx, want) {
+			t.Fatalf("tx %d: interned decode %#v, fresh decode %#v", i, tx, want)
+		}
+		if unsafe.StringData(tx.Client) != unsafe.StringData(client) || unsafe.StringData(tx.Invocation.Contract) != unsafe.StringData(contract) {
+			t.Fatalf("tx %d: a name met before the Reset was not the interned string", i)
+		}
+	}
+}
+
+// Past the table's cap a block still decodes every name right: a block of
+// more distinct keys than the table takes, and names longer than it takes,
+// decodes as Unmarshal does, re-encodes to its input, and leaves the table
+// at its cap.
+func TestBlockInternPastTheCap(t *testing.T) {
+	const n = internCap + 500
+	var data []byte
+	for i := range n {
+		tx := smallbankTx(i)
+		tx.RWSet.Writes = []Write{{Key: fmt.Sprintf("key-%06d", i), Value: []byte("v")}}
+		if i%7 == 0 {
+			tx.Client = fmt.Sprintf("%0*d", internMaxLen+1, i)
+		}
+		data = tx.AppendTo(data)
+	}
+	var b Block
+	for round := range 2 { // the second round meets a full table
+		b.Reset()
+		if err := b.Decode(data); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Txs) != n {
+			t.Fatalf("round %d: %d txs, want %d", round, len(b.Txs), n)
+		}
+		var enc []byte
+		for i, tx := range b.Txs {
+			enc = tx.AppendTo(enc)
+			if want, err := Unmarshal(b.Raw[i]); err != nil || !reflect.DeepEqual(tx, want) {
+				t.Fatalf("round %d, tx %d decodes differently from Unmarshal (%v)", round, i, err)
+			}
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("round %d: the block does not re-encode to its input", round)
+		}
+		if len(b.names) != internCap {
+			t.Fatalf("round %d: the table holds %d names, want its cap %d", round, len(b.names), internCap)
 		}
 	}
 }
@@ -220,4 +312,56 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Fatalf("DecodeOne: %v for an input of %d txs", err, len(b.Txs))
 		}
 	})
+}
+
+// BenchmarkBlockDecode is a replica's Decode stage per transaction, for the
+// two shapes the ledger side decodes into a reused Block: a Quorum entry
+// of 100 Smallbank calls, whose names the block has interned, and a Fabric
+// batch of 100 records, each a 1 KB update with four endorsements, whose
+// 68-byte client name is past internMaxLen, so each record still copies
+// out its one string.
+func BenchmarkBlockDecode(b *testing.B) {
+	const txs = 100
+	records := make([][]byte, txs)
+	var entry []byte
+	for i := range records {
+		records[i] = fabricTx(i).Marshal()
+		entry = smallbankTx(i).AppendTo(entry)
+	}
+	for _, c := range []struct {
+		shape  string
+		decode func(*Block) error
+	}{
+		{"quorum-entry", func(blk *Block) error { return blk.Decode(entry) }},
+		{"fabric-batch", func(blk *Block) error {
+			for _, rec := range records {
+				if err := blk.DecodeOne(rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		b.Run("shape="+c.shape, func(b *testing.B) {
+			var blk Block
+			if err := c.decode(&blk); err != nil { // size the slabs and fill the table
+				b.Fatal(err)
+			}
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				blk.Reset()
+				if err := c.decode(&blk); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms1)
+			per := float64(b.N * txs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/tx")
+			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/per, "allocs/tx")
+		})
+	}
 }

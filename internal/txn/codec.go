@@ -135,9 +135,9 @@ func (t *Tx) AppendTo(out []byte) []byte {
 // decoder is a bounds-checked cursor over encoded transactions, and the
 // one walk of the wire layout (tx). It fills a transaction in one of two
 // ways: with blk nil every field is a fresh heap copy (Unmarshal); with blk
-// set, []byte fields alias the input, slices are cut from blk's slabs, and
-// a transaction's strings are copied out together, into one string
-// (Block).
+// set, []byte fields alias the input, slices are cut from blk's slabs, a
+// name is blk's interned string, and a transaction's other strings are
+// copied out together, into one string (Block).
 type decoder struct {
 	data []byte
 	off  int
@@ -208,12 +208,28 @@ func (d *decoder) bytes(what string) []byte {
 }
 
 // str reads a length-prefixed string into *dst: a copy of its own, or in a
-// block a slice of the transaction's one string, filled in when the
+// block the block's interned copy — made now if the table has room for it
+// — or else a slice of the transaction's one string, filled in when the
 // transaction ends (Block.strings).
 func (d *decoder) str(dst *string, what string) {
 	b := d.take(int(d.u32(what)), what)
 	if d.blk == nil {
 		*dst = string(b)
+		return
+	}
+	names := d.blk.names
+	if name, ok := names[string(b)]; ok {
+		*dst = name
+		return
+	}
+	if len(names) < internCap && len(b) <= internMaxLen {
+		if names == nil {
+			names = make(map[string]string)
+			d.blk.names = names
+		}
+		name := string(b)
+		names[name] = name
+		*dst = name
 		return
 	}
 	lo := len(d.blk.sbuf)
@@ -316,13 +332,18 @@ func Unmarshal(data []byte) (*Tx, error) {
 // copy of a consensus entry or shared-log batch. A view's []byte fields
 // (arguments, written values) alias the input, so the input must not
 // change while a view is read — consensus entries and ledger payloads
-// never do. Its strings are its own: each transaction's are copied out
-// together into one allocation, so a key that outlives the block (a state
-// map key) pins a few dozen bytes, not the block. Raw is the caller's to
-// keep — a ledger seals it — so each block's is its own slice. Everything
-// else — the Tx structs and their slices — is cut from slabs the Block
-// keeps, so a Block that is Reset and decodes the next block allocates
-// only Raw and those strings.
+// never do. Its strings are its own, never the input's, so a key that
+// outlives the block (a state map key) pins a few dozen bytes, not the
+// block. The names a block decodes — client, contract, method, endorser,
+// key — are interned: the block copies out the first internCap names of up
+// to internMaxLen bytes it meets, one string each, into a table it keeps
+// for its whole lifetime (Reset keeps it), and every later meeting of a
+// name is that string. A transaction's strings past the table are copied
+// out together into one allocation. Raw is the caller's to keep — a ledger
+// seals it — so each block's is its own slice. Everything else — the Tx
+// structs and their slices — is cut from slabs the Block keeps, so a Block
+// that is Reset and decodes the next block allocates only Raw, and one
+// string for each transaction that carries a name the table does not hold.
 //
 // The zero value is an empty Block ready to decode into.
 type Block struct {
@@ -337,11 +358,24 @@ type Block struct {
 	writes []Write
 	ends   []Endorsement
 	aggs   []AggregateEndorsement
-	// sbuf gathers the strings of the transaction being decoded, and refs
-	// where each goes once the transaction's one string is made.
+	// names is the intern table, each name mapped to itself.
+	names map[string]string
+	// sbuf gathers the strings of the transaction being decoded that are
+	// past the table, and refs where each goes once the transaction's one
+	// string is made.
 	sbuf []byte
 	refs []strRef
 }
+
+// internCap bounds a Block's intern table, and internMaxLen the names it
+// takes, so a table holds at most internCap × internMaxLen bytes of names.
+// The cap covers the names a replica meets again and again — clients,
+// contracts, methods, peers and a hot key set — and a name past either
+// bound is copied out with its transaction's other strings each time.
+const (
+	internCap    = 4096
+	internMaxLen = 64
+)
 
 // strRef is a string field waiting for its slice of a transaction's string.
 type strRef struct {
@@ -385,8 +419,11 @@ func (b *Block) decode(data []byte, one bool) error {
 }
 
 // strings makes the decoded transaction's one string and points each of
-// its string fields into it.
+// its string fields past the table into it.
 func (b *Block) strings() {
+	if len(b.refs) == 0 {
+		return
+	}
 	s := string(b.sbuf)
 	for _, r := range b.refs {
 		*r.dst = s[r.lo:r.hi]
@@ -394,10 +431,11 @@ func (b *Block) strings() {
 	clear(b.refs)
 }
 
-// Reset empties the block and keeps its slabs for the next decode. It
-// zeroes every view the block handed out, so nothing may read one after:
-// a replica resets a block once its Seal stage is done with it. Raw is let
-// go, not zeroed: whoever sealed it keeps it.
+// Reset empties the block and keeps its slabs and its intern table for the
+// next decode. It zeroes every view the block handed out, so nothing may
+// read one after: a replica resets a block once its Seal stage is done with
+// it. Raw is let go, not zeroed: whoever sealed it keeps it, and so are the
+// strings, which are never overwritten.
 func (b *Block) Reset() {
 	b.Txs, b.Raw = emptied(b.Txs), nil
 	b.txs, b.args, b.reads, b.writes, b.ends, b.aggs = emptied(b.txs), emptied(b.args), emptied(b.reads), emptied(b.writes), emptied(b.ends), emptied(b.aggs)

@@ -4,6 +4,15 @@
 // replication dimension turns on what gets replicated — blockchains
 // replicate these transactions whole, databases replicate only the storage
 // writes they produce — so both representations live here.
+//
+// A ledger replica decodes each block into a Block it reuses: Reset keeps
+// the Block's slabs (the Tx structs, their slices) and its table of
+// interned names for the next block, and zeroes the views the last one
+// handed out. What a decode leaves the replica is what it keeps: Raw, which
+// its ledger seals, and a string for the names the table does not hold — a
+// client, contract, method, endorser or key is copied out the first time a
+// Block meets it and is that same string every time after, up to the
+// table's bound (internCap names of at most internMaxLen bytes each).
 package txn
 
 import (
