@@ -37,7 +37,10 @@ test:
 # times: commit timeouts fire on the door's one timer while the sealer
 # answers the same batches, each caller is answered once, a reused batch
 # carries none of the batch before it, and interned names survive Reset
-# and the table's cap.
+# and the table's cap. The eleventh repeats the paged consensus log twenty
+# times: its equivalence with a plain slice, and raft's conflict
+# truncations and catch-up across pages, where in-flight AppendEntries
+# messages alias the pages a truncation copies or drops.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
@@ -49,6 +52,7 @@ race:
 	go test -race -count=10 -timeout 10m -run 'TestDeliveryDoesNotDependOnOrdererZero|TestConsumersAgreeAcrossLeaderChange|TestBatchTimerDoesNotSkip' ./internal/sharedlog/
 	go test -race -count=10 -timeout 10m -run 'TestGroupRecoverEqualsNeverCrashed|TestGroupCrashSkipsReplica' ./internal/system/
 	go test -race -count=20 -timeout 10m -run 'TestTimeoutRacingSealAnswersOnce|TestTimeoutSkipsAnEntryResolvedWhileQueued|TestStaleWatchdogDoesNotClobberResubmission|TestResolvedTransactionIsCollectable|TestCloseStopsWatchdogs|TestBlockInterned|TestBlockInternPastTheCap|TestBlockResetZeroesViews' ./internal/ingress/ ./internal/txn/
+	go test -race -count=20 -timeout 10m -run 'TestLogMatchesSliceReference|TestInFlightAppendKeepsItsEntries|TestFollowerCatchesUpAcrossPages' ./internal/consensus/ ./internal/consensus/raft/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

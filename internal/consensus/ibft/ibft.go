@@ -71,8 +71,9 @@ type Node struct {
 	// the proposer may already be deciding it, so a copy can arrive after
 	// its height; queued, it would be decided a second time.
 	decided [64]cryptoutil.Hash
-	// log holds every decided height's entry, log[h-1] height h's.
-	log []consensus.Entry
+	// log holds every decided height's payload and round, entry h-1
+	// height h's.
+	log consensus.Log
 
 	loop consensus.Loop
 }
@@ -202,8 +203,9 @@ func (n *Node) acceptProposalLocked(round uint64, digest cryptoutil.Hash, data [
 func (n *Node) Entries(from uint64, buf []consensus.Entry) []consensus.Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for h := max(from, 1); h <= uint64(len(n.log)); h++ {
-		buf = append(buf, n.log[h-1])
+	for h := max(from, 1); h <= n.log.Len(); h++ {
+		e := n.log.At(h - 1)
+		buf = append(buf, consensus.Entry{Index: h, Data: e.Data, Term: e.Term})
 	}
 	return buf
 }
@@ -365,7 +367,7 @@ func (n *Node) maybeAdvanceLocked() {
 	}
 	if len(n.commits) >= n.quorum() {
 		// Height decided: log it with embedded metadata and move on.
-		n.log = append(n.log, consensus.Entry{Index: n.height, Data: n.data, Term: n.round})
+		n.log.Append(consensus.LogEntry{Term: n.round, Data: n.data})
 		n.loop.Signal()
 		// Drop the local copy of the decided payload, if queued here.
 		decided := n.digest

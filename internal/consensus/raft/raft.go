@@ -12,10 +12,11 @@
 // tests exercise.
 //
 // A consensus.Loop drives each replica: it runs the clock and the inbox.
-// The log is the commit stream: a reader takes n.log[from..commitIndex]
+// The log is the commit stream: a reader takes entries from..commitIndex
 // with Entries, woken by Notify, at its own pace, so a reader that falls
-// behind stalls nobody. The core never holds n.mu across a channel
-// operation.
+// behind stalls nobody. The log is a consensus.Log, kept in fixed pages, so
+// it never copies itself as it grows. The core never holds n.mu across a
+// channel operation.
 package raft
 
 import (
@@ -70,10 +71,7 @@ const (
 	leader
 )
 
-type logEntry struct {
-	Term uint64
-	Data []byte
-}
+type logEntry = consensus.LogEntry
 
 // Node is a Raft replica.
 type Node struct {
@@ -84,7 +82,7 @@ type Node struct {
 	term        uint64
 	votedFor    cluster.NodeID // -1 when none
 	leaderID    cluster.NodeID // -1 when unknown
-	log         []logEntry     // log[0] is a sentinel with Term 0
+	log         consensus.Log  // entry 0 is a sentinel with Term 0
 	commitIndex uint64
 	nextIndex   map[cluster.NodeID]uint64
 	matchIndex  map[cluster.NodeID]uint64
@@ -105,9 +103,9 @@ func New(cfg Config) *Node {
 		votedFor:   -1,
 		leaderID:   -1,
 		recovering: cfg.Recovering,
-		log:        make([]logEntry, 1),
 		rng:        rand.New(rand.NewSource(int64(cfg.ID) + 1)),
 	}
+	n.log.Append(logEntry{})
 	n.resetElectionTimer()
 	n.loop.Start(cfg.Endpoint.Inbox(), n.tick, n.handle)
 	return n
@@ -182,7 +180,7 @@ func (n *Node) Propose(data []byte) error {
 }
 
 func (n *Node) appendLocal(data []byte) {
-	n.log = append(n.log, logEntry{Term: n.term, Data: data})
+	n.log.Append(logEntry{Term: n.term, Data: data})
 	n.matchIndex[n.cfg.ID] = n.lastIndex()
 	// Single-node groups commit immediately.
 	n.advanceCommitLocked()
@@ -194,7 +192,8 @@ func (n *Node) Entries(from uint64, buf []consensus.Entry) []consensus.Entry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for i := max(from, 1); i <= n.commitIndex; i++ {
-		buf = append(buf, consensus.Entry{Index: i, Data: n.log[i].Data, Term: n.log[i].Term})
+		e := n.log.At(i)
+		buf = append(buf, consensus.Entry{Index: i, Data: e.Data, Term: e.Term})
 	}
 	return buf
 }
@@ -269,7 +268,10 @@ func (n *Node) resetElectionTimer() {
 	n.ticksLeft = electionTicks + n.rng.Intn(electionTicks)
 }
 
-func (n *Node) lastIndex() uint64 { return uint64(len(n.log) - 1) }
+func (n *Node) lastIndex() uint64 { return n.log.Len() - 1 }
+
+// lastTerm is the term of the log's last entry.
+func (n *Node) lastTerm() uint64 { return n.log.At(n.lastIndex()).Term }
 
 func (n *Node) startElectionLocked() {
 	n.role = candidate
@@ -281,7 +283,7 @@ func (n *Node) startElectionLocked() {
 	msg := requestVote{
 		Term:         n.term,
 		LastLogIndex: n.lastIndex(),
-		LastLogTerm:  n.log[n.lastIndex()].Term,
+		LastLogTerm:  n.lastTerm(),
 	}
 	for _, p := range n.cfg.Peers {
 		if p != n.cfg.ID {
@@ -341,18 +343,17 @@ func (n *Node) sendAppendLocked(to cluster.NodeID) {
 		next = 1
 	}
 	prev := next - 1
-	// The message carries the log's own entries, uncopied. Appending writes
-	// only past the end of the log, and a conflict truncation copies the
-	// log rather than overwriting it in place (onAppendEntries), so the
-	// entries a message was sent with stay what they were; the cap keeps an
-	// append through the message's slice from reaching the log's spare
-	// capacity.
-	end := min(uint64(len(n.log)), next+maxBatch)
+	// The message carries a slice of one page of the log, uncopied and
+	// clipped at the page's end: the rest goes in the next message. Appending
+	// writes only past the end of the log, and a conflict truncation copies
+	// the one page it cuts rather than overwriting it (consensus.Log), so the
+	// entries a message was sent with stay what they were; the slice's cap
+	// keeps an append through it from reaching the page's spare slots.
 	_ = n.cfg.Endpoint.Send(to, appendEntries{
 		Term:         n.term,
 		PrevLogIndex: prev,
-		PrevLogTerm:  n.log[prev].Term,
-		Entries:      n.log[next:end:end],
+		PrevLogTerm:  n.log.At(prev).Term,
+		Entries:      n.log.Slice(next, next+maxBatch),
 		LeaderCommit: n.commitIndex,
 	})
 }
@@ -401,7 +402,7 @@ func (n *Node) onRequestVote(from cluster.NodeID, msg requestVote) {
 	// candidates missing committed entries look up-to-date.
 	if msg.Term == n.term && !n.recovering && (n.votedFor == -1 || n.votedFor == from) {
 		// §5.4.1: candidate's log must be at least as up-to-date.
-		lastTerm := n.log[n.lastIndex()].Term
+		lastTerm := n.lastTerm()
 		upToDate := msg.LastLogTerm > lastTerm ||
 			(msg.LastLogTerm == lastTerm && msg.LastLogIndex >= n.lastIndex())
 		if upToDate {
@@ -445,7 +446,7 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 	n.resetElectionTimer()
 
 	// Consistency check on the previous entry.
-	if msg.PrevLogIndex > n.lastIndex() || n.log[msg.PrevLogIndex].Term != msg.PrevLogTerm {
+	if msg.PrevLogIndex > n.lastIndex() || n.log.At(msg.PrevLogIndex).Term != msg.PrevLogTerm {
 		hint := n.lastIndex()
 		if msg.PrevLogIndex < hint {
 			hint = msg.PrevLogIndex
@@ -460,14 +461,15 @@ func (n *Node) onAppendEntries(from cluster.NodeID, msg appendEntries) {
 	for i, e := range msg.Entries {
 		idx = msg.PrevLogIndex + uint64(i) + 1
 		if idx <= n.lastIndex() {
-			if n.log[idx].Term != e.Term {
-				// Truncate into a fresh array: AppendEntries messages this
-				// node sent while it led still alias the old one.
-				n.log = append(n.log[:idx:idx], e)
+			if n.log.At(idx).Term != e.Term {
+				// Truncate copies the page it cuts: AppendEntries messages
+				// this node sent while it led still alias the old one.
+				n.log.Truncate(idx)
+				n.log.Append(e)
 			}
 			continue
 		}
-		n.log = append(n.log, e)
+		n.log.Append(e)
 	}
 	match := msg.PrevLogIndex + uint64(len(msg.Entries))
 	if msg.LeaderCommit > n.commitIndex {
@@ -534,7 +536,7 @@ func (n *Node) advanceCommitLocked() {
 	slices.Sort(matches)
 	q := len(n.cfg.Peers)/2 + 1
 	idx := matches[len(matches)-q]
-	if idx > n.commitIndex && n.log[idx].Term == n.term {
+	if idx > n.commitIndex && n.log.At(idx).Term == n.term {
 		n.commitIndex = idx
 		n.loop.Signal()
 	}

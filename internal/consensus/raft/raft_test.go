@@ -492,12 +492,122 @@ func TestInFlightAppendKeepsItsEntries(t *testing.T) {
 	n.onAppendEntries(3, appendEntries{Term: 2, PrevLogIndex: 1, PrevLogTerm: 1,
 		Entries: []logEntry{{Term: 2, Data: []byte("x")}}})
 	n.mu.Lock()
-	if n.role != follower || n.log[2].Term != 2 || string(n.log[2].Data) != "x" {
-		t.Fatalf("after the conflicting append: role %v, log[2] %+v", n.role, n.log[2])
+	if n.role != follower || n.log.At(2).Term != 2 || string(n.log.At(2).Data) != "x" {
+		t.Fatalf("after the conflicting append: role %v, log[2] %+v", n.role, n.log.At(2))
 	}
 	want := []logEntry{{Term: 1, Data: []byte("a")}, {Term: 1, Data: []byte("b")}}
 	if fmt.Sprint(sent.Entries) != fmt.Sprint(want) {
 		t.Fatalf("in-flight message now carries %v, was sent with %v", sent.Entries, want)
+	}
+}
+
+const page = consensus.LogPage
+
+// A conflict truncation exactly at a page boundary drops the page above it,
+// and one mid-page copies the page it cuts: either way, an AppendEntries
+// message the deposed leader sent from that page keeps its entries.
+func TestInFlightAppendKeepsItsEntriesAcrossPages(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		conflict uint64 // the first index the next leader replaces
+	}{
+		{"at-boundary", page},
+		{"mid-page", page + page/2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := cluster.NewNetwork(cluster.ZeroLink{})
+			defer net.Close()
+			peers := []cluster.NodeID{1, 2, 3}
+			inbox2 := net.Register(2, 16).Inbox()
+			net.Register(3, 16)
+			n := idle(Config{ID: 1, Peers: peers, Endpoint: net.Register(1, 16)})
+			n.mu.Lock()
+			defer n.mu.Unlock()
+
+			// Node 1 leads term 1 with two pages of entries, and sends node 2
+			// those from the conflict point on.
+			n.term = 1
+			n.becomeLeaderLocked()
+			for i := 1; i < 2*page; i++ {
+				n.appendLocal([]byte(fmt.Sprint(i)))
+			}
+			n.nextIndex[2] = c.conflict
+			n.sendAppendLocked(2)
+			var sent appendEntries
+			for len(sent.Entries) == 0 {
+				sent, _ = (<-inbox2).Msg.(appendEntries)
+			}
+			if sent.PrevLogIndex != c.conflict-1 {
+				t.Fatalf("message follows index %d, want %d", sent.PrevLogIndex, c.conflict-1)
+			}
+
+			// Node 3 leads term 2 and replaces the log from the conflict point.
+			n.mu.Unlock()
+			n.onAppendEntries(3, appendEntries{Term: 2, PrevLogIndex: c.conflict - 1, PrevLogTerm: 1,
+				Entries: []logEntry{{Term: 2, Data: []byte("x")}}})
+			n.mu.Lock()
+			if e := n.log.At(c.conflict); n.lastIndex() != c.conflict || e.Term != 2 || string(e.Data) != "x" {
+				t.Fatalf("after the conflicting append: last index %d, entry %d %+v", n.lastIndex(), c.conflict, e)
+			}
+			for k, e := range sent.Entries {
+				if want := fmt.Sprint(c.conflict + uint64(k)); e.Term != 1 || string(e.Data) != want {
+					t.Fatalf("in-flight entry %d now reads (%d, %q), was sent as (1, %q)", k, e.Term, e.Data, want)
+				}
+			}
+		})
+	}
+}
+
+// waitCommitted waits until n has committed index idx.
+func waitCommitted(t *testing.T, n *Node, idx uint64, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		n.mu.Lock()
+		got := n.commitIndex
+		n.mu.Unlock()
+		if got >= idx {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d committed %d of %d", n.cfg.ID, got, idx)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// A follower that missed more than three pages of the log catches up over
+// messages clipped at page ends, and then holds the leader's log entry for
+// entry.
+func TestFollowerCatchesUpAcrossPages(t *testing.T) {
+	net, nodes := group(t, 3)
+	leader := waitLeader(t, nodes, 2*time.Second)
+	var follower *Node
+	for _, n := range nodes {
+		if n != leader {
+			follower = n
+			break
+		}
+	}
+	net.Crash(follower.cfg.ID)
+	const total = 3*page + page/2
+	for i := 0; i < total; i++ {
+		if err := leader.Propose([]byte(fmt.Sprintf("op-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCommitted(t, leader, total, 10*time.Second)
+	net.Restart(follower.cfg.ID)
+	waitCommitted(t, follower, total, 10*time.Second)
+	want, got := leader.Entries(1, nil)[:total], follower.Entries(1, nil)[:total]
+	for i := range want {
+		if got[i].Index != want[i].Index || got[i].Term != want[i].Term || string(got[i].Data) != string(want[i].Data) {
+			t.Fatalf("entry %d: follower (%d, %d, %q), leader (%d, %d, %q)", i,
+				got[i].Index, got[i].Term, got[i].Data, want[i].Index, want[i].Term, want[i].Data)
+		}
+	}
+	if string(got[total-1].Data) != fmt.Sprintf("op-%d", total-1) {
+		t.Fatalf("follower's entry %d = %q", total, got[total-1].Data)
 	}
 }
 
