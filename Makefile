@@ -40,7 +40,12 @@ test:
 # and the table's cap. The eleventh repeats the paged consensus log twenty
 # times: its equivalence with a plain slice, and raft's conflict
 # truncations and catch-up across pages, where in-flight AppendEntries
-# messages alias the pages a truncation copies or drops.
+# messages alias the pages a truncation copies or drops. The twelfth
+# repeats what a Fabric peer reuses twenty times: the checkpoint worker
+# encodes a delta job's values, the engine's own slices, while the
+# committer applies later blocks over the same keys; one Validator serves
+# block after block; and no sealed block's views outlive it, though the
+# Validator and the Apply stage's sets are kept.
 race:
 	go test -race -count=1 -timeout 10m ./internal/ads/... ./internal/authstate/... ./internal/bench/... ./internal/chaos/... ./internal/cluster/... ./internal/consensus/... ./internal/contract/... ./internal/ingress/... ./internal/metrics/... ./internal/sharedlog/... ./internal/state/... ./internal/system/... ./internal/mvcc/... ./internal/pipeline/... ./internal/hybrid/... ./internal/recovery/... ./internal/storage/lsm/... ./internal/twopc/...
 	go test -race -count=20 -timeout 10m -run 'TestPending|TestDirectDuplicateAttaches' ./internal/system/
@@ -53,6 +58,7 @@ race:
 	go test -race -count=10 -timeout 10m -run 'TestGroupRecoverEqualsNeverCrashed|TestGroupCrashSkipsReplica' ./internal/system/
 	go test -race -count=20 -timeout 10m -run 'TestTimeoutRacingSealAnswersOnce|TestTimeoutSkipsAnEntryResolvedWhileQueued|TestStaleWatchdogDoesNotClobberResubmission|TestResolvedTransactionIsCollectable|TestCloseStopsWatchdogs|TestBlockInterned|TestBlockInternPastTheCap|TestBlockResetZeroesViews' ./internal/ingress/ ./internal/txn/
 	go test -race -count=20 -timeout 10m -run 'TestLogMatchesSliceReference|TestInFlightAppendKeepsItsEntries|TestFollowerCatchesUpAcrossPages' ./internal/consensus/ ./internal/consensus/raft/
+	go test -race -count=20 -timeout 10m -run 'TestDeltaJobKeepsItsHeightAcrossOverwrites|TestValidatorReuseMatchesFresh|TestSealedBlockViewsAreHeldByNoOne' ./internal/recovery/ ./internal/pipeline/ ./internal/system/fabric/
 
 # Identical to the CI dichotomy-lint step: build the analyzer suite and
 # run it over every package through go vet's vettool protocol.

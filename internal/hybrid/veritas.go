@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,6 +139,10 @@ type veritasNode struct {
 	consumer *sharedlog.Consumer
 	pipe     *pipeline.Pipeline[sharedlog.Batch, *veritasBatch]
 	height   atomic.Uint64
+	// mvcc and sets are the Apply stage's scratch, kept from batch to
+	// batch; neither holds a batch's sets once the batch is applied.
+	mvcc pipeline.Validator
+	sets []txn.RWSet
 }
 
 // veritasBatch is one decoded log batch moving through a verifier's
@@ -147,8 +152,8 @@ type veritasNode struct {
 type veritasBatch struct {
 	seq uint64
 	txn.Block
-	authErrs []error // per-tx client-auth verdicts; nil slice when auth is off
-	verdicts []occ.AbortReason
+	authErrs []error           // per-tx client-auth verdicts; nil slice when auth is off
+	verdicts []occ.AbortReason // the verifier's Validator's, valid until its next batch's Apply
 	applyErr error
 }
 
@@ -391,14 +396,16 @@ func (n *veritasNode) validateBatch(vb *veritasBatch) {
 // is where the periodic checkpoint snapshots it.
 func (n *veritasNode) applyBatch(vb *veritasBatch) {
 	height := vb.seq
-	sets := make([]txn.RWSet, len(vb.Txs))
+	sets := slices.Grow(n.sets[:0], len(vb.Txs))[:len(vb.Txs)] // zero: cleared after each batch
 	for i, t := range vb.Txs {
 		if vb.authErrs != nil && vb.authErrs[i] != nil {
 			continue // auth-failed effects take no part in validation
 		}
 		sets[i] = t.RWSet
 	}
-	vb.verdicts = pipeline.ValidateWaves(sets, n.St, height, n.pipe.Workers())
+	vb.verdicts = n.mvcc.ValidateWaves(sets, n.St, height, n.pipe.Workers())
+	clear(sets) // hold no view past the batch
+	n.sets = sets[:0]
 	for i := range vb.verdicts {
 		if vb.authErrs != nil && vb.authErrs[i] != nil {
 			vb.verdicts[i] = occ.InconsistentRead // authentication failure

@@ -27,10 +27,44 @@ import (
 // order by transaction index. Each wave lists its indices in ascending
 // order; processing waves in order with per-wave publication is
 // equivalent to the serial block order.
-func Waves(sets []txn.RWSet) [][]int {
-	levels := make([]int, len(sets))
-	maxWriter := make(map[string]int) // key → highest level of any writer so far
-	maxReader := make(map[string]int) // key → highest level of any reader so far
+func Waves(sets []txn.RWSet) [][]int { return new(Validator).Waves(sets) }
+
+// ValidateWaves runs Fabric-style MVCC read-set validation over a block
+// with intra-block parallelism: transactions are scheduled into
+// non-conflicting waves (Waves), each wave validates concurrently across
+// the worker pool against the frozen overlay, and the wave's valid writes
+// publish before the next wave starts. The verdicts are identical to
+// occ.ValidateBlock's serial in-block-order pass — the equivalence the
+// pipeline tests prove — because every transaction still observes exactly
+// the writes of valid earlier-index transactions, no more and no less.
+func ValidateWaves(sets []txn.RWSet, base occ.VersionSource, blockNum uint64, workers int) []occ.AbortReason {
+	return new(Validator).ValidateWaves(sets, base, blockNum, workers)
+}
+
+// Validator runs ValidateWaves block after block and keeps its per-block
+// scratch — the levels, the reader and writer maps, the waves, the
+// verdicts and the overlay — for the next block, as Executor does for
+// re-execution, so a peer's MVCC check allocates nothing once the scratch
+// has grown to its blocks. It holds no key or set of a block past the call
+// that validated it: the maps are cleared before each call returns. The
+// zero value is ready. A Validator serves one block at a time, and what
+// Waves and ValidateWaves return is valid until its next call.
+type Validator struct {
+	levels    []int
+	maxWriter map[string]int // key → highest level of any writer so far
+	maxReader map[string]int // key → highest level of any reader so far
+	waves     [][]int
+	verdicts  []occ.AbortReason
+	overlay   waveOverlay
+}
+
+// Waves is the free Waves over the Validator's scratch.
+func (v *Validator) Waves(sets []txn.RWSet) [][]int {
+	if v.maxWriter == nil {
+		v.maxWriter, v.maxReader = make(map[string]int), make(map[string]int)
+	}
+	levels := slices.Grow(v.levels[:0], len(sets))[:len(sets)]
+	maxWriter, maxReader := v.maxWriter, v.maxReader
 	top := 0
 	for i, rw := range sets {
 		lvl := 1
@@ -55,14 +89,22 @@ func Waves(sets []txn.RWSet) [][]int {
 				maxWriter[w.Key] = lvl
 			}
 		}
-		if lvl > top {
-			top = lvl
-		}
+		top = max(top, lvl)
 	}
-	waves := make([][]int, top)
+	clear(maxWriter)
+	clear(maxReader)
+	// v.waves keeps every wave it ever built, each with its capacity.
+	for len(v.waves) < top {
+		v.waves = append(v.waves, nil)
+	}
+	waves := v.waves[:top]
+	for l := range waves {
+		waves[l] = waves[l][:0]
+	}
 	for i, lvl := range levels {
 		waves[lvl-1] = append(waves[lvl-1], i)
 	}
+	v.levels = levels
 	return waves
 }
 
@@ -90,25 +132,32 @@ func (o *waveOverlay) CommittedVersion(key string) (txn.Version, bool) {
 	return o.base.CommittedVersion(key)
 }
 
-// ValidateWaves runs Fabric-style MVCC read-set validation over a block
-// with intra-block parallelism: transactions are scheduled into
-// non-conflicting waves (Waves), each wave validates concurrently across
-// the worker pool against the frozen overlay, and the wave's valid writes
-// publish before the next wave starts. The verdicts are identical to
-// occ.ValidateBlock's serial in-block-order pass — the equivalence the
-// pipeline tests prove — because every transaction still observes exactly
-// the writes of valid earlier-index transactions, no more and no less.
-func ValidateWaves(sets []txn.RWSet, base occ.VersionSource, blockNum uint64, workers int) []occ.AbortReason {
-	verdicts := make([]occ.AbortReason, len(sets))
+// ValidateWaves is the free ValidateWaves over the Validator's scratch.
+func (v *Validator) ValidateWaves(sets []txn.RWSet, base occ.VersionSource, blockNum uint64, workers int) []occ.AbortReason {
+	// Every index below len(sets) lands in one wave, so every verdict is
+	// written before it is returned.
+	verdicts := slices.Grow(v.verdicts[:0], len(sets))[:len(sets)]
+	v.verdicts = verdicts
 	if len(sets) == 0 {
 		return verdicts
 	}
-	overlay := &waveOverlay{base: base, dirty: make(map[string]waveEntry)}
-	for _, wave := range Waves(sets) {
-		Parallel(workers, len(wave), func(m int) {
-			i := wave[m]
-			verdicts[i] = occ.Validate(sets[i], overlay)
-		})
+	overlay := &v.overlay
+	overlay.base = base
+	if overlay.dirty == nil {
+		overlay.dirty = make(map[string]waveEntry)
+	}
+	for _, wave := range v.Waves(sets) {
+		if workers <= 1 {
+			// Parallel's plain loop, without the closure it would allocate.
+			for _, i := range wave {
+				verdicts[i] = occ.Validate(sets[i], overlay)
+			}
+		} else {
+			Parallel(workers, len(wave), func(m int) {
+				i := wave[m]
+				verdicts[i] = occ.Validate(sets[i], overlay)
+			})
+		}
 		for _, i := range wave {
 			if verdicts[i] != occ.OK {
 				continue
@@ -124,6 +173,8 @@ func ValidateWaves(sets []txn.RWSet, base occ.VersionSource, blockNum uint64, wo
 			}
 		}
 	}
+	clear(overlay.dirty)
+	overlay.base = nil
 	return verdicts
 }
 

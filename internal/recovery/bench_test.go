@@ -3,7 +3,6 @@ package recovery
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"dichotomy/internal/txn"
@@ -31,12 +30,8 @@ func storeEntries(n int) []entry {
 // step=fold the eighth job, which writes the complete state; the other
 // jobs run with the timer stopped. Each file is fsynced, so ns/op is the
 // disk's; allocs/op is the code's, and exact at a fixed -benchtime=Nx.
-// Pruning lists the directory after every file, and os.ReadDir takes its
-// 8 KiB buffer from a pool local to the scheduler's P: with two Ps, a job
-// whose goroutine returns from fsync on the other P finds the pool empty
-// there and allocates a buffer, two allocations that are the scheduler's,
-// not the code's, and enough to move step=delta's count by one. The
-// benchmark therefore runs on one P.
+// Pruning works from the file list the chain keeps, so no job lists the
+// directory, and no per-P buffer pool can move the count.
 func BenchmarkCheckpointWorker(b *testing.B) {
 	const keys, dirty = 2000, 100
 	full := storeEntries(keys)
@@ -69,7 +64,6 @@ func BenchmarkCheckpointWorker(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			next() // the chain-seeding full
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,21 +88,28 @@ type chain struct {
 	// change to the directory goes through.
 	content map[string]chainEntry
 	enc     fileEncoder
+	// files is the directory's checkpoint files as compareFiles orders
+	// them, the writer's too: seeded by the listing sweep makes as the
+	// writer opens the chain, then kept by write, so pruning never lists
+	// the directory again.
+	files []chainFile
 }
 
 // sweep removes the temp files a crash mid-write left in the chain's
 // directory. listChain skips them, so nothing else ever would. A writer
 // sweeps as it opens the chain, before it has a write of its own in
-// flight.
+// flight, and the same listing seeds files.
 func (c *chain) sweep() {
 	names, _ := os.ReadDir(c.opts.Dir)
 	for _, e := range names {
-		if name, ok := strings.CutSuffix(e.Name(), ".tmp"); ok {
-			if _, ok := parseName(name); ok {
-				c.enc.files().remove(filepath.Join(c.opts.Dir, e.Name()))
-			}
+		name, tmp := strings.CutSuffix(e.Name(), ".tmp")
+		if f, ok := parseName(name); ok && tmp {
+			c.enc.files().remove(filepath.Join(c.opts.Dir, e.Name()))
+		} else if ok {
+			c.files = append(c.files, f)
 		}
 	}
+	slices.SortFunc(c.files, compareFiles)
 }
 
 // due reports whether height is a full interval past the chain's tip.
@@ -178,7 +186,12 @@ func (c *chain) write(s step, records recordSource) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	pruneChains(c.enc.files(), c.opts.Dir, c.opts.Keep)
+	// A file of a pre-crash incarnation may have had f's name: the rename
+	// replaced it.
+	if i, found := slices.BinarySearchFunc(c.files, f, compareFiles); !found {
+		c.files = slices.Insert(c.files, i, f)
+	}
+	c.files = pruneChains(c.enc.files(), c.opts.Dir, c.files, c.opts.Keep)
 	return n, nil
 }
 
@@ -304,47 +317,39 @@ func Restore(st *state.Store, dir string, maxHeight uint64) (uint64, int64, erro
 	return tip, bytesRead, nil
 }
 
-// pruneChains removes old checkpoint files, retaining the newest keep
-// files and then extending retention downward along chain links: the
-// full snapshot a retained delta (transitively) applies on top of is
-// never deleted, so pruning keeps whole chains and never orphans a
-// delta.
-func pruneChains(fs fsys, dir string, keep int) {
-	files, err := listChain(dir)
-	if err != nil || len(files) <= keep {
-		return
+// pruneChains removes old checkpoint files from files, the directory's in
+// compareFiles order, and returns those left: the newest keep files and,
+// extending retention downward along chain links, the full snapshot a
+// retained delta (transitively) applies on top of, so pruning keeps whole
+// chains and never orphans a delta. A file whose remove failed is left.
+func pruneChains(fs fsys, dir string, files []chainFile, keep int) []chainFile {
+	if len(files) <= keep {
+		return files
 	}
-	retained := files[len(files)-keep:]
-	// Collect the heights the retained files depend on by walking delta
-	// bases transitively. A base may itself be a delta (whose own base
-	// extends the walk) or a full (which roots the chain).
-	byHeight := make(map[uint64][]chainFile, len(files))
-	for _, f := range files {
-		byHeight[f.height] = append(byHeight[f.height], f)
-	}
+	// Walk down from the newest file: a retained file makes its height
+	// needed, and a needed delta its base, which may itself be a delta
+	// (whose own base extends the walk) or a full (which roots the chain).
+	// A base lies below its delta, so the walk has settled each height
+	// before it reaches it.
+	old := len(files) - keep
 	needed := make(map[uint64]bool)
-	var walk func(h uint64)
-	walk = func(h uint64) {
-		if h == 0 || needed[h] {
-			return
+	for i := len(files) - 1; i >= 0; i-- {
+		f := files[i]
+		if i >= old {
+			needed[f.height] = true
 		}
-		needed[h] = true
-		for _, f := range byHeight[h] {
-			if f.delta {
-				walk(f.base)
+		if needed[f.height] && f.delta {
+			needed[f.base] = true
+		}
+	}
+	left := files[:0]
+	for i, f := range files {
+		if i < old && !needed[f.height] {
+			if err := fs.remove(f.path(dir)); err == nil || errors.Is(err, os.ErrNotExist) {
+				continue
 			}
 		}
+		left = append(left, f)
 	}
-	for _, f := range retained {
-		needed[f.height] = true
-		if f.delta {
-			walk(f.base)
-		}
-	}
-	for _, f := range files[:len(files)-keep] {
-		if needed[f.height] {
-			continue
-		}
-		fs.remove(f.path(dir))
-	}
+	return left
 }

@@ -140,8 +140,11 @@ func (o Options) withDefaults() Options {
 }
 
 // deltaJob is one materialized checkpoint handed from the committer to
-// the worker: the planned step and the dirty entries as of its height,
-// already copied, so the worker never touches the store.
+// the worker: the planned step and the dirty entries as of its height, so
+// the worker never touches the store. The entries' values are the engine's
+// own slices: no engine writes into a value it stores (storage.Engine's
+// ownership rule), so a later block that overwrites a key replaces its
+// slice and leaves the one the job holds as it was at the job's height.
 type deltaJob struct {
 	step
 	entries []entry
@@ -243,7 +246,8 @@ func (c *Checkpointer) MaybeCheckpoint(height uint64) (bool, error) {
 
 // Checkpoint takes a checkpoint at height unconditionally. In full mode
 // the whole store is serialized and pruned synchronously; in delta mode
-// the dirty set is materialized and handed to the worker. Either way the
+// the dirty set is materialized — its keys and the engine's value slices,
+// aliased, not copied (deltaJob) — and handed to the worker. Either way the
 // store's dirty set resets — the next delta accumulates from here — and
 // the pause recorded is the work that stayed on the caller, the committer.
 func (c *Checkpointer) Checkpoint(height uint64) error {
@@ -256,14 +260,9 @@ func (c *Checkpointer) Checkpoint(height uint64) error {
 	var n int64
 	var err error
 	if delta {
+		entries = make([]entry, 0, c.st.DirtyStats().Keys)
 		c.st.DumpDirty(func(key string, value []byte, ver txn.Version, live bool) bool {
-			e := entry{key: key, ver: ver, live: live}
-			if live {
-				// The store may reuse or mutate the backing slice after the
-				// next block commits; the job needs a stable copy.
-				e.value = append([]byte(nil), value...)
-			}
-			entries = append(entries, e)
+			entries = append(entries, entry{key: key, value: value, ver: ver, live: live})
 			return true
 		})
 	} else {

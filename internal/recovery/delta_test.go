@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"dichotomy/internal/state"
+	"dichotomy/internal/storage"
+	"dichotomy/internal/storage/lsm"
 	"dichotomy/internal/storage/memdb"
 	"dichotomy/internal/txn"
 )
@@ -689,5 +691,90 @@ func TestFoldRewritesOverCorruptDelta(t *testing.T) {
 	}
 	if err := c.LastErr(); err != nil {
 		t.Fatalf("LastErr = %v", err)
+	}
+}
+
+// heldFS is the os behind a gate: no checkpoint file is created before
+// release closes, so the worker waits there with the job it has taken.
+type heldFS struct {
+	osFS
+	release chan struct{}
+}
+
+func (f heldFS) create(path string) (syncFile, error) {
+	<-f.release
+	return f.osFS.create(path)
+}
+
+// A delta job holds the engine's own value slices, not copies (deltaJob).
+// Held at the worker while later blocks overwrite every key it carries —
+// across memtable flushes on the LSM engine — it still writes the state
+// of its own height: no engine writes into a value it stores.
+func TestDeltaJobKeepsItsHeightAcrossOverwrites(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T) (storage.Engine, func() error)
+	}{
+		{"memdb", func(*testing.T) (storage.Engine, func() error) {
+			return memdb.New(), func() error { return nil }
+		}},
+		{"lsm", func(t *testing.T) (storage.Engine, func() error) {
+			db, err := lsm.Open(lsm.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db, db.Flush
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			engine, flush := tc.open(t)
+			src := state.New(engine, 8)
+			defer src.Close()
+			c := newDeltaCheckpointer(t, src, dir, 1<<20, 1<<20)
+			fill(t, src, 1, 100)
+			if err := c.Checkpoint(1); err != nil {
+				t.Fatal(err)
+			}
+			c.Flush() // the worker idles, so the gate goes in unraced
+			release := make(chan struct{})
+			c.chain.enc.fs = heldFS{release: release}
+
+			fill(t, src, 2, 100)
+			want := dump(src)
+			if err := c.Checkpoint(2); err != nil {
+				t.Fatal(err)
+			}
+			for b := uint64(3); b <= 5; b++ {
+				fill(t, src, b, 100) // every key the job carries, again
+				if err := flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			c.Flush()
+			if err := c.LastErr(); err != nil {
+				t.Fatal(err)
+			}
+
+			dst := state.New(memdb.New(), 8)
+			defer dst.Close()
+			h, _, err := Restore(dst, dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != 2 {
+				t.Fatalf("restored height %d, want 2", h)
+			}
+			got := dump(dst)
+			for k, v := range want {
+				if got[k] != v {
+					t.Fatalf("the delta at 2 restores %s = %s, the store held %s at 2", k, got[k], v)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("the delta at 2 restores %d keys, the store held %d", len(got), len(want))
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -362,20 +363,18 @@ func listChain(dir string) ([]chainFile, error) {
 			files = append(files, f)
 		}
 	}
-	slices.SortFunc(files, func(a, b chainFile) int {
-		if a.height != b.height {
-			if a.height < b.height {
-				return -1
-			}
+	slices.SortFunc(files, compareFiles)
+	return files, nil
+}
+
+// compareFiles orders checkpoint files by height, a full before a delta at
+// the same height, and deltas at one height by base.
+func compareFiles(a, b chainFile) int {
+	if a.delta != b.delta && a.height == b.height {
+		if a.delta {
 			return 1
 		}
-		if a.delta == b.delta {
-			return 0
-		}
-		if !a.delta {
-			return -1
-		}
-		return 1
-	})
-	return files, nil
+		return -1
+	}
+	return cmp.Or(cmp.Compare(a.height, b.height), cmp.Compare(a.base, b.base))
 }

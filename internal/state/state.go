@@ -250,10 +250,11 @@ func (s *Store) DumpDirty(fn func(key string, value []byte, ver txn.Version, liv
 
 // ResetDirty clears the dirty set; the checkpointer calls it right after
 // materializing a delta (or writing a full checkpoint, which covers
-// everything), so the next interval accumulates from empty.
+// everything), so the next interval accumulates from empty. The set is
+// cleared in place: it keeps its room for the next interval's keys.
 func (s *Store) ResetDirty() {
 	s.dirtyMu.Lock()
-	s.dirty = make(map[string]struct{})
+	clear(s.dirty)
 	s.dirtyBytes = 0
 	s.dirtyMu.Unlock()
 }

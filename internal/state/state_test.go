@@ -436,6 +436,40 @@ func TestApplyBlockGroupsInSliceOrder(t *testing.T) {
 	}
 }
 
+// TestDumpDirtyResetDirtyAllocs pins a delta checkpoint's store side in
+// steady state: a block of overwrites dirties its keys, DumpDirty hands
+// them over with the engine's own values, and ResetDirty clears the set in
+// place. Past the block's skiplist entries (TestApplyBlockAndGetAllocs),
+// the cycle allocates one thing: DumpDirty's sorted key list.
+func TestDumpDirtyResetDirtyAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	s := New(memdb.New(), 0)
+	defer s.Close()
+	s.EnableDirtyTracking()
+	const keys = 64
+	block := make([]VersionedWrite, keys)
+	for i := range block {
+		block[i] = VersionedWrite{Write: put(fmt.Sprintf("chk:acct%08d", i), "balance"), Version: ver(1, uint32(i))}
+	}
+	dumped := 0
+	cycle := func() {
+		if err := s.ApplyBlock(block); err != nil {
+			t.Fatal(err)
+		}
+		s.DumpDirty(func(string, []byte, txn.Version, bool) bool { dumped++; return true })
+		s.ResetDirty()
+	}
+	cycle()
+	if dumped != keys {
+		t.Fatalf("DumpDirty visited %d keys, want %d", dumped, keys)
+	}
+	if perCycle := testing.AllocsPerRun(100, cycle); perCycle != keys+1 {
+		t.Fatalf("a block, DumpDirty and ResetDirty: %.1f allocs, want %d (one per skiplist entry and the key list)", perCycle, keys+1)
+	}
+}
+
 // TestApplyBlockAndGetAllocs pins what the store itself adds to a block of
 // overwrites on memdb, small or large, and to a point read: nothing. The
 // block's keys reach the engine as views of their strings and its values as

@@ -11,7 +11,10 @@
 // it before handing it over. Keys are the other way round: an engine never
 // writes into a key it is handed and copies every key it keeps, so a key
 // may be a view of bytes the caller still owns (see KeyView). No engine
-// writes into a value it stores, so values read back may be shared.
+// writes into a value it stores, so values read back may be shared: the
+// delta checkpointer (recovery.Checkpointer) relies on it, handing the
+// values it reads to its worker uncopied while later blocks overwrite
+// their keys.
 package storage
 
 import (

@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,6 +229,12 @@ type peer struct {
 	// free holds sealed blocks for the Decode stage to decode into again,
 	// so a peer's views and slabs are reused rather than reallocated.
 	free chan *fabricBlock
+	// keys looks an endorser's key up for the Validate stage, built once.
+	keys func(name string) (cryptoutil.PublicKey, bool)
+	// mvcc and sets are the Apply stage's scratch, kept from block to
+	// block; neither holds a block's sets once the block is applied.
+	mvcc pipeline.Validator
+	sets []txn.RWSet
 }
 
 // fabricBlock is one decoded block moving through a peer's pipeline: the
@@ -323,6 +330,10 @@ func (nw *Network) openPeer(name string, signer *cryptoutil.Signer) (*peer, erro
 		return nil, err
 	}
 	p := &peer{Replica: rep, name: name, nw: nw, signer: signer, free: make(chan *fabricBlock, cfg.PipelineDepth+1)}
+	p.keys = func(name string) (cryptoutil.PublicKey, bool) {
+		pub, ok := nw.peerKeys[name]
+		return pub, ok
+	}
 	p.pipe = pipeline.New(pipeline.Config{
 		Workers: cfg.ValidationWorkers,
 		Depth:   cfg.PipelineDepth,
@@ -355,8 +366,12 @@ func (nw *Network) needed() int {
 	return len(nw.peers)
 }
 
-// livePeers returns the peers whose commit pipelines are running.
+// livePeers returns the peers whose commit pipelines are running: nw.peers
+// itself while none is down, which the caller must not modify.
 func (nw *Network) livePeers() []*peer {
+	if !slices.ContainsFunc(nw.peers, (*peer).Crashed) {
+		return nw.peers
+	}
 	out := make([]*peer, 0, len(nw.peers))
 	for _, p := range nw.peers {
 		if !p.Crashed() {
@@ -391,7 +406,8 @@ func (nw *Network) query(t *txn.Tx) system.Result {
 		return system.Result{Err: errors.New("fabric: no live peers")}
 	}
 	p := live[int(nw.rr.Add(1))%len(live)]
-	if _, _, err := p.endorse(t); err != nil {
+	var snap state.Snapshot
+	if _, _, err := p.endorse(t, &snap); err != nil {
 		return system.Result{Err: err}
 	}
 	return system.Result{Committed: true, Value: p.readValue(t.Invocation)}
@@ -431,22 +447,15 @@ func (nw *Network) execute(t *txn.Tx, await func() system.Result) system.Result 
 // Result is the final verdict. Shared by the direct execute path and the
 // ingress batch sink.
 func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, bool) {
-	type endorsement struct {
-		rw  txn.RWSet
-		sig cryptoutil.Signature
-		err error
-	}
-	results := make([]endorsement, len(live))
 	start := time.Now()
-	var wg sync.WaitGroup
-	for i, p := range live {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			results[i].rw, results[i].sig, results[i].err = p.endorse(t)
-		}(i, p)
+	f := &fanout{t: t}
+	results := slices.Grow(f.inline[:0], len(live))[:len(live)]
+	f.wg.Add(len(live) - 1)
+	for i, p := range live[1:] {
+		go f.endorse(&results[i+1], p)
 	}
-	wg.Wait()
+	results[0].rw, results[0].sig, results[0].err = live[0].endorse(t, &results[0].snap)
+	f.wg.Wait()
 	t.Trace.Observe(metrics.PhaseProposal, time.Since(start))
 	// A peer crashed mid-simulation answers from its closed engine. Its
 	// endorsement is dropped; the others stand if the policy can do without
@@ -478,9 +487,10 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 		results = kept
 	}
 	// Client-side consistency check across endorsers.
-	sets := make([]txn.RWSet, len(results))
-	for i, r := range results {
-		sets[i] = r.rw
+	var inline [4]txn.RWSet
+	sets := inline[:0]
+	for _, r := range results {
+		sets = append(sets, r.rw)
 	}
 	if !occ.ConsistentReads(sets) {
 		return system.Result{Reason: occ.InconsistentRead}, false
@@ -488,7 +498,7 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 
 	// Assemble: adopt the first simulation result plus all signatures.
 	t.RWSet = results[0].rw
-	t.Endorsements = t.Endorsements[:0]
+	t.Endorsements = slices.Grow(t.Endorsements[:0], len(endorsers))
 	t.AggEndorsement = nil
 	for i, p := range endorsers {
 		t.Endorsements = append(t.Endorsements, txn.Endorsement{Peer: p.name, Sig: results[i].sig})
@@ -503,6 +513,30 @@ func (nw *Network) endorseAndAssemble(t *txn.Tx, live []*peer) (system.Result, b
 		}
 	}
 	return system.Result{}, true
+}
+
+// fanout is one transaction's endorsement round in one allocation: the
+// WaitGroup the round waits on and each endorser's answer, with the
+// snapshot it simulated against, inline for up to four endorsers — the
+// paper's deployment.
+type fanout struct {
+	t      *txn.Tx
+	wg     sync.WaitGroup
+	inline [4]endorsement
+}
+
+// endorsement is one endorser's answer in a fan-out.
+type endorsement struct {
+	rw   txn.RWSet
+	sig  cryptoutil.Signature
+	err  error
+	snap state.Snapshot
+}
+
+// endorse runs one endorser of the round on its own goroutine.
+func (f *fanout) endorse(e *endorsement, p *peer) {
+	defer f.wg.Done()
+	e.rw, e.sig, e.err = p.endorse(f.t, &e.snap)
 }
 
 // ingestBatch is the ingress builder's sink: it owns every transaction
@@ -589,8 +623,9 @@ func (p *peer) readValue(inv txn.Invocation) []byte {
 	return v
 }
 
-// endorse authenticates, simulates, and signs on one peer.
-func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
+// endorse authenticates, simulates, and signs on one peer. The simulation
+// pins snap, which must not be pinned, for its duration.
+func (p *peer) endorse(t *txn.Tx, snap *state.Snapshot) (txn.RWSet, cryptoutil.Signature, error) {
 	var authErr error
 	t.Trace.Time(metrics.PhaseAuth, func() {
 		pub, ok := p.nw.clients.Key(t.Client)
@@ -610,7 +645,7 @@ func (p *peer) endorse(t *txn.Tx) (txn.RWSet, cryptoutil.Signature, error) {
 	var rw txn.RWSet
 	var simErr error
 	t.Trace.Time(metrics.PhaseSimulate, func() {
-		snap := p.St.Snapshot()
+		p.St.SnapshotInto(snap)
 		defer snap.Release()
 		rw, simErr = registry.Execute(snap, t.Invocation)
 	})
@@ -680,10 +715,7 @@ func (p *peer) validateBlock(b *fabricBlock) {
 	start := time.Now()
 	defer func() { b.valDur = time.Since(start) }()
 	b.verdicts = append(b.verdicts[:0], make([]occ.AbortReason, len(b.Txs))...)
-	keys := func(name string) (cryptoutil.PublicKey, bool) {
-		pub, ok := p.nw.peerKeys[name]
-		return pub, ok
-	}
+	keys := p.keys
 	switch {
 	case p.nw.cfg.AggregateEndorsements:
 		pipeline.Parallel(p.pipe.Workers(), len(b.Txs), func(i int) {
@@ -725,13 +757,15 @@ func (p *peer) validateBlock(b *fabricBlock) {
 func (p *peer) applyBlock(b *fabricBlock) {
 	b.applyStart = time.Now()
 	blockNum := p.Ledger.Height() + 1
-	sets := make([]txn.RWSet, len(b.Txs))
+	sets := slices.Grow(p.sets[:0], len(b.Txs))[:len(b.Txs)] // zero: cleared after each block
 	for i, t := range b.Txs {
 		if b.verdicts[i] == occ.OK {
 			sets[i] = t.RWSet
 		}
 	}
-	mvccVerdicts := pipeline.ValidateWaves(sets, p.St, blockNum, p.pipe.Workers())
+	mvccVerdicts := p.mvcc.ValidateWaves(sets, p.St, blockNum, p.pipe.Workers())
+	clear(sets) // hold no view past the block
+	p.sets = sets[:0]
 	for i := range b.verdicts {
 		if b.verdicts[i] == occ.OK {
 			b.verdicts[i] = mvccVerdicts[i]
